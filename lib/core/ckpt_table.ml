@@ -11,14 +11,24 @@
    path.  Because a stamp's ancestors are precisely its proper prefixes,
    walking the trie root-to-leaf visits every possible covering ancestor —
    [record]'s covered check, its descendant eviction (the subtree below the
-   new node) and [discharge] are all O(depth) hops, independent of entry
-   size.  Children are held in an int-keyed association list per node:
-   digits are per-activation spawn counters, bounded by the program's
-   static fan-out (typically < 8, and the PR-4 gauntlet asserts the bound
-   holds at runtime), so a scan over unboxed int keys beats both a
-   hashtable (hashing + bucket chasing per hop) and a digit-indexed array
-   (repeated reallocation when a sparse high digit appears) at every
-   fan-out the system produces.
+   new node) and [discharge] are all O(depth) hops, each a scan of one
+   node's live children.
+
+   The trie holds only paths to outstanding checkpoints: [discharge]
+   unlinks every node it leaves with no packets and no children on its way
+   back up, so an entry's size follows the work still in flight rather
+   than the work ever spawned.  That matters for the sibling scans.  Below
+   depth 1 a digit is a per-activation spawn counter, bounded by the
+   program's static fan-out (typically < 8; the analysis gauntlet asserts
+   the bound at runtime).  At depth 1 in service mode the digit is the request
+   uid, unbounded over a run and past 255 after 256 requests (such stamps
+   take the spill layout, see [Stamp]); only the requests with a checkpoint
+   still outstanding toward this peer keep a child there.
+
+   Children are sibling-linked: a node carries its digit, its first child
+   and its next sibling, ending in the self-referential [nil_node].  A hop
+   is one 5-word block — no cons cell or pair per child — and unlinking
+   allocates nothing.
 
    Peers are dense small ints ([Ids.proc_id]; the super-root is -1), so the
    per-peer entries live in an array indexed by [dest + 1] instead of a
@@ -29,21 +39,22 @@
 type mode = Topmost | Keep_all
 
 type node = {
+  digit : int;  (* last digit of this node's path; -1 at an entry root *)
   mutable packets : Packet.t list;
       (* newest first; all share the stamp addressed by this node's path.
          At most one element in [Topmost] mode (equal stamps are covered). *)
-  mutable kids : (int * node) list;  (* keyed by next digit; fan-out bounded *)
+  mutable first : node;  (* first child, [nil_node] if none *)
+  mutable next : node;  (* next sibling, [nil_node] at the end *)
 }
 
 type entry = { root : node; mutable count : int }
 
 type t = { mode : mode; mutable entries : entry option array }
 
-(* Shared "absent child" result so the descend loops never allocate an
-   option.  Never mutated, never linked into a trie. *)
-let nil_node = { packets = []; kids = [] }
-
-let fresh_node () = { packets = []; kids = [] }
+(* End of every child and sibling chain, and the "absent child" result of
+   the descend loops, so they never allocate an option.  Never mutated,
+   never linked into a trie as a real node. *)
+let rec nil_node = { digit = -1; packets = []; first = nil_node; next = nil_node }
 
 let create ?(mode = Topmost) () = { mode; entries = Array.make 16 None }
 
@@ -63,7 +74,9 @@ let entry_of t dest =
   match Array.unsafe_get t.entries i with
   | Some e -> e
   | None ->
-    let e = { root = fresh_node (); count = 0 } in
+    let e =
+      { root = { digit = -1; packets = []; first = nil_node; next = nil_node }; count = 0 }
+    in
     t.entries.(i) <- Some e;
     e
 
@@ -71,39 +84,39 @@ let find_entry t dest =
   let i = slot_of dest in
   if i < 0 || i >= Array.length t.entries then None else Array.unsafe_get t.entries i
 
-let rec kid kids k =
-  match kids with
-  | [] -> nil_node
-  | (d, n) :: rest -> if d = k then n else kid rest k
+(* The child of [node] with digit [k], or [nil_node]. *)
+let kid node k =
+  let rec scan n = if n == nil_node || n.digit = k then n else scan n.next in
+  scan node.first
 
 let kid_or_create node k =
-  let n = kid node.kids k in
+  let n = kid node k in
   if n != nil_node then n
   else begin
-    let n = fresh_node () in
-    node.kids <- (k, n) :: node.kids;
+    let n = { digit = k; packets = []; first = nil_node; next = node.first } in
+    node.first <- n;
     n
   end
 
-(* Walk to the node addressed by [stamp]'s digits; [nil_node] if absent. *)
-let locate root stamp =
-  let d = Stamp.depth stamp in
-  let rec go node i =
-    if i = d then node
-    else
-      let n = kid node.kids (Stamp.digit stamp i) in
-      if n == nil_node then nil_node else go n (i + 1)
-  in
-  go root 0
+(* Remove [child], known to be linked under [parent]. *)
+let unlink parent child =
+  if parent.first == child then parent.first <- child.next
+  else begin
+    let rec scan prev =
+      if prev.next == child then prev.next <- child.next else scan prev.next
+    in
+    scan parent.first
+  end
 
-let rec subtree_packets node acc =
+(* [f] folded over the packets of [n], its descendants and its later
+   siblings.  Tail-recursive along sibling chains, which can be long. *)
+let rec fold_forest f n acc =
+  if n == nil_node then acc else fold_forest f n.next (fold_forest f n.first (f n acc))
+
+let subtree_packets root =
   (* Prepend [node.packets] without reversing: equal-stamp packets must
      reach the stable sort newest-first, as the flat list did. *)
-  let acc = List.fold_right (fun p acc -> p :: acc) node.packets acc in
-  List.fold_left (fun acc (_, n) -> subtree_packets n acc) acc node.kids
-
-let rec subtree_count node =
-  List.fold_left (fun acc (_, n) -> acc + subtree_count n) (List.length node.packets) node.kids
+  fold_forest (fun n acc -> List.fold_right (fun p acc -> p :: acc) n.packets acc) root []
 
 let record t ~dest (p : Packet.t) =
   let e = entry_of t dest in
@@ -136,14 +149,10 @@ let record t ~dest (p : Packet.t) =
              re-spawned to the same destination); they live exactly in the
              subtree below this node — evict it wholesale.  A leaf (the
              overwhelmingly common case) has nothing below it. *)
-          (match node.kids with
-          | [] -> ()
-          | _ :: _ ->
-            let evicted = subtree_count node - 1 in
-            if evicted > 0 then begin
-              node.kids <- [];
-              e.count <- e.count - evicted
-            end);
+          if node.first != nil_node then begin
+            e.count <- e.count - fold_forest (fun n acc -> acc + List.length n.packets) node.first 0;
+            node.first <- nil_node
+          end;
           e.count <- e.count + 1;
           `Recorded
         end
@@ -155,13 +164,40 @@ let discharge t ~dest stamp =
   match find_entry t dest with
   | None -> false
   | Some e ->
-    let node = locate e.root stamp in
-    (match node.packets with
-    | [] -> false (* absent ([nil_node]) or already drained *)
-    | ps ->
-      e.count <- e.count - List.length ps;
-      node.packets <- [];
-      true)
+    let d = Stamp.depth stamp in
+    (* Packets removed at [stamp]'s node.  On the way back up, every node
+       left with no packets and no children is unlinked from its parent, so
+       the trie keeps only paths to outstanding checkpoints. *)
+    let rec go node i =
+      if i = d then begin
+        match node.packets with
+        | [] -> 0 (* already drained: the node lives on for its children *)
+        | ps ->
+          node.packets <- [];
+          List.length ps
+      end
+      else begin
+        let c = kid node (Stamp.digit stamp i) in
+        if c == nil_node then 0
+        else begin
+          let removed = go c (i + 1) in
+          (match c.packets with
+          | [] when removed > 0 && c.first == nil_node -> unlink node c
+          | _ -> ());
+          removed
+        end
+      end
+    in
+    let removed = go e.root 0 in
+    e.count <- e.count - removed;
+    removed > 0
+
+let node_count t =
+  Array.fold_left
+    (fun acc -> function
+      | None -> acc
+      | Some e -> fold_forest (fun _ acc -> acc + 1) e.root.first acc)
+    0 t.entries
 
 let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
 
@@ -169,7 +205,7 @@ let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
    is fixed by the stable sort: distinct stamps by [Stamp.compare], equal
    stamps kept newest-first because each node's packets stay contiguous and
    newest-first in the collected list. *)
-let sorted_packets e = List.stable_sort by_stamp (subtree_packets e.root [])
+let sorted_packets e = List.stable_sort by_stamp (subtree_packets e.root)
 
 let on_failure t ~failed =
   match find_entry t failed with

@@ -18,7 +18,9 @@
     prefix), so {!record}'s covered/dominates checks and {!discharge} cost
     O(stamp depth) rather than a scan of the entry — entry size does not
     matter, which keeps [Keep_all] (the Q8 space/time ablation) usable at
-    scale.  {!on_failure} and {!entry} still return stamp-sorted lists. *)
+    scale.  {!discharge} prunes the trie back to the paths of outstanding
+    checkpoints, so table memory is proportional to them.  {!on_failure}
+    and {!entry} still return stamp-sorted lists. *)
 
 type mode = Topmost | Keep_all
 
@@ -51,3 +53,8 @@ val total_size : t -> int
 
 val destinations : t -> Ids.proc_id list
 (** Sorted peers with a non-empty entry. *)
+
+val node_count : t -> int
+(** Trie nodes below the entry roots, across all entries — introspection
+    for tests and the X8 drain check.  Zero whenever {!total_size} is:
+    only paths to held checkpoints are kept. *)

@@ -9,14 +9,15 @@
                     ceil(d/7) words of seven digit-bytes each, big-endian
                     within the word (digit [i] sits at bit 8*(6 - i mod 7)
                     of word [2 + i/7]); unused trailing bytes are zero
-     s.(1) < 0      spill layout for digits > 255 (permitted by the API,
-                    never produced by fan-out-bounded programs): depth is
+     s.(1) < 0      spill layout for stamps with a digit > 255: depth is
                     [-s.(1) - 1] and slots 2.. hold the digits verbatim
 
-   Digits are per-activation spawn counters bounded by the static fan-out,
-   so seven bytes per word captures every stamp a real program makes: the
-   comparison loops touch ceil(depth/7) words instead of [depth] list
-   cells, and construction is one small allocation.  Big-endian byte order
+   Below depth 1, digits are per-activation spawn counters bounded by the
+   static fan-out, so seven bytes per word captures every stamp a batch
+   program makes: the comparison loops touch ceil(depth/7) words instead of
+   [depth] list cells, and construction is one small allocation.  In
+   service mode the depth-1 digit is the request uid, so from the 257th
+   request on a request's stamps take the spill layout.  Big-endian byte order
    makes word comparison agree with lexicographic digit comparison, and
    zero padding is harmless because depth disambiguates (words equal, then
    the shorter stamp is the prefix).  Operations between two packed stamps

@@ -14,6 +14,7 @@ type point = {
   makespan : int;
   events : int;
   residual : int;  (* arena-resident tasks after quiescence (must be 0) *)
+  ckpt_nodes : int;  (* checkpoint-table trie nodes after quiescence (must be 0) *)
   correct : bool;
   (* Wall-clock-derived numbers exist only in the full run: quick mode is
      part of the --jobs determinism gate, so its report must not contain
@@ -76,9 +77,9 @@ let run ?(quick = false) () =
               (c, o))
         in
         let tasks = 1 + Counter.get (Cluster.counters c) "spawn.remote" in
-        let residual =
-          List.fold_left (fun acc n -> acc + Node.resident_tasks n) 0 (Cluster.nodes c)
-        in
+        let sum f = List.fold_left (fun acc n -> acc + f n) 0 (Cluster.nodes c) in
+        let residual = sum Node.resident_tasks in
+        let ckpt_nodes = sum (fun n -> Recflow_recovery.Ckpt_table.node_count (Node.checkpoints n)) in
         {
           procs;
           depth;
@@ -86,6 +87,7 @@ let run ?(quick = false) () =
           makespan = (match o.Cluster.answer_time with Some t -> t | None -> o.Cluster.sim_time);
           events = o.Cluster.events;
           residual;
+          ckpt_nodes;
           correct = o.Cluster.answer = Some (Value.Int (grain * (1 lsl depth)));
           cpu_s;
           peak_heap_words;
@@ -129,6 +131,8 @@ let run ?(quick = false) () =
         List.for_all (fun p -> p.events < 40 * p.tasks) points );
       ( "the arena drains: no resident tasks after quiescence",
         List.for_all (fun p -> p.residual = 0) points );
+      ( "checkpoint tables drain: no trie nodes after quiescence",
+        List.for_all (fun p -> p.ckpt_nodes = 0) points );
       ( (if quick then "largest quick row reaches 64 processors"
          else "largest row reaches 1024 processors and >= 1M tasks"),
         if quick then last.procs = 64 else last.procs = 1024 && last.tasks >= 1_000_000 );

@@ -20,9 +20,7 @@ type event =
 
 type entry = { time : int; stamp : Stamp.t; event : event }
 
-type key = int list
-
-let key_of_stamp s : key = Stamp.digits s
+module Stamp_tbl = Hashtbl.Make (Stamp)
 
 type t = {
   retain : bool;
@@ -31,8 +29,12 @@ type t = {
          so journal memory is O(1) instead of O(run length) *)
   mutable rev_entries : entry list;
   mutable n_entries : int;
-  mutable last_time : int option;
-  by_stamp : (key, entry list ref) Hashtbl.t;  (* reverse chronological *)
+  mutable last_time : int;  (* meaningful once [n_entries > 0] *)
+  by_stamp : entry list ref Stamp_tbl.t;  (* reverse chronological *)
+  mutable indexed : int;
+      (* retained entries already in [by_stamp]: the index is built on the
+         first per-stamp query and caught up on each later one, so
+         [record] — on every run's hot path — never touches it *)
   mutable extra : entry Recflow_obs_core.Sink.t option;
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
@@ -44,8 +46,9 @@ let create ?(retain = true) () =
     retain;
     rev_entries = [];
     n_entries = 0;
-    last_time = None;
-    by_stamp = Hashtbl.create 256;
+    last_time = 0;
+    by_stamp = Stamp_tbl.create 256;
+    indexed = 0;
     extra = None;
   }
 
@@ -58,21 +61,15 @@ let attach_sink t sink =
 let record t ~time ~stamp event =
   let e = { time; stamp; event } in
   t.n_entries <- t.n_entries + 1;
-  t.last_time <- Some time;
+  t.last_time <- time;
   (match t.extra with Some s -> Recflow_obs_core.Sink.emit s e | None -> ());
-  if t.retain then begin
-    t.rev_entries <- e :: t.rev_entries;
-    let k = key_of_stamp stamp in
-    match Hashtbl.find_opt t.by_stamp k with
-    | Some r -> r := e :: !r
-    | None -> Hashtbl.add t.by_stamp k (ref [ e ])
-  end
+  if t.retain then t.rev_entries <- e :: t.rev_entries
 
 let entries t = List.rev t.rev_entries
 
 let length t = t.n_entries
 
-let last_entry_time t = t.last_time
+let last_entry_time t = if t.n_entries = 0 then None else Some t.last_time
 
 let failures t =
   List.rev
@@ -80,14 +77,31 @@ let failures t =
        (fun e -> match e.event with Failure { proc } -> Some (e.time, proc) | _ -> None)
        t.rev_entries)
 
+(* Index the entries recorded since the last query: they are the newest
+   [retained - indexed] of [rev_entries], added oldest first so each
+   per-stamp list stays reverse chronological. *)
+let catch_up t =
+  let retained = if t.retain then t.n_entries else 0 in
+  if t.indexed < retained then begin
+    let rec newest n l acc =
+      match l with e :: rest when n > 0 -> newest (n - 1) rest (e :: acc) | _ -> acc
+    in
+    List.iter
+      (fun e ->
+        match Stamp_tbl.find_opt t.by_stamp e.stamp with
+        | Some r -> r := e :: !r
+        | None -> Stamp_tbl.add t.by_stamp e.stamp (ref [ e ]))
+      (newest (retained - t.indexed) t.rev_entries []);
+    t.indexed <- retained
+  end
+
 let for_stamp t stamp =
-  match Hashtbl.find_opt t.by_stamp (key_of_stamp stamp) with
-  | Some r -> List.rev !r
-  | None -> []
+  catch_up t;
+  match Stamp_tbl.find_opt t.by_stamp stamp with Some r -> List.rev !r | None -> []
 
 let stamps t =
-  Hashtbl.fold (fun k _ acc -> Stamp.of_digits k :: acc) t.by_stamp []
-  |> List.sort Stamp.compare
+  catch_up t;
+  Stamp_tbl.fold (fun k _ acc -> k :: acc) t.by_stamp [] |> List.sort Stamp.compare
 
 let count t pred =
   List.fold_left (fun acc e -> if pred e.event then acc + 1 else acc) 0 t.rev_entries

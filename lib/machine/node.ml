@@ -1219,9 +1219,7 @@ let deliver t ctx msg =
       match Hashtbl.find_opt t.tasks parent_task with
       | Some _ ->
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
-          (Journal.Acked { task = child_task; proc = child_proc });
-        tracef t ctx "ack for %s: task%d on %s" (Stamp.to_string child_stamp) child_task
-          (Ids.proc_to_string child_proc)
+          (Journal.Acked { task = child_task; proc = child_proc })
       | None -> Counter.incr ctx.counters "ack.ignored")
     | Message.Result { stamp; value; target; relay } -> (
       match lookup t target.Packet.task with

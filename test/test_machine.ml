@@ -514,6 +514,60 @@ let occupancy_until_before_entries () =
   check_int "both activations clamp to last bucket" 2 grid.(0).(3);
   check_int "earlier buckets empty" 0 grid.(0).(0)
 
+(* The per-stamp index is built lazily and caught up on each query, so
+   queries interleaved with records must answer exactly what a filter over
+   [entries] does, in both retain modes. *)
+type journal_op = Add of int * int list * int | Query of int list
+
+let journal_index_matches_filter retain =
+  let gen_op =
+    QCheck.Gen.(
+      list_size (int_bound 3) (int_bound 2) >>= fun ds ->
+      frequency
+        [
+          ( 3,
+            map2 (fun time kind -> Add (time, ds, kind)) (int_bound 1000) (int_bound 2) );
+          (1, return (Query ds));
+        ])
+  in
+  let event_of kind =
+    match kind with
+    | 0 -> Journal.Activated { task = 1; proc = 0 }
+    | 1 -> Journal.Acked { task = 1; proc = 1 }
+    | _ -> Journal.Completed { task = 1; proc = 0; work = 3 }
+  in
+  let activated = function Journal.Activated _ -> true | _ -> false in
+  QCheck.Test.make ~count:200
+    ~name:
+      (Printf.sprintf "lazy stamp index = filter over entries (retain=%b)" retain)
+    (QCheck.make QCheck.Gen.(list_size (int_bound 80) gen_op))
+    (fun ops ->
+      let j = Journal.create ~retain () in
+      List.for_all
+        (function
+          | Add (time, ds, kind) ->
+            Journal.record j ~time ~stamp:(Stamp.of_digits ds) (event_of kind);
+            true
+          | Query ds ->
+            let stamp = Stamp.of_digits ds in
+            let mine =
+              List.filter (fun (e : Journal.entry) -> Stamp.equal e.stamp stamp) (Journal.entries j)
+            in
+            let times pred =
+              List.filter_map
+                (fun (e : Journal.entry) -> if pred e.event then Some e.time else None)
+                mine
+            in
+            let first l = match l with [] -> None | x :: _ -> Some x in
+            let last l = first (List.rev l) in
+            List.equal ( == ) (Journal.for_stamp j stamp) mine
+            && List.map Stamp.digits (Journal.stamps j)
+               = List.sort_uniq compare
+                   (List.map (fun (e : Journal.entry) -> Stamp.digits e.stamp) (Journal.entries j))
+            && Journal.first_time j stamp activated = first (times activated)
+            && Journal.last_time j stamp activated = last (times activated))
+        ops)
+
 let suites =
   [
     ( "machine.fault_free",
@@ -553,6 +607,8 @@ let suites =
         Alcotest.test_case "horizon" `Quick horizon_stops;
         Alcotest.test_case "first_alive min_int" `Quick first_alive_min_int;
         Alcotest.test_case "first_alive deterministic" `Quick first_alive_deterministic;
+        qtest (journal_index_matches_filter true);
+        qtest (journal_index_matches_filter false);
       ] );
     ( "machine.timeline",
       [

@@ -231,41 +231,95 @@ module Ckpt_oracle = struct
   let total t = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 t.entries
 end
 
+(* Digits straddle the packed/spill boundary of [Stamp]: service-mode
+   request uids pass 255 and take the spill layout. *)
+let gen_digit = QCheck.Gen.(frequency [ (4, int_bound 2); (1, int_range 255 257) ])
+
+type ckpt_op = Record of int * int list | Discharge of int * int list | Fail of int
+
 let gen_op =
   QCheck.Gen.(
     int_bound 20 >>= fun len ->
-    list_size (return len) (int_bound 2) >>= fun digits ->
+    list_size (return len) gen_digit >>= fun digits ->
     int_bound 2 >>= fun dest ->
-    bool >>= fun is_record -> return (is_record, dest, digits))
+    frequency
+      [
+        (10, return (Record (dest, digits)));
+        (10, return (Discharge (dest, digits)));
+        (1, return (Fail dest));
+      ])
+
+let print_op = function
+  | Record (dest, ds) -> Printf.sprintf "record %d %s" dest (Stamp.to_string (Stamp.of_digits ds))
+  | Discharge (dest, ds) ->
+    Printf.sprintf "discharge %d %s" dest (Stamp.to_string (Stamp.of_digits ds))
+  | Fail dest -> Printf.sprintf "fail %d" dest
+
+let mode_name = function Ckpt_table.Topmost -> "topmost" | Ckpt_table.Keep_all -> "keep-all"
+
+let stamp_digits (ps : Packet.t list) = List.map (fun (p : Packet.t) -> Stamp.digits p.stamp) ps
+
+(* Trie nodes a pruned table must hold: one per distinct non-empty prefix
+   of a stored stamp, per peer. *)
+let oracle_nodes (o : Ckpt_oracle.t) =
+  List.fold_left
+    (fun acc (_, l) ->
+      let prefixes =
+        List.concat_map
+          (fun ds -> List.init (List.length ds) (fun i -> List.filteri (fun j _ -> j <= i) ds))
+          (stamp_digits l)
+      in
+      acc + List.length (List.sort_uniq compare prefixes))
+    0 o.Ckpt_oracle.entries
 
 let ckpt_matches_oracle mode =
   QCheck.Test.make ~count:300
-    ~name:
-      (Printf.sprintf "trie table = flat-list oracle (%s)"
-         (match mode with Ckpt_table.Topmost -> "topmost" | Ckpt_table.Keep_all -> "keep-all"))
-    (QCheck.make QCheck.Gen.(list_size (int_bound 60) gen_op))
+    ~name:(Printf.sprintf "trie table = flat-list oracle (%s)" (mode_name mode))
+    (QCheck.make ~print:QCheck.Print.(list print_op) QCheck.Gen.(list_size (int_bound 60) gen_op))
     (fun ops ->
       let t = Ckpt_table.create ~mode () in
       let o = Ckpt_oracle.create mode in
       List.for_all
-        (fun (is_record, dest, digits) ->
-          let stamp = Stamp.of_digits digits in
+        (fun op ->
           let same_step =
-            if is_record then
-              let p = mk_packet ~stamp () in
+            match op with
+            | Record (dest, digits) ->
+              let p = mk_packet ~stamp:(Stamp.of_digits digits) () in
               Ckpt_table.record t ~dest p = Ckpt_oracle.record o ~dest p
-            else Ckpt_table.discharge t ~dest stamp = Ckpt_oracle.discharge o ~dest stamp
+            | Discharge (dest, digits) ->
+              let stamp = Stamp.of_digits digits in
+              Ckpt_table.discharge t ~dest stamp = Ckpt_oracle.discharge o ~dest stamp
+            | Fail failed ->
+              let expected = stamp_digits (Ckpt_oracle.sorted o failed) in
+              Ckpt_oracle.set o failed [];
+              stamp_digits (Ckpt_table.on_failure t ~failed) = expected
           in
           let same_entry dest =
-            List.map
-              (fun (p : Packet.t) -> Stamp.digits p.Packet.stamp)
-              (Ckpt_table.entry t ~dest)
-            = List.map (fun (p : Packet.t) -> Stamp.digits p.Packet.stamp) (Ckpt_oracle.sorted o dest)
+            stamp_digits (Ckpt_table.entry t ~dest) = stamp_digits (Ckpt_oracle.sorted o dest)
           in
           same_step
           && same_entry 0 && same_entry 1 && same_entry 2
-          && Ckpt_table.total_size t = Ckpt_oracle.total o)
+          && Ckpt_table.total_size t = Ckpt_oracle.total o
+          && Ckpt_table.node_count t = oracle_nodes o)
         ops)
+
+(* Discharging every recorded stamp, in any order, leaves no trie node
+   behind: table memory follows the outstanding checkpoints only. *)
+let ckpt_drains mode =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "discharging every record drains the trie (%s)" (mode_name mode))
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 40)
+           (pair (int_bound 2) (list_size (int_bound 8) gen_digit))
+         >>= fun recs -> shuffle_l recs >>= fun order -> return (recs, order)))
+    (fun (recs, order) ->
+      let t = Ckpt_table.create ~mode () in
+      List.iter
+        (fun (dest, ds) -> ignore (Ckpt_table.record t ~dest (mk_packet ~stamp:(Stamp.of_digits ds) ())))
+        recs;
+      List.iter (fun (dest, ds) -> ignore (Ckpt_table.discharge t ~dest (Stamp.of_digits ds))) order;
+      Ckpt_table.node_count t = 0 && Ckpt_table.total_size t = 0)
 
 let ckpt_on_failure () =
   let t = Ckpt_table.create () in
@@ -467,6 +521,8 @@ let suites =
         Alcotest.test_case "on failure" `Quick ckpt_on_failure;
         qtest (ckpt_matches_oracle Ckpt_table.Topmost);
         qtest (ckpt_matches_oracle Ckpt_table.Keep_all);
+        qtest (ckpt_drains Ckpt_table.Topmost);
+        qtest (ckpt_drains Ckpt_table.Keep_all);
       ] );
     ( "recovery.splice_case",
       [
