@@ -9,24 +9,53 @@
     - workload sizing: reduction counts calibrate experiment parameters.
 
     Reductions are counted per primitive application, conditional branch
-    taken, let binding, variable lookup and function call. *)
+    taken, let binding, variable lookup and function call.
+
+    Evaluation is in two steps.  {!compile} turns every definition into
+    OCaml closures over a per-activation frame array: each parameter and
+    [let] gets a fixed slot and each call is resolved to its callee at
+    compile time, so {!run} looks nothing up by name.  The compiled
+    evaluator is held to the semantics of a plain tree-walker over
+    association-list environments: the same values, the same reduction
+    count, the same fuel cut-off step, left-to-right evaluation and the
+    same [Runtime_error] text.  Reduction counts feed every simulated
+    [work] figure, so a single step of drift would change simulated
+    time. *)
 
 exception Runtime_error of string
 (** Program errors: type errors, division by zero, head/tail of nil,
-    call-depth overflow. *)
+    wrong argument counts, fuel exhaustion. *)
 
-val eval :
-  ?fuel:int -> Program.t -> string -> Value.t list -> Value.t * int
-(** [eval program fname args] applies the named function and returns
+type compiled
+(** A compiled program.  It is never mutated after {!compile} returns and
+    every {!run} allocates its own counters and frames.  There is no
+    global cache: each user compiles its own copy (a [Cluster] compiles
+    lazily on its first inline call), so compiled values are not shared
+    across domains even when experiment sweeps share one [Program.t]. *)
+
+val compile : Program.t -> compiled
+
+val run : ?fuel:int -> compiled -> string -> Value.t array -> Value.t * int
+(** [run compiled fname args] applies the named function and returns
     [(value, reductions)].  [fuel] (default [50_000_000]) bounds the
-    reduction count to catch accidental non-termination in tests.
+    reduction count to catch accidental non-termination in tests: a run
+    of exactly [fuel] reductions succeeds, one more raises.  [args] is
+    copied, never written.
     @raise Runtime_error on program errors or fuel exhaustion.
     @raise Not_found if [fname] is undefined. *)
 
+val eval :
+  ?fuel:int -> Program.t -> string -> Value.t list -> Value.t * int
+(** [eval program fname args] is {!run} on [compile program]. *)
+
 val eval_expr : ?fuel:int -> Program.t -> (string * Value.t) list -> Ast.expr -> Value.t * int
-(** Evaluate an expression under an initial environment. *)
+(** Evaluate an expression under an initial environment; where a name is
+    bound twice the first binding wins.  The expression is not validated:
+    an unbound variable, unknown function or wrong argument count raises
+    [Runtime_error] when evaluation reaches it. *)
 
 val call_count : Program.t -> string -> Value.t list -> int
 (** Number of user-function applications performed (the size of the call
     tree a fully-spawned distributed run would create).  Used by
-    experiments to report salvage fractions. *)
+    experiments to report salvage fractions.
+    @raise Runtime_error if [fname] is undefined. *)

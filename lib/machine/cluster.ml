@@ -127,6 +127,9 @@ type t = {
   mutable node_ctx : Node.ctx option;
       (* built once on first use: rebuilding ~14 closures per dispatched
          event shows up at millions of events *)
+  mutable compiled : Eval_serial.compiled option;
+      (* compiled on the first inline call, so runs that never inline (and
+         set-up) pay nothing *)
 }
 
 let config t = t.cfg
@@ -313,8 +316,16 @@ let send t ~src ~dst msg = send_after t ~delay:0 ~src ~dst msg
 
 let wake t pid ~delay = Engine.schedule t.engine ~delay (Step pid)
 
+let compiled t =
+  match t.compiled with
+  | Some c -> c
+  | None ->
+    let c = Eval_serial.compile t.program in
+    t.compiled <- Some c;
+    c
+
 let inline_eval t fname args =
-  match Eval_serial.eval t.program fname (Array.to_list args) with
+  match Eval_serial.run (compiled t) fname args with
   | v, steps -> Ok (v, steps)
   | exception Eval_serial.Runtime_error msg -> Error msg
   | exception Not_found -> Error ("call to unknown function " ^ fname)
@@ -413,6 +424,7 @@ let create cfg program =
     last_heard = Hashtbl.create 64;
     batches = Hashtbl.create 64;
     node_ctx = None;
+    compiled = None;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -737,8 +749,9 @@ let transport_accept t ~src ~dst ~seq =
 (* Process one physically arrived message — the body of the [Deliver]
    event, shared with the batched path so both deliver identically. *)
 let deliver_one t ~src ~dst ~seq msg =
-    (* any arrival is evidence the sender is alive and reachable *)
-    if src <> dst then Hashtbl.replace t.last_heard (dst, src) (now t);
+    (* any arrival is evidence the sender is alive and reachable; only the
+       reliable transport's [Retry] handler ever reads it *)
+    if t.cfg.Config.reliable && src <> dst then Hashtbl.replace t.last_heard (dst, src) (now t);
     if dst = Ids.super_root then begin
       if transport_accept t ~src ~dst ~seq then
         match msg with

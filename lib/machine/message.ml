@@ -49,6 +49,16 @@ let label = function
   | Abort _ -> "abort"
   | Failure_notice _ -> "failure_notice"
 
+let counter_name = function
+  | Task_packet _ -> "msg.task_packet"
+  | Orphan_alive _ -> "msg.orphan_alive"
+  | Reparent _ -> "msg.reparent"
+  | Ack _ -> "msg.ack"
+  | Result _ -> "msg.result"
+  | Gradient _ -> "msg.gradient"
+  | Abort _ -> "msg.abort"
+  | Failure_notice _ -> "msg.failure_notice"
+
 let describe = function
   | Task_packet { packet; task_id; replica; replicas } ->
     if replicas > 1 then

@@ -72,4 +72,8 @@ val label : t -> string
 (** Counter key, one per variant: "task_packet", "orphan_alive",
     "reparent", "ack", "result", "gradient", "abort", "failure_notice". *)
 
+val counter_name : t -> string
+(** ["msg." ^ label msg], as a static literal: the delivery counter key,
+    built without allocating on every delivered message. *)
+
 val describe : t -> string

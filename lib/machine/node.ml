@@ -1155,7 +1155,7 @@ let activate_task t ctx packet ~task_id =
 
 let deliver t ctx msg =
   if t.alive then begin
-    Counter.incr ctx.counters ("msg." ^ Message.label msg);
+    Counter.incr ctx.counters (Message.counter_name msg);
     match msg with
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ }
       when Hashtbl.mem t.tasks task_id ->

@@ -309,6 +309,23 @@ let eval_fuel () =
   | exception Eval_serial.Runtime_error msg -> check "fuel msg" true (contains msg "fuel")
   | _ -> Alcotest.fail "fuel not enforced"
 
+let eval_fuel_boundary () =
+  let _, steps = Eval_serial.eval fib_program "fib" [ Value.Int 10 ] in
+  let v, steps' = Eval_serial.eval ~fuel:steps fib_program "fib" [ Value.Int 10 ] in
+  Alcotest.check value "fuel = steps succeeds" (Value.Int 55) v;
+  check_int "same reductions" steps steps';
+  match Eval_serial.eval ~fuel:(steps - 1) fib_program "fib" [ Value.Int 10 ] with
+  | exception Eval_serial.Runtime_error msg ->
+    check "fuel = steps - 1 exhausts" true (contains msg "fuel exhausted")
+  | _ -> Alcotest.fail "ran past its fuel"
+
+let eval_expr_first_binding_wins () =
+  let env = [ ("x", Value.Int 1); ("x", Value.Int 2) ] in
+  Alcotest.check value "first binding" (Value.Int 1) (eval_str ~env empty_program "x");
+  Alcotest.check value "let shadows it" (Value.Int 7) (eval_str ~env empty_program "let x = 7 in x");
+  Alcotest.check value "and scopes back out" (Value.Int 8)
+    (eval_str ~env empty_program "(let x = 7 in x) + x")
+
 let eval_type_error_if () =
   let p = Parser.parse_program_exn "def f(x) = if x then 1 else 0" in
   match Eval_serial.eval p "f" [ Value.Int 3 ] with
@@ -513,6 +530,8 @@ let suites =
         Alcotest.test_case "short circuit" `Quick eval_short_circuit;
         Alcotest.test_case "runtime errors" `Quick eval_runtime_errors;
         Alcotest.test_case "fuel" `Quick eval_fuel;
+        Alcotest.test_case "fuel boundary" `Quick eval_fuel_boundary;
+        Alcotest.test_case "first binding wins" `Quick eval_expr_first_binding_wins;
         Alcotest.test_case "if type error" `Quick eval_type_error_if;
       ] );
     ( "lang.graph",

@@ -7,5 +7,5 @@ let () =
    @ Test_fault.suites @ Test_chaos.suites @ Test_workload.suites @ Test_baselines.suites @ Test_experiments.suites
    @ Test_trace.suites @ Test_obs.suites @ Test_parallel.suites @ Test_analysis.suites
    @ Test_cost_prop.suites
-   @ Test_stamp_prop.suites @ Test_determinism.suites @ Test_scale.suites
+   @ Test_stamp_prop.suites @ Test_eval_prop.suites @ Test_determinism.suites @ Test_scale.suites
    @ Test_service.suites)

@@ -455,6 +455,24 @@ let killed_node_is_silent () =
   check_int "no reaction after kill" 0 (List.length !(w.sent));
   check "not alive" false (Node.is_alive w.node)
 
+(* Delivery counter keys are static literals; they must spell exactly the
+   "msg." ^ label keys every report and golden was written with. *)
+let counter_names () =
+  let link = parent_link ~task:1 ~proc:2 ~slot:3 and stamp = Stamp.of_digits [ 0; 1 ] in
+  List.iter
+    (fun m ->
+      Alcotest.(check string) (Message.label m) ("msg." ^ Message.label m) (Message.counter_name m))
+    [
+      Message.Task_packet { packet = mk_packet (); task_id = 1; replica = 0; replicas = 1 };
+      Message.Orphan_alive { stamp; orphan = link; dead_parent = link; target = link };
+      Message.Reparent { orphan_task = 1; new_parent = link; new_grandparent = None };
+      Message.Ack { child_stamp = stamp; child_task = 1; child_proc = 2; parent_task = 3; slot = 0 };
+      Message.Result { stamp; value = Value.Int 1; target = link; relay = Message.To_parent };
+      Message.Gradient { from = 1; value = 2 };
+      Message.Abort { task = 1 };
+      Message.Failure_notice { failed = 1 };
+    ]
+
 let suites =
   [
     ( "node.protocol",
@@ -466,6 +484,7 @@ let suites =
         Alcotest.test_case "duplicate result ignored" `Quick duplicate_result_ignored;
         Alcotest.test_case "unknown target ignored" `Quick unknown_target_ignored;
         Alcotest.test_case "inline below grain" `Quick inline_below_grain;
+        Alcotest.test_case "counter names" `Quick counter_names;
       ] );
     ( "node.failure",
       [
