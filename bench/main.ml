@@ -10,10 +10,10 @@
 
    Plus hand-timed wall-clock sections (pool construction hoisted out of
    every timed window): the sequential-vs-parallel sweep with warm and
-   cold rows, the observability A/B, and one simulation sharded across
-   domains.  Maintenance modes: --check-json (schema validation),
-   --diff OLD NEW (per-row regression gate), --scaling-check (loose
-   multicore speedup assert, skipped on single-core hosts).
+   cold rows, and the observability A/B.  Maintenance modes: --check-json
+   (schema validation), --diff OLD NEW (per-row regression gate),
+   --scaling-check (loose multicore speedup assert, skipped on single-core
+   hosts).
 
    After the Bechamel run the harness regenerates every experiment table in
    quick mode, so the benchmark log doubles as a reproduction record. *)
@@ -301,7 +301,6 @@ let bench_cost_pass =
 (* ------------------------------------------------------------------ *)
 
 module Pool = Recflow_parallel.Pool
-module Shardsim = Recflow_machine.Shardsim
 
 (* A Q2-style sweep over the synthetic workload: one failure injected at a
    range of times under both recovery schemes — 16 independent simulations,
@@ -419,43 +418,6 @@ let scaling_check () =
     Format.eprintf "scaling check FAILED: warm jobs=2 sweep is not faster than jobs=1@.";
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Sharded single run                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One simulation sharded across domains (the tentpole of this PR's
-   parallel work): serial vs a pinned 2-domain pool, warm on both sides,
-   with the byte-identity of the journal digest asserted — a speedup that
-   changed the simulation would be worthless. *)
-let report_shard_run () =
-  Format.printf "@.--- sharded single run (16 procs / 4 shards, serial vs 2 domains) ---@.";
-  let p = { Shardsim.default_params with Shardsim.depth = 6; spin = 300 } in
-  let expected = Shardsim.expected_answer p in
-  ignore (Shardsim.run p);
-  let serial, serial_t = timed (fun () -> Shardsim.run p) in
-  let pool = Pool.create ~jobs:2 () in
-  ignore (Shardsim.run ~pool p);
-  let par, par_t = timed (fun () -> Shardsim.run ~pool p) in
-  Pool.shutdown pool;
-  let identical = String.equal serial.Shardsim.journal_digest par.Shardsim.journal_digest in
-  Format.printf "  serial %6.1f ms   pool(2) %6.1f ms   speedup %.2fx   digests %s@."
-    (serial_t *. 1e3) (par_t *. 1e3) (serial_t /. par_t)
-    (if identical then "identical" else "DIFFER");
-  if not identical then failwith "sharded run diverged under a pool";
-  if serial.Shardsim.answer <> expected || par.Shardsim.answer <> expected then
-    failwith "sharded run produced a wrong answer";
-  Json.Obj
-    [
-      ("procs", Json.Int p.Shardsim.procs);
-      ("shards", Json.Int p.Shardsim.shards);
-      ("events", Json.Int serial.Shardsim.events);
-      ("sim_time", Json.Int serial.Shardsim.sim_time);
-      ("serial_wall_s", Json.Float serial_t);
-      ("pool2_wall_s", Json.Float par_t);
-      ("speedup", Json.Float (serial_t /. par_t));
-      ("digest_match", Json.Bool identical);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead A/B                                          *)
@@ -956,7 +918,6 @@ let () =
     in
     let groups = ref [ ("micro", micro_rows) ] in
     let sweep = ref Json.Null in
-    let shard_run = ref Json.Null in
     let obs_overhead = ref Json.Null in
     let latency = ref Json.Null in
     let service = ref Json.Null in
@@ -975,7 +936,6 @@ let () =
       latency := report_latency_percentiles ();
       service := report_service ();
       sweep := report_sweep_scaling ();
-      shard_run := report_shard_run ();
       mem := report_mem ();
       let xscale_rows, xscale_detail = report_xscale () in
       groups := !groups @ [ ("xscale", xscale_rows) ];
@@ -997,7 +957,6 @@ let () =
           ("latency_percentiles", !latency);
           ("service", !service);
           ("sweep", !sweep);
-          ("shard_run", !shard_run);
           ("mem", !mem);
           ("xscale", !xscale);
         ]

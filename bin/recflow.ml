@@ -294,7 +294,7 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
   end;
   let cluster = Cluster.create cfg program in
   (* stream the full protocol trace to disk while it happens — the ring
-     only retains the newest [trace_capacity] records *)
+     only retains the newest records *)
   let jsonl_sink =
     Option.map
       (fun path ->

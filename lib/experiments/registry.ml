@@ -31,7 +31,6 @@ let all =
     { id = "X3"; title = "Ablation: task granularity (inline threshold)"; run = Exp_grain.run };
     { id = "X4"; title = "Chaos: loss, duplication, reordering, partitions, suspicion";
       run = Exp_chaos.run };
-    { id = "X5"; title = "Sharded execution of one run across domains"; run = Exp_shard.run };
     { id = "X6"; title = "Service: request streams surviving mid-stream failures";
       run = Exp_service.run };
     { id = "X7"; title = "Adaptive checkpoint admission driven by static cost bounds";

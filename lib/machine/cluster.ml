@@ -380,7 +380,7 @@ let create cfg program =
     journal = Journal.create ~retain:cfg.Config.journal_retain ();
     counters = Counter.create_set ();
     latency_tbl = Hashtbl.create 8;
-    trace = Trace.create ~capacity:cfg.Config.trace_capacity ();
+    trace = Trace.create ~capacity:65536 ();
     rng = Rng.create cfg.Config.seed;
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;

@@ -48,7 +48,6 @@ type t = {
   bounce_delay : int;
   horizon : int;
   seed : int;
-  trace_capacity : int;
   chaos : Recflow_net.Chaos.spec;
   reliable : bool;
   retry : retry;
@@ -78,7 +77,6 @@ let default ~nodes =
     bounce_delay = 150;
     horizon = 200_000_000;
     seed = 42;
-    trace_capacity = 65536;
     chaos = Recflow_net.Chaos.none;
     reliable = false;
     retry = { rto = 150; backoff = 2.0; suspicion_after = 1500 };
@@ -113,7 +111,6 @@ let metadata t : (string * meta_value) list =
     ("adoption_grace", `Int t.adoption_grace);
     ("bounce_delay", `Int t.bounce_delay);
     ("seed", `Int t.seed);
-    ("trace_capacity", `Int t.trace_capacity);
     ("reliable", `Bool t.reliable);
     ("retry_rto", `Int t.retry.rto);
     ("retry_backoff", `Str (Printf.sprintf "%g" t.retry.backoff));

@@ -103,7 +103,6 @@ type t = {
       (** ticks for a sender to conclude a message was undeliverable *)
   horizon : int;  (** hard simulation-time stop *)
   seed : int;
-  trace_capacity : int;
   chaos : Recflow_net.Chaos.spec;
       (** network perturbation (loss, duplication, reordering, delay
           spikes, partition windows); [Chaos.none] leaves every run

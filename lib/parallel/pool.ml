@@ -32,7 +32,6 @@ type t = {
   closed : bool Atomic.t;
   in_flight : int Atomic.t;  (* [map] calls currently executing *)
   submitter_free : bool Atomic.t;  (* ownership token for deque 0 *)
-  minor_heap_words : int;
   mutable workers : unit Domain.t list;
 }
 
@@ -153,13 +152,14 @@ let worker t local =
   in
   loop ()
 
-let create ?jobs ?(minor_heap_words = 1 lsl 20) () =
+(* Minor-heap size of every spawned worker: 2^20 words, 8 MiB on 64-bit. *)
+let worker_nursery_words = 1 lsl 20
+
+let create ?jobs () =
   let jobs =
     match jobs with Some j -> j | None -> max 1 (Domain.recommended_domain_count ())
   in
   if jobs < 1 then invalid_arg "Pool.create: jobs must be >= 1";
-  if minor_heap_words < 1 lsl 12 then
-    invalid_arg "Pool.create: minor_heap_words unreasonably small";
   let t =
     {
       jobs;
@@ -174,7 +174,6 @@ let create ?jobs ?(minor_heap_words = 1 lsl 20) () =
       closed = Atomic.make false;
       in_flight = Atomic.make 0;
       submitter_free = Atomic.make true;
-      minor_heap_words;
       workers = [];
     }
   in
@@ -190,7 +189,7 @@ let create ?jobs ?(minor_heap_words = 1 lsl 20) () =
                worker trades memory for an order of magnitude fewer
                stop-the-world points.  Scoped to spawned workers so jobs=1
                runs are untouched. *)
-            (try Gc.set { (Gc.get ()) with Gc.minor_heap_size = t.minor_heap_words }
+            (try Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_nursery_words }
              with _ -> ());
             worker t (i + 1)));
   t
@@ -357,8 +356,6 @@ let map (type b) t (f : _ -> b) xs =
       (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
       errors;
     Array.to_list (Array.map Option.get results)
-
-let run t thunks = map t (fun f -> f ()) thunks
 
 (* ------------------------------------------------------------------ *)
 (* Shared default pool                                                 *)

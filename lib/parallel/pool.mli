@@ -18,15 +18,15 @@
 
 type t
 
-val create : ?jobs:int -> ?minor_heap_words:int -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] starts a pool of [jobs] execution slots ([jobs - 1]
     spawned domains plus the submitter).  [jobs] defaults to
     [Domain.recommended_domain_count ()] and is clamped to at least 1.
 
-    Each spawned worker sizes its minor heap to [minor_heap_words] (default
-    [2^20] words, 8 MiB on 64-bit — the stock 256k-word minor heap forces
-    allocation-heavy sub-millisecond simulation tasks into constant minor
-    collections, each a stop-the-world across domains).  The submitting
+    Each spawned worker sizes its minor heap to [2^20] words (8 MiB on
+    64-bit): the stock 256k-word minor heap forces allocation-heavy
+    sub-millisecond simulation tasks into constant minor collections, each
+    a stop-the-world across domains.  The submitting
     domain's GC parameters are never touched, so [jobs = 1] behaviour is
     byte-identical to a plain [List.map].
 
@@ -61,12 +61,9 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
     fallback would run the batch submitter-only and masquerade as a
     parallel sweep. *)
 
-val run : t -> (unit -> 'a) list -> 'a list
-(** [run pool thunks] is [map pool (fun f -> f ()) thunks]. *)
-
 val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Subsequent [map]/[run]
-    calls raise [Invalid_argument].  A [map] already in flight when
+(** Stop and join the worker domains.  Idempotent.  Subsequent [map] calls
+    raise [Invalid_argument].  A [map] already in flight when
     [shutdown] is called is drained first: the workers stay alive until it
     settles and its submitter gets its full result — shutdown never
     strands a batch mid-air. *)

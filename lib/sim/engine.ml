@@ -1,10 +1,7 @@
-(* The event queue used to be a generic [Heap.t] of boxed
-   [{ at; seq; payload }] records compared through a closure: three words of
-   allocation per event plus two indirections per comparison, on the hottest
-   loop in the simulator.  The queue is now an inline binary heap over a
-   plain [int array] of *packed priorities* — [(at lsl seq_bits) lor seq] —
-   with payloads in a parallel array: scheduling allocates nothing beyond
-   the payload itself, and a sift step is one unboxed [int] compare.
+(* The event queue is an inline binary heap over a plain [int array] of
+   *packed priorities* — [(at lsl seq_bits) lor seq] — with payloads in a
+   parallel array: scheduling allocates nothing beyond the payload itself,
+   and a sift step is one unboxed [int] compare.
 
    Packing preserves the dispatch order exactly: keys compare first by
    timestamp and then by scheduling sequence (FIFO among same-instant
@@ -15,10 +12,14 @@
    above anything else the experiments reach and are enforced with
    [invalid_arg] rather than silent wraparound.
 
-   The payload store is an [Obj.t array] for the same reason as {!Heap}:
-   vacated slots are overwritten with an immediate junk value so a popped
-   event is not retained by the queue, and the array is created from an
-   immediate so it is never flat-float. *)
+   The payload store is an [Obj.t array] rather than an ['a array] so
+   vacated slots can be overwritten with an immediate junk value
+   ([dummy]): with a plain polymorphic array there is no value of type ['a]
+   to clear with, and a popped event (task packet, message) would stay
+   reachable until its slot was reused.  The array is created from
+   [dummy], never from a payload, so it is never a flat float array and
+   the [Obj.repr]/[Obj.obj] round-trip is representation-safe even for
+   float payloads. *)
 
 type time = int
 
@@ -60,8 +61,6 @@ let create () =
 let now t = t.clock
 
 let pending t = t.size
-
-let next_time t = if t.size = 0 then None else Some (Array.unsafe_get t.keys 0 lsr seq_bits)
 
 let grow t =
   let cap = Array.length t.keys in

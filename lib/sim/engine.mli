@@ -23,11 +23,6 @@ val now : 'a t -> time
 val pending : 'a t -> int
 (** Number of events still queued. *)
 
-val next_time : 'a t -> time option
-(** Timestamp of the earliest queued event without popping it — the
-    window-scheduling peek the sharded coordinator ({!Shard}) uses to pick
-    the next tick boundary. *)
-
 val schedule : 'a t -> delay:int -> 'a -> unit
 (** [schedule t ~delay ev] enqueues [ev] at [now t + delay].
     @raise Invalid_argument if [delay < 0]. *)

@@ -96,53 +96,4 @@ let test_case (w, seed, r) =
       | Some (_, _, _, expected) ->
         Alcotest.(check string) (name ^ " journal digest") expected actual)
 
-(* ---------------- Sharded single run ---------------- *)
-
-module Shardsim = Recflow_machine.Shardsim
-module Pool = Recflow_parallel.Pool
-
-(* Same contract, one level up: a single simulation sharded across domains
-   (Machine.Shardsim) must replay byte-identically — pinned at jobs=1
-   against a golden, and the jobs=2 / jobs=4 pool runs must reproduce the
-   jobs=1 digest exactly.  Regenerate with RECFLOW_GOLDEN=print as above. *)
-let shard_scenarios =
-  [ ("fault-free", []); ("three-faults", [ (123, 3); (457, 7); (1200, 11) ]) ]
-
-let shard_goldens =
-  [
-    ("fault-free", "3422dd1f5086ab5f14aed08bf3227a43");
-    ("three-faults", "9bf916f68fa830c94d75e2e60c477707");
-  ]
-
-let shard_case (name, fail) =
-  Alcotest.test_case ("sharded/" ^ name) `Slow (fun () ->
-      let p = { Shardsim.default_params with Shardsim.fail } in
-      let seq = Shardsim.run p in
-      if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
-        Printf.printf "    (%S, %S);\n%!" name seq.Shardsim.journal_digest;
-      Alcotest.(check int)
-        (name ^ " answer = fault-free oracle")
-        (Shardsim.expected_answer p) seq.Shardsim.answer;
-      (match List.assoc_opt name shard_goldens with
-      | None -> Alcotest.failf "no golden digest recorded for sharded/%s" name
-      | Some expected ->
-        Alcotest.(check string) (name ^ " digest at jobs=1") expected seq.Shardsim.journal_digest);
-      List.iter
-        (fun jobs ->
-          let pool = Pool.create ~jobs () in
-          let par =
-            Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Shardsim.run ~pool p)
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s digest at jobs=%d" name jobs)
-            seq.Shardsim.journal_digest par.Shardsim.journal_digest;
-          Alcotest.(check int)
-            (Printf.sprintf "%s events at jobs=%d" name jobs)
-            seq.Shardsim.events par.Shardsim.events)
-        [ 2; 4 ])
-
-let suites =
-  [
-    ("determinism", List.map test_case cases);
-    ("determinism.sharded", List.map shard_case shard_scenarios);
-  ]
+let suites = [ ("determinism", List.map test_case cases) ]

@@ -18,7 +18,8 @@ let experiment_case (e : Registry.entry) =
         r.Report.checks)
 
 let registry_sanity () =
-  check_int "21 experiments" 21 (List.length Registry.all);
+  check_int "20 experiments" 20 (List.length Registry.all);
+  check "X5 is gone" true (Registry.find "x5" = None);
   check "find is case-insensitive" true (Registry.find "f1" <> None);
   check "unknown id" true (Registry.find "Z9" = None);
   let ids = Registry.ids in

@@ -255,10 +255,6 @@ let cross_pool_nested_map () =
             Alcotest.(check (list int)) "cross-pool nested sums" expect got
           done))
 
-let pool_run_thunks () =
-  with_pool ~jobs:2 (fun p ->
-      Alcotest.(check (list int)) "run" [ 10; 20 ] (Pool.run p [ (fun () -> 10); (fun () -> 20) ]))
-
 let set_default_jobs_refused_in_flight () =
   (* Swapping the default pool while a map is running on it would tear the
      pool out from under its submitter.  A raw domain drives a map through
@@ -412,7 +408,6 @@ let suites =
         Alcotest.test_case "shutdown drains in-flight map" `Quick
           pool_shutdown_drains_in_flight_map;
         Alcotest.test_case "cross-pool nested map" `Quick cross_pool_nested_map;
-        Alcotest.test_case "run thunks" `Quick pool_run_thunks;
         Alcotest.test_case "set_default_jobs refused in flight" `Quick
           set_default_jobs_refused_in_flight;
         Alcotest.test_case "dual-pool slots disjoint" `Quick dual_pool_slots_disjoint;

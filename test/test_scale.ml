@@ -89,7 +89,7 @@ let scale_smoke () =
   let d2 =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> List.hd (Pool.run pool [ scale_digest ]))
+      (fun () -> List.hd (Pool.map pool scale_digest [ () ]))
   in
   Alcotest.(check string) "scale digest at jobs=2" d1 d2
 

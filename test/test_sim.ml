@@ -1,7 +1,6 @@
-(* Tests for the simulation substrate: RNG, heap, engine, trace. *)
+(* Tests for the simulation substrate: RNG, engine, trace. *)
 
 module Rng = Recflow_sim.Rng
-module Heap = Recflow_sim.Heap
 module Engine = Recflow_sim.Engine
 module Trace = Recflow_sim.Trace
 
@@ -131,82 +130,6 @@ let rng_int_stream_stable () =
   in
   Alcotest.(check (list int)) "same stream as r mod bound" expected got
 
-(* ---------------- Heap ---------------- *)
-
-let heap_sorted_drain =
-  QCheck.Test.make ~name:"Heap drains in sorted order" ~count:300
-    QCheck.(list_of_size (Gen.int_range 0 100) int)
-    (fun xs ->
-      let h = Heap.of_list ~cmp:compare xs in
-      let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
-
-let heap_peek_min () =
-  let h = Heap.create ~cmp:compare in
-  Heap.push h 5;
-  Heap.push h 1;
-  Heap.push h 3;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  check_int "length unchanged by peek" 3 (Heap.length h)
-
-let heap_pop_exn_empty () =
-  let h : int Heap.t = Heap.create ~cmp:compare in
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let heap_clear () =
-  let h = Heap.of_list ~cmp:compare [ 3; 1 ] in
-  Heap.clear h;
-  check "empty after clear" true (Heap.is_empty h);
-  Heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Heap.pop h)
-
-let heap_to_list_content () =
-  let h = Heap.of_list ~cmp:compare [ 4; 2; 7 ] in
-  Alcotest.(check (list int)) "contents" [ 2; 4; 7 ] (List.sort compare (Heap.to_list h))
-
-(* Regression for the retention leak: [pop] used to leave the vacated slot
-   pointing at a live element, pinning popped payloads until the slot was
-   reused.  Payloads are boxed and watched through a [Weak] array; after
-   popping everything and a major GC they must all be collectable. *)
-let heap_pop_releases () =
-  let n = 32 in
-  let weak = Weak.create n in
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) in
-  for i = 0 to n - 1 do
-    let payload = ref i in
-    Weak.set weak i (Some payload);
-    Heap.push h (i, payload)
-  done;
-  for _ = 1 to n do
-    ignore (Heap.pop_exn h)
-  done;
-  Gc.full_major ();
-  let retained = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr retained
-  done;
-  check_int "popped payloads collected" 0 !retained
-
-let heap_floats () =
-  (* The Obj-backed store must not trip over the flat float-array
-     representation: float elements stay boxed and drain correctly. *)
-  let h = Heap.of_list ~cmp:Float.compare [ 2.5; 0.5; 1.5 ] in
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  Alcotest.(check (list (float 0.0))) "sorted floats" [ 0.5; 1.5; 2.5 ] (drain [])
-
-let heap_shrinks_when_drained () =
-  (* Interleaved push/pop around the shrink threshold must preserve heap
-     order (exercises the blit in [shrink]). *)
-  let h = Heap.create ~cmp:compare in
-  for i = 511 downto 0 do
-    Heap.push h i
-  done;
-  for i = 0 to 500 do
-    check_int "ordered drain across shrink" i (Heap.pop_exn h)
-  done;
-  check_int "tail intact" 11 (Heap.length h)
-
 (* ---------------- Engine ---------------- *)
 
 let engine_orders_by_time () =
@@ -326,6 +249,86 @@ let engine_time_range_guard () =
   | Some (at, "far") -> check_int "far event dispatched" ((1 lsl 34) - 1) at
   | _ -> Alcotest.fail "far event lost"
 
+(* A vacated slot left pointing at its payload would pin the popped event
+   until the slot was reused.  Payloads are boxed and watched through a
+   [Weak] array; once drained — half through [next], half through [run] —
+   and after a major GC they must all be collectable. *)
+let engine_pop_releases () =
+  let n = 32 in
+  let weak = Weak.create n in
+  let e = Engine.create () in
+  for i = 0 to n - 1 do
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    Engine.schedule e ~delay:i payload
+  done;
+  for _ = 1 to n / 2 do
+    ignore (Engine.next e)
+  done;
+  Engine.run e (fun _ _ -> ());
+  Gc.full_major ();
+  let retained = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr retained
+  done;
+  check_int "popped payloads collected" 0 !retained;
+  (* Used after the collection so the engine itself is still live during it:
+     a dead engine would release its store and hide a leak. *)
+  check_int "engine drained" 0 (Engine.pending e)
+
+(* The [Obj.t] payload store must never become a flat float array: float
+   payloads stay boxed, survive a grow past the initial capacity, and
+   drain in time order. *)
+let engine_float_payloads () =
+  let n = 300 in
+  let e = Engine.create () in
+  for at = n - 1 downto 0 do
+    Engine.schedule_at e ~time:at (float_of_int at +. 0.5)
+  done;
+  (match Engine.next e with
+  | Some (at, x) ->
+    check_int "earliest first" 0 at;
+    Alcotest.(check (float 0.0)) "first payload" 0.5 x
+  | None -> Alcotest.fail "float event lost");
+  let got = ref [] in
+  Engine.run e (fun at x ->
+      Alcotest.(check (float 0.0)) "payload matches its time" (float_of_int at +. 0.5) x;
+      got := at :: !got);
+  Alcotest.(check (list int)) "time order" (List.init (n - 1) (fun i -> i + 1)) (List.rev !got)
+
+(* Interleaving around the shrink threshold must preserve time and FIFO
+   order (exercises the blits in [grow] and [shrink]): the store grows well
+   past its initial capacity, then halves repeatedly as it drains. *)
+let engine_shrink_keeps_order () =
+  let per_instant = 4 and instants = 512 in
+  let n = per_instant * instants in
+  let e = Engine.create () in
+  let seq = ref 0 in
+  for at = instants - 1 downto 0 do
+    for _ = 1 to per_instant do
+      Engine.schedule_at e ~time:at !seq;
+      incr seq
+    done
+  done;
+  let last = ref (-1, -1) in
+  let step at s =
+    let last_at, last_s = !last in
+    check "times non-decreasing" true (at >= last_at);
+    if at = last_at then check "FIFO among equal times" true (s > last_s);
+    last := (at, s)
+  in
+  let tail = 11 in
+  for _ = 1 to n - tail do
+    match Engine.next e with Some (at, s) -> step at s | None -> Alcotest.fail "drained early"
+  done;
+  check_int "tail intact" tail (Engine.pending e);
+  let rest = ref 0 in
+  Engine.run e (fun at s ->
+      incr rest;
+      step at s);
+  check_int "tail drained in order" tail !rest;
+  check_int "last instant reached" (instants - 1) (fst !last)
+
 (* ---------------- Trace ---------------- *)
 
 let trace_basic () =
@@ -388,17 +391,6 @@ let suites =
         qtest rng_float_bounds;
         qtest rng_shuffle_permutation;
       ] );
-    ( "sim.heap",
-      [
-        Alcotest.test_case "peek min" `Quick heap_peek_min;
-        Alcotest.test_case "pop_exn empty" `Quick heap_pop_exn_empty;
-        Alcotest.test_case "clear" `Quick heap_clear;
-        Alcotest.test_case "to_list" `Quick heap_to_list_content;
-        Alcotest.test_case "pop releases" `Quick heap_pop_releases;
-        Alcotest.test_case "float elements" `Quick heap_floats;
-        Alcotest.test_case "shrink keeps order" `Quick heap_shrinks_when_drained;
-        qtest heap_sorted_drain;
-      ] );
     ( "sim.engine",
       [
         Alcotest.test_case "time order" `Quick engine_orders_by_time;
@@ -412,6 +404,9 @@ let suites =
         Alcotest.test_case "handler schedules" `Quick engine_handler_schedules;
         Alcotest.test_case "drain fast loop" `Quick engine_drain_fast_loop;
         Alcotest.test_case "packed time range guard" `Quick engine_time_range_guard;
+        Alcotest.test_case "pop releases" `Quick engine_pop_releases;
+        Alcotest.test_case "float elements" `Quick engine_float_payloads;
+        Alcotest.test_case "shrink keeps order" `Quick engine_shrink_keeps_order;
       ] );
     ( "sim.trace",
       [

@@ -1,8 +1,7 @@
-(* Tests for counters, summaries, histograms and table rendering. *)
+(* Tests for counters, summaries, HDR histograms and table rendering. *)
 
 module Counter = Recflow_stats.Counter
 module Summary = Recflow_stats.Summary
-module Histogram = Recflow_stats.Histogram
 module Hdr = Recflow_stats.Hdr
 module Table = Recflow_stats.Table
 
@@ -177,58 +176,6 @@ let summary_sorted_cache_invalidation () =
   Summary.observe s (-100.0);
   check_float "min after new obs" (-100.0) (Summary.percentile s 0.0)
 
-(* ---------------- Histogram ---------------- *)
-
-let histogram_buckets () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:5 in
-  List.iter (Histogram.observe h) [ 0.0; 1.9; 2.0; 9.99; 5.0 ];
-  Alcotest.(check (array int)) "placement" [| 2; 1; 1; 0; 1 |] (Histogram.bucket_counts h);
-  check_int "count" 5 (Histogram.count h)
-
-let histogram_clamping () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:2 in
-  Histogram.observe h (-5.0);
-  Histogram.observe h 50.0;
-  check_int "underflow" 1 (Histogram.underflow h);
-  check_int "overflow" 1 (Histogram.overflow h);
-  Alcotest.(check (array int)) "clamped into edge buckets" [| 1; 1 |] (Histogram.bucket_counts h)
-
-let histogram_bounds () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:4 in
-  let lo, hi = Histogram.bucket_bounds h 1 in
-  check_float "bucket lo" 2.5 lo;
-  check_float "bucket hi" 5.0 hi
-
-let histogram_invalid () =
-  check "lo >= hi rejected" true
-    (try
-       ignore (Histogram.create ~lo:1.0 ~hi:1.0 ~buckets:3);
-       false
-     with Invalid_argument _ -> true);
-  check "0 buckets rejected" true
-    (try
-       ignore (Histogram.create ~lo:0.0 ~hi:1.0 ~buckets:0);
-       false
-     with Invalid_argument _ -> true)
-
-let histogram_nan_inf () =
-  (* Regression: NaN used to fall through the bucket arithmetic and land
-     in the underflow tally (comparisons with NaN are all false), inf in
-     overflow — both silently skewing the clamped counts.  They are not
-     observations at all: dedicated invalid tally, count untouched. *)
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~buckets:4 in
-  Histogram.observe h Float.nan;
-  Histogram.observe h Float.infinity;
-  Histogram.observe h Float.neg_infinity;
-  check_int "invalid tally" 3 (Histogram.invalid h);
-  check_int "count untouched" 0 (Histogram.count h);
-  check_int "no underflow" 0 (Histogram.underflow h);
-  check_int "no overflow" 0 (Histogram.overflow h);
-  Alcotest.(check (array int)) "no bucket perturbed" [| 0; 0; 0; 0 |] (Histogram.bucket_counts h);
-  Histogram.observe h 5.0;
-  check_int "finite values still counted" 1 (Histogram.count h);
-  check_int "invalid unchanged" 3 (Histogram.invalid h)
-
 (* ---------------- Hdr ---------------- *)
 
 let hdr_exact_small () =
@@ -390,14 +337,6 @@ let suites =
         Alcotest.test_case "stddev constant" `Quick summary_stddev_constant;
         Alcotest.test_case "sorted cache invalidation" `Quick summary_sorted_cache_invalidation;
         qtest summary_mean_bounded;
-      ] );
-    ( "stats.histogram",
-      [
-        Alcotest.test_case "buckets" `Quick histogram_buckets;
-        Alcotest.test_case "clamping" `Quick histogram_clamping;
-        Alcotest.test_case "bounds" `Quick histogram_bounds;
-        Alcotest.test_case "invalid" `Quick histogram_invalid;
-        Alcotest.test_case "nan/inf regression" `Quick histogram_nan_inf;
       ] );
     ( "stats.hdr",
       [
