@@ -16,23 +16,52 @@ module Pool = Recflow_parallel.Pool
 module Profile = Recflow_obs_core.Profile
 module Json = Recflow_obs_core.Json
 
-module Collect = Recflow_obs_core.Collect
 module Counter = Recflow_stats.Counter
+module Hdr = Recflow_stats.Hdr
 
-(* Dump one metrics document per simulated run into [dir]; file names are
-   ordinal so a whole experiment sweep becomes a browsable trajectory.
-   The hook runs concurrently on pool domains (no obs lock any more): the
-   ordinal is an atomic fetch-and-add, and the sweep-wide aggregation goes
-   through a sharded {!Collect} — each domain writes its own shard
-   lock-free, merged deterministically in slot order at the end. *)
+(* The sweep-wide aggregate: every counter summed over every run, plus one
+   histogram per run-level distribution.  Hook bodies run concurrently on
+   pool domains, so the aggregate sits under one mutex taken once per
+   finished run — noise next to the simulation that produced it.  Counter
+   and Hdr sums commute, so the totals do not depend on which domain
+   finished which run first. *)
+type aggregate = {
+  runs : int Atomic.t;
+  lock : Mutex.t;
+  counters : Counter.set;
+  hdrs : (string, Hdr.t) Hashtbl.t;
+}
+
+let record agg name v =
+  let h =
+    match Hashtbl.find_opt agg.hdrs name with
+    | Some h -> h
+    | None ->
+      let h = Hdr.create () in
+      Hashtbl.add agg.hdrs name h;
+      h
+  in
+  Hdr.record h v
+
+(* Dump one metrics document per simulated run into [dir]; file names
+   carry a completion ordinal (an atomic fetch-and-add), so a whole
+   experiment sweep becomes a browsable trajectory — at --jobs > 1 the
+   same run can land under a different ordinal from one invocation to the
+   next. *)
 let install_metrics_hook dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let n = Atomic.make 0 in
-  let coll = Collect.create () in
+  let agg =
+    {
+      runs = Atomic.make 0;
+      lock = Mutex.create ();
+      counters = Counter.create_set ();
+      hdrs = Hashtbl.create 8;
+    }
+  in
   Harness.set_obs_hook
     (Some
        (fun info (r : Harness.run) ->
-         let ordinal = Atomic.fetch_and_add n 1 + 1 in
+         let ordinal = Atomic.fetch_and_add agg.runs 1 + 1 in
          let path =
            Filename.concat dir
              (Printf.sprintf "run-%05d-%s-%s.json" ordinal info.Harness.workload_name
@@ -41,30 +70,31 @@ let install_metrics_hook dir =
          Metrics.write ~path
            (Metrics.run_json ~workload:info.Harness.workload_name ~size:info.Harness.size_name
               ~cluster:r.Harness.cluster ~outcome:r.Harness.outcome ());
-         List.iter
-           (fun (name, v) -> Collect.add coll name v)
-           (Counter.to_alist (Cluster.counters r.Harness.cluster));
-         Collect.record coll "run.sim_time" r.Harness.outcome.Cluster.sim_time;
-         Collect.record coll "run.events" r.Harness.outcome.Cluster.events));
-  (n, coll)
+         Mutex.protect agg.lock (fun () ->
+             List.iter
+               (fun (name, v) -> Counter.add agg.counters name v)
+               (Counter.to_alist (Cluster.counters r.Harness.cluster));
+             record agg "run.sim_time" r.Harness.outcome.Cluster.sim_time;
+             record agg "run.events" r.Harness.outcome.Cluster.events)));
+  agg
 
-(* The cross-sweep aggregate: every counter summed over every run, plus
-   per-run distribution percentiles — the document a trajectory-level
-   dashboard reads instead of re-folding thousands of run files. *)
-let write_sweep_aggregate dir n coll =
+(* The document a trajectory-level dashboard reads instead of re-folding
+   thousands of run files.  Written after every sweep has returned, so the
+   aggregate is settled and needs no lock. *)
+let write_sweep_aggregate dir agg =
   let path = Filename.concat dir "sweep-aggregate.json" in
+  let hdrs =
+    Hashtbl.fold (fun k h acc -> (k, h) :: acc) agg.hdrs []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
   Json.write_file ~path
     (Json.Obj
        [
          ("schema", Json.Str "recflow.sweep/1");
-         ("runs", Json.Int (Atomic.get n));
+         ("runs", Json.Int (Atomic.get agg.runs));
          ( "counters",
-           Json.Obj
-             (List.map (fun (k, v) -> (k, Json.Int v)) (Counter.to_alist (Collect.counters coll)))
-         );
-         ( "distributions",
-           Json.Obj
-             (List.map (fun (k, h) -> (k, Metrics.hdr_json h)) (Collect.hdrs coll)) );
+           Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Counter.to_alist agg.counters)) );
+         ("distributions", Json.Obj (List.map (fun (k, h) -> (k, Metrics.hdr_json h)) hdrs));
        ]);
   Format.printf "sweep aggregate written to %s@." path
 
@@ -111,12 +141,12 @@ let main quick list_only markdown metrics_dir jobs profile ids =
     Profile.reset ()
   end;
   let wall_t0 = Unix.gettimeofday () in
-  let runs_dumped = Option.map install_metrics_hook metrics_dir in
+  let aggregate = Option.map install_metrics_hook metrics_dir in
   let finish code =
-    (match (metrics_dir, runs_dumped) with
-    | Some dir, Some (n, coll) ->
-      Format.printf "%d run metrics documents written to %s/@." (Atomic.get n) dir;
-      write_sweep_aggregate dir n coll
+    (match (metrics_dir, aggregate) with
+    | Some dir, Some agg ->
+      Format.printf "%d run metrics documents written to %s/@." (Atomic.get agg.runs) dir;
+      write_sweep_aggregate dir agg
     | _ -> ());
     if profile then begin
       Format.printf "@.%a" Profile.pp_report ();

@@ -19,13 +19,11 @@ type run = {
 type obs_info = { workload_name : string; size_name : string }
 
 (* The hook is a process-wide mutable and harness runs execute on pool
-   domains.  It used to be guarded by a mutex taken on *every* run — a
-   serialization point right on the sweep hot path (ROADMAP item 1).  Now
-   the slot is an [Atomic.t] read lock-free per run; the trade is that
-   hook bodies execute concurrently on pool domains and must be
-   domain-safe themselves.  Shard per-run state by pool slot
-   (Recflow_obs_core.Collect) or use atomics for ordinals — see
-   bin/experiments.ml for the pattern. *)
+   domains.  The slot is an [Atomic.t] read lock-free per run, so hook
+   bodies execute concurrently on pool domains and must be domain-safe
+   themselves: guard shared per-sweep state with a mutex taken once per
+   finished run, or use atomics for ordinals — see bin/experiments.ml for
+   the pattern. *)
 let obs_hook : (obs_info -> run -> unit) option Atomic.t = Atomic.make None
 
 let set_obs_hook h = Atomic.set obs_hook h

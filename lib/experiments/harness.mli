@@ -57,8 +57,9 @@ val set_obs_hook : (obs_info -> run -> unit) option -> unit
 
     The hook slot is an atomic read on the per-run hot path — no lock is
     taken, so hook bodies execute concurrently on pool domains
-    ({!run_many}) and must be domain-safe: shard mutable state by pool
-    slot ({!Recflow_obs_core.Collect}) or use [Atomic] for ordinals.
+    ({!run_many}) and must be domain-safe: guard shared state with a
+    mutex (one acquisition per run is noise next to a simulation) or use
+    [Atomic] for ordinals.
     Completion order across domains — and hence e.g. ordinal file
     numbering — is not deterministic under [--jobs] > 1, but the set of
     invocations is. *)

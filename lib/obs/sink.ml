@@ -122,60 +122,3 @@ module Ring = struct
         if r.len = r.cap then self.dropped <- self.dropped + 1;
         push r x)
 end
-
-module Reservoir = struct
-  type 'a res = {
-    cap : int;
-    mutable buf : 'a array;
-    mutable len : int;
-    mutable pushed : int;
-    mutable state : int64;  (* splitmix64, seeded — no global Random state *)
-  }
-
-  let create ~capacity ~seed =
-    if capacity <= 0 then invalid_arg "Sink.Reservoir.create: capacity must be positive";
-    { cap = capacity; buf = [||]; len = 0; pushed = 0; state = Int64.of_int seed }
-
-  (* splitmix64 step — a tiny, well-mixed generator whose whole state is
-     one int64, so sampling stays deterministic per seed and independent
-     of any other randomness in the process. *)
-  let next r =
-    r.state <- Int64.add r.state 0x9E3779B97F4A7C15L;
-    let z = r.state in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  let rand_below r n =
-    Int64.to_int (Int64.rem (Int64.logand (next r) Int64.max_int) (Int64.of_int n))
-
-  (* Algorithm R: after [n] pushes every value has the same cap/n chance
-     of being retained. Returns [true] when [x] was kept. *)
-  let push r x =
-    r.pushed <- r.pushed + 1;
-    if Array.length r.buf = 0 then r.buf <- Array.make r.cap x;
-    if r.len < r.cap then begin
-      r.buf.(r.len) <- x;
-      r.len <- r.len + 1;
-      true
-    end
-    else begin
-      let j = rand_below r r.pushed in
-      if j < r.cap then begin
-        r.buf.(j) <- x;
-        true
-      end
-      else false
-    end
-
-  let to_list r = Array.to_list (Array.sub r.buf 0 r.len)
-
-  let total r = r.pushed
-
-  let length r = r.len
-
-  let capacity r = r.cap
-
-  let sink r =
-    make_self (fun self x -> if not (push r x) then self.dropped <- self.dropped + 1)
-end

@@ -23,8 +23,7 @@ val emitted : 'a t -> int
 
 val dropped : 'a t -> int
 (** Values this sink decided not to keep or forward: emits into a closed
-    sink, values a {!sample} wrapper skipped, ring evictions, reservoir
-    rejections.  Nothing is ever lost without moving this count. *)
+    sink, values a {!sample} wrapper skipped, ring evictions.  Nothing is ever lost without moving this count. *)
 
 val null : unit -> 'a t
 (** Discards everything (still counts {!emitted}). *)
@@ -77,34 +76,4 @@ module Ring : sig
   val sink : 'a ring -> 'a t
   (** View the ring as a sink ({!push} on emit); each eviction of an old
       value counts in the sink's {!dropped}. *)
-end
-
-(** Seeded reservoir sampling (Algorithm R): retains a uniform random
-    sample of bounded size from a stream of unknown length, using its own
-    splitmix64 state so the choice is deterministic per seed and
-    independent of any other randomness in the process. *)
-module Reservoir : sig
-  type 'a res
-
-  val create : capacity:int -> seed:int -> 'a res
-  (** @raise Invalid_argument if [capacity <= 0]. *)
-
-  val push : 'a res -> 'a -> bool
-  (** [true] when the value was retained (possibly displacing an earlier
-      one), [false] when it was rejected.  After [n] pushes every value has
-      had the same [capacity/n] retention probability. *)
-
-  val to_list : 'a res -> 'a list
-  (** Retained sample, in slot order (not push order). *)
-
-  val total : 'a res -> int
-
-  val length : 'a res -> int
-  (** Currently retained (at most [capacity]). *)
-
-  val capacity : 'a res -> int
-
-  val sink : 'a res -> 'a t
-  (** View the reservoir as a sink; rejected values count in the sink's
-      {!dropped}. *)
 end

@@ -1,13 +1,14 @@
 (** Fixed-size domain pool for embarrassingly parallel fan-out.
 
-    A pool owns [jobs - 1] worker domains, each with its own Chase–Lev
-    work-stealing deque ({!Deque}): the domain that owns a deque pushes and
-    pops lock-free at the bottom, idle domains steal from the top, and a
-    batch is submitted as one range task that splits recursively — so an
-    N-task batch costs O(N / chunk) deque pushes and zero global-mutex
-    acquisitions, where the old single locked queue paid a mutex round trip
-    per push *and* per pop.  The submitting domain participates while it
-    waits, so a pool never deadlocks on nested submissions, and [jobs = 1]
+    A pool owns [jobs - 1] worker domains and one shared list of pending
+    batches under a single lock.  A [map] appends its batch to the list,
+    and every participant — each worker and the submitter itself —
+    claims the batch's next unclaimed element with one atomic
+    fetch-and-add; the submitter then waits until every element of its
+    batch has been evaluated.  The pool's traffic is sweeps of whole
+    simulation runs (milliseconds each), so one lock costs nothing
+    measurable.  Because a submitter can run all of its own elements, a
+    pool never deadlocks on nested submissions, and [jobs = 1]
     degenerates to plain sequential execution on the caller in submission
     order — the property the experiments driver relies on for its
     [--jobs 1] determinism oracle.
@@ -24,32 +25,16 @@ val create : ?jobs:int -> unit -> t
     [Domain.recommended_domain_count ()] and is clamped to at least 1.
 
     Each spawned worker sizes its minor heap to [2^20] words (8 MiB on
-    64-bit): the stock 256k-word minor heap forces allocation-heavy
-    sub-millisecond simulation tasks into constant minor collections, each
-    a stop-the-world across domains.  The submitting
-    domain's GC parameters are never touched, so [jobs = 1] behaviour is
-    byte-identical to a plain [List.map].
+    64-bit): the stock 256k-word minor heap forces an allocation-heavy
+    simulation into constant minor collections, each a stop-the-world
+    across domains.  The submitting domain's GC parameters are never
+    touched, so [jobs = 1] behaviour is byte-identical to a plain
+    [List.map].
 
     Raises [Invalid_argument] if [jobs < 1]. *)
 
 val jobs : t -> int
 (** Number of execution slots (worker domains + the submitting caller). *)
-
-val slot : unit -> int
-(** Process-unique index of the execution slot the calling domain occupies.
-    Worker domains are assigned a contiguous range at pool creation, and
-    any other domain (the submitter included) allocates its own slot on
-    first use — so two coexisting pools, or two raw submitter domains,
-    never share a slot.  Sharded collectors key per-domain state by this
-    index: each slot has exactly one writing domain, so their hot path
-    takes no lock.  Slot numbers are small and dense but depend on pool
-    creation order; consumers must treat them as opaque (merge over all
-    slots commutatively), and can size storage with {!slot_limit}. *)
-
-val slot_limit : unit -> int
-(** Exclusive upper bound on every slot index allocated so far.  Grows as
-    pools (and fresh submitter domains) appear; collectors created before
-    a pool must be prepared to grow up to the current limit. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], possibly on
@@ -66,7 +51,8 @@ val shutdown : t -> unit
     raise [Invalid_argument].  A [map] already in flight when
     [shutdown] is called is drained first: the workers stay alive until it
     settles and its submitter gets its full result — shutdown never
-    strands a batch mid-air. *)
+    strands a batch mid-air.  A nested [map] issued by an element of such
+    a batch is still admitted during the drain. *)
 
 (** {1 Shared default pool}
 

@@ -3,13 +3,10 @@
    at any pool width. *)
 
 module Pool = Recflow_parallel.Pool
-module Deque = Recflow_parallel.Deque
 module Harness = Recflow_experiments.Harness
 module Report = Recflow_experiments.Report
 module Workload = Recflow_workload.Workload
 module Rng = Recflow_sim.Rng
-module Collect = Recflow_obs_core.Collect
-module Counter = Recflow_stats.Counter
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,89 +20,6 @@ let with_pool ~jobs f =
 let with_default_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
-
-(* ---------------- Deque ---------------- *)
-
-let deque_sequential_grow () =
-  (* Push far past the initial ring capacity, then drain from both ends:
-     every element must come back exactly once. *)
-  let q = Deque.create () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Deque.push q i
-  done;
-  check_int "size after pushes" n (Deque.size q);
-  let seen = Array.make n 0 in
-  for _ = 1 to n / 2 do
-    match Deque.steal q with
-    | Some v -> seen.(v) <- seen.(v) + 1
-    | None -> Alcotest.fail "steal returned None on a non-empty deque"
-  done;
-  let rec drain () =
-    match Deque.pop q with
-    | Some v ->
-      seen.(v) <- seen.(v) + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check "each element exactly once" true (Array.for_all (( = ) 1) seen)
-
-let deque_steal_grow_race () =
-  (* Regression for a memory-safety race: [steal] used to read [q.buf]
-     twice — once for the mask, once for the element — so a concurrent
-     [grow] (which swaps the buffer) could pair the new array with the old
-     mask (wrong slot, garbage value) or the old array with the new mask
-     (out of bounds).  Thief domains hammer [steal] while the owner pushes
-     enough to double the ring many times over; heap-allocated payloads
-     [(i, 2 * i + 1)] make a wrong-slot read detectable as a value-set
-     violation rather than only as a segfault. *)
-  let q : (int * int) Deque.t = Deque.create () in
-  let n = 100_000 in
-  let thieves = 2 in
-  let stop = Atomic.make false in
-  let stealers =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            let rec go () =
-              match Deque.steal q with
-              | Some v ->
-                acc := v :: !acc;
-                go ()
-              | None ->
-                if not (Atomic.get stop) then begin
-                  Domain.cpu_relax ();
-                  go ()
-                end
-            in
-            go ();
-            !acc))
-  in
-  let popped = ref [] in
-  for i = 0 to n - 1 do
-    (* bursts of pushes grow the ring under the thieves' feet; the
-       occasional pop keeps the owner's bottom end busy too *)
-    Deque.push q (i, (2 * i) + 1);
-    if i mod 7 = 0 then
-      match Deque.pop q with Some v -> popped := v :: !popped | None -> ()
-  done;
-  let rec drain () =
-    match Deque.pop q with
-    | Some v ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  let stolen = List.concat_map Domain.join stealers in
-  let all = List.rev_append !popped stolen in
-  check_int "no element lost or duplicated" n (List.length all);
-  check "every payload intact" true
-    (List.for_all (fun (i, w) -> i >= 0 && i < n && w = (2 * i) + 1) all);
-  let module S = Set.Make (Int) in
-  check_int "all distinct" n (S.cardinal (S.of_list (List.map fst all)))
 
 (* ---------------- Pool ---------------- *)
 
@@ -234,13 +148,11 @@ let pool_shutdown_drains_in_flight_map () =
      with Invalid_argument _ -> true)
 
 let cross_pool_nested_map () =
-  (* A worker of pool A submitting a batch to pool B claims B's deque 0
-     and temporarily rebinds the domain's pool context; the release must
-     RESTORE the worker's original context, not erase it (a clobber
-     silently demoted all its later pushes in A to the mutexed injection
-     queue).  Exercised for correctness here: repeated rounds of A-tasks
-     each fanning out through B, with enough elements per round that the
-     outer tasks keep splitting after their inner maps return. *)
+  (* A worker of pool A submitting a batch to pool B becomes B's
+     submitter for the span of that map and must come back as A's worker
+     afterwards.  Exercised for correctness here: repeated rounds of
+     A-tasks each fanning out through B, with enough elements per round
+     that A still has elements to hand out after the inner maps return. *)
   with_pool ~jobs:2 (fun a ->
       with_pool ~jobs:2 (fun b ->
           for _round = 1 to 3 do
@@ -292,44 +204,51 @@ let set_default_jobs_refused_in_flight () =
       Pool.set_default_jobs 3;
       check_int "swap succeeds after the batch" 3 (Pool.default_jobs ()))
 
-let dual_pool_slots_disjoint () =
-  (* Two coexisting pools must never alias an execution slot: slot ids are
-     what sharded collectors key their single-writer shards by. *)
-  with_pool ~jobs:3 (fun p1 ->
-      with_pool ~jobs:3 (fun p2 ->
-          let slots_of p =
-            Pool.map p (fun i -> ignore (Sys.opaque_identity i); Pool.slot ()) (List.init 64 Fun.id)
-          in
-          let s1 = slots_of p1 and s2 = slots_of p2 in
-          let module S = Set.Make (Int) in
-          let d1 = S.of_list s1 and d2 = S.of_list s2 in
-          check "pools share no slot" true (S.is_empty (S.inter (S.remove (Pool.slot ()) d1)
-            (S.remove (Pool.slot ()) d2)));
-          check "slots below slot_limit" true
-            (S.for_all (fun s -> s >= 0 && s < Pool.slot_limit ()) (S.union d1 d2))))
-
-let dual_pool_collect_exact () =
-  (* The practical consequence of slot disjointness: a sharded collector
-     written through two pools at once — one driven by a second raw domain,
-     whose lazily allocated slot also exercises the growth path — must
-     merge to exact totals, with no update lost to slot aliasing. *)
-  with_pool ~jobs:3 (fun p1 ->
-      with_pool ~jobs:3 (fun p2 ->
-          let coll = Collect.create () in
-          let n = 400 in
-          let bump p name = ignore (Pool.map p (fun _ -> Collect.incr coll name) (List.init n Fun.id)) in
-          let other =
-            Domain.spawn (fun () ->
-                bump p2 "shared";
-                bump p2 "only_p2")
-          in
-          bump p1 "shared";
-          bump p1 "only_p1";
-          Domain.join other;
-          let c = Collect.counters coll in
-          check_int "shared counter exact" (2 * n) (Counter.get c "shared");
-          check_int "p1 counter exact" n (Counter.get c "only_p1");
-          check_int "p2 counter exact" n (Counter.get c "only_p2")))
+let shutdown_admits_nested_map_during_drain () =
+  (* An element of an admitted batch issues a nested map on the same pool
+     after shutdown has closed it.  The outer batch keeps the pool draining,
+     so the nested map must be admitted and return in full, the outer map
+     must complete, and shutdown must return.  The main domain learns that
+     the pool is closed by probing it with its own maps until one is
+     refused, so the nested map is certain to run against a closed pool. *)
+  let p = Pool.create ~jobs:3 () in
+  let started = Atomic.make false in
+  let release = Atomic.make false in
+  let submitter =
+    Domain.spawn (fun () ->
+        Pool.map p
+          (fun i ->
+            if i = 0 then begin
+              Atomic.set started true;
+              while not (Atomic.get release) do
+                Domain.cpu_relax ()
+              done;
+              List.fold_left ( + ) 0 (Pool.map p (fun j -> j * j) (List.init 10 Fun.id))
+            end
+            else i)
+          (List.init 8 Fun.id))
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let closer = Domain.spawn (fun () -> Pool.shutdown p) in
+  let rec await_close () =
+    match Pool.map p Fun.id [ 1; 2 ] with
+    | _ ->
+      Domain.cpu_relax ();
+      await_close ()
+    | exception Invalid_argument _ -> ()
+  in
+  await_close ();
+  Atomic.set release true;
+  Alcotest.(check (list int))
+    "outer map completed with the nested result" (285 :: List.init 7 succ) (Domain.join submitter);
+  Domain.join closer;
+  check "map after the drained shutdown refused" true
+    (try
+       ignore (Pool.map p (fun x -> x) [ 1; 2 ]);
+       false
+     with Invalid_argument _ -> true)
 
 (* ---------------- Harness determinism across pool widths ---------------- *)
 
@@ -390,11 +309,6 @@ let obs_hook_complete_under_parallel_runs () =
 
 let suites =
   [
-    ( "parallel.deque",
-      [
-        Alcotest.test_case "sequential grow" `Quick deque_sequential_grow;
-        Alcotest.test_case "steal vs grow race" `Quick deque_steal_grow_race;
-      ] );
     ( "parallel.pool",
       [
         Alcotest.test_case "map ordering" `Quick pool_map_ordering;
@@ -410,8 +324,8 @@ let suites =
         Alcotest.test_case "cross-pool nested map" `Quick cross_pool_nested_map;
         Alcotest.test_case "set_default_jobs refused in flight" `Quick
           set_default_jobs_refused_in_flight;
-        Alcotest.test_case "dual-pool slots disjoint" `Quick dual_pool_slots_disjoint;
-        Alcotest.test_case "dual-pool collect exact" `Quick dual_pool_collect_exact;
+        Alcotest.test_case "nested map during shutdown drain" `Quick
+          shutdown_admits_nested_map_during_drain;
       ] );
     ( "parallel.harness",
       [
