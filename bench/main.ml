@@ -1,22 +1,19 @@
-(* Bechamel benchmark harness.
+(* Bechamel micro-benchmark harness.
 
-   Two layers:
-   1. micro-benchmarks of the hot data structures (level stamps, checkpoint
-      tables, the event engine, RNG, the graph evaluator, the serial
-      evaluator, the voter);
-   2. one benchmark per reproduced figure/table (F1..Q8), each running a
-      reduced instance of the corresponding experiment kernel — the
-      wall-clock cost of regenerating that row of the paper.
+   Whole runs are measured elsewhere: perfbench/ times, checks and sizes
+   the end-to-end workloads, and `experiments` regenerates every table
+   with its checks.  This harness keeps only what those cannot measure:
 
-   Plus hand-timed wall-clock sections (pool construction hoisted out of
-   every timed window): the sequential-vs-parallel sweep with warm and
-   cold rows, and the observability A/B.  Maintenance modes: --check-json
-   (schema validation), --diff OLD NEW (per-row regression gate),
-   --scaling-check (loose multicore speedup assert, skipped on single-core
-   hosts).
+   1. micro-benchmarks of the hot data structures (level stamps,
+      checkpoint tables, the event engine, RNG, the graph evaluator, the
+      serial evaluator, the voter), written as one (name, thunk) list;
+   2. the sequential-vs-parallel sweep with warm and cold rows (pool
+      construction hoisted out of every timed window), and --scaling-check
+      (loose multicore speedup assert, skipped on single-core hosts);
+   3. the observability A/B (--obs-only).
 
-   After the Bechamel run the harness regenerates every experiment table in
-   quick mode, so the benchmark log doubles as a reproduction record. *)
+   Maintenance modes: --check-json (schema validation) and --diff OLD NEW
+   (per-row regression gate on the micro group). *)
 
 open Bechamel
 
@@ -33,8 +30,6 @@ module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Workload = Recflow_workload.Workload
 module Json = Recflow_obs_core.Json
-module Service = Recflow_service.Service
-module Hdr = Recflow_stats.Hdr
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks                                                    *)
@@ -44,49 +39,10 @@ let deep_stamp =
   let rec go s n = if n = 0 then s else go (Stamp.child s (n mod 3)) (n - 1) in
   go Stamp.root 12
 
-let bench_stamp_ancestor =
-  Test.make ~name:"stamp.is_ancestor depth-12"
-    (Staged.stage (fun () ->
-         ignore (Stamp.is_ancestor deep_stamp (Stamp.child deep_stamp 1))))
-
-let bench_stamp_hash =
-  Test.make ~name:"stamp.hash depth-12" (Staged.stage (fun () -> ignore (Stamp.hash deep_stamp)))
-
 let mk_packet stamp =
   Packet.make ~stamp ~fname:"f" ~args:[| Value.Int 1 |]
     ~parent:{ Packet.task = 1; proc = 0; slot = 0 }
     ~grandparent:None ~ancestors:[]
-
-let bench_ckpt_record =
-  Test.make ~name:"ckpt_table 32x record+discharge"
-    (Staged.stage (fun () ->
-         let t = Ckpt_table.create () in
-         for i = 0 to 31 do
-           let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
-           ignore (Ckpt_table.record t ~dest:(i mod 8) (mk_packet stamp))
-         done;
-         for i = 0 to 31 do
-           let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
-           ignore (Ckpt_table.discharge t ~dest:(i mod 8) stamp)
-         done))
-
-let bench_engine =
-  Test.make ~name:"engine 1k schedule+dispatch"
-    (Staged.stage (fun () ->
-         let e = Engine.create () in
-         for i = 1 to 1000 do
-           Engine.schedule e ~delay:(i mod 17) i
-         done;
-         Engine.run e (fun _ _ -> ())))
-
-let bench_rng =
-  Test.make ~name:"rng 1k bounded ints"
-    (Staged.stage
-       (let t = Rng.create 1 in
-        fun () ->
-          for _ = 1 to 1000 do
-            ignore (Rng.int t 1024)
-          done))
 
 let fib_program =
   Recflow_lang.Parser.parse_program_exn
@@ -94,107 +50,65 @@ let fib_program =
 
 let fib_library = Graph.compile_program fib_program
 
-let bench_serial_eval =
-  Test.make ~name:"serial eval fib-15"
-    (Staged.stage (fun () ->
-         ignore (Recflow_lang.Eval_serial.eval fib_program "fib" [ Value.Int 15 ])))
+let rec graph_run fname args =
+  let inst = Inst.create (Graph.find_exn fib_library fname) args in
+  let rec loop () =
+    match Inst.step inst with
+    | Inst.Work _ -> loop ()
+    | Inst.Spawn { slot; fname; args } ->
+      Inst.supply inst slot (graph_run fname args);
+      loop ()
+    | Inst.Finished v -> v
+    | Inst.Blocked | Inst.Failed _ -> assert false
+  in
+  loop ()
 
-let bench_graph_eval =
-  Test.make ~name:"graph eval fib-12"
-    (Staged.stage (fun () ->
-         let rec run fname args =
-           let inst = Inst.create (Graph.find_exn fib_library fname) args in
-           let rec loop () =
-             match Inst.step inst with
-             | Inst.Work _ -> loop ()
-             | Inst.Spawn { slot; fname; args } ->
-               Inst.supply inst slot (run fname args);
-               loop ()
-             | Inst.Finished v -> v
-             | Inst.Blocked | Inst.Failed _ -> assert false
-           in
-           loop ()
-         in
-         ignore (run "fib" [| Value.Int 12 |])))
-
-let bench_vote =
-  Test.make ~name:"vote 5-replica decision"
-    (Staged.stage (fun () ->
-         let v = Vote.create ~replicas:5 ~equal:Int.equal in
-         ignore (Vote.add v 1);
-         ignore (Vote.add v 1);
-         ignore (Vote.add v 1)))
+(* Row names are the keys --diff matches across results files. *)
+let micro : (string * (unit -> unit)) list =
+  [
+    ( "stamp.is_ancestor depth-12",
+      fun () -> ignore (Stamp.is_ancestor deep_stamp (Stamp.child deep_stamp 1)) );
+    ("stamp.hash depth-12", fun () -> ignore (Stamp.hash deep_stamp));
+    ( "ckpt_table 32x record+discharge",
+      fun () ->
+        let t = Ckpt_table.create () in
+        for i = 0 to 31 do
+          let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
+          ignore (Ckpt_table.record t ~dest:(i mod 8) (mk_packet stamp))
+        done;
+        for i = 0 to 31 do
+          let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
+          ignore (Ckpt_table.discharge t ~dest:(i mod 8) stamp)
+        done );
+    ( "engine 1k schedule+dispatch",
+      fun () ->
+        let e = Engine.create () in
+        for i = 1 to 1000 do
+          Engine.schedule e ~delay:(i mod 17) i
+        done;
+        Engine.run e (fun _ _ -> ()) );
+    ( "rng 1k bounded ints",
+      let t = Rng.create 1 in
+      fun () ->
+        for _ = 1 to 1000 do
+          ignore (Rng.int t 1024)
+        done );
+    ( "serial eval fib-15",
+      fun () -> ignore (Recflow_lang.Eval_serial.eval fib_program "fib" [ Value.Int 15 ]) );
+    ("graph eval fib-12", fun () -> ignore (graph_run "fib" [| Value.Int 12 |]));
+    ( "vote 5-replica decision",
+      fun () ->
+        let v = Vote.create ~replicas:5 ~equal:Int.equal in
+        ignore (Vote.add v 1);
+        ignore (Vote.add v 1);
+        ignore (Vote.add v 1) );
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* One kernel per reproduced figure/table                              *)
+(* Sequential vs parallel sweep wall-clock                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_cluster_full cfg w size failures =
-  let c = Cluster.create cfg (Workload.program w) in
-  Recflow_fault.Plan.apply c failures;
-  Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args size);
-  let o = Cluster.run c in
-  (c, o)
-
-let run_cluster cfg w size failures = snd (run_cluster_full cfg w size failures)
-
-let bench_fig1 =
-  Test.make ~name:"F1+F2 figure-1 structural scenario"
-    (Staged.stage (fun () -> ignore (Recflow_experiments.Exp_fig1.run ~quick:true ())))
-
-let bench_fig3 =
-  Test.make ~name:"F3 splice run w/ twin inheritance"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (Config.default ~nodes:8) with Config.recovery = Config.Splice;
-             policy = Recflow_balance.Policy.Random }
-         in
-         ignore (run_cluster cfg Workload.tree_sum Workload.Small [ (400, 3) ])))
-
-let case_family =
-  {
-    Workload.name = "bench_case_family";
-    description = "";
-    source =
-      "def root_case(cw, dw) = pp(cw, dw) + 1\n\
-       def pp(cw, dw) = dd(dw) + cc(cw)\n\
-       def cc(cw) = spin(cw, 0)\n\
-       def dd(dw) = spin(dw, 0)\n\
-       def spin(k, acc) = if k == 0 then acc else spin(k - 1, acc + 1)";
-    entry = "root_case";
-    args = (fun _ -> [ Value.Int 400; Value.Int 3000 ]);
-  }
-
-let bench_fig5 =
-  Test.make ~name:"F5 one case-analysis schedule"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (Config.default ~nodes:4) with Config.recovery = Config.Splice;
-             policy = Recflow_balance.Policy.Random; inline_depth = 3; adoption_grace = 0 }
-         in
-         ignore (run_cluster cfg case_family Workload.Small [ (120, 2) ])))
-
-let residue_chain =
-  {
-    Workload.name = "bench_residue";
-    description = "";
-    source =
-      "def gg(w) = pp(w) + 1\n\
-       def pp(w) = let r = cc(w) in r + (r - r)\n\
-       def cc(w) = spin(w, 0)\n\
-       def spin(k, acc) = if k == 0 then acc else spin(k - 1, acc + 1)";
-    entry = "gg";
-    args = (fun _ -> [ Value.Int 800 ]);
-  }
-
-let bench_fig6 =
-  Test.make ~name:"F6 one spawn-state failure"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (Config.default ~nodes:4) with Config.recovery = Config.Splice; inline_depth = 3;
-             policy = Recflow_balance.Policy.Random }
-         in
-         ignore (run_cluster cfg residue_chain Workload.Small [ (200, 1) ])))
+module Pool = Recflow_parallel.Pool
 
 let synthetic = Workload.synthetic ~branching:2 ~depth:8 ~grain:60
 
@@ -202,105 +116,13 @@ let quant_cfg recovery =
   { (Config.default ~nodes:8) with Config.recovery; inline_depth = 8;
     policy = Recflow_balance.Policy.Random }
 
-let bench_q1 =
-  Test.make ~name:"Q1 fault-free synthetic (ckpt armed)"
-    (Staged.stage (fun () ->
-         ignore (run_cluster (quant_cfg Config.Rollback) synthetic Workload.Small [])))
-
-let bench_q2_rollback =
-  Test.make ~name:"Q2+Q3 rollback of one failure"
-    (Staged.stage (fun () ->
-         ignore (run_cluster (quant_cfg Config.Rollback) synthetic Workload.Small [ (3000, 2) ])))
-
-let bench_q2_splice =
-  Test.make ~name:"Q2+Q3 splice of one failure"
-    (Staged.stage (fun () ->
-         ignore (run_cluster (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ])))
-
-let bench_q4 =
-  Test.make ~name:"Q4 synthetic on 16 processors"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (quant_cfg Config.Splice) with Config.topology = Recflow_net.Topology.Full 16 }
-         in
-         ignore (run_cluster cfg synthetic Workload.Small [])))
-
-let bench_q5 =
-  Test.make ~name:"Q5 double failure, depth-2 links"
-    (Staged.stage (fun () ->
-         let cfg = { (quant_cfg Config.Splice) with Config.ancestor_depth = 2 } in
-         ignore (run_cluster cfg synthetic Workload.Small [ (2000, 1); (2000, 2) ])))
-
-let bench_q6 =
-  Test.make ~name:"Q6 replicate k=3 masking a failure"
-    (Staged.stage (fun () ->
-         let w = Workload.synthetic ~branching:4 ~depth:2 ~grain:150 in
-         let cfg =
-           { (Config.default ~nodes:6) with Config.recovery = Config.Replicate 3;
-             replicate_depth = 3; inline_depth = 3;
-             policy = Recflow_balance.Policy.Random }
-         in
-         ignore (run_cluster cfg w Workload.Medium [ (600, 4) ])))
-
-let bench_q7 =
-  Test.make ~name:"Q7 static placement w/ failure"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (quant_cfg Config.Rollback) with
-             Config.policy = Recflow_balance.Policy.Static_hash }
-         in
-         ignore (run_cluster cfg synthetic Workload.Small [ (3000, 2) ])))
-
-let bench_q8 =
-  Test.make ~name:"Q8 keep-all table w/ failure"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (quant_cfg Config.Rollback) with
-             Config.ckpt_mode = Config.Fixed Recflow_recovery.Ckpt_table.Keep_all }
-         in
-         ignore (run_cluster cfg synthetic Workload.Small [ (3000, 2) ])))
-
-let service_cfg k =
-  { (Config.default ~nodes:8) with
-    Config.recovery = Config.Splice; seed = 17;
-    service =
-      { Config.arrival_mean = 250.0; replicas = k; max_inflight = 64;
-        shed_suspect_frac = 0.9 } }
-
-let run_service ~k ~requests =
-  Service.run ~failures:[ (3000, 0); (6000, 2) ] ~config:(service_cfg k)
-    ~workload:Workload.fib ~size:Workload.Tiny ~requests ()
-
-let bench_x6 =
-  Test.make ~name:"X6 40-request stream, k=3, two kills"
-    (Staged.stage (fun () -> ignore (run_service ~k:3 ~requests:40)))
-
-let bench_x7 =
-  Test.make ~name:"X7 adaptive admission (depth 3) w/ failure"
-    (Staged.stage (fun () ->
-         let cfg =
-           { (quant_cfg Config.Rollback) with
-             Config.ckpt_mode = Config.Adaptive { max_depth = 3 }; ckpt_cost = 8 }
-         in
-         ignore (run_cluster cfg synthetic Workload.Small [ (3000, 2) ])))
-
-let bench_cost_pass =
-  (* the static cost/depth analyzer itself: the full check pipeline over
-     every named workload, the price `--policy auto` pays before a run *)
-  Test.make ~name:"RF3xx cost pass over all workloads"
-    (Staged.stage (fun () ->
-         List.iter
-           (fun (w : Workload.t) ->
-             ignore
-               (Recflow_analysis.Check.check_source ~entries:[ w.Workload.entry ]
-                  w.Workload.source))
-           Workload.all))
-
-(* ------------------------------------------------------------------ *)
-(* Sequential vs parallel sweep wall-clock                             *)
-(* ------------------------------------------------------------------ *)
-
-module Pool = Recflow_parallel.Pool
+(* The Q2 kernel: one failure on processor 2 at time [t]. *)
+let run_q2 recovery t =
+  let c = Cluster.create (quant_cfg recovery) (Workload.program synthetic) in
+  Recflow_fault.Plan.apply c [ (t, 2) ];
+  Cluster.start c ~fname:synthetic.Workload.entry
+    ~args:(synthetic.Workload.args Workload.Small);
+  Cluster.run c
 
 (* A Q2-style sweep over the synthetic workload: one failure injected at a
    range of times under both recovery schemes — 16 independent simulations,
@@ -313,7 +135,7 @@ let sweep_points =
 let sweep_once pool =
   Pool.map pool
     (fun (recovery, t) ->
-      let o = run_cluster (quant_cfg recovery) synthetic Workload.Small [ (t, 2) ] in
+      let o = run_q2 recovery t in
       (o.Cluster.sim_time, o.Cluster.events, o.Cluster.answer))
     sweep_points
 
@@ -324,10 +146,8 @@ let timed f =
 
 (* Warm measurement: the pool is constructed, its workers spawned and a
    full warmup sweep run *before* the timed window, which then takes the
-   best of three repetitions.  The previous harness timed [Pool.create]
-   and [shutdown] inside the window, so the "parallel sweep" rows of
-   BENCH_5/BENCH_6 charged domain spawn + teardown (milliseconds) to a
-   sub-second sweep and reported slowdowns that were mostly measurement. *)
+   best of three repetitions, so domain spawn and teardown (milliseconds)
+   are not charged to a sub-second sweep. *)
 let time_sweep_warm ~jobs =
   let pool = Pool.create ~jobs () in
   let outcomes = sweep_once pool in
@@ -339,9 +159,8 @@ let time_sweep_warm ~jobs =
   Pool.shutdown pool;
   (outcomes, !best)
 
-(* Cold measurement: spawn + sweep + join, all inside the window — the
-   quantity the old harness accidentally measured, kept as an honest row
-   of its own so the spawn overhead stays visible. *)
+(* Cold measurement: spawn + sweep + join, all inside the window, kept as
+   a row of its own so the spawn overhead stays visible. *)
 let time_sweep_cold ~jobs =
   snd
     (timed (fun () ->
@@ -390,8 +209,8 @@ let report_sweep_scaling () =
              row "jobs2_cold" 2 ~warm:false cold2_t;
            ]
           @
-          (* rec_jobs = 2 would duplicate the jobs2_warm row (and its name,
-             which the --diff grouping keys on), so only emit it wider. *)
+          (* rec_jobs = 2 would duplicate the jobs2_warm row, so only emit
+             it wider. *)
           if rec_jobs > 2 then
             [ row (Printf.sprintf "jobs%d_warm" rec_jobs) rec_jobs ~warm:true rec_t ]
           else []) );
@@ -442,14 +261,10 @@ let report_obs_overhead () =
      medians are recorded alongside for the raw picture. *)
   let reps = 64 in
   let kernel () =
-    ignore (run_cluster (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ]);
-    ignore (run_cluster (quant_cfg Config.Rollback) synthetic Workload.Small [ (3000, 2) ])
+    ignore (run_q2 Config.Splice 3000);
+    ignore (run_q2 Config.Rollback 3000)
   in
-  let timed () =
-    let t0 = Unix.gettimeofday () in
-    kernel ();
-    Unix.gettimeofday () -. t0
-  in
+  let timed () = snd (timed kernel) in
   let off = Array.make reps 0.0 and on_ = Array.make reps 0.0 in
   (* warmup both paths *)
   Profile.set_enabled false;
@@ -493,167 +308,17 @@ let report_obs_overhead () =
       ("overhead_pct", Json.Float overhead_pct);
     ]
 
-(* Latency percentile block from one representative failure run, so the
-   bench artefact carries the same percentile vocabulary as the metrics
-   documents. *)
-let report_latency_percentiles () =
-  let c, _ = run_cluster_full (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ] in
-  Json.Obj
-    (List.map
-       (fun (name, h) -> (name, Recflow_obs.Metrics.hdr_json h))
-       (Cluster.latency_hists c))
-
-(* Service-mode wall-clock + quality row: one 80-request stream per
-   replication degree through the same two-kill plan, reporting goodput
-   and tail latency alongside the wall time.  These are the user-facing
-   numbers of PR 8's service layer, so the bench artefact records them
-   next to the per-figure kernels. *)
-let report_service () =
-  Format.printf "@.--- service mode (80-request stream, two kills, k=1 vs k=3) ---@.";
-  let row k =
-    let requests = 80 in
-    ignore (run_service ~k ~requests);
-    let o, wall = timed (fun () -> run_service ~k ~requests) in
-    if not o.Service.all_correct then failwith "service bench stream returned a wrong answer";
-    let h = Cluster.latency o.Service.cluster "service.latency" in
-    let q p = if Hdr.count h = 0 then 0 else Hdr.quantile h p in
-    let c = o.Service.counts in
-    Format.printf
-      "  k=%d  wall %6.1f ms   completed %2d  masked %2d  recovered %2d  shed %2d   p50 %5d  p99 %5d   goodput %.2f/kt@."
-      k (wall *. 1e3) c.Service.completed c.Service.masked c.Service.recovered
-      (Service.shed c) (q 50.0) (q 99.0) o.Service.goodput;
-    Json.Obj
-      [
-        ("name", Json.Str (Printf.sprintf "service_k%d" k));
-        ("replicas", Json.Int k);
-        ("requests", Json.Int requests);
-        ("wall_s", Json.Float wall);
-        ("completed", Json.Int c.Service.completed);
-        ("masked", Json.Int c.Service.masked);
-        ("recovered", Json.Int c.Service.recovered);
-        ("shed", Json.Int (Service.shed c));
-        ("p50", Json.Int (q 50.0));
-        ("p99", Json.Int (q 99.0));
-        ("p999", Json.Int (q 99.9));
-        ("goodput", Json.Float o.Service.goodput);
-        ("all_correct", Json.Bool o.Service.all_correct);
-      ]
-  in
-  Json.Obj [ ("rows", Json.List [ row 1; row 3 ]) ]
-
-(* ------------------------------------------------------------------ *)
-(* X8 scale kernels and the memory probe                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Wrap a run with a Gc probe: peak heap words (sampled at every major
-   slice — an upper bound on peak live words that avoids per-sample heap
-   walks) and total allocated words.  Memory regressions — a reverted
-   arena, a journal that retains again — show up here even when wall
-   time hides them. *)
-let mem_probe f =
-  Gc.compact ();
-  let peak = ref (Gc.quick_stat ()).Gc.heap_words in
-  let alarm =
-    Gc.create_alarm (fun () ->
-        let h = (Gc.quick_stat ()).Gc.heap_words in
-        if h > !peak then peak := h)
-  in
-  let a0 = Gc.allocated_bytes () in
-  let r = f () in
-  let allocated_words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.0) in
-  Gc.delete_alarm alarm;
-  let h = (Gc.quick_stat ()).Gc.heap_words in
-  if h > !peak then peak := h;
-  (r, !peak, allocated_words)
-
-(* The X8 grid at full size, hand-timed: Bechamel would re-run the
-   million-task row for its whole quota.  Fault-free, static placement,
-   the scale machinery on (arena + batched delivery + non-retaining
-   journal).  The row value entering the --diff gate is ns per engine
-   event, which stays comparable if the grid ever grows. *)
-let xscale_grid = [ (64, 14); (256, 17); (1024, 20) ]
-
-let report_xscale () =
-  Format.printf
-    "@.--- X8 scale kernels (arena + batched delivery, hand-timed, full size) ---@.";
-  let rows =
-    List.map
-      (fun (procs, depth) ->
-        let grain = 20 in
-        let w = Workload.synthetic ~branching:2 ~depth ~grain in
-        let cfg =
-          {
-            (Config.default ~nodes:procs) with
-            Config.policy = Recflow_balance.Policy.Static_hash;
-            inline_depth = depth;
-            batched_delivery = true;
-            journal_retain = false;
-          }
-        in
-        let ((c, o), wall), peak_heap_words, allocated_words =
-          mem_probe (fun () -> timed (fun () -> run_cluster_full cfg w Workload.Medium []))
-        in
-        (* 2^depth leaves of [grain] each — checked in closed form; the
-           serial evaluator has no fuel for the million-call tree. *)
-        if o.Cluster.answer <> Some (Value.Int (grain * (1 lsl depth))) then
-          failwith "xscale row returned a wrong answer";
-        let tasks =
-          1 + Recflow_stats.Counter.get (Cluster.counters c) "spawn.remote"
-        in
-        let ev_s = float_of_int o.Cluster.events /. wall in
-        Format.printf
-          "  p=%-5d d=%-2d tasks %8d  wall %6.2f s  events %9d  (%.0f ev/s)  peak heap %5.1f Mw@."
-          procs depth tasks wall o.Cluster.events ev_s
-          (float_of_int peak_heap_words /. 1e6);
-        let name = Printf.sprintf "xscale/p%d_d%d" procs depth in
-        let group_row = (name, Some (1e9 *. wall /. float_of_int o.Cluster.events)) in
-        let detail =
-          Json.Obj
-            [
-              ("name", Json.Str name);
-              ("processors", Json.Int procs);
-              ("depth", Json.Int depth);
-              ("tasks", Json.Int tasks);
-              ("events", Json.Int o.Cluster.events);
-              ("makespan", Json.Int o.Cluster.sim_time);
-              ("wall_s", Json.Float wall);
-              ("events_per_s", Json.Float ev_s);
-              ("peak_heap_words", Json.Int peak_heap_words);
-              ("allocated_words", Json.Int allocated_words);
-            ]
-        in
-        (group_row, detail))
-      xscale_grid
-  in
-  (List.map fst rows, Json.Obj [ ("rows", Json.List (List.map snd rows)) ])
-
-(* The standing memory row: the Q2 splice kernel under the probe, so the
-   bench artefact tracks the footprint of the *default* (retaining,
-   unbatched) configuration too, not just the scale path. *)
-let report_mem () =
-  let (_, _), peak_heap_words, allocated_words =
-    mem_probe (fun () ->
-        timed (fun () -> run_cluster (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ]))
-  in
-  Format.printf "@.--- memory probe (Q2 splice kernel) ---@.";
-  Format.printf "  peak heap %.1f Mw   allocated %.1f Mw@."
-    (float_of_int peak_heap_words /. 1e6)
-    (float_of_int allocated_words /. 1e6);
-  Json.Obj
-    [
-      ("kernel", Json.Str "Q2 splice, synthetic small, 1 failure");
-      ("peak_heap_words", Json.Int peak_heap_words);
-      ("allocated_words", Json.Int allocated_words);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let bench_schema = "recflow.bench/1"
 
-let run_group ~quota name tests =
-  let grouped = Test.make_grouped ~name (List.map (fun t -> t) tests) in
+let run_group ~quota name rows =
+  let grouped =
+    Test.make_grouped ~name
+      (List.map (fun (row, f) -> Test.make ~name:row (Staged.stage f)) rows)
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -680,11 +345,11 @@ let run_group ~quota name tests =
    pacing) only ever adds time, so the per-row minimum across several
    independent estimates is the statistic closest to the code's true
    cost — record that. *)
-let run_group_min ~quota ~trials name tests =
+let run_group_min ~quota ~trials name rows =
   let runs =
     List.init trials (fun i ->
         Format.printf "  [trial %d/%d]@." (i + 1) trials;
-        run_group ~quota name tests)
+        run_group ~quota name rows)
   in
   match runs with
   | [] -> []
@@ -718,51 +383,6 @@ let json_of_rows rows =
            ])
        rows)
 
-(* Validate an emitted BENCH_<n>.json with the in-tree strict parser: the
-   file must parse, carry the schema marker and at least one group with at
-   least one named row.  [tools/bench_smoke.sh] drives this via the
-   [@bench-smoke] alias. *)
-let check_json path =
-  let contents =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  match Json.parse contents with
-  | Error e ->
-    Format.eprintf "%s: JSON parse error: %s@." path e;
-    exit 1
-  | Ok doc ->
-    let fail msg =
-      Format.eprintf "%s: %s@." path msg;
-      exit 1
-    in
-    (match Json.member "schema" doc with
-    | Some (Json.Str s) when s = bench_schema -> ()
-    | _ -> fail (Printf.sprintf "missing schema marker %S" bench_schema));
-    (match Json.member "groups" doc with
-    | Some (Json.List (_ :: _ as groups)) ->
-      List.iter
-        (fun g ->
-          match Json.member "rows" g with
-          | Some (Json.List (_ :: _ as rows)) ->
-            List.iter
-              (fun r ->
-                match Json.member "name" r with
-                | Some (Json.Str _) -> ()
-                | _ -> fail "row without a name")
-              rows
-          | _ -> fail "group without rows")
-        groups
-    | _ -> fail "missing groups");
-    Format.printf "%s: valid %s document@." path bench_schema
-
-(* ------------------------------------------------------------------ *)
-(* Cross-PR diff                                                       *)
-(* ------------------------------------------------------------------ *)
-
 let load_doc path =
   if not (Sys.file_exists path) then begin
     Format.eprintf "%s: no such file@." path;
@@ -776,6 +396,40 @@ let load_doc path =
   | Error e ->
     Format.eprintf "%s: JSON parse error: %s@." path e;
     exit 1
+
+(* Validate an emitted BENCH_<n>.json with the in-tree strict parser: the
+   file must parse, carry the schema marker and at least one group with at
+   least one named row.  [tools/bench_smoke.sh] drives this via the
+   [@bench-smoke] alias. *)
+let check_json path =
+  let doc = load_doc path in
+  let fail msg =
+    Format.eprintf "%s: %s@." path msg;
+    exit 1
+  in
+  (match Json.member "schema" doc with
+  | Some (Json.Str s) when s = bench_schema -> ()
+  | _ -> fail (Printf.sprintf "missing schema marker %S" bench_schema));
+  (match Json.member "groups" doc with
+  | Some (Json.List (_ :: _ as groups)) ->
+    List.iter
+      (fun g ->
+        match Json.member "rows" g with
+        | Some (Json.List (_ :: _ as rows)) ->
+          List.iter
+            (fun r ->
+              match Json.member "name" r with
+              | Some (Json.Str _) -> ()
+              | _ -> fail "row without a name")
+            rows
+        | _ -> fail "group without rows")
+      groups
+  | _ -> fail "missing groups");
+  Format.printf "%s: valid %s document@." path bench_schema
+
+(* ------------------------------------------------------------------ *)
+(* Cross-PR diff                                                       *)
+(* ------------------------------------------------------------------ *)
 
 let group_rows doc gname =
   match Json.member "groups" doc with
@@ -796,11 +450,9 @@ let group_rows doc gname =
       groups
   | _ -> None
 
-(* Per-row wall-clock delta between two emitted bench documents.  Only the
-   [micro] group gates (exit 1 past [threshold] percent): the experiment
-   kernels run whole simulations whose event counts legitimately change
-   when an experiment grows, but the micro rows measure fixed data
-   structures — a 20% swing there is a real regression (or a real win).
+(* Per-row wall-clock delta of the [micro] group between two emitted bench
+   documents; exit 1 past [threshold] percent.  Other groups in older
+   documents (whole-run kernels) are ignored.
 
    The gate is *host-speed normalized*: trajectory points are recorded in
    different sessions, and the same binary re-measured on the same
@@ -812,67 +464,63 @@ let group_rows doc gname =
    printed; the NORM column is what gates. *)
 let diff_json ~threshold old_path new_path =
   let old_doc = load_doc old_path and new_doc = load_doc new_path in
-  let regressions = ref [] in
-  let diff_group ~gate gname =
-    match (group_rows old_doc gname, group_rows new_doc gname) with
-    | None, _ | _, None -> Format.printf "group %-12s absent on one side, skipped@." gname
-    | Some old_rows, Some new_rows ->
-      let median_ratio =
-        let ratios =
-          List.filter_map
-            (fun (name, nv) ->
-              match List.assoc_opt name old_rows with
-              | Some ov when ov > 0.0 -> Some (nv /. ov)
-              | _ -> None)
-            new_rows
-          |> List.sort compare |> Array.of_list
-        in
-        let n = Array.length ratios in
-        if n < 3 then 1.0
-        else if n mod 2 = 1 then ratios.(n / 2)
-        else (ratios.((n / 2) - 1) +. ratios.(n / 2)) /. 2.0
+  match (group_rows old_doc "micro", group_rows new_doc "micro") with
+  | None, _ | _, None ->
+    Format.eprintf "micro group absent in %s or %s@." old_path new_path;
+    exit 1
+  | Some old_rows, Some new_rows ->
+    let median_ratio =
+      let ratios =
+        List.filter_map
+          (fun (name, nv) ->
+            match List.assoc_opt name old_rows with
+            | Some ov when ov > 0.0 -> Some (nv /. ov)
+            | _ -> None)
+          new_rows
+        |> List.sort compare |> Array.of_list
       in
-      Format.printf "--- %s (%s -> %s)%s ---@." gname old_path new_path
-        (if gate then
-           Printf.sprintf "  [gate: +%.0f%% over the median host shift x%.2f]" threshold
-             median_ratio
-         else "  [informational]");
-      List.iter
+      let n = Array.length ratios in
+      if n < 3 then 1.0
+      else if n mod 2 = 1 then ratios.(n / 2)
+      else (ratios.((n / 2) - 1) +. ratios.(n / 2)) /. 2.0
+    in
+    Format.printf "--- micro (%s -> %s)  [gate: +%.0f%% over the median host shift x%.2f] ---@."
+      old_path new_path threshold median_ratio;
+    let regressions =
+      List.filter_map
         (fun (name, nv) ->
           match List.assoc_opt name old_rows with
-          | None -> Format.printf "  %-45s %14.1f ns/run   (new row)@." name nv
+          | None ->
+            Format.printf "  %-45s %14.1f ns/run   (new row)@." name nv;
+            None
           | Some ov ->
             let pct = (nv -. ov) /. ov *. 100.0 in
             let norm = ((nv /. ov /. median_ratio) -. 1.0) *. 100.0 in
-            let mark = if gate && norm > threshold then "  REGRESSION" else "" in
-            if gate && norm > threshold then regressions := (gname, name, norm) :: !regressions;
+            let regressed = norm > threshold in
             Format.printf "  %-45s %14.1f -> %12.1f ns/run  %+7.1f%%  (norm %+6.1f%%)%s@." name
-              ov nv pct norm mark)
-        new_rows;
-      List.iter
-        (fun (name, _) ->
-          if not (List.mem_assoc name new_rows) then
-            Format.printf "  %-45s (row disappeared)@." name)
-        old_rows
-  in
-  diff_group ~gate:true "micro";
-  diff_group ~gate:false "experiments";
-  (* ns-per-event of the full-size X8 rows: host-normalized like micro,
-     but informational until two trajectory points carry the group. *)
-  diff_group ~gate:false "xscale";
-  match !regressions with
-  | [] ->
-    Format.printf "@.no micro row regressed past +%.0f%% (host-normalized)@." threshold;
-    exit 0
-  | rs ->
-    Format.eprintf "@.%d micro row(s) regressed past +%.0f%% (host-normalized):@."
-      (List.length rs) threshold;
-    (* row names already carry the group prefix ("micro/...") *)
-    List.iter (fun (_, n, pct) -> Format.eprintf "  %s %+.1f%%@." n pct) rs;
-    exit 1
+              ov nv pct norm
+              (if regressed then "  REGRESSION" else "");
+            if regressed then Some (name, norm) else None)
+        new_rows
+    in
+    List.iter
+      (fun (name, _) ->
+        if not (List.mem_assoc name new_rows) then
+          Format.printf "  %-45s (row disappeared)@." name)
+      old_rows;
+    match regressions with
+    | [] ->
+      Format.printf "@.no micro row regressed past +%.0f%% (host-normalized)@." threshold;
+      exit 0
+    | rs ->
+      Format.eprintf "@.%d micro row(s) regressed past +%.0f%% (host-normalized):@."
+        (List.length rs) threshold;
+      (* row names already carry the group prefix ("micro/...") *)
+      List.iter (fun (n, pct) -> Format.eprintf "  %s %+.1f%%@." n pct) rs;
+      exit 1
 
 let () =
-  let json_path = ref "BENCH_10.json" in
+  let json_path = ref None in
   let quota = ref 0.25 in
   let micro_only = ref false in
   let obs_only = ref false in
@@ -883,7 +531,9 @@ let () =
   let scaling = ref false in
   let speclist =
     [
-      ("--json", Arg.Set_string json_path, "FILE  write the machine-readable results (default BENCH_10.json)");
+      ( "--json",
+        Arg.String (fun f -> json_path := Some f),
+        "FILE  write the machine-readable results (required unless a maintenance mode is given)" );
       ("--quota", Arg.Set_float quota, "SEC  per-benchmark sampling quota in seconds (default 0.25)");
       ("--micro-only", Arg.Set micro_only, "  run only the data-structure micro group (smoke mode)");
       ("--obs-only", Arg.Set obs_only, "  run only the observability-overhead A/B row and exit");
@@ -897,82 +547,43 @@ let () =
       ("--scaling-check", Arg.Set scaling, "  assert warm jobs=2 sweep speedup > 1.0 (skips on single-core hosts)");
     ]
   in
+  let usage = "recflow benchmark harness" in
   Arg.parse speclist
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "recflow benchmark harness";
-  match !check with
-  | Some path -> check_json path
-  | None when !diff_new <> None ->
+    usage;
+  match (!check, !json_path) with
+  | Some path, _ -> check_json path
+  | None, _ when !diff_new <> None ->
     diff_json ~threshold:!diff_threshold !diff_old (Option.get !diff_new)
-  | None when !scaling -> scaling_check ()
-  | None when !obs_only ->
+  | None, _ when !scaling -> scaling_check ()
+  | None, _ when !obs_only ->
     ignore (report_obs_overhead ());
     exit 0
-  | None ->
+  | None, None ->
+    (* No default path: a default would silently overwrite a committed
+       BENCH_<n>.json. *)
+    prerr_endline "bench: --json FILE is required to run the benchmarks";
+    Arg.usage speclist usage;
+    exit 2
+  | None, Some path ->
     Format.printf "=== recflow benchmarks (Bechamel, monotonic clock) ===@.@.";
     Format.printf "--- data-structure micro-benchmarks ---@.";
-    let micro_rows =
-      run_group_min ~quota:!quota ~trials:3 "micro"
-        [ bench_stamp_ancestor; bench_stamp_hash; bench_ckpt_record; bench_engine; bench_rng;
-          bench_serial_eval; bench_graph_eval; bench_vote ]
+    let micro_rows = run_group_min ~quota:!quota ~trials:3 "micro" micro in
+    let obs_overhead, sweep =
+      if !micro_only then (Json.Null, Json.Null)
+      else
+        let obs = report_obs_overhead () in
+        (obs, report_sweep_scaling ())
     in
-    let groups = ref [ ("micro", micro_rows) ] in
-    let sweep = ref Json.Null in
-    let obs_overhead = ref Json.Null in
-    let latency = ref Json.Null in
-    let service = ref Json.Null in
-    let xscale = ref Json.Null in
-    let mem = ref Json.Null in
-    if not !micro_only then begin
-      Format.printf "@.--- experiment kernels (one per reproduced figure/table) ---@.";
-      let kernel_rows =
-        run_group ~quota:!quota "experiments"
-          [ bench_fig1; bench_fig3; bench_fig5; bench_fig6; bench_q1; bench_q2_rollback;
-            bench_q2_splice; bench_q4; bench_q5; bench_q6; bench_q7; bench_q8; bench_x6;
-            bench_x7; bench_cost_pass ]
-      in
-      groups := !groups @ [ ("experiments", kernel_rows) ];
-      obs_overhead := report_obs_overhead ();
-      latency := report_latency_percentiles ();
-      service := report_service ();
-      sweep := report_sweep_scaling ();
-      mem := report_mem ();
-      let xscale_rows, xscale_detail = report_xscale () in
-      groups := !groups @ [ ("xscale", xscale_rows) ];
-      xscale := xscale_detail
-    end;
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.Str bench_schema);
-          ("pr", Json.Int 10);
-          ("quota_s", Json.Float !quota);
-          ( "groups",
-            Json.List
-              (List.map
-                 (fun (name, rows) ->
-                   Json.Obj [ ("name", Json.Str name); ("rows", json_of_rows rows) ])
-                 !groups) );
-          ("obs_overhead", !obs_overhead);
-          ("latency_percentiles", !latency);
-          ("service", !service);
-          ("sweep", !sweep);
-          ("mem", !mem);
-          ("xscale", !xscale);
-        ]
-    in
-    Json.write_file ~path:!json_path doc;
-    Format.printf "@.wrote %s@." !json_path;
-    if !micro_only then exit 0;
-    (* Regenerate the actual tables so the benchmark log carries the rows
-       the paper reports. *)
-    Format.printf "@.=== reproduced tables (quick mode) ===@.";
-    let failed = ref 0 in
-    List.iter
-      (fun (e : Recflow_experiments.Registry.entry) ->
-        let r = e.Recflow_experiments.Registry.run ~quick:true () in
-        Format.printf "%a" Recflow_experiments.Report.pp r;
-        if not (Recflow_experiments.Report.all_checks_pass r) then incr failed)
-      Recflow_experiments.Registry.all;
-    Format.printf "@.experiments with failing checks: %d@." !failed;
-    exit (if !failed = 0 then 0 else 1)
+    Json.write_file ~path
+      (Json.Obj
+         [
+           ("schema", Json.Str bench_schema);
+           ("quota_s", Json.Float !quota);
+           ( "groups",
+             Json.List [ Json.Obj [ ("name", Json.Str "micro"); ("rows", json_of_rows micro_rows) ] ]
+           );
+           ("obs_overhead", obs_overhead);
+           ("sweep", sweep);
+         ]);
+    Format.printf "@.wrote %s@." path

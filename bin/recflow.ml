@@ -414,7 +414,12 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
       profile_json
   end
   else ignore wall_s;
-  match outcome.Cluster.answer with Some _ -> 0 | None -> 1
+  (* fail closed, as --serve does: a wrong answer exits 1 once every
+     requested artefact is written *)
+  match (outcome.Cluster.answer, expected) with
+  | Some v, Some e when not (Value.equal e v) -> 1
+  | Some _, _ -> 0
+  | None, _ -> 1
   end
 
 open Cmdliner

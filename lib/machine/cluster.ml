@@ -460,6 +460,11 @@ let hosted_unanswered t pid =
    answer, in service mode any request still in flight. *)
 let unanswered_exists t = if t.service then t.unanswered > 0 else t.answer = None
 
+(* Period of the distributed gradient exchange ([Policy.Gradient_distributed]
+   only): every node recomputes its gradient value from its neighbours'
+   last-heard values and broadcasts it to them. *)
+let gradient_period = 100
+
 (* Gradient gossip keeps ticking while there is (or may yet be) work. *)
 let gradient_live t =
   if t.service then t.arrivals_open || t.unanswered > 0 else t.answer = None
@@ -868,7 +873,7 @@ let handle_event t _at ev =
     let n = t.node_arr.(pid) in
     if Node.is_alive n && gradient_live t then begin
       Node.gradient_tick n (ctx t);
-      Engine.schedule t.engine ~delay:t.cfg.Config.gradient_period (Gradient_tick pid)
+      Engine.schedule t.engine ~delay:gradient_period (Gradient_tick pid)
     end
   | Fail pid -> handle_fail t pid
   | Callback f -> f ()
@@ -887,7 +892,7 @@ let arm_gradient t =
   | Policy.Gradient_distributed _ ->
     Array.iteri
       (fun pid _ ->
-        Engine.schedule t.engine ~delay:(1 + (pid * 7 mod t.cfg.Config.gradient_period))
+        Engine.schedule t.engine ~delay:(1 + (pid * 7 mod gradient_period))
           (Gradient_tick pid))
       t.node_arr
   | _ -> ()

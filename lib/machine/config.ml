@@ -39,11 +39,7 @@ type t = {
   ancestor_depth : int;
   replicate_depth : int;
   inline_depth : int;
-  work_tick : int;
-  spawn_cost : int;
-  ctx_switch : int;
   detect_delay : int;
-  gradient_period : int;
   adoption_grace : int;
   bounce_delay : int;
   horizon : int;
@@ -68,11 +64,7 @@ let default ~nodes =
     ancestor_depth = 1;
     replicate_depth = 2;
     inline_depth = max_int;
-    work_tick = 1;
-    spawn_cost = 5;
-    ctx_switch = 1;
     detect_delay = 200;
-    gradient_period = 100;
     adoption_grace = 80;
     bounce_delay = 150;
     horizon = 200_000_000;
@@ -100,14 +92,10 @@ let metadata t : (string * meta_value) list =
     ("ancestor_depth", `Int t.ancestor_depth);
     ("replicate_depth", `Int t.replicate_depth);
     ("inline_depth", if t.inline_depth = max_int then `Str "unbounded" else `Int t.inline_depth);
-    ("work_tick", `Int t.work_tick);
-    ("spawn_cost", `Int t.spawn_cost);
-    ("ctx_switch", `Int t.ctx_switch);
     ("latency_base", `Int t.latency.Recflow_net.Latency.base);
     ("latency_per_hop", `Int t.latency.Recflow_net.Latency.per_hop);
     ("latency_jitter", `Int t.latency.Recflow_net.Latency.jitter);
     ("detect_delay", `Int t.detect_delay);
-    ("gradient_period", `Int t.gradient_period);
     ("adoption_grace", `Int t.adoption_grace);
     ("bounce_delay", `Int t.bounce_delay);
     ("seed", `Int t.seed);
@@ -134,16 +122,13 @@ let validate t =
   else if t.ancestor_depth < 0 then err "ancestor_depth must be >= 0"
   else if t.replicate_depth < 0 then err "replicate_depth must be >= 0"
   else if t.inline_depth < 1 then err "inline_depth must be >= 1 (the root task is never inline)"
-  else if t.work_tick < 1 then err "work_tick must be >= 1"
-  else if t.spawn_cost < 0 || t.ctx_switch < 0 || t.ckpt_cost < 0 then
-    err "costs must be non-negative"
+  else if t.ckpt_cost < 0 then err "costs must be non-negative"
   else if t.loss_prior < 0.0 || t.loss_prior > 1.0 || Float.is_nan t.loss_prior then
     err "loss_prior must be in [0,1]"
   else if (match t.ckpt_mode with Adaptive { max_depth } -> max_depth < 1 | Fixed _ -> false)
   then err "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
   else if t.detect_delay < 1 then err "detect_delay must be >= 1"
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
-  else if t.gradient_period < 1 then err "gradient_period must be >= 1"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"
   else if t.horizon < 1 then err "horizon must be >= 1"
   else if t.retry.rto < 1 then err "retry rto must be >= 1"

@@ -80,17 +80,9 @@ type t = {
   inline_depth : int;
       (** calls whose stamp depth would reach this value are evaluated
           inline (grain control); [max_int] spawns everything. *)
-  work_tick : int;  (** simulated ticks per unit of evaluator work *)
-  spawn_cost : int;  (** ticks to form + checkpoint + enqueue a packet *)
-  ctx_switch : int;  (** ticks to pick the next task off the run queue *)
   detect_delay : int;
       (** ticks from a processor failure until peers receive the
           error-detection notice (plus per-hop distance) *)
-  gradient_period : int;
-      (** period of the distributed gradient exchange (only used with
-          [Policy.Gradient_distributed]): every node recomputes its
-          gradient value from its neighbours' last-heard values and
-          broadcasts it to them *)
   adoption_grace : int;
       (** splice only: enables offspring *inheritance* (§4.1 "this twin
           task inherits all offspring of the faulty task") — living

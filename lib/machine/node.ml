@@ -1374,6 +1374,13 @@ let handle_bounce t ctx ~dead msg =
 (* CPU quantum                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The processor cost model, in simulated ticks. *)
+let work_tick = 1 (* per unit of evaluator work *)
+
+let spawn_cost = 5 (* to form + checkpoint + enqueue a packet *)
+
+let ctx_switch = 1 (* to pick the next task off the run queue *)
+
 let should_inline ctx (task : task) = Stamp.depth task.packet.Packet.stamp + 1 >= ctx.config.inline_depth
 
 let charge t task cost =
@@ -1388,7 +1395,7 @@ let rec pick_next t ctx =
     | Alive task ->
       set_state t task Running;
       t.current <- Some tid;
-      ctx.wake t.nid ~delay:ctx.config.ctx_switch
+      ctx.wake t.nid ~delay:ctx_switch
     | Gone _ | Absent -> pick_next t ctx)
 
 let step t ctx =
@@ -1403,7 +1410,7 @@ let step t ctx =
       | Alive task -> (
           match Instance.step task.inst with
           | Instance.Work { cost } ->
-            let ticks = cost * ctx.config.work_tick in
+            let ticks = cost * work_tick in
             charge t task ticks;
             ctx.wake t.nid ~delay:(max 1 ticks)
           | Instance.Spawn { slot; fname; args } -> (
@@ -1478,7 +1485,7 @@ let step t ctx =
               if should_inline ctx task then begin
                 match ctx.inline_eval fname args with
                 | Ok (v, steps) ->
-                  let ticks = max 1 (steps * ctx.config.work_tick) in
+                  let ticks = max 1 (steps * work_tick) in
                   charge t task ticks;
                   Instance.supply task.inst slot v;
                   Counter.incr ctx.counters "spawn.inline";
@@ -1490,7 +1497,7 @@ let step t ctx =
               end
               else begin
                 let recorded = spawn_child t ctx task ~slot ~fname ~args in
-                let cost = ctx.config.spawn_cost + (recorded * ctx.config.ckpt_cost) in
+                let cost = spawn_cost + (recorded * ctx.config.ckpt_cost) in
                 charge t task cost;
                 ctx.wake t.nid ~delay:(max 1 cost)
               end))

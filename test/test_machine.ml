@@ -312,7 +312,6 @@ let config_validation () =
   in
   check "replicate too big" true (bad (fun c -> { c with Config.recovery = Config.Replicate 9 }));
   check "replicate zero" true (bad (fun c -> { c with Config.recovery = Config.Replicate 0 }));
-  check "bad work_tick" true (bad (fun c -> { c with Config.work_tick = 0 }));
   check "bad inline_depth" true (bad (fun c -> { c with Config.inline_depth = 0 }));
   check "negative ancestor depth" true (bad (fun c -> { c with Config.ancestor_depth = -1 }));
   (* transport / chaos knobs: each bad value must name its own rule *)

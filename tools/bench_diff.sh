@@ -1,10 +1,9 @@
 #!/bin/sh
-# Cross-PR benchmark regression gate: compare the committed results of the
-# last two PRs row by row.  Micro rows (fixed data structures) gate hard —
-# any row more than 20% slower fails the script — while the experiment
-# kernel rows are printed for information only, since their workloads
-# legitimately grow as experiments are added.  Wraps the dune alias so CI
-# and humans share one entry point:
+# Cross-PR benchmark regression gate: compare the micro rows (fixed data
+# structures) of the committed results of the last two PRs.  Any row more
+# than 20% slower than the group's median shift fails the script; whole-run
+# groups in older results files are ignored (perfbench gates whole runs).
+# Wraps the dune alias so CI and humans share one entry point:
 #
 #   tools/bench_diff.sh             # == dune build @bench-diff
 #
