@@ -16,6 +16,7 @@
 
 module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
+module Oracle = Recflow_machine.Oracle
 module Journal = Recflow_machine.Journal
 module Workload = Recflow_workload.Workload
 module Value = Recflow_lang.Value
@@ -352,6 +353,9 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
   | None ->
     Format.printf "no answer (sim ended at t=%d%s)@." outcome.Cluster.sim_time
       (match outcome.Cluster.error with Some e -> "; program error: " ^ e | None -> ""));
+  (* the recovery oracle, held to the serial reference *)
+  let oracle = Oracle.check ?expected cluster in
+  if not (Oracle.ok oracle) then Format.printf "%a@." Oracle.pp oracle;
   Format.printf "events: %d, simulated time: %d@." outcome.Cluster.events outcome.Cluster.sim_time;
   if show_stats then begin
     Format.printf "@.counters:@.";
@@ -414,11 +418,11 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
       profile_json
   end
   else ignore wall_s;
-  (* fail closed, as --serve does: a wrong answer exits 1 once every
-     requested artefact is written *)
+  (* fail closed, as --serve does: a wrong answer or an oracle violation
+     exits 1 once every requested artefact is written *)
   match (outcome.Cluster.answer, expected) with
   | Some v, Some e when not (Value.equal e v) -> 1
-  | Some _, _ -> 0
+  | Some _, _ -> if Oracle.ok oracle then 0 else 1
   | None, _ -> 1
   end
 

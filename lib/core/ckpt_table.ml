@@ -30,11 +30,13 @@
    is one 5-word block — no cons cell or pair per child — and unlinking
    allocates nothing.
 
-   Peers are dense small ints ([Ids.proc_id]; the super-root is -1), so the
-   per-peer entries live in an array indexed by [dest + 1] instead of a
-   hashtable — the checkpoint fast path is then array-load + trie descent
-   with no hashing and no option allocation.  [on_failure]/[entry] still
-   surrender sorted lists, so callers see the exact pre-index behaviour. *)
+   The same rule holds one level up: the per-peer entries live in a sparse
+   map keyed by destination, and an entry leaves it as soon as [discharge]
+   empties it or [on_failure] surrenders it.  A table's size is therefore
+   set by the peers it still holds checkpoints for, not by every peer it
+   ever spawned to (up to P per node, P^2 across a run, under static hash
+   placement).  Nothing iterates the map in an order callers can see:
+   [destinations] sorts, the other walks only sum. *)
 
 type mode = Topmost | Keep_all
 
@@ -49,40 +51,36 @@ type node = {
 
 type entry = { root : node; mutable count : int }
 
-type t = { mode : mode; mutable entries : entry option array }
+(* Peers are small ints ([Ids.proc_id]; the super-root is -1), so the
+   identity is a good enough hash. *)
+module Peers = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x land max_int
+end)
+
+type t = { mode : mode; entries : entry Peers.t }
 
 (* End of every child and sibling chain, and the "absent child" result of
    the descend loops, so they never allocate an option.  Never mutated,
    never linked into a trie as a real node. *)
 let rec nil_node = { digit = -1; packets = []; first = nil_node; next = nil_node }
 
-let create ?(mode = Topmost) () = { mode; entries = Array.make 16 None }
+let create ?(mode = Topmost) () = { mode; entries = Peers.create 1 }
 
 let mode t = t.mode
 
-(* Entries are indexed by [dest + 1] so the super-root (-1) has a slot. *)
-let slot_of dest = dest + 1
-
 let entry_of t dest =
-  let i = slot_of dest in
-  let n = Array.length t.entries in
-  if i >= n then begin
-    let grown = Array.make (max (2 * n) (i + 1)) None in
-    Array.blit t.entries 0 grown 0 n;
-    t.entries <- grown
-  end;
-  match Array.unsafe_get t.entries i with
-  | Some e -> e
-  | None ->
+  match Peers.find t.entries dest with
+  | e -> e
+  | exception Not_found ->
     let e =
       { root = { digit = -1; packets = []; first = nil_node; next = nil_node }; count = 0 }
     in
-    t.entries.(i) <- Some e;
+    Peers.add t.entries dest e;
     e
-
-let find_entry t dest =
-  let i = slot_of dest in
-  if i < 0 || i >= Array.length t.entries then None else Array.unsafe_get t.entries i
 
 (* The child of [node] with digit [k], or [nil_node]. *)
 let kid node k =
@@ -161,9 +159,9 @@ let record t ~dest (p : Packet.t) =
     descend e.root 0
 
 let discharge t ~dest stamp =
-  match find_entry t dest with
-  | None -> false
-  | Some e ->
+  match Peers.find t.entries dest with
+  | exception Not_found -> false
+  | e ->
     let d = Stamp.depth stamp in
     (* Packets removed at [stamp]'s node.  On the way back up, every node
        left with no packets and no children is unlinked from its parent, so
@@ -190,14 +188,13 @@ let discharge t ~dest stamp =
     in
     let removed = go e.root 0 in
     e.count <- e.count - removed;
+    (* An emptied entry's trie is already pruned down to its root: drop
+       the entry itself too. *)
+    if e.count = 0 then Peers.remove t.entries dest;
     removed > 0
 
 let node_count t =
-  Array.fold_left
-    (fun acc -> function
-      | None -> acc
-      | Some e -> fold_forest (fun _ acc -> acc + 1) e.root.first acc)
-    0 t.entries
+  Peers.fold (fun _ e acc -> fold_forest (fun _ acc -> acc + 1) e.root.first (acc + 1)) t.entries 0
 
 let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
 
@@ -208,25 +205,15 @@ let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
 let sorted_packets e = List.stable_sort by_stamp (subtree_packets e.root)
 
 let on_failure t ~failed =
-  match find_entry t failed with
-  | None -> []
-  | Some e ->
-    let ps = sorted_packets e in
-    t.entries.(slot_of failed) <- None;
-    ps
+  match Peers.find t.entries failed with
+  | exception Not_found -> []
+  | e ->
+    Peers.remove t.entries failed;
+    sorted_packets e
 
 let entry t ~dest =
-  match find_entry t dest with None -> [] | Some e -> sorted_packets e
+  match Peers.find t.entries dest with exception Not_found -> [] | e -> sorted_packets e
 
-let total_size t =
-  Array.fold_left (fun acc -> function None -> acc | Some e -> acc + e.count) 0 t.entries
+let total_size t = Peers.fold (fun _ e acc -> acc + e.count) t.entries 0
 
-let destinations t =
-  (* Slot order is ascending dest order, so the result is already sorted. *)
-  let acc = ref [] in
-  for i = Array.length t.entries - 1 downto 0 do
-    match Array.unsafe_get t.entries i with
-    | Some e when e.count > 0 -> acc := (i - 1) :: !acc
-    | _ -> ()
-  done;
-  !acc
+let destinations t = List.sort Int.compare (Peers.fold (fun dest _ acc -> dest :: acc) t.entries [])

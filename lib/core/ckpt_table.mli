@@ -19,8 +19,11 @@
     O(stamp depth) rather than a scan of the entry — entry size does not
     matter, which keeps [Keep_all] (the Q8 space/time ablation) usable at
     scale.  {!discharge} prunes the trie back to the paths of outstanding
-    checkpoints, so table memory is proportional to them.  {!on_failure}
-    and {!entry} still return stamp-sorted lists. *)
+    checkpoints, and entries live in a sparse map keyed by peer that drops
+    an entry once {!discharge} empties it or {!on_failure} surrenders it, so
+    table memory is proportional to the outstanding checkpoints — not to
+    the number of peers ever spawned to.  {!on_failure} and {!entry} still
+    return stamp-sorted lists. *)
 
 type mode = Topmost | Keep_all
 
@@ -55,6 +58,7 @@ val destinations : t -> Ids.proc_id list
 (** Sorted peers with a non-empty entry. *)
 
 val node_count : t -> int
-(** Trie nodes below the entry roots, across all entries — introspection
-    for tests and the X8 drain check.  Zero whenever {!total_size} is:
-    only paths to held checkpoints are kept. *)
+(** Trie nodes across all held entries, each entry's root included —
+    introspection for tests and the X8 drain check.  Zero whenever
+    {!total_size} is: only peers and paths with held checkpoints are
+    kept. *)

@@ -5,11 +5,11 @@
     magnitude past the quantitative experiments.  A uniform binary tree
     with the leaf level inlined is driven fault-free over a
     (processors x tasks) grid up to 1024 x ~1M under static placement,
-    with the scale machinery on: arena task storage, batched delivery
+    with the scale machinery on: slim task tombstones, batched delivery
     ([Config.batched_delivery]) and a non-retaining journal
     ([Config.journal_retain = false]).  Reports makespan, engine events
-    per task, and — in the full run only, to keep the quick report
-    deterministic across [--jobs] — CPU seconds, events/s and peak heap
-    words sampled at every major-GC slice. *)
+    per task, peak live words per task (reachable words of the cluster,
+    deterministic) and — in the full run only, to keep the quick report
+    deterministic across [--jobs] — CPU seconds and events/s. *)
 
 val run : ?quick:bool -> unit -> Report.t

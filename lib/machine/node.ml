@@ -79,48 +79,49 @@ type task = {
       (* this task, as an orphan, already announced itself upward *)
 }
 
-(* A finished task's full record (instance, children, pending tables) is
-   dead weight: once [Done] or [Aborted] the only observable behaviours
-   left are the tombstone ones — answer an Ack, absorb a duplicate
-   activation, ignore a late result, apply a Reparent (possibly re-sending
-   the completed value), and serve as the producer in the bounce path.
-   The task is therefore *retired* to this slim record immediately, and
-   its arena slot is recycled.
+(* A finished task's full record (instance, children, pending tables,
+   packet) is dead weight: once [Done] or [Aborted] the only observable
+   behaviours left are the tombstone ones — answer an Ack, absorb a
+   duplicate activation, ignore a late result, apply a Reparent (possibly
+   re-sending the completed value), serve as the producer in the bounce
+   path, and count in [recount].  Between them they read the stamp, the
+   return links, Done-or-Aborted, the answer, the work and the dropped
+   flag, so the task is *retired* to a record of exactly those fields,
+   inlined into the index's [Gone] constructor.  The packet's function
+   name and arguments are not kept, nor the uid (it is the index key).
 
-   Note on §3.3's never-reused-uid assumption: only arena *slots* are
-   recycled.  Task uids stay monotone ([ctx.fresh_task_id]) and the
-   uid-keyed index below keeps a tombstone cell per uid forever, so a late
-   message addressed to a dead uid can never be confused with a newer task
-   that happens to occupy the same arena slot. *)
-type retired = {
-  r_tid : Ids.task_id;
-  mutable r_packet : Packet.t;  (* mutable for post-mortem reparenting *)
-  r_state : task_state;  (* [Done] or [Aborted] *)
-  r_result : Value.t option;  (* the instance's answer at retirement *)
-  r_work : int;
-  mutable r_dropped : bool;
-}
+   Note on §3.3's never-reused-uid assumption: task uids stay monotone
+   ([ctx.fresh_task_id]) and the uid-keyed index below keeps a tombstone
+   per uid forever, so a late message addressed to a dead uid can never
+   be confused with a newer task.
 
-type entry = Live of int  (* arena slot *) | Retired of retired
-
-type cell = { mutable entry : entry }
+   What the index knows about a uid.  [Absent] is never stored: it is
+   [lookup]'s answer for a uid the index does not hold. *)
+type lookup =
+  | Absent
+  | Alive of task
+  | Gone of {
+      r_stamp : Stamp.t;
+      mutable r_parent : Packet.link;  (* mutable for post-mortem reparenting *)
+      mutable r_grandparent : Packet.link option;
+      r_ancestors : Packet.link list;
+      r_done : bool;  (* [Done]; [Aborted] otherwise *)
+      r_result : Value.t;  (* the answer; meaningful only when [r_done] *)
+      r_work : int;
+      mutable r_dropped : bool;
+    }
 
 type t = {
   nid : Ids.proc_id;
   mutable alive : bool;
-  (* uid -> cell index.  Keys are only ever inserted (activation) and
-     cells mutate in place on retirement, so the table's iteration order
-     is a pure function of the uid insertion sequence — the protocol scans
-     below that walk it (abort cascades, vote accounting, producer lookup,
-     adoption reports) observe the same order as the pre-arena
-     representation, keeping runs bit-identical. *)
-  tasks : (Ids.task_id, cell) Hashtbl.t;
-  (* flat growable arena of the resident (live) task records, free-list
-     recycled; the dense int slots keep the live set compact no matter how
-     many tasks the run has retired *)
-  mutable arena : task option array;
-  mutable arena_n : int;  (* high-water mark *)
-  mutable free : int list;
+  (* uid -> live task or tombstone.  Keys are only ever inserted
+     (activation), and retirement rebinds an existing key with
+     [Hashtbl.replace], which rewrites the binding in place, so the
+     table's iteration order is a pure function of the uid insertion
+     sequence — the protocol scans below that walk it (abort cascades,
+     vote accounting, producer lookup, adoption reports) observe the same
+     order whatever the bindings hold, keeping runs bit-identical. *)
+  tasks : (Ids.task_id, lookup) Hashtbl.t;
   (* incremental load accounting: maintained on every state transition so
      the balancer/oracle queries are O(1) instead of a fold over every
      task that ever lived *)
@@ -130,18 +131,22 @@ type t = {
   run_queue : Ids.task_id Queue.t;
   mutable current : Ids.task_id option;
   ckpts : Ckpt_table.t;
-  known_dead : (Ids.proc_id, unit) Hashtbl.t;
+  (* The four side tables below are allocated on first insertion: a
+     fault-free run under a central policy never touches them, and at
+     1024 processors their empty buckets alone were ~90k words. *)
+  mutable known_dead : (Ids.proc_id, unit) Hashtbl.t option;
   mutable stepping : bool;
   mutable work_ticks : int;
   (* messages addressed to a re-issued twin whose (grace-delayed) packet
      has not activated here yet, keyed by the twin's task id *)
-  early_results : (Ids.task_id, Message.result_payload list) Hashtbl.t;
-  early_adoptions : (Ids.task_id, (Stamp.t * Packet.link * Packet.link) list) Hashtbl.t;
+  mutable early_results : (Ids.task_id, Message.result_payload list) Hashtbl.t option;
+  mutable early_adoptions :
+    (Ids.task_id, (Stamp.t * Packet.link * Packet.link) list) Hashtbl.t option;
   (* distributed gradient model: last value heard from each neighbour and
      this node's own value (0 = a demand sink).  [heard_min] caches the
      fold over [gradient_heard]; [heard_dirty] marks it stale when a
      possible minimum-holder raised its value or died. *)
-  gradient_heard : (Ids.proc_id, int) Hashtbl.t;
+  mutable gradient_heard : (Ids.proc_id, int) Hashtbl.t option;
   mutable gradient_value : int;
   mutable heard_min : int;
   mutable heard_dirty : bool;
@@ -153,21 +158,18 @@ let create nid (config : Config.t) =
     nid;
     alive = true;
     tasks = Hashtbl.create 64;
-    arena = [||];
-    arena_n = 0;
-    free = [];
     n_live = 0;
     n_blocked = 0;
     n_wasted = 0;
     run_queue = Queue.create ();
     current = None;
     ckpts = Ckpt_table.create ~mode:(Config.table_mode config.ckpt_mode) ();
-    known_dead = Hashtbl.create 4;
+    known_dead = None;
     stepping = false;
     work_ticks = 0;
-    early_results = Hashtbl.create 4;
-    early_adoptions = Hashtbl.create 4;
-    gradient_heard = Hashtbl.create 8;
+    early_results = None;
+    early_adoptions = None;
+    gradient_heard = None;
     gradient_value = 0;
     heard_min = max_int / 2;
     heard_dirty = false;
@@ -180,13 +182,28 @@ let is_alive t = t.alive
 
 let checkpoints t = t.ckpts
 
-let knows_dead t p = Hashtbl.mem t.known_dead p
+(* Reads and first-use allocation of the lazy side tables.  [size] is the
+   size each table was always created with, so a table's buckets, and
+   hence its iteration order, do not depend on when it was allocated. *)
+let mem_opt tbl k = match tbl with None -> false | Some h -> Hashtbl.mem h k
+
+let find_opt_in tbl k = match tbl with None -> None | Some h -> Hashtbl.find_opt h k
+
+let tbl_of size = function Some h -> h | None -> Hashtbl.create size
+
+let knows_dead t p = mem_opt t.known_dead p
 
 let mark_dead t p =
-  if not (Hashtbl.mem t.known_dead p) then begin
-    Hashtbl.add t.known_dead p ();
-    if Hashtbl.mem t.gradient_heard p then t.heard_dirty <- true
+  if not (knows_dead t p) then begin
+    let h = tbl_of 4 t.known_dead in
+    t.known_dead <- Some h;
+    Hashtbl.add h p ();
+    if mem_opt t.gradient_heard p then t.heard_dirty <- true
   end
+
+let allocated_side_tables t =
+  let n o = if Option.is_some o then 1 else 0 in
+  n t.known_dead + n t.early_results + n t.early_adoptions + n t.gradient_heard
 
 let work_done t = t.work_ticks
 
@@ -202,69 +219,31 @@ let runnable_tasks t =
 let wasted_work t = t.n_wasted
 
 (* ------------------------------------------------------------------ *)
-(* Arena and index plumbing                                            *)
+(* Task index plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_slot t task =
-  match t.free with
-  | s :: rest ->
-    t.free <- rest;
-    t.arena.(s) <- Some task;
-    s
-  | [] ->
-    let cap = Array.length t.arena in
-    if t.arena_n = cap then begin
-      let narena = Array.make (max 64 (cap * 2)) None in
-      Array.blit t.arena 0 narena 0 cap;
-      t.arena <- narena
-    end;
-    let s = t.arena_n in
-    t.arena_n <- s + 1;
-    t.arena.(s) <- Some task;
-    s
+(* [result] is the task's answer when it retires [Done]; an aborted task
+   passes any value (its tombstone never reads it). *)
+let retire t task result =
+  let p = task.packet in
+  Hashtbl.replace t.tasks task.tid
+    (Gone
+       {
+         r_stamp = p.Packet.stamp;
+         r_parent = p.Packet.parent;
+         r_grandparent = p.Packet.grandparent;
+         r_ancestors = p.Packet.ancestors;
+         r_done = task.state = Done;
+         r_result = result;
+         r_work = task.work;
+         r_dropped = task.result_dropped;
+       })
 
-let retire_cell t cell task =
-  match cell.entry with
-  | Retired _ -> ()
-  | Live s ->
-    t.arena.(s) <- None;
-    t.free <- s :: t.free;
-    cell.entry <-
-      Retired
-        {
-          r_tid = task.tid;
-          r_packet = task.packet;
-          r_state = task.state;
-          r_result = Instance.result task.inst;
-          r_work = task.work;
-          r_dropped = task.result_dropped;
-        }
+let lookup t tid = match Hashtbl.find t.tasks tid with e -> e | exception Not_found -> Absent
 
-let retire t task =
-  match Hashtbl.find_opt t.tasks task.tid with
-  | Some cell -> retire_cell t cell task
-  | None -> ()
-
-type lookup = Absent | Alive of task | Gone of retired
-
-let lookup t tid =
-  match Hashtbl.find_opt t.tasks tid with
-  | None -> Absent
-  | Some cell -> (
-    match cell.entry with
-    | Live s -> ( match t.arena.(s) with Some task -> Alive task | None -> Absent)
-    | Retired r -> Gone r)
-
-(* Walk the resident live tasks in the index's (legacy) iteration order;
-   retiring the visited task in place is safe — cells mutate, the table's
-   structure does not. *)
-let iter_live t f =
-  Hashtbl.iter
-    (fun _ cell ->
-      match cell.entry with
-      | Live s -> ( match t.arena.(s) with Some task -> f task | None -> ())
-      | Retired _ -> ())
-    t.tasks
+(* Walk the live tasks in the index's (legacy) iteration order; retiring
+   the visited task rebinds its key in place, which is safe mid-walk. *)
+let iter_live t f = Hashtbl.iter (fun _ e -> match e with Alive task -> f task | _ -> ()) t.tasks
 
 let set_state t task st =
   if task.state <> st then begin
@@ -285,12 +264,6 @@ let mark_dropped t task =
   if not task.result_dropped then begin
     task.result_dropped <- true;
     if task.state <> Aborted then t.n_wasted <- t.n_wasted + task.work
-  end
-
-let mark_retired_dropped t (p : retired) =
-  if not p.r_dropped then begin
-    p.r_dropped <- true;
-    if p.r_state <> Aborted then t.n_wasted <- t.n_wasted + p.r_work
   end
 
 let children_tbl task =
@@ -350,21 +323,19 @@ let snapshot t =
 let recount t =
   let live = ref 0 and blocked = ref 0 and wasted = ref 0 in
   Hashtbl.iter
-    (fun _ cell ->
-      match cell.entry with
-      | Live s -> (
-        match t.arena.(s) with
-        | Some task ->
-          if task_live task then incr live;
-          if task.state = Blocked then incr blocked;
-          if task.state = Aborted || task.result_dropped then wasted := !wasted + task.work
-        | None -> ())
-      | Retired r ->
-        if r.r_state = Aborted || r.r_dropped then wasted := !wasted + r.r_work)
+    (fun _ e ->
+      match e with
+      | Alive task ->
+        if task_live task then incr live;
+        if task.state = Blocked then incr blocked;
+        if task.state = Aborted || task.result_dropped then wasted := !wasted + task.work
+      | Gone r -> if (not r.r_done) || r.r_dropped then wasted := !wasted + r.r_work
+      | Absent -> ())
     t.tasks;
   (!live, !blocked, !wasted)
 
-let resident_tasks t = t.arena_n - List.length t.free
+let resident_tasks t =
+  Hashtbl.fold (fun _ e n -> match e with Alive _ -> n + 1 | Gone _ | Absent -> n) t.tasks 0
 
 let tracef t ctx fmt =
   Trace.logf ctx.trace ~time:(ctx.now ()) ~level:Trace.Debug
@@ -418,9 +389,10 @@ let heard_nearest t =
   if t.heard_dirty then begin
     t.heard_dirty <- false;
     t.heard_min <-
-      Hashtbl.fold
-        (fun peer v acc -> if Hashtbl.mem t.known_dead peer then acc else min acc v)
-        t.gradient_heard (max_int / 2)
+      (match t.gradient_heard with
+      | None -> max_int / 2
+      | Some h ->
+        Hashtbl.fold (fun peer v acc -> if knows_dead t peer then acc else min acc v) h (max_int / 2))
   end;
   t.heard_min
 
@@ -436,9 +408,9 @@ let gradient_place t ctx =
     let best =
       List.fold_left
         (fun acc peer ->
-          if Hashtbl.mem t.known_dead peer then acc
+          if knows_dead t peer then acc
           else begin
-            let v = Option.value ~default:(max_int / 2) (Hashtbl.find_opt t.gradient_heard peer) in
+            let v = Option.value ~default:(max_int / 2) (find_opt_in t.gradient_heard peer) in
             match acc with Some (_, bv) when bv <= v -> acc | _ -> Some (peer, v)
           end)
         None (neighbors_of t ctx)
@@ -454,7 +426,7 @@ let gradient_tick t ctx =
     recompute_gradient t ctx;
     List.iter
       (fun peer ->
-        if not (Hashtbl.mem t.known_dead peer) then
+        if not (knows_dead t peer) then
           ctx.send ~src:t.nid ~dst:peer
             (Message.Gradient { from = t.nid; value = t.gradient_value }))
       (neighbors_of t ctx)
@@ -468,7 +440,7 @@ let choose_dest t ctx ~key =
     | Recflow_balance.Policy.Gradient_distributed _ -> gradient_place t ctx
     | _ -> ctx.place ~origin:t.nid ~key
   in
-  if dest >= 0 && not (Hashtbl.mem t.known_dead dest) then dest
+  if dest >= 0 && not (knows_dead t dest) then dest
   else begin
     Counter.incr ctx.counters "static.reassigned";
     (* The cluster fallback only knows router liveness; a *suspected*
@@ -480,7 +452,7 @@ let choose_dest t ctx ~key =
       if tries <= 0 then None
       else
         match ctx.first_alive ~key:k with
-        | Some d when not (Hashtbl.mem t.known_dead d) -> Some d
+        | Some d when not (knows_dead t d) -> Some d
         | Some _ -> probe (k + 1) (tries - 1)
         | None -> None
     in
@@ -691,15 +663,13 @@ let fill_slot t ctx task (child : child) value =
 (* §4.2: "Send the result to the parent.  If the parent is dead, notify
    the grandparent and send the result to the grandparent."
 
-   Parameterized over the producer's packet and drop bookkeeping so it
-   serves both a live task completing ([complete_task]) and a retired
-   producer whose earlier return bounced ([handle_bounce]). *)
-let return_result_from t ctx ~(packet : Packet.t) ~tid ~mark_dropped value =
-  let parent = packet.Packet.parent in
-  let payload relay target =
-    Message.Result { stamp = packet.Packet.stamp; value; target; relay }
-  in
-  if not (Hashtbl.mem t.known_dead parent.Packet.proc) then
+   Parameterized over the producer's stamp, return links and drop
+   bookkeeping so it serves both a live task completing ([complete_task])
+   and a retired producer whose earlier return bounced ([handle_bounce]). *)
+let return_result_from t ctx ~stamp ~(parent : Packet.link) ~grandparent ~ancestors ~tid
+    ~mark_dropped value =
+  let payload relay target = Message.Result { stamp; value; target; relay } in
+  if not (knows_dead t parent.Packet.proc) then
     ctx.send ~src:t.nid ~dst:parent.Packet.proc (payload Message.To_parent parent)
   else begin
     match ctx.config.recovery with
@@ -707,13 +677,10 @@ let return_result_from t ctx ~(packet : Packet.t) ~tid ~mark_dropped value =
       (* Climb the ancestor links (grandparent first, then the §5.2
          great-grandparent extension when enabled) to the nearest live
          holder of a checkpoint on our chain. *)
-      let candidates =
-        (match packet.Packet.grandparent with Some gp -> [ gp ] | None -> [])
-        @ packet.Packet.ancestors
-      in
+      let candidates = (match grandparent with Some gp -> [ gp ] | None -> []) @ ancestors in
       match
         List.find_opt
-          (fun (l : Packet.link) -> not (Hashtbl.mem t.known_dead l.Packet.proc))
+          (fun (l : Packet.link) -> not (knows_dead t l.Packet.proc))
           candidates
       with
       | Some live_ancestor ->
@@ -723,17 +690,18 @@ let return_result_from t ctx ~(packet : Packet.t) ~tid ~mark_dropped value =
       | None ->
         mark_dropped ();
         Counter.incr ctx.counters "relay.stranded";
-        Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
+        Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
           (Journal.Relay_dropped { at = t.nid; reason = "grandparent dead or absent" }))
     | Config.No_recovery | Config.Rollback | Config.Splice | Config.Replicate _ ->
       mark_dropped ();
       Counter.incr ctx.counters "result.orphan_dropped";
-      Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
-        (Journal.Orphan_dropped { task = tid })
+      Journal.record ctx.journal ~time:(ctx.now ()) ~stamp (Journal.Orphan_dropped { task = tid })
   end
 
 let return_result t ctx task value =
-  return_result_from t ctx ~packet:task.packet ~tid:task.tid
+  let p = task.packet in
+  return_result_from t ctx ~stamp:p.Packet.stamp ~parent:p.Packet.parent
+    ~grandparent:p.Packet.grandparent ~ancestors:p.Packet.ancestors ~tid:task.tid
     ~mark_dropped:(fun () -> mark_dropped t task)
     value
 
@@ -743,7 +711,7 @@ let complete_task t ctx task value =
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
     (Journal.Completed { task = task.tid; proc = t.nid; work = task.work });
   return_result t ctx task value;
-  retire t task
+  retire t task value
 
 (* ------------------------------------------------------------------ *)
 (* Aborts (rollback garbage collection, §3.2/§3.4)                     *)
@@ -764,14 +732,14 @@ let abort_task t ctx task =
           discharge_child t child;
           List.iter
             (fun (replica, dest) ->
-              if not (Hashtbl.mem t.known_dead dest) then
+              if not (knows_dead t dest) then
                 match List.assoc_opt replica child.ctasks with
                 | Some ctask -> ctx.send ~src:t.nid ~dst:dest (Message.Abort { task = ctask })
                 | None -> ())
             child.dests
         end)
       task;
-    retire t task
+    retire t task Value.Nil
   end
 
 let abort_orphans t ctx ~failed =
@@ -788,7 +756,7 @@ let abort_orphans t ctx ~failed =
    Figure-3 path (twin created on orphan evidence) from notice-driven
    recovery. *)
 let handle_failure ?(reason = "notice") t ctx ~failed =
-  if not (Hashtbl.mem t.known_dead failed) then
+  if not (knows_dead t failed) then
     Profile.time "recovery.handle_failure" @@ fun () ->
     begin
     mark_dead t failed;
@@ -860,7 +828,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               let stale, keep =
                 List.partition
                   (fun (_, ((orphan : Packet.link), _)) ->
-                    Hashtbl.mem t.known_dead orphan.Packet.proc)
+                    knows_dead t orphan.Packet.proc)
                   l
               in
               if stale <> [] then begin
@@ -873,7 +841,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                   (not child.filled)
                   && child.vote = None
                   && child.dests <> []
-                  && List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests
+                  && List.for_all (fun (_, d) -> knows_dead t d) child.dests
                 then respawn_child t ctx task child ~reason:"local-regen")
               task)
       in
@@ -911,7 +879,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               in
               match
                 List.find_opt
-                  (fun (l : Packet.link) -> not (Hashtbl.mem t.known_dead l.Packet.proc))
+                  (fun (l : Packet.link) -> not (knows_dead t l.Packet.proc))
                   candidates
               with
               | Some anc ->
@@ -1032,7 +1000,7 @@ let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stam
     | Some child ->
       if child.filled then drop "parent slot already filled"
       else begin
-        if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
+        if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
           respawn_child t ctx task child ~reason:"orphan-result";
         match (child.dests, child.ctasks) with
         | (_, twin_proc) :: _, (_, twin_task) :: _ ->
@@ -1100,7 +1068,7 @@ let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
       | Some child ->
         if child.filled then Counter.incr ctx.counters "adopt.dropped"
         else begin
-          if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
+          if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
             respawn_child t ctx task child ~reason:"orphan-alive";
           forward_orphan_alive t ctx child ~ostamp ~orphan ~dead_parent
         end
@@ -1131,8 +1099,7 @@ let activate_task t ctx packet ~task_id =
       adoption_reported = false;
     }
   in
-  let slot = alloc_slot t task in
-  Hashtbl.replace t.tasks task_id { entry = Live slot };
+  Hashtbl.replace t.tasks task_id (Alive task);
   t.n_live <- t.n_live + 1;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Activated { task = task_id; proc = t.nid });
@@ -1181,17 +1148,17 @@ let deliver t ctx msg =
       let task = activate_task t ctx packet ~task_id in
       (* A grace-delayed twin may have been overtaken by adoption reports
          and salvaged results addressed to it: apply them now. *)
-      (match Hashtbl.find_opt t.early_adoptions task_id with
+      (match find_opt_in t.early_adoptions task_id with
       | Some reports ->
-        Hashtbl.remove t.early_adoptions task_id;
+        Option.iter (fun h -> Hashtbl.remove h task_id) t.early_adoptions;
         List.iter
           (fun (ostamp, orphan, dead_parent) ->
             handle_orphan_alive t ctx task ~ostamp ~orphan ~dead_parent)
           (List.rev reports)
       | None -> ());
-      (match Hashtbl.find_opt t.early_results task_id with
+      (match find_opt_in t.early_results task_id with
       | Some rs ->
-        Hashtbl.remove t.early_results task_id;
+        Option.iter (fun h -> Hashtbl.remove h task_id) t.early_results;
         List.iter
           (fun (r : Message.result_payload) ->
             match r.Message.relay with
@@ -1209,29 +1176,26 @@ let deliver t ctx msg =
       | Gone _ -> Counter.incr ctx.counters "adopt.ignored"
       | Absent ->
         (* the twin's own packet is still in flight: hold the report *)
-        let prev =
-          Option.value ~default:[] (Hashtbl.find_opt t.early_adoptions target.Packet.task)
-        in
-        Hashtbl.replace t.early_adoptions target.Packet.task
-          ((stamp, orphan, dead_parent) :: prev))
+        let h = tbl_of 4 t.early_adoptions in
+        t.early_adoptions <- Some h;
+        let prev = Option.value ~default:[] (Hashtbl.find_opt h target.Packet.task) in
+        Hashtbl.replace h target.Packet.task ((stamp, orphan, dead_parent) :: prev))
     | Message.Ack { child_stamp; child_task; child_proc; parent_task; slot = _ } -> (
       (* Establishes the parent→child pointer (state b/d → c/e). *)
-      match Hashtbl.find_opt t.tasks parent_task with
-      | Some _ ->
+      if Hashtbl.mem t.tasks parent_task then
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
           (Journal.Acked { task = child_task; proc = child_proc })
-      | None -> Counter.incr ctx.counters "ack.ignored")
+      else Counter.incr ctx.counters "ack.ignored")
     | Message.Result { stamp; value; target; relay } -> (
       match lookup t target.Packet.task with
       | Absent -> (
         match relay with
         | Message.To_step_parent _ | Message.To_grandparent _ ->
           (* salvage addressed to a twin whose packet is still in flight *)
-          let prev =
-            Option.value ~default:[] (Hashtbl.find_opt t.early_results target.Packet.task)
-          in
-          Hashtbl.replace t.early_results target.Packet.task
-            ({ Message.stamp; value; target; relay } :: prev)
+          let h = tbl_of 4 t.early_results in
+          t.early_results <- Some h;
+          let prev = Option.value ~default:[] (Hashtbl.find_opt h target.Packet.task) in
+          Hashtbl.replace h target.Packet.task ({ Message.stamp; value; target; relay } :: prev)
         | Message.To_parent ->
           (* "If a processor receives a packet and cannot find a proper
              rule to handle it, the processor simply ignores the
@@ -1258,12 +1222,11 @@ let deliver t ctx msg =
         task.packet <-
           Packet.reparent task.packet ~parent:new_parent ~grandparent:new_grandparent;
         Counter.incr ctx.counters "reparent.applied"
-      | Gone p -> (
-        p.r_packet <-
-          Packet.reparent p.r_packet ~parent:new_parent ~grandparent:new_grandparent;
+      | Gone p ->
+        p.r_parent <- new_parent;
+        p.r_grandparent <- new_grandparent;
         Counter.incr ctx.counters "reparent.applied";
-        match (p.r_state, p.r_result) with
-        | Done, Some v ->
+        if p.r_done then begin
           (* completed before learning the address: deliver now (a
              duplicate of an earlier successful relay is absorbed) *)
           if p.r_dropped then begin
@@ -1272,16 +1235,18 @@ let deliver t ctx msg =
           end;
           ctx.send ~src:t.nid ~dst:new_parent.Packet.proc
             (Message.Result
-               { stamp = p.r_packet.Packet.stamp; value = v; target = new_parent;
+               { stamp = p.r_stamp; value = p.r_result; target = new_parent;
                  relay = Message.To_parent })
-        | _ -> ()))
+        end)
     | Message.Gradient { from; value } ->
-      let prev = Hashtbl.find_opt t.gradient_heard from in
-      Hashtbl.replace t.gradient_heard from value;
+      let h = tbl_of 8 t.gradient_heard in
+      t.gradient_heard <- Some h;
+      let prev = Hashtbl.find_opt h from in
+      Hashtbl.replace h from value;
       (* keep the cached minimum exact without a fold: a lower value from
          a live peer tightens it directly; raising the (possible) holder
          of the minimum forces a recount *)
-      if (not (Hashtbl.mem t.known_dead from)) && value < t.heard_min then
+      if (not (knows_dead t from)) && value < t.heard_min then
         t.heard_min <- value
       else (
         match prev with
@@ -1317,7 +1282,7 @@ let handle_bounce t ctx ~dead msg =
       | Alive task -> (
         match child_find task packet.Packet.parent.Packet.slot with
         | Some child when not child.filled ->
-          if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
+          if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
             respawn_child t ctx task child ~reason:"bounced-packet"
         | Some _ | None -> ()))
     | Message.Result ({ relay = Message.To_parent; _ } as r) -> (
@@ -1330,19 +1295,26 @@ let handle_bounce t ctx ~dead msg =
            legacy order (last match wins, as before). *)
         let producer =
           Hashtbl.fold
-            (fun _ cell acc ->
-              match cell.entry with
-              | Retired p
-                when p.r_state = Done && Stamp.equal p.r_packet.Packet.stamp r.stamp ->
-                Some p
+            (fun tid e acc ->
+              match e with
+              | Gone p when p.r_done && Stamp.equal p.r_stamp r.stamp -> Some tid
               | _ -> acc)
             t.tasks None
         in
         (match producer with
-        | Some p ->
-          return_result_from t ctx ~packet:p.r_packet ~tid:p.r_tid
-            ~mark_dropped:(fun () -> mark_retired_dropped t p)
-            r.value
+        | Some tid -> (
+          match lookup t tid with
+          | Gone p ->
+            let mark_dropped () =
+              (* a [Done] producer: its work is wasted once its result is *)
+              if not p.r_dropped then begin
+                p.r_dropped <- true;
+                t.n_wasted <- t.n_wasted + p.r_work
+              end
+            in
+            return_result_from t ctx ~stamp:p.r_stamp ~parent:p.r_parent
+              ~grandparent:p.r_grandparent ~ancestors:p.r_ancestors ~tid ~mark_dropped r.value
+          | Absent | Alive _ -> assert false (* the fold just found its tombstone *))
         | None ->
           Counter.incr ctx.counters "relay.dropped";
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:r.stamp
@@ -1442,7 +1414,7 @@ let step t ctx =
               let next_key = Stamp.digits next_stamp in
               let adoption =
                 match List.assoc_opt next_key task.adopted with
-                | Some (orphan, _) when Hashtbl.mem t.known_dead orphan.Packet.proc ->
+                | Some (orphan, _) when knows_dead t orphan.Packet.proc ->
                   (* the orphan died since it reported: the adoption is
                      stale; spawn a fresh child instead *)
                   task.adopted <- List.remove_assoc next_key task.adopted;
@@ -1526,18 +1498,12 @@ let kill t ctx =
        A [Lost] entry (distinct from [Aborted], which means rollback
        garbage collection) preserves the destroyed work for the
        observability layer. *)
-    Hashtbl.iter
-      (fun _ cell ->
-        match cell.entry with
-        | Live s -> (
-          match t.arena.(s) with
-          | Some task when task_live task ->
-            Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
-              (Journal.Lost { task = task.tid; proc = t.nid; work = task.work });
-            set_state t task Aborted;
-            t.n_wasted <- t.n_wasted + task.work;
-            retire_cell t cell task
-          | Some _ | None -> ())
-        | Retired _ -> ())
-      t.tasks
+    iter_live t (fun task ->
+        if task_live task then begin
+          Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
+            (Journal.Lost { task = task.tid; proc = t.nid; work = task.work });
+          set_state t task Aborted;
+          t.n_wasted <- t.n_wasted + task.work;
+          retire t task Value.Nil
+        end)
   end

@@ -124,8 +124,13 @@ val wasted_work : t -> int
     results were dropped. *)
 
 val resident_tasks : t -> int
-(** Live task records currently held in the arena (= {!live_tasks} at
-    quiescence; the arena recycles slots of finished tasks). *)
+(** Full task records currently held, i.e. the index entries not yet
+    retired to tombstones (= {!live_tasks} at quiescence). *)
+
+val allocated_side_tables : t -> int
+(** How many of the node's four lazily allocated side tables (known-dead
+    peers, early results, early adoptions, gradient values heard) exist —
+    introspection for tests: a node that never needed one holds none. *)
 
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every

@@ -15,7 +15,7 @@ type report = {
 let distinct_values vs =
   List.fold_left (fun acc v -> if List.exists (Value.equal v) acc then acc else v :: acc) [] vs
 
-let check cluster =
+let check ?expected cluster =
   let cfg = Cluster.config cluster in
   let answers = Cluster.root_answers cluster in
   let quiescent = Cluster.quiescent cluster in
@@ -58,6 +58,14 @@ let check cluster =
   else begin
     if distinct > 1 then
       viol "%d distinct root answers arrived (determinacy guarantees a unique value)" distinct;
+    (match expected with
+    | Some e -> (
+      match List.filter (fun v -> not (Value.equal v e)) answers with
+      | [] -> ()
+      | v :: _ as wrong ->
+        viol "%d root answer(s) differ from the expected %s (first: %s)" (List.length wrong)
+          (Value.to_string e) (Value.to_string v))
+    | None -> ());
     if decidable && n_answers = 0 then
       viol "no root answer arrived although the run drained with live processors"
   end;
@@ -80,8 +88,8 @@ let check cluster =
 
 let ok r = r.violations = []
 
-let assert_ok cluster =
-  let r = check cluster in
+let assert_ok ?expected cluster =
+  let r = check ?expected cluster in
   if not (ok r) then failwith ("recovery oracle: " ^ String.concat "; " r.violations);
   r
 

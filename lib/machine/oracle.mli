@@ -15,6 +15,11 @@
     occurred and at least one processor survived.  The divergence check
     (all root answers equal) is unconditional.
 
+    In batch mode the caller may also pass the [expected] answer (the
+    serial reference or a closed form): any root answer that differs from
+    it is a violation, so a consistently wrong answer cannot pass as "one
+    distinct value".
+
     In service mode ({!Cluster.begin_service}) the answer checks are
     per-request: each submitted request must end with exactly one distinct
     value of its own, and — when decidable — at least one answer.  The
@@ -36,11 +41,13 @@ type report = {
   violations : string list;  (** empty = the run upheld every invariant *)
 }
 
-val check : Cluster.t -> report
+val check : ?expected:Recflow_lang.Value.t -> Cluster.t -> report
+(** [expected] applies in batch mode only (service requests each have their
+    own answer). *)
 
 val ok : report -> bool
 
-val assert_ok : Cluster.t -> report
+val assert_ok : ?expected:Recflow_lang.Value.t -> Cluster.t -> report
 (** @raise Failure listing the violations, if any. *)
 
 val pp : Format.formatter -> report -> unit

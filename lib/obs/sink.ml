@@ -77,6 +77,10 @@ let file ~render path =
   make ~flush:(fun () -> Stdlib.flush oc) ~close:(fun () -> close_out oc) (line_writer ~render oc)
 
 module Ring = struct
+  (* [buf] grows geometrically up to [cap] while the ring fills, so a run
+     that pushes a handful of records never pays for the whole window.
+     Values only wrap (and [start] only moves) once [buf] is full-size, so
+     a growing buffer always holds its values at [0, len). *)
   type 'a ring = {
     cap : int;
     mutable buf : 'a array;
@@ -90,9 +94,13 @@ module Ring = struct
     { cap = capacity; buf = [||]; start = 0; len = 0; pushed = 0 }
 
   let push r x =
-    if Array.length r.buf = 0 then r.buf <- Array.make r.cap x;
+    if r.len = Array.length r.buf && r.len < r.cap then begin
+      let grown = Array.make (min r.cap (max 8 (2 * r.len))) x in
+      Array.blit r.buf 0 grown 0 r.len;
+      r.buf <- grown
+    end;
     if r.len < r.cap then begin
-      r.buf.((r.start + r.len) mod r.cap) <- x;
+      r.buf.(r.len) <- x;
       r.len <- r.len + 1
     end
     else begin

@@ -50,7 +50,9 @@ val file : render:('a -> string) -> string -> 'a t
     @raise Sys_error if the file cannot be created. *)
 
 (** Bounded ring buffer retaining the most recent [capacity] values,
-    with a monotone count of everything ever pushed. *)
+    with a monotone count of everything ever pushed.  Its storage grows
+    geometrically with what it holds, up to [capacity], so a large window
+    costs nothing until it fills. *)
 module Ring : sig
   type 'a ring
 

@@ -10,6 +10,7 @@ module Stamp = Recflow_recovery.Stamp
 module Value = Recflow_lang.Value
 module Counter = Recflow_stats.Counter
 module Chaos = Recflow_net.Chaos
+module Oracle = Recflow_machine.Oracle
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -567,6 +568,23 @@ let journal_index_matches_filter retain =
             && Journal.last_time j stamp activated = last (times activated))
         ops)
 
+(* "At most one distinct root answer" cannot catch a consistently wrong
+   answer; the expected value can.  A correct fib run under a failure
+   passes with the right value and gets exactly one violation with a
+   wrong one. *)
+let oracle_takes_expected () =
+  let cfg = { (Config.default ~nodes:8) with Config.recovery = Config.Splice } in
+  let c, o = run ~cfg ~failures:[ (2000, 3) ] ~drain:true Workload.fib Workload.Small in
+  let right = Workload.expected Workload.fib Workload.Small in
+  Alcotest.check value "the run is correct" right (answer_of o);
+  let viols expected = (Oracle.check ?expected c).Oracle.violations in
+  Alcotest.(check (list string)) "no expected value: no violation" [] (viols None);
+  Alcotest.(check (list string)) "right value: no violation" [] (viols (Some right));
+  let wrong = match right with Value.Int n -> Value.Int (n + 1) | _ -> Alcotest.fail "fib is an int" in
+  check_int "wrong value: one violation" 1 (List.length (viols (Some wrong)));
+  check "assert_ok raises on the wrong value" true
+    (match Oracle.assert_ok ~expected:wrong c with _ -> false | exception Failure _ -> true)
+
 let suites =
   [
     ( "machine.fault_free",
@@ -606,6 +624,7 @@ let suites =
         Alcotest.test_case "horizon" `Quick horizon_stops;
         Alcotest.test_case "first_alive min_int" `Quick first_alive_min_int;
         Alcotest.test_case "first_alive deterministic" `Quick first_alive_deterministic;
+        Alcotest.test_case "oracle takes the expected answer" `Quick oracle_takes_expected;
         qtest (journal_index_matches_filter true);
         qtest (journal_index_matches_filter false);
       ] );

@@ -259,8 +259,13 @@ let mode_name = function Ckpt_table.Topmost -> "topmost" | Ckpt_table.Keep_all -
 
 let stamp_digits (ps : Packet.t list) = List.map (fun (p : Packet.t) -> Stamp.digits p.stamp) ps
 
-(* Trie nodes a pruned table must hold: one per distinct non-empty prefix
-   of a stored stamp, per peer. *)
+(* Peers the model still holds checkpoints for, sorted. *)
+let oracle_peers (o : Ckpt_oracle.t) =
+  List.sort compare (List.filter_map (fun (d, l) -> if l = [] then None else Some d) o.Ckpt_oracle.entries)
+
+(* Trie nodes a pruned table must hold: per peer still holding
+   checkpoints, its entry root plus one node per distinct non-empty
+   prefix of a stored stamp. *)
 let oracle_nodes (o : Ckpt_oracle.t) =
   List.fold_left
     (fun acc (_, l) ->
@@ -269,7 +274,7 @@ let oracle_nodes (o : Ckpt_oracle.t) =
           (fun ds -> List.init (List.length ds) (fun i -> List.filteri (fun j _ -> j <= i) ds))
           (stamp_digits l)
       in
-      acc + List.length (List.sort_uniq compare prefixes))
+      if l = [] then acc else acc + 1 + List.length (List.sort_uniq compare prefixes))
     0 o.Ckpt_oracle.entries
 
 let ckpt_matches_oracle mode =
@@ -300,6 +305,7 @@ let ckpt_matches_oracle mode =
           same_step
           && same_entry 0 && same_entry 1 && same_entry 2
           && Ckpt_table.total_size t = Ckpt_oracle.total o
+          && Ckpt_table.destinations t = oracle_peers o
           && Ckpt_table.node_count t = oracle_nodes o)
         ops)
 
@@ -333,6 +339,37 @@ let ckpt_on_failure () =
   check_int "entry cleared" 0 (List.length (Ckpt_table.entry t ~dest:1));
   Alcotest.(check (list int)) "other entries untouched" [ 5 ] (Ckpt_table.destinations t);
   check "repeat drain is empty" true (Ckpt_table.on_failure t ~failed:1 = [])
+
+(* A table's size follows the peers it still holds checkpoints for, not
+   every peer it ever spawned to: one checkpoint at a time to each of 4096
+   peers leaves nothing behind, and the table never grows past a bound
+   independent of how many peers it has seen. *)
+let ckpt_sparse_peers () =
+  let t = Ckpt_table.create () in
+  let p = mk_packet ~stamp:(Stamp.of_digits [ 3; 1 ]) () in
+  let empty_words = Obj.reachable_words (Obj.repr t) in
+  let bound = empty_words + 64 in
+  let worst = ref 0 in
+  for dest = 0 to 4095 do
+    ignore (Ckpt_table.record t ~dest p);
+    worst := max !worst (Obj.reachable_words (Obj.repr t));
+    check "discharged" true (Ckpt_table.discharge t ~dest p.Packet.stamp);
+    if Ckpt_table.destinations t <> [] then Alcotest.failf "peer %d left an entry" dest;
+    worst := max !worst (Obj.reachable_words (Obj.repr t))
+  done;
+  check_int "no trie node left" 0 (Ckpt_table.node_count t);
+  if !worst > bound then
+    Alcotest.failf "table reached %d reachable words (bound %d: empty %d + one entry)" !worst
+      bound empty_words;
+  (* the same holds when entries leave through [on_failure] *)
+  for dest = 0 to 4095 do
+    ignore (Ckpt_table.record t ~dest p);
+    check_int "surrendered" 1 (List.length (Ckpt_table.on_failure t ~failed:dest));
+    worst := max !worst (Obj.reachable_words (Obj.repr t))
+  done;
+  check "no peer left after failures" true (Ckpt_table.destinations t = []);
+  if !worst > bound then
+    Alcotest.failf "table reached %d reachable words after failures (bound %d)" !worst bound
 
 (* ---------------- Splice_case ---------------- *)
 
@@ -519,6 +556,7 @@ let suites =
         Alcotest.test_case "deep eviction" `Quick ckpt_deep_eviction;
         Alcotest.test_case "keep-all duplicates" `Quick ckpt_keep_all_duplicates;
         Alcotest.test_case "on failure" `Quick ckpt_on_failure;
+        Alcotest.test_case "sparse peers" `Quick ckpt_sparse_peers;
         qtest (ckpt_matches_oracle Ckpt_table.Topmost);
         qtest (ckpt_matches_oracle Ckpt_table.Keep_all);
         qtest (ckpt_drains Ckpt_table.Topmost);

@@ -93,6 +93,38 @@ let scale_smoke () =
   in
   Alcotest.(check string) "scale digest at jobs=2" d1 d2
 
+(* Per-run state is sized by what the run holds: after a fault-free
+   1024-processor run (X8's configuration, a 4k-task tree) no node keeps a
+   task record, a checkpoint peer entry or trie node, or any of the side
+   tables only failures, salvage or gradient placement need. *)
+let drained_state () =
+  let depth = 12 in
+  let w = Workload.synthetic ~branching:2 ~depth ~grain:20 in
+  let cfg =
+    {
+      (Config.default ~nodes:1024) with
+      Config.policy = Recflow_balance.Policy.Static_hash;
+      inline_depth = depth;
+      batched_delivery = true;
+      journal_retain = false;
+    }
+  in
+  let c = Cluster.create cfg (Workload.program w) in
+  Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Medium);
+  let o = Cluster.run c in
+  let expected = Value.Int (20 * (1 lsl depth)) in
+  ignore (Oracle.assert_ok ~expected c);
+  check "answer" true (o.Cluster.answer = Some expected);
+  List.iter
+    (fun n ->
+      let id = string_of_int (Node.id n) in
+      let cp = Node.checkpoints n in
+      check ("no peer entry on " ^ id) true (Recflow_recovery.Ckpt_table.destinations cp = []);
+      Alcotest.(check int) ("no trie node on " ^ id) 0 (Recflow_recovery.Ckpt_table.node_count cp);
+      Alcotest.(check int) ("no task record on " ^ id) 0 (Node.resident_tasks n);
+      Alcotest.(check int) ("no side table on " ^ id) 0 (Node.allocated_side_tables n))
+    (Cluster.nodes c)
+
 (* ---------------- counters vs brute-force recount ---------------- *)
 
 let counters_match c =
@@ -178,6 +210,7 @@ let suites =
     ( "scale",
       [
         Alcotest.test_case "1024 procs, 131k tasks, chaos + failure" `Slow scale_smoke;
+        Alcotest.test_case "1024 procs drain every per-run table" `Quick drained_state;
         qtest counters_vs_recount;
       ] );
   ]

@@ -51,6 +51,52 @@ let ring_as_sink () =
   check "sink pushes into the ring" true (Sink.Ring.to_list r = [ "a"; "b" ]);
   check_int "emitted" 2 (Sink.emitted s)
 
+(* The ring against a list model: after every push (and across a clear),
+   the retained window, its length, the monotone total and the sink's
+   eviction count agree with the newest-[cap] suffix of a plain list. *)
+let ring_matches_list_model () =
+  List.iter
+    (fun cap ->
+      let r = Sink.Ring.create ~capacity:cap in
+      let s = Sink.Ring.sink r in
+      let model = ref [] (* retained, oldest first *) and total = ref 0 and evicted = ref 0 in
+      let agree what =
+        let label = Printf.sprintf "cap %d, %s" cap what in
+        Alcotest.(check (list int)) (label ^ ": to_list") !model (Sink.Ring.to_list r);
+        check_int (label ^ ": length") (List.length !model) (Sink.Ring.length r);
+        check_int (label ^ ": total") !total (Sink.Ring.total r);
+        check_int (label ^ ": dropped") !evicted (Sink.dropped s)
+      in
+      let push x =
+        Sink.emit s x;
+        incr total;
+        model := !model @ [ x ];
+        if List.length !model > cap then begin
+          model := List.tl !model;
+          incr evicted
+        end;
+        agree (Printf.sprintf "after push %d" x)
+      in
+      agree "empty";
+      for i = 1 to 3 * cap do
+        push i
+      done;
+      Sink.Ring.clear r;
+      model := [];
+      agree "cleared";
+      for i = 1 to cap + 1 do
+        push (100 + i)
+      done)
+    [ 1; 2; 3; 16 ]
+
+(* The buffer grows with what the ring holds: one record in the trace
+   ring's full 64k-slot window costs a few words, not the window. *)
+let ring_grows_on_demand () =
+  let r = Sink.Ring.create ~capacity:65_536 in
+  Sink.Ring.push r 7;
+  let words = Obj.reachable_words (Obj.repr r) in
+  if words > 32 then Alcotest.failf "a ring holding one record costs %d words (> 32)" words
+
 (* ---------------- Sink variants ---------------- *)
 
 let sink_null () =
@@ -156,6 +202,8 @@ let suites =
         Alcotest.test_case "clear keeps total" `Quick ring_clear_keeps_total;
         Alcotest.test_case "invalid capacity" `Quick ring_invalid_capacity;
         Alcotest.test_case "as sink" `Quick ring_as_sink;
+        Alcotest.test_case "list model" `Quick ring_matches_list_model;
+        Alcotest.test_case "grows on demand" `Quick ring_grows_on_demand;
       ] );
     ( "obs.sink",
       [
