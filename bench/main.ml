@@ -63,6 +63,37 @@ let rec graph_run fname args =
   in
   loop ()
 
+(* The event engine at X8's queue depth: 4,096 events stay pending and each
+   dispatch schedules one replacement, so one run is one event.  Delays
+   follow a fixed pseudo-random cycle in [1, 300], every 20th at 1,000 or
+   more so the overflow path runs too.  The engine is rebuilt long before
+   its event sequence could run out. *)
+let steady_depth = 4096
+
+let steady_delays =
+  Array.init steady_depth (fun i ->
+      let r = i * 7919 mod 300 in
+      if i mod 20 = 0 then 1000 + r else 1 + r)
+
+let steady_state_event =
+  let drawn = ref 0 in
+  let delay () =
+    incr drawn;
+    steady_delays.(!drawn land (steady_depth - 1))
+  in
+  let fresh () =
+    let e = Engine.create () in
+    for _ = 1 to steady_depth do
+      Engine.schedule e ~delay:(delay ()) ()
+    done;
+    e
+  in
+  let e = ref (fresh ()) in
+  fun () ->
+    if Engine.events_dispatched !e >= 1 lsl 26 then e := fresh ();
+    ignore (Engine.next !e);
+    Engine.schedule !e ~delay:(delay ()) ()
+
 (* Row names are the keys --diff matches across results files. *)
 let micro : (string * (unit -> unit)) list =
   [
@@ -87,6 +118,7 @@ let micro : (string * (unit -> unit)) list =
           Engine.schedule e ~delay:(i mod 17) i
         done;
         Engine.run e (fun _ _ -> ()) );
+    ("engine 4k-deep steady state", steady_state_event);
     ( "rng 1k bounded ints",
       let t = Rng.create 1 in
       fun () ->

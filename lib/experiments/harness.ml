@@ -41,9 +41,11 @@ let run ?(drain = false) config workload size ~failures =
   Recflow_fault.Plan.apply cluster failures;
   Cluster.start cluster ~fname:workload.Workload.entry ~args:(workload.Workload.args size);
   let outcome = Cluster.run ~drain cluster in
-  (* every harness run answers to the recovery oracle — no opt-out *)
-  let oracle = Oracle.assert_ok cluster in
+  (* every harness run answers to the recovery oracle — no opt-out — and
+     a root answer other than the workload's serial reference is one of
+     its violations *)
   let expected = Workload.expected workload size in
+  let oracle = Oracle.assert_ok ~expected cluster in
   let correct =
     match outcome.Cluster.answer with Some v -> Value.equal v expected | None -> false
   in

@@ -25,8 +25,10 @@
     value of its own, and — when decidable — at least one answer.  The
     leak, strand and transport checks apply cluster-wide as in batch.
 
-    {!assert_ok} is wired into [Harness.run] — every experiment and every
-    harness-driven test runs under the oracle, never with it off. *)
+    {!assert_ok} is wired into [Harness.run] with the workload's serial
+    reference as [expected] — every experiment and every harness-driven
+    test runs under the oracle, never with it off, and a wrong answer
+    fails the run instead of only clearing its [correct] flag. *)
 
 type report = {
   answers : int;  (** root results that reached the super-root *)

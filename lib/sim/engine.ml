@@ -1,25 +1,46 @@
-(* The event queue is an inline binary heap over a plain [int array] of
-   *packed priorities* — [(at lsl seq_bits) lor seq] — with payloads in a
-   parallel array: scheduling allocates nothing beyond the payload itself,
-   and a sift step is one unboxed [int] compare.
+(* The event queue is a timing wheel (Varghese & Lauck, 1987) in front of a
+   packed-key binary heap.
 
-   Packing preserves the dispatch order exactly: keys compare first by
-   timestamp and then by scheduling sequence (FIFO among same-instant
-   events), because [seq] occupies the low [seq_bits] bits and is strictly
-   monotone.  The packable ranges — times up to 2^34 ticks (hours of
-   simulated microseconds) and 2^28 events per engine (the X8 scale sweep
-   pushes past 2^26 even with batched delivery) — are orders of magnitude
-   above anything else the experiments reach and are enforced with
-   [invalid_arg] rather than silent wraparound.
+   The wheel has [wheel_size] FIFO buckets, one per tick of the window
+   [now, now + wheel_size).  Bucket [time land wheel_mask] is a circular
+   singly-linked list threaded through one slab of slots ([links] holds the
+   integer successor of each slot, [slots] its payload); the bucket array
+   points at the list's *tail*, whose successor is its head, so one array
+   serves both the append (after the tail) and the pop (the head).  Slots
+   freed by a pop go on a free list through [links]; never-used slots are
+   handed out by a bump index, so creating an engine initialises nothing
+   per slot.
 
-   The payload store is an [Obj.t array] rather than an ['a array] so
-   vacated slots can be overwritten with an immediate junk value
-   ([dummy]): with a plain polymorphic array there is no value of type ['a]
-   to clear with, and a popped event (task packet, message) would stay
-   reachable until its slot was reused.  The array is created from
-   [dummy], never from a payload, so it is never a flat float array and
-   the [Obj.repr]/[Obj.obj] round-trip is representation-safe even for
-   float payloads. *)
+   Events scheduled at or beyond [now + wheel_size] wait in the *overflow
+   heap*: an inline binary heap over a plain [int array] of packed
+   priorities — [(at lsl seq_bits) lor seq] — with payloads in a parallel
+   array, so one unboxed [int] compare orders by timestamp and then by
+   scheduling sequence.
+
+   Three invariants make the dispatch order exactly (time, seq):
+   - every event in the wheel lies in [now, now + wheel_size), so a
+     non-empty bucket holds events of exactly one instant;
+   - every overflow event has time >= now + wheel_size;
+   - whenever the clock advances, the overflow events the new window covers
+     migrate into their buckets in heap (time, seq) order, *before* any
+     handler can append to those buckets directly.  An overflow event was
+     scheduled before its instant entered the window and a direct append
+     after, so each bucket is in scheduling order.
+
+   The packable ranges — times up to 2^34 ticks (hours of simulated
+   microseconds) and 2^28 events per engine (the X8 scale sweep pushes past
+   2^26 even with batched delivery) — are orders of magnitude above
+   anything else the experiments reach and are enforced with [invalid_arg]
+   rather than silent wraparound.
+
+   Payload stores are [Obj.t array]s rather than ['a array]s so vacated
+   slots can be overwritten with an immediate junk value ([dummy]): with a
+   plain polymorphic array there is no value of type ['a] to clear with,
+   and a popped event (task packet, message) would stay reachable until its
+   slot was reused.  The arrays are created from [dummy], never from a
+   payload, so they are never flat float arrays and the
+   [Obj.repr]/[Obj.obj] round-trip is representation-safe even for float
+   payloads. *)
 
 type time = int
 
@@ -33,14 +54,35 @@ let max_time = max_int lsr seq_bits
 
 let dummy = Obj.repr 0
 
-(* Clusters schedule hundreds of events within the first few ticks;
-   starting at a real capacity avoids the doubling ladder on every run. *)
-let initial_capacity = 256
+(* The machine's delays are almost all below 256 ticks ([Config]): a
+   processor step takes 1–5, one hop 30 plus jitter, adoption grace 80, the
+   gradient period 100, the first retransmission and bounce 150, failure
+   detection 210.  A 256-tick window therefore puts nearly every event in
+   the wheel; backed-off retransmissions, planned failures and service
+   arrivals are what the overflow heap sees. *)
+let wheel_size = 256
+
+let wheel_mask = wheel_size - 1
+
+let empty = -1
+
+(* The slab starts small and doubles on demand; compaction never takes it
+   below this. *)
+let slab_initial = 32
+
+(* Smallest non-empty overflow heap. *)
+let heap_initial = 16
 
 type 'a t = {
-  mutable keys : int array;  (* packed [(at lsl seq_bits) lor seq] *)
+  buckets : int array;  (* tail slot of each bucket's circular list, or [empty] *)
+  mutable links : int array;  (* successor of a queued slot; next free of a free one *)
+  mutable slots : Obj.t array;  (* payload of each slab slot *)
+  mutable free : int;  (* head of the free list, or [empty] *)
+  mutable bump : int;  (* slots at and above this index were never used *)
+  mutable in_wheel : int;
+  mutable keys : int array;  (* overflow heap: packed [(at lsl seq_bits) lor seq] *)
   mutable payloads : Obj.t array;  (* parallel to [keys] *)
-  mutable size : int;
+  mutable far : int;  (* overflow heap size *)
   mutable clock : time;
   mutable next_seq : int;
   mutable stopping : bool;
@@ -49,9 +91,15 @@ type 'a t = {
 
 let create () =
   {
-    keys = Array.make initial_capacity 0;
-    payloads = Array.make initial_capacity dummy;
-    size = 0;
+    buckets = Array.make wheel_size empty;
+    links = Array.make slab_initial empty;
+    slots = Array.make slab_initial dummy;
+    free = empty;
+    bump = 0;
+    in_wheel = 0;
+    keys = [||];
+    payloads = [||];
+    far = 0;
     clock = 0;
     next_seq = 0;
     stopping = false;
@@ -60,111 +108,213 @@ let create () =
 
 let now t = t.clock
 
-let pending t = t.size
+let pending t = t.in_wheel + t.far
 
-let grow t =
-  let cap = Array.length t.keys in
-  if t.size = cap then begin
-    let ncap = cap * 2 in
-    let nkeys = Array.make ncap 0 and npayloads = Array.make ncap dummy in
-    Array.blit t.keys 0 nkeys 0 t.size;
-    Array.blit t.payloads 0 npayloads 0 t.size;
-    t.keys <- nkeys;
-    t.payloads <- npayloads
-  end
+(* ---------------- wheel ---------------- *)
 
-(* Halve the store once it is three-quarters junk (never below the initial
-   capacity), so a drained queue does not pin its high-water mark. *)
-let shrink t =
-  let cap = Array.length t.keys in
-  if cap > initial_capacity && t.size <= cap / 4 then begin
-    let ncap = cap / 2 in
-    let nkeys = Array.make ncap 0 and npayloads = Array.make ncap dummy in
-    Array.blit t.keys 0 nkeys 0 t.size;
-    Array.blit t.payloads 0 npayloads 0 t.size;
-    t.keys <- nkeys;
-    t.payloads <- npayloads
-  end
+(* Called with no free slot left, so every slot below [bump] is queued and
+   a plain copy keeps every link and bucket valid. *)
+let grow_slab t =
+  let cap = Array.length t.slots in
+  let links = Array.make (2 * cap) empty and slots = Array.make (2 * cap) dummy in
+  Array.blit t.links 0 links 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
+  t.links <- links;
+  t.slots <- slots
 
-let swap t i j =
-  let ki = Array.unsafe_get t.keys i in
-  Array.unsafe_set t.keys i (Array.unsafe_get t.keys j);
-  Array.unsafe_set t.keys j ki;
-  let pi = Array.unsafe_get t.payloads i in
-  Array.unsafe_set t.payloads i (Array.unsafe_get t.payloads j);
-  Array.unsafe_set t.payloads j pi
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if Array.unsafe_get t.keys i < Array.unsafe_get t.keys parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Move the queued slots into fresh arrays of [cap] slots, bucket by bucket,
+   so the live ones become [0, in_wheel) and the free list empties. *)
+let compact_slab t cap =
+  let links = Array.make cap empty and slots = Array.make cap dummy in
+  let j = ref 0 in
+  for b = 0 to wheel_mask do
+    let tail = Array.unsafe_get t.buckets b in
+    if tail <> empty then begin
+      let first = !j in
+      let rec copy s =
+        slots.(!j) <- t.slots.(s);
+        links.(!j) <- !j + 1;
+        incr j;
+        if s <> tail then copy t.links.(s)
+      in
+      copy t.links.(tail);
+      links.(!j - 1) <- first;
+      t.buckets.(b) <- !j - 1
     end
+  done;
+  t.links <- links;
+  t.slots <- slots;
+  t.free <- empty;
+  t.bump <- !j
+
+let alloc_slot t =
+  if t.free <> empty then begin
+    let s = t.free in
+    t.free <- Array.unsafe_get t.links s;
+    s
+  end
+  else begin
+    if t.bump = Array.length t.slots then grow_slab t;
+    let s = t.bump in
+    t.bump <- s + 1;
+    s
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && Array.unsafe_get t.keys l < Array.unsafe_get t.keys !smallest then
-    smallest := l;
-  if r < t.size && Array.unsafe_get t.keys r < Array.unsafe_get t.keys !smallest then
-    smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let append t time payload =
+  let s = alloc_slot t in
+  Array.unsafe_set t.slots s payload;
+  let b = time land wheel_mask in
+  let tail = Array.unsafe_get t.buckets b in
+  if tail = empty then Array.unsafe_set t.links s s
+  else begin
+    Array.unsafe_set t.links s (Array.unsafe_get t.links tail);
+    Array.unsafe_set t.links tail s
+  end;
+  Array.unsafe_set t.buckets b s;
+  t.in_wheel <- t.in_wheel + 1
 
-let do_schedule_at : 'a. 'a t -> time:time -> 'a -> unit =
+(* Pop the head of [time]'s bucket, which must be non-empty.  The slab is
+   compacted to half once it is three-quarters free, so a drained wheel does
+   not pin its high-water mark. *)
+let pop_bucket t time =
+  let b = time land wheel_mask in
+  let tail = Array.unsafe_get t.buckets b in
+  let head = Array.unsafe_get t.links tail in
+  if head = tail then Array.unsafe_set t.buckets b empty
+  else Array.unsafe_set t.links tail (Array.unsafe_get t.links head);
+  let payload = Array.unsafe_get t.slots head in
+  Array.unsafe_set t.slots head dummy;
+  Array.unsafe_set t.links head t.free;
+  t.free <- head;
+  t.in_wheel <- t.in_wheel - 1;
+  let cap = Array.length t.slots in
+  if cap > slab_initial && t.in_wheel <= cap / 4 then compact_slab t (cap / 2);
+  payload
+
+(* ---------------- overflow heap ---------------- *)
+
+let resize_heap t cap =
+  let keys = Array.make cap 0 and payloads = Array.make cap dummy in
+  Array.blit t.keys 0 keys 0 t.far;
+  Array.blit t.payloads 0 payloads 0 t.far;
+  t.keys <- keys;
+  t.payloads <- payloads
+
+(* Sifts move a hole rather than swapping: one key and one payload write
+   per level. *)
+let heap_push t key payload =
+  let cap = Array.length t.keys in
+  if t.far = cap then resize_heap t (max heap_initial (2 * cap));
+  let keys = t.keys and payloads = t.payloads in
+  let rec up i =
+    if i = 0 then i
+    else
+      let parent = (i - 1) / 2 in
+      let pk = Array.unsafe_get keys parent in
+      if key < pk then begin
+        Array.unsafe_set keys i pk;
+        Array.unsafe_set payloads i (Array.unsafe_get payloads parent);
+        up parent
+      end
+      else i
+  in
+  let i = up t.far in
+  Array.unsafe_set keys i key;
+  Array.unsafe_set payloads i payload;
+  t.far <- t.far + 1
+
+(* Remove the minimum, whose payload the caller has already read.  The heap
+   halves once three-quarters empty, never below [heap_initial]. *)
+let heap_drop_min t =
+  let keys = t.keys and payloads = t.payloads in
+  let last = t.far - 1 in
+  t.far <- last;
+  let key = Array.unsafe_get keys last and payload = Array.unsafe_get payloads last in
+  Array.unsafe_set payloads last dummy;
+  if last > 0 then begin
+    let rec down i =
+      let l = (2 * i) + 1 in
+      if l >= last then i
+      else
+        let r = l + 1 in
+        let c =
+          if r < last && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l
+        in
+        let ck = Array.unsafe_get keys c in
+        if ck < key then begin
+          Array.unsafe_set keys i ck;
+          Array.unsafe_set payloads i (Array.unsafe_get payloads c);
+          down c
+        end
+        else i
+    in
+    let i = down 0 in
+    Array.unsafe_set keys i key;
+    Array.unsafe_set payloads i payload
+  end;
+  let cap = Array.length keys in
+  if cap > heap_initial && t.far <= cap / 4 then resize_heap t (cap / 2)
+
+(* Advance the clock to [time] and migrate every overflow event the new
+   window covers.  Their buckets are empty: no wheel event lies beyond the
+   old window's end, and no overflow event before it. *)
+let advance t time =
+  t.clock <- time;
+  let horizon = time + wheel_size in
+  while t.far > 0 && Array.unsafe_get t.keys 0 lsr seq_bits < horizon do
+    let key = Array.unsafe_get t.keys 0 in
+    let payload = Array.unsafe_get t.payloads 0 in
+    heap_drop_min t;
+    append t (key lsr seq_bits) payload
+  done
+
+(* ---------------- dispatch ---------------- *)
+
+(* Timestamp of the earliest pending event; the engine must not be empty.
+   The wheel's events all precede the overflow heap's, and its non-empty
+   bucket nearest the clock holds the earliest of them. *)
+let earliest t =
+  if t.in_wheel = 0 then Array.unsafe_get t.keys 0 lsr seq_bits
+  else
+    let rec scan time =
+      if Array.unsafe_get t.buckets (time land wheel_mask) <> empty then time
+      else scan (time + 1)
+    in
+    scan t.clock
+
+let schedule_at : 'a. 'a t -> time:time -> 'a -> unit =
  fun t ~time payload ->
   if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)" time t.clock);
+    invalid_arg (Printf.sprintf "Engine.schedule_at: time %d is in the past (now %d)" time t.clock);
   if time > max_time then
     invalid_arg (Printf.sprintf "Engine.schedule_at: time %d exceeds packable range" time);
   if t.next_seq >= seq_limit then invalid_arg "Engine.schedule_at: event sequence exhausted";
-  grow t;
-  let i = t.size in
-  Array.unsafe_set t.keys i ((time lsl seq_bits) lor t.next_seq);
-  Array.unsafe_set t.payloads i (Obj.repr payload);
-  t.size <- t.size + 1;
-  t.next_seq <- t.next_seq + 1;
-  sift_up t i
+  if time < t.clock + wheel_size then append t time (Obj.repr payload)
+  else heap_push t ((time lsl seq_bits) lor t.next_seq) (Obj.repr payload);
+  t.next_seq <- t.next_seq + 1
 
-(* Scheduling is a ~100ns heap push: wrapping each call in a wall-clock
+(* Scheduling is a few array writes: wrapping each call in a wall-clock
    span would more than double its cost, so schedule time is deliberately
    left inside the enclosing [engine.dispatch] chunk's self time (every
    schedule call of a running cluster happens inside a dispatched
    handler) rather than given a per-call span of its own. *)
-let schedule_at = do_schedule_at
-
 let schedule t ~delay payload =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) payload
 
 let next : 'a. 'a t -> (time * 'a) option =
  fun t ->
-  if t.size = 0 then None
+  if pending t = 0 then None
   else begin
-    let key = Array.unsafe_get t.keys 0 in
-    let payload = Obj.obj (Array.unsafe_get t.payloads 0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.payloads.(0) <- t.payloads.(t.size);
-      t.payloads.(t.size) <- dummy;
-      sift_down t 0
-    end
-    else t.payloads.(0) <- dummy;
-    shrink t;
-    t.clock <- key lsr seq_bits;
+    let at = earliest t in
+    if at <> t.clock then advance t at;
     t.dispatched <- t.dispatched + 1;
-    Some (t.clock, payload)
+    Some (at, Obj.obj (pop_bucket t at))
   end
 
 let stop t = t.stopping <- true
 
-(* A dispatched event costs ~150ns, so timing each one individually
+(* A dispatched event costs ~70ns, so timing each one individually
    (two clock reads + a tally lookup per event) would double the hot
    loop.  The profiled drain instead times *chunks* of up to
    [profile_chunk] events: the clock is read twice per chunk, nested
@@ -199,7 +349,7 @@ let run t ?until handler =
             chunk (budget - 1)
       in
       let rec drain () =
-        if (not t.stopping) && t.size > 0 then begin
+        if (not t.stopping) && pending t > 0 then begin
           Profile.time_probe dispatch_probe (fun () -> chunk profile_chunk);
           drain ()
         end
@@ -207,11 +357,7 @@ let run t ?until handler =
       drain ()
     | Some limit ->
       let rec chunk budget =
-        if
-          budget > 0
-          && (not t.stopping)
-          && (t.size = 0 || Array.unsafe_get t.keys 0 lsr seq_bits <= limit)
-        then
+        if budget > 0 && (not t.stopping) && (pending t = 0 || earliest t <= limit) then
           match next t with
           | None -> ()
           | Some (at, ev) ->
@@ -219,11 +365,7 @@ let run t ?until handler =
             chunk (budget - 1)
       in
       let rec drain () =
-        if
-          (not t.stopping)
-          && t.size > 0
-          && Array.unsafe_get t.keys 0 lsr seq_bits <= limit
-        then begin
+        if (not t.stopping) && pending t > 0 && earliest t <= limit then begin
           Profile.time_probe dispatch_probe (fun () -> chunk profile_chunk);
           drain ()
         end
@@ -244,8 +386,7 @@ let run t ?until handler =
       drain ()
     | Some limit ->
       let rec loop () =
-        if (not t.stopping) && (t.size = 0 || Array.unsafe_get t.keys 0 lsr seq_bits <= limit)
-        then
+        if (not t.stopping) && (pending t = 0 || earliest t <= limit) then
           match next t with
           | None -> ()
           | Some (at, ev) ->

@@ -1,9 +1,17 @@
 (** Discrete-event simulation engine.
 
-    The engine owns a virtual clock and a priority queue of pending events.
-    Events scheduled for the same instant fire in FIFO order of scheduling
-    (a monotone sequence number breaks ties), which makes runs fully
-    deterministic.
+    The engine owns a virtual clock and the pending events.  Events fire in
+    (time, scheduling order): events scheduled for the same instant fire in
+    FIFO order, which makes runs fully deterministic.
+
+    Dispatch is O(1) for events within 256 ticks of the clock: they sit in
+    a timing wheel of 256 FIFO buckets, one per tick from [now] to
+    [now + 255], so a bucket only ever holds events of one instant.
+    Events further out wait in an overflow heap ordered by (time, sequence)
+    and move into their bucket, in that order, as soon as the advancing
+    clock's window first covers their tick — before any handler can
+    schedule into that bucket directly.  The order is therefore exactly the
+    one a single priority queue over (time, sequence) would give.
 
     Time is a plain [int] count of abstract ticks; the machine layer decides
     what a tick means (we use one tick = one microsecond of simulated time

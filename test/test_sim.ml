@@ -3,6 +3,7 @@
 module Rng = Recflow_sim.Rng
 module Engine = Recflow_sim.Engine
 module Trace = Recflow_sim.Trace
+module Profile = Recflow_obs_core.Profile
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -213,8 +214,9 @@ let engine_handler_schedules () =
   check_int "cascade 3+2+1" 6 !total
 
 (* [run] without [until] takes the drain fast path (no per-event horizon
-   peek): exercise it across the initial capacity so grow/shrink, packed
-   ordering and FIFO ties all happen inside one drain. *)
+   test): exercise it past the initial slab and across the wheel window, so
+   slab growth and compaction, overflow migration and FIFO ties all happen
+   inside one drain. *)
 let engine_drain_fast_loop () =
   let e = Engine.create () in
   let n = 3000 in
@@ -251,8 +253,10 @@ let engine_time_range_guard () =
 
 (* A vacated slot left pointing at its payload would pin the popped event
    until the slot was reused.  Payloads are boxed and watched through a
-   [Weak] array; once drained — half through [next], half through [run] —
-   and after a major GC they must all be collectable. *)
+   [Weak] array; half of them are scheduled beyond the wheel window, so they
+   pass through the overflow heap before their bucket.  Once drained — half
+   through [next], half through [run] — and after a major GC they must all
+   be collectable. *)
 let engine_pop_releases () =
   let n = 32 in
   let weak = Weak.create n in
@@ -260,7 +264,7 @@ let engine_pop_releases () =
   for i = 0 to n - 1 do
     let payload = ref i in
     Weak.set weak i (Some payload);
-    Engine.schedule e ~delay:i payload
+    Engine.schedule e ~delay:(if i mod 2 = 0 then i else 300 + (i * 40)) payload
   done;
   for _ = 1 to n / 2 do
     ignore (Engine.next e)
@@ -296,9 +300,9 @@ let engine_float_payloads () =
       got := at :: !got);
   Alcotest.(check (list int)) "time order" (List.init (n - 1) (fun i -> i + 1)) (List.rev !got)
 
-(* Interleaving around the shrink threshold must preserve time and FIFO
-   order (exercises the blits in [grow] and [shrink]): the store grows well
-   past its initial capacity, then halves repeatedly as it drains. *)
+(* Interleaving around the compaction threshold must preserve time and
+   FIFO order: the slab and the overflow heap grow well past their initial
+   capacities, then halve repeatedly as they drain. *)
 let engine_shrink_keeps_order () =
   let per_instant = 4 and instants = 512 in
   let n = per_instant * instants in
@@ -328,6 +332,209 @@ let engine_shrink_keeps_order () =
       step at s);
   check_int "tail drained in order" tail !rest;
   check_int "last instant reached" (instants - 1) (fst !last)
+
+(* An event scheduled while its instant lay beyond the wheel window waits in
+   the overflow heap; one scheduled for the same instant after the window
+   covers it goes straight to the bucket.  The first must still fire first,
+   at either edge of the window. *)
+let engine_overflow_before_direct () =
+  let far = 1000 in
+  List.iter
+    (fun clock ->
+      let e = Engine.create () in
+      Engine.schedule_at e ~time:far "A";
+      Engine.schedule_at e ~time:clock "tick";
+      (match Engine.next e with
+      | Some (at, "tick") -> check_int "clock advanced" clock at
+      | _ -> Alcotest.fail "tick lost");
+      Engine.schedule_at e ~time:far "B";
+      let order = ref [] in
+      Engine.run e (fun at ev ->
+          check_int "fires at its instant" far at;
+          order := ev :: !order);
+      Alcotest.(check (list string))
+        (Printf.sprintf "A before B with the clock at %d" clock)
+        [ "A"; "B" ] (List.rev !order))
+    [ far - 256; far - 255; far - 1 ]
+
+(* A drained engine must give back its high-water storage: after a burst
+   of 10,000 events, most of them through the wheel and the rest through
+   the overflow heap, it may hold at most a few dozen words more than a
+   fresh one. *)
+let engine_drained_releases_storage () =
+  let e = Engine.create () in
+  for i = 0 to 9_999 do
+    Engine.schedule e ~delay:(i * 7919 mod 600) i
+  done;
+  Engine.run e (fun _ _ -> ());
+  check_int "drained" 0 (Engine.pending e);
+  let fresh = Obj.reachable_words (Obj.repr (Engine.create () : int Engine.t)) in
+  let drained = Obj.reachable_words (Obj.repr e) in
+  if drained > fresh + 64 then
+    Alcotest.failf "drained engine holds %d words, a fresh one %d" drained fresh
+
+(* Differential check against a reference queue: a list kept sorted by
+   (time, seq).  A random program mixes relative and absolute scheduling
+   (about a quarter of the delays beyond the wheel window), follow-ups
+   scheduled from inside the handler (delay 0 included), [next],
+   [run ~until] and [run] cut short by [stop]; the engine and the model
+   must dispatch the same events at the same times, and agree on the clock
+   and the pending count after every step.  Each program runs with the
+   profiler off and on, since [run] has a separate drain loop for each. *)
+module Model = struct
+  type 'a t = {
+    mutable queue : (int * int * 'a) list;  (* sorted by (time, seq) *)
+    mutable clock : int;
+    mutable seq : int;
+    mutable stopping : bool;
+  }
+
+  let create () = { queue = []; clock = 0; seq = 0; stopping = false }
+
+  let schedule_at m ~time x =
+    let key = (time, m.seq) in
+    let rec insert = function
+      | ((at, s, _) as ev) :: rest when (at, s) < key -> ev :: insert rest
+      | l -> (time, m.seq, x) :: l
+    in
+    m.queue <- insert m.queue;
+    m.seq <- m.seq + 1
+
+  let next m =
+    match m.queue with
+    | [] -> None
+    | (at, _, x) :: rest ->
+      m.queue <- rest;
+      m.clock <- at;
+      Some (at, x)
+
+  let run m ?until handler =
+    m.stopping <- false;
+    let rec loop () =
+      if not m.stopping then
+        match (m.queue, until) with
+        | [], _ -> ()
+        | (at, _, _) :: _, Some limit when at > limit -> ()
+        | _ -> (
+          match next m with
+          | Some (at, x) ->
+            handler at x;
+            loop ()
+          | None -> ())
+    in
+    loop ()
+end
+
+type engine_op =
+  | Schedule of int * int list  (* delay, follow-up delays *)
+  | Schedule_at of int * int list  (* time as an offset from now *)
+  | Next
+  | Run_until of int  (* horizon as an offset from now *)
+  | Run_stop of int  (* stop after this many events *)
+
+let engine_op_gen =
+  let open QCheck.Gen in
+  let delay = frequency [ (3, int_range 0 255); (1, int_range 256 1200) ] in
+  let follow_ups = list_size (int_range 0 3) (frequency [ (1, return 0); (3, delay) ]) in
+  frequency
+    [
+      (5, map2 (fun d f -> Schedule (d, f)) delay follow_ups);
+      (2, map2 (fun d f -> Schedule_at (d, f)) delay follow_ups);
+      (2, return Next);
+      (1, map (fun d -> Run_until d) (int_range 0 600));
+      (1, map (fun k -> Run_stop k) (int_range 1 40));
+    ]
+
+let print_engine_op = function
+  | Schedule (d, f) ->
+    Printf.sprintf "schedule %d [%s]" d (String.concat ";" (List.map string_of_int f))
+  | Schedule_at (d, f) ->
+    Printf.sprintf "schedule_at now+%d [%s]" d (String.concat ";" (List.map string_of_int f))
+  | Next -> "next"
+  | Run_until d -> Printf.sprintf "run ~until:(now+%d)" d
+  | Run_stop k -> Printf.sprintf "run, stop after %d" k
+
+(* One side of the comparison: the engine or the model behind the same
+   closures.  A payload is (id, follow-up delays); follow-ups carry none. *)
+type side = {
+  schedule : delay:int -> int * int list -> unit;
+  schedule_at : time:int -> int * int list -> unit;
+  now : unit -> int;
+  pending : unit -> int;
+  next : unit -> (int * (int * int list)) option;
+  run : ?until:int -> (int -> int * int list -> unit) -> unit;
+  stop : unit -> unit;
+}
+
+let engine_side () =
+  let e = Engine.create () in
+  {
+    schedule = (fun ~delay x -> Engine.schedule e ~delay x);
+    schedule_at = (fun ~time x -> Engine.schedule_at e ~time x);
+    now = (fun () -> Engine.now e);
+    pending = (fun () -> Engine.pending e);
+    next = (fun () -> Engine.next e);
+    run = (fun ?until h -> Engine.run e ?until h);
+    stop = (fun () -> Engine.stop e);
+  }
+
+let model_side () =
+  let m = Model.create () in
+  {
+    schedule = (fun ~delay x -> Model.schedule_at m ~time:(m.Model.clock + delay) x);
+    schedule_at = (fun ~time x -> Model.schedule_at m ~time x);
+    now = (fun () -> m.Model.clock);
+    pending = (fun () -> List.length m.Model.queue);
+    next = (fun () -> Model.next m);
+    run = (fun ?until h -> Model.run m ?until h);
+    stop = (fun () -> m.Model.stopping <- true);
+  }
+
+(* Interpret [ops] on one side; the result lists every dispatch as
+   (time, id, 0) and, after every step and at the end, (-1, now, pending). *)
+let interpret side ops =
+  let log = ref [] in
+  let fire at (id, follow_ups) =
+    log := (at, id, 0) :: !log;
+    List.iteri (fun i d -> side.schedule ~delay:d ((id * 8) + i + 1, [])) follow_ups
+  in
+  List.iteri
+    (fun k op ->
+      let id = (k + 1) * 64 in
+      (match op with
+      | Schedule (d, f) -> side.schedule ~delay:d (id, f)
+      | Schedule_at (d, f) -> side.schedule_at ~time:(side.now () + d) (id, f)
+      | Next -> Option.iter (fun (at, x) -> fire at x) (side.next ())
+      | Run_until d -> side.run ~until:(side.now () + d) fire
+      | Run_stop n ->
+        let count = ref 0 in
+        side.run (fun at x ->
+            fire at x;
+            incr count;
+            if !count = n then side.stop ()));
+      log := (-1, side.now (), side.pending ()) :: !log)
+    ops;
+  side.run fire;
+  List.rev ((-1, side.now (), side.pending ()) :: !log)
+
+let engine_matches_model =
+  QCheck.Test.make ~count:300 ~name:"engine dispatches like a sorted model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "\n" (List.map print_engine_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 1 80) engine_op_gen))
+    (fun ops ->
+      let expected = interpret (model_side ()) ops in
+      let plain = interpret (engine_side ()) ops in
+      Profile.set_enabled true;
+      let profiled =
+        Fun.protect
+          ~finally:(fun () ->
+            Profile.set_enabled false;
+            Profile.reset ())
+          (fun () -> interpret (engine_side ()) ops)
+      in
+      plain = expected && profiled = expected)
 
 (* ---------------- Trace ---------------- *)
 
@@ -407,6 +614,9 @@ let suites =
         Alcotest.test_case "pop releases" `Quick engine_pop_releases;
         Alcotest.test_case "float elements" `Quick engine_float_payloads;
         Alcotest.test_case "shrink keeps order" `Quick engine_shrink_keeps_order;
+        Alcotest.test_case "overflow before direct" `Quick engine_overflow_before_direct;
+        Alcotest.test_case "drained releases storage" `Quick engine_drained_releases_storage;
+        qtest engine_matches_model;
       ] );
     ( "sim.trace",
       [

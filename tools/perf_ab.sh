@@ -13,7 +13,11 @@
 # not enough: `setup_s` alone moves about ±25% between identical binaries.
 # RUN_ARGS go to every run.  The JSON documents stay in the results
 # directory (under $TMPDIR) printed at the end; the exported tree is
-# removed.  Exits 1 if any pair's comparison reports a violation.
+# removed.  After the pairs, one summary line per (workload, metric) gives
+# the median of the per-pair % changes, how many pairs moved down, up or
+# not at all, the median value on each side, and the interquartile range of
+# REV's runs (a change in medians inside it is noise).  Exits 1 if any
+# pair's comparison reports a violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,7 +54,55 @@ for i in $(seq 1 "$n"); do
     run "$base" "$out/rev-$i.json" "$@"
   fi
   echo "=== pair $i of $n: $rev -> working tree ==="
-  bash perfbench/run.sh --compare "$out/rev-$i.json" "$out/tree-$i.json" || status=1
+  bash perfbench/run.sh --compare "$out/rev-$i.json" "$out/tree-$i.json" \
+    | tee "$out/compare-$i.txt" || status=1
 done
+
+# Aggregate the metric lines of every --compare block, which read
+#   WORKLOAD METRIC REV_VALUE -> TREE_VALUE +D.DD% bound B% ok
+echo "=== summary over $n pair(s): $rev -> working tree ==="
+cat "$out"/compare-*.txt | awk '
+  function sort(a, k,   i, j, v) {
+    for (i = 2; i <= k; i++) {
+      v = a[i]
+      for (j = i - 1; j >= 1 && a[j] > v; j--) a[j + 1] = a[j]
+      a[j + 1] = v
+    }
+  }
+  # Quantile q of the sorted a[1..k], interpolating between ranks.
+  function quantile(a, k, q,   r, lo) {
+    r = 1 + (k - 1) * q
+    lo = int(r)
+    return lo >= k ? a[k] : a[lo] + (r - lo) * (a[lo + 1] - a[lo])
+  }
+  function column(name, k,   i) {
+    for (i = 1; i <= k; i++) col[i] = vals[key, name, i] + 0
+    sort(col, k)
+  }
+  $4 == "->" && $7 == "bound" {
+    key = $1 " " $2
+    if (!(key in count)) order[++keys] = key
+    k = ++count[key]
+    pct = $6
+    sub(/%$/, "", pct)
+    vals[key, "pct", k] = pct
+    vals[key, "rev", k] = $3
+    vals[key, "tree", k] = $5
+    if (pct + 0 < 0) down[key]++
+    else if (pct + 0 > 0) up[key]++
+  }
+  END {
+    for (o = 1; o <= keys; o++) {
+      key = order[o]
+      k = count[key]
+      split(key, kv, " ")
+      column("pct", k); med = quantile(col, k, 0.5)
+      column("tree", k); tree = quantile(col, k, 0.5)
+      column("rev", k); rev = quantile(col, k, 0.5)
+      iqr = quantile(col, k, 0.75) - quantile(col, k, 0.25)
+      printf "%-12s %-20s %+8.2f%%  %2d down %2d up %2d same  median %.6g -> %.6g  rev IQR %.3g\n",
+        kv[1], kv[2], med, down[key], up[key], k - down[key] - up[key], rev, tree, iqr
+    }
+  }'
 echo "results: $out"
 exit $status
