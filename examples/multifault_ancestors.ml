@@ -43,27 +43,29 @@ let run ~ancestor_depth =
     Cluster.fail_at cluster ~time:t_fail gh;
     Cluster.start cluster ~fname:w.Workload.entry ~args:(w.Workload.args size);
     let o = Cluster.run ~drain:true cluster in
+    let expected = Workload.expected w size in
+    let correct = Option.fold ~none:false ~some:(Value.equal expected) o.Cluster.answer in
     let c name = Counter.get (Cluster.counters cluster) name in
     Format.printf
       "ancestor_depth=%d: killed P%d and P%d at t=%d -> answer %s, %d results stranded, %d \
        relayed, %d stashed at twins@."
       ancestor_depth ph gh t_fail
       (match o.Cluster.answer with
-      | Some v ->
-        if Value.equal v (Workload.expected w size) then Value.to_string v ^ " (correct)"
-        else Value.to_string v ^ " (WRONG)"
+      | Some v -> Value.to_string v ^ if correct then " (correct)" else " (WRONG)"
       | None -> "lost")
       (c "relay.stranded") (c "relay.forwarded") (c "relay.stashed");
-    Some (c "relay.stranded")
+    Some (c "relay.stranded", correct)
 
 let () =
   Format.printf "Simultaneous parent+grandparent failure (§5.2):@.@.";
   let s1 = run ~ancestor_depth:1 in
   let s2 = run ~ancestor_depth:2 in
-  match (s1, s2) with
-  | Some a, Some b when b < a ->
+  (match (s1, s2) with
+  | Some (a, _), Some (b, _) when b < a ->
     Format.printf
       "@.great-grandparent links rescued %d orphan results that grandparent-only links \
        stranded — the extension the paper sketches in §5.2.@."
       (a - b)
-  | _ -> Format.printf "@.(placement did not produce a comparable pair this time)@."
+  | _ -> Format.printf "@.(placement did not produce a comparable pair this time)@.");
+  if List.exists (function Some (_, correct) -> not correct | None -> false) [ s1; s2 ] then
+    exit 1

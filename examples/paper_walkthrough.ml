@@ -5,5 +5,6 @@
    Run with:  dune exec examples/paper_walkthrough.exe *)
 
 let () =
-  Format.printf "%a" Recflow_experiments.Report.pp (Recflow_experiments.Exp_fig1.run ());
-  Format.printf "%a" Recflow_experiments.Report.pp (Recflow_experiments.Exp_fig2.run ())
+  let reports = [ Recflow_experiments.Exp_fig1.run (); Recflow_experiments.Exp_fig2.run () ] in
+  List.iter (Format.printf "%a" Recflow_experiments.Report.pp) reports;
+  if not (List.for_all Recflow_experiments.Report.all_checks_pass reports) then exit 1

@@ -46,13 +46,15 @@ let () =
   Cluster.start cluster ~fname:"tree_sum" ~args:[ Value.Int 8; Value.Int 1 ];
   let outcome = Cluster.run cluster in
 
+  let correct = Option.fold ~none:false ~some:(Value.equal expected) outcome.Cluster.answer in
   (match outcome.Cluster.answer with
   | Some v ->
     Format.printf "distributed answer: %s at t=%d (%s)@." (Value.to_string v)
       (Option.value ~default:0 outcome.Cluster.answer_time)
-      (if Value.equal v expected then "matches serial" else "MISMATCH!")
+      (if correct then "matches serial" else "MISMATCH!")
   | None -> Format.printf "no answer?!@.");
   Format.printf "events dispatched: %d@." outcome.Cluster.events;
   Format.printf "checkpoints stored: %d (covered: %d)@."
     (Recflow_stats.Counter.get (Cluster.counters cluster) "ckpt.recorded")
-    (Recflow_stats.Counter.get (Cluster.counters cluster) "ckpt.covered")
+    (Recflow_stats.Counter.get (Cluster.counters cluster) "ckpt.covered");
+  if not correct then exit 1

@@ -35,11 +35,12 @@ let () =
     (Option.value ~default:0 clean.Cluster.answer_time);
 
   let cluster, faulty, _ = run ~failures:[ (500, 4) ] in
+  let correct = Option.fold ~none:false ~some:(Value.equal expected) faulty.Cluster.answer in
   (match faulty.Cluster.answer with
   | Some v ->
     Format.printf "with P4 failing at t=500: answer %s at t=%d (%s)@." (Value.to_string v)
       (Option.value ~default:0 faulty.Cluster.answer_time)
-      (if Value.equal v expected then "correct, failure masked" else "WRONG")
+      (if correct then "correct, failure masked" else "WRONG")
   | None -> Format.printf "no answer@.");
   let c name = Counter.get (Cluster.counters cluster) name in
   Format.printf "@.replica activations: %d, re-issues needed: %d, inconclusive votes: %d@."
@@ -48,4 +49,5 @@ let () =
     "recovery delay vs fault-free: %+d ticks (checkpoint schemes pay this at fault time;@."
     (Option.value ~default:0 faulty.Cluster.answer_time
     - Option.value ~default:0 clean.Cluster.answer_time);
-  Format.printf "replication paid ~3x up front instead — see experiment Q6)@."
+  Format.printf "replication paid ~3x up front instead — see experiment Q6)@.";
+  if not correct then exit 1

@@ -18,10 +18,11 @@ let () =
   let outcome = Cluster.run cluster in
 
   let expected = Workload.expected w Workload.Small in
+  let correct = Option.fold ~none:false ~some:(Value.equal expected) outcome.Cluster.answer in
   (match outcome.Cluster.answer with
   | Some v ->
     Format.printf "fib answer after losing P2 at t=500: %s (%s)@." (Value.to_string v)
-      (if Value.equal v expected then "correct" else "WRONG")
+      (if correct then "correct" else "WRONG")
   | None -> Format.printf "no answer@.");
 
   (* The journal shows the §3.2 protocol: checkpointed tasks re-issued by
@@ -43,4 +44,5 @@ let () =
   Format.printf "orphans aborted (garbage collection): %d@."
     (count (function Journal.Aborted _ -> true | _ -> false));
   Format.printf "orphan results dropped (no salvage under rollback): %d@."
-    (count (function Journal.Orphan_dropped _ -> true | _ -> false))
+    (count (function Journal.Orphan_dropped _ -> true | _ -> false));
+  if not correct then exit 1

@@ -28,10 +28,11 @@ let () =
   let outcome = Cluster.run cluster in
 
   let expected = Workload.expected w Workload.Small in
+  let correct = Option.fold ~none:false ~some:(Value.equal expected) outcome.Cluster.answer in
   (match outcome.Cluster.answer with
   | Some v ->
     Format.printf "tree_sum after losing P3 at t=400: %s (%s)@." (Value.to_string v)
-      (if Value.equal v expected then "correct" else "WRONG")
+      (if correct then "correct" else "WRONG")
   | None -> Format.printf "no answer@.");
 
   let c name = Counter.get (Cluster.counters cluster) name in
@@ -50,4 +51,5 @@ let () =
   |> List.filter (fun (e : Journal.entry) ->
          match e.Journal.event with Journal.Inherited _ -> true | _ -> false)
   |> List.filteri (fun i _ -> i < 10)
-  |> List.iter (fun e -> Format.printf "  %a@." Journal.pp_entry e)
+  |> List.iter (fun e -> Format.printf "  %a@." Journal.pp_entry e);
+  if not correct then exit 1

@@ -64,9 +64,10 @@ type request = {
   mutable packet : Packet.t option;  (** the super-root's functional checkpoint *)
   mutable dest : Ids.proc_id;
   mutable task : Ids.task_id;
-  mutable pending : (Stamp.t * Packet.link * Value.t) list;
-      (** salvaged orphan results awaiting the twin, with the orphan's
-          stamp and dead parent so depth is preserved on forwarding *)
+  mutable pending : (Stamp.t * Packet.link * Message.salvage) list;
+      (** salvage (orphan results and adoption reports) awaiting the twin,
+          newest first, with the orphan's stamp and dead parent so depth is
+          preserved on forwarding *)
   mutable answers : Value.t list;  (** results for this request, newest first *)
   mutable answer_time : int option;
   mutable redispatches : int;
@@ -352,7 +353,6 @@ let build_ctx t : Node.ctx =
     inline_eval = inline_eval t;
     journal = t.journal;
     counters = t.counters;
-    trace = t.trace;
     record_latency = (fun name v -> record_latency t name v);
     program_error = program_error t;
   }
@@ -469,6 +469,29 @@ let gradient_period = 100
 let gradient_live t =
   if t.service then t.arrivals_open || t.unanswered > 0 else t.answer = None
 
+(* Forward the salvage that was waiting for the request root's twin.  A
+   direct child of the root fills the twin's call slot; a deeper orphan
+   (reachable here because §5.2 ancestor links can skip past a dead
+   grandparent) must instead be driven down the chain of twins, so it
+   keeps its [To_grandparent] shape — filling the root's slot with a
+   grandchild's partial value would silently drop the rest of that
+   subtree.  {!Message.salvage_forward} makes that choice.  A report skips
+   a twin placed on a dead processor (static placement can pick one); a
+   result is sent regardless, and its bounce re-dispatches the root. *)
+let flush_pending t req =
+  let pending = req.pending in
+  req.pending <- [];
+  let live = Router.alive t.router req.dest in
+  Message.iter_salvage
+    (fun (stamp, dead_parent, payload) ->
+      match payload with
+      | Message.Still_running _ when not live -> ()
+      | Message.Salvaged _ | Message.Still_running _ ->
+        send t ~src:Ids.super_root ~dst:req.dest
+          (Message.salvage_forward ~via:req.r_stamp ~stamp ~dead_parent ~task:req.task
+             ~proc:req.dest payload))
+    pending
+
 (* Dispatch (or re-dispatch) a request's root task from the super-root's
    retained checkpoint. *)
 let dispatch_request t req ~reason =
@@ -508,30 +531,24 @@ let dispatch_request t req ~reason =
         Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
           (Journal.Respawned { task = task_id; dest; reason });
         Option.iter (fun f -> f reason) req.on_disturbed);
-      (* Forward any salvaged orphan results that were waiting for a twin.
-         A direct child of the request root fills the twin's call slot; a
-         deeper orphan (reachable here because §5.2 ancestor links can skip
-         past a dead grandparent) must instead be driven down the chain of
-         twins, so it keeps its [To_grandparent] shape — filling the
-         root's slot with a grandchild's partial value would silently
-         drop the rest of that subtree. *)
-      let pending = req.pending in
-      req.pending <- [];
-      List.iter
-        (fun (stamp, (dead_parent : Packet.link), value) ->
-          let direct =
-            match Stamp.parent stamp with
-            | Some p -> Stamp.equal p req.r_stamp
-            | None -> false
-          in
-          let relay, slot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          send t ~src:Ids.super_root ~dst:dest
-            (Message.Result
-               { stamp; value; target = { Packet.task = task_id; proc = dest; slot }; relay }))
-        pending)
+      flush_pending t req)
+
+(* Salvage reaching the super-root, the ancestor of every request root: an
+   orphaned result (a direct child of a dead root, or a deeper orphan
+   whose parent and grandparent both died, escalated here via §5.2
+   ancestor links), or a child of a dead root announcing itself.  Make
+   sure the root has a twin, then forward the salvage to it: at once when
+   a live twin exists, else behind a re-dispatch. *)
+let super_root_salvage t ~stamp ~(dead_parent : Packet.link) payload =
+  match request_of_stamp t stamp with
+  | None -> ()
+  | Some req ->
+    if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
+      req.pending <- (stamp, dead_parent, payload) :: req.pending;
+      let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
+      if root_alive && req.dest <> dead_parent.Packet.proc then flush_pending t req
+      else dispatch_request t req ~reason:(Some (Message.salvage_reason payload))
+    end
 
 let super_root_deliver t msg =
   match msg with
@@ -555,62 +572,10 @@ let super_root_deliver t msg =
           (Value.to_string value);
         if not t.drain then Engine.stop t.engine
       end)
-  | Message.Result { stamp; value; target; relay = Message.To_grandparent { dead_parent }; _ }
-    -> (
-    (* An orphaned result salvages itself through the super-root acting
-       as an ancestor.  Only a *direct* child of the dead request root
-       fills a root call slot; a deeper orphan (its parent and grandparent
-       both dead, escalated here via §5.2 ancestor links) keeps its
-       [To_grandparent] shape and is driven down the chain of twins by
-       the root twin — its value is one subtree fragment, not the whole
-       slot. *)
-    match request_of_stamp t stamp with
-    | None -> ()
-    | Some req ->
-      if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
-        let direct =
-          match Stamp.parent stamp with
-          | Some p -> Stamp.equal p req.r_stamp
-          | None -> false
-        in
-        let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
-        if root_alive && req.dest <> dead_parent.Packet.proc then begin
-          (* a twin already exists: forward straight to it *)
-          let relay, slot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          send t ~src:Ids.super_root ~dst:req.dest
-            (Message.Result
-               {
-                 stamp;
-                 value;
-                 target = { Packet.task = req.task; proc = req.dest; slot };
-                 relay;
-               })
-        end
-        else begin
-          req.pending <- (stamp, dead_parent, value) :: req.pending;
-          dispatch_request t req ~reason:(Some "orphan-result")
-        end;
-        ignore target
-      end)
-  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } -> (
-    (* A child of a (dead) request root announces itself: make sure that
-       root has a twin and let the twin inherit the orphan. *)
-    match request_of_stamp t stamp with
-    | None -> ()
-    | Some req ->
-      if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
-        let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
-        if (not root_alive) || req.dest = dead_parent.Packet.proc then
-          dispatch_request t req ~reason:(Some "orphan-alive");
-        if req.dest >= 0 && Router.alive t.router req.dest then
-          send t ~src:Ids.super_root ~dst:req.dest
-            (Message.Orphan_alive
-               { stamp; orphan; dead_parent;
-                 target = { Packet.task = req.task; proc = req.dest; slot = -1 } })
-      end)
+  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } ->
+    super_root_salvage t ~stamp ~dead_parent (Message.Salvaged value)
+  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } ->
+    super_root_salvage t ~stamp ~dead_parent (Message.Still_running orphan)
   | Message.Result { relay = Message.To_step_parent _; _ }
   | Message.Task_packet _ | Message.Reparent _ | Message.Gradient _ | Message.Ack _
   | Message.Abort _ | Message.Failure_notice _ ->
@@ -657,8 +622,6 @@ let handle_fail t pid =
     Hashtbl.replace t.fail_times pid (now t);
     Counter.incr t.counters "failure.injected";
     Journal.record t.journal ~time:(now t) ~stamp:Stamp.root (Journal.Failure { proc = pid });
-    Trace.logf t.trace ~time:(now t) ~level:Trace.Warn ~tag:"cluster" "%s failed"
-      (Ids.proc_to_string pid);
     broadcast_failure t pid
   end
 

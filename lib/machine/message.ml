@@ -39,6 +39,27 @@ type t =
   | Abort of { task : Ids.task_id }
   | Failure_notice of { failed : Ids.proc_id }
 
+type salvage = Salvaged of Recflow_lang.Value.t | Still_running of Packet.link
+
+let salvage_reason = function Salvaged _ -> "orphan-result" | Still_running _ -> "orphan-alive"
+
+let salvage_forward ~via ~stamp ~dead_parent ~task ~proc = function
+  | Salvaged value ->
+    let direct =
+      match Stamp.parent stamp with Some p -> Stamp.equal p via | None -> false
+    in
+    let relay, slot =
+      if direct then (To_step_parent { dead_parent }, dead_parent.Packet.slot)
+      else (To_grandparent { dead_parent }, -1)
+    in
+    Result { stamp; value; target = { Packet.task; proc; slot }; relay }
+  | Still_running orphan ->
+    Orphan_alive { stamp; orphan; dead_parent; target = { Packet.task; proc; slot = -1 } }
+
+let iter_salvage f stash =
+  List.iter (fun ((_, _, p) as e) -> match p with Salvaged _ -> f e | Still_running _ -> ()) stash;
+  List.iter (fun ((_, _, p) as e) -> match p with Still_running _ -> f e | Salvaged _ -> ()) stash
+
 let label = function
   | Task_packet _ -> "task_packet"
   | Orphan_alive _ -> "orphan_alive"

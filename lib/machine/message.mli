@@ -68,6 +68,42 @@ type t =
   | Abort of { task : Ids.task_id }
   | Failure_notice of { failed : Ids.proc_id }
 
+(** What a salvage walk carries down the chain of twins toward an orphan's
+    step-parent (§4.1): a finished orphan's result, or a still-running
+    orphan's adoption report.  Both travel the same route — from an
+    ancestor, through each twin on the orphan's stamp chain, to the twin of
+    its dead parent — and wait in the same stash at a twin that has not
+    re-created the next link yet. *)
+type salvage =
+  | Salvaged of Recflow_lang.Value.t  (** the orphan's answer *)
+  | Still_running of Packet.link
+      (** where the orphan runs (slot = its slot in the dead parent) *)
+
+val salvage_reason : salvage -> string
+(** ["orphan-result"] or ["orphan-alive"]: the failure-detection and
+    re-issue reason a salvage arrival records. *)
+
+val salvage_forward :
+  via:Stamp.t ->
+  stamp:Stamp.t ->
+  dead_parent:Packet.link ->
+  task:Ids.task_id ->
+  proc:Ids.proc_id ->
+  salvage ->
+  t
+(** The message that carries the salvage of orphan [stamp] one link down
+    the chain, to the twin activation [task] on [proc] whose stamp is
+    [via].  A result becomes [To_step_parent] aimed at [dead_parent.slot]
+    when [via] is the orphan's parent stamp — call slots are graph node
+    ids, identical across activations of one function — and
+    [To_grandparent] with slot -1 otherwise, so a deeper twin repeats the
+    walk.  A report becomes an [Orphan_alive] aimed at slot -1. *)
+
+val iter_salvage :
+  (Stamp.t * Packet.link * salvage -> unit) -> (Stamp.t * Packet.link * salvage) list -> unit
+(** Release a stash of (orphan stamp, dead parent, payload) entries:
+    results before reports, each kind in stash order. *)
+
 val label : t -> string
 (** Counter key, one per variant: "task_packet", "orphan_alive",
     "reparent", "ack", "result", "gradient", "abort", "failure_notice". *)

@@ -6,7 +6,6 @@ module Vote = Recflow_recovery.Vote
 module Value = Recflow_lang.Value
 module Instance = Recflow_lang.Instance
 module Counter = Recflow_stats.Counter
-module Trace = Recflow_sim.Trace
 module Profile = Recflow_obs_core.Profile
 
 (* Checkpoint record/discharge run once per packet — hot enough that the
@@ -29,7 +28,6 @@ type ctx = {
   inline_eval : string -> Value.t array -> (Value.t * int, string) result;
   journal : Journal.t;
   counters : Counter.set;
-  trace : Trace.t;
   record_latency : string -> int -> unit;
       (* named duration histogram on the owning cluster (task.sojourn, ...) *)
   program_error : string -> unit;
@@ -66,15 +64,13 @@ type task = {
          per outrun call slot, usually zero) *)
   mutable work : int;  (* busy ticks attributed to this task *)
   mutable result_dropped : bool;
-  mutable gc_pending : (Stamp.t * Packet.link * Value.t) list;
-      (* salvaged orphan results that arrived before this (twin) task
-         spawned the chain link they travel through: (orphan stamp, dead
-         parent link, value) *)
+  mutable stash : (Stamp.t * Packet.link * Message.salvage) list;
+      (* salvage (orphan results and adoption reports) that arrived before
+         this (twin) task spawned the chain link it travels through:
+         (orphan stamp, dead parent link, payload), newest first *)
   mutable adopted : (int list * (Packet.link * Packet.link)) list;
       (* orphan stamp (digits) -> (orphan link, dead parent link): live
          orphans this step-parent must inherit instead of cloning *)
-  mutable adopt_pending : (Stamp.t * Packet.link * Packet.link) list;
-      (* adoption reports waiting for this twin to spawn the chain link *)
   mutable adoption_reported : bool;
       (* this task, as an orphan, already announced itself upward *)
 }
@@ -131,17 +127,16 @@ type t = {
   run_queue : Ids.task_id Queue.t;
   mutable current : Ids.task_id option;
   ckpts : Ckpt_table.t;
-  (* The four side tables below are allocated on first insertion: a
+  (* The three side tables below are allocated on first insertion: a
      fault-free run under a central policy never touches them, and at
      1024 processors their empty buckets alone were ~90k words. *)
   mutable known_dead : (Ids.proc_id, unit) Hashtbl.t option;
   mutable stepping : bool;
   mutable work_ticks : int;
-  (* messages addressed to a re-issued twin whose (grace-delayed) packet
-     has not activated here yet, keyed by the twin's task id *)
-  mutable early_results : (Ids.task_id, Message.result_payload list) Hashtbl.t option;
-  mutable early_adoptions :
-    (Ids.task_id, (Stamp.t * Packet.link * Packet.link) list) Hashtbl.t option;
+  (* salvage messages (results and adoption reports) addressed to a
+     re-issued twin whose (grace-delayed) packet has not activated here
+     yet, keyed by the twin's task id, newest first *)
+  mutable held : (Ids.task_id, Message.t list) Hashtbl.t option;
   (* distributed gradient model: last value heard from each neighbour and
      this node's own value (0 = a demand sink).  [heard_min] caches the
      fold over [gradient_heard]; [heard_dirty] marks it stale when a
@@ -167,8 +162,7 @@ let create nid (config : Config.t) =
     known_dead = None;
     stepping = false;
     work_ticks = 0;
-    early_results = None;
-    early_adoptions = None;
+    held = None;
     gradient_heard = None;
     gradient_value = 0;
     heard_min = max_int / 2;
@@ -203,7 +197,7 @@ let mark_dead t p =
 
 let allocated_side_tables t =
   let n o = if Option.is_some o then 1 else 0 in
-  n t.known_dead + n t.early_results + n t.early_adoptions + n t.gradient_heard
+  n t.known_dead + n t.held + n t.gradient_heard
 
 let work_done t = t.work_ticks
 
@@ -336,10 +330,6 @@ let recount t =
 
 let resident_tasks t =
   Hashtbl.fold (fun _ e n -> match e with Alive _ -> n + 1 | Gone _ | Absent -> n) t.tasks 0
-
-let tracef t ctx fmt =
-  Trace.logf ctx.trace ~time:(ctx.now ()) ~level:Trace.Debug
-    ~tag:(Ids.proc_to_string t.nid) fmt
 
 (* ------------------------------------------------------------------ *)
 (* CPU scheduling                                                      *)
@@ -489,64 +479,42 @@ let send_activation t ctx packet ~task_id ~dest ~replica ~replicas =
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Spawned { task = task_id; dest; replica })
 
-(* Forward stashed salvaged results whose relay chain passes through a
-   freshly spawned child: a twin that was holding an orphan's answer
-   releases it as soon as it re-creates the next link of the chain. *)
-let forward_orphan_alive t ctx (child : child) ~ostamp ~orphan ~dead_parent =
+(* A salvage walk that cannot go on.  Salvage counters come in two
+   families, [relay.*] for results and [adopt.*] for reports, and only
+   results leave journal entries. *)
+let drop_salvage t ctx ~ostamp payload reason =
+  match payload with
+  | Message.Salvaged _ ->
+    Counter.incr ctx.counters "relay.dropped";
+    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp
+      (Journal.Relay_dropped { at = t.nid; reason })
+  | Message.Still_running _ -> Counter.incr ctx.counters "adopt.dropped"
+
+(* Send salvage for orphan [ostamp] on to [child]'s current twin, the next
+   link of the orphan's chain. *)
+let forward_salvage t ctx (child : child) ~ostamp ~dead_parent payload =
   match (child.dests, child.ctasks) with
-  | (_, proc) :: _, (_, ctask) :: _ ->
-    Counter.incr ctx.counters "adopt.forwarded";
+  | (_, proc) :: _, (_, task) :: _ ->
+    (match payload with
+    | Message.Salvaged _ ->
+      Counter.incr ctx.counters "relay.forwarded";
+      Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp (Journal.Relayed { via = t.nid })
+    | Message.Still_running _ -> Counter.incr ctx.counters "adopt.forwarded");
     ctx.send ~src:t.nid ~dst:proc
-      (Message.Orphan_alive
-         { stamp = ostamp; orphan; dead_parent;
-           target = { Packet.task = ctask; proc; slot = -1 } })
-  | _ -> Counter.incr ctx.counters "adopt.dropped"
+      (Message.salvage_forward ~via:child.c_stamp ~stamp:ostamp ~dead_parent ~task ~proc payload)
+  | _ -> drop_salvage t ctx ~ostamp payload "no live twin destination"
 
-let flush_adopt_pending t ctx task (child : child) =
-  if task.adopt_pending <> [] then begin
-    let covered (ostamp, _, _) =
-      match Stamp.parent ostamp with
-      | Some ps -> Stamp.equal child.c_stamp ps || Stamp.is_ancestor child.c_stamp ps
-      | None -> false
+(* A twin that was holding salvage releases it as soon as it re-creates
+   the next link of the chain: every stashed orphan below [child]. *)
+let flush_salvage t ctx task (child : child) =
+  if task.stash <> [] then begin
+    let matches, rest =
+      List.partition (fun (ostamp, _, _) -> Stamp.is_ancestor child.c_stamp ostamp) task.stash
     in
-    let matches, rest = List.partition covered task.adopt_pending in
-    task.adopt_pending <- rest;
-    List.iter
-      (fun (ostamp, orphan, dead_parent) ->
-        forward_orphan_alive t ctx child ~ostamp ~orphan ~dead_parent)
-      matches
-  end
-
-let flush_gc_pending t ctx task (child : child) =
-  if task.gc_pending <> [] then begin
-    let covered (ostamp, _, _) =
-      match Stamp.parent ostamp with
-      | Some ps -> Stamp.equal child.c_stamp ps || Stamp.is_ancestor child.c_stamp ps
-      | None -> false
-    in
-    let matches, rest = List.partition covered task.gc_pending in
-    task.gc_pending <- rest;
-    List.iter
-      (fun (ostamp, (dead_parent : Packet.link), value) ->
-        match (child.dests, child.ctasks) with
-        | (_, proc) :: _, (_, ctask) :: _ ->
-          let direct =
-            match Stamp.parent ostamp with
-            | Some ps -> Stamp.equal child.c_stamp ps
-            | None -> false
-          in
-          let relay, tslot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          Counter.incr ctx.counters "relay.forwarded";
-          Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp
-            (Journal.Relayed { via = t.nid });
-          ctx.send ~src:t.nid ~dst:proc
-            (Message.Result
-               { stamp = ostamp; value; target = { Packet.task = ctask; proc; slot = tslot };
-                 relay })
-        | _ -> ())
+    task.stash <- rest;
+    Message.iter_salvage
+      (fun (ostamp, dead_parent, payload) ->
+        forward_salvage t ctx child ~ostamp ~dead_parent payload)
       matches
   end
 
@@ -599,8 +567,7 @@ let spawn_child t ctx task ~slot ~fname ~args =
   in
   Hashtbl.replace (children_tbl task) slot child;
   Counter.add ctx.counters "spawn.remote" replicas;
-  flush_gc_pending t ctx task child;
-  flush_adopt_pending t ctx task child;
+  flush_salvage t ctx task child;
   !recorded
 
 (* Re-issue a child from its functional checkpoint (rollback §3.2 /
@@ -637,8 +604,7 @@ let respawn_child t ctx _task (child : child) ~reason =
   child.dests <- !dests;
   child.ctasks <- !ctasks;
   if replicas > 1 then child.vote <- Some (Vote.create ~replicas ~equal:Value.equal);
-  Counter.incr ctx.counters "reissue.count";
-  tracef t ctx "reissued %s (%s)" (Stamp.to_string child.c_stamp) reason
+  Counter.incr ctx.counters "reissue.count"
 
 (* ------------------------------------------------------------------ *)
 (* Task completion and result forwarding                               *)
@@ -660,6 +626,15 @@ let fill_slot t ctx task (child : child) value =
     (Journal.Result_accepted { task = task.tid });
   if task.state = Blocked then enqueue_task t ctx task
 
+(* The nearest ancestor this node does not know to be dead: the
+   grandparent first, then the §5.2 great-grandparent extension when
+   enabled — the closest live holder of a checkpoint on the chain. *)
+let nearest_live_ancestor t ~grandparent ~ancestors =
+  let live (l : Packet.link) = not (knows_dead t l.Packet.proc) in
+  match grandparent with
+  | Some gp when live gp -> Some gp
+  | Some _ | None -> List.find_opt live ancestors
+
 (* §4.2: "Send the result to the parent.  If the parent is dead, notify
    the grandparent and send the result to the grandparent."
 
@@ -674,15 +649,7 @@ let return_result_from t ctx ~stamp ~(parent : Packet.link) ~grandparent ~ancest
   else begin
     match ctx.config.recovery with
     | Config.Splice when ctx.config.ancestor_depth >= 1 -> (
-      (* Climb the ancestor links (grandparent first, then the §5.2
-         great-grandparent extension when enabled) to the nearest live
-         holder of a checkpoint on our chain. *)
-      let candidates = (match grandparent with Some gp -> [ gp ] | None -> []) @ ancestors in
-      match
-        List.find_opt
-          (fun (l : Packet.link) -> not (knows_dead t l.Packet.proc))
-          candidates
-      with
+      match nearest_live_ancestor t ~grandparent ~ancestors with
       | Some live_ancestor ->
         Counter.incr ctx.counters "relay.sent";
         ctx.send ~src:t.nid ~dst:live_ancestor.Packet.proc
@@ -873,14 +840,9 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               && not task.adoption_reported
             then begin
               task.adoption_reported <- true;
-              let candidates =
-                (match task.packet.Packet.grandparent with Some gp -> [ gp ] | None -> [])
-                @ task.packet.Packet.ancestors
-              in
               match
-                List.find_opt
-                  (fun (l : Packet.link) -> not (knows_dead t l.Packet.proc))
-                  candidates
+                nearest_live_ancestor t ~grandparent:task.packet.Packet.grandparent
+                  ~ancestors:task.packet.Packet.ancestors
               with
               | Some anc ->
                 Counter.incr ctx.counters "adopt.sent";
@@ -937,142 +899,85 @@ let deliver_result_into t ctx task ~slot ~stamp value =
           respawn_child t ctx task child ~reason:"vote-inconclusive")
     end
 
-(* An orphan's return arrived at the grandparent (§4.1): treat it as
-   failure detection, make sure the dead child has a twin, and relay the
-   salvaged value to the step-parent. *)
-(* An orphan's salvaged result arrived at an ancestor (grandparent, or a
-   deeper ancestor under the §5.2 extension).  Drive it down the chain of
-   twins toward the orphan's step-parent:
+(* Salvage for orphan [ostamp] (its result, or its adoption report while
+   it still runs) arrived at [task]: the orphan's grandparent, a deeper
+   ancestor under the §5.2 extension, or a twin one link further down.
+   The arrival is failure detection for the dead parent.  Then the
+   payload is driven down the chain of twins toward the orphan's
+   step-parent, the twin of its dead parent:
 
-   - the ancestor's own child on the chain is [Stamp.parent orphan] or an
-     ancestor of it; regenerate its twin if it is still homed on a dead
-     processor;
-   - if the twin *is* the orphan's step-parent, forward [To_step_parent]
-     (the twin's call slot is [dead_parent.slot] — slots are graph node
-     ids, identical across activations of the same function);
-   - if the chain is deeper, forward [To_grandparent] to the twin, which
-     repeats this procedure one level down;
-   - a twin that has not spawned the next chain link yet stashes the
-     orphan result ([gc_pending]) and forwards when the spawn happens. *)
-let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stamp value =
-  Profile.time "recovery.splice.orphan_result" @@ fun () ->
-  handle_failure ~reason:"orphan-result" t ctx ~failed:dead_parent.Packet.proc;
-  let drop reason =
-    Counter.incr ctx.counters "relay.dropped";
-    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
-      (Journal.Relay_dropped { at = t.nid; reason })
-  in
-  match Stamp.parent stamp with
-  | None -> drop "orphan has no parent stamp"
-  | Some parent_stamp -> (
-    (* Locate the chain child: by slot when the stamps agree (the direct
-       grandparent case), otherwise by stamp ancestry. *)
-    let by_slot =
-      match child_find task slot with
-      | Some child
-        when Stamp.equal child.c_stamp parent_stamp
-             || Stamp.is_ancestor child.c_stamp parent_stamp ->
-        Some child
-      | Some _ | None -> None
+   - the chain child is the child whose stamp is an ancestor of the
+     orphan's; regenerate its twin if every copy is homed on a dead
+     processor, and forward the payload to it ({!Message.salvage_forward}
+     says whether that twin is the step-parent or one more link);
+   - a task that has not spawned the chain child yet (itself a twin still
+     evaluating) stashes the payload until the spawn ({!flush_salvage});
+   - a report that reached the step-parent itself records the orphan so
+     the matching call slot is inherited instead of cloned. *)
+let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
+  Profile.time
+    (match payload with
+    | Message.Salvaged _ -> "recovery.splice.orphan_result"
+    | Message.Still_running _ -> "recovery.splice.orphan_alive")
+  @@ fun () ->
+  let reason = Message.salvage_reason payload in
+  handle_failure ~reason t ctx ~failed:dead_parent.Packet.proc;
+  match (Stamp.parent ostamp, payload) with
+  | None, _ -> drop_salvage t ctx ~ostamp payload "orphan has no parent stamp"
+  | Some parent_stamp, Message.Still_running orphan
+    when Stamp.equal parent_stamp task.packet.Packet.stamp ->
+    (* This task is the step-parent.  If the clone for that stamp is
+       already out, adoption lost the race (duplicates, §4.1 case 6). *)
+    let clone_exists =
+      child_fold (fun _ child acc -> acc || Stamp.equal child.c_stamp ostamp) task false
     in
+    if clone_exists then Counter.incr ctx.counters "adopt.late"
+    else begin
+      let key = Stamp.digits ostamp in
+      task.adopted <- (key, (orphan, dead_parent)) :: List.remove_assoc key task.adopted;
+      Counter.incr ctx.counters "adopt.recorded"
+    end
+  | Some _, _ -> (
     let chain_child =
-      match by_slot with
-      | Some _ -> by_slot
-      | None ->
-        child_fold
-          (fun _ child acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                Stamp.equal child.c_stamp parent_stamp
-                || Stamp.is_ancestor child.c_stamp parent_stamp
-              then Some child
-              else None)
-          task None
+      child_fold
+        (fun _ child acc ->
+          match acc with
+          | Some _ -> acc
+          | None -> if Stamp.is_ancestor child.c_stamp ostamp then Some child else None)
+        task None
     in
     match chain_child with
     | None ->
-      (* The chain link is not spawned yet (this task is itself a twin
-         that has not reached that call): hold the salvaged result. *)
-      task.gc_pending <- (stamp, dead_parent, value) :: task.gc_pending;
-      Counter.incr ctx.counters "relay.stashed"
+      task.stash <- (ostamp, dead_parent, payload) :: task.stash;
+      Counter.incr ctx.counters
+        (match payload with
+        | Message.Salvaged _ -> "relay.stashed"
+        | Message.Still_running _ -> "adopt.stashed")
+    | Some child when child.filled ->
+      drop_salvage t ctx ~ostamp payload "parent slot already filled"
     | Some child ->
-      if child.filled then drop "parent slot already filled"
-      else begin
-        if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
-          respawn_child t ctx task child ~reason:"orphan-result";
-        match (child.dests, child.ctasks) with
-        | (_, twin_proc) :: _, (_, twin_task) :: _ ->
-          Counter.incr ctx.counters "relay.forwarded";
-          Journal.record ctx.journal ~time:(ctx.now ()) ~stamp (Journal.Relayed { via = t.nid });
-          let relay, tslot =
-            if Stamp.equal child.c_stamp parent_stamp then
-              (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          ctx.send ~src:t.nid ~dst:twin_proc
-            (Message.Result
-               {
-                 stamp;
-                 value;
-                 target = { Packet.task = twin_task; proc = twin_proc; slot = tslot };
-                 relay;
-               })
-        | _ -> drop "no live twin destination"
-      end)
+      if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
+        respawn_child t ctx task child ~reason;
+      forward_salvage t ctx child ~ostamp ~dead_parent payload)
 
-(* An adoption report reached an ancestor (or, after forwarding, the
-   step-parent twin itself).  Mirror image of {!handle_grandchild_result}
-   for orphans that are still running: drive the report down the chain of
-   twins; the step-parent records the orphan so the matching call slot is
-   inherited instead of cloned. *)
-let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
-    ~(dead_parent : Packet.link) =
-  Profile.time "recovery.splice.orphan_alive" @@ fun () ->
-  handle_failure ~reason:"orphan-alive" t ctx ~failed:dead_parent.Packet.proc;
-  match Stamp.parent ostamp with
-  | None -> Counter.incr ctx.counters "adopt.dropped"
-  | Some parent_stamp ->
-    if Stamp.equal parent_stamp task.packet.Packet.stamp then begin
-      (* This task is the step-parent.  If the clone for that stamp is
-         already out, adoption lost the race (duplicates, §4.1 case 6). *)
-      let clone_exists =
-        child_fold (fun _ child acc -> acc || Stamp.equal child.c_stamp ostamp) task false
-      in
-      if clone_exists then Counter.incr ctx.counters "adopt.late"
-      else begin
-        let key = Stamp.digits ostamp in
-        task.adopted <- (key, (orphan, dead_parent)) :: List.remove_assoc key task.adopted;
-        Counter.incr ctx.counters "adopt.recorded"
-      end
-    end
-    else begin
-      let chain_child =
-        child_fold
-          (fun _ child acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                Stamp.equal child.c_stamp parent_stamp
-                || Stamp.is_ancestor child.c_stamp parent_stamp
-              then Some child
-              else None)
-          task None
-      in
-      match chain_child with
-      | None ->
-        task.adopt_pending <- (ostamp, orphan, dead_parent) :: task.adopt_pending;
-        Counter.incr ctx.counters "adopt.stashed"
-      | Some child ->
-        if child.filled then Counter.incr ctx.counters "adopt.dropped"
-        else begin
-          if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
-            respawn_child t ctx task child ~reason:"orphan-alive";
-          forward_orphan_alive t ctx child ~ostamp ~orphan ~dead_parent
-        end
-    end
+(* A result or a salvage message reaching the live activation it targets
+   (on arrival, or replayed from the held table at activation). *)
+let deliver_to_task t ctx task msg =
+  match msg with
+  | Message.Result { stamp; value; target; relay = Message.To_parent | Message.To_step_parent _ }
+    ->
+    deliver_result_into t ctx task ~slot:target.Packet.slot ~stamp value
+  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } -> (
+    match ctx.config.recovery with
+    | Config.Splice ->
+      route_salvage t ctx task ~ostamp:stamp ~dead_parent (Message.Salvaged value)
+    | Config.No_recovery | Config.Rollback | Config.Replicate _ ->
+      Counter.incr ctx.counters "relay.dropped")
+  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } ->
+    route_salvage t ctx task ~ostamp:stamp ~dead_parent (Message.Still_running orphan)
+  | Message.Task_packet _ | Message.Reparent _ | Message.Ack _ | Message.Gradient _
+  | Message.Abort _ | Message.Failure_notice _ ->
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Message delivery                                                    *)
@@ -1093,9 +998,8 @@ let activate_task t ctx packet ~task_id =
       pending = [];
       work = 0;
       result_dropped = false;
-      gc_pending = [];
+      stash = [];
       adopted = [];
-      adopt_pending = [];
       adoption_reported = false;
     }
   in
@@ -1147,72 +1051,43 @@ let deliver t ctx msg =
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ } ->
       let task = activate_task t ctx packet ~task_id in
       (* A grace-delayed twin may have been overtaken by adoption reports
-         and salvaged results addressed to it: apply them now. *)
-      (match find_opt_in t.early_adoptions task_id with
-      | Some reports ->
-        Option.iter (fun h -> Hashtbl.remove h task_id) t.early_adoptions;
-        List.iter
-          (fun (ostamp, orphan, dead_parent) ->
-            handle_orphan_alive t ctx task ~ostamp ~orphan ~dead_parent)
-          (List.rev reports)
-      | None -> ());
-      (match find_opt_in t.early_results task_id with
-      | Some rs ->
-        Option.iter (fun h -> Hashtbl.remove h task_id) t.early_results;
-        List.iter
-          (fun (r : Message.result_payload) ->
-            match r.Message.relay with
-            | Message.To_parent | Message.To_step_parent _ ->
-              deliver_result_into t ctx task ~slot:r.Message.target.Packet.slot
-                ~stamp:r.Message.stamp r.Message.value
-            | Message.To_grandparent { dead_parent } ->
-              handle_grandchild_result t ctx task ~dead_parent
-                ~slot:r.Message.target.Packet.slot ~stamp:r.Message.stamp r.Message.value)
-          (List.rev rs)
+         and salvaged results addressed to it: apply them now, reports
+         first, each kind oldest first. *)
+      (match find_opt_in t.held task_id with
+      | Some msgs ->
+        Option.iter (fun h -> Hashtbl.remove h task_id) t.held;
+        let reports, results =
+          List.partition
+            (function Message.Orphan_alive _ -> true | _ -> false)
+            (List.rev msgs)
+        in
+        List.iter (deliver_to_task t ctx task) reports;
+        List.iter (deliver_to_task t ctx task) results
       | None -> ())
-    | Message.Orphan_alive { stamp; orphan; dead_parent; target } -> (
-      match lookup t target.Packet.task with
-      | Alive task -> handle_orphan_alive t ctx task ~ostamp:stamp ~orphan ~dead_parent
-      | Gone _ -> Counter.incr ctx.counters "adopt.ignored"
-      | Absent ->
-        (* the twin's own packet is still in flight: hold the report *)
-        let h = tbl_of 4 t.early_adoptions in
-        t.early_adoptions <- Some h;
+    | (Message.Orphan_alive { target; _ } | Message.Result { target; _ }) as msg -> (
+      match (lookup t target.Packet.task, msg) with
+      | Alive task, _ -> deliver_to_task t ctx task msg
+      | Gone _, Message.Orphan_alive _ -> Counter.incr ctx.counters "adopt.ignored"
+      | ( Absent,
+          ( Message.Orphan_alive _
+          | Message.Result { relay = Message.To_step_parent _ | Message.To_grandparent _; _ } ) )
+        ->
+        (* salvage addressed to a twin whose packet is still in flight *)
+        let h = tbl_of 4 t.held in
+        t.held <- Some h;
         let prev = Option.value ~default:[] (Hashtbl.find_opt h target.Packet.task) in
-        Hashtbl.replace h target.Packet.task ((stamp, orphan, dead_parent) :: prev))
+        Hashtbl.replace h target.Packet.task (msg :: prev)
+      | (Absent | Gone _), _ ->
+        (* "If a processor receives a packet and cannot find a proper
+           rule to handle it, the processor simply ignores the
+           message." *)
+        Counter.incr ctx.counters "result.ignored")
     | Message.Ack { child_stamp; child_task; child_proc; parent_task; slot = _ } -> (
       (* Establishes the parent→child pointer (state b/d → c/e). *)
       if Hashtbl.mem t.tasks parent_task then
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
           (Journal.Acked { task = child_task; proc = child_proc })
       else Counter.incr ctx.counters "ack.ignored")
-    | Message.Result { stamp; value; target; relay } -> (
-      match lookup t target.Packet.task with
-      | Absent -> (
-        match relay with
-        | Message.To_step_parent _ | Message.To_grandparent _ ->
-          (* salvage addressed to a twin whose packet is still in flight *)
-          let h = tbl_of 4 t.early_results in
-          t.early_results <- Some h;
-          let prev = Option.value ~default:[] (Hashtbl.find_opt h target.Packet.task) in
-          Hashtbl.replace h target.Packet.task ({ Message.stamp; value; target; relay } :: prev)
-        | Message.To_parent ->
-          (* "If a processor receives a packet and cannot find a proper
-             rule to handle it, the processor simply ignores the
-             message." *)
-          Counter.incr ctx.counters "result.ignored")
-      | Gone _ -> Counter.incr ctx.counters "result.ignored"
-      | Alive task -> (
-        match relay with
-        | Message.To_parent | Message.To_step_parent _ ->
-          deliver_result_into t ctx task ~slot:target.Packet.slot ~stamp value
-        | Message.To_grandparent { dead_parent } -> (
-          match ctx.config.recovery with
-          | Config.Splice ->
-            handle_grandchild_result t ctx task ~dead_parent ~slot:target.Packet.slot ~stamp
-              value
-          | Config.No_recovery | Config.Rollback | Config.Replicate _ ->
-            Counter.incr ctx.counters "relay.dropped")))
     | Message.Reparent { orphan_task; new_parent; new_grandparent } -> (
       match lookup t orphan_task with
       | Absent -> Counter.incr ctx.counters "reparent.ignored"
@@ -1450,8 +1325,7 @@ let step t ctx =
                        new_parent = { Packet.task = task.tid; proc = t.nid; slot };
                        new_grandparent = Some task.packet.Packet.parent;
                      });
-                flush_gc_pending t ctx task child;
-                flush_adopt_pending t ctx task child;
+                flush_salvage t ctx task child;
                 ctx.wake t.nid ~delay:1
               | None ->
               if should_inline ctx task then begin

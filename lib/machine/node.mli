@@ -47,7 +47,6 @@ type ctx = {
   inline_eval : string -> Value.t array -> (Value.t * int, string) result;
   journal : Journal.t;
   counters : Recflow_stats.Counter.set;
-  trace : Recflow_sim.Trace.t;
   record_latency : string -> int -> unit;
       (** record a duration into the owning cluster's named
           {!Recflow_stats.Hdr} histogram (e.g. [task.sojourn]) *)
@@ -128,9 +127,10 @@ val resident_tasks : t -> int
     retired to tombstones (= {!live_tasks} at quiescence). *)
 
 val allocated_side_tables : t -> int
-(** How many of the node's four lazily allocated side tables (known-dead
-    peers, early results, early adoptions, gradient values heard) exist —
-    introspection for tests: a node that never needed one holds none. *)
+(** How many of the node's three lazily allocated side tables (known-dead
+    peers, salvage messages held for twins not yet activated, gradient
+    values heard) exist — introspection for tests: a node that never
+    needed one holds none. *)
 
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every

@@ -28,15 +28,11 @@ let recovery_tag = function
   | Config.No_recovery -> "none"
   | Config.Replicate k -> Printf.sprintf "replicate-%d" k
 
-let digest_of_run w ~recovery ~seed =
-  let cfg =
-    { (Config.default ~nodes:6) with Config.recovery; seed; inline_depth = 6;
-      policy = Recflow_balance.Policy.Random }
-  in
+let digest_of_run ?drain cfg w plan =
   let c = Cluster.create cfg (Workload.program w) in
-  Cluster.fail_at c ~time:150 1;
+  Recflow_fault.Plan.apply c plan;
   Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Small);
-  let o = Cluster.run c in
+  let o = Cluster.run ?drain c in
   let buf = Buffer.create 16384 in
   List.iter
     (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" Journal.pp_entry e))
@@ -45,7 +41,7 @@ let digest_of_run w ~recovery ~seed =
     (match o.Cluster.answer with Some v -> Value.to_string v | None -> "<no-answer>");
   Buffer.add_string buf
     (Printf.sprintf "|sim_time=%d|events=%d" o.Cluster.sim_time o.Cluster.events);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), c)
 
 let workloads = [ Workload.fib; Workload.tree_sum; Workload.nqueens ]
 
@@ -84,7 +80,11 @@ let golden_key w seed r = Printf.sprintf "%s/%d/%s" w.Workload.name seed (recove
 let test_case (w, seed, r) =
   let name = golden_key w seed r in
   Alcotest.test_case name `Slow (fun () ->
-      let actual = digest_of_run w ~recovery:r ~seed in
+      let cfg =
+        { (Config.default ~nodes:6) with Config.recovery = r; seed; inline_depth = 6;
+          policy = Recflow_balance.Policy.Random }
+      in
+      let actual, _ = digest_of_run cfg w (Recflow_fault.Plan.single ~time:150 1) in
       if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
         Printf.printf "    (%S, %d, %S, %S);\n%!" w.Workload.name seed (recovery_tag r) actual;
       match
@@ -96,4 +96,27 @@ let test_case (w, seed, r) =
       | Some (_, _, _, expected) ->
         Alcotest.(check string) (name ^ " journal digest") expected actual)
 
-let suites = [ ("determinism", List.map test_case cases) ]
+(* A parent+grandparent double fault under splice with depth-2 ancestor
+   links: the only golden whose salvage walks stash results and adoption
+   reports at a twin that has not spawned the chain link yet, and that
+   holds both kinds of message for twins still in flight.  Drained, so the
+   oracle's leak and strand checks apply as well as the answer check. *)
+let double_fault_golden = "380460ce04d8b79d16fe46249b9dd091"
+
+let double_fault_case =
+  Alcotest.test_case "synthetic/1/splice-ad2-double" `Slow (fun () ->
+      let w = Workload.synthetic ~branching:2 ~depth:8 ~grain:60 in
+      let cfg =
+        { (Config.default ~nodes:8) with Config.recovery = Config.Splice; seed = 1;
+          inline_depth = 8; ancestor_depth = 2; policy = Recflow_balance.Policy.Random }
+      in
+      let actual, c = digest_of_run ~drain:true cfg w [ (3000, 3); (3300, 5) ] in
+      if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
+        Printf.printf "    double fault: %S\n%!" actual;
+      let counter = Recflow_stats.Counter.get (Cluster.counters c) in
+      Alcotest.(check bool) "results stashed at a twin" true (counter "relay.stashed" > 0);
+      Alcotest.(check bool) "reports stashed at a twin" true (counter "adopt.stashed" > 0);
+      ignore (Recflow_machine.Oracle.assert_ok ~expected:(Workload.expected w Workload.Small) c);
+      Alcotest.(check string) "double fault journal digest" double_fault_golden actual)
+
+let suites = [ ("determinism", List.map test_case cases @ [ double_fault_case ]) ]

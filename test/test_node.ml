@@ -74,7 +74,6 @@ let make_world ?(config = Config.default ~nodes:4) ?(dest = 1) ~node_id () =
                | exception Recflow_lang.Eval_serial.Runtime_error m -> Error m);
            journal;
            counters;
-           trace = Recflow_sim.Trace.create ~capacity:256 ();
            record_latency = (fun _ _ -> ());
            program_error = (fun m -> errors := m :: !errors);
          }
@@ -375,14 +374,19 @@ let adoption_pre_spawn_inherits () =
 let early_messages_stash_until_activation () =
   let config = { (Config.default ~nodes:4) with Config.recovery = Config.Splice } in
   let w = make_world ~config ~node_id:2 ~dest:1 () in
-  (* a salvaged result addressed to a twin whose packet has not landed *)
-  let twin_packet = mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ~stamp:(Stamp.of_digits [ 6 ]) () in
-  let slot =
-    (* discover par's first call slot from a probe activation elsewhere *)
-    let probe = make_world ~config ~node_id:3 ~dest:1 () in
-    activate probe (mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ());
-    (fst (List.hd (packets_sent probe))).Packet.parent.Packet.slot
+  (* A sibling task on this node discovers par's two call slots; its two
+     children on P1 are the checkpoints a failure of P1 re-issues, and the
+     re-issue's reason names the message that first reported the failure. *)
+  activate w (mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ());
+  let slot, slot1 =
+    match packets_sent w with
+    | [ (a, _); (b, _) ] -> (a.Packet.parent.Packet.slot, b.Packet.parent.Packet.slot)
+    | ps -> Alcotest.failf "expected 2 spawns, got %d" (List.length ps)
   in
+  w.sent := [];
+  let twin_packet = mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ~stamp:(Stamp.of_digits [ 6 ]) () in
+  let twin = parent_link ~task:600 ~proc:2 ~slot:(-1) in
+  (* a salvaged result addressed to a twin whose packet has not landed *)
   deliver w
     (Message.Result
        {
@@ -391,11 +395,59 @@ let early_messages_stash_until_activation () =
          target = parent_link ~task:600 ~proc:2 ~slot;
          relay = Message.To_step_parent { dead_parent = parent_link ~task:55 ~proc:1 ~slot };
        });
+  (* the twin's second child died on P1 too: one of its children returned
+     (a result for the chain), another is still running (a report) *)
+  let dead_child = parent_link ~task:56 ~proc:1 ~slot:slot1 in
+  deliver w
+    (Message.Result
+       {
+         stamp = Stamp.of_digits [ 6; 1; 0 ];
+         value = Value.Int 12;
+         target = twin;
+         relay = Message.To_grandparent { dead_parent = dead_child };
+       });
+  deliver w
+    (Message.Orphan_alive
+       {
+         stamp = Stamp.of_digits [ 6; 1; 1 ];
+         orphan = parent_link ~task:78 ~proc:3 ~slot:1;
+         dead_parent = dead_child;
+         target = twin;
+       });
   check_int "not treated as unknown" 0 (Counter.get w.counters "result.ignored");
   activate ~task_id:600 w twin_packet;
+  (* held reports replay before held results: the report is the first to
+     tell this node that P1 died, so it names the sibling's re-issues *)
+  (match
+     List.filter_map
+       (fun e ->
+         match e.Journal.event with Journal.Respawned { reason; _ } -> Some reason | _ -> None)
+       (Journal.entries w.journal)
+   with
+  | reason :: _ -> Alcotest.(check string) "report applied first" "orphan-alive" reason
+  | [] -> Alcotest.fail "expected the sibling's children to be re-issued");
   (* the stashed result pre-fills one slot, so only one remote spawn *)
   check_int "one spawn skipped" 1 (Counter.get w.counters "spawn.skipped_preheld");
-  check_int "one remote child" 1 (List.length (packets_sent w))
+  check_int "one remote child" 1
+    (List.length
+       (List.filter (fun (p, _) -> p.Packet.parent.Packet.task = 600) (packets_sent w)));
+  (* the chain messages waited for that child, then travelled through it *)
+  check_int "result stashed" 1 (Counter.get w.counters "relay.stashed");
+  check_int "report stashed" 1 (Counter.get w.counters "adopt.stashed");
+  check_int "result forwarded" 1 (Counter.get w.counters "relay.forwarded");
+  check_int "report forwarded" 1 (Counter.get w.counters "adopt.forwarded");
+  Alcotest.(check (list string))
+    "stashed results leave before stashed reports" [ "result"; "report" ]
+    (List.filter_map
+       (fun (_, _, m) ->
+         match m with
+         | Message.Result { relay = Message.To_step_parent _; _ } -> Some "result"
+         | Message.Orphan_alive _ -> Some "report"
+         | _ -> None)
+       !(w.sent));
+  (* holding and replaying a message does not count it again *)
+  check_int "results counted once" 2 (Counter.get w.counters "msg.result");
+  check_int "report counted once" 1 (Counter.get w.counters "msg.orphan_alive")
 
 (* ---------------- replication ---------------- *)
 
