@@ -47,8 +47,9 @@ let probe_peak ~stride (c : Cluster.t) f =
   let r = f () in
   (r, Sys.time () -. t0 -. !walk_s, !peak)
 
-(* Measured peaks: 213 and 207 words per task on the quick rows, 149 and
-   144 on the two smaller full rows (226, 223, 155 and 150 before per-run
+(* Measured peaks: 197 and 193 words per task on the quick rows, 136 and
+   131 on the two smaller full rows (211, 206, 148 and 143 before graph
+   instances packed their node state; 226, 223, 155 and 150 before per-run
    state was sized by what the run holds).  The bound was set at about 6%
    over the old largest and is kept; perfbench's 5% bound on
    [peak_live_words] is the tighter regression gate. *)

@@ -27,9 +27,27 @@ type t = private {
   arity : int;
   nodes : node array;  (** topologically ordered: deps precede users *)
   result : node_id;
+  woff : int array;
+      (** per node, the index of its first waiter slot in an {!Instance}'s
+          word array, where the waiter slots follow one word per node.
+          Node [i] gets one slot per static use of it, repeats counted, so
+          [x + x] uses [x] twice. *)
+  wtotal : int;  (** waiter slots over all nodes *)
 }
 
+val max_packed : int
+(** [2^20 - 1]: the most nodes, operands per node, and static uses of one
+    node a template may have, so that node ids, pending counts and waiter
+    counts fit the fields of an {!Instance}'s packed node word. *)
+
+val make : fname:string -> arity:int -> node array -> result:node_id -> t
+(** Assemble a template from a node array and size its waiter slots.
+    @raise Invalid_argument if the nodes are not topologically ordered, a
+    parameter index or [result] is out of range, or a count exceeds
+    {!max_packed}. *)
+
 val compile_def : Ast.def -> t
+(** @raise Invalid_argument as {!make} does. *)
 
 type library
 (** Compiled templates for a whole program. *)

@@ -1285,20 +1285,27 @@ let step t ctx =
                 (Journal.Result_accepted { task = task.tid });
               ctx.wake t.nid ~delay:1
             | None ->
-              let next_stamp = Stamp.child task.packet.Packet.stamp task.child_seq in
-              let next_key = Stamp.digits next_stamp in
+              (* The stamp key is only worth building when an adoption
+                 is held: with none, no key can match. *)
               let adoption =
-                match List.assoc_opt next_key task.adopted with
-                | Some (orphan, _) when knows_dead t orphan.Packet.proc ->
-                  (* the orphan died since it reported: the adoption is
-                     stale; spawn a fresh child instead *)
-                  task.adopted <- List.remove_assoc next_key task.adopted;
-                  Counter.incr ctx.counters "adopt.stale";
-                  None
-                | other -> other
+                match task.adopted with
+                | [] -> None
+                | adopted -> (
+                  let next_key =
+                    Stamp.digits (Stamp.child task.packet.Packet.stamp task.child_seq)
+                  in
+                  match List.assoc_opt next_key adopted with
+                  | Some (orphan, _) when knows_dead t orphan.Packet.proc ->
+                    (* the orphan died since it reported: the adoption is
+                       stale; spawn a fresh child instead *)
+                    task.adopted <- List.remove_assoc next_key adopted;
+                    Counter.incr ctx.counters "adopt.stale";
+                    None
+                  | Some (orphan, _) -> Some (next_key, orphan)
+                  | None -> None)
               in
               (match adoption with
-              | Some (orphan, _dead_parent) ->
+              | Some (next_key, orphan) ->
                 (* Inherit the living orphan: bind the slot to it instead
                    of spawning a clone; its result arrives via the
                    grandparent relay. *)

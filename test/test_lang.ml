@@ -488,6 +488,210 @@ let instances_agree_with_serial =
       let expected = fst (Eval_serial.eval fib_program "fib" [ Value.Int n ]) in
       Value.equal (run_sync lib "fib" [| Value.Int n |]) expected)
 
+(* Waiter slots are sized by static uses, repeats counted. *)
+let graph_waiter_slots () =
+  let p = Parser.parse_program_exn "def f(n) = n + 1\ndef g(u) = let x = f(u) in x + x" in
+  let g = Graph.find_exn (Graph.compile_program p) "g" in
+  (* param u <- call f; call f <- add, twice *)
+  check_int "one slot per use" 3 g.Graph.wtotal;
+  check_int "offsets cover every node" (Graph.node_count g) (Array.length g.Graph.woff)
+
+(* Templates whose counts overflow a packed field, or whose nodes are out
+   of order, are refused rather than wrapped. *)
+let graph_packing_guard () =
+  let rejects what ~fname ~arity nodes ~result =
+    match Graph.make ~fname ~arity nodes ~result with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument msg ->
+      check (what ^ ": message names the template") true (contains msg fname)
+  in
+  let limit = Graph.max_packed in
+  let zero = Graph.Const (Value.Int 0) in
+  rejects "too many nodes" ~fname:"wide" ~arity:0 (Array.make (limit + 1) zero) ~result:0;
+  let half = Array.make ((limit / 2) + 1) 0 in
+  rejects "in-degree over the limit" ~fname:"fanin" ~arity:0
+    [| zero; Graph.Call { fname = "f"; args = half }; Graph.Call { fname = "f"; args = half } |]
+    ~result:2;
+  rejects "operands over the limit" ~fname:"long" ~arity:0
+    [| zero; Graph.Call { fname = "f"; args = Array.make (limit + 1) 0 } |]
+    ~result:1;
+  rejects "use before definition" ~fname:"order" ~arity:0
+    [| Graph.Prim (Ast.Add, [| 1; 1 |]); zero |]
+    ~result:0;
+  rejects "parameter out of range" ~fname:"param" ~arity:1 [| Graph.Param 1 |] ~result:0;
+  let g = Graph.make ~fname:"ok" ~arity:0 [| zero; Graph.Prim (Ast.Add, [| 0; 0 |]) |] ~result:1 in
+  check_int "repeated operand gets two slots" 2 g.Graph.wtotal
+
+(* ---------------- Action-trace goldens ---------------- *)
+
+(* Two deterministic drivers run each workload's entry through
+   [Instance] alone, without the machine, and append one line per action
+   of every instance they create to a buffer; the MD5 of that text pins the
+   evaluator's exact action order (waiters notified newest-registered
+   first, FIFO ready queue, depth-first demand).  Regenerate only after an
+   intentional change to that order:
+
+     RECFLOW_GOLDEN=print dune exec test/test_main.exe -- test lang.trace *)
+
+let record_action buf = function
+  | Instance.Work { cost } -> Printf.bprintf buf "W%d\n" cost
+  | Instance.Spawn { slot; fname; args } ->
+    Printf.bprintf buf "S%d %s(%s)\n" slot fname
+      (String.concat "," (Array.to_list (Array.map Value.to_string args)))
+  | Instance.Blocked -> Buffer.add_string buf "B\n"
+  | Instance.Finished v -> Printf.bprintf buf "F%s\n" (Value.to_string v)
+  | Instance.Failed msg -> Printf.bprintf buf "X%s\n" msg
+
+exception Trace_failed
+
+(* [drive ~deferred buf lib fname args] runs one activation and returns its
+   value.  Synchronous: every spawn is evaluated (recursively, same driver)
+   and supplied at once, depth first.  Deferred: spawns only queue up, and
+   each [Blocked] answers the most recently spawned outstanding call.  A
+   [Failed] action ends the whole run. *)
+let rec drive ~deferred buf lib fname args =
+  let inst = Instance.create (Graph.find_exn lib fname) args in
+  let calls = ref [] in
+  let answer (slot, fname, args) = Instance.supply inst slot (drive ~deferred buf lib fname args) in
+  let rec loop () =
+    let a = Instance.step inst in
+    record_action buf a;
+    match a with
+    | Instance.Work _ -> loop ()
+    | Instance.Spawn { slot; fname; args } ->
+      if deferred then calls := (slot, fname, args) :: !calls else answer (slot, fname, args);
+      loop ()
+    | Instance.Blocked -> (
+      match !calls with
+      | c :: rest ->
+        calls := rest;
+        answer c;
+        loop ()
+      | [] -> Alcotest.fail "blocked with nothing outstanding")
+    | Instance.Finished v -> v
+    | Instance.Failed _ -> raise Trace_failed
+  in
+  loop ()
+
+(* Hand-written edge cases: a let-bound call used twice by one node
+   ([x * x] registers two waiters), [&&] whose condition is also its
+   branch, a program error after a spawn, and a non-boolean condition
+   that only shows once a call returns. *)
+let trace_edges =
+  Parser.parse_program_exn
+    "def f(n) = n + 1\n\
+     def g(u) = let x = f(u) in let y = f(x) in if x > 0 && x < 100 then x * x + y else f(y)\n\
+     def h(u) = let z = f(u) in z / (u - u) + f(z)\n\
+     def k(u) = if f(u) then 1 else 2\n\
+     def m(u) = let b = f(u) > 2 in if b && b then f(f(u)) + f(u) else 0"
+
+(* (name, library, entry, args, expected answer; [None] for a run that must fail) *)
+let trace_cases =
+  let module W = Recflow_workload.Workload in
+  List.map
+    (fun w ->
+      ( w.W.name,
+        Graph.compile_program (W.program w),
+        w.W.entry,
+        Array.of_list (w.W.args W.Small),
+        Some (W.expected w W.Small) ))
+    W.(all @ [ synthetic ~branching:3 ~depth:4 ~grain:3 ])
+  @ List.map
+      (fun (entry, arg, expected) ->
+        ("edge " ^ entry, Graph.compile_program trace_edges, entry, [| Value.Int arg |], expected))
+      [
+        ("g", 3, Some (Value.Int 21));
+        ("h", 2, None);
+        ("k", 0, None);
+        ("m", 4, Some (Value.Int 11));
+      ]
+
+(* (case, synchronous digest, deferred digest); workloads at size Small. *)
+let trace_goldens =
+  [
+    ("fib", "b4503d38f1f4b94e8f9fc184484ac695", "3d335f2845dfba47f4d7abe42cc3becd");
+    ("tree_sum", "0b96ef21dfed71f8b92d85f0a5f4cc08", "e771230def55350eb293ac0de05e668d");
+    ("nqueens", "d130a1313c1efb4988fde4ed7f7690e8", "fd9400fd6503a4590b5af3466d8048e5");
+    ("quicksort", "e814ad6cad243408f3175acca083caef", "4040e5243ef4e6c8dc2613389c2829c9");
+    ("mergesort", "db24ce3e7c08b394f84fa2ff203df84c", "f20208891253d7f373ee9d5ce17ff001");
+    ("map_reduce", "6ad5c18c449b7ceb52ebf5c1548b9ad8", "de50b65dc68d3a75c5338d9120f567a1");
+    ("tak", "71052cabf79a82f88f2616db92567fe4", "e4d8e24aacab8f8d6b8ab237508233b1");
+    ("synthetic_b3_d4_g3", "1c58ae997f255c9f7151854b995ea701", "e1340ca4ead348f80b1f528392fa5d50");
+    ("edge g", "1cf1de6c19254e7d96d2d5e8d1f898c9", "73d2feab3545787c65e7f8007758c0d9");
+    ("edge h", "15f89c9159f1d60d1d2c5b8360cd097f", "68138801e6c11a4334acb8957261274a");
+    ("edge k", "47e9a0e6402c3cbc0541630da5ea4602", "71c14a8a2c1416e59a2bd9b93d22825b");
+    ("edge m", "9b49ba6193c626ec25cbcf26c9b4c37a", "2c35c788c05536ecd90e021d9d6b1acc");
+  ]
+
+let action_trace_goldens () =
+  List.iter
+    (fun (name, lib, entry, args, expected) ->
+      let digest deferred =
+        let buf = Buffer.create 4096 in
+        (match drive ~deferred buf lib entry args with
+        | v -> Alcotest.(check (option value)) (name ^ " answer") expected (Some v)
+        | exception Trace_failed ->
+          Alcotest.(check (option value)) (name ^ " fails") expected None);
+        Digest.to_hex (Digest.string (Buffer.contents buf))
+      in
+      let sync = digest false and deferred = digest true in
+      if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
+        Printf.printf "    (%S, %S, %S);\n%!" name sync deferred
+      else
+        match List.find_opt (fun (n, _, _) -> n = name) trace_goldens with
+        | None -> Alcotest.failf "no action-trace golden for %s" name
+        | Some (_, s, d) ->
+          Alcotest.(check string) (name ^ " synchronous trace") s sync;
+          Alcotest.(check string) (name ^ " deferred trace") d deferred)
+    trace_cases
+
+(* ---------------- Instance size and allocation gate ---------------- *)
+
+(* A [synth] activation of the X8 tree shape (branching 2), stepped until
+   it blocks on its two spawned children: the state every interior task of
+   a tree run holds while it waits. *)
+let synth_template () =
+  let w = Recflow_workload.Workload.synthetic ~branching:2 ~depth:15 ~grain:20 in
+  ( Graph.find_exn (Graph.compile_program (Recflow_workload.Workload.program w)) "synth",
+    [| Value.Int 5; Value.Int 20 |] )
+
+(* Steps until the first [Blocked]; allocates nothing itself. *)
+let rec steps_to_block inst n =
+  match Instance.step inst with
+  | Instance.Blocked -> n + 1
+  | Instance.Work _ | Instance.Spawn _ -> steps_to_block inst (n + 1)
+  | Instance.Finished _ | Instance.Failed _ -> Alcotest.fail "synth did not block"
+
+(* Live words of a blocked synth instance beyond its shared template and
+   parameters.  Measured: 99 with per-node variant states, waiter lists
+   and a Stdlib queue; 72 with packed node words.  The bound leaves about
+   10% over the packed figure. *)
+let instance_size_gate () =
+  let g, params = synth_template () in
+  let inst = Instance.create g params in
+  ignore (steps_to_block inst 0);
+  let own =
+    Obj.reachable_words (Obj.repr inst) - Obj.reachable_words (Obj.repr g)
+    - Obj.reachable_words (Obj.repr params)
+  in
+  if own > 80 then Alcotest.failf "blocked synth instance holds %d words (bound 80)" own
+
+(* Minor words allocated per [Instance.step] while 1000 synth instances
+   run to their first [Blocked] (6 steps each).  What is left is what the
+   actions must carry: two boxed [d - 1] results and two [Spawn]s with
+   their argument arrays, 18 words over 6 steps.  Measured: 39.2 words per
+   step with per-node variant states; 3.0 with packed node words.  The
+   bound leaves one word per step of slack. *)
+let instance_alloc_gate () =
+  let g, params = synth_template () in
+  let insts = Array.init 1000 (fun _ -> Instance.create g params) in
+  let steps = ref 0 in
+  let before = Gc.minor_words () in
+  Array.iter (fun inst -> steps := steps_to_block inst !steps) insts;
+  let per_step = (Gc.minor_words () -. before) /. float !steps in
+  if per_step > 4.0 then
+    Alcotest.failf "%.2f minor words per step over %d steps (bound 4.0)" per_step !steps
+
 let suites =
   [
     ( "lang.parser",
@@ -546,5 +750,13 @@ let suites =
         Alcotest.test_case "arity check" `Quick instance_arity_check;
         Alcotest.test_case "program error" `Quick instance_program_error;
         qtest instances_agree_with_serial;
+        Alcotest.test_case "waiter slots" `Quick graph_waiter_slots;
+        Alcotest.test_case "packing guard" `Quick graph_packing_guard;
+      ] );
+    ("lang.trace", [ Alcotest.test_case "action-trace goldens" `Quick action_trace_goldens ]);
+    ( "lang.instance-cost",
+      [
+        Alcotest.test_case "blocked size" `Quick instance_size_gate;
+        Alcotest.test_case "words per step" `Quick instance_alloc_gate;
       ] );
   ]
