@@ -2,11 +2,12 @@
 
     The machine spawns one child activation per user call a running
     activation issues (minus calls the scheduler chooses to inline), and
-    stamps each child with a digit drawn from a per-activation counter
-    (§3.1 of the paper assumes this digit count is small).  The fan-out
-    bound computed here is a sound static ceiling on that counter: no
-    activation of [f] ever spawns more than [fanout] children, under
-    either the serial evaluator or the demand-driven instance graph.
+    stamps each child with the number of its call site (§3.1 of the paper
+    assumes this digit count is small).  The fan-out bound computed here is
+    a sound static ceiling on those numbers: no activation of [f] ever
+    spawns more than [fanout] children, under either the serial evaluator
+    or the demand-driven instance graph, and [Graph] numbers [f]'s call
+    sites below it.
 
     Cross-checks downstream: [Stamp.max_digit] of every journal-observed
     child stamp must be strictly below the spawning function's bound, and

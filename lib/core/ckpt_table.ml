@@ -18,9 +18,9 @@
    unlinks every node it leaves with no packets and no children on its way
    back up, so an entry's size follows the work still in flight rather
    than the work ever spawned.  That matters for the sibling scans.  Below
-   depth 1 a digit is a per-activation spawn counter, bounded by the
-   program's static fan-out (typically < 8; the analysis gauntlet asserts
-   the bound at runtime).  At depth 1 in service mode the digit is the request
+   depth 1 a digit is a call-site number, bounded by the program's static
+   fan-out (typically < 8; the analysis gauntlet asserts the bound at
+   runtime).  At depth 1 in service mode the digit is the request
    uid, unbounded over a run and past 255 after 256 requests (such stamps
    take the spill layout, see [Stamp]); only the requests with a checkpoint
    still outstanding toward this peer keep a child there.

@@ -12,9 +12,9 @@
      s.(1) < 0      spill layout for stamps with a digit > 255: depth is
                     [-s.(1) - 1] and slots 2.. hold the digits verbatim
 
-   Below depth 1, digits are per-activation spawn counters bounded by the
-   static fan-out, so seven bytes per word captures every stamp a batch
-   program makes: the comparison loops touch ceil(depth/7) words instead of
+   Below depth 1, digits are call-site numbers bounded by the static
+   fan-out, so seven bytes per word captures every stamp a batch program
+   makes: the comparison loops touch ceil(depth/7) words instead of
    [depth] list cells, and construction is one small allocation.  In
    service mode the depth-1 digit is the request uid, so from the 257th
    request on a request's stamps take the spill layout.  Big-endian byte order

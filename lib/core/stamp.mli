@@ -1,11 +1,14 @@
 (** Level stamps (§3.1).
 
-    The root task carries the empty stamp; a task's k-th spawned child
-    carries its parent's stamp with digit [k] appended.  Stamps therefore
+    The root task carries the empty stamp; a task's child carries its
+    parent's stamp with the number of the child's call site appended (the
+    machine takes it from [Recflow_lang.Graph.digit]).  Stamps therefore
     encode the program's call-tree structure: [a] is a (proper) ancestor of
     [b] iff [a] is a proper prefix of [b].  Uniqueness is guaranteed by the
     program structure — no clocks, no coordination — and stamping is fully
-    asynchronous, exactly as the paper requires.
+    asynchronous, exactly as the paper requires: any activation of a
+    function, a twin included, gives the child of one call site one
+    stamp.
 
     "Digit" is generic (any non-negative int), matching the paper's remark
     that the term is not tied to a radix. *)
@@ -56,7 +59,7 @@ val max_digit : t -> int option
 (** Largest digit anywhere in the stamp; [None] for the root.  Used by the
     static analyser's gauntlet: every observed digit must lie strictly
     below the spawning function's static fan-out bound (the digit is the
-    per-activation spawn counter, so bound soundness shows here). *)
+    spawning call site's number, which the template keeps below it). *)
 
 val to_string : t -> string
 (** Root prints as "ε", others as dotted digits, e.g. "0.2.1". *)

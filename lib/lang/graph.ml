@@ -14,6 +14,7 @@ type t = {
   result : node_id;
   woff : int array;
   wtotal : int;
+  mutable digits : int array;
 }
 
 let max_packed = (1 lsl 20) - 1
@@ -91,6 +92,164 @@ let count_use fname uses user d =
     invalid fname (Printf.sprintf "n%d uses n%d, which does not precede it" user d);
   uses.(d) <- uses.(d) + 1
 
+(* Call-site numbers: the digit a child's level stamp ends with.
+
+   Scopes.  The body is scope 0 and each [If] opens one scope per arm,
+   numbered after its own scope.  A node lives in the deepest scope that
+   every demand path to it enters: the meet, in the scope tree, of the
+   scopes its users demand it from (an arm operand is demanded from its
+   arm's scope, every other operand from its user's).  Users follow their
+   operands, so one backward pass settles each node before its operands.
+   A node that no demand reaches, such as the bound of an unused [let],
+   has no scope; its call never spawns and keeps number 0.
+
+   Numbers.  A scope needs one number per own call plus, for each [If] it
+   holds, as many as the larger arm needs: the sum [Shape] bounds fan-out
+   with.  The calls take numbers in the order a dry run of the instance
+   spawns them (below).  A call takes the next free number of its scope;
+   the first call under an [If] reserves the larger arm's numbers in the
+   enclosing scope and starts both arms at the first of them.  So calls
+   that one activation can both reach get different numbers, calls on
+   exclusive arms share them, and where the spawn order does not depend on
+   which result arrives first, the k-th spawn of an activation gets k. *)
+
+(* The dry run follows [Instance]: demand from the result, a FIFO ready
+   queue, waiters notified newest first.  It demands both arms of an [If]
+   once its condition is ready, and whenever the queue runs dry it answers
+   the outstanding calls in spawn order.  Every node enters the queue at
+   most once, so the calls in [queue], in order, are the spawn order.
+   States: 0 idle, 1 waiting on [wait.(id)] operands, 2 an [If] waiting on
+   its condition, 3 queued or called, 4 done. *)
+let spawn_order nodes ~result ~woff ~wtotal =
+  let n = Array.length nodes in
+  let state = Array.make n 0 and wait = Array.make n 0 in
+  let waiters = Array.make n 0 and slots = Array.make wtotal 0 in
+  let queue = Array.make n 0 and tail = ref 0 in
+  let enqueue id =
+    state.(id) <- 3;
+    queue.(!tail) <- id;
+    incr tail
+  in
+  let add_waiter d w =
+    slots.(woff.(d) - n + waiters.(d)) <- w;
+    waiters.(d) <- waiters.(d) + 1
+  in
+  let rec complete id =
+    state.(id) <- 4;
+    for k = waiters.(id) - 1 downto 0 do
+      ready slots.(woff.(id) - n + k)
+    done
+  and ready w =
+    if state.(w) = 2 then arms w
+    else begin
+      wait.(w) <- wait.(w) - 1;
+      if wait.(w) = 0 then enqueue w
+    end
+  and await w d =
+    demand d;
+    if state.(d) <> 4 then begin
+      wait.(w) <- wait.(w) + 1;
+      add_waiter d w
+    end
+  and settle w = if wait.(w) = 0 then enqueue w else state.(w) <- 1
+  and arms w =
+    match nodes.(w) with
+    | If { then_; else_; _ } ->
+      await w then_;
+      await w else_;
+      settle w
+    | Const _ | Param _ | Prim _ | Call _ -> ()
+  and demand id =
+    if state.(id) = 0 then
+      match nodes.(id) with
+      | Const _ | Param _ -> complete id
+      | Prim (_, deps) | Call { args = deps; _ } ->
+        Array.iter (await id) deps;
+        settle id
+      | If { cond; _ } ->
+        demand cond;
+        if state.(cond) = 4 then arms id
+        else begin
+          state.(id) <- 2;
+          add_waiter cond id
+        end
+  in
+  demand result;
+  let head = ref 0 and answered = ref 0 in
+  while !head < !tail || !answered < !head do
+    if !head < !tail then begin
+      let id = queue.(!head) in
+      incr head;
+      match nodes.(id) with Call _ -> () | Const _ | Param _ | Prim _ | If _ -> complete id
+    end
+    else
+      while !answered < !head do
+        (match nodes.(queue.(!answered)) with Call _ -> complete queue.(!answered) | _ -> ());
+        incr answered
+      done
+  done;
+  (queue, !tail)
+
+let number_calls nodes ~result ~woff ~wtotal =
+  let n = Array.length nodes in
+  let digit = Array.map (function Call _ -> 0 | Const _ | Param _ | Prim _ | If _ -> -1) nodes in
+  let ifs = Array.fold_left (fun k node -> match node with If _ -> k + 1 | _ -> k) 0 nodes in
+  (* Arm scopes [t] and [t + 1], [t] odd, belong to one [If] in scope
+     [parent.(t)]; scope [s] needs [size.(s)] numbers, and [next.(s)] is
+     its next free one, [-1] until its first call comes. *)
+  let scopes = 1 + (2 * ifs) in
+  let parent = Array.make scopes 0 and size = Array.make scopes 0 in
+  let next = Array.make scopes (-1) and scope = Array.make n (-1) and fresh = ref 1 in
+  let rec meet a b = if a = b then a else if a > b then meet parent.(a) b else meet a parent.(b) in
+  let use s d = scope.(d) <- (if scope.(d) < 0 then s else meet scope.(d) s) in
+  let wider t = max size.(t) size.(t + 1) in
+  scope.(result) <- 0;
+  for i = n - 1 downto 0 do
+    let s = scope.(i) in
+    if s >= 0 then
+      match nodes.(i) with
+      | Const _ | Param _ -> ()
+      | Prim (_, deps) -> Array.iter (use s) deps
+      | Call { args; _ } ->
+        size.(s) <- size.(s) + 1;
+        Array.iter (use s) args
+      | If { cond; then_; else_ } ->
+        let t = !fresh in
+        fresh := t + 2;
+        parent.(t) <- s;
+        parent.(t + 1) <- s;
+        use s cond;
+        use t then_;
+        use (t + 1) else_
+  done;
+  let t = ref (!fresh - 2) in
+  while !t >= 1 do
+    size.(parent.(!t)) <- size.(parent.(!t)) + wider !t;
+    t := !t - 2
+  done;
+  let rec enter s =
+    if next.(s) < 0 then begin
+      let t = s - 1 + (s land 1) and p = parent.(s) in
+      enter p;
+      next.(t) <- next.(p);
+      next.(t + 1) <- next.(p);
+      next.(p) <- next.(p) + wider t
+    end
+  in
+  next.(0) <- 0;
+  let queue, queued = spawn_order nodes ~result ~woff ~wtotal in
+  for r = 0 to queued - 1 do
+    let c = queue.(r) in
+    match nodes.(c) with
+    | Call _ ->
+      let s = scope.(c) in
+      enter s;
+      digit.(c) <- next.(s);
+      next.(s) <- next.(s) + 1
+    | Const _ | Param _ | Prim _ | If _ -> ()
+  done;
+  digit
+
 let make ~fname ~arity nodes ~result =
   let n = Array.length nodes in
   if n > max_packed then
@@ -128,7 +287,7 @@ let make ~fname ~arity nodes ~result =
     woff.(i) <- !next;
     next := !next + uses
   done;
-  { fname; arity; nodes; result; woff; wtotal = !next - n }
+  { fname; arity; nodes; result; woff; wtotal = !next - n; digits = [||] }
 
 let compile_def (def : Ast.def) =
   let b = { rev_nodes = []; count = 0 } in
@@ -163,6 +322,15 @@ let find_exn lib name =
 let program lib = lib.source
 
 let node_count t = Array.length t.nodes
+
+(* Numbering a template costs several times the rest of its compilation,
+   and a cluster compiles its whole program when it is created, so each
+   template is numbered on its first [digit] query: once, and only if it
+   spawns. *)
+let digit t id =
+  if Array.length t.digits = 0 then
+    t.digits <- number_calls t.nodes ~result:t.result ~woff:t.woff ~wtotal:t.wtotal;
+  t.digits.(id)
 
 let call_sites t =
   Array.fold_left (fun acc n -> match n with Call _ -> acc + 1 | _ -> acc) 0 t.nodes

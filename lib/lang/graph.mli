@@ -11,7 +11,13 @@
     Call nodes are the spawn sites of the paper's call tree — when a call
     node's arguments are ready the instance emits a spawn request, which the
     machine turns into DEMAND_IT (§4.2): packet formation, level stamping
-    and functional checkpointing. *)
+    and functional checkpointing.
+
+    Level stamps (§3.1) name positions in that tree, so a child's last
+    digit is a property of its call site, fixed once per template
+    ({!digit}): every activation of a function, and every twin that
+    regenerates one (§4.3), stamps the child of a given call node alike,
+    whatever order the results arrive in. *)
 
 type node_id = int
 
@@ -33,6 +39,10 @@ type t = private {
           Node [i] gets one slot per static use of it, repeats counted, so
           [x + x] uses [x] twice. *)
   wtotal : int;  (** waiter slots over all nodes *)
+  mutable digits : int array;
+      (** per node, the call-site number of a [Call] node and [-1] for any
+          other node, once the first {!digit} query has computed them;
+          empty before. *)
 }
 
 val max_packed : int
@@ -64,6 +74,15 @@ val program : library -> Program.t
     evaluation of fine-grained calls). *)
 
 val node_count : t -> int
+
+val digit : t -> node_id -> int
+(** [digit t id] is the last stamp digit of every child spawned from call
+    node [id].  Calls one activation can both spawn get different digits,
+    calls on exclusive [if] arms share them, and a node both arms reach is
+    counted once, so each digit is below the function's static fan-out
+    bound.  Within that, digits follow the order an activation spawns its
+    calls in whenever that order does not depend on which result arrives
+    first.  A call no demand reaches never spawns and has digit 0. *)
 
 val call_sites : t -> int
 (** Number of [Call] nodes (potential spawn points per activation). *)

@@ -265,6 +265,8 @@ let outstanding_slots t =
   in
   walk t.last_spawn []
 
+let graph t = t.graph
+
 let fname t = t.graph.Graph.fname
 
 let args t = t.params

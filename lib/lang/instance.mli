@@ -45,6 +45,9 @@ val outstanding_slots : t -> Graph.node_id list
 
 val result : t -> Value.t option
 
+val graph : t -> Graph.t
+(** The template the instance runs. *)
+
 val fname : t -> string
 
 val args : t -> Value.t array

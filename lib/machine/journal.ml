@@ -1,5 +1,6 @@
 module Stamp = Recflow_recovery.Stamp
 module Ids = Recflow_recovery.Ids
+module Value = Recflow_lang.Value
 
 type event =
   | Spawned of { task : Ids.task_id; dest : Ids.proc_id; replica : int }
@@ -39,6 +40,9 @@ type t = {
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
          retained list *)
+  mutable prints : int array;
+      (* call fingerprint per task id, [-1] for none; stays empty unless
+         [retain] *)
 }
 
 let create ?(retain = true) () =
@@ -50,6 +54,7 @@ let create ?(retain = true) () =
     by_stamp = Stamp_tbl.create 256;
     indexed = 0;
     extra = None;
+    prints = [||];
   }
 
 let attach_sink t sink =
@@ -64,6 +69,97 @@ let record t ~time ~stamp event =
   t.last_time <- time;
   (match t.extra with Some s -> Recflow_obs_core.Sink.emit s e | None -> ());
   if t.retain then t.rev_entries <- e :: t.rev_entries
+
+(* 63-bit prints of calls and stamps: xor-then-multiply steps are
+   bijections, so two inputs that differ in one position never collide. *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let fingerprint fname args =
+  let rec value h = function
+    | Value.Int n -> mix (mix h 1) n
+    | Value.Bool b -> mix h (if b then 2 else 3)
+    | Value.Nil -> mix h 4
+    | Value.Cons (x, rest) -> value (value (mix h 5) x) rest
+  in
+  let h = ref (mix 0x3bd39e10cb0ef593 (Array.length args)) in
+  for i = 0 to String.length fname - 1 do
+    h := mix !h (Char.code (String.unsafe_get fname i))
+  done;
+  for i = 0 to Array.length args - 1 do
+    h := value !h args.(i)
+  done;
+  !h land max_int
+
+let stamp_print s =
+  let h = ref (mix 0x3bd39e10cb0ef593 (Stamp.depth s)) in
+  for i = 0 to Stamp.depth s - 1 do
+    h := mix !h (Stamp.digit s i)
+  done;
+  !h land max_int
+
+let note_call t ~task fname args =
+  if t.retain && task >= 0 then begin
+    let n = Array.length t.prints in
+    if task >= n then begin
+      let a = Array.make (max 64 (max (2 * n) (task + 1))) (-1) in
+      Array.blit t.prints 0 a 0 n;
+      t.prints <- a
+    end;
+    t.prints.(task) <- fingerprint fname args
+  end
+
+(* The activation an entry spawns, re-issues or inherits, if a call was
+   noted for it; [-1] otherwise. *)
+let noted_task t e =
+  let task =
+    match e.event with
+    | Spawned { task; _ } | Respawned { task; _ } -> task
+    | Inherited { orphan_task; _ } -> orphan_task
+    | _ -> -1
+  in
+  if task >= 0 && task < Array.length t.prints && t.prints.(task) >= 0 then task else -1
+
+let named_calls t =
+  List.fold_left
+    (fun acc e ->
+      let task = noted_task t e in
+      if task < 0 then acc else (e.stamp, t.prints.(task)) :: acc)
+    [] t.rev_entries
+  |> List.sort_uniq (fun (a, p) (b, q) ->
+         match Stamp.compare a b with 0 -> Int.compare p q | c -> c)
+
+(* One walk over the retained entries, newest first, into an open-address
+   table: slot [i] holds the newest activation [tasks.(i)] noted under
+   stamp [keys.(i)] ([-1] when free), and every older activation with
+   another call is a conflict (stamp, older task, newer task).  The table
+   hashes every digit: [Stamp.hash] reads only a stamp's first few, and
+   the deep stamps of one subtree would share a handful of chains. *)
+let call_conflicts t =
+  let cap = ref 64 in
+  while !cap < 2 * Array.length t.prints do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let keys = Array.make !cap Stamp.root and tasks = Array.make !cap (-1) in
+  List.fold_left
+    (fun conflicts e ->
+      let task = noted_task t e in
+      if task < 0 then conflicts
+      else begin
+        let h = stamp_print e.stamp in
+        let i = ref ((h lxor (h lsr 32)) land mask) in
+        while tasks.(!i) >= 0 && not (Stamp.equal keys.(!i) e.stamp) do
+          i := (!i + 1) land mask
+        done;
+        if tasks.(!i) < 0 then begin
+          keys.(!i) <- e.stamp;
+          tasks.(!i) <- task;
+          conflicts
+        end
+        else if t.prints.(tasks.(!i)) <> t.prints.(task) then (e.stamp, task, tasks.(!i)) :: conflicts
+        else conflicts
+      end)
+    [] t.rev_entries
 
 let entries t = List.rev t.rev_entries
 

@@ -55,6 +55,23 @@ val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
 
 val record : t -> time:int -> stamp:Stamp.t -> event -> unit
 
+val note_call : t -> task:Ids.task_id -> string -> Recflow_lang.Value.t array -> unit
+(** Note the call [fname(args)] that a spawned or re-issued activation
+    carries.  A retaining journal keeps a 63-bit fingerprint of it per task
+    id; with [retain:false] this does nothing.  It records no entry. *)
+
+val named_calls : t -> (Stamp.t * int) list
+(** Each distinct (stamp, call fingerprint) pair over the [Spawned],
+    [Respawned] and [Inherited] entries whose activation has a noted call,
+    sorted.  Equal calls (function name and arguments) have equal
+    fingerprints; distinct calls share one only by a 63-bit hash
+    collision. *)
+
+val call_conflicts : t -> (Stamp.t * Ids.task_id * Ids.task_id) list
+(** [(stamp, older, newer)] for every activation [older] whose noted call
+    differs from that of [newer], the newest activation noted under the
+    same stamp.  Empty when every stamp names one call. *)
+
 val entries : t -> entry list
 (** Chronological. *)
 

@@ -49,28 +49,30 @@ type child = {
   mutable filled : bool;
 }
 
+(* What reached a call slot of a (twin) task before the task got there:
+   a salvaged result, which the spawn then skips (§4.1 cases 4–5), or a
+   living orphan, which the step-parent inherits instead of cloning (§4.1
+   offspring inheritance).  A value wins over an orphan. *)
+type early = Preheld of Value.t | Orphan of Packet.link
+
 type task = {
   tid : Ids.task_id;
   mutable packet : Packet.t;  (* mutable only for reparenting adopted orphans *)
   inst : Instance.t;
   born : int;  (* activation tick, for the sojourn-time histogram *)
   mutable state : task_state;
-  mutable child_seq : int;
   mutable children : (int, child) Hashtbl.t option;
       (* keyed by call slot; allocated on the first spawn so the (large)
          population of leaf tasks never pays for an empty table *)
-  mutable pending : (int * Value.t) list;
-      (* results that arrived before the slot was reached (tiny: one entry
-         per outrun call slot, usually zero) *)
+  mutable early : (int * early) list;
+      (* keyed by call slot, for slots not reached yet (tiny: one entry per
+         outrun slot, usually none) *)
   mutable work : int;  (* busy ticks attributed to this task *)
   mutable result_dropped : bool;
   mutable stash : (Stamp.t * Packet.link * Message.salvage) list;
       (* salvage (orphan results and adoption reports) that arrived before
          this (twin) task spawned the chain link it travels through:
          (orphan stamp, dead parent link, payload), newest first *)
-  mutable adopted : (int list * (Packet.link * Packet.link)) list;
-      (* orphan stamp (digits) -> (orphan link, dead parent link): live
-         orphans this step-parent must inherit instead of cloning *)
   mutable adoption_reported : bool;
       (* this task, as an orphan, already announced itself upward *)
 }
@@ -477,7 +479,8 @@ let send_activation t ctx packet ~task_id ~dest ~replica ~replicas =
   ctx.send ~src:t.nid ~dst:dest
     (Message.Task_packet { packet; task_id; replica; replicas });
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
-    (Journal.Spawned { task = task_id; dest; replica })
+    (Journal.Spawned { task = task_id; dest; replica });
+  Journal.note_call ctx.journal ~task:task_id packet.Packet.fname packet.Packet.args
 
 (* A salvage walk that cannot go on.  Salvage counters come in two
    families, [relay.*] for results and [adopt.*] for reports, and only
@@ -518,12 +521,16 @@ let flush_salvage t ctx task (child : child) =
       matches
   end
 
-(* DEMAND_IT's packet formation: level-stamp with the next child digit and
-   attach the parent, grandparent and deeper ancestor identifications. *)
+(* §3.1: the child at call slot [slot] extends its parent's stamp with the
+   slot's call-site digit, so every activation of the parent, twins
+   included, names that child alike. *)
+let child_stamp task slot =
+  Stamp.child task.packet.Packet.stamp (Recflow_lang.Graph.digit (Instance.graph task.inst) slot)
+
+(* DEMAND_IT's packet formation: level-stamp the child and attach the
+   parent, grandparent and deeper ancestor identifications. *)
 let build_child_packet t ctx task ~slot ~fname ~args =
-  let digit = task.child_seq in
-  task.child_seq <- task.child_seq + 1;
-  let stamp = Stamp.child task.packet.Packet.stamp digit in
+  let stamp = child_stamp task slot in
   let parent = { Packet.task = task.tid; proc = t.nid; slot } in
   let grandparent =
     if ctx.config.ancestor_depth >= 1 then Some task.packet.Packet.parent else None
@@ -598,6 +605,8 @@ let respawn_child t ctx _task (child : child) ~reason =
       (Message.Task_packet { packet = child.c_packet; task_id; replica; replicas });
     Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
       (Journal.Respawned { task = task_id; dest; reason });
+    Journal.note_call ctx.journal ~task:task_id child.c_packet.Packet.fname
+      child.c_packet.Packet.args;
     dests := (replica, dest) :: !dests;
     ctasks := (replica, task_id) :: !ctasks
   done;
@@ -788,20 +797,18 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
          B2's piece is salvaged).  Replicated slots stay with the voter. *)
       let local_regen () =
         iter_live t (fun task ->
-            (* pending adoptions of orphans that just died are stale *)
-            (match task.adopted with
-            | [] -> ()
-            | l ->
+            (* held adoptions of orphans that just died are stale *)
+            if task.early <> [] then begin
               let stale, keep =
                 List.partition
-                  (fun (_, ((orphan : Packet.link), _)) ->
-                    knows_dead t orphan.Packet.proc)
-                  l
+                  (function
+                    | _, Orphan orphan -> knows_dead t orphan.Packet.proc
+                    | _, Preheld _ -> false)
+                  task.early
               in
-              if stale <> [] then begin
-                task.adopted <- keep;
-                List.iter (fun _ -> Counter.incr ctx.counters "adopt.stale") stale
-              end);
+              task.early <- keep;
+              List.iter (fun _ -> Counter.incr ctx.counters "adopt.stale") stale
+            end;
             child_iter
               (fun _ child ->
                 if
@@ -868,19 +875,18 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
 (* A result (normal or spliced) reaches the task that owns the call slot. *)
 let deliver_result_into t ctx task ~slot ~stamp value =
   match child_find task slot with
-  | None ->
+  | None -> (
     (* The slot has not been reached yet (a salvaged result outran the
        step-parent's own evaluation, §4.1 cases 4–5): hold it so the spawn
        is skipped when the call node fires. *)
-    if List.mem_assoc slot task.pending then begin
+    match List.assoc_opt slot task.early with
+    | Some (Preheld _) ->
       Counter.incr ctx.counters "dup.ignored";
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
         (Journal.Duplicate_ignored { task = task.tid })
-    end
-    else begin
-      task.pending <- (slot, value) :: task.pending;
-      Counter.incr ctx.counters "result.preheld"
-    end
+    | Some (Orphan _) | None ->
+      task.early <- (slot, Preheld value) :: List.remove_assoc slot task.early;
+      Counter.incr ctx.counters "result.preheld")
   | Some child ->
     if child.filled then begin
       Counter.incr ctx.counters "dup.ignored";
@@ -926,15 +932,16 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
   | None, _ -> drop_salvage t ctx ~ostamp payload "orphan has no parent stamp"
   | Some parent_stamp, Message.Still_running orphan
     when Stamp.equal parent_stamp task.packet.Packet.stamp ->
-    (* This task is the step-parent.  If the clone for that stamp is
-       already out, adoption lost the race (duplicates, §4.1 case 6). *)
-    let clone_exists =
-      child_fold (fun _ child acc -> acc || Stamp.equal child.c_stamp ostamp) task false
-    in
-    if clone_exists then Counter.incr ctx.counters "adopt.late"
+    (* This task is the step-parent, and the orphan's link names the call
+       slot it fills.  If the clone is already out, adoption lost the race
+       (duplicates, §4.1 case 6). *)
+    let slot = orphan.Packet.slot in
+    if Option.is_some (child_find task slot) then Counter.incr ctx.counters "adopt.late"
     else begin
-      let key = Stamp.digits ostamp in
-      task.adopted <- (key, (orphan, dead_parent)) :: List.remove_assoc key task.adopted;
+      (match List.assoc_opt slot task.early with
+      | Some (Preheld _) -> ()
+      | Some (Orphan _) | None ->
+        task.early <- (slot, Orphan orphan) :: List.remove_assoc slot task.early);
       Counter.incr ctx.counters "adopt.recorded"
     end
   | Some _, _ -> (
@@ -993,13 +1000,11 @@ let activate_task t ctx packet ~task_id =
       inst;
       born = ctx.now ();
       state = Queued;
-      child_seq = 0;
       children = None;
-      pending = [];
+      early = [];
       work = 0;
       result_dropped = false;
       stash = [];
-      adopted = [];
       adoption_reported = false;
     }
   in
@@ -1234,6 +1239,46 @@ let charge t task cost =
   t.work_ticks <- t.work_ticks + cost;
   task.work <- task.work + cost
 
+(* A salvaged result beat the task to this call: take it instead of
+   spawning (§4.1 cases 4–5: "P' will not spawn C' because the answer is
+   already there"). *)
+let skip_preheld t ctx task ~slot v =
+  let c_stamp = child_stamp task slot in
+  Hashtbl.replace (children_tbl task) slot
+    { slot; c_stamp; c_packet = task.packet; dests = []; ctasks = []; vote = None; filled = true };
+  Instance.supply task.inst slot v;
+  Counter.incr ctx.counters "spawn.skipped_preheld";
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:c_stamp
+    (Journal.Result_accepted { task = task.tid });
+  ctx.wake t.nid ~delay:1
+
+(* Inherit a living orphan: bind the slot to it instead of spawning a
+   clone; its result arrives via the grandparent relay. *)
+let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
+  let packet = build_child_packet t ctx task ~slot ~fname ~args in
+  ignore (record_checkpoint t ctx ~dest:orphan.Packet.proc packet);
+  let child =
+    { slot; c_stamp = packet.Packet.stamp; c_packet = packet;
+      dests = [ (0, orphan.Packet.proc) ]; ctasks = [ (0, orphan.Packet.task) ]; vote = None;
+      filled = false }
+  in
+  Hashtbl.replace (children_tbl task) slot child;
+  Counter.incr ctx.counters "spawn.inherited";
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
+    (Journal.Inherited { orphan_task = orphan.Packet.task; proc = orphan.Packet.proc });
+  (* tell the orphan its new return address (§3.4's second option); if it
+     already finished and its relay stranded, it will re-send the result
+     here *)
+  ctx.send ~src:t.nid ~dst:orphan.Packet.proc
+    (Message.Reparent
+       {
+         orphan_task = orphan.Packet.task;
+         new_parent = { Packet.task = task.tid; proc = t.nid; slot };
+         new_grandparent = Some task.packet.Packet.parent;
+       });
+  flush_salvage t ctx task child;
+  ctx.wake t.nid ~delay:1
+
 let rec pick_next t ctx =
   match Queue.take_opt t.run_queue with
   | None -> t.stepping <- false
@@ -1261,80 +1306,16 @@ let step t ctx =
             charge t task ticks;
             ctx.wake t.nid ~delay:(max 1 ticks)
           | Instance.Spawn { slot; fname; args } -> (
-            match List.assoc_opt slot task.pending with
-            | Some v ->
-              (* A salvaged result beat us to this call: adopt it instead
-                 of spawning (§4.1 cases 4–5: "P' will not spawn C'
-                 because the answer is already there"). *)
-              task.pending <- List.remove_assoc slot task.pending;
-              let c_stamp = Stamp.child task.packet.Packet.stamp task.child_seq in
-              task.child_seq <- task.child_seq + 1;
-              Hashtbl.replace (children_tbl task) slot
-                {
-                  slot;
-                  c_stamp;
-                  c_packet = task.packet;
-                  dests = [];
-                  ctasks = [];
-                  vote = None;
-                  filled = true;
-                };
-              Instance.supply task.inst slot v;
-              Counter.incr ctx.counters "spawn.skipped_preheld";
-              Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:c_stamp
-                (Journal.Result_accepted { task = task.tid });
-              ctx.wake t.nid ~delay:1
-            | None ->
-              (* The stamp key is only worth building when an adoption
-                 is held: with none, no key can match. *)
-              let adoption =
-                match task.adopted with
-                | [] -> None
-                | adopted -> (
-                  let next_key =
-                    Stamp.digits (Stamp.child task.packet.Packet.stamp task.child_seq)
-                  in
-                  match List.assoc_opt next_key adopted with
-                  | Some (orphan, _) when knows_dead t orphan.Packet.proc ->
-                    (* the orphan died since it reported: the adoption is
-                       stale; spawn a fresh child instead *)
-                    task.adopted <- List.remove_assoc next_key adopted;
-                    Counter.incr ctx.counters "adopt.stale";
-                    None
-                  | Some (orphan, _) -> Some (next_key, orphan)
-                  | None -> None)
-              in
-              (match adoption with
-              | Some (next_key, orphan) ->
-                (* Inherit the living orphan: bind the slot to it instead
-                   of spawning a clone; its result arrives via the
-                   grandparent relay. *)
-                task.adopted <- List.remove_assoc next_key task.adopted;
-                let packet = build_child_packet t ctx task ~slot ~fname ~args in
-                ignore (record_checkpoint t ctx ~dest:orphan.Packet.proc packet);
-                let child =
-                  { slot; c_stamp = packet.Packet.stamp; c_packet = packet;
-                    dests = [ (0, orphan.Packet.proc) ];
-                    ctasks = [ (0, orphan.Packet.task) ]; vote = None; filled = false }
-                in
-                Hashtbl.replace (children_tbl task) slot child;
-                Counter.incr ctx.counters "spawn.inherited";
-                Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
-                  (Journal.Inherited
-                     { orphan_task = orphan.Packet.task; proc = orphan.Packet.proc });
-                (* tell the orphan its new return address (§3.4's second
-                   option); if it already finished and its relay stranded,
-                   it will re-send the result here *)
-                ctx.send ~src:t.nid ~dst:orphan.Packet.proc
-                  (Message.Reparent
-                     {
-                       orphan_task = orphan.Packet.task;
-                       new_parent = { Packet.task = task.tid; proc = t.nid; slot };
-                       new_grandparent = Some task.packet.Packet.parent;
-                     });
-                flush_salvage t ctx task child;
-                ctx.wake t.nid ~delay:1
-              | None ->
+            let early = List.assoc_opt slot task.early in
+            if Option.is_some early then task.early <- List.remove_assoc slot task.early;
+            match early with
+            | Some (Preheld v) -> skip_preheld t ctx task ~slot v
+            | Some (Orphan orphan) when not (knows_dead t orphan.Packet.proc) ->
+              inherit_orphan t ctx task ~slot ~fname ~args orphan
+            | Some (Orphan _) | None ->
+              (* an orphan that died since it reported is a stale adoption:
+                 spawn a fresh child instead *)
+              if Option.is_some early then Counter.incr ctx.counters "adopt.stale";
               if should_inline ctx task then begin
                 match ctx.inline_eval fname args with
                 | Ok (v, steps) ->
@@ -1353,7 +1334,7 @@ let step t ctx =
                 let cost = spawn_cost + (recorded * ctx.config.ckpt_cost) in
                 charge t task cost;
                 ctx.wake t.nid ~delay:(max 1 cost)
-              end))
+              end)
           | Instance.Blocked ->
             set_state t task Blocked;
             t.current <- None;

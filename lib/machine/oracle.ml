@@ -1,4 +1,5 @@
 module Ckpt_table = Recflow_recovery.Ckpt_table
+module Stamp = Recflow_recovery.Stamp
 module Value = Recflow_lang.Value
 
 type report = {
@@ -75,6 +76,15 @@ let check ?expected cluster =
     viol "%d committed checkpoint(s) stranded on trusted live processors at quiescence" stranded;
   if quiescent && unsettled > 0 then
     viol "%d reliable send(s) neither acknowledged nor bounced at quiescence" unsettled;
+  (* §3.1 and §4.3: a level stamp names one call *)
+  (match Journal.call_conflicts (Cluster.journal cluster) with
+  | [] -> ()
+  | conflicts ->
+    let stamps = List.sort_uniq Stamp.compare (List.map (fun (s, _, _) -> s) conflicts) in
+    let first = List.hd stamps in
+    let _, older, newer = List.find (fun (s, _, _) -> Stamp.equal s first) conflicts in
+    viol "%d stamp(s) name more than one call (first: stamp %s, task%d and task%d)"
+      (List.length stamps) (Stamp.to_string first) older newer);
   {
     answers = n_answers;
     distinct_answers = distinct;

@@ -10,6 +10,12 @@
     are excluded from the leak checks: per §1 they are *treated* as faulty,
     so their residual work is deliberately abandoned to a twin.
 
+    A level stamp names one position in the call tree (§3.1), and §4.3
+    needs a twin to regenerate exactly the subtree it replaces, so every
+    activation spawned, re-issued or inherited under one stamp must carry
+    the same call (function and arguments).  That check reads the retained
+    journal and is skipped for a run that does not retain it.
+
     The completion-dependent checks only apply when they can be decided:
     the run drained to quiescence, recovery was enabled, no program error
     occurred and at least one processor survived.  The divergence check

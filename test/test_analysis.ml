@@ -5,6 +5,7 @@
 open Recflow_analysis
 module Ast = Recflow_lang.Ast
 module Parser = Recflow_lang.Parser
+module Graph = Recflow_lang.Graph
 module Program = Recflow_lang.Program
 module Value = Recflow_lang.Value
 module Workload = Recflow_workload.Workload
@@ -216,6 +217,64 @@ let shape_if_takes_max () =
   let s = shape_of "def f(x) = if f(x) == 0 then f(x - 1) else f(x) + f(x + 1)" "f" in
   check_int "if max" 3 s.Shape.fanout
 
+(* The call-site digits of [fn], in node order. *)
+let digits_of program fn =
+  let g = Graph.find_exn (Graph.compile_program program) fn in
+  List.rev
+    (snd
+       (Array.fold_left
+          (fun (i, acc) n ->
+            (i + 1, match n with Graph.Call _ -> Graph.digit g i :: acc | _ -> acc))
+          (0, []) g.Graph.nodes))
+
+(* Every call site of every workload function, and of the synthetic
+   generator's, numbers its children below the function's static fan-out
+   bound; calls on exclusive arms share numbers, and a call both arms use
+   is numbered once, outside them. *)
+let call_site_digits () =
+  let synthetic =
+    List.map
+      (fun b -> Workload.synthetic ~branching:b ~depth:3 ~grain:2)
+      [ 1; 2; 3; 5; 8 ]
+  in
+  List.iter
+    (fun w ->
+      let program = Workload.program w in
+      let shape = Shape.of_program program in
+      List.iter
+        (fun (d : Ast.def) ->
+          let bound = Option.get (Shape.fanout_bound shape d.Ast.name) in
+          List.iter
+            (fun digit ->
+              if digit < 0 || digit >= bound then
+                Alcotest.failf "%s.%s: call-site digit %d outside [0, %d)" w.Workload.name
+                  d.Ast.name digit bound)
+            (digits_of program d.Ast.name))
+        (Program.defs program))
+    (Workload.all @ synthetic);
+  let arms w fn = digits_of (Workload.program w) fn in
+  Alcotest.(check (list int)) "keep_lt arms share" [ 0; 0 ] (arms Workload.quicksort "keep_lt");
+  Alcotest.(check (list int)) "keep_ge arms share" [ 0; 0 ] (arms Workload.quicksort "keep_ge");
+  Alcotest.(check (list int)) "merge arms share" [ 0; 0 ] (arms Workload.mergesort "merge");
+  Alcotest.(check (list int))
+    "synth: spin and the first synth share" [ 0; 0; 1; 2 ]
+    (arms (List.nth synthetic 2) "synth");
+  let p =
+    program_exn
+      "def f(n) = n
+       def g(n) = if n > 0 then f(n) + f(n + 1) else f(n - 1) + f(n - 2) + f(n - 3)
+       def h(n) = let x = f(n) in if n > 0 then x + f(1) else x
+       def k(n) = if f(n) > 0 then (if n > 1 then f(1) else f(2)) + f(3) else f(4)"
+  in
+  Alcotest.(check (list int)) "arms from one base" [ 0; 1; 0; 1; 2 ] (digits_of p "g");
+  Alcotest.(check (list int)) "a call both arms use counts once" [ 0; 1 ] (digits_of p "h");
+  Alcotest.(check (list int)) "nested arms follow their scope" [ 0; 2; 2; 1; 1 ] (digits_of p "k");
+  let shape = Shape.of_program p in
+  List.iter
+    (fun (fn, used) ->
+      check_int (fn ^ " uses its whole bound") used (Option.get (Shape.fanout_bound shape fn)))
+    [ ("g", 3); ("h", 2); ("k", 3) ]
+
 let shape_recursion_classes () =
   let p = program_exn mutual_src in
   let shape = Shape.of_program p in
@@ -391,7 +450,8 @@ let workload_program_gate () =
    below stamp depth 6 keeps even tak/large fast) and require:
    - the distributed answer equals the serial reference;
    - every digit of every spawned stamp is < the program's static fan-out
-     bound (digits are per-activation spawn-counter values);
+     bound (a digit is the call-site number of the spawning call node,
+     which [Graph] keeps below the spawning function's bound);
    - no parent stamp has more distinct spawned children than the bound;
    - when the cost analysis bounds the entry's recursion depth, no
      observed stamp exceeds it, and no subtree holds more spawned tasks
@@ -521,6 +581,7 @@ let suites =
       [
         Alcotest.test_case "workload bounds" `Quick shape_workload_bounds;
         Alcotest.test_case "if takes max" `Quick shape_if_takes_max;
+        Alcotest.test_case "call-site digits" `Quick call_site_digits;
         Alcotest.test_case "recursion classes" `Quick shape_recursion_classes;
         Alcotest.test_case "entries restrict the bound" `Quick shape_program_bound_respects_entries;
         Alcotest.test_case "gradient:auto weight" `Quick gradient_auto_weight;

@@ -7,6 +7,9 @@ module Plan = Recflow_fault.Plan
 module Rng = Recflow_sim.Rng
 module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
+module Oracle = Recflow_machine.Oracle
+module Journal = Recflow_machine.Journal
+module Stamp = Recflow_recovery.Stamp
 module Workload = Recflow_workload.Workload
 module Value = Recflow_lang.Value
 module Policy = Recflow_balance.Policy
@@ -142,6 +145,95 @@ let deep_orphan_salvage () =
   in
   check "grandchild salvage keeps the full subtree" true (run_with cfg Workload.tree_sum plan)
 
+(* ---------------- level stamps under splice ---------------- *)
+
+(* A run of [w] at size Small: its outcome, the oracle's verdict against
+   the serial reference, and the call every stamp it spawned named. *)
+let run_small cfg w plan =
+  let c = Cluster.create cfg (Workload.program w) in
+  Plan.apply c plan;
+  Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Small);
+  let o = Cluster.run c in
+  ( o,
+    Oracle.check ~expected:(Workload.expected w Workload.Small) c,
+    Journal.named_calls (Cluster.journal c) )
+
+(* A faulty run must answer right, pass the oracle (which includes "one
+   stamp names one call"), and spawn only stamps that name the same call
+   as in the fault-free run of its configuration (§4.3: a twin regenerates
+   the subtree it replaces). *)
+let check_faulty tag ~fault_free (o, report, named) w =
+  (match o.Cluster.answer with
+  | Some v when Value.equal v (Workload.expected w Workload.Small) -> ()
+  | Some v -> Alcotest.failf "%s: wrong answer %s" tag (Value.to_string v)
+  | None -> Alcotest.failf "%s: no answer" tag);
+  if not (Oracle.ok report) then
+    Alcotest.failf "%s: oracle: %s" tag (String.concat "; " report.Oracle.violations);
+  let reference = Hashtbl.create 256 in
+  List.iter (fun (s, p) -> Hashtbl.replace reference (Stamp.to_string s) p) fault_free;
+  List.iter
+    (fun (s, p) ->
+      match Hashtbl.find_opt reference (Stamp.to_string s) with
+      | Some p0 when p0 = p -> ()
+      | Some _ -> Alcotest.failf "%s: stamp %s names another call than fault-free" tag (Stamp.to_string s)
+      | None -> Alcotest.failf "%s: stamp %s is not in the fault-free run" tag (Stamp.to_string s))
+    named
+
+let splice_config ~seed ~inline_depth ~ancestor_depth =
+  {
+    (Config.default ~nodes:8) with
+    Config.recovery = Config.Splice;
+    policy = Policy.Random;
+    inline_depth;
+    ancestor_depth;
+    seed;
+  }
+
+(* The wrong-answer repro of the dynamic spawn counter: a twin whose
+   children's results arrived in another order numbered its [qsort] calls
+   the other way round and inherited the living [qsort(ge)] orphan into
+   its [qsort(lt)] slot, answering 936026. *)
+let splice_quicksort_repro () =
+  let cfg = splice_config ~seed:11 ~inline_depth:8 ~ancestor_depth:1 in
+  let w = Workload.quicksort in
+  let (_, _, fault_free) = run_small cfg w [] in
+  let ((o, _, _) as faulty) = run_small cfg w (Plan.single ~time:4548 5) in
+  Alcotest.(check (option string))
+    "answer" (Some "339303")
+    (Option.map Value.to_string o.Cluster.answer);
+  check_faulty "repro" ~fault_free faulty w
+
+(* A slice of the grid where the spawn counter answered wrong: both list
+   sorts under splice with random placement, inline depth 8 and 12,
+   ancestor depth 1 and 2, three seeds, one failure at a quarter, half and
+   three quarters of the fault-free makespan on two victims. *)
+let splice_list_grid () =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun inline_depth ->
+          List.iter
+            (fun ancestor_depth ->
+              List.iter
+                (fun seed ->
+                  let cfg = splice_config ~seed ~inline_depth ~ancestor_depth in
+                  let (o, _, fault_free) = run_small cfg w [] in
+                  let makespan = Option.value ~default:o.Cluster.sim_time o.Cluster.answer_time in
+                  List.iter
+                    (fun (frac, victim) ->
+                      let tag =
+                        Printf.sprintf "%s inline %d ancestors %d seed %d fail %.2f@%d"
+                          w.Workload.name inline_depth ancestor_depth seed frac victim
+                      in
+                      check_faulty tag ~fault_free
+                        (run_small cfg w (Plan.at_fractions ~makespan [ (frac, victim) ]))
+                        w)
+                    [ (0.25, 1); (0.25, 5); (0.5, 1); (0.5, 5); (0.75, 1); (0.75, 5) ])
+                [ 3; 7; 11 ])
+            [ 1; 2 ])
+        [ 8; 12 ])
+    [ Workload.quicksort; Workload.mergesort ]
+
 let fuzz_recovery recovery name =
   QCheck.Test.make ~name ~count:40
     QCheck.(
@@ -215,6 +307,8 @@ let suites =
     ( "fault.fuzz",
       [
         Alcotest.test_case "deep orphan salvage regression" `Quick deep_orphan_salvage;
+        Alcotest.test_case "splice quicksort stamp repro" `Quick splice_quicksort_repro;
+        Alcotest.test_case "splice list-sort grid" `Quick splice_list_grid;
         qtest fuzz_splice;
         qtest fuzz_rollback;
         qtest fuzz_literal_splice;

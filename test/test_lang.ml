@@ -544,18 +544,24 @@ let record_action buf = function
 
 exception Trace_failed
 
-(* [drive ~deferred buf lib fname args] runs one activation and returns its
-   value.  Synchronous: every spawn is evaluated (recursively, same driver)
-   and supplied at once, depth first.  Deferred: spawns only queue up, and
-   each [Blocked] answers the most recently spawned outstanding call.  A
-   [Failed] action ends the whole run. *)
-let rec drive ~deferred buf lib fname args =
-  let inst = Instance.create (Graph.find_exn lib fname) args in
+(* [drive ~deferred ~observe lib fname args] runs one activation and
+   returns its value, passing every action of an instance to what
+   [observe] returned for that instance's template.  Synchronous: every
+   spawn is evaluated (recursively, by [drive]) and supplied at once,
+   depth first.  Deferred: spawns only queue up, and each [Blocked] answers
+   the most recently spawned outstanding call.  A [Failed] action ends the
+   whole run. *)
+let rec drive ~deferred ~observe lib fname args =
+  let g = Graph.find_exn lib fname in
+  let inst = Instance.create g args in
+  let record = observe g in
   let calls = ref [] in
-  let answer (slot, fname, args) = Instance.supply inst slot (drive ~deferred buf lib fname args) in
+  let answer (slot, fname, args) =
+    Instance.supply inst slot (drive ~deferred ~observe lib fname args)
+  in
   let rec loop () =
     let a = Instance.step inst in
-    record_action buf a;
+    record a;
     match a with
     | Instance.Work _ -> loop ()
     | Instance.Spawn { slot; fname; args } ->
@@ -628,7 +634,7 @@ let action_trace_goldens () =
     (fun (name, lib, entry, args, expected) ->
       let digest deferred =
         let buf = Buffer.create 4096 in
-        (match drive ~deferred buf lib entry args with
+        (match drive ~deferred ~observe:(fun _ -> record_action buf) lib entry args with
         | v -> Alcotest.(check (option value)) (name ^ " answer") expected (Some v)
         | exception Trace_failed ->
           Alcotest.(check (option value)) (name ^ " fails") expected None);
@@ -644,6 +650,45 @@ let action_trace_goldens () =
           Alcotest.(check string) (name ^ " synchronous trace") s sync;
           Alcotest.(check string) (name ^ " deferred trace") d deferred)
     trace_cases
+
+(* ---------------- Call-site digits vs spawn order ---------------- *)
+
+(* Where no spawn waits on which sibling answers first, an activation's
+   k-th spawn carries digit k under both answering orders of [drive]: the
+   digits the machine used to draw from a per-activation spawn counter.  Where it does (the
+   list sorts), digits still never repeat within an activation. *)
+let digits_follow_spawn_order () =
+  let module W = Recflow_workload.Workload in
+  List.iter
+    (fun (w, counter_order) ->
+      let lib = Graph.compile_program (W.program w) in
+      List.iter
+        (fun deferred ->
+          (* per instance: its function and its spawns' digits, newest first *)
+          let acc = ref [] in
+          let observe g =
+            let mine = ref [] in
+            acc := (g.Graph.fname, mine) :: !acc;
+            function Instance.Spawn { slot; _ } -> mine := Graph.digit g slot :: !mine | _ -> ()
+          in
+          ignore (drive ~deferred ~observe lib w.W.entry (Array.of_list (w.W.args W.Small)));
+          List.iter
+            (fun (fname, mine) ->
+              let digits = List.rev !mine in
+              let tag = Printf.sprintf "%s %s (%s)" w.W.name fname
+                  (if deferred then "deferred" else "synchronous") in
+              if counter_order then
+                Alcotest.(check (list int)) tag (List.init (List.length digits) Fun.id) digits
+              else
+                check (tag ^ " distinct") true
+                  (List.length (List.sort_uniq compare digits) = List.length digits))
+            !acc)
+        [ false; true ])
+    W.
+      [
+        (fib, true); (tree_sum, true); (nqueens, true); (map_reduce, true); (tak, true);
+        (synthetic ~branching:3 ~depth:4 ~grain:3, true); (quicksort, false); (mergesort, false);
+      ]
 
 (* ---------------- Instance size and allocation gate ---------------- *)
 
@@ -752,6 +797,7 @@ let suites =
         qtest instances_agree_with_serial;
         Alcotest.test_case "waiter slots" `Quick graph_waiter_slots;
         Alcotest.test_case "packing guard" `Quick graph_packing_guard;
+        Alcotest.test_case "digits follow spawn order" `Quick digits_follow_spawn_order;
       ] );
     ("lang.trace", [ Alcotest.test_case "action-trace goldens" `Quick action_trace_goldens ]);
     ( "lang.instance-cost",

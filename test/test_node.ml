@@ -356,13 +356,19 @@ let adoption_pre_spawn_inherits () =
   let twin_packet = mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ~stamp:(Stamp.of_digits [ 6 ]) () in
   Node.deliver w.node w.ctx
     (Message.Task_packet { packet = twin_packet; task_id = 600; replica = 0; replicas = 1 });
-  (* report for the twin's first child-to-be (stamp 6.0) *)
+  (* report for the twin's first child-to-be (stamp 6.0): the orphan's
+     link names the call slot whose digit is 0 *)
+  let par = Graph.find_exn library "par" in
+  let slot = ref (-1) in
+  Array.iteri
+    (fun i n -> match n with Graph.Call _ when Graph.digit par i = 0 -> slot := i | _ -> ())
+    par.Graph.nodes;
   Node.deliver w.node w.ctx
     (Message.Orphan_alive
        {
          stamp = Stamp.of_digits [ 6; 0 ];
-         orphan = parent_link ~task:77 ~proc:3 ~slot:2;
-         dead_parent = parent_link ~task:55 ~proc:1 ~slot:2;
+         orphan = parent_link ~task:77 ~proc:3 ~slot:!slot;
+         dead_parent = parent_link ~task:55 ~proc:1 ~slot:!slot;
          target = parent_link ~task:600 ~proc:2 ~slot:(-1);
        });
   pump w;
