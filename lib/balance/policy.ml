@@ -82,84 +82,92 @@ let create ?(seed = 0x5eed) spec = { spec; rng = Recflow_sim.Rng.create seed; rr
 
 let spec t = t.spec
 
+(* The dynamic policies walk the node ids in order and skip the dead ones,
+   which visits exactly [Router.alive_nodes] in its order without building
+   it; a later node replaces the best so far only when strictly better, so
+   ties go to the lowest id as they did over the list.  Nothing here
+   allocates. *)
+
+(* Hops from [origin] to the live [node], [if_cut] when no live route
+   joins them (the origin may be failing while it spawns). *)
+let hops_or router origin node ~if_cut =
+  let h = Router.hops router origin node in
+  if h < 0 then if_cut else h
+
+let in_ball router origin radius node =
+  let h = Router.hops router origin node in
+  h >= 0 && h <= radius
+
 let choose t view ~origin ~key =
   (* O(1) existence check; only the policies that really enumerate the
-     live set pay for the O(P) list below. *)
-  if Router.alive_count view.router = 0 then invalid_arg "Policy.choose: no live node";
-  let alive () = Router.alive_nodes view.router in
+     live set pay for the O(P) walk below. *)
+  let router = view.router in
+  let live = Router.alive_count router in
+  if live = 0 then invalid_arg "Policy.choose: no live node";
+  let n = Recflow_net.Topology.size (Router.topology router) in
   match t.spec with
-  | Random ->
-    let arr = Array.of_list (alive ()) in
-    Recflow_sim.Rng.pick t.rng arr
+  | Random -> Router.nth_alive router (Recflow_sim.Rng.int t.rng live)
   | Round_robin ->
-    let alive = alive () in
-    let n = List.length alive in
-    let idx = t.rr_next mod n in
+    let idx = t.rr_next mod live in
     t.rr_next <- t.rr_next + 1;
-    List.nth alive idx
+    Router.nth_alive router idx
   | Static_hash ->
     (* Deterministic placement over the *configured* node set, ignoring
        liveness: exactly what a static allocator does.  No live-set
        enumeration at all — this is the O(1) fast path the scale runs
        lean on. *)
-    let n = Recflow_net.Topology.size (Router.topology view.router) in
     (* Knuth multiplicative scrambling keeps consecutive stamps apart. *)
     abs (key * 2654435761) mod n
   | Gradient { weight } ->
     (* Walk downhill on [pressure + weight * distance-from-origin]; the
-       origin itself competes, so light local load keeps tasks nearby. *)
-    let score node =
-      let hops =
-        match Router.distance view.router origin node with
-        | Some h -> h
-        | None ->
-          (* origin dead (it is failing while spawning): fall back to 0 so
-             placement degenerates to pure pressure. *)
-          0
-      in
-      view.pressure node + (weight * hops)
-    in
-    let best =
-      List.fold_left
-        (fun acc node ->
-          let s = score node in
-          match acc with
-          | Some (_, best_s) when best_s <= s -> acc
-          | _ -> Some (node, s))
-        None (alive ())
-    in
-    (match best with Some (node, _) -> node | None -> assert false)
+       origin itself competes, so light local load keeps tasks nearby.  A
+       dead origin counts every distance as 0, so placement degenerates to
+       pure pressure. *)
+    let best = ref (-1) and best_s = ref 0 in
+    for node = 0 to n - 1 do
+      if Router.alive router node then begin
+        let s = view.pressure node + (weight * hops_or router origin node ~if_cut:0) in
+        if !best < 0 || s < !best_s then begin
+          best := node;
+          best_s := s
+        end
+      end
+    done;
+    !best
   | Neighborhood { radius } ->
     (* Restrict the gradient surface to the origin's r-hop ball; if the
        whole ball is dead, take the nearest live node anyway (the task
-       must go somewhere). *)
-    let alive = alive () in
-    let dist node = Router.distance view.router origin node in
-    let in_ball = List.filter (fun n -> match dist n with Some d -> d <= radius | None -> false) alive in
-    let candidates = if in_ball = [] then alive else in_ball in
-    let best =
-      List.fold_left
-        (fun acc node ->
-          let s = (view.pressure node, Option.value ~default:max_int (dist node)) in
-          match acc with
-          | Some (_, best_s) when compare best_s s <= 0 -> acc
-          | _ -> Some (node, s))
-        None candidates
-    in
-    (match best with Some (node, _) -> node | None -> assert false)
+       must go somewhere).  Candidates compare by (pressure, distance). *)
+    let ball = ref false in
+    for node = 0 to n - 1 do
+      if Router.alive router node && in_ball router origin radius node then ball := true
+    done;
+    let best = ref (-1) and best_p = ref 0 and best_d = ref 0 in
+    for node = 0 to n - 1 do
+      if Router.alive router node && ((not !ball) || in_ball router origin radius node) then begin
+        let p = view.pressure node and d = hops_or router origin node ~if_cut:max_int in
+        if !best < 0 || p < !best_p || (p = !best_p && d < !best_d) then begin
+          best := node;
+          best_p := p;
+          best_d := d
+        end
+      end
+    done;
+    !best
   | Gradient_distributed _ ->
     (* Placement proper happens node-locally in the machine; this cluster-
        level fallback (used for the root dispatch and static analyses)
        degenerates to least pressure among all live nodes. *)
-    let best =
-      List.fold_left
-        (fun acc node ->
-          let s = view.pressure node in
-          match acc with
-          | Some (_, best_s) when best_s <= s -> acc
-          | _ -> Some (node, s))
-        None (alive ())
-    in
-    (match best with Some (node, _) -> node | None -> assert false)
+    let best = ref (-1) and best_p = ref 0 in
+    for node = 0 to n - 1 do
+      if Router.alive router node then begin
+        let p = view.pressure node in
+        if !best < 0 || p < !best_p then begin
+          best := node;
+          best_p := p
+        end
+      end
+    done;
+    !best
 
 let is_static t = match t.spec with Static_hash -> true | _ -> false

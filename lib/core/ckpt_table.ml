@@ -82,10 +82,13 @@ let entry_of t dest =
     Peers.add t.entries dest e;
     e
 
-(* The child of [node] with digit [k], or [nil_node]. *)
-let kid node k =
-  let rec scan n = if n == nil_node || n.digit = k then n else scan n.next in
-  scan node.first
+(* The child of [node] with digit [k], or [nil_node].  This and the walks
+   below are top-level recursions over explicit arguments: a local
+   recursive function would capture the digit, stamp or packet and cost a
+   closure per call. *)
+let rec scan_siblings n k = if n == nil_node || n.digit = k then n else scan_siblings n.next k
+
+let kid node k = scan_siblings node.first k
 
 let kid_or_create node k =
   let n = kid node k in
@@ -96,15 +99,12 @@ let kid_or_create node k =
     n
   end
 
+let rec unlink_after prev child =
+  if prev.next == child then prev.next <- child.next else unlink_after prev.next child
+
 (* Remove [child], known to be linked under [parent]. *)
 let unlink parent child =
-  if parent.first == child then parent.first <- child.next
-  else begin
-    let rec scan prev =
-      if prev.next == child then prev.next <- child.next else scan prev.next
-    in
-    scan parent.first
-  end
+  if parent.first == child then parent.first <- child.next else unlink_after parent.first child
 
 (* [f] folded over the packets of [n], its descendants and its later
    siblings.  Tail-recursive along sibling chains, which can be long. *)
@@ -116,77 +116,76 @@ let subtree_packets root =
      reach the stable sort newest-first, as the flat list did. *)
   fold_forest (fun n acc -> List.fold_right (fun p acc -> p :: acc) n.packets acc) root []
 
+let rec record_all e p stamp d node i =
+  if i = d then begin
+    node.packets <- p :: node.packets;
+    e.count <- e.count + 1
+  end
+  else record_all e p stamp d (kid_or_create node (Stamp.digit stamp i)) (i + 1)
+
+let packet_count n acc = acc + List.length n.packets
+
+(* Single descent: any populated node passed strictly before depth [d] is
+   a proper ancestor of [stamp] — the new packet is covered.  The
+   emptiness tests are pattern matches, not [<> []]: the latter is a
+   polymorphic-compare call per hop on this hot path. *)
+let rec record_topmost e p stamp d node i =
+  match node.packets with
+  | _ :: _ -> `Covered (* ancestor if i < d, identical stamp if i = d *)
+  | [] ->
+    if i = d then begin
+      node.packets <- [ p ];
+      (* The new checkpoint may dominate previously-recorded descendants
+         (possible during recovery when an ancestor is re-spawned to the
+         same destination); they live exactly in the subtree below this
+         node — evict it wholesale.  A leaf (the overwhelmingly common
+         case) has nothing below it. *)
+      if node.first != nil_node then begin
+        e.count <- e.count - fold_forest packet_count node.first 0;
+        node.first <- nil_node
+      end;
+      e.count <- e.count + 1;
+      `Recorded
+    end
+    else record_topmost e p stamp d (kid_or_create node (Stamp.digit stamp i)) (i + 1)
+
 let record t ~dest (p : Packet.t) =
   let e = entry_of t dest in
   let stamp = p.stamp in
-  let d = Stamp.depth stamp in
   match t.mode with
   | Keep_all ->
-    let rec descend node i =
-      if i = d then begin
-        node.packets <- p :: node.packets;
-        e.count <- e.count + 1
-      end
-      else descend (kid_or_create node (Stamp.digit stamp i)) (i + 1)
-    in
-    descend e.root 0;
+    record_all e p stamp (Stamp.depth stamp) e.root 0;
     `Recorded
-  | Topmost ->
-    (* Single descent: any populated node passed strictly before depth [d]
-       is a proper ancestor of [stamp] — the new packet is covered.  The
-       emptiness tests are pattern matches, not [<> []]: the latter is a
-       polymorphic-compare call per hop on this hot path. *)
-    let rec descend node i =
-      match node.packets with
-      | _ :: _ -> `Covered (* ancestor if i < d, identical stamp if i = d *)
-      | [] ->
-        if i = d then begin
-          node.packets <- [ p ];
-          (* The new checkpoint may dominate previously-recorded
-             descendants (possible during recovery when an ancestor is
-             re-spawned to the same destination); they live exactly in the
-             subtree below this node — evict it wholesale.  A leaf (the
-             overwhelmingly common case) has nothing below it. *)
-          if node.first != nil_node then begin
-            e.count <- e.count - fold_forest (fun n acc -> acc + List.length n.packets) node.first 0;
-            node.first <- nil_node
-          end;
-          e.count <- e.count + 1;
-          `Recorded
-        end
-        else descend (kid_or_create node (Stamp.digit stamp i)) (i + 1)
-    in
-    descend e.root 0
+  | Topmost -> record_topmost e p stamp (Stamp.depth stamp) e.root 0
+
+(* Packets removed at [stamp]'s node.  On the way back up, every node left
+   with no packets and no children is unlinked from its parent, so the trie
+   keeps only paths to outstanding checkpoints. *)
+let rec discharge_at stamp d node i =
+  if i = d then begin
+    match node.packets with
+    | [] -> 0 (* already drained: the node lives on for its children *)
+    | ps ->
+      node.packets <- [];
+      List.length ps
+  end
+  else begin
+    let c = kid node (Stamp.digit stamp i) in
+    if c == nil_node then 0
+    else begin
+      let removed = discharge_at stamp d c (i + 1) in
+      (match c.packets with
+      | [] when removed > 0 && c.first == nil_node -> unlink node c
+      | _ -> ());
+      removed
+    end
+  end
 
 let discharge t ~dest stamp =
   match Peers.find t.entries dest with
   | exception Not_found -> false
   | e ->
-    let d = Stamp.depth stamp in
-    (* Packets removed at [stamp]'s node.  On the way back up, every node
-       left with no packets and no children is unlinked from its parent, so
-       the trie keeps only paths to outstanding checkpoints. *)
-    let rec go node i =
-      if i = d then begin
-        match node.packets with
-        | [] -> 0 (* already drained: the node lives on for its children *)
-        | ps ->
-          node.packets <- [];
-          List.length ps
-      end
-      else begin
-        let c = kid node (Stamp.digit stamp i) in
-        if c == nil_node then 0
-        else begin
-          let removed = go c (i + 1) in
-          (match c.packets with
-          | [] when removed > 0 && c.first == nil_node -> unlink node c
-          | _ -> ());
-          removed
-        end
-      end
-    in
-    let removed = go e.root 0 in
+    let removed = discharge_at stamp (Stamp.depth stamp) e.root 0 in
     e.count <- e.count - removed;
     (* An emptied entry's trie is already pruned down to its root: drop
        the entry itself too. *)

@@ -267,11 +267,50 @@ let pp ppf s = Format.pp_print_string ppf (to_string s)
    and break journal replay compatibility.  ([Hashtbl.hash] is
    non-negative, so -1 is a safe sentinel; the fill-in is idempotent,
    making a racy duplicate computation benign.) *)
+let mask32 = 0xffff_ffff
+
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+
+(* One MurmurHash3 mixing step of the runtime's [caml_hash] on 32-bit
+   words, in OCaml ints masked to 32 bits. *)
+let mix h d =
+  let d = (rotl32 ((d * 0xcc9e2d51) land mask32) 15 * 0x1b873593) land mask32 in
+  ((rotl32 (h lxor d) 13 * 5) + 0xe6546b64) land mask32
+
+(* [caml_hash_mix_intnat] of the tagged int [2k + 1]: its low 32 bits
+   folded with the high ones. *)
+let mix_int h k =
+  let v = (2 * k) + 1 in
+  mix h (((v asr 32) lxor v) land mask32)
+
+(* The header word of a cons cell (size 2, tag 0, colour bits clear). *)
+let cons_header = 2 lsl 10
+
+(* [Hashtbl.hash (digits s)] without building the list.  [caml_hash]
+   walks the list breadth-first: each cell mixes its header, then its
+   digit; the [[]] ending a short list mixes as the int 0.  It stops after
+   ten ints ([Hashtbl.hash]'s meaningful limit), so deep stamps hash by
+   their first ten digits. *)
+let hash_digits s =
+  let d = depth s in
+  let n = min d 10 in
+  let h = ref 0 in
+  for i = 0 to n - 1 do
+    h := mix_int (mix !h cons_header) (digit s i)
+  done;
+  let h = if n < 10 then mix_int !h 0 else !h in
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land mask32 in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land mask32 in
+  let h = h lxor (h lsr 16) in
+  h land 0x3fff_ffff
+
 let hash s =
   let h = Array.unsafe_get s 0 in
   if h >= 0 then h
   else begin
-    let h = Hashtbl.hash (digits s) in
+    let h = hash_digits s in
     Array.unsafe_set s 0 h;
     h
   end

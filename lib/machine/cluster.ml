@@ -16,6 +16,38 @@ module Policy = Recflow_balance.Policy
 
 module Chaos = Recflow_net.Chaos
 
+(* Handles for every counter this module bumps: a bump is an array read,
+   not a string hash (see {!Counter.handle}). *)
+module Count = struct
+  let failure_injected = Counter.handle "failure.injected"
+
+  let msg_bounced = Counter.handle "msg.bounced"
+
+  let msg_sent = Counter.handle "msg.sent"
+
+  let net_ack_dropped = Counter.handle "net.ack_dropped"
+
+  let net_ack_sent = Counter.handle "net.ack_sent"
+
+  let net_delayed = Counter.handle "net.delayed"
+
+  let net_dup_injected = Counter.handle "net.dup_injected"
+
+  let net_dup_suppressed = Counter.handle "net.dup_suppressed"
+
+  let net_false_suspicion = Counter.handle "net.false_suspicion"
+
+  let net_msg_dropped = Counter.handle "net.msg_dropped"
+
+  let net_partition_dropped = Counter.handle "net.partition_dropped"
+
+  let net_retransmit = Counter.handle "net.retransmit"
+
+  let net_suspected = Counter.handle "net.suspected"
+
+  let reissue_root = Counter.handle "reissue.root"
+end
+
 type event =
   | Deliver of { src : Ids.proc_id; dst : Ids.proc_id; msg : Message.t; seq : int }
       (** [seq >= 0] marks a reliable (tracked, retransmitted) send *)
@@ -23,7 +55,7 @@ type event =
   | Retry of { seq : int }  (** retransmission timer for a reliable send *)
   | Batch of { key : int; dst : Ids.proc_id }
       (** batched delivery: one event standing for every same-tick message
-          bound for [dst]; the payloads sit in the cluster's batch buffer
+          bound for [dst]; the payloads sit in the cluster's {!Batch_buffer}
           under [key] until this fires *)
   | Bounce of { src : Ids.proc_id; dead : Ids.proc_id; msg : Message.t }
   | Step of Ids.proc_id
@@ -115,16 +147,20 @@ type t = {
   fail_times : (Ids.proc_id, int) Hashtbl.t;
       (** injected failure tick per processor, for detection-latency
           recording when the notices land *)
-  last_heard : (Ids.proc_id * Ids.proc_id, int) Hashtbl.t;
-      (** (observer, subject) → last tick any delivery or transport ack
-          from [subject] reached [observer]; the suspicion detector fires
-          only on a destination silent for the whole window, not on one
-          unlucky send *)
-  batches : (int, (Ids.proc_id * Message.t * int) list ref) Hashtbl.t;
+  last_heard : (int, int) Hashtbl.t;
+      (** (observer, subject), packed by {!heard_key} → last tick any
+          delivery or transport ack from [subject] reached [observer]; the
+          suspicion detector fires only on a destination silent for the
+          whole window, not on one unlucky send *)
+  batches : Batch_buffer.t;
       (** [Config.batched_delivery] buffers: arrival-tick × destination →
-          (src, msg, seq) payloads in reverse send order, drained by the
-          matching [Batch] event.  Latency and chaos draws already
-          happened per message at send time, so seeds stay stable. *)
+          (src, msg, seq) payloads in send order, drained by the matching
+          [Batch] event.  Latency and chaos draws already happened per
+          message at send time, so seeds stay stable. *)
+  steps : event array;
+      (** [Step pid] for every processor, built once: a wake schedules the
+          shared immutable event instead of allocating one *)
+  view : Policy.view;  (** the placement view, built once *)
   mutable node_ctx : Node.ctx option;
       (* built once on first use: rebuilding ~14 closures per dispatched
          event shows up at millions of events *)
@@ -140,9 +176,9 @@ let journal t = t.journal
 let counters t = t.counters
 
 let latency t name =
-  match Hashtbl.find_opt t.latency_tbl name with
-  | Some h -> h
-  | None ->
+  match Hashtbl.find t.latency_tbl name with
+  | h -> h
+  | exception Not_found ->
     let h = Hdr.create () in
     Hashtbl.add t.latency_tbl name h;
     h
@@ -171,6 +207,10 @@ let unsettled_sends t =
 let suspected_nodes t =
   Hashtbl.fold (fun pid () acc -> pid :: acc) t.suspected [] |> List.sort compare
 
+(* One int per (observer, subject) pair, so recording a hearing builds no
+   tuple; processor ids start at the super-root's -1. *)
+let heard_key t ~observer ~subject = ((observer + 1) * (Array.length t.node_arr + 1)) + subject + 1
+
 let node t pid =
   if pid < 0 || pid >= Array.length t.node_arr then
     invalid_arg (Printf.sprintf "Cluster.node: no processor %d" pid);
@@ -189,33 +229,30 @@ let fresh_task_id t () =
   t.next_task_id <- id + 1;
   id
 
-let pressure t pid =
-  let n = t.node_arr.(pid) in
+let pressure node_arr pid =
+  let n = node_arr.(pid) in
   if Node.is_alive n then Node.runnable_tasks n else max_int / 2
-
-let view t = { Policy.router = t.router; pressure = pressure t }
 
 let place t ~origin ~key =
   let origin = if origin = Ids.super_root then 0 else origin in
-  Policy.choose t.policy (view t) ~origin ~key
+  Policy.choose t.policy t.view ~origin ~key
 
 let first_alive t ~key =
-  match Router.alive_nodes t.router with
-  | [] -> None
-  | alive ->
+  let live = Router.alive_count t.router in
+  if live = 0 then None
+  else
     (* [abs min_int] is negative (two's complement has no positive
-       counterpart), which made [mod] produce a negative index and
-       [List.nth] raise; masking the sign bit keeps every key usable. *)
-    Some (List.nth alive (key land max_int mod List.length alive))
+       counterpart), which made [mod] produce a negative index; masking
+       the sign bit keeps every key usable. *)
+    Some (Router.nth_alive t.router (key land max_int mod live))
 
 let hops t ~src ~dst =
   let src = if src = Ids.super_root then dst else src in
   let dst = if dst = Ids.super_root then src else dst in
   if src = dst || src < 0 || dst < 0 then 0
   else
-    match Router.distance t.router src dst with
-    | Some h -> h
-    | None -> Topology.ideal_distance (Router.topology t.router) src dst
+    let h = Router.hops t.router src dst in
+    if h >= 0 then h else Topology.ideal_distance (Router.topology t.router) src dst
 
 (* Under batched delivery, all messages reaching [dst] at the same tick
    share one simulator event: the first one schedules it and the rest only
@@ -224,66 +261,61 @@ let hops t ~src ~dst =
    decision — are the same as in an unbatched run. *)
 let schedule_delivery t ~delay ~src ~dst ~seq msg =
   if t.cfg.Config.batched_delivery then begin
-    let at = now t + delay in
-    let key = (at * (Array.length t.node_arr + 2)) + (dst + 2) in
-    match Hashtbl.find_opt t.batches key with
-    | Some items -> items := (src, msg, seq) :: !items
-    | None ->
-      Hashtbl.add t.batches key (ref [ (src, msg, seq) ]);
+    let key = ((now t + delay) * (Array.length t.node_arr + 2)) + (dst + 2) in
+    if Batch_buffer.add t.batches ~key ~src ~seq msg then
       Engine.schedule t.engine ~delay (Batch { key; dst })
   end
   else Engine.schedule t.engine ~delay (Deliver { src; dst; msg; seq })
+
+(* Wire latency for one copy: the hop count, then the jitter draw. *)
+let wire_delay t ~src ~dst = Latency.delay t.cfg.Config.latency t.rng ~hops:(hops t ~src ~dst)
+
+(* The chaos layer's copies of one message, [extra_delays] in order: the
+   first is the message itself, the rest injected duplicates.  A recursion
+   rather than [List.iteri], so a send builds no closure. *)
+let rec transmit_copies t ~extra ~src ~dst ~seq msg ~first = function
+  | [] -> ()
+  | d :: rest ->
+    if not first then Counter.bump t.counters Count.net_dup_injected;
+    if d > 0 then Counter.bump t.counters Count.net_delayed;
+    schedule_delivery t ~delay:(extra + d + wire_delay t ~src ~dst) ~src ~dst ~seq msg;
+    transmit_copies t ~extra ~src ~dst ~seq msg ~first:false rest
 
 (* Transmit one message (or retransmission): wire latency plus, when a
    chaos instance is armed, the perturbation verdict — drop it, or deliver
    one or more copies with extra delay. *)
 let transmit t ~extra ~src ~dst ~seq msg =
-  let copy d =
-    let delay =
-      extra + d
-      + Latency.delay ~rng:(fun bound -> Rng.int t.rng bound) t.cfg.Config.latency
-          ~hops:(hops t ~src ~dst)
-    in
-    schedule_delivery t ~delay ~src ~dst ~seq msg
-  in
   match t.chaos with
-  | None -> copy 0
+  | None -> schedule_delivery t ~delay:(extra + wire_delay t ~src ~dst) ~src ~dst ~seq msg
   | Some ch -> (
     match Chaos.decide ch ~now:(now t) ~src ~dst with
     | Chaos.Drop reason ->
-      Counter.incr t.counters "net.msg_dropped";
-      if reason = `Partition then Counter.incr t.counters "net.partition_dropped";
+      Counter.bump t.counters Count.net_msg_dropped;
+      if reason = `Partition then Counter.bump t.counters Count.net_partition_dropped;
       Trace.logf t.trace ~time:(now t) ~level:Trace.Debug ~tag:"chaos" "%s %s -> %s: %s"
         (match reason with `Loss -> "lost" | `Partition -> "severed")
         (Ids.proc_to_string src) (Ids.proc_to_string dst) (Message.label msg)
     | Chaos.Pass { extra_delays } ->
-      List.iteri
-        (fun i d ->
-          if i > 0 then Counter.incr t.counters "net.dup_injected";
-          if d > 0 then Counter.incr t.counters "net.delayed";
-          copy d)
-        extra_delays)
+      transmit_copies t ~extra ~src ~dst ~seq msg ~first:true extra_delays)
+
+let rec ack_copies t ~src ~dst ~seq = function
+  | [] -> ()
+  | d :: rest ->
+    Engine.schedule t.engine ~delay:(d + wire_delay t ~src ~dst) (Tack { seq });
+    ack_copies t ~src ~dst ~seq rest
 
 (* Transport-level acknowledgement of reliable send [seq], from the
    receiver [src] back to the original sender [dst].  Unreliable itself —
    a lost ack just costs a retransmission, which the duplicate filter
    absorbs. *)
 let send_transport_ack t ~src ~dst ~seq =
-  Counter.incr t.counters "net.ack_sent";
-  let copy d =
-    let delay =
-      d
-      + Latency.delay ~rng:(fun bound -> Rng.int t.rng bound) t.cfg.Config.latency
-          ~hops:(hops t ~src ~dst)
-    in
-    Engine.schedule t.engine ~delay (Tack { seq })
-  in
+  Counter.bump t.counters Count.net_ack_sent;
   match t.chaos with
-  | None -> copy 0
+  | None -> Engine.schedule t.engine ~delay:(wire_delay t ~src ~dst) (Tack { seq })
   | Some ch -> (
     match Chaos.decide ch ~now:(now t) ~src ~dst with
-    | Chaos.Drop _ -> Counter.incr t.counters "net.ack_dropped"
-    | Chaos.Pass { extra_delays } -> List.iter copy extra_delays)
+    | Chaos.Drop _ -> Counter.bump t.counters Count.net_ack_dropped
+    | Chaos.Pass { extra_delays } -> ack_copies t ~src ~dst ~seq extra_delays)
 
 (* The §4.2 protocol messages that drive recovery forward are the ones the
    transport must not lose; the rest (app-level acks, gradient gossip,
@@ -298,7 +330,7 @@ let reliable_kind = function
   | Message.Ack _ | Message.Gradient _ | Message.Abort _ -> false
 
 let send_after t ~delay:extra ~src ~dst msg =
-  Counter.incr t.counters "msg.sent";
+  Counter.bump t.counters Count.msg_sent;
   let seq =
     if t.cfg.Config.reliable && src <> dst && reliable_kind msg then begin
       let s = t.next_seq in
@@ -315,7 +347,7 @@ let send_after t ~delay:extra ~src ~dst msg =
 
 let send t ~src ~dst msg = send_after t ~delay:0 ~src ~dst msg
 
-let wake t pid ~delay = Engine.schedule t.engine ~delay (Step pid)
+let wake t pid ~delay = Engine.schedule t.engine ~delay t.steps.(pid)
 
 let compiled t =
   match t.compiled with
@@ -327,7 +359,7 @@ let compiled t =
 
 let inline_eval t fname args =
   match Eval_serial.run (compiled t) fname args with
-  | v, steps -> Ok (v, steps)
+  | r -> Ok r
   | exception Eval_serial.Runtime_error msg -> Error msg
   | exception Not_found -> Error ("call to unknown function " ^ fname)
 
@@ -365,18 +397,31 @@ let ctx t =
     t.node_ctx <- Some c;
     c
 
+(* [Step pid] for every processor.  Filled in place from a static [Step 0]
+   rather than built by [Array.init]: an array past the minor heap's size
+   limit made from a young first element forces a minor collection, which
+   here would promote every freshly built node during set-up. *)
+let wake_events n =
+  let steps = Array.make n (Step 0) in
+  for pid = 1 to n - 1 do
+    steps.(pid) <- Step pid
+  done;
+  steps
+
 let create cfg program =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
   let n = Topology.size cfg.Config.topology in
+  let router = Router.create cfg.Config.topology in
+  let node_arr = Array.init n (fun i -> Node.create i cfg) in
   {
     cfg;
     program;
     library = Graph.compile_program program;
     engine = Engine.create ();
-    router = Router.create cfg.Config.topology;
-    node_arr = Array.init n (fun i -> Node.create i cfg);
+    router;
+    node_arr;
     journal = Journal.create ~retain:cfg.Config.journal_retain ();
     counters = Counter.create_set ();
     latency_tbl = Hashtbl.create 8;
@@ -422,7 +467,9 @@ let create cfg program =
     seen_seqs = Hashtbl.create 256;
     suspected = Hashtbl.create 4;
     last_heard = Hashtbl.create 64;
-    batches = Hashtbl.create 64;
+    batches = Batch_buffer.create ();
+    steps = wake_events n;
+    view = { Policy.router; pressure = pressure node_arr };
     node_ctx = None;
     compiled = None;
   }
@@ -526,7 +573,7 @@ let dispatch_request t req ~reason =
       | None -> Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
           (Journal.Spawned { task = task_id; dest; replica = 0 })
       | Some reason ->
-        Counter.incr t.counters "reissue.root";
+        Counter.bump t.counters Count.reissue_root;
         req.redispatches <- req.redispatches + 1;
         Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
           (Journal.Respawned { task = task_id; dest; reason });
@@ -620,7 +667,7 @@ let handle_fail t pid =
     Node.kill n (ctx t);
     Router.kill t.router pid;
     Hashtbl.replace t.fail_times pid (now t);
-    Counter.incr t.counters "failure.injected";
+    Counter.bump t.counters Count.failure_injected;
     Journal.record t.journal ~time:(now t) ~stamp:Stamp.root (Journal.Failure { proc = pid });
     broadcast_failure t pid
   end
@@ -647,9 +694,9 @@ let give_up t seq p =
   Hashtbl.remove t.pending_sends seq;
   let first_time = not (Hashtbl.mem t.suspected p.p_dst) in
   Hashtbl.replace t.suspected p.p_dst ();
-  Counter.incr t.counters "net.suspected";
+  Counter.bump t.counters Count.net_suspected;
   if p.p_dst >= 0 && Node.is_alive t.node_arr.(p.p_dst) then begin
-    Counter.incr t.counters "net.false_suspicion";
+    Counter.bump t.counters Count.net_false_suspicion;
     Trace.logf t.trace ~time:(now t) ~level:Trace.Warn ~tag:"suspect"
       "%s suspects live %s (no ack in %d ticks): treating as faulty"
       (Ids.proc_to_string p.p_src) (Ids.proc_to_string p.p_dst)
@@ -688,7 +735,7 @@ let give_up t seq p =
              msg = Message.Failure_notice { failed = p.p_dst }; seq = -1 })
   end;
   if p.p_src = Ids.super_root then begin
-    Counter.incr t.counters "msg.bounced";
+    Counter.bump t.counters Count.msg_bounced;
     if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
       Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
         (Deliver
@@ -703,7 +750,7 @@ let transport_accept t ~src ~dst ~seq =
   seq < 0
   ||
   if Hashtbl.mem t.seen_seqs seq then begin
-    Counter.incr t.counters "net.dup_suppressed";
+    Counter.bump t.counters Count.net_dup_suppressed;
     (* re-ack: the ack for the first copy may itself have been lost *)
     send_transport_ack t ~src:dst ~dst:src ~seq;
     false
@@ -719,7 +766,8 @@ let transport_accept t ~src ~dst ~seq =
 let deliver_one t ~src ~dst ~seq msg =
     (* any arrival is evidence the sender is alive and reachable; only the
        reliable transport's [Retry] handler ever reads it *)
-    if t.cfg.Config.reliable && src <> dst then Hashtbl.replace t.last_heard (dst, src) (now t);
+    if t.cfg.Config.reliable && src <> dst then
+      Hashtbl.replace t.last_heard (heard_key t ~observer:dst ~subject:src) (now t);
     if dst = Ids.super_root then begin
       if transport_accept t ~src ~dst ~seq then
         match msg with
@@ -751,17 +799,17 @@ let deliver_one t ~src ~dst ~seq msg =
         let already_settled =
           seq >= 0
           &&
-          match Hashtbl.find_opt t.pending_sends seq with
-          | Some p ->
+          match Hashtbl.find t.pending_sends seq with
+          | p ->
             let was = p.p_settled in
             p.p_settled <- true;
             was
-          | None -> true
+          | exception Not_found -> true
         in
         if not already_settled then
           if src = Ids.super_root then begin
             (* the super-root's own send bounced: re-dispatch the root *)
-            Counter.incr t.counters "msg.bounced";
+            Counter.bump t.counters Count.msg_bounced;
             if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
               Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
                 (Deliver
@@ -774,29 +822,37 @@ let deliver_one t ~src ~dst ~seq msg =
       end
     end
 
+(* Deliver a detached batch from slot [s] on, in send order.  Each slot is
+   read and freed before its delivery, whose handlers may buffer new
+   messages into the freed slots. *)
+let rec deliver_batch t ~dst s =
+  if s >= 0 then begin
+    let b = t.batches in
+    let src = Batch_buffer.src b s and seq = Batch_buffer.seq b s and msg = Batch_buffer.msg b s in
+    let next = Batch_buffer.release b s in
+    deliver_one t ~src ~dst ~seq msg;
+    deliver_batch t ~dst next
+  end
+
 let handle_event t _at ev =
   match ev with
   | Deliver { src; dst; msg; seq } -> deliver_one t ~src ~dst ~seq msg
-  | Batch { key; dst } -> (
-    match Hashtbl.find_opt t.batches key with
-    | None -> ()
-    | Some items ->
-      (* detach first: a handler may send again toward [dst] at this very
-         tick, which must open a fresh batch behind this one *)
-      Hashtbl.remove t.batches key;
-      List.iter (fun (src, msg, seq) -> deliver_one t ~src ~dst ~seq msg) (List.rev !items))
+  | Batch { key; dst } ->
+    (* detach first: a handler may send again toward [dst] at this very
+       tick, which must open a fresh batch behind this one *)
+    deliver_batch t ~dst (Batch_buffer.take t.batches ~key)
   | Tack { seq } -> (
-    match Hashtbl.find_opt t.pending_sends seq with
-    | Some p ->
+    match Hashtbl.find t.pending_sends seq with
+    | p ->
       (* first ack only: re-acks of suppressed duplicates are not RTTs *)
       if not p.p_settled then record_latency t "net.rtt" (now t - p.p_born);
       p.p_settled <- true;
-      Hashtbl.replace t.last_heard (p.p_src, p.p_dst) (now t)
-    | None -> ())
+      Hashtbl.replace t.last_heard (heard_key t ~observer:p.p_src ~subject:p.p_dst) (now t)
+    | exception Not_found -> ())
   | Retry { seq } -> (
-    match Hashtbl.find_opt t.pending_sends seq with
-    | None -> ()
-    | Some p ->
+    match Hashtbl.find t.pending_sends seq with
+    | exception Not_found -> ()
+    | p ->
       if p.p_settled then Hashtbl.remove t.pending_sends seq
       else if p.p_src >= 0 && not (Node.is_alive t.node_arr.(p.p_src)) then
         (* the sender itself died: nobody is waiting on this delivery *)
@@ -811,7 +867,9 @@ let handle_event t _at ev =
            retries for as long as the destination shows other signs of
            life. *)
         let heard =
-          Option.value ~default:(-1) (Hashtbl.find_opt t.last_heard (p.p_src, p.p_dst))
+          match Hashtbl.find t.last_heard (heard_key t ~observer:p.p_src ~subject:p.p_dst) with
+          | tick -> tick
+          | exception Not_found -> -1
         in
         let silent = now t - heard >= suspicion_after in
         if elapsed >= suspicion_after && silent && p.p_dst <> Ids.super_root then
@@ -819,7 +877,7 @@ let handle_event t _at ev =
         else begin
           (* never give up on the super-root: it is the cluster itself *)
           p.p_attempt <- p.p_attempt + 1;
-          Counter.incr t.counters "net.retransmit";
+          Counter.bump t.counters Count.net_retransmit;
           (* how stale the payload already is when we try again *)
           record_latency t "net.retransmit_delay" (now t - p.p_born);
           transmit t ~extra:0 ~src:p.p_src ~dst:p.p_dst ~seq p.p_msg;

@@ -63,12 +63,17 @@ let attach_sink t sink =
     | None -> Some sink
     | Some existing -> Some (Recflow_obs_core.Sink.tee existing sink))
 
+(* A journal that neither retains nor streams only counts: no entry is
+   built for it. *)
 let record t ~time ~stamp event =
-  let e = { time; stamp; event } in
   t.n_entries <- t.n_entries + 1;
   t.last_time <- time;
-  (match t.extra with Some s -> Recflow_obs_core.Sink.emit s e | None -> ());
-  if t.retain then t.rev_entries <- e :: t.rev_entries
+  match t.extra with
+  | Some s ->
+    let e = { time; stamp; event } in
+    Recflow_obs_core.Sink.emit s e;
+    if t.retain then t.rev_entries <- e :: t.rev_entries
+  | None -> if t.retain then t.rev_entries <- { time; stamp; event } :: t.rev_entries
 
 (* 63-bit prints of calls and stamps: xor-then-multiply steps are
    bijections, so two inputs that differ in one position never collide. *)

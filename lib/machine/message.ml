@@ -70,15 +70,36 @@ let label = function
   | Abort _ -> "abort"
   | Failure_notice _ -> "failure_notice"
 
-let counter_name = function
-  | Task_packet _ -> "msg.task_packet"
-  | Orphan_alive _ -> "msg.orphan_alive"
-  | Reparent _ -> "msg.reparent"
-  | Ack _ -> "msg.ack"
-  | Result _ -> "msg.result"
-  | Gradient _ -> "msg.gradient"
-  | Abort _ -> "msg.abort"
-  | Failure_notice _ -> "msg.failure_notice"
+(* One delivery-counter handle per message kind, named ["msg." ^ label]. *)
+module Count = struct
+  let h kind = Recflow_stats.Counter.handle ("msg." ^ kind)
+
+  let task_packet = h "task_packet"
+
+  let orphan_alive = h "orphan_alive"
+
+  let reparent = h "reparent"
+
+  let ack = h "ack"
+
+  let result = h "result"
+
+  let gradient = h "gradient"
+
+  let abort = h "abort"
+
+  let failure_notice = h "failure_notice"
+end
+
+let counter = function
+  | Task_packet _ -> Count.task_packet
+  | Orphan_alive _ -> Count.orphan_alive
+  | Reparent _ -> Count.reparent
+  | Ack _ -> Count.ack
+  | Result _ -> Count.result
+  | Gradient _ -> Count.gradient
+  | Abort _ -> Count.abort
+  | Failure_notice _ -> Count.failure_notice
 
 let describe = function
   | Task_packet { packet; task_id; replica; replicas } ->

@@ -108,8 +108,8 @@ val label : t -> string
 (** Counter key, one per variant: "task_packet", "orphan_alive",
     "reparent", "ack", "result", "gradient", "abort", "failure_notice". *)
 
-val counter_name : t -> string
-(** ["msg." ^ label msg], as a static literal: the delivery counter key,
-    built without allocating on every delivered message. *)
+val counter : t -> Recflow_stats.Counter.handle
+(** The delivery counter of the message's kind, named ["msg." ^ label msg]
+    and bumped once per delivered message. *)
 
 val describe : t -> string

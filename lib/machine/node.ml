@@ -8,8 +8,89 @@ module Instance = Recflow_lang.Instance
 module Counter = Recflow_stats.Counter
 module Profile = Recflow_obs_core.Profile
 
+(* Handles for every counter this module bumps: a bump is an array read,
+   not a string hash (see {!Counter.handle}). *)
+module Count = struct
+  let abort_ignored = Counter.handle "abort.ignored"
+
+  let ack_ignored = Counter.handle "ack.ignored"
+
+  let adopt_dropped = Counter.handle "adopt.dropped"
+
+  let adopt_forwarded = Counter.handle "adopt.forwarded"
+
+  let adopt_ignored = Counter.handle "adopt.ignored"
+
+  let adopt_late = Counter.handle "adopt.late"
+
+  let adopt_recorded = Counter.handle "adopt.recorded"
+
+  let adopt_sent = Counter.handle "adopt.sent"
+
+  let adopt_stale = Counter.handle "adopt.stale"
+
+  let adopt_stashed = Counter.handle "adopt.stashed"
+
+  let adopt_stranded = Counter.handle "adopt.stranded"
+
+  let ckpt_covered = Counter.handle "ckpt.covered"
+
+  let ckpt_dropped_no_recovery = Counter.handle "ckpt.dropped_no_recovery"
+
+  let ckpt_recorded = Counter.handle "ckpt.recorded"
+
+  let ckpt_skipped_deep = Counter.handle "ckpt.skipped_deep"
+
+  let dup_ignored = Counter.handle "dup.ignored"
+
+  let dup_task_packet = Counter.handle "dup.task_packet"
+
+  let msg_bounced = Counter.handle "msg.bounced"
+
+  let reissue_count = Counter.handle "reissue.count"
+
+  let reissue_stale = Counter.handle "reissue.stale"
+
+  let relay_dropped = Counter.handle "relay.dropped"
+
+  let relay_forwarded = Counter.handle "relay.forwarded"
+
+  let relay_sent = Counter.handle "relay.sent"
+
+  let relay_stashed = Counter.handle "relay.stashed"
+
+  let relay_stranded = Counter.handle "relay.stranded"
+
+  let reparent_applied = Counter.handle "reparent.applied"
+
+  let reparent_ignored = Counter.handle "reparent.ignored"
+
+  let result_ignored = Counter.handle "result.ignored"
+
+  let result_orphan_dropped = Counter.handle "result.orphan_dropped"
+
+  let result_preheld = Counter.handle "result.preheld"
+
+  let spawn_inherited = Counter.handle "spawn.inherited"
+
+  let spawn_inline = Counter.handle "spawn.inline"
+
+  let spawn_remote = Counter.handle "spawn.remote"
+
+  let spawn_skipped_preheld = Counter.handle "spawn.skipped_preheld"
+
+  let static_reassigned = Counter.handle "static.reassigned"
+
+  let task_aborted = Counter.handle "task.aborted"
+
+  let task_lost_in_failure = Counter.handle "task.lost_in_failure"
+
+  let vote_inconclusive = Counter.handle "vote.inconclusive"
+end
+
 (* Checkpoint record/discharge run once per packet — hot enough that the
-   per-span name lookup of [Profile.time] is worth skipping. *)
+   per-span name lookup of [Profile.time] is worth skipping, and that the
+   span's closure is built only while profiling is on. *)
 let ckpt_record_probe = Profile.probe "ckpt.record"
 
 let ckpt_discharge_probe = Profile.probe "ckpt.discharge"
@@ -127,7 +208,7 @@ type t = {
   mutable n_blocked : int;
   mutable n_wasted : int;  (* busy ticks of aborted / result-dropped tasks *)
   run_queue : Ids.task_id Queue.t;
-  mutable current : Ids.task_id option;
+  mutable current : Ids.task_id;  (* [Ids.no_task] when idle *)
   ckpts : Ckpt_table.t;
   (* The three side tables below are allocated on first insertion: a
      fault-free run under a central policy never touches them, and at
@@ -159,7 +240,7 @@ let create nid (config : Config.t) =
     n_blocked = 0;
     n_wasted = 0;
     run_queue = Queue.create ();
-    current = None;
+    current = Ids.no_task;
     ckpts = Ckpt_table.create ~mode:(Config.table_mode config.ckpt_mode) ();
     known_dead = None;
     stepping = false;
@@ -210,7 +291,7 @@ let live_tasks t = t.n_live
 let blocked_tasks t = t.n_blocked
 
 let runnable_tasks t =
-  Queue.length t.run_queue + (match t.current with Some _ -> 1 | None -> 0)
+  Queue.length t.run_queue + if t.current = Ids.no_task then 0 else 1
 
 let wasted_work t = t.n_wasted
 
@@ -434,7 +515,7 @@ let choose_dest t ctx ~key =
   in
   if dest >= 0 && not (knows_dead t dest) then dest
   else begin
-    Counter.incr ctx.counters "static.reassigned";
+    Counter.bump ctx.counters Count.static_reassigned;
     (* The cluster fallback only knows router liveness; a *suspected*
        processor is still routable, but anything placed there is written
        off by this node (§1), so probe past locally-known-dead picks.
@@ -462,17 +543,19 @@ let choose_dest t ctx ~key =
 let record_checkpoint t ctx ~dest packet =
   match ctx.config.Config.ckpt_mode with
   | Config.Adaptive { max_depth } when Stamp.depth packet.Packet.stamp > max_depth ->
-    Counter.incr ctx.counters "ckpt.skipped_deep";
+    Counter.bump ctx.counters Count.ckpt_skipped_deep;
     false
   | Config.Fixed _ | Config.Adaptive _ -> (
     match
-      Profile.time_probe ckpt_record_probe (fun () -> Ckpt_table.record t.ckpts ~dest packet)
+      if Profile.is_enabled () then
+        Profile.time_probe ckpt_record_probe (fun () -> Ckpt_table.record t.ckpts ~dest packet)
+      else Ckpt_table.record t.ckpts ~dest packet
     with
     | `Recorded ->
-      Counter.incr ctx.counters "ckpt.recorded";
+      Counter.bump ctx.counters Count.ckpt_recorded;
       true
     | `Covered ->
-      Counter.incr ctx.counters "ckpt.covered";
+      Counter.bump ctx.counters Count.ckpt_covered;
       false)
 
 let send_activation t ctx packet ~task_id ~dest ~replica ~replicas =
@@ -488,10 +571,10 @@ let send_activation t ctx packet ~task_id ~dest ~replica ~replicas =
 let drop_salvage t ctx ~ostamp payload reason =
   match payload with
   | Message.Salvaged _ ->
-    Counter.incr ctx.counters "relay.dropped";
+    Counter.bump ctx.counters Count.relay_dropped;
     Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp
       (Journal.Relay_dropped { at = t.nid; reason })
-  | Message.Still_running _ -> Counter.incr ctx.counters "adopt.dropped"
+  | Message.Still_running _ -> Counter.bump ctx.counters Count.adopt_dropped
 
 (* Send salvage for orphan [ostamp] on to [child]'s current twin, the next
    link of the orphan's chain. *)
@@ -500,9 +583,9 @@ let forward_salvage t ctx (child : child) ~ostamp ~dead_parent payload =
   | (_, proc) :: _, (_, task) :: _ ->
     (match payload with
     | Message.Salvaged _ ->
-      Counter.incr ctx.counters "relay.forwarded";
+      Counter.bump ctx.counters Count.relay_forwarded;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp (Journal.Relayed { via = t.nid })
-    | Message.Still_running _ -> Counter.incr ctx.counters "adopt.forwarded");
+    | Message.Still_running _ -> Counter.bump ctx.counters Count.adopt_forwarded);
     ctx.send ~src:t.nid ~dst:proc
       (Message.salvage_forward ~via:child.c_stamp ~stamp:ostamp ~dead_parent ~task ~proc payload)
   | _ -> drop_salvage t ctx ~ostamp payload "no live twin destination"
@@ -573,9 +656,22 @@ let spawn_child t ctx task ~slot ~fname ~args =
       filled = false }
   in
   Hashtbl.replace (children_tbl task) slot child;
-  Counter.add ctx.counters "spawn.remote" replicas;
+  Counter.bump_by ctx.counters Count.spawn_remote replicas;
   flush_salvage t ctx task child;
   !recorded
+
+let rec discharge_dests ckpts stamp = function
+  | [] -> ()
+  | (_, dest) :: rest ->
+    ignore (Ckpt_table.discharge ckpts ~dest stamp);
+    discharge_dests ckpts stamp rest
+
+(* Drop the checkpoints of [child] at every destination it was sent to. *)
+let discharge_child t child =
+  if Profile.is_enabled () then
+    Profile.time_probe ckpt_discharge_probe (fun () ->
+        discharge_dests t.ckpts child.c_stamp child.dests)
+  else discharge_dests t.ckpts child.c_stamp child.dests
 
 (* Re-issue a child from its functional checkpoint (rollback §3.2 /
    splice twin creation §4.1).  The packet is byte-identical — same stamp,
@@ -584,10 +680,7 @@ let spawn_child t ctx task ~slot ~fname ~args =
 let respawn_child t ctx _task (child : child) ~reason =
   Profile.time "recovery.respawn" @@ fun () ->
   let replicas = List.length child.dests in
-  Profile.time_probe ckpt_discharge_probe (fun () ->
-      List.iter
-        (fun (_, dest) -> ignore (Ckpt_table.discharge t.ckpts ~dest child.c_stamp))
-        child.dests);
+  discharge_child t child;
   let base_key = Stamp.hash child.c_stamp in
   let dests = ref [] and ctasks = ref [] in
   for replica = 0 to replicas - 1 do
@@ -613,17 +706,11 @@ let respawn_child t ctx _task (child : child) ~reason =
   child.dests <- !dests;
   child.ctasks <- !ctasks;
   if replicas > 1 then child.vote <- Some (Vote.create ~replicas ~equal:Value.equal);
-  Counter.incr ctx.counters "reissue.count"
+  Counter.bump ctx.counters Count.reissue_count
 
 (* ------------------------------------------------------------------ *)
 (* Task completion and result forwarding                               *)
 (* ------------------------------------------------------------------ *)
-
-let discharge_child t child =
-  Profile.time_probe ckpt_discharge_probe @@ fun () ->
-  List.iter
-    (fun (_, dest) -> ignore (Ckpt_table.discharge t.ckpts ~dest child.c_stamp))
-    child.dests
 
 (* Fill a call slot with a decided value and resume the task if it was
    suspended on it. *)
@@ -647,39 +734,44 @@ let nearest_live_ancestor t ~grandparent ~ancestors =
 (* §4.2: "Send the result to the parent.  If the parent is dead, notify
    the grandparent and send the result to the grandparent."
 
-   Parameterized over the producer's stamp, return links and drop
-   bookkeeping so it serves both a live task completing ([complete_task])
-   and a retired producer whose earlier return bounced ([handle_bounce]). *)
-let return_result_from t ctx ~stamp ~(parent : Packet.link) ~grandparent ~ancestors ~tid
-    ~mark_dropped value =
-  let payload relay target = Message.Result { stamp; value; target; relay } in
-  if not (knows_dead t parent.Packet.proc) then
-    ctx.send ~src:t.nid ~dst:parent.Packet.proc (payload Message.To_parent parent)
+   Parameterized over the producer's stamp and return links so it serves
+   both a live task completing ([complete_task]) and a retired producer
+   whose earlier return bounced ([handle_bounce]).  Returns [true] when
+   the result was dropped, for the caller's waste bookkeeping. *)
+let return_result_from t ctx ~stamp ~(parent : Packet.link) ~grandparent ~ancestors ~tid value =
+  if not (knows_dead t parent.Packet.proc) then begin
+    ctx.send ~src:t.nid ~dst:parent.Packet.proc
+      (Message.Result { stamp; value; target = parent; relay = Message.To_parent });
+    false
+  end
   else begin
     match ctx.config.recovery with
     | Config.Splice when ctx.config.ancestor_depth >= 1 -> (
       match nearest_live_ancestor t ~grandparent ~ancestors with
       | Some live_ancestor ->
-        Counter.incr ctx.counters "relay.sent";
+        Counter.bump ctx.counters Count.relay_sent;
         ctx.send ~src:t.nid ~dst:live_ancestor.Packet.proc
-          (payload (Message.To_grandparent { dead_parent = parent }) live_ancestor)
+          (Message.Result
+             { stamp; value; target = live_ancestor;
+               relay = Message.To_grandparent { dead_parent = parent } });
+        false
       | None ->
-        mark_dropped ();
-        Counter.incr ctx.counters "relay.stranded";
+        Counter.bump ctx.counters Count.relay_stranded;
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
-          (Journal.Relay_dropped { at = t.nid; reason = "grandparent dead or absent" }))
+          (Journal.Relay_dropped { at = t.nid; reason = "grandparent dead or absent" });
+        true)
     | Config.No_recovery | Config.Rollback | Config.Splice | Config.Replicate _ ->
-      mark_dropped ();
-      Counter.incr ctx.counters "result.orphan_dropped";
-      Journal.record ctx.journal ~time:(ctx.now ()) ~stamp (Journal.Orphan_dropped { task = tid })
+      Counter.bump ctx.counters Count.result_orphan_dropped;
+      Journal.record ctx.journal ~time:(ctx.now ()) ~stamp (Journal.Orphan_dropped { task = tid });
+      true
   end
 
 let return_result t ctx task value =
   let p = task.packet in
-  return_result_from t ctx ~stamp:p.Packet.stamp ~parent:p.Packet.parent
-    ~grandparent:p.Packet.grandparent ~ancestors:p.Packet.ancestors ~tid:task.tid
-    ~mark_dropped:(fun () -> mark_dropped t task)
-    value
+  if
+    return_result_from t ctx ~stamp:p.Packet.stamp ~parent:p.Packet.parent
+      ~grandparent:p.Packet.grandparent ~ancestors:p.Packet.ancestors ~tid:task.tid value
+  then mark_dropped t task
 
 let complete_task t ctx task value =
   set_state t task Done;
@@ -697,7 +789,7 @@ let abort_task t ctx task =
   if task_live task then begin
     set_state t task Aborted;
     t.n_wasted <- t.n_wasted + task.work;
-    Counter.incr ctx.counters "task.aborted";
+    Counter.bump ctx.counters Count.task_aborted;
     Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
       (Journal.Aborted { task = task.tid; proc = t.nid; work = task.work });
     (* Cascade to outstanding children so their processors can reclaim
@@ -739,7 +831,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
     let drained = Ckpt_table.on_failure t.ckpts ~failed in
     (match ctx.config.recovery with
     | Config.No_recovery ->
-      Counter.add ctx.counters "ckpt.dropped_no_recovery" (List.length drained)
+      Counter.bump_by ctx.counters Count.ckpt_dropped_no_recovery (List.length drained)
     | Config.Rollback | Config.Splice | Config.Replicate _ ->
       (* Re-issue the topmost checkpoints filed under the dead processor
          whose slots are still waiting.  Replicated slots are governed by
@@ -748,16 +840,16 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
         (fun (packet : Packet.t) ->
           let parent = packet.Packet.parent in
           match lookup t parent.Packet.task with
-          | Absent | Gone _ -> Counter.incr ctx.counters "reissue.stale"
+          | Absent | Gone _ -> Counter.bump ctx.counters Count.reissue_stale
           | Alive task -> (
             match child_find task parent.Packet.slot with
-            | None -> Counter.incr ctx.counters "reissue.stale"
+            | None -> Counter.bump ctx.counters Count.reissue_stale
             | Some child ->
               if child.filled || child.vote <> None then ()
               else if not (Stamp.equal child.c_stamp packet.Packet.stamp) then
                 (* The slot has moved on (covered descendant drained
                    alongside its ancestor in Keep_all mode). *)
-                Counter.incr ctx.counters "reissue.stale"
+                Counter.bump ctx.counters Count.reissue_stale
               else if List.exists (fun (_, d) -> d <> failed) child.dests then
                 (* already re-homed by the orphan-result path *)
                 ()
@@ -779,7 +871,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                       match Vote.lose vote with
                       | Vote.Decided v -> if not child.filled then fill_slot t ctx task child v
                       | Vote.Inconclusive ->
-                        Counter.incr ctx.counters "vote.inconclusive";
+                        Counter.bump ctx.counters Count.vote_inconclusive;
                         respawn_child t ctx task child ~reason:"vote-inconclusive"
                       | Vote.Undecided -> ())
                     lost_here
@@ -807,7 +899,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                   task.early
               in
               task.early <- keep;
-              List.iter (fun _ -> Counter.incr ctx.counters "adopt.stale") stale
+              List.iter (fun _ -> Counter.bump ctx.counters Count.adopt_stale) stale
             end;
             child_iter
               (fun _ child ->
@@ -852,7 +944,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                   ~ancestors:task.packet.Packet.ancestors
               with
               | Some anc ->
-                Counter.incr ctx.counters "adopt.sent";
+                Counter.bump ctx.counters Count.adopt_sent;
                 ctx.send ~src:t.nid ~dst:anc.Packet.proc
                   (Message.Orphan_alive
                      {
@@ -863,7 +955,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                        dead_parent = task.packet.Packet.parent;
                        target = anc;
                      })
-              | None -> Counter.incr ctx.counters "adopt.stranded"
+              | None -> Counter.bump ctx.counters Count.adopt_stranded
             end)
       | Config.No_recovery -> ())
   end
@@ -881,15 +973,15 @@ let deliver_result_into t ctx task ~slot ~stamp value =
        is skipped when the call node fires. *)
     match List.assoc_opt slot task.early with
     | Some (Preheld _) ->
-      Counter.incr ctx.counters "dup.ignored";
+      Counter.bump ctx.counters Count.dup_ignored;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
         (Journal.Duplicate_ignored { task = task.tid })
     | Some (Orphan _) | None ->
       task.early <- (slot, Preheld value) :: List.remove_assoc slot task.early;
-      Counter.incr ctx.counters "result.preheld")
+      Counter.bump ctx.counters Count.result_preheld)
   | Some child ->
     if child.filled then begin
-      Counter.incr ctx.counters "dup.ignored";
+      Counter.bump ctx.counters Count.dup_ignored;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
         (Journal.Duplicate_ignored { task = task.tid })
     end
@@ -901,7 +993,7 @@ let deliver_result_into t ctx task ~slot ~stamp value =
         | Vote.Decided v -> fill_slot t ctx task child v
         | Vote.Undecided -> ()
         | Vote.Inconclusive ->
-          Counter.incr ctx.counters "vote.inconclusive";
+          Counter.bump ctx.counters Count.vote_inconclusive;
           respawn_child t ctx task child ~reason:"vote-inconclusive")
     end
 
@@ -936,13 +1028,13 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
        slot it fills.  If the clone is already out, adoption lost the race
        (duplicates, §4.1 case 6). *)
     let slot = orphan.Packet.slot in
-    if Option.is_some (child_find task slot) then Counter.incr ctx.counters "adopt.late"
+    if Option.is_some (child_find task slot) then Counter.bump ctx.counters Count.adopt_late
     else begin
       (match List.assoc_opt slot task.early with
       | Some (Preheld _) -> ()
       | Some (Orphan _) | None ->
         task.early <- (slot, Orphan orphan) :: List.remove_assoc slot task.early);
-      Counter.incr ctx.counters "adopt.recorded"
+      Counter.bump ctx.counters Count.adopt_recorded
     end
   | Some _, _ -> (
     let chain_child =
@@ -956,10 +1048,10 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
     match chain_child with
     | None ->
       task.stash <- (ostamp, dead_parent, payload) :: task.stash;
-      Counter.incr ctx.counters
+      Counter.bump ctx.counters
         (match payload with
-        | Message.Salvaged _ -> "relay.stashed"
-        | Message.Still_running _ -> "adopt.stashed")
+        | Message.Salvaged _ -> Count.relay_stashed
+        | Message.Still_running _ -> Count.adopt_stashed)
     | Some child when child.filled ->
       drop_salvage t ctx ~ostamp payload "parent slot already filled"
     | Some child ->
@@ -979,7 +1071,7 @@ let deliver_to_task t ctx task msg =
     | Config.Splice ->
       route_salvage t ctx task ~ostamp:stamp ~dead_parent (Message.Salvaged value)
     | Config.No_recovery | Config.Rollback | Config.Replicate _ ->
-      Counter.incr ctx.counters "relay.dropped")
+      Counter.bump ctx.counters Count.relay_dropped)
   | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } ->
     route_salvage t ctx task ~ostamp:stamp ~dead_parent (Message.Still_running orphan)
   | Message.Task_packet _ | Message.Reparent _ | Message.Ack _ | Message.Gradient _
@@ -1031,7 +1123,7 @@ let activate_task t ctx packet ~task_id =
 
 let deliver t ctx msg =
   if t.alive then begin
-    Counter.incr ctx.counters (Message.counter_name msg);
+    Counter.bump ctx.counters (Message.counter msg);
     match msg with
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ }
       when Hashtbl.mem t.tasks task_id ->
@@ -1039,7 +1131,7 @@ let deliver t ctx msg =
          idempotent by stamp + task id, so keep the existing instance
          untouched and only repeat the protocol-level Ack — the first one
          may have been lost, and the parent must still leave state b/d. *)
-      Counter.incr ctx.counters "dup.task_packet";
+      Counter.bump ctx.counters Count.dup_task_packet;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
         (Journal.Duplicate_ignored { task = task_id });
       let parent = packet.Packet.parent in
@@ -1072,7 +1164,7 @@ let deliver t ctx msg =
     | (Message.Orphan_alive { target; _ } | Message.Result { target; _ }) as msg -> (
       match (lookup t target.Packet.task, msg) with
       | Alive task, _ -> deliver_to_task t ctx task msg
-      | Gone _, Message.Orphan_alive _ -> Counter.incr ctx.counters "adopt.ignored"
+      | Gone _, Message.Orphan_alive _ -> Counter.bump ctx.counters Count.adopt_ignored
       | ( Absent,
           ( Message.Orphan_alive _
           | Message.Result { relay = Message.To_step_parent _ | Message.To_grandparent _; _ } ) )
@@ -1086,26 +1178,26 @@ let deliver t ctx msg =
         (* "If a processor receives a packet and cannot find a proper
            rule to handle it, the processor simply ignores the
            message." *)
-        Counter.incr ctx.counters "result.ignored")
+        Counter.bump ctx.counters Count.result_ignored)
     | Message.Ack { child_stamp; child_task; child_proc; parent_task; slot = _ } -> (
       (* Establishes the parent→child pointer (state b/d → c/e). *)
       if Hashtbl.mem t.tasks parent_task then
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
           (Journal.Acked { task = child_task; proc = child_proc })
-      else Counter.incr ctx.counters "ack.ignored")
+      else Counter.bump ctx.counters Count.ack_ignored)
     | Message.Reparent { orphan_task; new_parent; new_grandparent } -> (
       match lookup t orphan_task with
-      | Absent -> Counter.incr ctx.counters "reparent.ignored"
+      | Absent -> Counter.bump ctx.counters Count.reparent_ignored
       | Alive task ->
         (* a live orphan has no answer yet; its eventual return follows
            the rewritten links *)
         task.packet <-
           Packet.reparent task.packet ~parent:new_parent ~grandparent:new_grandparent;
-        Counter.incr ctx.counters "reparent.applied"
+        Counter.bump ctx.counters Count.reparent_applied
       | Gone p ->
         p.r_parent <- new_parent;
         p.r_grandparent <- new_grandparent;
-        Counter.incr ctx.counters "reparent.applied";
+        Counter.bump ctx.counters Count.reparent_applied;
         if p.r_done then begin
           (* completed before learning the address: deliver now (a
              duplicate of an earlier successful relay is absorbed) *)
@@ -1136,7 +1228,7 @@ let deliver t ctx msg =
       match lookup t task with
       | Alive task -> abort_task t ctx task
       | Gone _ -> () (* already finished or aborted: nothing to reclaim *)
-      | Absent -> Counter.incr ctx.counters "abort.ignored")
+      | Absent -> Counter.bump ctx.counters Count.abort_ignored)
     | Message.Failure_notice { failed } -> handle_failure t ctx ~failed
   end
 
@@ -1151,13 +1243,13 @@ let handle_bounce t ctx ~dead msg =
        just a local note — otherwise the later broadcast notice would be
        ignored as already-known and checkpoints would never be re-issued. *)
     handle_failure ~reason:"bounce-detect" t ctx ~failed:dead;
-    Counter.incr ctx.counters "msg.bounced";
+    Counter.bump ctx.counters Count.msg_bounced;
     match msg with
     | Message.Task_packet { packet; task_id = _; replica = _; replicas = _ } -> (
       (* The packet never arrived (transient state b/d): the retained
          checkpoint regenerates it, exactly like a failure notice would. *)
       match lookup t packet.Packet.parent.Packet.task with
-      | Absent -> Counter.incr ctx.counters "reissue.stale"
+      | Absent -> Counter.bump ctx.counters Count.reissue_stale
       | Gone _ -> ()
       | Alive task -> (
         match child_find task packet.Packet.parent.Packet.slot with
@@ -1185,39 +1277,39 @@ let handle_bounce t ctx ~dead msg =
         | Some tid -> (
           match lookup t tid with
           | Gone p ->
-            let mark_dropped () =
-              (* a [Done] producer: its work is wasted once its result is *)
-              if not p.r_dropped then begin
-                p.r_dropped <- true;
-                t.n_wasted <- t.n_wasted + p.r_work
-              end
+            let dropped =
+              return_result_from t ctx ~stamp:p.r_stamp ~parent:p.r_parent
+                ~grandparent:p.r_grandparent ~ancestors:p.r_ancestors ~tid r.value
             in
-            return_result_from t ctx ~stamp:p.r_stamp ~parent:p.r_parent
-              ~grandparent:p.r_grandparent ~ancestors:p.r_ancestors ~tid ~mark_dropped r.value
+            (* a [Done] producer: its work is wasted once its result is *)
+            if dropped && not p.r_dropped then begin
+              p.r_dropped <- true;
+              t.n_wasted <- t.n_wasted + p.r_work
+            end
           | Absent | Alive _ -> assert false (* the fold just found its tombstone *))
         | None ->
-          Counter.incr ctx.counters "relay.dropped";
+          Counter.bump ctx.counters Count.relay_dropped;
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:r.stamp
             (Journal.Relay_dropped { at = t.nid; reason = "producer gone after bounce" }))
       | Config.No_recovery | Config.Rollback | Config.Replicate _ ->
-        Counter.incr ctx.counters "result.orphan_dropped";
+        Counter.bump ctx.counters Count.result_orphan_dropped;
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:r.stamp
           (Journal.Orphan_dropped { task = r.target.Packet.task }))
     | Message.Result { relay = Message.To_grandparent _; stamp; _ } ->
       (* Grandparent dead as well (§5.2's stranded orphan). *)
-      Counter.incr ctx.counters "relay.stranded";
+      Counter.bump ctx.counters Count.relay_stranded;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
         (Journal.Relay_dropped { at = t.nid; reason = "grandparent dead (stranded orphan)" })
     | Message.Result { relay = Message.To_step_parent _; stamp; _ } ->
       (* The twin's processor died before the salvaged result landed; the
          next failure notice will regenerate the twin and recompute. *)
-      Counter.incr ctx.counters "relay.dropped";
+      Counter.bump ctx.counters Count.relay_dropped;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
         (Journal.Relay_dropped { at = t.nid; reason = "step-parent died" })
     | Message.Orphan_alive _ ->
       (* The ancestor died before the report landed: the orphan will fall
          back to the result-relay path (or strand) at completion time. *)
-      Counter.incr ctx.counters "adopt.stranded"
+      Counter.bump ctx.counters Count.adopt_stranded
     | Message.Gradient _ | Message.Reparent _ | Message.Ack _ | Message.Abort _
     | Message.Failure_notice _ -> ()
   end
@@ -1247,7 +1339,7 @@ let skip_preheld t ctx task ~slot v =
   Hashtbl.replace (children_tbl task) slot
     { slot; c_stamp; c_packet = task.packet; dests = []; ctasks = []; vote = None; filled = true };
   Instance.supply task.inst slot v;
-  Counter.incr ctx.counters "spawn.skipped_preheld";
+  Counter.bump ctx.counters Count.spawn_skipped_preheld;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:c_stamp
     (Journal.Result_accepted { task = task.tid });
   ctx.wake t.nid ~delay:1
@@ -1263,7 +1355,7 @@ let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
       filled = false }
   in
   Hashtbl.replace (children_tbl task) slot child;
-  Counter.incr ctx.counters "spawn.inherited";
+  Counter.bump ctx.counters Count.spawn_inherited;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Inherited { orphan_task = orphan.Packet.task; proc = orphan.Packet.proc });
   (* tell the orphan its new return address (§3.4's second option); if it
@@ -1280,24 +1372,24 @@ let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
   ctx.wake t.nid ~delay:1
 
 let rec pick_next t ctx =
-  match Queue.take_opt t.run_queue with
-  | None -> t.stepping <- false
-  | Some tid -> (
+  if Queue.is_empty t.run_queue then t.stepping <- false
+  else
+    let tid = Queue.take t.run_queue in
     match lookup t tid with
     | Alive task ->
       set_state t task Running;
-      t.current <- Some tid;
+      t.current <- tid;
       ctx.wake t.nid ~delay:ctx_switch
-    | Gone _ | Absent -> pick_next t ctx)
+    | Gone _ | Absent -> pick_next t ctx
 
 let step t ctx =
   if t.alive then begin
-    match t.current with
-    | None -> pick_next t ctx
-    | Some tid -> (
+    let tid = t.current in
+    if tid = Ids.no_task then pick_next t ctx
+    else begin
       match lookup t tid with
       | Absent | Gone _ ->
-        t.current <- None;
+        t.current <- Ids.no_task;
         pick_next t ctx
       | Alive task -> (
           match Instance.step task.inst with
@@ -1315,14 +1407,14 @@ let step t ctx =
             | Some (Orphan _) | None ->
               (* an orphan that died since it reported is a stale adoption:
                  spawn a fresh child instead *)
-              if Option.is_some early then Counter.incr ctx.counters "adopt.stale";
+              if Option.is_some early then Counter.bump ctx.counters Count.adopt_stale;
               if should_inline ctx task then begin
                 match ctx.inline_eval fname args with
                 | Ok (v, steps) ->
                   let ticks = max 1 (steps * work_tick) in
                   charge t task ticks;
                   Instance.supply task.inst slot v;
-                  Counter.incr ctx.counters "spawn.inline";
+                  Counter.bump ctx.counters Count.spawn_inline;
                   Journal.record ctx.journal ~time:(ctx.now ())
                     ~stamp:task.packet.Packet.stamp
                     (Journal.Inlined { parent_task = task.tid; proc = t.nid; work = ticks });
@@ -1337,13 +1429,14 @@ let step t ctx =
               end)
           | Instance.Blocked ->
             set_state t task Blocked;
-            t.current <- None;
+            t.current <- Ids.no_task;
             pick_next t ctx
           | Instance.Finished v ->
             complete_task t ctx task v;
-            t.current <- None;
+            t.current <- Ids.no_task;
             pick_next t ctx
-          | Instance.Failed msg -> ctx.program_error msg))
+          | Instance.Failed msg -> ctx.program_error msg)
+    end
   end
 
 let gradient_value t = t.gradient_value
@@ -1352,9 +1445,9 @@ let kill t ctx =
   if t.alive then begin
     t.alive <- false;
     t.stepping <- false;
-    t.current <- None;
+    t.current <- Ids.no_task;
     Queue.clear t.run_queue;
-    Counter.add ctx.counters "task.lost_in_failure" t.n_live;
+    Counter.bump_by ctx.counters Count.task_lost_in_failure t.n_live;
     (* Tasks die with the node; mark them so queries do not mistake them
        for survivors.  Their packets live on in peers' checkpoint tables.
        A [Lost] entry (distinct from [Aborted], which means rollback

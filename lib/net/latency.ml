@@ -4,11 +4,7 @@ let default = { base = 20; per_hop = 10; jitter = 0 }
 
 let no_jitter ~base ~per_hop = { base; per_hop; jitter = 0 }
 
-let delay ?rng t ~hops =
+let delay t rng ~hops =
   if hops < 0 then invalid_arg "Latency.delay: negative hop count";
-  let fixed = t.base + (t.per_hop * hops) in
-  if t.jitter <= 0 then fixed
-  else
-    match rng with
-    | None -> fixed
-    | Some draw -> fixed + draw (t.jitter + 1)
+  let d = t.base + (t.per_hop * hops) in
+  if t.jitter <= 0 then d else d + Recflow_sim.Rng.int rng (t.jitter + 1)

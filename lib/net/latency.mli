@@ -1,8 +1,8 @@
 (** Message latency model.
 
-    Latency is [base + per_hop * hops], optionally with deterministic
-    pseudo-random jitter in [\[0, jitter\]] drawn from a caller-supplied
-    generator.  All quantities are simulation ticks. *)
+    Latency is [base + per_hop * hops], plus deterministic pseudo-random
+    jitter in [\[0, jitter\]] drawn from the caller's generator.  All
+    quantities are simulation ticks. *)
 
 type t = { base : int; per_hop : int; jitter : int }
 
@@ -11,6 +11,7 @@ val default : t
 
 val no_jitter : base:int -> per_hop:int -> t
 
-val delay : ?rng:(int -> int) -> t -> hops:int -> int
-(** [delay ~rng m ~hops]; [rng bound] must return a value in [\[0, bound)]
-    and is consulted only when [m.jitter > 0]. *)
+val delay : t -> Recflow_sim.Rng.t -> hops:int -> int
+(** [base + per_hop * hops] plus one [Rng.int rng (jitter + 1)] draw; no
+    draw at all when [m.jitter = 0].
+    @raise Invalid_argument if [hops < 0]. *)

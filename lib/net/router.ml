@@ -49,8 +49,20 @@ let alive t node =
 let alive_count t = Array.length t.dead - t.n_dead
 
 let alive_nodes t =
-  let n = Array.length t.dead in
-  List.init n Fun.id |> List.filter (fun i -> not t.dead.(i))
+  let acc = ref [] in
+  for i = Array.length t.dead - 1 downto 0 do
+    if not t.dead.(i) then acc := i :: !acc
+  done;
+  !acc
+
+let rec walk_alive dead i left =
+  if dead.(i) then walk_alive dead (i + 1) left
+  else if left = 0 then i
+  else walk_alive dead (i + 1) (left - 1)
+
+let nth_alive t k =
+  if k < 0 || k >= alive_count t then invalid_arg "Router.nth_alive: index out of range";
+  walk_alive t.dead 0 k
 
 let unreachable = max_int
 
@@ -82,14 +94,14 @@ let row t src =
     t.rows.(src) <- Some r;
     r
 
-let distance t a b =
+let hops t a b =
   check t a;
   check t b;
-  if t.dead.(a) || t.dead.(b) then None
-  else if t.full then Some (if a = b then 0 else 1)
+  if t.dead.(a) || t.dead.(b) then -1
+  else if t.full then if a = b then 0 else 1
   else begin
     let d = (row t a).(b) in
-    if d = unreachable then None else Some d
+    if d = unreachable then -1 else d
   end
 
-let reachable t a b = distance t a b <> None
+let reachable t a b = hops t a b >= 0

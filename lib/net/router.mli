@@ -26,14 +26,21 @@ val alive : t -> int -> bool
 
 val alive_nodes : t -> int list
 (** Sorted ids of live nodes.  Allocates O(P); hot paths that only need
-    existence or cardinality should use {!alive_count}. *)
+    existence or cardinality should use {!alive_count}, and one member
+    {!nth_alive}. *)
 
 val alive_count : t -> int
 (** Number of live nodes, maintained incrementally — O(1). *)
 
-val distance : t -> int -> int -> int option
-(** [distance t a b] is the hop count of the shortest live route, [None]
-    when [b] is dead or unreachable from [a].  [Some 0] when [a = b] and
-    alive. *)
+val nth_alive : t -> int -> int
+(** [nth_alive t k] is [List.nth (alive_nodes t) k] without building the
+    list: a walk over the liveness array, no allocation.
+    @raise Invalid_argument unless [0 <= k < alive_count t]. *)
+
+val hops : t -> int -> int -> int
+(** [hops t a b] is the hop count of the shortest live route, [-1] when
+    [a] or [b] is dead or [b] is unreachable from [a]; [0] when [a = b] and
+    alive.  Allocation-free. *)
 
 val reachable : t -> int -> int -> bool
+(** [hops t a b >= 0]. *)

@@ -1,17 +1,50 @@
-(* Phase profiler: scoped wall-clock timers with self-time attribution.
+(* Phase profiler: scoped wall-clock timers and minor-word counts with
+   self attribution.
 
    State is sharded per domain through DLS — a domain only ever touches its
    own tally table and span stack, so instrumented hot paths (engine
    dispatch, checkpoint record, recovery splice) take no lock.  The one
    mutex below guards only the registry of per-domain states and is hit
    once per domain lifetime, at first use.  When disabled (the default)
-   [time] is a single flag test. *)
+   [time] is a single flag test.
 
-type tally = { mutable count : int; mutable total : float; mutable self : float }
+   An enabled span allocates nothing itself: the clock and the minor-word
+   counter are read through unboxed externals, a tally's sums live in a
+   flat float array, and the span stack is a set of parallel arrays
+   indexed by depth.  A span's words are therefore exactly what the
+   wrapped code allocated (including the closure it was handed, which the
+   caller built before the span opened and so charges to the enclosing
+   span), and self words subtract nested spans like self time. *)
 
-type frame = { tally : tally; start : float; mutable child : float }
+external clock : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+[@@noalloc]
 
-type dstate = { tallies : (string, tally) Hashtbl.t; mutable stack : frame list }
+external minor_words : unit -> (float[@unboxed])
+  = "caml_gc_minor_words" "caml_gc_minor_words_unboxed"
+
+(* Indices into a tally's [sums] and into a frame's block of [marks]. *)
+let total_s = 0
+
+let self_s = 1
+
+let total_w = 2
+
+let self_w = 3
+
+type tally = { mutable count : int; sums : float array (* total/self seconds and words *) }
+
+(* Open span [i] is [frames.(i)]; [marks] holds four floats per depth:
+   start time, time of closed children, start words, words of closed
+   children. *)
+type dstate = {
+  tallies : (string, tally) Hashtbl.t;
+  mutable frames : tally array;
+  mutable marks : float array;
+  mutable depth : int;
+}
+
+let fresh_tally () = { count = 0; sums = Array.make 4 0.0 }
 
 let enabled = ref false
 
@@ -21,7 +54,10 @@ let registry_mutex = Mutex.create ()
 
 let dkey =
   Domain.DLS.new_key (fun () ->
-      let s = { tallies = Hashtbl.create 16; stack = [] } in
+      let s =
+        { tallies = Hashtbl.create 16; frames = Array.make 8 (fresh_tally ());
+          marks = Array.make 32 0.0; depth = 0 }
+      in
       Mutex.lock registry_mutex;
       registry := s :: !registry;
       Mutex.unlock registry_mutex;
@@ -41,56 +77,89 @@ let reset () =
       Hashtbl.iter
         (fun _ (t : tally) ->
           t.count <- 0;
-          t.total <- 0.0;
-          t.self <- 0.0)
+          Array.fill t.sums 0 4 0.0)
         s.tallies;
-      s.stack <- [])
+      s.depth <- 0)
     !registry;
   Mutex.unlock registry_mutex
 
-let tally_of s name =
-  match Hashtbl.find_opt s.tallies name with
+let tally_of tallies name =
+  match Hashtbl.find_opt tallies name with
   | Some t -> t
   | None ->
-    let t = { count = 0; total = 0.0; self = 0.0 } in
-    Hashtbl.add s.tallies name t;
+    let t = fresh_tally () in
+    Hashtbl.add tallies name t;
     t
 
+let push s t =
+  let d = s.depth in
+  if d = Array.length s.frames then begin
+    let frames = Array.make (2 * d) t and marks = Array.make (8 * d) 0.0 in
+    Array.blit s.frames 0 frames 0 d;
+    Array.blit s.marks 0 marks 0 (4 * d);
+    s.frames <- frames;
+    s.marks <- marks
+  end;
+  s.frames.(d) <- t;
+  s.depth <- d + 1;
+  let m = s.marks and b = 4 * d in
+  m.(b + 1) <- 0.0;
+  m.(b + 3) <- 0.0;
+  m.(b) <- clock ();
+  m.(b + 2) <- minor_words ()
+
+(* Words are read before the clock, and both before any bookkeeping, so
+   neither the profiler nor the clock read lands in a span's words.  A
+   span still open across a [reset] closes without a frame and is
+   dropped. *)
+let pop s =
+  let w = minor_words () in
+  let now = clock () in
+  let d = s.depth - 1 in
+  if d >= 0 then begin
+    s.depth <- d;
+    let m = s.marks and b = 4 * d in
+    let dt = now -. m.(b) and dw = w -. m.(b + 2) in
+    let t = s.frames.(d) in
+    t.count <- t.count + 1;
+    let sums = t.sums in
+    sums.(total_s) <- sums.(total_s) +. dt;
+    sums.(self_s) <- sums.(self_s) +. (dt -. m.(b + 1));
+    sums.(total_w) <- sums.(total_w) +. dw;
+    sums.(self_w) <- sums.(self_w) +. (dw -. m.(b + 3));
+    if d > 0 then begin
+      let p = b - 4 in
+      m.(p + 1) <- m.(p + 1) +. dt;
+      m.(p + 3) <- m.(p + 3) +. dw
+    end
+  end
+
 let span s t f =
-  let fr = { tally = t; start = Unix.gettimeofday (); child = 0.0 } in
-  s.stack <- fr :: s.stack;
-  let finish () =
-    let dt = Unix.gettimeofday () -. fr.start in
-    (match s.stack with _ :: rest -> s.stack <- rest | [] -> ());
-    fr.tally.count <- fr.tally.count + 1;
-    fr.tally.total <- fr.tally.total +. dt;
-    fr.tally.self <- fr.tally.self +. (dt -. fr.child);
-    match s.stack with parent :: _ -> parent.child <- parent.child +. dt | [] -> ()
-  in
+  push s t;
   match f () with
   | v ->
-    finish ();
+    pop s;
     v
   | exception e ->
-    finish ();
+    pop s;
     raise e
 
 let time name f =
   if not !enabled then f ()
   else begin
     let s = Domain.DLS.get dkey in
-    span s (tally_of s name) f
+    span s (tally_of s.tallies name) f
   end
 
 (* A probe caches its tally per domain so the hot path skips the string
    hash and [find_opt] of {!time} — each span is then just the two clock
-   reads plus the frame push.  The cached tally lives in the domain's
-   ordinary tally table (and {!reset} zeroes tallies in place), so
-   snapshot/reset see probe spans exactly like named ones. *)
+   and two word-counter reads plus the frame push.  The cached tally lives
+   in the domain's ordinary tally table (and {!reset} zeroes tallies in
+   place), so snapshot/reset see probe spans exactly like named ones. *)
 type nonrec probe = tally Domain.DLS.key
 
 let probe name =
-  Domain.DLS.new_key (fun () -> tally_of (Domain.DLS.get dkey) name)
+  Domain.DLS.new_key (fun () -> tally_of (Domain.DLS.get dkey).tallies name)
 
 let time_probe p f =
   if not !enabled then f ()
@@ -99,7 +168,14 @@ let time_probe p f =
     span s (Domain.DLS.get p) f
   end
 
-type entry = { name : string; count : int; total_s : float; self_s : float }
+type entry = {
+  name : string;
+  count : int;
+  total_s : float;
+  self_s : float;
+  total_words : float;
+  self_words : float;
+}
 
 let snapshot () =
   let merged : (string, tally) Hashtbl.t = Hashtbl.create 16 in
@@ -110,17 +186,9 @@ let snapshot () =
     (fun s ->
       Hashtbl.iter
         (fun name (t : tally) ->
-          let m =
-            match Hashtbl.find_opt merged name with
-            | Some m -> m
-            | None ->
-              let m = { count = 0; total = 0.0; self = 0.0 } in
-              Hashtbl.add merged name m;
-              m
-          in
+          let m = tally_of merged name in
           m.count <- m.count + t.count;
-          m.total <- m.total +. t.total;
-          m.self <- m.self +. t.self)
+          Array.iteri (fun i v -> m.sums.(i) <- m.sums.(i) +. v) t.sums)
         s.tallies)
     states;
   Hashtbl.fold
@@ -129,7 +197,16 @@ let snapshot () =
          phase not entered since the last reset shows up here as an
          all-zero tally — omit it. *)
       if t.count = 0 then acc
-      else { name; count = t.count; total_s = t.total; self_s = t.self } :: acc)
+      else
+        {
+          name;
+          count = t.count;
+          total_s = t.sums.(total_s);
+          self_s = t.sums.(self_s);
+          total_words = t.sums.(total_w);
+          self_words = t.sums.(self_w);
+        }
+        :: acc)
     merged []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
@@ -145,6 +222,8 @@ let to_json ?wall_s ?(meta = []) () =
               ("count", Json.Int e.count);
               ("total_s", Json.Float e.total_s);
               ("self_s", Json.Float e.self_s);
+              ("total_words", Json.Float e.total_words);
+              ("self_words", Json.Float e.self_words);
             ] ))
       (snapshot ())
   in
@@ -161,12 +240,13 @@ let pp_report ppf () =
     let entries = List.sort (fun a b -> compare b.self_s a.self_s) entries in
     let total_self = List.fold_left (fun acc e -> acc +. e.self_s) 0.0 entries in
     Format.fprintf ppf "== phase profile ==@.";
-    Format.fprintf ppf "%-28s %10s %12s %12s %7s@." "phase" "count" "total(ms)" "self(ms)"
-      "self%";
+    Format.fprintf ppf "%-28s %10s %12s %12s %7s %12s %10s@." "phase" "count" "total(ms)"
+      "self(ms)" "self%" "self(kw)" "words/call";
     List.iter
       (fun e ->
         let pct = if total_self > 0.0 then 100.0 *. e.self_s /. total_self else 0.0 in
-        Format.fprintf ppf "%-28s %10d %12.2f %12.2f %6.1f%%@." e.name e.count
-          (1000.0 *. e.total_s) (1000.0 *. e.self_s) pct)
+        Format.fprintf ppf "%-28s %10d %12.2f %12.2f %6.1f%% %12.1f %10.1f@." e.name e.count
+          (1000.0 *. e.total_s) (1000.0 *. e.self_s) pct (e.self_words /. 1000.0)
+          (e.self_words /. float_of_int e.count))
       entries
   end

@@ -1,9 +1,12 @@
-(** Phase profiler: scoped wall-clock timers with self-time attribution.
+(** Phase profiler: scoped wall-clock timers and minor-word counts with
+    self attribution.
 
     Call sites wrap interesting phases ([engine.dispatch], [ckpt.record],
     [recovery.splice], ...) in {!time}; when profiling is enabled the
-    elapsed wall time is charged to the named phase, and time spent in
-    nested {!time} scopes is subtracted to give exclusive "self" time.
+    elapsed wall time and the minor words allocated are charged to the
+    named phase, and what nested {!time} scopes spent is subtracted to give
+    exclusive "self" time and words.  An enabled span allocates nothing of
+    its own, so its words are exactly the wrapped code's.
     State is sharded per domain (DLS), so instrumented hot paths never
     contend on a lock; when disabled — the default — {!time} is a single
     flag test plus the cost of the wrapped call.
@@ -41,9 +44,17 @@ val time_probe : probe -> (unit -> 'a) -> 'a
 (** Like {!time}, through a {!probe}: two clock reads and a frame push
     per span, no name lookup.  When disabled this is just [f ()]. *)
 
-type entry = { name : string; count : int; total_s : float; self_s : float }
+type entry = {
+  name : string;
+  count : int;
+  total_s : float;
+  self_s : float;
+  total_words : float;
+  self_words : float;
+}
 (** [total_s] is inclusive wall time; [self_s] excludes time spent in
-    nested profiled scopes. *)
+    nested profiled scopes.  [total_words] and [self_words] are the minor
+    words allocated, inclusive and exclusive in the same way. *)
 
 val snapshot : unit -> entry list
 (** Tallies merged across all domains, sorted by phase name.  Take it
@@ -56,7 +67,8 @@ val schema : string
 val to_json : ?wall_s:float -> ?meta:(string * Json.t) list -> unit -> Json.t
 (** The [recflow.profile/1] document: schema tag, optional wall-clock and
     meta block, and one object per phase with [count] / [total_s] /
-    [self_s]. *)
+    [self_s] / [total_words] / [self_words]. *)
 
 val pp_report : Format.formatter -> unit -> unit
-(** ASCII table, phases sorted by self time descending. *)
+(** ASCII table, phases sorted by self time descending, with each phase's
+    self words in thousands and per call. *)

@@ -201,24 +201,39 @@ let resize_heap t cap =
   t.payloads <- payloads
 
 (* Sifts move a hole rather than swapping: one key and one payload write
-   per level. *)
+   per level.  Both are top-level recursions over explicit arguments, so a
+   push or pop builds no closure. *)
+let rec sift_up keys payloads key i =
+  if i = 0 then i
+  else
+    let parent = (i - 1) / 2 in
+    let pk = Array.unsafe_get keys parent in
+    if key < pk then begin
+      Array.unsafe_set keys i pk;
+      Array.unsafe_set payloads i (Array.unsafe_get payloads parent);
+      sift_up keys payloads key parent
+    end
+    else i
+
+let rec sift_down keys payloads key last i =
+  let l = (2 * i) + 1 in
+  if l >= last then i
+  else
+    let r = l + 1 in
+    let c = if r < last && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l in
+    let ck = Array.unsafe_get keys c in
+    if ck < key then begin
+      Array.unsafe_set keys i ck;
+      Array.unsafe_set payloads i (Array.unsafe_get payloads c);
+      sift_down keys payloads key last c
+    end
+    else i
+
 let heap_push t key payload =
   let cap = Array.length t.keys in
   if t.far = cap then resize_heap t (max heap_initial (2 * cap));
   let keys = t.keys and payloads = t.payloads in
-  let rec up i =
-    if i = 0 then i
-    else
-      let parent = (i - 1) / 2 in
-      let pk = Array.unsafe_get keys parent in
-      if key < pk then begin
-        Array.unsafe_set keys i pk;
-        Array.unsafe_set payloads i (Array.unsafe_get payloads parent);
-        up parent
-      end
-      else i
-  in
-  let i = up t.far in
+  let i = sift_up keys payloads key t.far in
   Array.unsafe_set keys i key;
   Array.unsafe_set payloads i payload;
   t.far <- t.far + 1
@@ -232,23 +247,7 @@ let heap_drop_min t =
   let key = Array.unsafe_get keys last and payload = Array.unsafe_get payloads last in
   Array.unsafe_set payloads last dummy;
   if last > 0 then begin
-    let rec down i =
-      let l = (2 * i) + 1 in
-      if l >= last then i
-      else
-        let r = l + 1 in
-        let c =
-          if r < last && Array.unsafe_get keys r < Array.unsafe_get keys l then r else l
-        in
-        let ck = Array.unsafe_get keys c in
-        if ck < key then begin
-          Array.unsafe_set keys i ck;
-          Array.unsafe_set payloads i (Array.unsafe_get payloads c);
-          down c
-        end
-        else i
-    in
-    let i = down 0 in
+    let i = sift_down keys payloads key last 0 in
     Array.unsafe_set keys i key;
     Array.unsafe_set payloads i payload
   end;
@@ -273,14 +272,12 @@ let advance t time =
 (* Timestamp of the earliest pending event; the engine must not be empty.
    The wheel's events all precede the overflow heap's, and its non-empty
    bucket nearest the clock holds the earliest of them. *)
+let rec scan_wheel buckets time =
+  if Array.unsafe_get buckets (time land wheel_mask) <> empty then time
+  else scan_wheel buckets (time + 1)
+
 let earliest t =
-  if t.in_wheel = 0 then Array.unsafe_get t.keys 0 lsr seq_bits
-  else
-    let rec scan time =
-      if Array.unsafe_get t.buckets (time land wheel_mask) <> empty then time
-      else scan (time + 1)
-    in
-    scan t.clock
+  if t.in_wheel = 0 then Array.unsafe_get t.keys 0 lsr seq_bits else scan_wheel t.buckets t.clock
 
 let schedule_at : 'a. 'a t -> time:time -> 'a -> unit =
  fun t ~time payload ->
@@ -302,17 +299,34 @@ let schedule t ~delay payload =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock + delay) payload
 
+(* Pop the earliest event and advance the clock to [at], its timestamp. *)
+let pop t at =
+  if at <> t.clock then advance t at;
+  t.dispatched <- t.dispatched + 1;
+  Obj.obj (pop_bucket t at)
+
 let next : 'a. 'a t -> (time * 'a) option =
  fun t ->
   if pending t = 0 then None
-  else begin
+  else
     let at = earliest t in
-    if at <> t.clock then advance t at;
-    t.dispatched <- t.dispatched + 1;
-    Some (at, Obj.obj (pop_bucket t at))
-  end
+    Some (at, pop t at)
 
 let stop t = t.stopping <- true
+
+(* Dispatch the earliest event to [handler] unless the engine is stopping,
+   empty, or its earliest event lies beyond [limit]; [false] when it did
+   not.  The drain loops below are loops over this: no option, pair or
+   closure per event. *)
+let dispatch_one t limit handler =
+  if t.stopping || pending t = 0 then false
+  else
+    let at = earliest t in
+    if at > limit then false
+    else begin
+      handler at (pop t at);
+      true
+    end
 
 (* A dispatched event costs ~70ns, so timing each one individually
    (two clock reads + a tally lookup per event) would double the hot
@@ -327,72 +341,25 @@ let profile_chunk = 256
 
 let dispatch_probe = Profile.probe "engine.dispatch"
 
-(* The [until]-absent case is the common one (clusters stop themselves via
-   [stop]); it runs a straight drain loop with no per-event horizon peek.
-   Profiling is decided once per run: the disabled drain loops are
-   byte-for-byte the old ones, no closure and no flag test per event. *)
+let dispatch_chunk t limit handler =
+  let budget = ref profile_chunk in
+  while !budget > 0 && dispatch_one t limit handler do
+    decr budget
+  done
+
+(* Without [until] the limit is [max_int], which every event time is
+   below.  Profiling is decided once per run; the disabled drain tests no
+   flag per event. *)
 let run t ?until handler =
   t.stopping <- false;
-  if Profile.is_enabled () then begin
-    (* Specialized per [until] exactly like the unprofiled loops below,
-       with the chunk countdown as a recursive int parameter (a register,
-       not a [ref]): the per-event work inside a chunk is the unprofiled
-       drain's tests plus a single integer compare. *)
-    match until with
-    | None ->
-      let rec chunk budget =
-        if budget > 0 && not t.stopping then
-          match next t with
-          | None -> ()
-          | Some (at, ev) ->
-            handler at ev;
-            chunk (budget - 1)
-      in
-      let rec drain () =
-        if (not t.stopping) && pending t > 0 then begin
-          Profile.time_probe dispatch_probe (fun () -> chunk profile_chunk);
-          drain ()
-        end
-      in
-      drain ()
-    | Some limit ->
-      let rec chunk budget =
-        if budget > 0 && (not t.stopping) && (pending t = 0 || earliest t <= limit) then
-          match next t with
-          | None -> ()
-          | Some (at, ev) ->
-            handler at ev;
-            chunk (budget - 1)
-      in
-      let rec drain () =
-        if (not t.stopping) && pending t > 0 && earliest t <= limit then begin
-          Profile.time_probe dispatch_probe (fun () -> chunk profile_chunk);
-          drain ()
-        end
-      in
-      drain ()
-  end
+  let limit = match until with Some l -> l | None -> max_int in
+  if Profile.is_enabled () then
+    while (not t.stopping) && pending t > 0 && earliest t <= limit do
+      Profile.time_probe dispatch_probe (fun () -> dispatch_chunk t limit handler)
+    done
   else
-    match until with
-    | None ->
-      let rec drain () =
-        if not t.stopping then
-          match next t with
-          | None -> ()
-          | Some (at, ev) ->
-            handler at ev;
-            drain ()
-      in
-      drain ()
-    | Some limit ->
-      let rec loop () =
-        if (not t.stopping) && (pending t = 0 || earliest t <= limit) then
-          match next t with
-          | None -> ()
-          | Some (at, ev) ->
-            handler at ev;
-            loop ()
-      in
-      loop ()
+    while dispatch_one t limit handler do
+      ()
+    done
 
 let events_dispatched t = t.dispatched

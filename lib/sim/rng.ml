@@ -1,28 +1,43 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer read and written through the
+   unboxed [%caml_bytes_get64u] / [%caml_bytes_set64u] primitives, so a
+   draw is int64 arithmetic on registers: nothing is boxed, no closure is
+   built, and [int] and [bool] allocate nothing at all.  (A [mutable
+   state : int64] field boxes every new state, and returning an [int64]
+   from a non-inlined call boxes it again.)  The byte order is the host's;
+   the state never leaves the process, and [copy]/[split] move it whole. *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.mul (Int64.of_int (seed + 1)) golden_gamma }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.mul (Int64.of_int (seed + 1)) golden_gamma)
 
-(* Finalization mix of splitmix64: two xor-shift-multiply rounds. *)
-let mix64 z =
+let copy t = Bytes.copy t
+
+(* Advance the state and return the finalization mix of splitmix64 (two
+   xor-shift-multiply rounds) of the new state.  Inlined into every draw
+   below, so the int64 never crosses a call boundary and is never boxed. *)
+let[@inline] next_int64 t =
+  let z = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let split t = of_state (next_int64 t)
 
-let split t =
-  let seed = next_int64 t in
-  { state = seed }
-
-(* 2^62: draws keep 62 bits because a 63-bit value does not fit OCaml's
-   tagged int and [Int64.to_int] would wrap it negative. *)
-let draw_range = 0x4000_0000_0000_0000L
+(* One raw draw shifted down to 62 bits: the value fits OCaml's tagged int
+   (a 63-bit value would not, and [Int64.to_int] would wrap it negative). *)
+let[@inline] draw62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -31,14 +46,21 @@ let int t bound =
      of [bound] below 2^62 are re-drawn.  For realistic bounds the accept
      region is nearly all of the range, so this almost never costs an
      extra draw and the emitted stream matches the biased one except on
-     the (astronomically rare) rejected draws. *)
-  let b = Int64.of_int bound in
-  let limit = Int64.mul (Int64.div draw_range b) b in
-  let rec draw () =
-    let r = Int64.shift_right_logical (next_int64 t) 2 in
-    if r < limit then Int64.to_int (Int64.rem r b) else draw ()
-  in
-  draw ()
+     the (astronomically rare) rejected draws.  The limit is
+     [floor (2^62 / bound) * bound], computed without the unrepresentable
+     2^62 = [max_int + 1]: [max_int / bound] is one short exactly when
+     [bound] divides 2^62. *)
+  let q = max_int / bound in
+  let q = if max_int - (q * bound) + 1 = bound then q + 1 else q in
+  (* When [bound] divides 2^62 (1 or a power of two) the limit is 2^62
+     itself, which wraps negative here: every 62-bit draw is accepted,
+     which [limit <= 0] encodes. *)
+  let limit = q * bound in
+  let r = ref (draw62 t) in
+  while limit > 0 && !r >= limit do
+    r := draw62 t
+  done;
+  !r mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -115,6 +115,77 @@ let deterministic_given_seed () =
   in
   Alcotest.(check (list int)) "same seed same picks" (run ()) (run ())
 
+(* The list-walking [choose] that placement used before it became
+   allocation-free, kept as the reference the rewrite must agree with: the
+   same node for every spec, liveness pattern, pressure map and origin,
+   and the same RNG and round-robin state afterwards. *)
+let reference_choose spec rng rr router ~pressure ~origin ~key =
+  let alive = Router.alive_nodes router in
+  let dist node =
+    let h = Router.hops router origin node in
+    if h < 0 then None else Some h
+  in
+  let least score nodes =
+    let best =
+      List.fold_left
+        (fun acc node ->
+          let s = score node in
+          match acc with Some (_, best_s) when compare best_s s <= 0 -> acc | _ -> Some (node, s))
+        None nodes
+    in
+    match best with Some (node, _) -> node | None -> assert false
+  in
+  match spec with
+  | Policy.Random -> Recflow_sim.Rng.pick rng (Array.of_list alive)
+  | Policy.Round_robin ->
+    let idx = !rr mod List.length alive in
+    incr rr;
+    List.nth alive idx
+  | Policy.Static_hash -> abs (key * 2654435761) mod Topology.size (Router.topology router)
+  | Policy.Gradient { weight } ->
+    least (fun node -> pressure node + (weight * Option.value ~default:0 (dist node))) alive
+  | Policy.Neighborhood { radius } ->
+    let in_ball =
+      List.filter (fun n -> match dist n with Some d -> d <= radius | None -> false) alive
+    in
+    least
+      (fun node -> (pressure node, Option.value ~default:max_int (dist node)))
+      (if in_ball = [] then alive else in_ball)
+  | Policy.Gradient_distributed _ -> least pressure alive
+
+let choose_matches_reference =
+  let topologies =
+    [ Topology.Full 9; Topology.Ring 9; Topology.Mesh (3, 3); Topology.Hypercube 3 ]
+  in
+  let specs =
+    [
+      Policy.Random; Policy.Round_robin; Policy.Static_hash; Policy.Gradient { weight = 0 };
+      Policy.Gradient { weight = 2 }; Policy.Neighborhood { radius = 1 };
+      Policy.Neighborhood { radius = 0 }; Policy.Gradient_distributed { threshold = 1 };
+    ]
+  in
+  QCheck.Test.make ~name:"choose agrees with the list-walking reference" ~count:300
+    QCheck.(
+      quad (int_bound 3) (int_bound (List.length specs - 1)) small_nat
+        (list_of_size (Gen.return 12) (pair (int_bound 8) (int_bound 4))))
+    (fun (ti, si, seed, draws) ->
+      let topo = List.nth topologies ti and spec = List.nth specs si in
+      let router = Router.create topo in
+      let n = Topology.size topo in
+      (* kill a seed-dependent set, never the whole machine *)
+      List.iteri
+        (fun i (node, _) -> if i < seed mod 5 && node < n - 1 then Router.kill router node)
+        draws;
+      let pressure node = (node * 7919 + seed) mod 5 in
+      let p = Policy.create ~seed spec in
+      let rng = Recflow_sim.Rng.create seed and rr = ref 0 in
+      List.for_all
+        (fun (origin, k) ->
+          let origin = origin mod n and key = (k * 1_000_003) + seed in
+          Policy.choose p { Policy.router; pressure } ~origin ~key
+          = reference_choose spec rng rr router ~pressure ~origin ~key)
+        draws)
+
 let suites =
   [
     ( "balance.policy",
@@ -130,5 +201,6 @@ let suites =
         Alcotest.test_case "spec strings" `Quick spec_strings;
         Alcotest.test_case "is_static" `Quick is_static;
         Alcotest.test_case "deterministic" `Quick deterministic_given_seed;
+        QCheck_alcotest.to_alcotest choose_matches_reference;
       ] );
   ]

@@ -3,6 +3,7 @@
 module Topology = Recflow_net.Topology
 module Router = Recflow_net.Router
 module Latency = Recflow_net.Latency
+module Rng = Recflow_sim.Rng
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -75,7 +76,7 @@ let dist_matches_bfs =
         match which with 0 -> Topology.Ring 8 | 1 -> Topology.Hypercube 3 | _ -> Topology.Mesh (2, 4)
       in
       let r = Router.create t in
-      Router.distance r a b = Some (Topology.ideal_distance t a b))
+      Router.hops r a b = Topology.ideal_distance t a b)
 
 let router_kill () =
   let r = Router.create (Topology.Full 4) in
@@ -83,8 +84,8 @@ let router_kill () =
   Router.kill r 2;
   check "dead" false (Router.alive r 2);
   Alcotest.(check (list int)) "alive nodes" [ 0; 1; 3 ] (Router.alive_nodes r);
-  Alcotest.(check (option int)) "distance to dead" None (Router.distance r 0 2);
-  Alcotest.(check (option int)) "distance from dead" None (Router.distance r 2 0);
+  check_int "distance to dead" (-1) (Router.hops r 0 2);
+  check_int "distance from dead" (-1) (Router.hops r 2 0);
   Router.revive r 2;
   check "revived" true (Router.alive r 2)
 
@@ -95,24 +96,24 @@ let router_partition () =
   Router.kill r 3;
   check "1-2 still connected" true (Router.reachable r 1 2);
   check "1-4 cut" false (Router.reachable r 1 4);
-  Alcotest.(check (option int)) "4-5 side intact" (Some 1) (Router.distance r 4 5);
-  Alcotest.(check (option int)) "1-5 cut" None (Router.distance r 1 5)
+  check_int "4-5 side intact" 1 (Router.hops r 4 5);
+  check_int "1-5 cut" (-1) (Router.hops r 1 5)
 
 let router_reroute () =
   (* with a dead shortcut the route goes the long way round *)
   let r = Router.create (Topology.Ring 6) in
-  Alcotest.(check (option int)) "short way" (Some 2) (Router.distance r 0 2);
+  check_int "short way" 2 (Router.hops r 0 2);
   Router.kill r 1;
-  Alcotest.(check (option int)) "long way" (Some 4) (Router.distance r 0 2)
+  check_int "long way" 4 (Router.hops r 0 2)
 
 let router_revive_distances () =
   (* regression: revive must invalidate whatever route state kill built,
      not merely flip the liveness bit *)
   let r = Router.create (Topology.Ring 6) in
   Router.kill r 1;
-  Alcotest.(check (option int)) "long way while dead" (Some 4) (Router.distance r 0 2);
+  check_int "long way while dead" 4 (Router.hops r 0 2);
   Router.revive r 1;
-  Alcotest.(check (option int)) "short way restored" (Some 2) (Router.distance r 0 2);
+  check_int "short way restored" 2 (Router.hops r 0 2);
   Alcotest.(check (list int)) "all alive again" [ 0; 1; 2; 3; 4; 5 ] (Router.alive_nodes r)
 
 let router_alive_but_unreachable () =
@@ -123,26 +124,29 @@ let router_alive_but_unreachable () =
   Router.kill r 3;
   check "node 2 still alive" true (Router.alive r 2);
   check "but unreachable" false (Router.reachable r 0 2);
-  Alcotest.(check (option int)) "distance reports none, like a dead node" None
-    (Router.distance r 0 2);
+  check_int "hops reports -1, like a dead node" (-1) (Router.hops r 0 2);
   check "dead node agrees" false (Router.reachable r 0 1);
   Router.revive r 3;
-  Alcotest.(check (option int)) "reviving the cut vertex restores a route" (Some 4)
-    (Router.distance r 0 2)
+  check_int "reviving the cut vertex restores a route" 4 (Router.hops r 0 2)
 
 let latency_fixed () =
   let m = Latency.no_jitter ~base:10 ~per_hop:5 in
-  check_int "0 hops" 10 (Latency.delay m ~hops:0);
-  check_int "3 hops" 25 (Latency.delay m ~hops:3)
+  let rng = Rng.create 1 and twin = Rng.create 1 in
+  check_int "0 hops" 10 (Latency.delay m rng ~hops:0);
+  check_int "3 hops" 25 (Latency.delay m rng ~hops:3);
+  check "the generator is untouched" true (Rng.next_int64 rng = Rng.next_int64 twin)
 
 let latency_jitter () =
   let m = { Latency.base = 10; per_hop = 0; jitter = 5 } in
-  check_int "no rng means fixed" 10 (Latency.delay m ~hops:0);
-  let d = Latency.delay ~rng:(fun bound -> bound - 1) m ~hops:0 in
-  check_int "jitter added" 15 d;
+  let rng = Rng.create 3 in
+  let twin = Rng.copy rng in
+  for _ = 1 to 50 do
+    check_int "one Rng.int (jitter + 1) draw added" (10 + Rng.int twin 6)
+      (Latency.delay m rng ~hops:0)
+  done;
   check "negative hops rejected" true
     (try
-       ignore (Latency.delay m ~hops:(-1));
+       ignore (Latency.delay m rng ~hops:(-1));
        false
      with Invalid_argument _ -> true)
 

@@ -513,13 +513,15 @@ let killed_node_is_silent () =
   check_int "no reaction after kill" 0 (List.length !(w.sent));
   check "not alive" false (Node.is_alive w.node)
 
-(* Delivery counter keys are static literals; they must spell exactly the
-   "msg." ^ label keys every report and golden was written with. *)
+(* Delivery counters are bumped through one handle per message kind; each
+   must spell exactly the "msg." ^ label key every report and golden was
+   written with. *)
 let counter_names () =
   let link = parent_link ~task:1 ~proc:2 ~slot:3 and stamp = Stamp.of_digits [ 0; 1 ] in
   List.iter
     (fun m ->
-      Alcotest.(check string) (Message.label m) ("msg." ^ Message.label m) (Message.counter_name m))
+      Alcotest.(check string) (Message.label m) ("msg." ^ Message.label m)
+        (Recflow_stats.Counter.handle_name (Message.counter m)))
     [
       Message.Task_packet { packet = mk_packet (); task_id = 1; replica = 0; replicas = 1 };
       Message.Orphan_alive { stamp; orphan = link; dead_parent = link; target = link };

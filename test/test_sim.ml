@@ -54,6 +54,173 @@ let rng_int_in_bounds =
       let x = Rng.int_in t lo (lo + span) in
       x >= lo && x <= lo + span)
 
+(* The first 32 draws of each generator entry point for four seeds, as
+   the int64-record generator produced them before its state moved into an
+   unboxed byte buffer.  Every simulation's placement, jitter, chaos and
+   arrival draws come from these streams, so a state-layout change that
+   altered one of them would silently change every run.  Even-indexed
+   [int] draws use bound 1_000_003; odd ones use 2^61 + 1, which rejects
+   about half the raw draws and so pins the rejection path too.  Floats
+   are compared bit for bit; [split] is pinned by each child's first raw
+   draw. *)
+let rng_pins =
+  [
+    ( 0,
+      [| 607872; 121904254867886419; 899533; 490437550606523686; 425248; 801824006500076728; 710615;
+         1133040290248155824; 393695; 1828385819961610050; 282667; 2254720765600760981; 545711;
+         943990553302029273; 742881; 1518375760479688915; 396638; 1904472539284425920; 521995;
+         999602818651848841; 736524; 96276870668398922; 578136; 1898482598585582128; 24269;
+         1085104078059262184; 885303; 1435098643125323210; 636379; 347863650467339635; 109715;
+         337775926421387853 |],
+      [| 0x3fdb9e279aa86e58L; 0x3f9b117462002500L; 0x3fef1177150e4990L; 0x3fbb39896a51a870L;
+         0x3fd4f2e7c31d1fa8L; 0x3fc6414d5f0fa298L; 0x3fe8b082675922d5L; 0x3fcf72bc4820e4c4L;
+         0x3fee77091186d196L; 0x3fd95fbb374f2c4eL; 0x3fe85a64dc00ab7bL; 0x3fe0c43407fc177bL;
+         0x3fe1c3eeaab30755L; 0x3fe6a9c1e2c01989L; 0x3fe09767f2f2e3b0L; 0x3fdf4a60971d5484L;
+         0x3fe879e2e2056fefL; 0x3fca3374d041c8a4L; 0x3feb0351a56b4890L; 0x3feb602c05620173L;
+         0x3fe52071524304beL; 0x3fedbebe3b21b945L; 0x3fd5125ab59ef498L; 0x3febaf803a9ea80eL;
+         0x3fe26bd05e3b6989L; 0x3fda6e0baf2488ccL; 0x3fd034a7ad5f7874L; 0x3fe45e13b5768b8cL;
+         0x3fedca43af41e9a7L; 0x3fee2d2a5dce5e68L; 0x3fcbbe9aef547200L; 0x3fa8fbd00c92c770L |],
+      "01010101010111110001100110000110",
+      [| 0x46b73e79f0c37c00L; 0xee2751b92135351cL; 0x4e213bb3324a7b38L; 0x4694c35b74d11c5cL;
+         0x13d3e7a6c63b012cL; 0x6a9216023fd7dc5dL; 0xea5787965e2c85f2L; 0xea36f3cc1d96075L;
+         0xd475f18fa30908a9L; 0xd70528ba4b0b9233L; 0x1657ff9edcd0b634L; 0xc47b3d089030d09cL;
+         0xad54453f34420004L; 0x771b298ed5912eb8L; 0x14d6c6bfbea13f21L; 0x38b535e8e762fa89L;
+         0xb06a7a3532d31e9L; 0x23a1ad94adeeaa95L; 0xcf0bf26323bb0345L; 0xf31c50849a0cc299L;
+         0x7ba9bb0234cb64f6L; 0x201eb6f7fa9e3cd0L; 0xf991e543999b270dL; 0xac88b6cb63400431L;
+         0x59bb8bb2074a9ceaL; 0x23c99bb08d3eca03L; 0xf6933da3885b9770L; 0x912281fc5c513b24L;
+         0x9e507575afceeb07L; 0x8545ffd2998bbf56L; 0xb0d7688aa7c9ec79L; 0x24a0eadce9a3c41aL |],
+      [| 0x405502b4dbdde968L; 0x4076b4fb06f5f123L; 0x4007a3ea2a377f62L; 0x406c035cda88531aL;
+         0x405beb841bfcbb5bL; 0x4065de455a56e16cL; 0x4039ef92514b3bdaL; 0x40618bce02e9a166L;
+         0x4013a9c7a11a3462L; 0x40572106288f93ceL; 0x403b4ec36557e58cL; 0x405028b0c447872bL;
+         0x404d6c9ce4939ca4L; 0x40413ff6d5429dadL; 0x40506bd667c83726L; 0x4051e3a19a52ecacL;
+         0x403acdc6049dc044L; 0x4063d3f1c7835ba5L; 0x4030f1203ec20100L; 0x402f375b365de931L;
+         0x4044c28522c468aeL; 0x401d3a8dea72cdd7L; 0x405bc6184ea45881L; 0x402cf70dd19c23c5L;
+         0x404b9ca0b18c4b8eL; 0x40561c1602253b24L; 0x40612b447516820dL; 0x404696fd175e41a0L;
+         0x401c9fbcd380a861L; 0x4017784d44ee4c59L; 0x40631cc53f733a9eL; 0x4072e02a4dd17841L |] );
+    ( 1,
+      [| 218951; 490437550606523686; 425248; 801824006500076728; 710615; 1133040290248155824;
+         393695; 1828385819961610050; 282667; 2254720765600760981; 545711; 943990553302029273;
+         742881; 1518375760479688915; 396638; 1904472539284425920; 521995; 999602818651848841;
+         736524; 96276870668398922; 578136; 1898482598585582128; 24269; 1085104078059262184; 885303;
+         1435098643125323210; 636379; 347863650467339635; 109715; 337775926421387853; 41661;
+         1126246443553627755 |],
+      [| 0x3f9b117462002500L; 0x3fef1177150e4990L; 0x3fbb39896a51a870L; 0x3fd4f2e7c31d1fa8L;
+         0x3fc6414d5f0fa298L; 0x3fe8b082675922d5L; 0x3fcf72bc4820e4c4L; 0x3fee77091186d196L;
+         0x3fd95fbb374f2c4eL; 0x3fe85a64dc00ab7bL; 0x3fe0c43407fc177bL; 0x3fe1c3eeaab30755L;
+         0x3fe6a9c1e2c01989L; 0x3fe09767f2f2e3b0L; 0x3fdf4a60971d5484L; 0x3fe879e2e2056fefL;
+         0x3fca3374d041c8a4L; 0x3feb0351a56b4890L; 0x3feb602c05620173L; 0x3fe52071524304beL;
+         0x3fedbebe3b21b945L; 0x3fd5125ab59ef498L; 0x3febaf803a9ea80eL; 0x3fe26bd05e3b6989L;
+         0x3fda6e0baf2488ccL; 0x3fd034a7ad5f7874L; 0x3fe45e13b5768b8cL; 0x3fedca43af41e9a7L;
+         0x3fee2d2a5dce5e68L; 0x3fcbbe9aef547200L; 0x3fa8fbd00c92c770L; 0x3f9560b4dc446b00L |],
+      "10101010101111100011001100001101",
+      [| 0xee2751b92135351cL; 0x4e213bb3324a7b38L; 0x4694c35b74d11c5cL; 0x13d3e7a6c63b012cL;
+         0x6a9216023fd7dc5dL; 0xea5787965e2c85f2L; 0xea36f3cc1d96075L; 0xd475f18fa30908a9L;
+         0xd70528ba4b0b9233L; 0x1657ff9edcd0b634L; 0xc47b3d089030d09cL; 0xad54453f34420004L;
+         0x771b298ed5912eb8L; 0x14d6c6bfbea13f21L; 0x38b535e8e762fa89L; 0xb06a7a3532d31e9L;
+         0x23a1ad94adeeaa95L; 0xcf0bf26323bb0345L; 0xf31c50849a0cc299L; 0x7ba9bb0234cb64f6L;
+         0x201eb6f7fa9e3cd0L; 0xf991e543999b270dL; 0xac88b6cb63400431L; 0x59bb8bb2074a9ceaL;
+         0x23c99bb08d3eca03L; 0xf6933da3885b9770L; 0x912281fc5c513b24L; 0x9e507575afceeb07L;
+         0x8545ffd2998bbf56L; 0xb0d7688aa7c9ec79L; 0x24a0eadce9a3c41aL; 0x1dea3c0d6fb89e74L |],
+      [| 0x4076b4fb06f5f123L; 0x4007a3ea2a377f62L; 0x406c035cda88531aL; 0x405beb841bfcbb5bL;
+         0x4065de455a56e16cL; 0x4039ef92514b3bdaL; 0x40618bce02e9a166L; 0x4013a9c7a11a3462L;
+         0x40572106288f93ceL; 0x403b4ec36557e58cL; 0x405028b0c447872bL; 0x404d6c9ce4939ca4L;
+         0x40413ff6d5429dadL; 0x40506bd667c83726L; 0x4051e3a19a52ecacL; 0x403acdc6049dc044L;
+         0x4063d3f1c7835ba5L; 0x4030f1203ec20100L; 0x402f375b365de931L; 0x4044c28522c468aeL;
+         0x401d3a8dea72cdd7L; 0x405bc6184ea45881L; 0x402cf70dd19c23c5L; 0x404b9ca0b18c4b8eL;
+         0x40561c1602253b24L; 0x40612b447516820dL; 0x404696fd175e41a0L; 0x401c9fbcd380a861L;
+         0x4017784d44ee4c59L; 0x40631cc53f733a9eL; 0x4072e02a4dd17841L; 0x40782e97d5a536edL |] );
+    ( 7,
+      [| 482413; 1828385819961610050; 282667; 2254720765600760981; 545711; 943990553302029273;
+         742881; 1518375760479688915; 396638; 1904472539284425920; 521995; 999602818651848841;
+         736524; 96276870668398922; 578136; 1898482598585582128; 24269; 1085104078059262184; 885303;
+         1435098643125323210; 636379; 347863650467339635; 109715; 337775926421387853; 41661;
+         1126246443553627755; 214956; 2148645238756375736; 896760; 587221522096955229; 116094;
+         867366040385323952 |],
+      [| 0x3fcf72bc4820e4c4L; 0x3fee77091186d196L; 0x3fd95fbb374f2c4eL; 0x3fe85a64dc00ab7bL;
+         0x3fe0c43407fc177bL; 0x3fe1c3eeaab30755L; 0x3fe6a9c1e2c01989L; 0x3fe09767f2f2e3b0L;
+         0x3fdf4a60971d5484L; 0x3fe879e2e2056fefL; 0x3fca3374d041c8a4L; 0x3feb0351a56b4890L;
+         0x3feb602c05620173L; 0x3fe52071524304beL; 0x3fedbebe3b21b945L; 0x3fd5125ab59ef498L;
+         0x3febaf803a9ea80eL; 0x3fe26bd05e3b6989L; 0x3fda6e0baf2488ccL; 0x3fd034a7ad5f7874L;
+         0x3fe45e13b5768b8cL; 0x3fedca43af41e9a7L; 0x3fee2d2a5dce5e68L; 0x3fcbbe9aef547200L;
+         0x3fa8fbd00c92c770L; 0x3f9560b4dc446b00L; 0x3fea4a8e83eb33b8L; 0x3fda58c3dd64f442L;
+         0x3fd05fbe586076a8L; 0x3fce1e20d1da19a0L; 0x3fdb86641772f94cL; 0x3fd3ea7e9cc92144L |],
+      "10101111100011001100001101111111",
+      [| 0xea36f3cc1d96075L; 0xd475f18fa30908a9L; 0xd70528ba4b0b9233L; 0x1657ff9edcd0b634L;
+         0xc47b3d089030d09cL; 0xad54453f34420004L; 0x771b298ed5912eb8L; 0x14d6c6bfbea13f21L;
+         0x38b535e8e762fa89L; 0xb06a7a3532d31e9L; 0x23a1ad94adeeaa95L; 0xcf0bf26323bb0345L;
+         0xf31c50849a0cc299L; 0x7ba9bb0234cb64f6L; 0x201eb6f7fa9e3cd0L; 0xf991e543999b270dL;
+         0xac88b6cb63400431L; 0x59bb8bb2074a9ceaL; 0x23c99bb08d3eca03L; 0xf6933da3885b9770L;
+         0x912281fc5c513b24L; 0x9e507575afceeb07L; 0x8545ffd2998bbf56L; 0xb0d7688aa7c9ec79L;
+         0x24a0eadce9a3c41aL; 0x1dea3c0d6fb89e74L; 0x2ee6447bee10b525L; 0xae79f3a216c85266L;
+         0x8202831e65071903L; 0xa09f0c42fd7e2ffdL; 0xf7bab635d6f94364L; 0x50a045025f73cacfL |],
+      [| 0x40618bce02e9a166L; 0x4013a9c7a11a3462L; 0x40572106288f93ceL; 0x403b4ec36557e58cL;
+         0x405028b0c447872bL; 0x404d6c9ce4939ca4L; 0x40413ff6d5429dadL; 0x40506bd667c83726L;
+         0x4051e3a19a52ecacL; 0x403acdc6049dc044L; 0x4063d3f1c7835ba5L; 0x4030f1203ec20100L;
+         0x402f375b365de931L; 0x4044c28522c468aeL; 0x401d3a8dea72cdd7L; 0x405bc6184ea45881L;
+         0x402cf70dd19c23c5L; 0x404b9ca0b18c4b8eL; 0x40561c1602253b24L; 0x40612b447516820dL;
+         0x404696fd175e41a0L; 0x401c9fbcd380a861L; 0x4017784d44ee4c59L; 0x40631cc53f733a9eL;
+         0x4072e02a4dd17841L; 0x40782e97d5a536edL; 0x4033a667c4c2b507L; 0x4056303f3829ba37L;
+         0x40610a34015ea402L; 0x40621622e8cb31aaL; 0x40551841032ecbb7L; 0x405d2f1a83b15f12L |] );
+    ( 1099511627776,
+      [| 553058; 1145134879154223316; 992870; 1216578853512309402; 155307; 1204038324590183739;
+         550652; 598990201987780795; 403226; 1771631699386982316; 763101; 754368605104544072;
+         467785; 873420916932639560; 932400; 669693054710802986; 944415; 1460531561453038215;
+         465648; 1578615922529205962; 68365; 90166542837728387; 807195; 1676083811985709630; 832711;
+         490719743059148457; 157974; 653439245405909758; 301722; 676646838443145498; 755102;
+         1288723807717115783 |],
+      [| 0x3fa73e38dc995b00L; 0x3fcfc8ac35f7cb70L; 0x3fe6d70ef2d44f7cL; 0x3fd0e2280584da6aL;
+         0x3febd4bc4ce9fbdaL; 0x3fe80edce2f990feL; 0x3fd0b59a7a192784L; 0x3fdbcfbe1d98e5eeL;
+         0x3fe52a31b98de0ebL; 0x3fc0a014d48ad7a0L; 0x3fa56a9250a1cd10L; 0x3fd89619a4e2c85eL;
+         0x3fe121be8ccc37aaL; 0x3fc4f01c7fc1ed30L; 0x3fe36e823affa1b3L; 0x3fc83e07648a54f4L;
+         0x3feaf6e5b66218feL; 0x3fc2967491f52ad4L; 0x3fea7dad0ea3d25eL; 0x3fd444d9b787a7aaL;
+         0x3f92e087eb1e4520L; 0x3fecccf12a93dc07L; 0x3fd5e85ed15320feL; 0x3fea933408a3e5feL;
+         0x3f94055fe3477c40L; 0x3feb7b6e03431c39L; 0x3fd742a558c330daL; 0x3fee73ed1ec7c820L;
+         0x3fefe5d8af21e82eL; 0x3fbb3d8c06853ef8L; 0x3febed68a4737cbdL; 0x3fc222f710316fe4L |],
+      "00111100010100001110001011110010",
+      [| 0x87229a24f7ee674cL; 0x4397357e487f38fcL; 0xe26ecad959e6f5dfL; 0x5c5ae281ea06b360L;
+         0x993aeb6930f84f0bL; 0xb6b9eb78da0241b4L; 0x9af85eca0aacf488L; 0xb6483c802dedf555L;
+         0xa80acb90f4aead10L; 0xa79a9c868d206e20L; 0x61e6de34b4239c0aL; 0x602be27c9610c95L;
+         0xcffb7c7106ee5a28L; 0xf94f0251c808443eL; 0x578963cef23438a9L; 0x8234eef3720d2f80L;
+         0x54702cdeb14d703fL; 0x7af7254609f3a06dL; 0x822f59c5714fab04L; 0x1ab83b6e1c9df957L;
+         0xede9dc56752e1f94L; 0xc825680a75a7de7dL; 0x97d2661bcf974959L; 0x89de9dbdf13a3266L;
+         0xf7c61f8b45ac1389L; 0xc8f77423e0ad4acaL; 0xc7369e8c8013fa1fL; 0x1d02896ecc8ba1e6L;
+         0xb5b37f613886d489L; 0x64029b9998bab387L; 0xbdcd660a9f9c5692L; 0xb4bb309821fe9f4L |],
+      [| 0x407353b58d368824L; 0x406169d3d6c001c6L; 0x4040dc6870793002L; 0x4060a829a1a9bd93L;
+         0x402beac68699ac99L; 0x403c86ceae3b231dL; 0x4060c951caad1e93L; 0x4054d5f9b9b2b458L;
+         0x4044ab764ac0f37cL; 0x40698388091e68c1L; 0x4073d6ad1287ca75L; 0x4057ead50c8fe934L;
+         0x404f3d6c6a814a65L; 0x4066a17f20aae21cL; 0x4048f10ae85fd049L; 0x4064cc947287a138L;
+         0x40311f26b5d4a0a9L; 0x40681e7e6b2f4d86L; 0x4032e4b48ad45f80L; 0x405cbeacf680e0ecL;
+         0x4078f5a34841e9d2L; 0x40251178cf33c3deL; 0x405acd169eb228bbL; 0x4032939239e969dcL;
+         0x407897812c431791L; 0x402e709a960bfc23L; 0x40594da78c274960L; 0x4013d29c6080d7d3L;
+         0x3fd4771544acbe30L; 0x406c0185a1618430L; 0x402b39c63e493261L; 0x40686d1e18bdf32cL |] );
+  ]
+
+let rng_stream_pins () =
+  let bits = Int64.bits_of_float in
+  let bound i = if i mod 2 = 0 then 1_000_003 else (1 lsl 61) + 1 in
+  List.iter
+    (fun (seed, ints, floats, bools, splits, exps) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Rng.create seed in
+      Alcotest.(check (array int)) (name "int") ints (Array.init 32 (fun i -> Rng.int r (bound i)));
+      let r = Rng.create seed in
+      Alcotest.(check (array int64))
+        (name "float") floats
+        (Array.init 32 (fun _ -> bits (Rng.float r 1.0)));
+      let r = Rng.create seed in
+      Alcotest.(check string)
+        (name "bool") bools
+        (String.init 32 (fun _ -> if Rng.bool r then '1' else '0'));
+      let r = Rng.create seed in
+      Alcotest.(check (array int64))
+        (name "split") splits
+        (Array.init 32 (fun _ -> Rng.next_int64 (Rng.split r)));
+      let r = Rng.create seed in
+      Alcotest.(check (array int64))
+        (name "exponential") exps
+        (Array.init 32 (fun _ -> bits (Rng.exponential r 100.0))))
+    rng_pins
+
 let rng_int_invalid () =
   let t = Rng.create 1 in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive") (fun () ->
@@ -593,6 +760,7 @@ let suites =
         Alcotest.test_case "int unbiased" `Quick rng_int_unbiased_small_bound;
         Alcotest.test_case "int huge bound" `Quick rng_int_huge_bound_in_range;
         Alcotest.test_case "int stream stable" `Quick rng_int_stream_stable;
+        Alcotest.test_case "stream pins" `Quick rng_stream_pins;
         qtest rng_int_bounds;
         qtest rng_int_in_bounds;
         qtest rng_float_bounds;

@@ -115,6 +115,21 @@ let prop_hash =
   QCheck.Test.make ~count ~name:"hash matches Hashtbl.hash of digit list" arb_digits
     (fun ds -> Stamp.hash (Stamp.of_digits ds) = Oracle.hash ds)
 
+(* [hash] reimplements the runtime's list hash digit by digit; hold it to
+   [Hashtbl.hash] of the digit list past the generator above too: stamps
+   deeper than the hash's ten-int limit and digits far beyond a byte
+   (service request uids), whose tagged value outgrows 32 bits. *)
+let prop_hash_deep_and_wide =
+  let gen =
+    QCheck.Gen.(
+      int_bound 40 >>= fun len ->
+      list_repeat len
+        (frequency [ (6, int_bound 7); (3, int_bound 100_000); (1, int_bound (1 lsl 40)) ]))
+  in
+  QCheck.Test.make ~count ~name:"hash matches Hashtbl.hash for deep stamps and wide digits"
+    (QCheck.make ~print:Oracle.to_string gen)
+    (fun ds -> Stamp.hash (Stamp.of_digits ds) = Hashtbl.hash ds)
+
 let prop_hash_consistent =
   QCheck.Test.make ~count ~name:"equal stamps hash equal (child-built vs of_digits)"
     arb_digits (fun ds ->
@@ -148,7 +163,7 @@ let suites =
       List.map qtest
         [
           prop_roundtrip; prop_child_digits; prop_depth; prop_is_ancestor; prop_compare;
-          prop_equal; prop_common_ancestor; prop_hash; prop_hash_consistent;
+          prop_equal; prop_common_ancestor; prop_hash; prop_hash_deep_and_wide; prop_hash_consistent;
           prop_string_roundtrip; prop_max_digit; prop_parent;
         ] );
   ]

@@ -44,6 +44,46 @@ let counter_reset () =
   Counter.reset s;
   check_int "reset to zero" 0 (Counter.get s "x")
 
+(* Handles: resolved per set on the first bump, sharing the named cell. *)
+
+let handle_untouched_is_invisible () =
+  let h = Counter.handle "handle.never" in
+  let s = Counter.create_set () in
+  Counter.incr s "other";
+  ignore h;
+  Alcotest.(check (list string)) "names" [ "other" ] (Counter.names s);
+  Alcotest.(check (list (pair string int))) "to_alist" [ ("other", 1) ] (Counter.to_alist s);
+  check_int "get of an unbumped handle's name" 0 (Counter.get s (Counter.handle_name h))
+
+let handle_shares_named_cell () =
+  let h = Counter.handle "handle.shared" in
+  let s = Counter.create_set () in
+  Counter.incr s "handle.shared";
+  Counter.bump s h;
+  Counter.bump_by s h 5;
+  Counter.incr s "handle.shared";
+  Counter.add s "handle.shared" 10;
+  check_int "one cell" 18 (Counter.get s "handle.shared");
+  Alcotest.(check (list string)) "one name" [ "handle.shared" ] (Counter.names s);
+  (* a second set resolves the same handle to its own cell *)
+  let t = Counter.create_set () in
+  Counter.bump t h;
+  check_int "sets are independent" 1 (Counter.get t "handle.shared");
+  check_int "first set untouched" 18 (Counter.get s "handle.shared")
+
+(* A handle made after the set exists still resolves (the set's cache
+   grows), and [reset] / [merge] see what was bumped through handles. *)
+let handle_reset_and_merge () =
+  let s = Counter.create_set () in
+  let h = Counter.handle "handle.late" in
+  Counter.bump_by s h 4;
+  let m = Counter.merge s s in
+  check_int "merge sees handle counts" 8 (Counter.get m "handle.late");
+  Counter.reset s;
+  check_int "reset zeroes the handle's cell" 0 (Counter.get s "handle.late");
+  Counter.bump s h;
+  check_int "handle still bound after reset" 1 (Counter.get s "handle.late")
+
 (* Counter.merge is the primitive the sharded collector folds over; the
    --jobs byte-identical contract rests on it being a pointwise sum that
    is insensitive to shard order and never forgets a touched name. *)
@@ -319,6 +359,9 @@ let suites =
       [
         Alcotest.test_case "basic" `Quick counter_basic;
         Alcotest.test_case "names sorted" `Quick counter_names_sorted;
+        Alcotest.test_case "untouched handle invisible" `Quick handle_untouched_is_invisible;
+        Alcotest.test_case "handle shares named cell" `Quick handle_shares_named_cell;
+        Alcotest.test_case "handle reset and merge" `Quick handle_reset_and_merge;
         Alcotest.test_case "merge" `Quick counter_merge;
         Alcotest.test_case "reset" `Quick counter_reset;
         Alcotest.test_case "merge keeps zero names" `Quick counter_merge_keeps_zero_names;
