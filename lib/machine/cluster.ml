@@ -85,15 +85,17 @@ type outcome = {
   error : string option;
 }
 
-(* One root request tracked by the super-root.  Batch mode has exactly one
-   (uid -1, the empty stamp); service mode keeps one per submitted request,
-   each rooted at a distinct depth-1 stamp so the checkpoint tables, orphan
-   relays and journals of concurrent requests can never alias. *)
+(* One root request tracked by the super-root.  A batch run is the
+   one-request case (uid -1, the empty stamp); service mode keeps one per
+   submitted request, each rooted at a distinct depth-1 stamp so the
+   checkpoint tables, orphan relays and journals of concurrent requests can
+   never alias. *)
 type request = {
   uid : int;  (** -1 for the batch root *)
-  r_stamp : Stamp.t;  (** [Stamp.root] for batch, [child root uid] for service *)
+  packet : Packet.t;
+      (** the super-root's functional checkpoint; its stamp is [Stamp.root]
+          for batch, [child root uid] for service *)
   avoid : Ids.proc_id list;  (** processors never chosen as this root's host *)
-  mutable packet : Packet.t option;  (** the super-root's functional checkpoint *)
   mutable dest : Ids.proc_id;
   mutable task : Ids.task_id;
   mutable pending : (Stamp.t * Packet.link * Message.salvage) list;
@@ -123,17 +125,12 @@ type t = {
   rng : Rng.t;
   policy : Policy.t;
   mutable next_task_id : Ids.task_id;
-  root : request;
-  requests : (int, request) Hashtbl.t;  (** service requests, by uid >= 0 *)
-  mutable next_uid : int;
-  mutable service : bool;
+  requests : (int, request) Hashtbl.t;  (** by uid: -1 for the batch root *)
+  mutable next_uid : int;  (** the next service request's uid *)
   mutable arrivals_open : bool;
-  mutable unanswered : int;  (** service requests still without an answer *)
-  mutable answer : Value.t option;
+  mutable unanswered : int;  (** requests still without an answer *)
+  mutable answer : Value.t option;  (** the batch root's first answer *)
   mutable answer_time : int option;
-  mutable root_answers : Value.t list;
-      (** every root result that reached the super-root (newest first);
-          twins of a falsely-suspected root may deliver more than one *)
   mutable error : string option;
   mutable started : bool;
   mutable drain : bool;
@@ -197,8 +194,6 @@ let now t = Engine.now t.engine
 
 let quiescent t = Engine.pending t.engine = 0
 
-let root_answers t = List.rev t.root_answers
-
 let error t = t.error
 
 let unsettled_sends t =
@@ -221,8 +216,6 @@ let nodes t = Array.to_list t.node_arr
 let total_work t = Array.fold_left (fun acc n -> acc + Node.work_done n) 0 t.node_arr
 
 let total_waste t = Array.fold_left (fun acc n -> acc + Node.wasted_work n) 0 t.node_arr
-
-let root_location t = if t.root.dest >= 0 then Some t.root.dest else None
 
 let fresh_task_id t () =
   let id = t.next_task_id in
@@ -429,29 +422,12 @@ let create cfg program =
     rng = Rng.create cfg.Config.seed;
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;
-    root =
-      {
-        uid = -1;
-        r_stamp = Stamp.root;
-        avoid = [];
-        packet = None;
-        dest = -2;
-        task = Ids.no_task;
-        pending = [];
-        answers = [];
-        answer_time = None;
-        redispatches = 0;
-        on_answer = None;
-        on_disturbed = None;
-      };
     requests = Hashtbl.create 64;
     next_uid = 0;
-    service = false;
     arrivals_open = false;
     unanswered = 0;
     answer = None;
     answer_time = None;
-    root_answers = [];
     error = None;
     started = false;
     drain = false;
@@ -480,22 +456,24 @@ let create cfg program =
 
 let root_super_slot = 0
 
-(* Which request a message landing on the super-root belongs to.  Batch
-   mode owns every stamp; a service stamp names its request in its first
-   digit (request roots sit at depth 1, so any descendant carries it). *)
-let request_of_stamp t stamp =
-  if not t.service then Some t.root
-  else if Stamp.depth stamp = 0 then None
-  else Hashtbl.find_opt t.requests (Stamp.digit stamp 0)
+let batch_uid = -1
 
-(* Deterministic iteration in submission order (uid order), batch root
-   included — hash-table order must never leak into the event stream. *)
+(* Which request a message landing on the super-root belongs to: the
+   innermost request root its stamp descends from.  A service root sits at
+   depth 1 and is named by the first digit of every stamp below it; the
+   batch root sits at depth 0 and so owns every stamp. *)
+let request_of_stamp t stamp =
+  let service_root =
+    if Stamp.depth stamp = 0 then None else Hashtbl.find_opt t.requests (Stamp.digit stamp 0)
+  in
+  if Option.is_some service_root then service_root else Hashtbl.find_opt t.requests batch_uid
+
+(* Deterministic iteration in uid order, batch root first — hash-table
+   order must never leak into the event stream. *)
 let iter_requests t f =
-  if t.service then
-    for uid = 0 to t.next_uid - 1 do
-      match Hashtbl.find_opt t.requests uid with Some r -> f r | None -> ()
-    done
-  else f t.root
+  for uid = batch_uid to t.next_uid - 1 do
+    match Hashtbl.find_opt t.requests uid with Some r -> f r | None -> ()
+  done
 
 (* [true] while some request hosted on [pid] still awaits its answer. *)
 let hosted_unanswered t pid =
@@ -503,18 +481,13 @@ let hosted_unanswered t pid =
   iter_requests t (fun r -> if r.dest = pid && r.answers = [] then found := true);
   !found
 
-(* The generalized "no answer yet" guard: in batch mode the single root
-   answer, in service mode any request still in flight. *)
-let unanswered_exists t = if t.service then t.unanswered > 0 else t.answer = None
-
 (* Period of the distributed gradient exchange ([Policy.Gradient_distributed]
    only): every node recomputes its gradient value from its neighbours'
    last-heard values and broadcasts it to them. *)
 let gradient_period = 100
 
 (* Gradient gossip keeps ticking while there is (or may yet be) work. *)
-let gradient_live t =
-  if t.service then t.arrivals_open || t.unanswered > 0 else t.answer = None
+let gradient_live t = t.arrivals_open || t.unanswered > 0
 
 (* Forward the salvage that was waiting for the request root's twin.  A
    direct child of the root fills the twin's call slot; a deeper orphan
@@ -535,50 +508,49 @@ let flush_pending t req =
       | Message.Still_running _ when not live -> ()
       | Message.Salvaged _ | Message.Still_running _ ->
         send t ~src:Ids.super_root ~dst:req.dest
-          (Message.salvage_forward ~via:req.r_stamp ~stamp ~dead_parent ~task:req.task
+          (Message.salvage_forward ~via:req.packet.Packet.stamp ~stamp ~dead_parent ~task:req.task
              ~proc:req.dest payload))
     pending
 
 (* Dispatch (or re-dispatch) a request's root task from the super-root's
    retained checkpoint. *)
 let dispatch_request t req ~reason =
-  match req.packet with
-  | None -> ()
-  | Some packet -> (
-    match Router.alive_nodes t.router with
-    | [] -> Trace.log t.trace ~time:(now t) ~level:Trace.Error ~tag:"SR" "no live processor for root"
-    | _ :: _ ->
-      let task_id = fresh_task_id t () in
-      let key = Stamp.hash packet.Packet.stamp + task_id in
-      let dest = place t ~origin:Ids.super_root ~key in
-      (* A suspected processor is router-alive, so placement can pick it —
-         but the rest of the cluster has written it off and would never
-         relay the twin's results home.  Re-home on an unsuspected
-         survivor whenever one exists.  Replica siblings of the same
-         logical request ([avoid]) are rehomed the same way: co-locating
-         them would void the independence the vote relies on. *)
-      let clear p = not (Hashtbl.mem t.suspected p) && not (List.mem p req.avoid) in
-      let dest =
-        if clear dest then dest
-        else
-          match List.filter clear (Router.alive_nodes t.router) with
-          | [] -> dest (* every survivor is accused; any choice is a guess *)
-          | cs -> List.nth cs (key land max_int mod List.length cs)
-      in
-      req.dest <- dest;
-      req.task <- task_id;
-      send t ~src:Ids.super_root ~dst:dest
-        (Message.Task_packet { packet; task_id; replica = 0; replicas = 1 });
-      (match reason with
-      | None -> Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
-          (Journal.Spawned { task = task_id; dest; replica = 0 })
-      | Some reason ->
-        Counter.bump t.counters Count.reissue_root;
-        req.redispatches <- req.redispatches + 1;
-        Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
-          (Journal.Respawned { task = task_id; dest; reason });
-        Option.iter (fun f -> f reason) req.on_disturbed);
-      flush_pending t req)
+  if Router.alive_count t.router = 0 then
+    Trace.log t.trace ~time:(now t) ~level:Trace.Error ~tag:"SR" "no live processor for root"
+  else
+    let packet = req.packet in
+    let task_id = fresh_task_id t () in
+    let key = Stamp.hash packet.Packet.stamp + task_id in
+    let dest = place t ~origin:Ids.super_root ~key in
+    (* A suspected processor is router-alive, so placement can pick it —
+       but the rest of the cluster has written it off and would never relay
+       the twin's results home.  Re-home on an unsuspected survivor
+       whenever one exists.  Replica siblings of the same logical request
+       ([avoid]) are rehomed the same way: co-locating them would void the
+       independence the vote relies on. *)
+    let clear p = not (Hashtbl.mem t.suspected p) && not (List.mem p req.avoid) in
+    let dest =
+      if clear dest then dest
+      else
+        match List.filter clear (Router.alive_nodes t.router) with
+        | [] -> dest (* every survivor is accused; any choice is a guess *)
+        | cs -> List.nth cs (key land max_int mod List.length cs)
+    in
+    req.dest <- dest;
+    req.task <- task_id;
+    send t ~src:Ids.super_root ~dst:dest
+      (Message.Task_packet { packet; task_id; replica = 0; replicas = 1 });
+    (match reason with
+    | None ->
+      Journal.record t.journal ~time:(now t) ~stamp:packet.Packet.stamp
+        (Journal.Spawned { task = task_id; dest; replica = 0 })
+    | Some reason ->
+      Counter.bump t.counters Count.reissue_root;
+      req.redispatches <- req.redispatches + 1;
+      Journal.record t.journal ~time:(now t) ~stamp:packet.Packet.stamp
+        (Journal.Respawned { task = task_id; dest; reason });
+      Option.iter (fun f -> f reason) req.on_disturbed);
+    flush_pending t req
 
 (* Salvage reaching the super-root, the ancestor of every request root: an
    orphaned result (a direct child of a dead root, or a deeper orphan
@@ -604,20 +576,10 @@ let super_root_deliver t msg =
     | None -> ()
     | Some req ->
       req.answers <- value :: req.answers;
-      t.root_answers <- value :: t.root_answers;
       if req.answer_time = None then begin
         req.answer_time <- Some (now t);
-        if t.service then begin
-          t.unanswered <- t.unanswered - 1;
-          Option.iter (fun f -> f value) req.on_answer
-        end
-      end;
-      if (not t.service) && t.answer = None then begin
-        t.answer <- Some value;
-        t.answer_time <- Some (now t);
-        Trace.logf t.trace ~time:(now t) ~level:Trace.Info ~tag:"SR" "answer: %s"
-          (Value.to_string value);
-        if not t.drain then Engine.stop t.engine
+        t.unanswered <- t.unanswered - 1;
+        match req.on_answer with Some f -> f value | None -> ()
       end)
   | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } ->
     super_root_salvage t ~stamp ~dead_parent (Message.Salvaged value)
@@ -637,6 +599,21 @@ let fail_at t ~time pid =
     invalid_arg (Printf.sprintf "Cluster.fail_at: no processor %d" pid);
   Engine.schedule_at t.engine ~time (Fail pid)
 
+(* Tell the super-root, [delay] ticks from now, that [failed] is lost to
+   it; on arrival it re-dispatches every unanswered request hosted there. *)
+let notify_super_root t ~delay failed =
+  if t.cfg.Config.recovery <> Config.No_recovery then
+    Engine.schedule t.engine ~delay
+      (Deliver
+         { src = Ids.super_root; dst = Ids.super_root; msg = Message.Failure_notice { failed };
+           seq = -1 })
+
+(* A send of the super-root's own (a root packet or salvage) turned out
+   undeliverable to [dead]. *)
+let super_root_bounced t ~dead =
+  Counter.bump t.counters Count.msg_bounced;
+  if t.unanswered > 0 then notify_super_root t ~delay:t.cfg.Config.bounce_delay dead
+
 (* Error detection: every live peer learns after a detection delay that
    grows with its distance from the failed (or suspected) node, and the
    super-root notices the loss of the root task's processor.  The suspect
@@ -655,11 +632,7 @@ let broadcast_failure t pid =
                msg = Message.Failure_notice { failed = pid }; seq = -1 })
       end)
     t.node_arr;
-  if hosted_unanswered t pid && t.cfg.Config.recovery <> Config.No_recovery then
-    Engine.schedule t.engine ~delay:t.cfg.Config.detect_delay
-      (Deliver
-         { src = Ids.super_root; dst = Ids.super_root;
-           msg = Message.Failure_notice { failed = pid }; seq = -1 })
+  if hosted_unanswered t pid then notify_super_root t ~delay:t.cfg.Config.detect_delay pid
 
 let handle_fail t pid =
   let n = t.node_arr.(pid) in
@@ -675,13 +648,6 @@ let handle_fail t pid =
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* Retransmission schedule: attempt n fires rto·backoffⁿ after the
-   previous one, capped so a long suspicion window cannot overflow. *)
-let retry_delay t attempt =
-  let { Config.rto; backoff; _ } = t.cfg.Config.retry in
-  let d = float_of_int rto *. (backoff ** float_of_int attempt) in
-  max 1 (min (rto * 64) (int_of_float d))
 
 (* The sender has waited out the whole suspicion window without a transport
    ack: per §1 an unresponsive destination is *treated* as faulty, live or
@@ -728,20 +694,10 @@ let give_up t seq p =
           send_after t ~delay:t.cfg.Config.detect_delay ~src:p.p_src ~dst:pid
             (Message.Failure_notice { failed = p.p_dst }))
       t.node_arr;
-    if hosted_unanswered t p.p_dst && t.cfg.Config.recovery <> Config.No_recovery then
-      Engine.schedule t.engine ~delay:t.cfg.Config.detect_delay
-        (Deliver
-           { src = Ids.super_root; dst = Ids.super_root;
-             msg = Message.Failure_notice { failed = p.p_dst }; seq = -1 })
+    if hosted_unanswered t p.p_dst then
+      notify_super_root t ~delay:t.cfg.Config.detect_delay p.p_dst
   end;
-  if p.p_src = Ids.super_root then begin
-    Counter.bump t.counters Count.msg_bounced;
-    if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
-      Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
-        (Deliver
-           { src = Ids.super_root; dst = Ids.super_root;
-             msg = Message.Failure_notice { failed = p.p_dst }; seq = -1 })
-  end
+  if p.p_src = Ids.super_root then super_root_bounced t ~dead:p.p_dst
   else Engine.schedule t.engine ~delay:0 (Bounce { src = p.p_src; dead = p.p_dst; msg = p.p_msg })
 
 (* Receiver half of the reliable transport: acknowledge and deduplicate.
@@ -807,15 +763,7 @@ let deliver_one t ~src ~dst ~seq msg =
           | exception Not_found -> true
         in
         if not already_settled then
-          if src = Ids.super_root then begin
-            (* the super-root's own send bounced: re-dispatch the root *)
-            Counter.bump t.counters Count.msg_bounced;
-            if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
-              Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
-                (Deliver
-                   { src = Ids.super_root; dst = Ids.super_root;
-                     msg = Message.Failure_notice { failed = dst }; seq = -1 })
-          end
+          if src = Ids.super_root then super_root_bounced t ~dead:dst
           else
             Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
               (Bounce { src; dead = dst; msg })
@@ -881,7 +829,8 @@ let handle_event t _at ev =
           (* how stale the payload already is when we try again *)
           record_latency t "net.retransmit_delay" (now t - p.p_born);
           transmit t ~extra:0 ~src:p.p_src ~dst:p.p_dst ~seq p.p_msg;
-          Engine.schedule t.engine ~delay:(retry_delay t p.p_attempt) (Retry { seq })
+          Engine.schedule t.engine ~delay:(Config.retry_delay t.cfg.Config.retry p.p_attempt)
+            (Retry { seq })
         end
       end)
   | Bounce { src; dead; msg } ->
@@ -918,55 +867,19 @@ let arm_gradient t =
       t.node_arr
   | _ -> ()
 
-let start t ~fname ~args =
-  if t.started then invalid_arg "Cluster.start: already started";
-  check_entry t ~who:"start" ~fname ~args;
-  t.started <- true;
-  arm_gradient t;
-  let packet = Packet.root ~fname ~args:(Array.of_list args) ~super_slot:root_super_slot in
-  t.root.packet <- Some packet;  (* the pre-evaluation checkpoint *)
-  dispatch_request t t.root ~reason:None
-
-(* ------------------------------------------------------------------ *)
-(* Service mode: many concurrent roots                                 *)
-(* ------------------------------------------------------------------ *)
-
-let begin_service t =
-  if t.started then invalid_arg "Cluster.begin_service: already started";
-  t.started <- true;
-  t.service <- true;
-  t.arrivals_open <- true;
-  arm_gradient t
-
-let service_mode t = t.service
-
-let close_arrivals t = t.arrivals_open <- false
-
-let schedule_callback t ~delay f =
-  if not t.started then invalid_arg "Cluster.schedule_callback: call begin_service first";
-  Engine.schedule t.engine ~delay (Callback f)
-
-let submit t ?(avoid = []) ?on_answer ?on_disturbed ~fname ~args () =
-  if not t.service then invalid_arg "Cluster.submit: call begin_service first";
-  check_entry t ~who:"submit" ~fname ~args;
-  let uid = t.next_uid in
-  t.next_uid <- uid + 1;
-  let stamp = Stamp.child Stamp.root uid in
-  (* The depth-1 stamp is the request's whole identity: its checkpoint
-     entries, orphan relays and journal rows all live in a subtree no
-     other request can reach, so nothing leaks across requests.  The
-     super-root slot carries the uid for symmetry with the batch root. *)
+(* Register one root request with the super-root and dispatch it: its
+   pre-evaluation checkpoint (§4.3.1) returns to super-root slot [slot]. *)
+let open_request t ~uid ~stamp ~slot ~avoid ~on_answer ~on_disturbed ~fname ~args =
   let packet =
     Packet.make ~stamp ~fname ~args:(Array.of_list args)
-      ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot = uid }
+      ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot }
       ~grandparent:None ~ancestors:[]
   in
   let req =
     {
       uid;
-      r_stamp = stamp;
+      packet;
       avoid;
-      packet = Some packet;
       dest = -2;
       task = Ids.no_task;
       pending = [];
@@ -979,10 +892,57 @@ let submit t ?(avoid = []) ?on_answer ?on_disturbed ~fname ~args () =
   in
   Hashtbl.replace t.requests uid req;
   t.unanswered <- t.unanswered + 1;
-  dispatch_request t req ~reason:None;
+  dispatch_request t req ~reason:None
+
+let start t ~fname ~args =
+  if t.started then invalid_arg "Cluster.start: already started";
+  check_entry t ~who:"start" ~fname ~args;
+  t.started <- true;
+  arm_gradient t;
+  (* A batch run ends at its one answer, unless asked to drain. *)
+  let on_answer value =
+    t.answer <- Some value;
+    t.answer_time <- Some (now t);
+    Trace.logf t.trace ~time:(now t) ~level:Trace.Info ~tag:"SR" "answer: %s"
+      (Value.to_string value);
+    if not t.drain then Engine.stop t.engine
+  in
+  open_request t ~uid:batch_uid ~stamp:Stamp.root ~slot:root_super_slot ~avoid:[]
+    ~on_answer:(Some on_answer) ~on_disturbed:None ~fname ~args
+
+(* ------------------------------------------------------------------ *)
+(* Service mode: many concurrent roots                                 *)
+(* ------------------------------------------------------------------ *)
+
+let begin_service t =
+  if t.started then invalid_arg "Cluster.begin_service: already started";
+  t.started <- true;
+  t.arrivals_open <- true;
+  arm_gradient t
+
+let close_arrivals t = t.arrivals_open <- false
+
+let schedule_callback t ~delay f =
+  if not t.started then invalid_arg "Cluster.schedule_callback: call begin_service first";
+  Engine.schedule t.engine ~delay (Callback f)
+
+let submit t ?(avoid = []) ?on_answer ?on_disturbed ~fname ~args () =
+  if (not t.started) || Hashtbl.mem t.requests batch_uid then
+    invalid_arg "Cluster.submit: call begin_service first";
+  check_entry t ~who:"submit" ~fname ~args;
+  let uid = t.next_uid in
+  t.next_uid <- uid + 1;
+  (* The depth-1 stamp is the request's whole identity: its checkpoint
+     entries, orphan relays and journal rows all live in a subtree no
+     other request can reach, so nothing leaks across requests.  The
+     super-root slot carries the uid. *)
+  open_request t ~uid ~stamp:(Stamp.child Stamp.root uid) ~slot:uid ~avoid ~on_answer ~on_disturbed
+    ~fname ~args;
   uid
 
 let submitted_requests t = t.next_uid
+
+let iter_request_uids t f = iter_requests t (fun r -> f r.uid)
 
 let in_flight t = t.unanswered
 
@@ -999,7 +959,7 @@ let request_dest t uid =
   let r = find_request t uid in
   if r.dest >= 0 then Some r.dest else None
 
-let request_stamp t uid = (find_request t uid).r_stamp
+let request_stamp t uid = (find_request t uid).packet.Packet.stamp
 
 let request_redispatches t uid = (find_request t uid).redispatches
 

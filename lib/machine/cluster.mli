@@ -6,6 +6,12 @@
     super-root of §4.3.1 (the virtual parent of the root task, holding its
     pre-evaluation checkpoint), and injects fail-stop processor failures.
 
+    The super-root keeps one table of root requests.  A batch run
+    ({!start}) is its one-request case: request [-1], rooted at the empty
+    stamp, whose first answer ends the run.  Service mode fills the same
+    table with many requests ({!submit}); every lookup, re-dispatch and
+    oracle verdict treats the two alike.
+
     Typical use:
     {[
       let c = Cluster.create config program in
@@ -32,19 +38,22 @@ val create : Config.t -> Recflow_lang.Program.t -> t
 (** @raise Invalid_argument if the configuration fails validation. *)
 
 val start : t -> fname:string -> args:Value.t list -> unit
-(** Super-root checkpoints the root packet and dispatches it at time 0.
+(** Super-root checkpoints the root packet and dispatches it at time 0, as
+    request [-1] (the request accessors below take that uid).
     @raise Invalid_argument if called twice or [fname] is unknown. *)
 
 (** {2 Service mode}
 
-    A cluster normally runs one batch program ({!start}).  Service mode
-    instead keeps the machine open for a stream of independent root
-    requests: each {!submit} creates a fresh root task under its own
-    depth-1 level stamp ([Stamp.child Stamp.root uid]), so concurrent
-    requests occupy disjoint stamp subtrees — checkpoint tables, orphan
-    relays and journal rows can never alias across requests — while the
-    §4.3.1 super-root plays virtual parent to all of them, re-dispatching
-    any request whose host dies or is suspected. *)
+    A cluster normally runs one batch program ({!start}): the super-root's
+    request table holds the one request [-1].  Service mode instead keeps
+    the machine open for a stream of independent root requests in the same
+    table: each {!submit} creates a fresh root task under its own depth-1
+    level stamp ([Stamp.child Stamp.root uid]), so concurrent requests
+    occupy disjoint stamp subtrees — checkpoint tables, orphan relays and
+    journal rows can never alias across requests — while the §4.3.1
+    super-root plays virtual parent to all of them, re-dispatching any
+    request whose host dies or is suspected, exactly as it does the batch
+    root. *)
 
 val begin_service : t -> unit
 (** Open the cluster for {!submit} instead of {!start}.
@@ -77,17 +86,22 @@ val close_arrivals : t -> unit
 (** Tell the cluster no further {!submit} is coming, so gradient gossip
     (and anything else keyed on "work may still arrive") can wind down. *)
 
-val service_mode : t -> bool
-
 val submitted_requests : t -> int
-(** Requests submitted so far; uids are [0 .. submitted_requests - 1]. *)
+(** Service requests submitted so far; uids are
+    [0 .. submitted_requests - 1].  The batch root is not counted. *)
+
+val iter_request_uids : t -> (int -> unit) -> unit
+(** Every request uid in the table, in uid order: [-1] for a batch run,
+    the submitted uids in service mode. *)
 
 val in_flight : t -> int
-(** Submitted requests still without a first answer. *)
+(** Requests still without a first answer (a batch run: 1 until the
+    answer, then 0). *)
 
 val request_answers : t -> int -> Value.t list
 (** Results for one request in arrival order (more than one when a
-    falsely-suspected host coexists with its twin).
+    falsely-suspected host coexists with its twin; determinacy demands
+    they all carry the same value).
     @raise Invalid_argument for an unknown uid (all request accessors). *)
 
 val request_answer_time : t -> int -> int option
@@ -145,9 +159,6 @@ val total_waste : t -> int
 (** Busy ticks spent on tasks that were aborted or whose results were
     dropped (survivor nodes only). *)
 
-val root_location : t -> Ids.proc_id option
-(** Processor currently hosting the root task, if dispatched. *)
-
 val first_alive : t -> key:int -> Ids.proc_id option
 (** Deterministic pick among the processors currently alive, hashed by
     [key] (any int, including [min_int]); [None] when all are dead.
@@ -156,11 +167,6 @@ val first_alive : t -> key:int -> Ids.proc_id option
 val quiescent : t -> bool
 (** No events left in the queue: the run drained completely (as opposed to
     stopping early on the answer or at the horizon). *)
-
-val root_answers : t -> Value.t list
-(** Every root result that reached the super-root, in arrival order.  More
-    than one arrives when a falsely-suspected root host coexists with its
-    twin; determinacy demands they all carry the same value. *)
 
 val error : t -> string option
 (** Program (not processor) error, if any. *)

@@ -21,6 +21,12 @@ let table_mode = function
 
 type retry = { rto : int; backoff : float; suspicion_after : int }
 
+(* Clamped in float: rto·backoffⁿ past 2^62 would wrap [int_of_float]. *)
+let retry_delay { rto; backoff; _ } attempt =
+  let cap = rto * 64 in
+  let d = float_of_int rto *. (backoff ** float_of_int attempt) in
+  if not (d < float_of_int cap) then cap else max 1 (int_of_float d)
+
 type service = {
   arrival_mean : float;
   replicas : int;
@@ -127,12 +133,14 @@ let validate t =
     err "loss_prior must be in [0,1]"
   else if (match t.ckpt_mode with Adaptive { max_depth } -> max_depth < 1 | Fixed _ -> false)
   then err "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
+  else if t.latency.Recflow_net.Latency.base < 0 then err "latency base must be >= 0"
+  else if t.latency.Recflow_net.Latency.per_hop < 0 then err "latency per_hop must be >= 0"
   else if t.detect_delay < 1 then err "detect_delay must be >= 1"
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"
   else if t.horizon < 1 then err "horizon must be >= 1"
   else if t.retry.rto < 1 then err "retry rto must be >= 1"
-  else if t.retry.backoff < 1.0 then err "retry backoff base must be >= 1"
+  else if not (t.retry.backoff >= 1.0) then err "retry backoff base must be >= 1"
   else if t.reliable && t.retry.suspicion_after <= t.detect_delay then
     err
       "suspicion_after must exceed detect_delay (timeout suspicion is the slow local fallback \
@@ -142,7 +150,7 @@ let validate t =
   else if t.service.replicas > Recflow_net.Topology.size t.topology then
     err "service replicas %d exceeds cluster size" t.service.replicas
   else if t.service.max_inflight < 1 then err "service max_inflight must be >= 1"
-  else if t.service.shed_suspect_frac < 0.0 || t.service.shed_suspect_frac > 1.0 then
+  else if not (t.service.shed_suspect_frac >= 0.0 && t.service.shed_suspect_frac <= 1.0) then
     err "service shed_suspect_frac must be in [0,1]"
   else
     match Recflow_net.Chaos.validate t.chaos with

@@ -37,6 +37,10 @@ type retry = {
           normally announced before suspicion fires. *)
 }
 
+val retry_delay : retry -> int -> int
+(** Ticks before retransmission attempt [n]: rto·backoffⁿ, at least 1 and
+    at most rto·64, so it never decreases as [n] grows. *)
+
 type service = {
   arrival_mean : float;
       (** mean inter-arrival time (ticks) of the open-loop request stream;

@@ -558,13 +558,6 @@ let record_checkpoint t ctx ~dest packet =
       Counter.bump ctx.counters Count.ckpt_covered;
       false)
 
-let send_activation t ctx packet ~task_id ~dest ~replica ~replicas =
-  ctx.send ~src:t.nid ~dst:dest
-    (Message.Task_packet { packet; task_id; replica; replicas });
-  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
-    (Journal.Spawned { task = task_id; dest; replica });
-  Journal.note_call ctx.journal ~task:task_id packet.Packet.fname packet.Packet.args
-
 (* A salvage walk that cannot go on.  Salvage counters come in two
    families, [relay.*] for results and [adopt.*] for reports, and only
    results leave journal entries. *)
@@ -631,34 +624,55 @@ let build_child_packet t ctx task ~slot ~fname ~args =
   in
   Packet.make ~stamp ~fname ~args ~parent ~grandparent ~ancestors
 
+(* Bind call slot [slot] of [task] to a fresh child record, with no copy
+   sent yet. *)
+let add_child task ~slot ~stamp packet ~filled =
+  let child =
+    { slot; c_stamp = stamp; c_packet = packet; dests = []; ctasks = []; vote = None; filled }
+  in
+  Hashtbl.replace (children_tbl task) slot child;
+  child
+
+(* Send [replicas] copies of [child]'s packet toward the balancer's choice
+   of processor, functionally checkpointing each, and rewrite the child's
+   copies and voter in place.  A first spawn ([reason = None]) and a
+   re-issue ([Some reason]) differ only in the journal event, the
+   placement key offset and the [grace] delay.  Returns how many
+   checkpoints were actually stored. *)
+let dispatch_child t ctx (child : child) ~replicas ~key_offset ~grace ~reason =
+  let packet = child.c_packet in
+  let base_key = Stamp.hash child.c_stamp + key_offset in
+  let recorded = ref 0 in
+  child.dests <- [];
+  child.ctasks <- [];
+  for replica = 0 to replicas - 1 do
+    let task_id = ctx.fresh_task_id () in
+    let dest = choose_dest t ctx ~key:(base_key + (replica * 7919)) in
+    if record_checkpoint t ctx ~dest packet then incr recorded;
+    ctx.send_after ~delay:grace ~src:t.nid ~dst:dest
+      (Message.Task_packet { packet; task_id; replica; replicas });
+    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
+      (match reason with
+      | None -> Journal.Spawned { task = task_id; dest; replica }
+      | Some reason -> Journal.Respawned { task = task_id; dest; reason });
+    Journal.note_call ctx.journal ~task:task_id packet.Packet.fname packet.Packet.args;
+    child.dests <- (replica, dest) :: child.dests;
+    child.ctasks <- (replica, task_id) :: child.ctasks
+  done;
+  child.vote <- (if replicas > 1 then Some (Vote.create ~replicas ~equal:Value.equal) else None);
+  !recorded
+
 (* Spawn the child for call slot [slot] of [task]: build the packet, level
    stamp it, functionally checkpoint it, and queue it toward the balancer's
    choice of processor. *)
 let spawn_child t ctx task ~slot ~fname ~args =
   let packet = build_child_packet t ctx task ~slot ~fname ~args in
-  let stamp = packet.Packet.stamp in
+  let child = add_child task ~slot ~stamp:packet.Packet.stamp packet ~filled:false in
   let replicas = replication_factor ctx task in
-  let base_key = Stamp.hash stamp in
-  let dests = ref [] and ctasks = ref [] and recorded = ref 0 in
-  for replica = 0 to replicas - 1 do
-    let task_id = ctx.fresh_task_id () in
-    let dest = choose_dest t ctx ~key:(base_key + (replica * 7919)) in
-    if record_checkpoint t ctx ~dest packet then incr recorded;
-    send_activation t ctx packet ~task_id ~dest ~replica ~replicas;
-    dests := (replica, dest) :: !dests;
-    ctasks := (replica, task_id) :: !ctasks
-  done;
-  let vote =
-    if replicas > 1 then Some (Vote.create ~replicas ~equal:Value.equal) else None
-  in
-  let child =
-    { slot; c_stamp = stamp; c_packet = packet; dests = !dests; ctasks = !ctasks; vote;
-      filled = false }
-  in
-  Hashtbl.replace (children_tbl task) slot child;
+  let recorded = dispatch_child t ctx child ~replicas ~key_offset:0 ~grace:0 ~reason:None in
   Counter.bump_by ctx.counters Count.spawn_remote replicas;
   flush_salvage t ctx task child;
-  !recorded
+  recorded
 
 let rec discharge_dests ckpts stamp = function
   | [] -> ()
@@ -677,36 +691,23 @@ let discharge_child t child =
    splice twin creation §4.1).  The packet is byte-identical — same stamp,
    same return linkage — so by determinacy the regenerated activation is a
    functional twin of the lost one. *)
-let respawn_child t ctx _task (child : child) ~reason =
+let respawn_child t ctx (child : child) ~reason =
   Profile.time "recovery.respawn" @@ fun () ->
   let replicas = List.length child.dests in
   discharge_child t child;
-  let base_key = Stamp.hash child.c_stamp in
-  let dests = ref [] and ctasks = ref [] in
-  for replica = 0 to replicas - 1 do
-    let task_id = ctx.fresh_task_id () in
-    let dest = choose_dest t ctx ~key:(base_key + 104729 + (replica * 7919)) in
-    ignore (record_checkpoint t ctx ~dest child.c_packet);
-    (* Under splice, hold the twin back briefly so adoption reports from
-       living orphans can overtake it (§4.1 offspring inheritance). *)
-    let grace =
-      match ctx.config.recovery with
-      | Config.Splice -> ctx.config.adoption_grace
-      | Config.No_recovery | Config.Rollback | Config.Replicate _ -> 0
-    in
-    ctx.send_after ~delay:grace ~src:t.nid ~dst:dest
-      (Message.Task_packet { packet = child.c_packet; task_id; replica; replicas });
-    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
-      (Journal.Respawned { task = task_id; dest; reason });
-    Journal.note_call ctx.journal ~task:task_id child.c_packet.Packet.fname
-      child.c_packet.Packet.args;
-    dests := (replica, dest) :: !dests;
-    ctasks := (replica, task_id) :: !ctasks
-  done;
-  child.dests <- !dests;
-  child.ctasks <- !ctasks;
-  if replicas > 1 then child.vote <- Some (Vote.create ~replicas ~equal:Value.equal);
+  (* Under splice, hold the twin back briefly so adoption reports from
+     living orphans can overtake it (§4.1 offspring inheritance). *)
+  let grace =
+    match ctx.config.recovery with
+    | Config.Splice -> ctx.config.adoption_grace
+    | Config.No_recovery | Config.Rollback | Config.Replicate _ -> 0
+  in
+  ignore (dispatch_child t ctx child ~replicas ~key_offset:104729 ~grace ~reason:(Some reason));
   Counter.bump ctx.counters Count.reissue_count
+
+(* Every copy of [child] sits on a processor this node knows is dead. *)
+let copies_lost t (child : child) =
+  child.dests <> [] && List.for_all (fun (_, d) -> knows_dead t d) child.dests
 
 (* ------------------------------------------------------------------ *)
 (* Task completion and result forwarding                               *)
@@ -853,7 +854,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               else if List.exists (fun (_, d) -> d <> failed) child.dests then
                 (* already re-homed by the orphan-result path *)
                 ()
-              else respawn_child t ctx task child ~reason))
+              else respawn_child t ctx child ~reason))
         drained;
       (* Replicated slots: account the lost replicas with the voter. *)
       (match ctx.config.recovery with
@@ -872,7 +873,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                       | Vote.Decided v -> if not child.filled then fill_slot t ctx task child v
                       | Vote.Inconclusive ->
                         Counter.bump ctx.counters Count.vote_inconclusive;
-                        respawn_child t ctx task child ~reason:"vote-inconclusive"
+                        respawn_child t ctx child ~reason:"vote-inconclusive"
                       | Vote.Undecided -> ())
                     lost_here
                 | Some _ | None -> ())
@@ -903,12 +904,8 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
             end;
             child_iter
               (fun _ child ->
-                if
-                  (not child.filled)
-                  && child.vote = None
-                  && child.dests <> []
-                  && List.for_all (fun (_, d) -> knows_dead t d) child.dests
-                then respawn_child t ctx task child ~reason:"local-regen")
+                if (not child.filled) && child.vote = None && copies_lost t child then
+                  respawn_child t ctx child ~reason:"local-regen")
               task)
       in
       (* Rollback discards orphans; splice keeps them alive, and every
@@ -994,7 +991,7 @@ let deliver_result_into t ctx task ~slot ~stamp value =
         | Vote.Undecided -> ()
         | Vote.Inconclusive ->
           Counter.bump ctx.counters Count.vote_inconclusive;
-          respawn_child t ctx task child ~reason:"vote-inconclusive")
+          respawn_child t ctx child ~reason:"vote-inconclusive")
     end
 
 (* Salvage for orphan [ostamp] (its result, or its adoption report while
@@ -1055,8 +1052,7 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
     | Some child when child.filled ->
       drop_salvage t ctx ~ostamp payload "parent slot already filled"
     | Some child ->
-      if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
-        respawn_child t ctx task child ~reason;
+      if copies_lost t child then respawn_child t ctx child ~reason;
       forward_salvage t ctx child ~ostamp ~dead_parent payload)
 
 (* A result or a salvage message reaching the live activation it targets
@@ -1082,6 +1078,21 @@ let deliver_to_task t ctx task msg =
 (* Message delivery                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Positive acknowledgement of activation [task_id]: moves the spawn out
+   of transient state b/d (§4.3.2).  The super-root does not track acks. *)
+let send_ack t ctx packet ~task_id =
+  let parent = packet.Packet.parent in
+  if parent.Packet.proc <> Ids.super_root then
+    ctx.send ~src:t.nid ~dst:parent.Packet.proc
+      (Message.Ack
+         {
+           child_stamp = packet.Packet.stamp;
+           child_task = task_id;
+           child_proc = t.nid;
+           parent_task = parent.Packet.task;
+           slot = parent.Packet.slot;
+         })
+
 let activate_task t ctx packet ~task_id =
   let graph = ctx.template packet.Packet.fname in
   let inst = Instance.create graph packet.Packet.args in
@@ -1104,19 +1115,7 @@ let activate_task t ctx packet ~task_id =
   t.n_live <- t.n_live + 1;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Activated { task = task_id; proc = t.nid });
-  (* Positive acknowledgement: moves the spawn out of transient state b/d
-     (§4.3.2).  The super-root does not track acks. *)
-  let parent = packet.Packet.parent in
-  if parent.Packet.proc <> Ids.super_root then
-    ctx.send ~src:t.nid ~dst:parent.Packet.proc
-      (Message.Ack
-         {
-           child_stamp = packet.Packet.stamp;
-           child_task = task_id;
-           child_proc = t.nid;
-           parent_task = parent.Packet.task;
-           slot = parent.Packet.slot;
-         });
+  send_ack t ctx packet ~task_id;
   Queue.add task_id t.run_queue;
   ensure_stepping t ctx;
   task
@@ -1134,17 +1133,7 @@ let deliver t ctx msg =
       Counter.bump ctx.counters Count.dup_task_packet;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
         (Journal.Duplicate_ignored { task = task_id });
-      let parent = packet.Packet.parent in
-      if parent.Packet.proc <> Ids.super_root then
-        ctx.send ~src:t.nid ~dst:parent.Packet.proc
-          (Message.Ack
-             {
-               child_stamp = packet.Packet.stamp;
-               child_task = task_id;
-               child_proc = t.nid;
-               parent_task = parent.Packet.task;
-               slot = parent.Packet.slot;
-             })
+      send_ack t ctx packet ~task_id
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ } ->
       let task = activate_task t ctx packet ~task_id in
       (* A grace-delayed twin may have been overtaken by adoption reports
@@ -1254,8 +1243,7 @@ let handle_bounce t ctx ~dead msg =
       | Alive task -> (
         match child_find task packet.Packet.parent.Packet.slot with
         | Some child when not child.filled ->
-          if List.for_all (fun (_, d) -> knows_dead t d) child.dests then
-            respawn_child t ctx task child ~reason:"bounced-packet"
+          if copies_lost t child then respawn_child t ctx child ~reason:"bounced-packet"
         | Some _ | None -> ()))
     | Message.Result ({ relay = Message.To_parent; _ } as r) -> (
       (* The paper's D4 moment: the return found its parent dead. *)
@@ -1265,29 +1253,26 @@ let handle_bounce t ctx ~dead msg =
            grandparent link; re-route through the relay logic.  Producers
            are [Done], hence retired — scan the tombstones in the index's
            legacy order (last match wins, as before). *)
-        let producer =
+        let tid, producer =
           Hashtbl.fold
             (fun tid e acc ->
               match e with
-              | Gone p when p.r_done && Stamp.equal p.r_stamp r.stamp -> Some tid
+              | Gone p when p.r_done && Stamp.equal p.r_stamp r.stamp -> (tid, e)
               | _ -> acc)
-            t.tasks None
+            t.tasks (Ids.no_task, Absent)
         in
         (match producer with
-        | Some tid -> (
-          match lookup t tid with
-          | Gone p ->
-            let dropped =
-              return_result_from t ctx ~stamp:p.r_stamp ~parent:p.r_parent
-                ~grandparent:p.r_grandparent ~ancestors:p.r_ancestors ~tid r.value
-            in
-            (* a [Done] producer: its work is wasted once its result is *)
-            if dropped && not p.r_dropped then begin
-              p.r_dropped <- true;
-              t.n_wasted <- t.n_wasted + p.r_work
-            end
-          | Absent | Alive _ -> assert false (* the fold just found its tombstone *))
-        | None ->
+        | Gone p ->
+          let dropped =
+            return_result_from t ctx ~stamp:p.r_stamp ~parent:p.r_parent
+              ~grandparent:p.r_grandparent ~ancestors:p.r_ancestors ~tid r.value
+          in
+          (* a [Done] producer: its work is wasted once its result is *)
+          if dropped && not p.r_dropped then begin
+            p.r_dropped <- true;
+            t.n_wasted <- t.n_wasted + p.r_work
+          end
+        | Absent | Alive _ ->
           Counter.bump ctx.counters Count.relay_dropped;
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:r.stamp
             (Journal.Relay_dropped { at = t.nid; reason = "producer gone after bounce" }))
@@ -1336,8 +1321,7 @@ let charge t task cost =
    already there"). *)
 let skip_preheld t ctx task ~slot v =
   let c_stamp = child_stamp task slot in
-  Hashtbl.replace (children_tbl task) slot
-    { slot; c_stamp; c_packet = task.packet; dests = []; ctasks = []; vote = None; filled = true };
+  ignore (add_child task ~slot ~stamp:c_stamp task.packet ~filled:true);
   Instance.supply task.inst slot v;
   Counter.bump ctx.counters Count.spawn_skipped_preheld;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:c_stamp
@@ -1349,12 +1333,9 @@ let skip_preheld t ctx task ~slot v =
 let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
   let packet = build_child_packet t ctx task ~slot ~fname ~args in
   ignore (record_checkpoint t ctx ~dest:orphan.Packet.proc packet);
-  let child =
-    { slot; c_stamp = packet.Packet.stamp; c_packet = packet;
-      dests = [ (0, orphan.Packet.proc) ]; ctasks = [ (0, orphan.Packet.task) ]; vote = None;
-      filled = false }
-  in
-  Hashtbl.replace (children_tbl task) slot child;
+  let child = add_child task ~slot ~stamp:packet.Packet.stamp packet ~filled:false in
+  child.dests <- [ (0, orphan.Packet.proc) ];
+  child.ctasks <- [ (0, orphan.Packet.task) ];
   Counter.bump ctx.counters Count.spawn_inherited;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Inherited { orphan_task = orphan.Packet.task; proc = orphan.Packet.proc });

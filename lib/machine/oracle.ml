@@ -18,7 +18,6 @@ let distinct_values vs =
 
 let check ?expected cluster =
   let cfg = Cluster.config cluster in
-  let answers = Cluster.root_answers cluster in
   let quiescent = Cluster.quiescent cluster in
   let suspected = Cluster.suspected_nodes cluster in
   let live = List.filter Node.is_alive (Cluster.nodes cluster) in
@@ -30,8 +29,6 @@ let check ?expected cluster =
   let abandoned = sum Node.live_tasks abandoned_nodes in
   let stranded = sum (fun n -> Ckpt_table.total_size (Node.checkpoints n)) trusted in
   let unsettled = Cluster.unsettled_sends cluster in
-  let n_answers = List.length answers in
-  let distinct = List.length (distinct_values answers) in
   (* The completion checks are only decidable on a drained, recoverable,
      healthy run with survivors; the divergence check always applies. *)
   let decidable =
@@ -42,34 +39,30 @@ let check ?expected cluster =
   in
   let violations = ref [] in
   let viol fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  if Cluster.service_mode cluster then begin
-    (* Per-request verdicts: different requests legitimately produce
-       different values, but each request's own answers must agree, and
-       every submitted request must have an answer once the run drained. *)
-    for uid = 0 to Cluster.submitted_requests cluster - 1 do
+  (* Per-request verdicts, the batch root being request -1: different
+     requests legitimately produce different values, but each request's own
+     answers must agree (and match [expected]), and every request must have
+     an answer once the run drained. *)
+  let who uid = if uid < 0 then "the root" else Printf.sprintf "request %d" uid in
+  let answers = ref [] in
+  Cluster.iter_request_uids cluster (fun uid ->
       let req_answers = Cluster.request_answers cluster uid in
+      answers := List.rev_append req_answers !answers;
       let d = List.length (distinct_values req_answers) in
       if d > 1 then
-        viol "request %d produced %d distinct answers (determinacy guarantees a unique value)"
-          uid d;
+        viol "%s produced %d distinct answers (determinacy guarantees a unique value)" (who uid) d;
+      (match expected with
+      | Some e -> (
+        match List.filter (fun v -> not (Value.equal v e)) req_answers with
+        | [] -> ()
+        | v :: _ as wrong ->
+          viol "%d answer(s) of %s differ from the expected %s (first: %s)" (List.length wrong)
+            (who uid) (Value.to_string e) (Value.to_string v))
+      | None -> ());
       if decidable && req_answers = [] then
-        viol "request %d got no answer although the run drained with live processors" uid
-    done
-  end
-  else begin
-    if distinct > 1 then
-      viol "%d distinct root answers arrived (determinacy guarantees a unique value)" distinct;
-    (match expected with
-    | Some e -> (
-      match List.filter (fun v -> not (Value.equal v e)) answers with
-      | [] -> ()
-      | v :: _ as wrong ->
-        viol "%d root answer(s) differ from the expected %s (first: %s)" (List.length wrong)
-          (Value.to_string e) (Value.to_string v))
-    | None -> ());
-    if decidable && n_answers = 0 then
-      viol "no root answer arrived although the run drained with live processors"
-  end;
+        viol "%s got no answer although the run drained with live processors" (who uid));
+  let n_answers = List.length !answers in
+  let distinct = List.length (distinct_values !answers) in
   if decidable && n_answers > 0 && leaked > 0 then
     viol "%d task(s) leaked un-GC'd on trusted live processors at quiescence" leaked;
   if decidable && n_answers > 0 && stranded > 0 then

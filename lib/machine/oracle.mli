@@ -21,15 +21,14 @@
     occurred and at least one processor survived.  The divergence check
     (all root answers equal) is unconditional.
 
-    In batch mode the caller may also pass the [expected] answer (the
-    serial reference or a closed form): any root answer that differs from
+    The answer checks are per request of the super-root's table
+    ({!Cluster.iter_request_uids}; a batch run is the one request [-1]): each must
+    end with exactly one distinct value of its own, and — when decidable —
+    at least one answer.  The caller may also pass the [expected] answer
+    (the serial reference or a closed form): any answer that differs from
     it is a violation, so a consistently wrong answer cannot pass as "one
-    distinct value".
-
-    In service mode ({!Cluster.begin_service}) the answer checks are
-    per-request: each submitted request must end with exactly one distinct
-    value of its own, and — when decidable — at least one answer.  The
-    leak, strand and transport checks apply cluster-wide as in batch.
+    distinct value".  The leak, strand and transport checks apply
+    cluster-wide.
 
     {!assert_ok} is wired into [Harness.run] with the workload's serial
     reference as [expected] — every experiment and every harness-driven
@@ -50,8 +49,9 @@ type report = {
 }
 
 val check : ?expected:Recflow_lang.Value.t -> Cluster.t -> report
-(** [expected] applies in batch mode only (service requests each have their
-    own answer). *)
+(** [expected] is the value every request must produce: a batch run's
+    reference answer (service requests each have their own, so service
+    callers pass none). *)
 
 val ok : report -> bool
 

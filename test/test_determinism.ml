@@ -14,11 +14,16 @@
 
    and paste the printed table over [goldens] — but first be sure the
    change is supposed to alter schedules; this suite exists to make that
-   decision explicit rather than accidental. *)
+   decision explicit rather than accidental.
+
+   Each case also pins the recovery oracle's report in a table of its own
+   ([oracle_goldens]), so a change to how the oracle reaches its verdict
+   shows up apart from the journal digests. *)
 
 module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Journal = Recflow_machine.Journal
+module Oracle = Recflow_machine.Oracle
 module Workload = Recflow_workload.Workload
 module Value = Recflow_lang.Value
 
@@ -32,7 +37,10 @@ let digest_of_run ?drain cfg w plan =
   let c = Cluster.create cfg (Workload.program w) in
   Recflow_fault.Plan.apply c plan;
   Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Small);
+  (* the batch root is one request of the super-root's table *)
+  Alcotest.(check int) "root in flight before the answer" 1 (Cluster.in_flight c);
   let o = Cluster.run ?drain c in
+  Alcotest.(check int) "nothing in flight after the answer" 0 (Cluster.in_flight c);
   let buf = Buffer.create 16384 in
   List.iter
     (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" Journal.pp_entry e))
@@ -75,6 +83,46 @@ let goldens =
     ("nqueens", 42, "splice", "54faf5bba1e05d2c3e1edbf739c0c440");
   ]
 
+(* The oracle's report for each case, rendered by [render_report] and
+   recorded before the batch root joined the super-root's request table. *)
+let oracle_goldens =
+  let ok =
+    "answers=1 distinct=1 leaked=0 stranded=0 abandoned=0 unsettled=0 quiescent=true violations=[]"
+  in
+  [
+    ("fib/1/rollback", ok);
+    ("fib/1/splice", ok);
+    ("fib/42/rollback", ok);
+    ("fib/42/splice", ok);
+    ("tree_sum/1/rollback", ok);
+    ("tree_sum/1/splice", ok);
+    ("tree_sum/42/rollback", ok);
+    ("tree_sum/42/splice", ok);
+    ("nqueens/1/rollback", ok);
+    ("nqueens/1/splice", ok);
+    ("nqueens/42/rollback", ok);
+    ("nqueens/42/splice", ok);
+    ("synthetic/1/splice-ad2-double", ok);
+    ( "service/7/splice",
+      "answers=3 distinct=3 leaked=0 stranded=0 abandoned=0 unsettled=0 quiescent=true \
+       violations=[]" );
+  ]
+
+let render_report (r : Oracle.report) =
+  Printf.sprintf
+    "answers=%d distinct=%d leaked=%d stranded=%d abandoned=%d unsettled=%d quiescent=%b \
+     violations=[%s]"
+    r.Oracle.answers r.distinct_answers r.leaked_tasks r.stranded_checkpoints r.abandoned_tasks
+    r.unsettled_sends r.quiescent (String.concat "; " r.violations)
+
+let check_report name c =
+  let actual = render_report (Oracle.check c) in
+  if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
+    Printf.printf "    (%S, %S);\n%!" name actual;
+  match List.assoc_opt name oracle_goldens with
+  | None -> Alcotest.failf "no oracle report recorded for %s" name
+  | Some expected -> Alcotest.(check string) (name ^ " oracle report") expected actual
+
 let golden_key w seed r = Printf.sprintf "%s/%d/%s" w.Workload.name seed (recovery_tag r)
 
 let test_case (w, seed, r) =
@@ -84,7 +132,8 @@ let test_case (w, seed, r) =
         { (Config.default ~nodes:6) with Config.recovery = r; seed; inline_depth = 6;
           policy = Recflow_balance.Policy.Random }
       in
-      let actual, _ = digest_of_run cfg w (Recflow_fault.Plan.single ~time:150 1) in
+      let actual, c = digest_of_run cfg w (Recflow_fault.Plan.single ~time:150 1) in
+      check_report name c;
       if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
         Printf.printf "    (%S, %d, %S, %S);\n%!" w.Workload.name seed (recovery_tag r) actual;
       match
@@ -116,7 +165,26 @@ let double_fault_case =
       let counter = Recflow_stats.Counter.get (Cluster.counters c) in
       Alcotest.(check bool) "results stashed at a twin" true (counter "relay.stashed" > 0);
       Alcotest.(check bool) "reports stashed at a twin" true (counter "adopt.stashed" > 0);
-      ignore (Recflow_machine.Oracle.assert_ok ~expected:(Workload.expected w Workload.Small) c);
+      ignore (Oracle.assert_ok ~expected:(Workload.expected w Workload.Small) c);
+      check_report "synthetic/1/splice-ad2-double" c;
       Alcotest.(check string) "double fault journal digest" double_fault_golden actual)
 
-let suites = [ ("determinism", List.map test_case cases @ [ double_fault_case ]) ]
+(* A drained service run under a failure: three concurrent roots, the
+   oracle's per-request verdicts pinned like the batch ones. *)
+let service_case =
+  Alcotest.test_case "service/7/splice oracle" `Quick (fun () ->
+      let w = Workload.fib in
+      let cfg = { (Config.default ~nodes:6) with Config.recovery = Config.Splice; seed = 7 } in
+      let c = Cluster.create cfg (Workload.program w) in
+      Cluster.fail_at c ~time:150 1;
+      Cluster.begin_service c;
+      List.iter
+        (fun n -> ignore (Cluster.submit c ~fname:w.Workload.entry ~args:[ Value.Int n ] ()))
+        [ 9; 10; 11 ];
+      Cluster.close_arrivals c;
+      Alcotest.(check int) "three in flight" 3 (Cluster.in_flight c);
+      ignore (Cluster.run ~drain:true c);
+      Alcotest.(check int) "none in flight" 0 (Cluster.in_flight c);
+      check_report "service/7/splice" c)
+
+let suites = [ ("determinism", List.map test_case cases @ [ double_fault_case; service_case ]) ]

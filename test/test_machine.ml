@@ -369,6 +369,22 @@ let config_validation () =
     (bad_msg "loss_prior must be in [0,1]" (fun c -> { c with Config.loss_prior = -0.1 }));
   check "loss_prior nan" true
     (bad_msg "loss_prior must be in [0,1]" (fun c -> { c with Config.loss_prior = Float.nan }));
+  (* negative latencies reach the engine as negative delays; NaN fails
+     every comparison, so range rules must be written to reject it *)
+  let latency f c = { c with Config.latency = f c.Config.latency } in
+  check "negative latency base" true
+    (bad_msg "latency base must be >= 0"
+       (latency (fun l -> { l with Recflow_net.Latency.base = -50 })));
+  check "negative latency per_hop" true
+    (bad_msg "latency per_hop must be >= 0"
+       (latency (fun l -> { l with Recflow_net.Latency.per_hop = -1 })));
+  check "nan backoff" true
+    (bad_msg "retry backoff base must be >= 1" (fun c ->
+         { c with Config.retry = { c.Config.retry with Config.backoff = Float.nan } }));
+  check "nan shed fraction" true
+    (bad_msg "service shed_suspect_frac must be in [0,1]" (fun c ->
+         { c with
+           Config.service = { c.Config.service with Config.shed_suspect_frac = Float.nan } }));
   check "adaptive max_depth zero" true
     (bad_msg "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
        (fun c -> { c with Config.ckpt_mode = Config.Adaptive { max_depth = 0 } }));
@@ -389,6 +405,27 @@ let config_validation () =
          recovery = Config.Rollback }
     = Ok ());
   check "default valid" true (Config.validate (Config.default ~nodes:4) = Ok ())
+
+(* rto·backoffⁿ overflows [int_of_float] long before a suspicion window
+   ends; the delay must stay pinned at the rto·64 cap instead of wrapping
+   to a one-tick retransmission storm. *)
+let retry_delay_capped () =
+  let rto = 150 in
+  let delays backoff =
+    List.map
+      (Config.retry_delay { Config.rto; backoff; suspicion_after = 1500 })
+      [ 1; 10; 56; 60; 1100 ]
+  in
+  List.iter
+    (fun backoff ->
+      let ds = delays backoff in
+      List.iter (fun d -> check "within [1, rto*64]" true (d >= 1 && d <= rto * 64)) ds;
+      check "never decreasing" true (ds = List.sort compare ds))
+    [ 2.0; 1e300 ];
+  Alcotest.(check (list int)) "default backoff" [ 300; rto * 64; rto * 64; rto * 64; rto * 64 ]
+    (delays 2.0);
+  check_int "first attempt unchanged" rto
+    (Config.retry_delay { Config.rto; backoff = 2.0; suspicion_after = 1500 } 0)
 
 let horizon_stops () =
   let cfg = { (Config.default ~nodes:2) with Config.horizon = 50 } in
@@ -621,6 +658,7 @@ let suites =
         Alcotest.test_case "program error" `Quick program_error_surfaces;
         Alcotest.test_case "start validation" `Quick start_validation;
         Alcotest.test_case "config validation" `Quick config_validation;
+        Alcotest.test_case "retry delay capped" `Quick retry_delay_capped;
         Alcotest.test_case "horizon" `Quick horizon_stops;
         Alcotest.test_case "first_alive min_int" `Quick first_alive_min_int;
         Alcotest.test_case "first_alive deterministic" `Quick first_alive_deterministic;

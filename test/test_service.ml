@@ -53,6 +53,27 @@ let submit_requires_service () =
        false
      with Invalid_argument _ -> true)
 
+(* A batch run is the one-request case of the same table: request -1,
+   answered through the same accessors a service request uses. *)
+let batch_is_request_minus_one () =
+  let c = Cluster.create (svc_cfg ()) (Workload.program Workload.fib) in
+  Cluster.start c ~fname:"fib" ~args:[ Value.Int 8 ];
+  let uids = ref [] in
+  Cluster.iter_request_uids c (fun uid -> uids := uid :: !uids);
+  Alcotest.(check (list int)) "one request" [ -1 ] !uids;
+  check_int "not a service submission" 0 (Cluster.submitted_requests c);
+  check "submit after start" true
+    (try
+       ignore (Cluster.submit c ~fname:"fib" ~args:[ Value.Int 5 ] ());
+       false
+     with Invalid_argument _ -> true);
+  let o = Cluster.run c in
+  Alcotest.(check (option value)) "outcome answer" (Some (Value.Int 21)) o.Cluster.answer;
+  Alcotest.(check (list value)) "request answers" [ Value.Int 21 ] (Cluster.request_answers c (-1));
+  Alcotest.(check (option int)) "answer time" o.Cluster.answer_time
+    (Cluster.request_answer_time c (-1));
+  check "root stamp" true (Stamp.equal Stamp.root (Cluster.request_stamp c (-1)))
+
 let concurrent_roots_isolated () =
   (* Two different programs in flight at once: answers must file under
      their own request, never leak across. *)
@@ -273,6 +294,7 @@ let suites =
     ( "service.cluster",
       [
         Alcotest.test_case "submit requires service" `Quick submit_requires_service;
+        Alcotest.test_case "batch is request -1" `Quick batch_is_request_minus_one;
         Alcotest.test_case "concurrent roots isolated" `Quick concurrent_roots_isolated;
         Alcotest.test_case "recovered request" `Quick per_request_oracle_catches_missing;
       ] );
