@@ -314,13 +314,15 @@ let enter st fn args =
 
 let default_fuel = 50_000_000
 
-let run ?(fuel = default_fuel) compiled fname args =
-  match Hashtbl.find_opt compiled fname with
-  | None -> raise Not_found
-  | Some fn ->
-    let st = { steps = 0; fuel; calls = 0 } in
-    let v = enter st fn args in
-    (v, st.steps)
+let find compiled fname = Hashtbl.find_opt compiled fname
+
+let apply ?(fuel = default_fuel) fn args =
+  let st = { steps = 0; fuel; calls = 0 } in
+  let v = enter st fn args in
+  (v, st.steps)
+
+let run ?fuel compiled fname args =
+  match find compiled fname with None -> raise Not_found | Some fn -> apply ?fuel fn args
 
 let eval ?fuel program fname args = run ?fuel (compile program) fname (Array.of_list args)
 

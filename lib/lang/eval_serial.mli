@@ -5,7 +5,9 @@
       (determinacy, §2.1 of the paper);
     - inline execution: the machine layer evaluates fine-grained calls below
       the spawn threshold with this evaluator, charging simulated time
-      proportional to the reported reduction count;
+      proportional to the reported reduction count.  It goes through
+      {!Inline_cache}, which runs each scalar-argument call once per
+      cluster and replays its [(value, reductions)] on a repeat;
     - workload sizing: reduction counts calibrate experiment parameters.
 
     Reductions are counted per primitive application, conditional branch
@@ -29,11 +31,22 @@ exception Runtime_error of string
 type compiled
 (** A compiled program.  It is never mutated after {!compile} returns and
     every {!run} allocates its own counters and frames.  There is no
-    global cache: each user compiles its own copy (a [Cluster] compiles
-    lazily on its first inline call), so compiled values are not shared
-    across domains even when experiment sweeps share one [Program.t]. *)
+    global cache: each user compiles its own copy (a cluster's
+    {!Inline_cache} compiles lazily on its first inline call), so compiled
+    values are not shared across domains even when experiment sweeps
+    share one [Program.t]. *)
 
 val compile : Program.t -> compiled
+
+type fn
+(** One compiled definition, resolved by name once. *)
+
+val find : compiled -> string -> fn option
+
+val apply : ?fuel:int -> fn -> Value.t array -> Value.t * int
+(** [apply fn args] is {!run} on a callee already resolved by {!find}.
+    @raise Runtime_error on program errors, fuel exhaustion or a wrong
+    argument count. *)
 
 val run : ?fuel:int -> compiled -> string -> Value.t array -> Value.t * int
 (** [run compiled fname args] applies the named function and returns

@@ -3,7 +3,7 @@ module Stamp = Recflow_recovery.Stamp
 module Packet = Recflow_recovery.Packet
 module Value = Recflow_lang.Value
 module Graph = Recflow_lang.Graph
-module Eval_serial = Recflow_lang.Eval_serial
+module Inline_cache = Recflow_lang.Inline_cache
 module Engine = Recflow_sim.Engine
 module Trace = Recflow_sim.Trace
 module Rng = Recflow_sim.Rng
@@ -161,9 +161,10 @@ type t = {
   mutable node_ctx : Node.ctx option;
       (* built once on first use: rebuilding ~14 closures per dispatched
          event shows up at millions of events *)
-  mutable compiled : Eval_serial.compiled option;
-      (* compiled on the first inline call, so runs that never inline (and
-         set-up) pay nothing *)
+  inline : Inline_cache.t;
+      (** inline leaf evaluation; compiles and allocates its table on the
+          first inline call, so runs that never inline (and set-up) pay
+          nothing *)
 }
 
 let config t = t.cfg
@@ -189,6 +190,8 @@ let latency_hists t =
 let trace t = t.trace
 
 let router t = t.router
+
+let inline_cache t = t.inline
 
 let now t = Engine.now t.engine
 
@@ -342,20 +345,6 @@ let send t ~src ~dst msg = send_after t ~delay:0 ~src ~dst msg
 
 let wake t pid ~delay = Engine.schedule t.engine ~delay t.steps.(pid)
 
-let compiled t =
-  match t.compiled with
-  | Some c -> c
-  | None ->
-    let c = Eval_serial.compile t.program in
-    t.compiled <- Some c;
-    c
-
-let inline_eval t fname args =
-  match Eval_serial.run (compiled t) fname args with
-  | r -> Ok r
-  | exception Eval_serial.Runtime_error msg -> Error msg
-  | exception Not_found -> Error ("call to unknown function " ^ fname)
-
 let program_error t msg =
   if t.error = None then begin
     t.error <- Some msg;
@@ -375,7 +364,7 @@ let build_ctx t : Node.ctx =
     first_alive = (fun ~key -> first_alive t ~key);
     neighbors = (fun pid -> Topology.neighbors (Router.topology t.router) pid);
     template = Graph.find_exn t.library;
-    inline_eval = inline_eval t;
+    inline_eval = Inline_cache.call t.inline;
     journal = t.journal;
     counters = t.counters;
     record_latency = (fun name v -> record_latency t name v);
@@ -447,7 +436,7 @@ let create cfg program =
     steps = wake_events n;
     view = { Policy.router; pressure = pressure node_arr };
     node_ctx = None;
-    compiled = None;
+    inline = Inline_cache.create program;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -145,6 +145,10 @@ val trace : t -> Recflow_sim.Trace.t
 
 val router : t -> Recflow_net.Router.t
 
+val inline_cache : t -> Recflow_lang.Inline_cache.t
+(** Every inline leaf call goes through this; its hit and miss tallies
+    feed no counter and no digest. *)
+
 val node : t -> Ids.proc_id -> Node.t
 (** @raise Invalid_argument for an out-of-range id. *)
 

@@ -135,6 +135,9 @@ let validate t =
   then err "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
   else if t.latency.Recflow_net.Latency.base < 0 then err "latency base must be >= 0"
   else if t.latency.Recflow_net.Latency.per_hop < 0 then err "latency per_hop must be >= 0"
+  else if t.latency.Recflow_net.Latency.jitter < 0 then err "latency jitter must be >= 0"
+  else if t.latency.Recflow_net.Latency.jitter = max_int then
+    err "latency jitter must be below max_int (a draw is in [0, jitter])"
   else if t.detect_delay < 1 then err "detect_delay must be >= 1"
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"

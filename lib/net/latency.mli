@@ -2,7 +2,8 @@
 
     Latency is [base + per_hop * hops], plus deterministic pseudo-random
     jitter in [\[0, jitter\]] drawn from the caller's generator.  All
-    quantities are simulation ticks. *)
+    quantities are simulation ticks.  A machine configuration needs
+    [jitter] in [\[0, max_int)]: the draw's bound is [jitter + 1]. *)
 
 type t = { base : int; per_hop : int; jitter : int }
 

@@ -4,11 +4,13 @@
 
    What an event may still allocate is protocol data: the event itself, the
    message and packet it carries, checkpoint-trie nodes, journal entries
-   when the journal keeps them, and the simulated program's own evaluation
-   (an [Eval_serial] frame and boxed results per inlined call).  Option
-   results, closures built per send or per trie hop, boxed RNG state and
-   string-hashed counter bumps are not, and a change that brings one back
-   onto the hot path shows up here as a few words per event. *)
+   when the journal keeps them, and the graph instance of each activated
+   task.  An inlined leaf call allocates nothing once its result is in the
+   cluster's inline cache: only the first run of each distinct scalar call
+   builds [Eval_serial] frames.  Option results, closures built per send
+   or per trie hop, boxed RNG state, string-hashed counter bumps and
+   re-running a cached leaf are not allowed, and a change that brings one
+   back onto the hot path shows up here as a few words per event. *)
 
 module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
@@ -17,6 +19,8 @@ module Service = Recflow_service.Service
 module Policy = Recflow_balance.Policy
 module Latency = Recflow_net.Latency
 module Value = Recflow_lang.Value
+module Inline_cache = Recflow_lang.Inline_cache
+module Counter = Recflow_stats.Counter
 
 let words () = Gc.minor_words ()
 
@@ -24,7 +28,7 @@ let words () = Gc.minor_words ()
    batched delivery, non-retaining journal, latency jitter 0–2 ticks, a
    b=2 d=10 synthetic tree with its leaf level inlined, fault-free.  Only
    [Cluster.run] is measured: set-up is not per-event work. *)
-let tree_words_per_event () =
+let tree_cluster () =
   let depth = 10 in
   let w = Workload.synthetic ~branching:2 ~depth ~grain:20 in
   let base = Config.default ~nodes:64 in
@@ -41,13 +45,31 @@ let tree_words_per_event () =
   in
   let c = Cluster.create cfg (Workload.program w) in
   Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Medium);
+  c
+
+let check_tree_answer (o : Cluster.outcome) =
+  match o.Cluster.answer with
+  | Some (Value.Int n) when n = 20 * 1024 -> ()
+  | _ -> Alcotest.fail "tree run: wrong or missing answer"
+
+let tree_words_per_event () =
+  let c = tree_cluster () in
   let before = words () in
   let o = Cluster.run c in
   let used = words () -. before in
-  (match o.Cluster.answer with
-  | Some (Value.Int n) when n = 20 * 1024 -> ()
-  | _ -> Alcotest.fail "tree run: wrong or missing answer");
+  check_tree_answer o;
   used /. float_of_int o.Cluster.events
+
+(* Every leaf of the tree is the same call, so the evaluator runs once and
+   each other inlined leaf is a hit. *)
+let tree_one_miss () =
+  let c = tree_cluster () in
+  check_tree_answer (Cluster.run c);
+  let cache = Cluster.inline_cache c in
+  let inlined = Counter.get (Cluster.counters c) "spawn.inline" in
+  Alcotest.(check bool) "leaves inlined" true (inlined > 1);
+  Alcotest.(check int) "misses" 1 (Inline_cache.misses cache);
+  Alcotest.(check int) "hits" (inlined - 1) (Inline_cache.hits cache)
 
 (* service_k3's machine at test size: 8 processors, gradient placement,
    unbatched delivery, retained journal, k = 3 replication under splice,
@@ -78,11 +100,11 @@ let gate name measured bound =
   if measured > bound then
     Alcotest.failf "%s allocates %.2f minor words per event (bound %.1f)" name measured bound
 
-(* Each bound is the measured value plus 3 words of slack: 37.0 words per
+(* Each bound is the measured value plus 3 words of slack: 24.2 words per
    event on the tree configuration and 27.5 on the service one, in the test
    build (dev profile, no cross-module inlining, so a little above what
    the benchmark's release build allocates). *)
-let tree_budget () = gate "tree" (tree_words_per_event ()) 40.0
+let tree_budget () = gate "tree" (tree_words_per_event ()) 27.2
 
 let service_budget () = gate "service" (service_words_per_event ()) 30.5
 
@@ -92,5 +114,6 @@ let suites =
       [
         Alcotest.test_case "tree_1024 config" `Quick tree_budget;
         Alcotest.test_case "service_k3 config" `Quick service_budget;
+        Alcotest.test_case "tree_1024 config: one inline miss" `Quick tree_one_miss;
       ] );
   ]

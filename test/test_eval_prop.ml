@@ -347,6 +347,61 @@ let prop_programs =
             (show_outcome string_of_int want) (show_outcome string_of_int got));
       true)
 
+(* The inline cache against the evaluator it fronts: the same outcome on a
+   first call, on a repeat (a hit exactly when the key and the result are
+   scalar), and after two calls to another function have evicted the slot.
+   The extra definition [evict] returns its scalar argument, so each of its
+   calls is stored, and the second, with other arguments to the same slot,
+   must not be answered by the first.  The random function itself is only
+   called with its generated arguments: a larger depth counter can build a
+   list whose shared structure is exponential to compare. *)
+let evict_def = { Ast.name = "evict"; params = [ "k" ]; body = Ast.Var "k" }
+
+(* The first argument array [| Int k |], k = 0, 1, ..., that [evict] maps
+   to [slot], other than [avoid]. *)
+let evict_key slot ~avoid =
+  let rec go k =
+    let a = [| Value.Int k |] in
+    if Inline_cache.index "evict" a = slot && a <> avoid then a
+    else if k > 1_000_000 then QCheck.Test.fail_reportf "no key maps to slot %d" slot
+    else go (k + 1)
+  in
+  go 0
+
+let prop_inline_cache =
+  QCheck.Test.make ~count ~name:"inline cache = Eval_serial.run on random programs" arb_case
+    (fun c ->
+      let program = Program.of_defs_exn (evict_def :: c.defs) in
+      let compiled = Eval_serial.compile program in
+      let cache = Inline_cache.create ~fuel:budget program in
+      let agree what fname args =
+        let want = outcome (fun () -> Eval_serial.run ~fuel:budget compiled fname args) in
+        let got = Inline_cache.call cache fname args in
+        if not (same_eval want got) then
+          QCheck.Test.fail_reportf "%s call: run %s, cached %s" what (show_eval want)
+            (show_eval got);
+        want
+      in
+      let args = Array.of_list c.args in
+      let want = agree "first" "f0" args in
+      ignore (agree "repeat" "f0" args);
+      let slot = Inline_cache.index "f0" args in
+      let storable =
+        slot >= 0
+        && match want with Ok ((Value.Int _ | Value.Bool _ | Value.Nil), _) -> true | _ -> false
+      in
+      if Inline_cache.hits cache <> Bool.to_int storable then
+        QCheck.Test.fail_reportf "repeat: %d hits, storable %b" (Inline_cache.hits cache) storable;
+      if slot >= 0 then begin
+        let first = evict_key slot ~avoid:[||] in
+        ignore (agree "evicting" "evict" first);
+        ignore (agree "same slot, other arguments" "evict" (evict_key slot ~avoid:first));
+        let hits = Inline_cache.hits cache in
+        ignore (agree "evicted" "f0" args);
+        if Inline_cache.hits cache <> hits then QCheck.Test.fail_reportf "hit after eviction"
+      end;
+      true)
+
 (* Unchecked expressions for [eval_expr]: unbound variables, calls to an
    unknown function or with the wrong argument count, primitives with the
    wrong arity, and an initial environment that may bind a name twice. *)
@@ -442,6 +497,7 @@ let suites =
       [
         qtest prop_programs;
         qtest prop_exprs;
+        qtest prop_inline_cache;
         Alcotest.test_case "workloads tiny+small" `Quick workloads_agree;
       ] );
   ]

@@ -319,6 +319,79 @@ let eval_fuel_boundary () =
     check "fuel = steps - 1 exhausts" true (contains msg "fuel exhausted")
   | _ -> Alcotest.fail "ran past its fuel"
 
+(* ---------------- inline result cache ---------------- *)
+
+let cache_program =
+  Parser.parse_program_exn
+    "def fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2)\n\
+     def f(x) = 1 / x\n\
+     def loop(x) = loop(x + 1)\n\
+     def len(l) = if isnil(l) then 0 else 1 + len(tail(l))\n\
+     def single(n) = n :: nil"
+
+let tallies cache = (Inline_cache.hits cache, Inline_cache.misses cache)
+
+let tally = Alcotest.(pair int int)
+
+let expect_same what want got =
+  match (want, got) with
+  | Ok (v, s), Ok (v', s') ->
+    Alcotest.check value (what ^ " value") v v';
+    check_int (what ^ " reductions") s s'
+  | Error m, Error m' -> Alcotest.(check string) (what ^ " error") m m'
+  | _ -> Alcotest.failf "%s: success and error disagree" what
+
+let serial ?fuel fname args =
+  match Eval_serial.eval ?fuel cache_program fname args with
+  | r -> Ok r
+  | exception Eval_serial.Runtime_error msg -> Error msg
+
+let inline_cache_hit () =
+  let cache = Inline_cache.create cache_program in
+  let args = [| Value.Int 12 |] in
+  let first = Inline_cache.call cache "fib" args in
+  expect_same "first" (serial "fib" [ Value.Int 12 ]) first;
+  let again = Inline_cache.call cache "fib" [| Value.Int 12 |] in
+  check "hit returns the stored block" true (first == again);
+  Alcotest.check tally "one miss, one hit" (1, 1) (tallies cache);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Inline_cache.call cache "fib" args)
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Printf.sprintf "hits allocate nothing (%.0f words)" words) true (words < 100.0)
+
+(* Errors are re-run every time and keep their text. *)
+let inline_cache_errors () =
+  let cache = Inline_cache.create ~fuel:1000 cache_program in
+  let twice what fname args =
+    let want = serial ~fuel:1000 fname (Array.to_list args) in
+    (match want with Error _ -> () | Ok _ -> Alcotest.failf "%s: expected an error" what);
+    expect_same (what ^ " first") want (Inline_cache.call cache fname args);
+    expect_same (what ^ " repeat") want (Inline_cache.call cache fname args)
+  in
+  twice "division by zero" "f" [| Value.Int 0 |];
+  twice "fuel exhaustion" "loop" [| Value.Int 0 |];
+  twice "wrong arity" "f" [| Value.Int 1; Value.Int 2 |];
+  Alcotest.check tally "never cached" (0, 6) (tallies cache);
+  match Inline_cache.call cache "nope" [||] with
+  | Error msg -> Alcotest.(check string) "unknown" "call to unknown function nope" msg
+  | Ok _ -> Alcotest.fail "unknown function answered"
+
+(* A list argument or a list result never enters the table. *)
+let inline_cache_lists () =
+  let cache = Inline_cache.create cache_program in
+  let l = Value.of_int_list [ 1; 2; 3 ] in
+  check_int "cons key has no slot" (-1) (Inline_cache.index "len" [| l |]);
+  for _ = 1 to 2 do
+    expect_same "len" (serial "len" [ l ]) (Inline_cache.call cache "len" [| l |]);
+    expect_same "single" (serial "single" [ Value.Int 4 ])
+      (Inline_cache.call cache "single" [| Value.Int 4 |]);
+    expect_same "nil key" (serial "len" [ Value.Nil ])
+      (Inline_cache.call cache "len" [| Value.Nil |])
+  done;
+  Alcotest.check tally "only the scalar call hits" (1, 5) (tallies cache)
+
 let eval_expr_first_binding_wins () =
   let env = [ ("x", Value.Int 1); ("x", Value.Int 2) ] in
   Alcotest.check value "first binding" (Value.Int 1) (eval_str ~env empty_program "x");
@@ -782,6 +855,12 @@ let suites =
         Alcotest.test_case "fuel boundary" `Quick eval_fuel_boundary;
         Alcotest.test_case "first binding wins" `Quick eval_expr_first_binding_wins;
         Alcotest.test_case "if type error" `Quick eval_type_error_if;
+      ] );
+    ( "lang.inline-cache",
+      [
+        Alcotest.test_case "hit" `Quick inline_cache_hit;
+        Alcotest.test_case "errors never cached" `Quick inline_cache_errors;
+        Alcotest.test_case "lists bypass" `Quick inline_cache_lists;
       ] );
     ( "lang.graph",
       [

@@ -378,6 +378,14 @@ let config_validation () =
   check "negative latency per_hop" true
     (bad_msg "latency per_hop must be >= 0"
        (latency (fun l -> { l with Recflow_net.Latency.per_hop = -1 })));
+  (* a negative jitter was read as none, and [max_int] overflowed the draw
+     bound on the first send *)
+  check "negative latency jitter" true
+    (bad_msg "latency jitter must be >= 0"
+       (latency (fun l -> { l with Recflow_net.Latency.jitter = -1 })));
+  check "max_int latency jitter" true
+    (bad_msg "latency jitter must be below max_int (a draw is in [0, jitter])"
+       (latency (fun l -> { l with Recflow_net.Latency.jitter = max_int })));
   check "nan backoff" true
     (bad_msg "retry backoff base must be >= 1" (fun c ->
          { c with Config.retry = { c.Config.retry with Config.backoff = Float.nan } }));
