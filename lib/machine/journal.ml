@@ -23,15 +23,44 @@ type entry = { time : int; stamp : Stamp.t; event : event }
 
 module Stamp_tbl = Hashtbl.Make (Stamp)
 
+(* Retained entries live in unboxed columns, five words each: [stride]
+   ints — the time with the event kind in its low [kind_bits] bits, then
+   up to three int fields — and the stamp pointer the caller passed, which
+   the packet shares.  Columns come in chunks of [chunk_size] entries, the
+   largest whose int column the runtime still allocates in the minor heap
+   ([Max_young_wosize] is 256 words): a journal that dies young, as each
+   of a sweep's hundreds of small clusters does, never touches the major
+   heap, and one that survives is promoted a chunk at a time, 5 words per
+   entry instead of the 10–11 of a list cell, an entry record and an event
+   block.  The first chunk starts at [first_chunk] entries and doubles up
+   to [chunk_size], since every cluster records its root [Spawned] entry
+   during set-up. *)
+let stride = 4
+
+let kind_bits = 4
+
+let chunk_bits = 6
+
+let chunk_size = 1 lsl chunk_bits
+
+let first_chunk = 16
+
 type t = {
   retain : bool;
-      (* scale runs record millions of entries: with [retain = false] the
-         list and per-stamp index stay empty (sinks still see everything)
-         so journal memory is O(1) instead of O(run length) *)
-  mutable rev_entries : entry list;
+      (* scale runs record millions of entries: with [retain = false] no
+         column is ever allocated and the per-stamp index stays empty
+         (sinks still see everything), so journal memory is O(1) instead
+         of O(run length) *)
   mutable n_entries : int;
   mutable last_time : int;  (* meaningful once [n_entries > 0] *)
-  by_stamp : entry list ref Stamp_tbl.t;  (* reverse chronological *)
+  mutable ints : int array array;  (* chunk [c] holds entries [c * chunk_size ..] *)
+  mutable stamps : Stamp.t array array;
+  mutable capacity : int;  (* entries the allocated chunks can hold *)
+  reason_ids : (string, int) Hashtbl.t;
+  mutable reasons : string array;
+      (* [Respawned] and [Relay_dropped] reasons, interned: the columns hold
+         an index into this table *)
+  by_stamp : int list ref Stamp_tbl.t;  (* entry indices, reverse chronological *)
   mutable indexed : int;
       (* retained entries already in [by_stamp]: the index is built on the
          first per-stamp query and caught up on each later one, so
@@ -39,7 +68,7 @@ type t = {
   mutable extra : entry Recflow_obs_core.Sink.t option;
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
-         retained list *)
+         retained columns *)
   mutable prints : int array;
       (* call fingerprint per task id, [-1] for none; stays empty unless
          [retain] *)
@@ -48,9 +77,13 @@ type t = {
 let create ?(retain = true) () =
   {
     retain;
-    rev_entries = [];
     n_entries = 0;
     last_time = 0;
+    ints = [||];
+    stamps = [||];
+    capacity = 0;
+    reason_ids = Hashtbl.create 8;
+    reasons = [||];
     by_stamp = Stamp_tbl.create 256;
     indexed = 0;
     extra = None;
@@ -63,17 +96,131 @@ let attach_sink t sink =
     | None -> Some sink
     | Some existing -> Some (Recflow_obs_core.Sink.tee existing sink))
 
-(* A journal that neither retains nor streams only counts: no entry is
-   built for it. *)
+let retained t = if t.retain then t.n_entries else 0
+
+let intern t reason =
+  match Hashtbl.find_opt t.reason_ids reason with
+  | Some i -> i
+  | None ->
+    let i = Hashtbl.length t.reason_ids in
+    if i = Array.length t.reasons then begin
+      let a = Array.make (max 8 (2 * i)) "" in
+      Array.blit t.reasons 0 a 0 i;
+      t.reasons <- a
+    end;
+    t.reasons.(i) <- reason;
+    Hashtbl.add t.reason_ids reason i;
+    i
+
+(* Room for one more entry: the first chunk doubles in place until it is
+   full size, then each further chunk is allocated full size. *)
+let grow t =
+  let n = t.capacity in
+  if n < chunk_size then begin
+    let cap = if n = 0 then first_chunk else 2 * n in
+    let ints = Array.make (stride * cap) 0 and stamps = Array.make cap Stamp.root in
+    if n > 0 then begin
+      Array.blit t.ints.(0) 0 ints 0 (stride * n);
+      Array.blit t.stamps.(0) 0 stamps 0 n
+    end;
+    t.ints <- [| ints |];
+    t.stamps <- [| stamps |];
+    t.capacity <- cap
+  end
+  else begin
+    let c = n lsr chunk_bits in
+    if c = Array.length t.ints then begin
+      let ints = Array.make (2 * c) [||] and stamps = Array.make (2 * c) [||] in
+      Array.blit t.ints 0 ints 0 c;
+      Array.blit t.stamps 0 stamps 0 c;
+      t.ints <- ints;
+      t.stamps <- stamps
+    end;
+    t.ints.(c) <- Array.make (stride * chunk_size) 0;
+    t.stamps.(c) <- Array.make chunk_size Stamp.root;
+    t.capacity <- n + chunk_size
+  end
+
+(* [ints] is annotated: stores into an unknown array type go through
+   [caml_modify]. *)
+let put (ints : int array) o packed a b c =
+  Array.unsafe_set ints o packed;
+  Array.unsafe_set ints (o + 1) a;
+  Array.unsafe_set ints (o + 2) b;
+  Array.unsafe_set ints (o + 3) c
+
+(* Store entry [i] (= [t.n_entries]) in the columns.  The kind numbers
+   here and in [event_at] are the column format. *)
+let store t ~time ~stamp event =
+  let packed = time lsl kind_bits in
+  if packed asr kind_bits <> time then invalid_arg "Journal.record: time out of range";
+  let i = t.n_entries in
+  if i = t.capacity then grow t;
+  let c = i lsr chunk_bits and o = i land (chunk_size - 1) in
+  Array.unsafe_set (Array.unsafe_get t.stamps c) o stamp;
+  let ints = Array.unsafe_get t.ints c and o = stride * o in
+  match event with
+  | Spawned { task; dest; replica } -> put ints o packed task dest replica
+  | Activated { task; proc } -> put ints o (packed lor 1) task proc 0
+  | Acked { task; proc } -> put ints o (packed lor 2) task proc 0
+  | Completed { task; proc; work } -> put ints o (packed lor 3) task proc work
+  | Inlined { parent_task; proc; work } -> put ints o (packed lor 4) parent_task proc work
+  | Aborted { task; proc; work } -> put ints o (packed lor 5) task proc work
+  | Lost { task; proc; work } -> put ints o (packed lor 6) task proc work
+  | Respawned { task; dest; reason } -> put ints o (packed lor 7) task dest (intern t reason)
+  | Inherited { orphan_task; proc } -> put ints o (packed lor 8) orphan_task proc 0
+  | Result_accepted { task } -> put ints o (packed lor 9) task 0 0
+  | Duplicate_ignored { task } -> put ints o (packed lor 10) task 0 0
+  | Relayed { via } -> put ints o (packed lor 11) via 0 0
+  | Relay_dropped { at; reason } -> put ints o (packed lor 12) at (intern t reason) 0
+  | Orphan_dropped { task } -> put ints o (packed lor 13) task 0 0
+  | Failure { proc } -> put ints o (packed lor 14) proc 0 0
+
+(* Column readers for retained entry [i]: word 0 is the packed time and
+   kind, words 1–3 the event's fields. *)
+let word t i k =
+  Array.unsafe_get
+    (Array.unsafe_get t.ints (i lsr chunk_bits))
+    ((stride * (i land (chunk_size - 1))) + k)
+
+let kind_at t i = word t i 0 land ((1 lsl kind_bits) - 1)
+
+let time_at t i = word t i 0 asr kind_bits
+
+let stamp_at t i =
+  Array.unsafe_get (Array.unsafe_get t.stamps (i lsr chunk_bits)) (i land (chunk_size - 1))
+
+let event_at t i =
+  let a = word t i 1 and b = word t i 2 and c = word t i 3 in
+  match kind_at t i with
+  | 0 -> Spawned { task = a; dest = b; replica = c }
+  | 1 -> Activated { task = a; proc = b }
+  | 2 -> Acked { task = a; proc = b }
+  | 3 -> Completed { task = a; proc = b; work = c }
+  | 4 -> Inlined { parent_task = a; proc = b; work = c }
+  | 5 -> Aborted { task = a; proc = b; work = c }
+  | 6 -> Lost { task = a; proc = b; work = c }
+  | 7 -> Respawned { task = a; dest = b; reason = t.reasons.(c) }
+  | 8 -> Inherited { orphan_task = a; proc = b }
+  | 9 -> Result_accepted { task = a }
+  | 10 -> Duplicate_ignored { task = a }
+  | 11 -> Relayed { via = a }
+  | 12 -> Relay_dropped { at = a; reason = t.reasons.(b) }
+  | 13 -> Orphan_dropped { task = a }
+  | _ -> Failure { proc = a }
+
+let entry_at t i = { time = time_at t i; stamp = stamp_at t i; event = event_at t i }
+
+(* The entry is stored and counted before a sink sees it, so a sink that
+   queries the journal finds it there.  A journal that neither retains
+   nor streams only counts: no entry is built for it. *)
 let record t ~time ~stamp event =
+  if t.retain then store t ~time ~stamp event;
   t.n_entries <- t.n_entries + 1;
   t.last_time <- time;
   match t.extra with
-  | Some s ->
-    let e = { time; stamp; event } in
-    Recflow_obs_core.Sink.emit s e;
-    if t.retain then t.rev_entries <- e :: t.rev_entries
-  | None -> if t.retain then t.rev_entries <- { time; stamp; event } :: t.rev_entries
+  | Some s -> Recflow_obs_core.Sink.emit s { time; stamp; event }
+  | None -> ()
 
 (* 63-bit prints of calls and stamps: xor-then-multiply steps are
    bijections, so two inputs that differ in one position never collide. *)
@@ -113,25 +260,25 @@ let note_call t ~task fname args =
     t.prints.(task) <- fingerprint fname args
   end
 
-(* The activation an entry spawns, re-issues or inherits, if a call was
-   noted for it; [-1] otherwise. *)
-let noted_task t e =
-  let task =
-    match e.event with
-    | Spawned { task; _ } | Respawned { task; _ } -> task
-    | Inherited { orphan_task; _ } -> orphan_task
-    | _ -> -1
-  in
-  if task >= 0 && task < Array.length t.prints && t.prints.(task) >= 0 then task else -1
+(* The activation entry [i] spawns, re-issues or inherits ([Spawned],
+   [Respawned], [Inherited]: its first field), if a call was noted for it;
+   [-1] otherwise. *)
+let noted_task t i =
+  match kind_at t i with
+  | 0 | 7 | 8 (* Spawned, Respawned, Inherited *) ->
+    let task = word t i 1 in
+    if task >= 0 && task < Array.length t.prints && t.prints.(task) >= 0 then task else -1
+  | _ -> -1
 
 let named_calls t =
-  List.fold_left
-    (fun acc e ->
-      let task = noted_task t e in
-      if task < 0 then acc else (e.stamp, t.prints.(task)) :: acc)
-    [] t.rev_entries
-  |> List.sort_uniq (fun (a, p) (b, q) ->
-         match Stamp.compare a b with 0 -> Int.compare p q | c -> c)
+  let acc = ref [] in
+  for i = retained t - 1 downto 0 do
+    let task = noted_task t i in
+    if task >= 0 then acc := (stamp_at t i, t.prints.(task)) :: !acc
+  done;
+  List.sort_uniq
+    (fun (a, p) (b, q) -> match Stamp.compare a b with 0 -> Int.compare p q | c -> c)
+    !acc
 
 (* One walk over the retained entries, newest first, into an open-address
    table: slot [i] holds the newest activation [tasks.(i)] noted under
@@ -146,74 +293,83 @@ let call_conflicts t =
   done;
   let mask = !cap - 1 in
   let keys = Array.make !cap Stamp.root and tasks = Array.make !cap (-1) in
-  List.fold_left
-    (fun conflicts e ->
-      let task = noted_task t e in
-      if task < 0 then conflicts
-      else begin
-        let h = stamp_print e.stamp in
-        let i = ref ((h lxor (h lsr 32)) land mask) in
-        while tasks.(!i) >= 0 && not (Stamp.equal keys.(!i) e.stamp) do
-          i := (!i + 1) land mask
-        done;
-        if tasks.(!i) < 0 then begin
-          keys.(!i) <- e.stamp;
-          tasks.(!i) <- task;
-          conflicts
-        end
-        else if t.prints.(tasks.(!i)) <> t.prints.(task) then (e.stamp, task, tasks.(!i)) :: conflicts
-        else conflicts
-      end)
-    [] t.rev_entries
+  let conflicts = ref [] in
+  for e = retained t - 1 downto 0 do
+    let task = noted_task t e in
+    if task >= 0 then begin
+      let stamp = stamp_at t e in
+      let h = stamp_print stamp in
+      let i = ref ((h lxor (h lsr 32)) land mask) in
+      while tasks.(!i) >= 0 && not (Stamp.equal keys.(!i) stamp) do
+        i := (!i + 1) land mask
+      done;
+      if tasks.(!i) < 0 then begin
+        keys.(!i) <- stamp;
+        tasks.(!i) <- task
+      end
+      else if t.prints.(tasks.(!i)) <> t.prints.(task) then
+        conflicts := (stamp, task, tasks.(!i)) :: !conflicts
+    end
+  done;
+  !conflicts
 
-let entries t = List.rev t.rev_entries
+let entries t =
+  let acc = ref [] in
+  for i = retained t - 1 downto 0 do
+    acc := entry_at t i :: !acc
+  done;
+  !acc
 
 let length t = t.n_entries
 
 let last_entry_time t = if t.n_entries = 0 then None else Some t.last_time
 
 let failures t =
-  List.rev
-    (List.filter_map
-       (fun e -> match e.event with Failure { proc } -> Some (e.time, proc) | _ -> None)
-       t.rev_entries)
+  let acc = ref [] in
+  for i = retained t - 1 downto 0 do
+    if kind_at t i = 14 (* Failure *) then acc := (time_at t i, word t i 1) :: !acc
+  done;
+  !acc
 
-(* Index the entries recorded since the last query: they are the newest
-   [retained - indexed] of [rev_entries], added oldest first so each
+(* Index the entries recorded since the last query, oldest first, so each
    per-stamp list stays reverse chronological. *)
 let catch_up t =
-  let retained = if t.retain then t.n_entries else 0 in
-  if t.indexed < retained then begin
-    let rec newest n l acc =
-      match l with e :: rest when n > 0 -> newest (n - 1) rest (e :: acc) | _ -> acc
-    in
-    List.iter
-      (fun e ->
-        match Stamp_tbl.find_opt t.by_stamp e.stamp with
-        | Some r -> r := e :: !r
-        | None -> Stamp_tbl.add t.by_stamp e.stamp (ref [ e ]))
-      (newest (retained - t.indexed) t.rev_entries []);
-    t.indexed <- retained
-  end
+  let n = retained t in
+  for i = t.indexed to n - 1 do
+    let stamp = stamp_at t i in
+    match Stamp_tbl.find_opt t.by_stamp stamp with
+    | Some r -> r := i :: !r
+    | None -> Stamp_tbl.add t.by_stamp stamp (ref [ i ])
+  done;
+  t.indexed <- n
 
-let for_stamp t stamp =
+(* Entry indices for [stamp], newest first. *)
+let indices t stamp =
   catch_up t;
-  match Stamp_tbl.find_opt t.by_stamp stamp with Some r -> List.rev !r | None -> []
+  match Stamp_tbl.find_opt t.by_stamp stamp with Some r -> !r | None -> []
+
+let for_stamp t stamp = List.fold_left (fun acc i -> entry_at t i :: acc) [] (indices t stamp)
 
 let stamps t =
   catch_up t;
   Stamp_tbl.fold (fun k _ acc -> k :: acc) t.by_stamp [] |> List.sort Stamp.compare
 
 let count t pred =
-  List.fold_left (fun acc e -> if pred e.event then acc + 1 else acc) 0 t.rev_entries
+  let n = ref 0 in
+  for i = 0 to retained t - 1 do
+    if pred (event_at t i) then incr n
+  done;
+  !n
 
 let first_time t stamp pred =
-  List.find_opt (fun e -> pred e.event) (for_stamp t stamp) |> Option.map (fun e -> e.time)
+  List.fold_left
+    (fun acc i -> if pred (event_at t i) then Some (time_at t i) else acc)
+    None (indices t stamp)
 
 let last_time t stamp pred =
-  List.fold_left
-    (fun acc e -> if pred e.event then Some e.time else acc)
-    None (for_stamp t stamp)
+  List.find_map
+    (fun i -> if pred (event_at t i) then Some (time_at t i) else None)
+    (indices t stamp)
 
 let event_label = function
   | Spawned _ -> "spawned"

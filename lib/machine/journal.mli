@@ -23,7 +23,10 @@ type event =
       (** the task died with its processor — [work] busy ticks destroyed
           (recorded at kill time, before the [Failure] entry) *)
   | Respawned of { task : Ids.task_id; dest : Ids.proc_id; reason : string }
-      (** re-issued from a functional checkpoint ("notice" | "orphan-result") *)
+      (** re-issued from a functional checkpoint; [reason] is what first
+          told the parent: "notice", "bounce-detect", "orphan-result",
+          "orphan-alive", "local-regen", "bounced-packet" or
+          "vote-inconclusive" *)
   | Inherited of { orphan_task : Ids.task_id; proc : Ids.proc_id }
       (** a step-parent twin adopted this still-running orphan instead of
           spawning a clone (§4.1 offspring inheritance) *)
@@ -41,19 +44,24 @@ type t
 
 val create : ?retain:bool -> unit -> t
 (** [retain] (default [true]) keeps every entry in memory for {!entries},
-    {!for_stamp} and friends.  With [retain:false] — the scale-run mode,
-    selected through [Config.journal_retain] — attached sinks still see
-    every entry and {!length}/{!last_entry_time} stay exact, but the
-    retained list and per-stamp index remain empty, so journal memory is
-    O(1) in the run length. *)
+    {!for_stamp} and friends, in column chunks of five words per entry.
+    With [retain:false] — the scale-run mode, selected through
+    [Config.journal_retain] — attached sinks still see every entry and
+    {!length}/{!last_entry_time} stay exact, but no column is allocated
+    and the per-stamp index remains empty, so journal memory is O(1) in
+    the run length. *)
 
 val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
 (** Every subsequent entry is also pushed into the sink as it is recorded
     — the hook streaming consumers (Perfetto conversion, sampled JSONL)
-    build on so they never need the full retained list.  Repeated calls
+    build on so they never need the retained entries.  Repeated calls
     tee; the caller keeps ownership and closes file-backed sinks. *)
 
 val record : t -> time:int -> stamp:Stamp.t -> event -> unit
+(** A retaining journal keeps [stamp] itself (not a copy) and the event's
+    fields; the entry is stored and counted before an attached sink sees
+    it.
+    @raise Invalid_argument if [retain] and [time] lies outside ±2{^58}. *)
 
 val note_call : t -> task:Ids.task_id -> string -> Recflow_lang.Value.t array -> unit
 (** Note the call [fname(args)] that a spawned or re-issued activation
@@ -73,7 +81,8 @@ val call_conflicts : t -> (Stamp.t * Ids.task_id * Ids.task_id) list
     same stamp.  Empty when every stamp names one call. *)
 
 val entries : t -> entry list
-(** Chronological. *)
+(** Chronological.  Each call decodes fresh [entry] values from the
+    columns: entries from two calls are equal, not physically equal. *)
 
 val length : t -> int
 
@@ -85,7 +94,9 @@ val failures : t -> (int * Ids.proc_id) list
     boundaries the observability layer folds over. *)
 
 val for_stamp : t -> Stamp.t -> entry list
-(** Chronological entries for one stamp. *)
+(** Chronological entries for one stamp, decoded fresh on each call like
+    {!entries}.  The per-stamp index is built on the first query and
+    caught up on later ones. *)
 
 val stamps : t -> Stamp.t list
 (** All stamps seen, sorted. *)

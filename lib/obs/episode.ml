@@ -30,6 +30,8 @@ type t = {
 let in_window ~fail_time ~window_end time =
   time >= fail_time && match window_end with Some w -> time < w | None -> true
 
+module Stamp_tbl = Hashtbl.Make (Stamp)
+
 (* §4.1 classification for every child of every task that died with the
    failed processor. *)
 let case_histogram journal ~fail_time ~dead_stamps =
@@ -47,12 +49,19 @@ let case_histogram journal ~fail_time ~dead_stamps =
         | _ -> None)
       (Journal.for_stamp journal stamp)
   in
-  let all_stamps = Journal.stamps journal in
-  let children p =
-    List.filter
-      (fun s -> match Stamp.parent s with Some q -> Stamp.equal p q | None -> false)
-      all_stamps
-  in
+  (* The children of each dead stamp, in [Journal.stamps] order, from one
+     pass over the stamps. *)
+  let children = Stamp_tbl.create 64 in
+  List.iter (fun p -> Stamp_tbl.replace children p []) dead_stamps;
+  List.iter
+    (fun s ->
+      match Stamp.parent s with
+      | Some q -> (
+        match Stamp_tbl.find_opt children q with
+        | Some siblings -> Stamp_tbl.replace children q (s :: siblings)
+        | None -> ())
+      | None -> ())
+    (List.rev (Journal.stamps journal));
   let tally = Hashtbl.create 8 in
   List.iter
     (fun p ->
@@ -106,45 +115,50 @@ let case_histogram journal ~fail_time ~dead_stamps =
           in
           let case = Splice_case.classify tl in
           Hashtbl.replace tally case (1 + Option.value ~default:0 (Hashtbl.find_opt tally case)))
-        (children p))
+        (Stamp_tbl.find children p))
     dead_stamps;
   List.filter_map
     (fun case -> Hashtbl.find_opt tally case |> Option.map (fun n -> (case, n)))
     Splice_case.all
 
+(* Every pass below is one walk over the journal per episode, and every
+   lookup inside a walk is a table probe, so the analysis is linear in the
+   journal's length for a fixed number of failures. *)
 let analyze journal =
   let entries = Journal.entries journal in
-  let failures =
-    List.filter_map
-      (fun (e : Journal.entry) ->
-        match e.Journal.event with
-        | Journal.Failure { proc } -> Some (e.Journal.time, proc)
-        | _ -> None)
-      entries
-  in
-  List.mapi
-    (fun i (fail_time, failed_proc) ->
+  let failures = Array.of_list (Journal.failures journal) in
+  (* Exact busy ticks per task id, straight from the journal: every task's
+     execution ends in exactly one of Completed / Aborted / Lost, each of
+     which records the work consumed. *)
+  let work_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
+  List.iter
+    (fun (e : Journal.entry) ->
+      match e.Journal.event with
+      | Journal.Completed { task; work; _ }
+      | Journal.Aborted { task; work; _ }
+      | Journal.Lost { task; work; _ } ->
+        Hashtbl.replace work_of task work
+      | _ -> ())
+    entries;
+  List.init (Array.length failures) (fun i ->
+      let fail_time, failed_proc = failures.(i) in
       let window_end =
-        List.nth_opt failures (i + 1) |> Option.map (fun (time, _) -> time)
+        if i + 1 < Array.length failures then Some (fst failures.(i + 1)) else None
       in
       let in_window time = in_window ~fail_time ~window_end time in
-      (* Exact busy ticks per task id, straight from the journal: every
-         task's execution ends in exactly one of Completed / Aborted /
-         Lost, each of which records the work consumed. *)
-      let work_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
-      (* stamp digits -> first pre-failure activated task id *)
-      let pre_activated : (int list, int) Hashtbl.t = Hashtbl.create 256 in
+      (* stamp -> first pre-failure activated task id; tasks spawned before
+         the failure *)
+      let pre_activated = Stamp_tbl.create 256 in
+      let spawned_before : (int, unit) Hashtbl.t = Hashtbl.create 256 in
       List.iter
         (fun (e : Journal.entry) ->
-          match e.Journal.event with
-          | Journal.Completed { task; work; _ }
-          | Journal.Aborted { task; work; _ }
-          | Journal.Lost { task; work; _ } ->
-            Hashtbl.replace work_of task work
-          | Journal.Activated { task; _ } when e.Journal.time < fail_time ->
-            let key = Stamp.digits e.Journal.stamp in
-            if not (Hashtbl.mem pre_activated key) then Hashtbl.add pre_activated key task
-          | _ -> ())
+          if e.Journal.time < fail_time then
+            match e.Journal.event with
+            | Journal.Activated { task; _ } ->
+              if not (Stamp_tbl.mem pre_activated e.Journal.stamp) then
+                Stamp_tbl.add pre_activated e.Journal.stamp task
+            | Journal.Spawned { task; _ } -> Hashtbl.replace spawned_before task ()
+            | _ -> ())
         entries;
       (* The tasks the failure destroyed, as journalled at kill time. *)
       let dead =
@@ -159,29 +173,17 @@ let analyze journal =
       in
       let dead_stamps = List.map (fun (_, stamp, _) -> stamp) dead in
       let lost_work = List.fold_left (fun acc (_, _, w) -> acc + w) 0 dead in
-      let dead_stamp_keys =
-        List.fold_left
-          (fun set s -> Stamp.digits s :: set)
-          [] dead_stamps
-      in
+      let dead_set = Stamp_tbl.create 64 in
+      List.iter (fun s -> Stamp_tbl.replace dead_set s ()) dead_stamps;
       let parent_died stamp =
-        match Stamp.parent stamp with
-        | Some p -> List.mem (Stamp.digits p) dead_stamp_keys
-        | None -> false
-      in
-      let spawned_before task =
-        List.exists
-          (fun (e : Journal.entry) ->
-            e.Journal.time < fail_time
-            && match e.Journal.event with Journal.Spawned { task = s; _ } -> s = task | _ -> false)
-          entries
+        match Stamp.parent stamp with Some p -> Stamp_tbl.mem dead_set p | None -> false
       in
       (* Single pass over the window for counts, detection and quiesce. *)
       let reissued = ref 0 and inherited = ref 0 and relayed = ref 0 in
       let orphans_dropped = ref 0 and aborted = ref 0 and duplicates = ref 0 in
       let salvaged = ref 0 in
       let first_respawn = ref None and quiesce = ref None in
-      let redone = Hashtbl.create 64 in
+      let redone = Stamp_tbl.create 64 in
       let touch_quiesce time =
         match !quiesce with Some q when q >= time -> () | _ -> quiesce := Some time
       in
@@ -201,7 +203,7 @@ let analyze journal =
               | Journal.Duplicate_ignored _ -> incr duplicates; true
               | Journal.Aborted _ -> incr aborted; true
               | Journal.Result_accepted { task } ->
-                if spawned_before task && parent_died e.Journal.stamp then begin
+                if Hashtbl.mem spawned_before task && parent_died e.Journal.stamp then begin
                   incr salvaged;
                   true
                 end
@@ -209,10 +211,10 @@ let analyze journal =
               | Journal.Activated { task; _ } -> (
                 (* re-execution of a stamp the failure wiped out: charge the
                    original execution's recorded busy ticks as redone work *)
-                match Hashtbl.find_opt pre_activated (Stamp.digits e.Journal.stamp) with
+                match Stamp_tbl.find_opt pre_activated e.Journal.stamp with
                 | Some orig when orig <> task ->
-                  if not (Hashtbl.mem redone (Stamp.digits e.Journal.stamp)) then
-                    Hashtbl.add redone (Stamp.digits e.Journal.stamp)
+                  if not (Stamp_tbl.mem redone e.Journal.stamp) then
+                    Stamp_tbl.add redone e.Journal.stamp
                       (Option.value ~default:0 (Hashtbl.find_opt work_of orig));
                   true
                 | _ -> false)
@@ -221,8 +223,8 @@ let analyze journal =
             if recovery_event then touch_quiesce e.Journal.time
           end)
         entries;
-      let redone_tasks = Hashtbl.length redone in
-      let redone_work = Hashtbl.fold (fun _ w acc -> acc + w) redone 0 in
+      let redone_tasks = Stamp_tbl.length redone in
+      let redone_work = Stamp_tbl.fold (fun _ w acc -> acc + w) redone 0 in
       let cases = case_histogram journal ~fail_time ~dead_stamps in
       {
         ordinal = i + 1;
@@ -245,7 +247,6 @@ let analyze journal =
         redone_work;
         cases;
       })
-    failures
 
 type aggregate = {
   episodes : int;

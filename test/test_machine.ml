@@ -561,7 +561,12 @@ let occupancy_until_before_entries () =
 
 (* The per-stamp index is built lazily and caught up on each query, so
    queries interleaved with records must answer exactly what a filter over
-   [entries] does, in both retain modes. *)
+   [entries] does, in both retain modes: the same entries in the same
+   order.  Entries are decoded from the journal's columns on each query,
+   so they are compared field by field, not by physical identity. *)
+let same_entry (a : Journal.entry) (b : Journal.entry) =
+  a.time = b.time && Stamp.equal a.stamp b.stamp && a.event = b.event
+
 type journal_op = Add of int * int list * int | Query of int list
 
 let journal_index_matches_filter retain =
@@ -605,13 +610,185 @@ let journal_index_matches_filter retain =
             in
             let first l = match l with [] -> None | x :: _ -> Some x in
             let last l = first (List.rev l) in
-            List.equal ( == ) (Journal.for_stamp j stamp) mine
+            List.equal same_entry (Journal.for_stamp j stamp) mine
             && List.map Stamp.digits (Journal.stamps j)
                = List.sort_uniq compare
                    (List.map (fun (e : Journal.entry) -> Stamp.digits e.stamp) (Journal.entries j))
             && Journal.first_time j stamp activated = first (times activated)
             && Journal.last_time j stamp activated = last (times activated))
         ops)
+
+(* The journal keeps its retained entries in unboxed column chunks and
+   decodes them on demand; this property holds every reader to a plain
+   chronological list of what was recorded.  Sequences mix all fifteen
+   event kinds with super-root procs, task ids anywhere in the int range,
+   arbitrary reason strings and [note_call]s, and run long enough to cross
+   several 512-entry chunks. *)
+type column_op =
+  | Record of int * int list * Journal.event
+  | Note of int * string * int
+  | Check_stamp of int list
+
+let gen_column_op =
+  let open QCheck.Gen in
+  let task = oneof [ int_range (-1) 40; int ] in
+  let proc = oneof [ return (-1); int_range 0 1023; int ] in
+  let work = oneof [ int_bound 100; int ] in
+  let reason =
+    oneof [ oneofl [ "notice"; "orphan-result"; "local-regen" ]; string_size (int_bound 6) ]
+  in
+  let event =
+    oneof
+      [
+        map3
+          (fun task dest replica -> Journal.Spawned { task; dest; replica })
+          task proc (int_bound 3);
+        map2 (fun task proc -> Journal.Activated { task; proc }) task proc;
+        map2 (fun task proc -> Journal.Acked { task; proc }) task proc;
+        map3 (fun task proc work -> Journal.Completed { task; proc; work }) task proc work;
+        map3
+          (fun parent_task proc work -> Journal.Inlined { parent_task; proc; work })
+          task proc work;
+        map3 (fun task proc work -> Journal.Aborted { task; proc; work }) task proc work;
+        map3 (fun task proc work -> Journal.Lost { task; proc; work }) task proc work;
+        map3 (fun task dest reason -> Journal.Respawned { task; dest; reason }) task proc reason;
+        map2 (fun orphan_task proc -> Journal.Inherited { orphan_task; proc }) task proc;
+        map (fun task -> Journal.Result_accepted { task }) task;
+        map (fun task -> Journal.Duplicate_ignored { task }) task;
+        map (fun via -> Journal.Relayed { via }) proc;
+        map2 (fun at reason -> Journal.Relay_dropped { at; reason }) proc reason;
+        map (fun task -> Journal.Orphan_dropped { task }) task;
+        map (fun proc -> Journal.Failure { proc }) proc;
+      ]
+  in
+  let digits = list_size (int_bound 3) (oneof [ int_bound 2; return 300 ]) in
+  frequency
+    [
+      ( 40,
+        map3
+          (fun time ds ev -> Record (time, ds, ev))
+          (int_range (-1000) (1 lsl 40))
+          digits event );
+      ( 4,
+        map3
+          (fun task f arg -> Note (task, f, arg))
+          (int_range (-1) 40) (oneofl [ "f"; "g" ]) (int_bound 2) );
+      (1, map (fun ds -> Check_stamp ds) digits);
+    ]
+
+(* A call's fingerprint, read back through the public API. *)
+let print_of (fname, arg) =
+  let j = Journal.create () in
+  Journal.note_call j ~task:0 fname [| Value.Int arg |];
+  Journal.record j ~time:0 ~stamp:Stamp.root (Journal.Spawned { task = 0; dest = 0; replica = 0 });
+  match Journal.named_calls j with [ (_, p) ] -> p | _ -> Alcotest.fail "print_of"
+
+let journal_columns_match_model ~retain ~sink =
+  QCheck.Test.make ~count:60
+    ~name:(Printf.sprintf "columns = list model (retain=%b, sink=%b)" retain sink)
+    (QCheck.make
+       QCheck.Gen.(
+         oneof [ int_bound 40; int_range 500 1700 ] >>= fun n -> list_repeat n gen_column_op))
+    (fun ops ->
+      let j = Journal.create ~retain () in
+      let seen = ref [] in
+      if sink then
+        Journal.attach_sink j (Recflow_obs_core.Sink.of_fun (fun e -> seen := e :: !seen));
+      (* model: every recorded entry newest first, and the noted calls *)
+      let all = ref [] and calls = Hashtbl.create 16 in
+      let model () = if retain then List.rev !all else [] in
+      let noted (e : Journal.entry) =
+        let task =
+          match e.event with
+          | Journal.Spawned { task; _ } | Journal.Respawned { task; _ } -> task
+          | Journal.Inherited { orphan_task; _ } -> orphan_task
+          | _ -> -1
+        in
+        if task >= 0 && Hashtbl.mem calls task then Some task else None
+      in
+      let same_list = List.equal same_entry in
+      let check_stamp ds =
+        let stamp = Stamp.of_digits ds in
+        let mine = List.filter (fun (e : Journal.entry) -> Stamp.equal e.stamp stamp) (model ()) in
+        let times pred =
+          List.filter_map
+            (fun (e : Journal.entry) -> if pred e.event then Some e.time else None)
+            mine
+        in
+        let first l = match l with [] -> None | x :: _ -> Some x in
+        let failed = function Journal.Failure _ | Journal.Lost _ -> true | _ -> false in
+        same_list (Journal.for_stamp j stamp) mine
+        && Journal.first_time j stamp failed = first (times failed)
+        && Journal.last_time j stamp failed = first (List.rev (times failed))
+      in
+      let check_all () =
+        let m = model () in
+        let conflicts =
+          (* newest first: the newest noted activation per stamp is the
+             reference each older one is compared with *)
+          let newest = ref [] and out = ref [] in
+          List.iter
+            (fun (e : Journal.entry) ->
+              match noted e with
+              | None -> ()
+              | Some task -> (
+                match List.find_opt (fun (s, _) -> Stamp.equal s e.stamp) !newest with
+                | None -> newest := (e.stamp, task) :: !newest
+                | Some (_, newer) ->
+                  if Hashtbl.find calls task <> Hashtbl.find calls newer then
+                    out := (e.stamp, task, newer) :: !out))
+            (List.rev m);
+          !out
+        in
+        let named =
+          List.filter_map
+            (fun (e : Journal.entry) ->
+              Option.map (fun task -> (e.stamp, print_of (Hashtbl.find calls task))) (noted e))
+            m
+          |> List.sort_uniq (fun (a, p) (b, q) ->
+                 match Stamp.compare a b with 0 -> Int.compare p q | c -> c)
+        in
+        let label (e : Journal.entry) = Journal.event_label e.event in
+        let labels = List.sort_uniq compare (List.map label m) in
+        same_list (Journal.entries j) m
+        && Journal.length j = List.length !all
+        && Journal.last_entry_time j = (match !all with e :: _ -> Some e.time | [] -> None)
+        && List.map Stamp.digits (Journal.stamps j)
+           = List.sort_uniq compare (List.map (fun (e : Journal.entry) -> Stamp.digits e.stamp) m)
+        && Journal.failures j
+           = List.filter_map
+               (fun (e : Journal.entry) ->
+                 match e.event with Journal.Failure { proc } -> Some (e.time, proc) | _ -> None)
+               m
+        && List.for_all
+             (fun l ->
+               Journal.count j (fun ev -> Journal.event_label ev = l)
+               = List.length (List.filter (fun e -> label e = l) m))
+             labels
+        && List.equal
+             (fun (s, p) (s', p') -> Stamp.equal s s' && p = p')
+             (Journal.named_calls j) named
+        && List.equal
+             (fun (s, a, b) (s', a', b') -> Stamp.equal s s' && a = a' && b = b')
+             (Journal.call_conflicts j) conflicts
+        && List.for_all check_stamp
+             (List.sort_uniq compare (List.map (fun (e : Journal.entry) -> Stamp.digits e.stamp) m))
+        && ((not sink) || same_list (List.rev !seen) (List.rev !all))
+      in
+      List.for_all
+        (function
+          | Record (time, ds, event) ->
+            let stamp = Stamp.of_digits ds in
+            Journal.record j ~time ~stamp event;
+            all := { Journal.time; stamp; event } :: !all;
+            true
+          | Note (task, fname, arg) ->
+            Journal.note_call j ~task fname [| Value.Int arg |];
+            if retain && task >= 0 then Hashtbl.replace calls task (fname, arg);
+            true
+          | Check_stamp ds -> check_stamp ds)
+        ops
+      && check_all ())
 
 (* "At most one distinct root answer" cannot catch a consistently wrong
    answer; the expected value can.  A correct fib run under a failure
@@ -674,6 +851,11 @@ let suites =
         qtest (journal_index_matches_filter true);
         qtest (journal_index_matches_filter false);
       ] );
+    ( "machine.journal-columns",
+      List.concat_map
+        (fun retain ->
+          List.map (fun sink -> qtest (journal_columns_match_model ~retain ~sink)) [ false; true ])
+        [ true; false ] );
     ( "machine.timeline",
       [
         Alcotest.test_case "render" `Quick timeline_render;

@@ -215,10 +215,7 @@ let service_json_shape () =
 
 (* ---------------- overlapping episodes across requests ---------------- *)
 
-let episodes_hand_built () =
-  (* Two failures, each disturbing a different request: the analyzer must
-     emit two independent spans, windows partitioned at the second
-     failure, detection latency measured within each window. *)
+let hand_built_journal () =
   let j = Journal.create () in
   let r0 = Stamp.child Stamp.root 0 and r1 = Stamp.child Stamp.root 1 in
   Journal.record j ~time:0 ~stamp:r0 (Journal.Spawned { task = 0; dest = 0; replica = 0 });
@@ -229,7 +226,13 @@ let episodes_hand_built () =
   Journal.record j ~time:300 ~stamp:Stamp.root (Journal.Failure { proc = 1 });
   Journal.record j ~time:380 ~stamp:r1
     (Journal.Respawned { task = 3; dest = 3; reason = "notice" });
-  match Episode.analyze j with
+  j
+
+let episodes_hand_built () =
+  (* Two failures, each disturbing a different request: the analyzer must
+     emit two independent spans, windows partitioned at the second
+     failure, detection latency measured within each window. *)
+  match Episode.analyze (hand_built_journal ()) with
   | [ e1; e2 ] ->
     check_int "first failed proc" 0 e1.Episode.failed_proc;
     check_int "second failed proc" 1 e2.Episode.failed_proc;
@@ -289,6 +292,269 @@ let partition_spans_requests () =
   let disturbed = List.filter (fun r -> r.Service.disturbed_replicas > 0) o.Service.records in
   check "the partition disturbed in-flight requests" true (List.length disturbed >= 2)
 
+(* ---------------- episode analysis against its reference ---------------- *)
+
+(* The episode analysis as it was before it was made linear: for every
+   [Result_accepted] in a window it rescans the whole journal, and it
+   re-filters every stamp once per dead stamp.  It is kept verbatim as the
+   model the linear [Episode.analyze] must reproduce field for field. *)
+module Quadratic_episodes = struct
+  module Splice_case = Recflow_recovery.Splice_case
+
+  let in_window ~fail_time ~window_end time =
+    time >= fail_time && match window_end with Some w -> time < w | None -> true
+
+  (* §4.1 classification for every child of every task that died with the
+     failed processor. *)
+  let case_histogram journal ~fail_time ~dead_stamps =
+    let first_time stamp pred =
+      List.find_map
+        (fun (e : Journal.entry) -> if pred e.Journal.event e.Journal.time then Some e.Journal.time else None)
+        (Journal.for_stamp journal stamp)
+    in
+    let orig_task stamp =
+      (* the pre-failure activation this episode lost *)
+      List.find_map
+        (fun (e : Journal.entry) ->
+          match e.Journal.event with
+          | Journal.Activated { task; _ } when e.Journal.time < fail_time -> Some task
+          | _ -> None)
+        (Journal.for_stamp journal stamp)
+    in
+    let all_stamps = Journal.stamps journal in
+    let children p =
+      List.filter
+        (fun s -> match Stamp.parent s with Some q -> Stamp.equal p q | None -> false)
+        all_stamps
+    in
+    let tally = Hashtbl.create 8 in
+    List.iter
+      (fun p ->
+        let p_orig = orig_task p in
+        let twin_time want orig =
+          first_time p (fun ev time ->
+              match (ev, want) with
+              | Journal.Activated { task; _ }, `Invoked -> time >= fail_time && Some task <> orig
+              | Journal.Completed { task; _ }, `Completed -> time >= fail_time && Some task <> orig
+              | _ -> false)
+        in
+        let p'_invoked = twin_time `Invoked p_orig in
+        let p'_completed = twin_time `Completed p_orig in
+        List.iter
+          (fun c ->
+            let c_orig =
+              List.find_map
+                (fun (e : Journal.entry) ->
+                  match e.Journal.event with
+                  | Journal.Spawned { task; _ } when e.Journal.time < fail_time -> Some task
+                  | _ -> None)
+                (Journal.for_stamp journal c)
+            in
+            let orig_time want =
+              match c_orig with
+              | None -> None
+              | Some orig ->
+                first_time c (fun ev _ ->
+                    match (ev, want) with
+                    | Journal.Activated { task; _ }, `Invoked -> task = orig
+                    | Journal.Completed { task; _ }, `Completed -> task = orig
+                    | _ -> false)
+            in
+            let clone_time want =
+              first_time c (fun ev time ->
+                  match (ev, want) with
+                  | Journal.Activated { task; _ }, `Invoked -> time >= fail_time && Some task <> c_orig
+                  | Journal.Completed { task; _ }, `Completed -> time >= fail_time && Some task <> c_orig
+                  | _ -> false)
+            in
+            let tl =
+              {
+                Splice_case.c_invoked = orig_time `Invoked;
+                c_completed = orig_time `Completed;
+                p_failed = fail_time;
+                p'_invoked;
+                p'_completed;
+                c'_invoked = clone_time `Invoked;
+                c'_completed = clone_time `Completed;
+              }
+            in
+            let case = Splice_case.classify tl in
+            Hashtbl.replace tally case (1 + Option.value ~default:0 (Hashtbl.find_opt tally case)))
+          (children p))
+      dead_stamps;
+    List.filter_map
+      (fun case -> Hashtbl.find_opt tally case |> Option.map (fun n -> (case, n)))
+      Splice_case.all
+
+  let analyze journal =
+    let entries = Journal.entries journal in
+    let failures =
+      List.filter_map
+        (fun (e : Journal.entry) ->
+          match e.Journal.event with
+          | Journal.Failure { proc } -> Some (e.Journal.time, proc)
+          | _ -> None)
+        entries
+    in
+    List.mapi
+      (fun i (fail_time, failed_proc) ->
+        let window_end =
+          List.nth_opt failures (i + 1) |> Option.map (fun (time, _) -> time)
+        in
+        let in_window time = in_window ~fail_time ~window_end time in
+        (* Exact busy ticks per task id, straight from the journal: every
+           task's execution ends in exactly one of Completed / Aborted /
+           Lost, each of which records the work consumed. *)
+        let work_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
+        (* stamp digits -> first pre-failure activated task id *)
+        let pre_activated : (int list, int) Hashtbl.t = Hashtbl.create 256 in
+        List.iter
+          (fun (e : Journal.entry) ->
+            match e.Journal.event with
+            | Journal.Completed { task; work; _ }
+            | Journal.Aborted { task; work; _ }
+            | Journal.Lost { task; work; _ } ->
+              Hashtbl.replace work_of task work
+            | Journal.Activated { task; _ } when e.Journal.time < fail_time ->
+              let key = Stamp.digits e.Journal.stamp in
+              if not (Hashtbl.mem pre_activated key) then Hashtbl.add pre_activated key task
+            | _ -> ())
+          entries;
+        (* The tasks the failure destroyed, as journalled at kill time. *)
+        let dead =
+          List.filter_map
+            (fun (e : Journal.entry) ->
+              match e.Journal.event with
+              | Journal.Lost { task; proc; work } when proc = failed_proc && in_window e.Journal.time
+                ->
+                Some (task, e.Journal.stamp, work)
+              | _ -> None)
+            entries
+        in
+        let dead_stamps = List.map (fun (_, stamp, _) -> stamp) dead in
+        let lost_work = List.fold_left (fun acc (_, _, w) -> acc + w) 0 dead in
+        let dead_stamp_keys =
+          List.fold_left
+            (fun set s -> Stamp.digits s :: set)
+            [] dead_stamps
+        in
+        let parent_died stamp =
+          match Stamp.parent stamp with
+          | Some p -> List.mem (Stamp.digits p) dead_stamp_keys
+          | None -> false
+        in
+        let spawned_before task =
+          List.exists
+            (fun (e : Journal.entry) ->
+              e.Journal.time < fail_time
+              && match e.Journal.event with Journal.Spawned { task = s; _ } -> s = task | _ -> false)
+            entries
+        in
+        (* Single pass over the window for counts, detection and quiesce. *)
+        let reissued = ref 0 and inherited = ref 0 and relayed = ref 0 in
+        let orphans_dropped = ref 0 and aborted = ref 0 and duplicates = ref 0 in
+        let salvaged = ref 0 in
+        let first_respawn = ref None and quiesce = ref None in
+        let redone = Hashtbl.create 64 in
+        let touch_quiesce time =
+          match !quiesce with Some q when q >= time -> () | _ -> quiesce := Some time
+        in
+        List.iter
+          (fun (e : Journal.entry) ->
+            if in_window e.Journal.time then begin
+              let recovery_event =
+                match e.Journal.event with
+                | Journal.Respawned _ ->
+                  incr reissued;
+                  if !first_respawn = None then first_respawn := Some e.Journal.time;
+                  true
+                | Journal.Inherited _ -> incr inherited; true
+                | Journal.Relayed _ -> incr relayed; true
+                | Journal.Relay_dropped _ -> true
+                | Journal.Orphan_dropped _ -> incr orphans_dropped; true
+                | Journal.Duplicate_ignored _ -> incr duplicates; true
+                | Journal.Aborted _ -> incr aborted; true
+                | Journal.Result_accepted { task } ->
+                  if spawned_before task && parent_died e.Journal.stamp then begin
+                    incr salvaged;
+                    true
+                  end
+                  else false
+                | Journal.Activated { task; _ } -> (
+                  (* re-execution of a stamp the failure wiped out: charge the
+                     original execution's recorded busy ticks as redone work *)
+                  match Hashtbl.find_opt pre_activated (Stamp.digits e.Journal.stamp) with
+                  | Some orig when orig <> task ->
+                    if not (Hashtbl.mem redone (Stamp.digits e.Journal.stamp)) then
+                      Hashtbl.add redone (Stamp.digits e.Journal.stamp)
+                        (Option.value ~default:0 (Hashtbl.find_opt work_of orig));
+                    true
+                  | _ -> false)
+                | _ -> false
+              in
+              if recovery_event then touch_quiesce e.Journal.time
+            end)
+          entries;
+        let redone_tasks = Hashtbl.length redone in
+        let redone_work = Hashtbl.fold (fun _ w acc -> acc + w) redone 0 in
+        let cases = case_histogram journal ~fail_time ~dead_stamps in
+        {
+          Episode.ordinal = i + 1;
+          failed_proc;
+          fail_time;
+          window_end;
+          detection_latency = Option.map (fun time -> time - fail_time) !first_respawn;
+          recovery_latency = Option.map (fun time -> time - fail_time) !quiesce;
+          quiesce_time = !quiesce;
+          lost_tasks = List.length dead;
+          lost_work;
+          reissued = !reissued;
+          inherited = !inherited;
+          relayed = !relayed;
+          salvaged_results = !salvaged;
+          orphans_dropped = !orphans_dropped;
+          aborted = !aborted;
+          duplicates_ignored = !duplicates;
+          redone_tasks;
+          redone_work;
+          cases;
+        })
+      failures
+end
+
+let episodes_match_reference () =
+  let same name journal =
+    let expected = Quadratic_episodes.analyze journal and got = Episode.analyze journal in
+    let json eps = List.map (fun e -> Json.to_string (Episode.to_json e)) eps in
+    Alcotest.(check (list string)) name (json expected) (json got);
+    check (name ^ ": field for field") true (expected = got)
+  in
+  same "hand-built" (hand_built_journal ());
+  let gauntlet =
+    run ~failures:[ (2000, 0); (3500, 2) ] ~requests:24
+      (svc_cfg ~nodes:4 ~arrival_mean:150.0 ~seed:7 ())
+  in
+  same "gauntlet" (Cluster.journal gauntlet.Service.cluster);
+  let partition =
+    let base = svc_cfg ~nodes:4 ~arrival_mean:120.0 ~seed:5 () in
+    run ~requests:16
+      {
+        base with
+        Config.reliable = true;
+        chaos = Recflow_net.Chaos.none |> Plan.partition ~from:300 ~until:4500 ~groups:[ [ 2; 3 ] ];
+      }
+  in
+  same "partition" (Cluster.journal partition.Service.cluster);
+  let faulty =
+    run ~failures:[ (3000, 0); (6000, 2) ] ~requests:100 (svc_cfg ~seed:17 ())
+  in
+  check "faulty stream: two episodes, one with losses and splice cases" true
+    (match Episode.analyze (Cluster.journal faulty.Service.cluster) with
+    | [ e1; e2 ] ->
+      List.exists (fun e -> e.Episode.lost_tasks > 0 && e.Episode.cases <> []) [ e1; e2 ]
+    | _ -> false);
+  same "100-request stream" (Cluster.journal faulty.Service.cluster)
+
 let suites =
   [
     ( "service.cluster",
@@ -312,5 +578,6 @@ let suites =
         Alcotest.test_case "hand-built journal" `Quick episodes_hand_built;
         Alcotest.test_case "gauntlet" `Quick episodes_in_gauntlet;
         Alcotest.test_case "partition spans requests" `Quick partition_spans_requests;
+        Alcotest.test_case "analyze = quadratic reference" `Quick episodes_match_reference;
       ] );
   ]
