@@ -66,7 +66,7 @@ let recovery_of_string s =
    the service layer checks every delivered answer against the serial
    reference, which only workloads carry. *)
 let serve_main cfg ~workload_name ~size ~size_name ~requests ~arrival_mean ~service_replicas
-    ~max_inflight ~shed_frac ~failures ~service_json =
+    ~max_inflight ~shed_frac ~failures ~service_json ~show_stats =
   let ( let* ) r f = match r with Ok v -> f v | Error msg -> (Format.eprintf "%s@." msg; 1) in
   let* w =
     match Option.bind workload_name Workload.by_name with
@@ -98,6 +98,14 @@ let serve_main cfg ~workload_name ~size ~size_name ~requests ~arrival_mean ~serv
   Format.printf "goodput: %.2f requests/kilotick over %d simulated ticks (%d events)@."
     o.Service.goodput o.Service.sim_time o.Service.events;
   Format.printf "all answers match the serial reference: %b@." o.Service.all_correct;
+  if show_stats then begin
+    (* plain cluster fields, not counter cells: the counters feed digests *)
+    let cl = o.Service.cluster in
+    Format.printf "requests retired: %d of %d submitted (settled, task uids reclaimed)@."
+      (Cluster.settled_requests cl) (Cluster.submitted_requests cl);
+    Format.printf "tombstones reclaimed: %d (lookups of a reclaimed uid: %d)@."
+      (Cluster.reclaimed_tombstones cl) (Cluster.reclaimed_lookups cl)
+  end;
   (match Episode.analyze (Cluster.journal o.Service.cluster) with
   | [] -> ()
   | episodes ->
@@ -285,7 +293,7 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
   in
   if serve then
     serve_main cfg ~workload_name ~size ~size_name ~requests ~arrival_mean ~service_replicas
-      ~max_inflight ~shed_frac ~failures ~service_json
+      ~max_inflight ~shed_frac ~failures ~service_json ~show_stats
   else begin
   let nodes_n = Recflow_net.Topology.size cfg.Config.topology in
   let profiling = profile || profile_json <> None in

@@ -61,14 +61,18 @@ module Peers = Hashtbl.Make (struct
   let hash x = x land max_int
 end)
 
-type t = { mode : mode; entries : entry Peers.t }
+type t = {
+  mode : mode;
+  entries : entry Peers.t;
+  mutable size : int;  (* the entries' counts summed, so [total_size] is O(1) *)
+}
 
 (* End of every child and sibling chain, and the "absent child" result of
    the descend loops, so they never allocate an option.  Never mutated,
    never linked into a trie as a real node. *)
 let rec nil_node = { digit = -1; packets = []; first = nil_node; next = nil_node }
 
-let create ?(mode = Topmost) () = { mode; entries = Peers.create 1 }
+let create ?(mode = Topmost) () = { mode; entries = Peers.create 1; size = 0 }
 
 let mode t = t.mode
 
@@ -152,11 +156,16 @@ let rec record_topmost e p stamp d node i =
 let record t ~dest (p : Packet.t) =
   let e = entry_of t dest in
   let stamp = p.stamp in
-  match t.mode with
-  | Keep_all ->
-    record_all e p stamp (Stamp.depth stamp) e.root 0;
-    `Recorded
-  | Topmost -> record_topmost e p stamp (Stamp.depth stamp) e.root 0
+  let before = e.count in
+  let verdict =
+    match t.mode with
+    | Keep_all ->
+      record_all e p stamp (Stamp.depth stamp) e.root 0;
+      `Recorded
+    | Topmost -> record_topmost e p stamp (Stamp.depth stamp) e.root 0
+  in
+  t.size <- t.size + e.count - before;
+  verdict
 
 (* Packets removed at [stamp]'s node.  On the way back up, every node left
    with no packets and no children is unlinked from its parent, so the trie
@@ -187,6 +196,7 @@ let discharge t ~dest stamp =
   | e ->
     let removed = discharge_at stamp (Stamp.depth stamp) e.root 0 in
     e.count <- e.count - removed;
+    t.size <- t.size - removed;
     (* An emptied entry's trie is already pruned down to its root: drop
        the entry itself too. *)
     if e.count = 0 then Peers.remove t.entries dest;
@@ -208,11 +218,12 @@ let on_failure t ~failed =
   | exception Not_found -> []
   | e ->
     Peers.remove t.entries failed;
+    t.size <- t.size - e.count;
     sorted_packets e
 
 let entry t ~dest =
   match Peers.find t.entries dest with exception Not_found -> [] | e -> sorted_packets e
 
-let total_size t = Peers.fold (fun _ e acc -> acc + e.count) t.entries 0
+let total_size t = t.size
 
 let destinations t = List.sort Int.compare (Peers.fold (fun dest _ acc -> dest :: acc) t.entries [])

@@ -52,7 +52,9 @@ val entry : t -> dest:Ids.proc_id -> Packet.t list
 (** Current checkpoints for [dest], ordered by stamp (read-only peek). *)
 
 val total_size : t -> int
-(** Number of checkpoints across all entries (storage metric for Q8). *)
+(** Number of checkpoints across all entries (storage metric for Q8).
+    Constant time: the node reads it around every record and discharge to
+    count the checkpoints each request holds. *)
 
 val destinations : t -> Ids.proc_id list
 (** Sorted peers with a non-empty entry. *)

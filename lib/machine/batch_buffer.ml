@@ -18,7 +18,7 @@ let none = -1
 
 (* What a free slot's message field holds, so a delivered message is not
    kept reachable by the slab. *)
-let vacant = Message.Abort { task = -1 }
+let vacant = Message.Abort { task = -1; stamp = Recflow_recovery.Stamp.root }
 
 let create () =
   { heads = Hashtbl.create 64; srcs = [||]; seqs = [||]; msgs = [||]; next = [||]; tail = [||];

@@ -165,6 +165,9 @@ type t = {
       (** inline leaf evaluation; compiles and allocates its table on the
           first inline call, so runs that never inline (and set-up) pay
           nothing *)
+  settle : Settle.t;
+      (** what each request still holds; a settled request's task uids are
+          reclaimed on the processors that hosted them *)
 }
 
 let config t = t.cfg
@@ -216,9 +219,11 @@ let node t pid =
 
 let nodes t = Array.to_list t.node_arr
 
-let total_work t = Array.fold_left (fun acc n -> acc + Node.work_done n) 0 t.node_arr
+let sum_nodes t f = Array.fold_left (fun acc n -> acc + f n) 0 t.node_arr
 
-let total_waste t = Array.fold_left (fun acc n -> acc + Node.wasted_work n) 0 t.node_arr
+let total_work t = sum_nodes t Node.work_done
+
+let total_waste t = sum_nodes t Node.wasted_work
 
 let fresh_task_id t () =
   let id = t.next_task_id in
@@ -256,6 +261,7 @@ let hops t ~src ~dst =
    point are untouched, so the RNG streams — and with them every placement
    decision — are the same as in an unbatched run. *)
 let schedule_delivery t ~delay ~src ~dst ~seq msg =
+  Settle.hold_msg t.settle msg;
   if t.cfg.Config.batched_delivery then begin
     let key = ((now t + delay) * (Array.length t.node_arr + 2)) + (dst + 2) in
     if Batch_buffer.add t.batches ~key ~src ~seq msg then
@@ -334,6 +340,7 @@ let send_after t ~delay:extra ~src ~dst msg =
       Hashtbl.replace t.pending_sends s
         { p_src = src; p_dst = dst; p_msg = msg; p_born = now t; p_attempt = 0;
           p_settled = false };
+      Settle.hold_msg t.settle msg;
       Engine.schedule t.engine ~delay:(extra + t.cfg.Config.retry.Config.rto) (Retry { seq = s });
       s
     end
@@ -369,6 +376,7 @@ let build_ctx t : Node.ctx =
     counters = t.counters;
     record_latency = (fun name v -> record_latency t name v);
     program_error = program_error t;
+    settle = t.settle;
   }
 
 let ctx t =
@@ -397,6 +405,11 @@ let create cfg program =
   let n = Topology.size cfg.Config.topology in
   let router = Router.create cfg.Config.topology in
   let node_arr = Array.init n (fun i -> Node.create i cfg) in
+  let settle =
+    Settle.create ~procs:n
+      ~reclaim:(fun ~proc uid -> Node.reclaim node_arr.(proc) uid)
+      ~reclaim_all:(fun () -> Array.fold_left (fun n node -> n + Node.reclaim_all node) 0 node_arr)
+  in
   {
     cfg;
     program;
@@ -437,6 +450,7 @@ let create cfg program =
     view = { Policy.router; pressure = pressure node_arr };
     node_ctx = None;
     inline = Inline_cache.create program;
+    settle;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -493,12 +507,13 @@ let flush_pending t req =
   let live = Router.alive t.router req.dest in
   Message.iter_salvage
     (fun (stamp, dead_parent, payload) ->
-      match payload with
+      (match payload with
       | Message.Still_running _ when not live -> ()
       | Message.Salvaged _ | Message.Still_running _ ->
         send t ~src:Ids.super_root ~dst:req.dest
           (Message.salvage_forward ~via:req.packet.Packet.stamp ~stamp ~dead_parent ~task:req.task
-             ~proc:req.dest payload))
+             ~proc:req.dest payload));
+      Settle.release t.settle stamp)
     pending
 
 (* Dispatch (or re-dispatch) a request's root task from the super-root's
@@ -553,6 +568,7 @@ let super_root_salvage t ~stamp ~(dead_parent : Packet.link) payload =
   | Some req ->
     if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
       req.pending <- (stamp, dead_parent, payload) :: req.pending;
+      Settle.hold t.settle stamp;
       let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
       if root_alive && req.dest <> dead_parent.Packet.proc then flush_pending t req
       else dispatch_request t req ~reason:(Some (Message.salvage_reason payload))
@@ -568,6 +584,7 @@ let super_root_deliver t msg =
       if req.answer_time = None then begin
         req.answer_time <- Some (now t);
         t.unanswered <- t.unanswered - 1;
+        Settle.answered t.settle ~uid:req.uid;
         match req.on_answer with Some f -> f value | None -> ()
       end)
   | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } ->
@@ -687,7 +704,11 @@ let give_up t seq p =
       notify_super_root t ~delay:t.cfg.Config.detect_delay p.p_dst
   end;
   if p.p_src = Ids.super_root then super_root_bounced t ~dead:p.p_dst
-  else Engine.schedule t.engine ~delay:0 (Bounce { src = p.p_src; dead = p.p_dst; msg = p.p_msg })
+  else begin
+    Settle.hold_msg t.settle p.p_msg;
+    Engine.schedule t.engine ~delay:0 (Bounce { src = p.p_src; dead = p.p_dst; msg = p.p_msg })
+  end;
+  Settle.release_msg t.settle p.p_msg
 
 (* Receiver half of the reliable transport: acknowledge and deduplicate.
    Returns true when [msg] should actually be processed. *)
@@ -753,11 +774,16 @@ let deliver_one t ~src ~dst ~seq msg =
         in
         if not already_settled then
           if src = Ids.super_root then super_root_bounced t ~dead:dst
-          else
+          else begin
+            Settle.hold_msg t.settle msg;
             Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
               (Bounce { src; dead = dst; msg })
+          end
       end
-    end
+    end;
+    (* processed (or turned into a bounce): the delivery no longer holds
+       its request *)
+    Settle.release_msg t.settle msg
 
 (* Deliver a detached batch from slot [s] on, in send order.  Each slot is
    read and freed before its delivery, whose handlers may buffer new
@@ -790,10 +816,15 @@ let handle_event t _at ev =
     match Hashtbl.find t.pending_sends seq with
     | exception Not_found -> ()
     | p ->
-      if p.p_settled then Hashtbl.remove t.pending_sends seq
-      else if p.p_src >= 0 && not (Node.is_alive t.node_arr.(p.p_src)) then
+      if p.p_settled then begin
+        Hashtbl.remove t.pending_sends seq;
+        Settle.release_msg t.settle p.p_msg
+      end
+      else if p.p_src >= 0 && not (Node.is_alive t.node_arr.(p.p_src)) then begin
         (* the sender itself died: nobody is waiting on this delivery *)
-        Hashtbl.remove t.pending_sends seq
+        Hashtbl.remove t.pending_sends seq;
+        Settle.release_msg t.settle p.p_msg
+      end
       else begin
         let { Config.suspicion_after; _ } = t.cfg.Config.retry in
         let elapsed = now t - p.p_born in
@@ -826,7 +857,8 @@ let handle_event t _at ev =
     if src >= 0 then begin
       let n = t.node_arr.(src) in
       if Node.is_alive n then Node.handle_bounce n (ctx t) ~dead msg
-    end
+    end;
+    Settle.release_msg t.settle msg
   | Step pid -> Node.step t.node_arr.(pid) (ctx t)
   | Gradient_tick pid ->
     let n = t.node_arr.(pid) in
@@ -880,6 +912,7 @@ let open_request t ~uid ~stamp ~slot ~avoid ~on_answer ~on_disturbed ~fname ~arg
     }
   in
   Hashtbl.replace t.requests uid req;
+  Settle.open_request t.settle ~uid;
   t.unanswered <- t.unanswered + 1;
   dispatch_request t req ~reason:None
 
@@ -951,6 +984,16 @@ let request_dest t uid =
 let request_stamp t uid = (find_request t uid).packet.Packet.stamp
 
 let request_redispatches t uid = (find_request t uid).redispatches
+
+let settled_requests t = Settle.settled t.settle
+
+let reclaimed_tombstones t = Settle.reclaimed t.settle
+
+let reclaimed_lookups t = sum_nodes t Node.reclaimed_lookups
+
+let reclaim_unsettled t uid =
+  ignore (find_request t uid);
+  Settle.force t.settle ~uid
 
 let run ?(drain = false) t =
   if not t.started then invalid_arg "Cluster.run: call start first";

@@ -115,6 +115,32 @@ val request_stamp : t -> int -> Recflow_recovery.Stamp.t
 val request_redispatches : t -> int -> int
 (** How many times the super-root re-dispatched this request's root. *)
 
+(** {2 Reclamation}
+
+    A request {e settles} once its answer has reached the super-root and
+    nothing can name one of its tasks any more: no task of it is live, no
+    message naming one is in flight or parked, and no checkpoint under its
+    stamp is held (see {!Settle}).  Its task uids are then reclaimed on the
+    processors that hosted them: each uid's tombstone drops to a constant,
+    in place, so the node indexes keep their iteration order and every run
+    stays byte-identical.  The batch root settles the same way, at the end
+    of a drained run. *)
+
+val settled_requests : t -> int
+(** Requests settled, and so retired, so far. *)
+
+val reclaimed_tombstones : t -> int
+(** Task tombstones reclaimed so far, over every processor. *)
+
+val reclaimed_lookups : t -> int
+(** Lookups that met a reclaimed uid, over every processor: each one is a
+    request reclaimed before it settled.  {!Oracle.check} reports any. *)
+
+val reclaim_unsettled : t -> int -> unit
+(** For tests only: reclaim request [uid]'s retired tasks now, settled or
+    not, to show that a wrong settle shows up in {!reclaimed_lookups}.
+    @raise Invalid_argument for an unknown uid. *)
+
 val fail_at : t -> time:int -> Ids.proc_id -> unit
 (** Schedule a fail-stop failure.  May be called repeatedly (multiple
     faults) and before or after {!start}, but before {!run}. *)

@@ -24,6 +24,7 @@ type t =
     }
   | Reparent of {
       orphan_task : Ids.task_id;
+      stamp : Stamp.t;
       new_parent : Packet.link;
       new_grandparent : Packet.link option;
     }
@@ -36,7 +37,7 @@ type t =
     }
   | Result of result_payload
   | Gradient of { from : Ids.proc_id; value : int }
-  | Abort of { task : Ids.task_id }
+  | Abort of { task : Ids.task_id; stamp : Stamp.t }
   | Failure_notice of { failed : Ids.proc_id }
 
 type salvage = Salvaged of Recflow_lang.Value.t | Still_running of Packet.link
@@ -134,5 +135,5 @@ let describe = function
       (Ids.proc_to_string target.proc)
   | Gradient { from; value } ->
     Printf.sprintf "gradient %d from %s" value (Ids.proc_to_string from)
-  | Abort { task } -> Printf.sprintf "abort task%d" task
+  | Abort { task; _ } -> Printf.sprintf "abort task%d" task
   | Failure_notice { failed } -> Printf.sprintf "failure notice: %s" (Ids.proc_to_string failed)

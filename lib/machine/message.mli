@@ -6,7 +6,10 @@
     distinguishes a normal child→parent return from an orphan's
     grandchild→grandparent return and from the grandparent's forward to a
     step-parent.  [Abort] cascades orphan garbage collection under rollback
-    (§3.2).  [Failure_notice] is the error-detection broadcast.
+    (§3.2).  [Failure_notice] is the error-detection broadcast.  Every
+    message that names a task also carries a level stamp under the same
+    request root, so the cluster can count it against that request while
+    it travels (see {!Settle}).
 
     The paper's [fetch data] message does not appear: arguments travel by
     value inside packets in this model (partitioned memory with no remote
@@ -47,6 +50,7 @@ type t =
           "this twin task inherits all offspring of the faulty task") *)
   | Reparent of {
       orphan_task : Ids.task_id;
+      stamp : Stamp.t;  (** the orphan's level stamp *)
       new_parent : Packet.link;  (** the adopting twin's activation and the call slot *)
       new_grandparent : Packet.link option;  (** the twin's own parent link *)
     }
@@ -65,7 +69,7 @@ type t =
   | Gradient of { from : Ids.proc_id; value : int }
       (** distributed gradient-model exchange: the sender's current
           gradient value, delivered to a topology neighbour *)
-  | Abort of { task : Ids.task_id }
+  | Abort of { task : Ids.task_id; stamp : Stamp.t  (** the aborted task's level stamp *) }
   | Failure_notice of { failed : Ids.proc_id }
 
 (** What a salvage walk carries down the chain of twins toward an orphan's

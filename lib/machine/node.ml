@@ -112,6 +112,7 @@ type ctx = {
   record_latency : string -> int -> unit;
       (* named duration histogram on the owning cluster (task.sojourn, ...) *)
   program_error : string -> unit;
+  settle : Settle.t;
 }
 
 type task_state = Queued | Running | Blocked | Done | Aborted
@@ -158,26 +159,37 @@ type task = {
       (* this task, as an orphan, already announced itself upward *)
 }
 
-(* A finished task's full record (instance, children, pending tables,
-   packet) is dead weight: once [Done] or [Aborted] the only observable
-   behaviours left are the tombstone ones — answer an Ack, absorb a
-   duplicate activation, ignore a late result, apply a Reparent (possibly
-   re-sending the completed value), serve as the producer in the bounce
-   path, and count in [recount].  Between them they read the stamp, the
-   return links, Done-or-Aborted, the answer, the work and the dropped
-   flag, so the task is *retired* to a record of exactly those fields,
-   inlined into the index's [Gone] constructor.  The packet's function
-   name and arguments are not kept, nor the uid (it is the index key).
+(* What the index knows about a uid.  A binding goes Alive -> Gone ->
+   Reclaimed, and its key is never removed.
 
-   Note on §3.3's never-reused-uid assumption: task uids stay monotone
-   ([ctx.fresh_task_id]) and the uid-keyed index below keeps a tombstone
-   per uid forever, so a late message addressed to a dead uid can never
-   be confused with a newer task.
+   - [Alive]: the full task record, from activation until it finishes.
+   - [Gone]: a finished task's full record (instance, children, pending
+     tables, packet) is dead weight: once [Done] or [Aborted] the only
+     observable behaviours left are the tombstone ones — answer an Ack,
+     absorb a duplicate activation, ignore a late result, apply a
+     Reparent (possibly re-sending the completed value), serve as the
+     producer in the bounce path, and count in [recount].  Between them
+     they read the stamp, the return links, Done-or-Aborted, the answer,
+     the work and the dropped flag, so the task is *retired* to a record
+     of exactly those fields.  The packet's function name and arguments
+     are not kept, nor the uid (it is the index key).
+   - [Reclaimed]: once the task's request has settled ({!Settle}: its
+     answer is in, and no live task, message or checkpoint can name one of
+     its tasks), the tombstone is dead weight too and the binding drops to
+     this constant; only the bucket cell remains.  A lookup that meets it
+     means the settle rule was wrong: every lookup site treats it as a
+     Gone it may ignore, and [lookup] counts it for the oracle.
 
-   What the index knows about a uid.  [Absent] is never stored: it is
-   [lookup]'s answer for a uid the index does not hold. *)
+   §3.3 assumes a uid is never reused.  Task uids stay monotone
+   ([ctx.fresh_task_id]) and every uid keeps its key in the index, so a
+   late message addressed to a dead uid can never be confused with a
+   newer task.
+
+   [Absent] is never stored: it is [lookup]'s answer for a uid the index
+   does not hold. *)
 type lookup =
   | Absent
+  | Reclaimed
   | Alive of task
   | Gone of {
       r_stamp : Stamp.t;
@@ -193,14 +205,20 @@ type lookup =
 type t = {
   nid : Ids.proc_id;
   mutable alive : bool;
-  (* uid -> live task or tombstone.  Keys are only ever inserted
-     (activation), and retirement rebinds an existing key with
-     [Hashtbl.replace], which rewrites the binding in place, so the
-     table's iteration order is a pure function of the uid insertion
+  (* uid -> live task, tombstone or reclaimed.  Keys are only ever
+     inserted (activation), and retirement and reclamation rebind an
+     existing key in place ([Hashtbl.replace], [filter_map_inplace]), so
+     the table's iteration order is a pure function of the uid insertion
      sequence — the protocol scans below that walk it (abort cascades,
      vote accounting, producer lookup, adoption reports) observe the same
-     order whatever the bindings hold, keeping runs bit-identical. *)
+     order whatever the bindings hold, keeping runs bit-identical.
+     Removing a key instead would move the table's resize points, and
+     with them that order. *)
   tasks : (Ids.task_id, lookup) Hashtbl.t;
+  mutable reclaimed_waste : int;
+      (* wasted work of the reclaimed tombstones, which [recount] can no
+         longer read from them *)
+  mutable reclaimed_hits : int;  (* lookups that met [Reclaimed]: wrong settles *)
   (* incremental load accounting: maintained on every state transition so
      the balancer/oracle queries are O(1) instead of a fold over every
      task that ever lived *)
@@ -220,12 +238,19 @@ type t = {
      re-issued twin whose (grace-delayed) packet has not activated here
      yet, keyed by the twin's task id, newest first *)
   mutable held : (Ids.task_id, Message.t list) Hashtbl.t option;
-  (* distributed gradient model: last value heard from each neighbour and
-     this node's own value (0 = a demand sink).  [heard_min] caches the
-     fold over [gradient_heard]; [heard_dirty] marks it stale when a
-     possible minimum-holder raised its value or died. *)
-  mutable gradient_heard : (Ids.proc_id, int) Hashtbl.t option;
-  mutable gradient_value : int;
+  mutable gradient : gradient option;
+      (* allocated on first use: only the distributed gradient policy
+         needs it *)
+}
+
+(* The distributed gradient model: the last value heard from each
+   neighbour and this node's own value (0 = a demand sink).  [heard_min]
+   caches the fold over [heard]; [heard_dirty] marks it stale when a
+   possible minimum-holder raised its value or died.  [heard] is the third
+   lazily allocated side table. *)
+and gradient = {
+  mutable heard : (Ids.proc_id, int) Hashtbl.t option;
+  mutable value : int;
   mutable heard_min : int;
   mutable heard_dirty : bool;
   mutable neighbor_cache : Ids.proc_id list option;
@@ -236,6 +261,8 @@ let create nid (config : Config.t) =
     nid;
     alive = true;
     tasks = Hashtbl.create 64;
+    reclaimed_waste = 0;
+    reclaimed_hits = 0;
     n_live = 0;
     n_blocked = 0;
     n_wasted = 0;
@@ -246,11 +273,7 @@ let create nid (config : Config.t) =
     stepping = false;
     work_ticks = 0;
     held = None;
-    gradient_heard = None;
-    gradient_value = 0;
-    heard_min = max_int / 2;
-    heard_dirty = false;
-    neighbor_cache = None;
+    gradient = None;
   }
 
 let id t = t.nid
@@ -275,12 +298,14 @@ let mark_dead t p =
     let h = tbl_of 4 t.known_dead in
     t.known_dead <- Some h;
     Hashtbl.add h p ();
-    if mem_opt t.gradient_heard p then t.heard_dirty <- true
+    match t.gradient with
+    | Some g when mem_opt g.heard p -> g.heard_dirty <- true
+    | Some _ | None -> ()
   end
 
 let allocated_side_tables t =
   let n o = if Option.is_some o then 1 else 0 in
-  n t.known_dead + n t.held + n t.gradient_heard
+  n t.known_dead + n t.held + match t.gradient with Some g -> n g.heard | None -> 0
 
 let work_done t = t.work_ticks
 
@@ -300,8 +325,11 @@ let wasted_work t = t.n_wasted
 (* ------------------------------------------------------------------ *)
 
 (* [result] is the task's answer when it retires [Done]; an aborted task
-   passes any value (its tombstone never reads it). *)
-let retire t task result =
+   passes any value (its tombstone never reads it).  The task stops holding
+   its request, unless the run queue or [t.current] still names it
+   ([scheduled]): then the scheduler releases it as it drops that
+   reference ([pick_next], [step], [kill]). *)
+let retire t ctx task result ~scheduled =
   let p = task.packet in
   Hashtbl.replace t.tasks task.tid
     (Gone
@@ -314,9 +342,52 @@ let retire t task result =
          r_result = result;
          r_work = task.work;
          r_dropped = task.result_dropped;
-       })
+       });
+  Settle.retired ctx.settle p.Packet.stamp ~proc:t.nid task.tid;
+  if not scheduled then Settle.release ctx.settle p.Packet.stamp
 
-let lookup t tid = match Hashtbl.find t.tasks tid with e -> e | exception Not_found -> Absent
+let lookup t tid =
+  match Hashtbl.find t.tasks tid with
+  | Reclaimed ->
+    t.reclaimed_hits <- t.reclaimed_hits + 1;
+    Reclaimed
+  | e -> e
+  | exception Not_found -> Absent
+
+(* A settled request's tombstone leaves the waste it counted with
+   [recount]'s baseline. *)
+let note_reclaimed t = function
+  | Gone r ->
+    if (not r.r_done) || r.r_dropped then t.reclaimed_waste <- t.reclaimed_waste + r.r_work
+  | Absent | Reclaimed | Alive _ -> ()
+
+let reclaim t tid =
+  match Hashtbl.find t.tasks tid with
+  | Gone _ as e ->
+    note_reclaimed t e;
+    Hashtbl.replace t.tasks tid Reclaimed;
+    1
+  | Absent | Reclaimed | Alive _ -> 0
+  | exception Not_found -> 0
+
+let some_reclaimed = Some Reclaimed
+
+(* [filter_map_inplace] rewrites each bucket cell's binding where it
+   stands: no key moves and no cell is allocated. *)
+let reclaim_all t =
+  let n = ref 0 in
+  Hashtbl.filter_map_inplace
+    (fun _ e ->
+      match e with
+      | Gone _ ->
+        note_reclaimed t e;
+        incr n;
+        some_reclaimed
+      | Absent | Reclaimed | Alive _ -> Some e)
+    t.tasks;
+  !n
+
+let reclaimed_lookups t = t.reclaimed_hits
 
 (* Walk the live tasks in the index's (legacy) iteration order; retiring
    the visited task rebinds its key in place, which is safe mid-walk. *)
@@ -395,10 +466,10 @@ let snapshot t =
   List.sort (fun a b -> Stamp.compare a.v_stamp b.v_stamp) !acc
 
 (* Brute-force recount of the incremental counters over every resident and
-   retired task — the invariant oracle for the property tests, never used
-   on a hot path. *)
+   retired task, plus the waste baseline of the reclaimed ones — the
+   invariant oracle for the property tests, never used on a hot path. *)
 let recount t =
-  let live = ref 0 and blocked = ref 0 and wasted = ref 0 in
+  let live = ref 0 and blocked = ref 0 and wasted = ref t.reclaimed_waste in
   Hashtbl.iter
     (fun _ e ->
       match e with
@@ -407,12 +478,14 @@ let recount t =
         if task.state = Blocked then incr blocked;
         if task.state = Aborted || task.result_dropped then wasted := !wasted + task.work
       | Gone r -> if (not r.r_done) || r.r_dropped then wasted := !wasted + r.r_work
-      | Absent -> ())
+      | Reclaimed | Absent -> ())
     t.tasks;
   (!live, !blocked, !wasted)
 
 let resident_tasks t =
-  Hashtbl.fold (fun _ e n -> match e with Alive _ -> n + 1 | Gone _ | Absent -> n) t.tasks 0
+  Hashtbl.fold
+    (fun _ e n -> match e with Alive _ -> n + 1 | Gone _ | Reclaimed | Absent -> n)
+    t.tasks 0
 
 (* ------------------------------------------------------------------ *)
 (* CPU scheduling                                                      *)
@@ -450,46 +523,59 @@ let gradient_threshold ctx =
   | Recflow_balance.Policy.Gradient_distributed { threshold } -> threshold
   | _ -> 1
 
+let gradient_of t =
+  match t.gradient with
+  | Some g -> g
+  | None ->
+    let g =
+      { heard = None; value = 0; heard_min = max_int / 2; heard_dirty = false;
+        neighbor_cache = None }
+    in
+    t.gradient <- Some g;
+    g
+
 let neighbors_of t ctx =
-  match t.neighbor_cache with
+  let g = gradient_of t in
+  match g.neighbor_cache with
   | Some l -> l
   | None ->
     let l = ctx.neighbors t.nid in
-    t.neighbor_cache <- Some l;
+    g.neighbor_cache <- Some l;
     l
 
-let heard_nearest t =
-  if t.heard_dirty then begin
-    t.heard_dirty <- false;
-    t.heard_min <-
-      (match t.gradient_heard with
+let heard_nearest t g =
+  if g.heard_dirty then begin
+    g.heard_dirty <- false;
+    g.heard_min <-
+      (match g.heard with
       | None -> max_int / 2
       | Some h ->
         Hashtbl.fold (fun peer v acc -> if knows_dead t peer then acc else min acc v) h (max_int / 2))
   end;
-  t.heard_min
+  g.heard_min
 
 let recompute_gradient t ctx =
-  t.gradient_value <-
-    (if runnable_tasks t <= gradient_threshold ctx then 0 else 1 + heard_nearest t)
+  let g = gradient_of t in
+  g.value <- (if runnable_tasks t <= gradient_threshold ctx then 0 else 1 + heard_nearest t g)
 
 (* Node-local gradient placement: stay local while under-loaded, else flow
    one hop toward the lowest-valued live neighbour. *)
 let gradient_place t ctx =
   if runnable_tasks t <= gradient_threshold ctx then t.nid
   else begin
+    let g = gradient_of t in
     let best =
       List.fold_left
         (fun acc peer ->
           if knows_dead t peer then acc
           else begin
-            let v = Option.value ~default:(max_int / 2) (find_opt_in t.gradient_heard peer) in
+            let v = Option.value ~default:(max_int / 2) (find_opt_in g.heard peer) in
             match acc with Some (_, bv) when bv <= v -> acc | _ -> Some (peer, v)
           end)
         None (neighbors_of t ctx)
     in
     match best with
-    | Some (peer, v) when v < t.gradient_value -> peer
+    | Some (peer, v) when v < g.value -> peer
     | _ -> t.nid
   end
 
@@ -501,7 +587,7 @@ let gradient_tick t ctx =
       (fun peer ->
         if not (knows_dead t peer) then
           ctx.send ~src:t.nid ~dst:peer
-            (Message.Gradient { from = t.nid; value = t.gradient_value }))
+            (Message.Gradient { from = t.nid; value = (gradient_of t).value }))
       (neighbors_of t ctx)
   end
 
@@ -546,11 +632,15 @@ let record_checkpoint t ctx ~dest packet =
     Counter.bump ctx.counters Count.ckpt_skipped_deep;
     false
   | Config.Fixed _ | Config.Adaptive _ -> (
-    match
+    let before = Ckpt_table.total_size t.ckpts in
+    let verdict =
       if Profile.is_enabled () then
         Profile.time_probe ckpt_record_probe (fun () -> Ckpt_table.record t.ckpts ~dest packet)
       else Ckpt_table.record t.ckpts ~dest packet
-    with
+    in
+    (* a record may also evict covered descendants: all under this stamp *)
+    Settle.adjust ctx.settle packet.Packet.stamp (Ckpt_table.total_size t.ckpts - before);
+    match verdict with
     | `Recorded ->
       Counter.bump ctx.counters Count.ckpt_recorded;
       true
@@ -681,11 +771,13 @@ let rec discharge_dests ckpts stamp = function
     discharge_dests ckpts stamp rest
 
 (* Drop the checkpoints of [child] at every destination it was sent to. *)
-let discharge_child t child =
+let discharge_child t ctx child =
+  let before = Ckpt_table.total_size t.ckpts in
   if Profile.is_enabled () then
     Profile.time_probe ckpt_discharge_probe (fun () ->
         discharge_dests t.ckpts child.c_stamp child.dests)
-  else discharge_dests t.ckpts child.c_stamp child.dests
+  else discharge_dests t.ckpts child.c_stamp child.dests;
+  Settle.adjust ctx.settle child.c_stamp (Ckpt_table.total_size t.ckpts - before)
 
 (* Re-issue a child from its functional checkpoint (rollback §3.2 /
    splice twin creation §4.1).  The packet is byte-identical — same stamp,
@@ -694,7 +786,7 @@ let discharge_child t child =
 let respawn_child t ctx (child : child) ~reason =
   Profile.time "recovery.respawn" @@ fun () ->
   let replicas = List.length child.dests in
-  discharge_child t child;
+  discharge_child t ctx child;
   (* Under splice, hold the twin back briefly so adoption reports from
      living orphans can overtake it (§4.1 offspring inheritance). *)
   let grace =
@@ -717,7 +809,7 @@ let copies_lost t (child : child) =
    suspended on it. *)
 let fill_slot t ctx task (child : child) value =
   child.filled <- true;
-  discharge_child t child;
+  discharge_child t ctx child;
   Instance.supply task.inst child.slot value;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
     (Journal.Result_accepted { task = task.tid });
@@ -780,7 +872,7 @@ let complete_task t ctx task value =
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
     (Journal.Completed { task = task.tid; proc = t.nid; work = task.work });
   return_result t ctx task value;
-  retire t task value
+  retire t ctx task value ~scheduled:false
 
 (* ------------------------------------------------------------------ *)
 (* Aborts (rollback garbage collection, §3.2/§3.4)                     *)
@@ -788,6 +880,9 @@ let complete_task t ctx task value =
 
 let abort_task t ctx task =
   if task_live task then begin
+    let scheduled =
+      match task.state with Queued | Running -> true | Blocked | Done | Aborted -> false
+    in
     set_state t task Aborted;
     t.n_wasted <- t.n_wasted + task.work;
     Counter.bump ctx.counters Count.task_aborted;
@@ -798,17 +893,19 @@ let abort_task t ctx task =
     child_iter
       (fun _ child ->
         if not child.filled then begin
-          discharge_child t child;
+          discharge_child t ctx child;
           List.iter
             (fun (replica, dest) ->
               if not (knows_dead t dest) then
                 match List.assoc_opt replica child.ctasks with
-                | Some ctask -> ctx.send ~src:t.nid ~dst:dest (Message.Abort { task = ctask })
+                | Some ctask ->
+                  ctx.send ~src:t.nid ~dst:dest
+                    (Message.Abort { task = ctask; stamp = child.c_stamp })
                 | None -> ())
             child.dests
         end)
       task;
-    retire t task Value.Nil
+    retire t ctx task Value.Nil ~scheduled
   end
 
 let abort_orphans t ctx ~failed =
@@ -830,9 +927,12 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
     begin
     mark_dead t failed;
     let drained = Ckpt_table.on_failure t.ckpts ~failed in
+    (* each drained checkpoint holds its request until it is dealt with *)
+    let release (packet : Packet.t) = Settle.release ctx.settle packet.Packet.stamp in
     (match ctx.config.recovery with
     | Config.No_recovery ->
-      Counter.bump_by ctx.counters Count.ckpt_dropped_no_recovery (List.length drained)
+      Counter.bump_by ctx.counters Count.ckpt_dropped_no_recovery (List.length drained);
+      List.iter release drained
     | Config.Rollback | Config.Splice | Config.Replicate _ ->
       (* Re-issue the topmost checkpoints filed under the dead processor
          whose slots are still waiting.  Replicated slots are governed by
@@ -840,8 +940,8 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
       List.iter
         (fun (packet : Packet.t) ->
           let parent = packet.Packet.parent in
-          match lookup t parent.Packet.task with
-          | Absent | Gone _ -> Counter.bump ctx.counters Count.reissue_stale
+          (match lookup t parent.Packet.task with
+          | Absent | Gone _ | Reclaimed -> Counter.bump ctx.counters Count.reissue_stale
           | Alive task -> (
             match child_find task parent.Packet.slot with
             | None -> Counter.bump ctx.counters Count.reissue_stale
@@ -854,7 +954,8 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               else if List.exists (fun (_, d) -> d <> failed) child.dests then
                 (* already re-homed by the orphan-result path *)
                 ()
-              else respawn_child t ctx child ~reason))
+              else respawn_child t ctx child ~reason));
+          release packet)
         drained;
       (* Replicated slots: account the lost replicas with the voter. *)
       (match ctx.config.recovery with
@@ -1113,6 +1214,7 @@ let activate_task t ctx packet ~task_id =
   in
   Hashtbl.replace t.tasks task_id (Alive task);
   t.n_live <- t.n_live + 1;
+  Settle.hold ctx.settle packet.Packet.stamp;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Activated { task = task_id; proc = t.nid });
   send_ack t ctx packet ~task_id;
@@ -1148,12 +1250,14 @@ let deliver t ctx msg =
             (List.rev msgs)
         in
         List.iter (deliver_to_task t ctx task) reports;
-        List.iter (deliver_to_task t ctx task) results
+        List.iter (deliver_to_task t ctx task) results;
+        List.iter (Settle.release_msg ctx.settle) msgs
       | None -> ())
     | (Message.Orphan_alive { target; _ } | Message.Result { target; _ }) as msg -> (
       match (lookup t target.Packet.task, msg) with
       | Alive task, _ -> deliver_to_task t ctx task msg
-      | Gone _, Message.Orphan_alive _ -> Counter.bump ctx.counters Count.adopt_ignored
+      | (Gone _ | Reclaimed), Message.Orphan_alive _ ->
+        Counter.bump ctx.counters Count.adopt_ignored
       | ( Absent,
           ( Message.Orphan_alive _
           | Message.Result { relay = Message.To_step_parent _ | Message.To_grandparent _; _ } ) )
@@ -1162,8 +1266,9 @@ let deliver t ctx msg =
         let h = tbl_of 4 t.held in
         t.held <- Some h;
         let prev = Option.value ~default:[] (Hashtbl.find_opt h target.Packet.task) in
-        Hashtbl.replace h target.Packet.task (msg :: prev)
-      | (Absent | Gone _), _ ->
+        Hashtbl.replace h target.Packet.task (msg :: prev);
+        Settle.hold_msg ctx.settle msg
+      | (Absent | Gone _ | Reclaimed), _ ->
         (* "If a processor receives a packet and cannot find a proper
            rule to handle it, the processor simply ignores the
            message." *)
@@ -1174,9 +1279,9 @@ let deliver t ctx msg =
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
           (Journal.Acked { task = child_task; proc = child_proc })
       else Counter.bump ctx.counters Count.ack_ignored)
-    | Message.Reparent { orphan_task; new_parent; new_grandparent } -> (
+    | Message.Reparent { orphan_task; stamp = _; new_parent; new_grandparent } -> (
       match lookup t orphan_task with
-      | Absent -> Counter.bump ctx.counters Count.reparent_ignored
+      | Absent | Reclaimed -> Counter.bump ctx.counters Count.reparent_ignored
       | Alive task ->
         (* a live orphan has no answer yet; its eventual return follows
            the rewritten links *)
@@ -1200,23 +1305,24 @@ let deliver t ctx msg =
                  relay = Message.To_parent })
         end)
     | Message.Gradient { from; value } ->
-      let h = tbl_of 8 t.gradient_heard in
-      t.gradient_heard <- Some h;
+      let g = gradient_of t in
+      let h = tbl_of 8 g.heard in
+      g.heard <- Some h;
       let prev = Hashtbl.find_opt h from in
       Hashtbl.replace h from value;
       (* keep the cached minimum exact without a fold: a lower value from
          a live peer tightens it directly; raising the (possible) holder
          of the minimum forces a recount *)
-      if (not (knows_dead t from)) && value < t.heard_min then
-        t.heard_min <- value
+      if (not (knows_dead t from)) && value < g.heard_min then
+        g.heard_min <- value
       else (
         match prev with
-        | Some p when p <= t.heard_min -> t.heard_dirty <- true
+        | Some p when p <= g.heard_min -> g.heard_dirty <- true
         | Some _ | None -> ())
-    | Message.Abort { task } -> (
+    | Message.Abort { task; stamp = _ } -> (
       match lookup t task with
       | Alive task -> abort_task t ctx task
-      | Gone _ -> () (* already finished or aborted: nothing to reclaim *)
+      | Gone _ | Reclaimed -> () (* already finished or aborted: nothing to reclaim *)
       | Absent -> Counter.bump ctx.counters Count.abort_ignored)
     | Message.Failure_notice { failed } -> handle_failure t ctx ~failed
   end
@@ -1239,7 +1345,7 @@ let handle_bounce t ctx ~dead msg =
          checkpoint regenerates it, exactly like a failure notice would. *)
       match lookup t packet.Packet.parent.Packet.task with
       | Absent -> Counter.bump ctx.counters Count.reissue_stale
-      | Gone _ -> ()
+      | Gone _ | Reclaimed -> ()
       | Alive task -> (
         match child_find task packet.Packet.parent.Packet.slot with
         | Some child when not child.filled ->
@@ -1252,7 +1358,10 @@ let handle_bounce t ctx ~dead msg =
         (* Identify the producing task so its packet supplies the
            grandparent link; re-route through the relay logic.  Producers
            are [Done], hence retired — scan the tombstones in the index's
-           legacy order (last match wins, as before). *)
+           legacy order (last match wins, as before).  The producer's
+           request has not settled (this bounce holds it), so the
+           [Reclaimed] bindings the scan passes belong to other requests:
+           it skips them without a lookup. *)
         let tid, producer =
           Hashtbl.fold
             (fun tid e acc ->
@@ -1272,7 +1381,7 @@ let handle_bounce t ctx ~dead msg =
             p.r_dropped <- true;
             t.n_wasted <- t.n_wasted + p.r_work
           end
-        | Absent | Alive _ ->
+        | Absent | Reclaimed | Alive _ ->
           Counter.bump ctx.counters Count.relay_dropped;
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:r.stamp
             (Journal.Relay_dropped { at = t.nid; reason = "producer gone after bounce" }))
@@ -1346,6 +1455,7 @@ let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
     (Message.Reparent
        {
          orphan_task = orphan.Packet.task;
+         stamp = packet.Packet.stamp;
          new_parent = { Packet.task = task.tid; proc = t.nid; slot };
          new_grandparent = Some task.packet.Packet.parent;
        });
@@ -1361,7 +1471,11 @@ let rec pick_next t ctx =
       set_state t task Running;
       t.current <- tid;
       ctx.wake t.nid ~delay:ctx_switch
-    | Gone _ | Absent -> pick_next t ctx
+    | Gone r ->
+      (* aborted while queued: the queue's reference was its last hold *)
+      Settle.release ctx.settle r.r_stamp;
+      pick_next t ctx
+    | Reclaimed | Absent -> pick_next t ctx
 
 let step t ctx =
   if t.alive then begin
@@ -1369,7 +1483,9 @@ let step t ctx =
     if tid = Ids.no_task then pick_next t ctx
     else begin
       match lookup t tid with
-      | Absent | Gone _ ->
+      | (Absent | Gone _ | Reclaimed) as e ->
+        (* aborted while running: as in [pick_next] *)
+        (match e with Gone r -> Settle.release ctx.settle r.r_stamp | _ -> ());
         t.current <- Ids.no_task;
         pick_next t ctx
       | Alive task -> (
@@ -1420,12 +1536,31 @@ let step t ctx =
     end
   end
 
-let gradient_value t = t.gradient_value
+let gradient_value t = match t.gradient with Some g -> g.value | None -> 0
 
 let kill t ctx =
   if t.alive then begin
     t.alive <- false;
     t.stepping <- false;
+    (* Nothing here is read again, so what this node held for requests is
+       released: the scheduler's references to tasks aborted while queued
+       or running, parked salvage, and its checkpoint table. *)
+    let release_sched tid =
+      match Hashtbl.find_opt t.tasks tid with
+      | Some (Gone r) -> Settle.release ctx.settle r.r_stamp
+      | Some (Absent | Reclaimed | Alive _) | None -> ()
+    in
+    if t.current <> Ids.no_task then release_sched t.current;
+    Queue.iter release_sched t.run_queue;
+    Option.iter
+      (Hashtbl.iter (fun _ msgs -> List.iter (Settle.release_msg ctx.settle) msgs))
+      t.held;
+    List.iter
+      (fun dest ->
+        List.iter
+          (fun (p : Packet.t) -> Settle.release ctx.settle p.Packet.stamp)
+          (Ckpt_table.entry t.ckpts ~dest))
+      (Ckpt_table.destinations t.ckpts);
     t.current <- Ids.no_task;
     Queue.clear t.run_queue;
     Counter.bump_by ctx.counters Count.task_lost_in_failure t.n_live;
@@ -1440,6 +1575,6 @@ let kill t ctx =
             (Journal.Lost { task = task.tid; proc = t.nid; work = task.work });
           set_state t task Aborted;
           t.n_wasted <- t.n_wasted + task.work;
-          retire t task Value.Nil
+          retire t ctx task Value.Nil ~scheduled:false
         end)
   end

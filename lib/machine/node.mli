@@ -51,6 +51,10 @@ type ctx = {
       (** record a duration into the owning cluster's named
           {!Recflow_stats.Hdr} histogram (e.g. [task.sojourn]) *)
   program_error : string -> unit;
+  settle : Settle.t;
+      (** the cluster's settle ledger: the node takes and releases its
+          requests' holds for live tasks, parked salvage and checkpoints,
+          and lists each uid it retires *)
 }
 
 type t
@@ -126,6 +130,21 @@ val resident_tasks : t -> int
 (** Full task records currently held, i.e. the index entries not yet
     retired to tombstones (= {!live_tasks} at quiescence). *)
 
+val reclaim : t -> Ids.task_id -> int
+(** The uid's request has settled: rebind its tombstone, in place, to the
+    constant [Reclaimed], adding its wasted work to the baseline
+    {!recount} starts from.  The key stays, so the index's iteration
+    order does not move.  A live or already reclaimed uid is left as it
+    is.  Returns how many tombstones went (0 or 1). *)
+
+val reclaim_all : t -> int
+(** {!reclaim} every tombstone on this node (the batch root's settle: it
+    owns every uid of its run); returns how many went. *)
+
+val reclaimed_lookups : t -> int
+(** Lookups that met a reclaimed uid.  Each one means a request was
+    reclaimed before it settled; the oracle reports any. *)
+
 val allocated_side_tables : t -> int
 (** How many of the node's three lazily allocated side tables (known-dead
     peers, salvage messages held for twins not yet activated, gradient
@@ -134,6 +153,7 @@ val allocated_side_tables : t -> int
 
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every
-    resident and retired task — the oracle the property tests check the
-    O(1) incremental counters ({!live_tasks}, {!blocked_tasks},
-    {!wasted_work}) against.  Not for hot paths. *)
+    resident and retired task, the wasted work of reclaimed tombstones
+    taken from a baseline kept at reclamation — the oracle the property
+    tests check the O(1) incremental counters ({!live_tasks},
+    {!blocked_tasks}, {!wasted_work}) against.  Not for hot paths. *)

@@ -69,6 +69,12 @@ let check ?expected cluster =
     viol "%d committed checkpoint(s) stranded on trusted live processors at quiescence" stranded;
   if quiescent && unsettled > 0 then
     viol "%d reliable send(s) neither acknowledged nor bounced at quiescence" unsettled;
+  (* a reclaimed uid is only ever looked up if its request was reclaimed
+     before it settled *)
+  let reclaimed = Cluster.reclaimed_lookups cluster in
+  if reclaimed > 0 then
+    viol "%d lookup(s) met a reclaimed task uid (a request was reclaimed before it settled)"
+      reclaimed;
   (* §3.1 and §4.3: a level stamp names one call *)
   (match Journal.call_conflicts (Cluster.journal cluster) with
   | [] -> ()

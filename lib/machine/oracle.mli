@@ -30,6 +30,10 @@
     distinct value".  The leak, strand and transport checks apply
     cluster-wide.
 
+    A settled request's task uids are reclaimed ({!Cluster.settled_requests});
+    a lookup that meets one means the request was reclaimed before it
+    settled, and any such lookup is a violation.
+
     {!assert_ok} is wired into [Harness.run] with the workload's serial
     reference as [expected] — every experiment and every harness-driven
     test runs under the oracle, never with it off, and a wrong answer

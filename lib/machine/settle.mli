@@ -1,0 +1,76 @@
+(** The settle ledger: when a root request can no longer be named.
+
+    Under the §4.3.1 super-root each request owns one stamp subtree: the
+    batch root (request [-1]) owns every stamp, and service request [uid]
+    owns the depth-1 subtree [Stamp.child Stamp.root uid].  A request is
+    {e settled} once its answer has reached the super-root and nothing is
+    left that could name one of its tasks.  The ledger counts those things
+    per request as {e holds}:
+
+    - every live task, and a task aborted while queued or running until
+      the scheduler has dropped its stale run-queue or current-task
+      reference;
+    - every message on its way: a scheduled delivery or batch slot, a
+      bounce, a reliable send awaiting its transport ack (the retry timer
+      is a no-op once the send is gone), salvage parked in a node's held
+      table or in the super-root's pending list;
+    - every checkpoint a table holds under the request's prefix.
+
+    When the last hold of an answered request is released, its task uids
+    are reclaimed: the cluster's [reclaim] callback rebinds each retired
+    uid in its host node's index, in place.  A service request's retired
+    uids are listed as they retire; the batch root owns every uid of its
+    run, so its settle sweeps every node's index instead
+    ([reclaim_all]).
+
+    Every hold is taken before the hold it replaces is released (a task
+    sends its result before it retires, a delivery is processed before its
+    hold goes), so the count cannot touch zero while work remains. *)
+
+module Stamp = Recflow_recovery.Stamp
+
+type t
+
+val create : procs:int -> reclaim:(proc:int -> int -> int) -> reclaim_all:(unit -> int) -> t
+(** [procs] processors; [reclaim ~proc uid] rebinds one retired uid on its
+    host, [reclaim_all ()] every retired uid of a batch run; each returns
+    how many tombstones it reclaimed. *)
+
+val open_request : t -> uid:int -> unit
+(** Start the ledger of request [uid] ([-1]: the batch root). *)
+
+val hold : t -> Stamp.t -> unit
+(** One more hold on the request owning the stamp.  Stamps of no open
+    request are ignored. *)
+
+val release : t -> Stamp.t -> unit
+(** One hold fewer; settles the request if it was its last and the answer
+    is in. *)
+
+val adjust : t -> Stamp.t -> int -> unit
+(** [adjust t stamp d]: [d] holds more (or fewer, when negative) — the
+    checkpoint delta of one table operation. *)
+
+val hold_msg : t -> Message.t -> unit
+(** {!hold} on the stamp the message names; gradient gossip and failure
+    notices name no task and hold nothing. *)
+
+val release_msg : t -> Message.t -> unit
+
+val retired : t -> Stamp.t -> proc:int -> int -> unit
+(** Task [uid] retired to a tombstone on [proc]: listed for reclamation
+    (service requests only). *)
+
+val answered : t -> uid:int -> unit
+(** The request's first answer reached the super-root. *)
+
+val force : t -> uid:int -> unit
+(** Reclaim request [uid]'s retired uids now, whatever it still holds.
+    For tests only: it shows that a wrong settle is caught, as lookups of
+    the reclaimed uids. *)
+
+val settled : t -> int
+(** Requests settled so far. *)
+
+val reclaimed : t -> int
+(** Tombstones reclaimed so far. *)

@@ -76,6 +76,10 @@ let make_world ?(config = Config.default ~nodes:4) ?(dest = 1) ~node_id () =
            counters;
            record_latency = (fun _ _ -> ());
            program_error = (fun m -> errors := m :: !errors);
+           settle =
+             Recflow_machine.Settle.create ~procs:4
+               ~reclaim:(fun ~proc:_ _ -> 0)
+               ~reclaim_all:(fun () -> 0);
          }
        in
        {
@@ -525,11 +529,11 @@ let counter_names () =
     [
       Message.Task_packet { packet = mk_packet (); task_id = 1; replica = 0; replicas = 1 };
       Message.Orphan_alive { stamp; orphan = link; dead_parent = link; target = link };
-      Message.Reparent { orphan_task = 1; new_parent = link; new_grandparent = None };
+      Message.Reparent { orphan_task = 1; stamp; new_parent = link; new_grandparent = None };
       Message.Ack { child_stamp = stamp; child_task = 1; child_proc = 2; parent_task = 3; slot = 0 };
       Message.Result { stamp; value = Value.Int 1; target = link; relay = Message.To_parent };
       Message.Gradient { from = 1; value = 2 };
-      Message.Abort { task = 1 };
+      Message.Abort { task = 1; stamp };
       Message.Failure_notice { failed = 1 };
     ]
 

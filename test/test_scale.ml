@@ -205,6 +205,95 @@ let counters_vs_recount =
   QCheck.Test.make ~count:30 ~name:"incremental counters = brute-force recount" arb_scenario
     counters_invariant
 
+(* The same property over a service stream, where settled requests have
+   their tombstones reclaimed while later ones still run: [Node.recount]
+   reads the reclaimed tombstones' waste from the node's baseline.  Ten
+   fib requests, two kills of distinct processors mid-stream. *)
+type stream_scenario = {
+  t_nodes : int;
+  t_seed : int;
+  t_rollback : bool;
+  t_kills : (int * int) * (int * int);  (* (tick, victim), victim mod t_nodes *)
+}
+
+let gen_stream =
+  QCheck.Gen.(
+    map
+      (fun (nodes, (seed, (rb, (k1, k2)))) ->
+        { t_nodes = nodes; t_seed = seed; t_rollback = rb; t_kills = (k1, k2) })
+      (pair (int_range 3 10)
+         (pair (int_range 0 9999)
+            (pair bool
+               (pair
+                  (pair (int_range 100 1500) (int_range 0 11))
+                  (pair (int_range 1500 3000) (int_range 0 11)))))))
+
+let stream_victims s =
+  let (t1, v1), (t2, v2) = s.t_kills in
+  let v1 = v1 mod s.t_nodes in
+  let v2 = v2 mod s.t_nodes in
+  ((t1, v1), (t2, if v2 = v1 then (v1 + 1) mod s.t_nodes else v2))
+
+let print_stream s =
+  let (t1, v1), (t2, v2) = stream_victims s in
+  Printf.sprintf "nodes=%d seed=%d %s kills=%d@%d,%d@%d" s.t_nodes s.t_seed
+    (if s.t_rollback then "rollback" else "splice")
+    t1 v1 t2 v2
+
+(* Whether the counters matched throughout, and whether some request was
+   reclaimed while others were still in flight. *)
+let stream_counters s =
+  let w = Workload.fib in
+  let cfg =
+    {
+      (Config.default ~nodes:s.t_nodes) with
+      Config.recovery = (if s.t_rollback then Config.Rollback else Config.Splice);
+      seed = s.t_seed;
+      inline_depth = 7;
+      policy = Recflow_balance.Policy.Random;
+    }
+  in
+  let c = Cluster.create cfg (Workload.program w) in
+  let (t1, v1), (t2, v2) = stream_victims s in
+  Cluster.fail_at c ~time:t1 v1;
+  Cluster.fail_at c ~time:t2 v2;
+  let mid_ok = ref true and reclaimed_mid_stream = ref false in
+  Journal.attach_sink (Cluster.journal c)
+    (Recflow_obs_core.Sink.sample ~every:17
+       (Recflow_obs_core.Sink.of_fun (fun _ ->
+            if Cluster.in_flight c > 0 && Cluster.reclaimed_tombstones c > 0 then
+              reclaimed_mid_stream := true;
+            if not (counters_match c) then mid_ok := false)));
+  Cluster.begin_service c;
+  let rec arrive k () =
+    ignore (Cluster.submit c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Tiny) ());
+    if k > 1 then Cluster.schedule_callback c ~delay:150 (arrive (k - 1))
+    else Cluster.close_arrivals c
+  in
+  Cluster.schedule_callback c ~delay:1 (arrive 10);
+  ignore (Cluster.run c);
+  ignore (Oracle.assert_ok ~expected:(Workload.expected w Workload.Tiny) c);
+  (!mid_ok && counters_match c && Cluster.reclaimed_lookups c = 0, !reclaimed_mid_stream)
+
+let stream_counters_vs_recount =
+  QCheck.Test.make ~count:20 ~name:"service stream: incremental counters = recount"
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun s -> fst (stream_counters s))
+
+(* A drawn stream may finish too late for a sample to land between a
+   reclamation and the last answer, so two fixed ones pin that the
+   property does see reclaimed tombstones mid-stream. *)
+let stream_recount_mid_stream () =
+  List.iter
+    (fun s ->
+      let ok, reclaimed_mid = stream_counters s in
+      check (print_stream s ^ ": counters = recount") true ok;
+      check (print_stream s ^ ": reclaimed mid-stream") true reclaimed_mid)
+    [
+      { t_nodes = 6; t_seed = 3; t_rollback = false; t_kills = ((600, 1), (1800, 2)) };
+      { t_nodes = 5; t_seed = 8; t_rollback = true; t_kills = ((500, 2), (1700, 4)) };
+    ]
+
 let suites =
   [
     ( "scale",
@@ -212,5 +301,8 @@ let suites =
         Alcotest.test_case "1024 procs, 131k tasks, chaos + failure" `Slow scale_smoke;
         Alcotest.test_case "1024 procs drain every per-run table" `Quick drained_state;
         qtest counters_vs_recount;
+        qtest stream_counters_vs_recount;
+        Alcotest.test_case "service stream: recount sees reclamation" `Quick
+          stream_recount_mid_stream;
       ] );
   ]

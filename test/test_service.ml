@@ -292,6 +292,136 @@ let partition_spans_requests () =
   let disturbed = List.filter (fun r -> r.Service.disturbed_replicas > 0) o.Service.records in
   check "the partition disturbed in-flight requests" true (List.length disturbed >= 2)
 
+(* ---------------- reclamation of settled requests ---------------- *)
+
+(* A drained stream under each transport, delivery path and recovery mode,
+   with two kills mid-stream: requests settle and give their task uids
+   back while the stream runs, every answer is right, and no lookup ever
+   meets a reclaimed uid ([Service.run]'s oracle would fail the run on
+   one; it is checked again here by name). *)
+let gauntlet_cases =
+  let base = svc_cfg ~nodes:6 ~arrival_mean:150.0 ~seed:9 () in
+  let chaos = Recflow_net.Chaos.none in
+  [
+    ( "chaos drop+dup+reorder, reliable",
+      {
+        base with
+        Config.reliable = true;
+        chaos =
+          chaos |> Plan.drop_rate 0.02 |> Plan.duplicate_rate 0.02
+          |> Plan.reorder ~rate:0.05 ~spread:40;
+      } );
+    ( "dup+reorder, unreliable",
+      {
+        base with
+        Config.chaos = chaos |> Plan.duplicate_rate 0.03 |> Plan.reorder ~rate:0.05 ~spread:40;
+      } );
+    ( "partition window, reliable",
+      {
+        base with
+        Config.reliable = true;
+        chaos = chaos |> Plan.partition ~from:600 ~until:3000 ~groups:[ [ 4; 5 ] ];
+      } );
+    ("batched delivery", { base with Config.batched_delivery = true });
+    ("batched delivery, reliable", { base with Config.batched_delivery = true; reliable = true });
+    ("rollback", { base with Config.recovery = Config.Rollback });
+    ("splice", base);
+    ("replicate:3", { base with Config.recovery = Config.Replicate 3 });
+    ("splice, ancestor depth 2", { base with Config.ancestor_depth = 2 });
+    ( "service replicas k=3",
+      { base with Config.service = { base.Config.service with Config.replicas = 3 } } );
+  ]
+
+let reclamation_gauntlet () =
+  List.iter
+    (fun (name, cfg) ->
+      let o = run ~failures:[ (1500, 1); (3200, 3) ] ~requests:24 cfg in
+      let c = o.Service.cluster in
+      Printf.printf "%s: %d of %d requests settled, %d tombstones reclaimed\n" name
+        (Cluster.settled_requests c) (Cluster.submitted_requests c)
+        (Cluster.reclaimed_tombstones c);
+      check (name ^ ": all correct") true o.Service.all_correct;
+      check (name ^ ": oracle ok") true (Oracle.ok o.Service.oracle);
+      check_int (name ^ ": lookups of a reclaimed uid") 0 (Cluster.reclaimed_lookups c);
+      check_int (name ^ ": every request settled") (Cluster.submitted_requests c)
+        (Cluster.settled_requests c);
+      check (name ^ ": tombstones reclaimed") true (Cluster.reclaimed_tombstones c > 0))
+    gauntlet_cases
+
+(* [n] fib requests into a service-mode cluster, one every [gap] ticks
+   from tick 1; returns the uids submitted so far. *)
+let stream c ~n ~gap ?on_answer () =
+  let uids = ref [] in
+  let rec arrive k () =
+    let uid = ref (-1) in
+    let on_answer = Option.map (fun f v -> f !uid v) on_answer in
+    uid := Cluster.submit c ?on_answer ~fname:"fib" ~args:[ Value.Int 6 ] ();
+    uids := !uid :: !uids;
+    if k > 1 then Cluster.schedule_callback c ~delay:gap (arrive (k - 1))
+    else Cluster.close_arrivals c
+  in
+  Cluster.begin_service c;
+  Cluster.schedule_callback c ~delay:1 (arrive n);
+  uids
+
+(* The witness can fire: reclaiming each request the moment its answer
+   lands, before the straggling replica results and acknowledgements of
+   its tasks have drained, makes later lookups meet reclaimed uids, and
+   the oracle reports them. *)
+let early_reclaim_is_caught () =
+  let cfg = { (svc_cfg ~nodes:6 ~seed:4 ()) with Config.recovery = Config.Replicate 3 } in
+  let c = Cluster.create cfg (Workload.program Workload.fib) in
+  let _ = stream c ~n:12 ~gap:100 ~on_answer:(fun uid _ -> Cluster.reclaim_unsettled c uid) () in
+  ignore (Cluster.run c);
+  check "a lookup met a reclaimed uid" true (Cluster.reclaimed_lookups c > 0);
+  let r = Oracle.check c in
+  check "oracle reports it" true
+    (List.exists
+       (fun v ->
+         let needle = "reclaimed task uid" in
+         let n = String.length needle in
+         let rec has i = i + n <= String.length v && (String.sub v i n = needle || has (i + 1)) in
+         has 0)
+       r.Oracle.violations)
+
+(* A result that bounces off its dead parent sends [handle_bounce] folding
+   over the whole index for its producer, past the reclaimed bindings of
+   the requests that settled before the kill.  Failure notices are slowed
+   down so that, in the window checked, a producer on a surviving
+   processor learns of the death only through its bounced result. *)
+let bounce_after_reclaim () =
+  let cfg = { (svc_cfg ~nodes:4 ~seed:2 ()) with Config.detect_delay = 1500 } in
+  let kill = 2500 in
+  let c = Cluster.create cfg (Workload.program Workload.fib) in
+  Cluster.fail_at c ~time:kill 1;
+  let _ = stream c ~n:30 ~gap:120 () in
+  let reclaimed_before = ref 0 and relayed_in_window = ref 0 in
+  let relays () = Recflow_stats.Counter.get (Cluster.counters c) "relay.sent" in
+  Cluster.schedule_callback c ~delay:(kill - 1) (fun () ->
+      reclaimed_before := Cluster.reclaimed_tombstones c);
+  Cluster.schedule_callback c ~delay:(kill + cfg.Config.detect_delay - 1) (fun () ->
+      relayed_in_window := relays ());
+  ignore (Cluster.run c);
+  let r = Oracle.assert_ok c in
+  check "oracle ok" true (Oracle.ok r);
+  check "older requests reclaimed before the kill" true (!reclaimed_before > 0);
+  check "a bounced result was relayed before any notice" true (!relayed_in_window > 0);
+  check_int "no lookup met a reclaimed uid" 0 (Cluster.reclaimed_lookups c);
+  let lost_producer =
+    List.exists
+      (fun (e : Journal.entry) ->
+        match e.Journal.event with
+        | Journal.Relay_dropped { reason = "producer gone after bounce"; _ } -> true
+        | _ -> false)
+      (Journal.entries (Cluster.journal c))
+  in
+  check "every bounce found its producer" false lost_producer;
+  for uid = 0 to Cluster.submitted_requests c - 1 do
+    match Cluster.request_answers c uid with
+    | v :: _ -> Alcotest.check value "fib 6" (Value.Int 8) v
+    | [] -> Alcotest.failf "request %d unanswered" uid
+  done
+
 (* ---------------- episode analysis against its reference ---------------- *)
 
 (* The episode analysis as it was before it was made linear: for every
@@ -579,5 +709,11 @@ let suites =
         Alcotest.test_case "gauntlet" `Quick episodes_in_gauntlet;
         Alcotest.test_case "partition spans requests" `Quick partition_spans_requests;
         Alcotest.test_case "analyze = quadratic reference" `Quick episodes_match_reference;
+      ] );
+    ( "service.reclaim",
+      [
+        Alcotest.test_case "gauntlet" `Quick reclamation_gauntlet;
+        Alcotest.test_case "early reclaim is caught" `Quick early_reclaim_is_caught;
+        Alcotest.test_case "bounce after reclaim" `Quick bounce_after_reclaim;
       ] );
   ]
