@@ -104,7 +104,12 @@ let serve_main cfg ~workload_name ~size ~size_name ~requests ~arrival_mean ~serv
     Format.printf "requests retired: %d of %d submitted (settled, task uids reclaimed)@."
       (Cluster.settled_requests cl) (Cluster.submitted_requests cl);
     Format.printf "tombstones reclaimed: %d (lookups of a reclaimed uid: %d)@."
-      (Cluster.reclaimed_tombstones cl) (Cluster.reclaimed_lookups cl)
+      (Cluster.reclaimed_tombstones cl) (Cluster.reclaimed_lookups cl);
+    let j = Cluster.journal cl in
+    Format.printf "journal entries: %d recorded, %d retained, %d dropped with settled requests@."
+      (Journal.length j) (Journal.retained j) (Journal.dropped j);
+    Format.printf "requests kept whole because a failure touched them: %d@."
+      (Journal.kept_whole j)
   end;
   (match Episode.analyze (Cluster.journal o.Service.cluster) with
   | [] -> ()

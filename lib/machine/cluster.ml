@@ -405,19 +405,23 @@ let create cfg program =
   let n = Topology.size cfg.Config.topology in
   let router = Router.create cfg.Config.topology in
   let node_arr = Array.init n (fun i -> Node.create i cfg) in
+  let engine = Engine.create () in
+  let journal = Journal.create ~retain:cfg.Config.journal_retain () in
   let settle =
     Settle.create ~procs:n
       ~reclaim:(fun ~proc uid -> Node.reclaim node_arr.(proc) uid)
       ~reclaim_all:(fun () -> Array.fold_left (fun n node -> n + Node.reclaim_all node) 0 node_arr)
+      ~on_settle:(fun ~uid ~opened ->
+        Journal.release journal ~uid ~since:opened ~time:(Engine.now engine))
   in
   {
     cfg;
     program;
     library = Graph.compile_program program;
-    engine = Engine.create ();
+    engine;
     router;
     node_arr;
-    journal = Journal.create ~retain:cfg.Config.journal_retain ();
+    journal;
     counters = Counter.create_set ();
     latency_tbl = Hashtbl.create 8;
     trace = Trace.create ~capacity:65536 ();
@@ -912,7 +916,7 @@ let open_request t ~uid ~stamp ~slot ~avoid ~on_answer ~on_disturbed ~fname ~arg
     }
   in
   Hashtbl.replace t.requests uid req;
-  Settle.open_request t.settle ~uid;
+  Settle.open_request t.settle ~uid ~time:(now t);
   t.unanswered <- t.unanswered + 1;
   dispatch_request t req ~reason:None
 
@@ -995,10 +999,17 @@ let reclaim_unsettled t uid =
   ignore (find_request t uid);
   Settle.force t.settle ~uid
 
+let release_unsettled t uid =
+  ignore (find_request t uid);
+  Journal.release t.journal ~uid ~since:0 ~time:(now t)
+
 let run ?(drain = false) t =
   if not t.started then invalid_arg "Cluster.run: call start first";
   t.drain <- drain;
   Engine.run t.engine ~until:t.cfg.Config.horizon (fun at ev -> handle_event t at ev);
+  (* Nothing left to run can record an entry in this tick: decide every
+     request that settled in it too. *)
+  Journal.drop_settled t.journal ~before:(if quiescent t then now t + 1 else now t);
   {
     answer = t.answer;
     answer_time = t.answer_time;

@@ -124,7 +124,9 @@ val request_redispatches : t -> int -> int
     processors that hosted them: each uid's tombstone drops to a constant,
     in place, so the node indexes keep their iteration order and every run
     stays byte-identical.  The batch root settles the same way, at the end
-    of a drained run. *)
+    of a drained run.  A settled service request is also released to the
+    journal, which drops its entries unless a failure touched them
+    ({!Journal.release}). *)
 
 val settled_requests : t -> int
 (** Requests settled, and so retired, so far. *)
@@ -139,6 +141,12 @@ val reclaimed_lookups : t -> int
 val reclaim_unsettled : t -> int -> unit
 (** For tests only: reclaim request [uid]'s retired tasks now, settled or
     not, to show that a wrong settle shows up in {!reclaimed_lookups}.
+    @raise Invalid_argument for an unknown uid. *)
+
+val release_unsettled : t -> int -> unit
+(** For tests only: release request [uid]'s journal entries now, settled
+    or not ({!Journal.release}), to show that a wrong settle shows up in
+    {!Journal.late_entries}.
     @raise Invalid_argument for an unknown uid. *)
 
 val fail_at : t -> time:int -> Ids.proc_id -> unit

@@ -123,11 +123,14 @@ type t = {
           unbatched run.  Off by default; the scale experiments turn it
           on and carry their own golden digests. *)
   journal_retain : bool;
-      (** keep every journal entry in memory (the default).  Scale runs
-          with millions of tasks turn this off: entries still stream to
-          any attached sink and the counts survive, but the retained
-          list / per-stamp index stay empty so memory is bounded by the
-          live frontier, not the run length. *)
+      (** keep journal entries in memory (the default): every entry of a
+          batch run, and of a service stream every entry but those of
+          settled requests no failure touched, which the journal drops
+          ({!Journal.release}).  Scale runs with millions of tasks turn
+          this off: entries still stream to any attached sink and the
+          counts survive, but no column is kept and the per-stamp index
+          stays empty, so memory is bounded by the live frontier, not the
+          run length. *)
 }
 
 val default : nodes:int -> t

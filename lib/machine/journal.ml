@@ -45,13 +45,29 @@ let chunk_size = 1 lsl chunk_bits
 
 let first_chunk = 16
 
+(* Call fingerprints live in pages of [page_size] task ids, the last slot
+   of each counting its live prints; a page whose prints were all dropped
+   is freed, so a stream keeps pages only for the tasks of its unsettled
+   and kept requests. *)
+let page_bits = 6
+
+let page_size = 1 lsl page_bits
+
+(* Dropping settled requests: a compaction runs once the columns have
+   doubled since the last one (and at least [min_compact] entries are
+   kept), so its linear pass is amortised over recording. *)
+let min_compact = 1024
+
+let n_kinds = 15
+
 type t = {
   retain : bool;
       (* scale runs record millions of entries: with [retain = false] no
          column is ever allocated and the per-stamp index stays empty
          (sinks still see everything), so journal memory is O(1) instead
          of O(run length) *)
-  mutable n_entries : int;
+  mutable n_entries : int;  (* every entry recorded, dropped or not *)
+  mutable size : int;  (* entries held in the columns *)
   mutable last_time : int;  (* meaningful once [n_entries > 0] *)
   mutable ints : int array array;  (* chunk [c] holds entries [c * chunk_size ..] *)
   mutable stamps : Stamp.t array array;
@@ -69,15 +85,33 @@ type t = {
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
          retained columns *)
-  mutable prints : int array;
-      (* call fingerprint per task id, [-1] for none; stays empty unless
-         [retain] *)
+  mutable pages : int array array;
+      (* call fingerprint per task id, [-1] for none, by page; [[||]] for a
+         page with no live print.  Stays empty unless [retain]. *)
+  mutable noted : int;  (* live prints over all pages *)
+  mutable released : Bytes.t;  (* one bit per request uid handed to [release] *)
+  mutable pending : (int * int * int) list;
+      (* (uid, open tick, settle tick) of released requests not yet
+         dropped or kept, newest first *)
+  mutable fail_times : int array;  (* of the [Failure] entries, in the first [n_fails] slots *)
+  mutable n_fails : int;
+  mutable compact_at : int;
+  mutable tallies : int array;
+      (* what dropped requests left for {!Episode}: window [w], kind [k] at
+         [3 * (w * n_kinds + k)]: entries, first time, last time *)
+  mutable kept_conflicts : (Stamp.t * Ids.task_id * Ids.task_id) list list;
+      (* the call conflicts of dropped requests, one list per compaction,
+         newest compaction first *)
+  mutable n_dropped : int;
+  mutable n_kept_whole : int;
+  mutable n_late : int;
 }
 
 let create ?(retain = true) () =
   {
     retain;
     n_entries = 0;
+    size = 0;
     last_time = 0;
     ints = [||];
     stamps = [||];
@@ -87,7 +121,18 @@ let create ?(retain = true) () =
     by_stamp = Stamp_tbl.create 256;
     indexed = 0;
     extra = None;
-    prints = [||];
+    pages = [||];
+    noted = 0;
+    released = Bytes.empty;
+    pending = [];
+    fail_times = [||];
+    n_fails = 0;
+    compact_at = min_compact;
+    tallies = [||];
+    kept_conflicts = [];
+    n_dropped = 0;
+    n_kept_whole = 0;
+    n_late = 0;
   }
 
 let attach_sink t sink =
@@ -95,8 +140,6 @@ let attach_sink t sink =
     (match t.extra with
     | None -> Some sink
     | Some existing -> Some (Recflow_obs_core.Sink.tee existing sink))
-
-let retained t = if t.retain then t.n_entries else 0
 
 let intern t reason =
   match Hashtbl.find_opt t.reason_ids reason with
@@ -149,13 +192,14 @@ let put (ints : int array) o packed a b c =
   Array.unsafe_set ints (o + 2) b;
   Array.unsafe_set ints (o + 3) c
 
-(* Store entry [i] (= [t.n_entries]) in the columns.  The kind numbers
+(* Store entry [i] (= [t.size]) in the columns.  The kind numbers
    here and in [event_at] are the column format. *)
 let store t ~time ~stamp event =
   let packed = time lsl kind_bits in
   if packed asr kind_bits <> time then invalid_arg "Journal.record: time out of range";
-  let i = t.n_entries in
+  let i = t.size in
   if i = t.capacity then grow t;
+  t.size <- i + 1;
   let c = i lsr chunk_bits and o = i land (chunk_size - 1) in
   Array.unsafe_set (Array.unsafe_get t.stamps c) o stamp;
   let ints = Array.unsafe_get t.ints c and o = stride * o in
@@ -174,7 +218,15 @@ let store t ~time ~stamp event =
   | Relayed { via } -> put ints o (packed lor 11) via 0 0
   | Relay_dropped { at; reason } -> put ints o (packed lor 12) at (intern t reason) 0
   | Orphan_dropped { task } -> put ints o (packed lor 13) task 0 0
-  | Failure { proc } -> put ints o (packed lor 14) proc 0 0
+  | Failure { proc } ->
+    if t.n_fails = Array.length t.fail_times then begin
+      let a = Array.make (max 8 (2 * t.n_fails)) 0 in
+      Array.blit t.fail_times 0 a 0 t.n_fails;
+      t.fail_times <- a
+    end;
+    t.fail_times.(t.n_fails) <- time;
+    t.n_fails <- t.n_fails + 1;
+    put ints o (packed lor 14) proc 0 0
 
 (* Column readers for retained entry [i]: word 0 is the packed time and
    kind, words 1–3 the event's fields. *)
@@ -211,11 +263,25 @@ let event_at t i =
 
 let entry_at t i = { time = time_at t i; stamp = stamp_at t i; event = event_at t i }
 
+let is_released t uid =
+  let byte = uid lsr 3 in
+  uid >= 0
+  && byte < Bytes.length t.released
+  && Char.code (Bytes.unsafe_get t.released byte) land (1 lsl (uid land 7)) <> 0
+
+(* The request a stamp belongs to: the first digit, [-1] for the root. *)
+let owner stamp = if Stamp.depth stamp = 0 then -1 else Stamp.digit stamp 0
+
 (* The entry is stored and counted before a sink sees it, so a sink that
    queries the journal finds it there.  A journal that neither retains
-   nor streams only counts: no entry is built for it. *)
+   nor streams only counts: no entry is built for it.  An entry under a
+   request already released is counted as late: a correct settle leaves
+   nothing that could record one. *)
 let record t ~time ~stamp event =
-  if t.retain then store t ~time ~stamp event;
+  if t.retain then begin
+    store t ~time ~stamp event;
+    if Bytes.length t.released > 0 && is_released t (owner stamp) then t.n_late <- t.n_late + 1
+  end;
   t.n_entries <- t.n_entries + 1;
   t.last_time <- time;
   match t.extra with
@@ -249,15 +315,39 @@ let stamp_print s =
   done;
   !h land max_int
 
+let print_of t task =
+  let p = task lsr page_bits in
+  if task < 0 || p >= Array.length t.pages then -1
+  else
+    let page = Array.unsafe_get t.pages p in
+    if Array.length page = 0 then -1 else Array.unsafe_get page (task land (page_size - 1))
+
 let note_call t ~task fname args =
   if t.retain && task >= 0 then begin
-    let n = Array.length t.prints in
-    if task >= n then begin
-      let a = Array.make (max 64 (max (2 * n) (task + 1))) (-1) in
-      Array.blit t.prints 0 a 0 n;
-      t.prints <- a
+    let p = task lsr page_bits in
+    let n = Array.length t.pages in
+    if p >= n then begin
+      let a = Array.make (max 16 (max (2 * n) (p + 1))) [||] in
+      Array.blit t.pages 0 a 0 n;
+      t.pages <- a
     end;
-    t.prints.(task) <- fingerprint fname args
+    if Array.length t.pages.(p) = 0 then t.pages.(p) <- Array.make (page_size + 1) (-1);
+    let page = t.pages.(p) and o = task land (page_size - 1) in
+    if page.(o) < 0 then begin
+      page.(page_size) <- page.(page_size) + 1;
+      t.noted <- t.noted + 1
+    end;
+    page.(o) <- fingerprint fname args
+  end
+
+let forget_call t task =
+  if print_of t task >= 0 then begin
+    let p = task lsr page_bits in
+    let page = t.pages.(p) and o = task land (page_size - 1) in
+    page.(o) <- -1;
+    page.(page_size) <- page.(page_size) - 1;
+    t.noted <- t.noted - 1;
+    if page.(page_size) = 0 then t.pages.(p) <- [||]
   end
 
 (* The activation entry [i] spawns, re-issues or inherits ([Spawned],
@@ -267,37 +357,37 @@ let noted_task t i =
   match kind_at t i with
   | 0 | 7 | 8 (* Spawned, Respawned, Inherited *) ->
     let task = word t i 1 in
-    if task >= 0 && task < Array.length t.prints && t.prints.(task) >= 0 then task else -1
+    if print_of t task >= 0 then task else -1
   | _ -> -1
 
 let named_calls t =
   let acc = ref [] in
-  for i = retained t - 1 downto 0 do
+  for i = t.size - 1 downto 0 do
     let task = noted_task t i in
-    if task >= 0 then acc := (stamp_at t i, t.prints.(task)) :: !acc
+    if task >= 0 then acc := (stamp_at t i, print_of t task) :: !acc
   done;
   List.sort_uniq
     (fun (a, p) (b, q) -> match Stamp.compare a b with 0 -> Int.compare p q | c -> c)
     !acc
 
-(* One walk over the retained entries, newest first, into an open-address
-   table: slot [i] holds the newest activation [tasks.(i)] noted under
-   stamp [keys.(i)] ([-1] when free), and every older activation with
-   another call is a conflict (stamp, older task, newer task).  The table
-   hashes every digit: [Stamp.hash] reads only a stamp's first few, and
-   the deep stamps of one subtree would share a handful of chains. *)
-let call_conflicts t =
+(* Call conflicts among the noted activations [iter] presents, newest
+   first, as [f stamp task print], through an open-address table sized for
+   [activations] of them: slot [s] holds the newest activation
+   [tasks.(s)] (call [prints.(s)]) noted under stamp [keys.(s)] ([-1] when
+   free), and every older activation with another call is a conflict
+   (stamp, older task, newer task).  The table hashes every digit:
+   [Stamp.hash] reads only a stamp's first few, and the deep stamps of one
+   subtree would share a handful of chains. *)
+let conflicts_of ~activations iter =
   let cap = ref 64 in
-  while !cap < 2 * Array.length t.prints do
+  while !cap < 2 * activations do
     cap := 2 * !cap
   done;
   let mask = !cap - 1 in
   let keys = Array.make !cap Stamp.root and tasks = Array.make !cap (-1) in
+  let prints = Array.make !cap 0 in
   let conflicts = ref [] in
-  for e = retained t - 1 downto 0 do
-    let task = noted_task t e in
-    if task >= 0 then begin
-      let stamp = stamp_at t e in
+  iter (fun stamp task print ->
       let h = stamp_print stamp in
       let i = ref ((h lxor (h lsr 32)) land mask) in
       while tasks.(!i) >= 0 && not (Stamp.equal keys.(!i) stamp) do
@@ -305,17 +395,23 @@ let call_conflicts t =
       done;
       if tasks.(!i) < 0 then begin
         keys.(!i) <- stamp;
-        tasks.(!i) <- task
+        tasks.(!i) <- task;
+        prints.(!i) <- print
       end
-      else if t.prints.(tasks.(!i)) <> t.prints.(task) then
-        conflicts := (stamp, task, tasks.(!i)) :: !conflicts
-    end
-  done;
+      else if prints.(!i) <> print then conflicts := (stamp, task, tasks.(!i)) :: !conflicts);
   !conflicts
+
+let call_conflicts t =
+  conflicts_of ~activations:t.noted (fun f ->
+      for e = t.size - 1 downto 0 do
+        let task = noted_task t e in
+        if task >= 0 then f (stamp_at t e) task (print_of t task)
+      done)
+  @ List.concat (List.rev t.kept_conflicts)
 
 let entries t =
   let acc = ref [] in
-  for i = retained t - 1 downto 0 do
+  for i = t.size - 1 downto 0 do
     acc := entry_at t i :: !acc
   done;
   !acc
@@ -326,7 +422,7 @@ let last_entry_time t = if t.n_entries = 0 then None else Some t.last_time
 
 let failures t =
   let acc = ref [] in
-  for i = retained t - 1 downto 0 do
+  for i = t.size - 1 downto 0 do
     if kind_at t i = 14 (* Failure *) then acc := (time_at t i, word t i 1) :: !acc
   done;
   !acc
@@ -334,7 +430,7 @@ let failures t =
 (* Index the entries recorded since the last query, oldest first, so each
    per-stamp list stays reverse chronological. *)
 let catch_up t =
-  let n = retained t in
+  let n = t.size in
   for i = t.indexed to n - 1 do
     let stamp = stamp_at t i in
     match Stamp_tbl.find_opt t.by_stamp stamp with
@@ -356,7 +452,7 @@ let stamps t =
 
 let count t pred =
   let n = ref 0 in
-  for i = 0 to retained t - 1 do
+  for i = 0 to t.size - 1 do
     if pred (event_at t i) then incr n
   done;
   !n
@@ -370,6 +466,239 @@ let last_time t stamp pred =
   List.find_map
     (fun i -> if pred (event_at t i) then Some (time_at t i) else None)
     (indices t stamp)
+
+(* ------------------------------------------------------------------ *)
+(* Dropping settled requests                                           *)
+(* ------------------------------------------------------------------ *)
+
+let tally_entry t ~window kind time =
+  let need = 3 * (window + 1) * n_kinds in
+  if Array.length t.tallies < need then begin
+    let a = Array.make (max need (2 * Array.length t.tallies)) 0 in
+    Array.blit t.tallies 0 a 0 (Array.length t.tallies);
+    t.tallies <- a
+  end;
+  let o = 3 * ((window * n_kinds) + kind) in
+  let a = t.tallies in
+  if a.(o) = 0 || time < a.(o + 1) then a.(o + 1) <- time;
+  if a.(o) = 0 || time > a.(o + 2) then a.(o + 2) <- time;
+  a.(o) <- a.(o) + 1
+
+(* After the columns shrank from [old_size] to [t.size] entries: free
+   every chunk no entry uses, keeping at least one, and clear the stamp
+   slots past [t.size] in the chunks kept. *)
+let trim t ~old_size =
+  if t.capacity > chunk_size then begin
+    let keep = max 1 ((t.size + chunk_size - 1) lsr chunk_bits) in
+    if keep < t.capacity lsr chunk_bits then begin
+      t.ints <- Array.sub t.ints 0 keep;
+      t.stamps <- Array.sub t.stamps 0 keep;
+      t.capacity <- keep * chunk_size
+    end
+  end;
+  for i = t.size to min old_size t.capacity - 1 do
+    Array.unsafe_set (Array.unsafe_get t.stamps (i lsr chunk_bits)) (i land (chunk_size - 1))
+      Stamp.root
+  done;
+  if t.indexed > 0 then begin
+    Stamp_tbl.reset t.by_stamp;
+    t.indexed <- 0
+  end
+
+(* The first column index whose time is at least [time]. *)
+let lower_bound t time =
+  let lo = ref 0 and hi = ref t.size in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if time_at t mid < time then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Decide the [ready] requests (uid, open tick, settle tick).  A request
+   with no failure between its open and settle ticks is undisturbed; one
+   with such a failure is decided by the exact span of its entries' times,
+   found in one extra walk, and kept whole if a failure lies within it.
+   Then one walk from the oldest ready request's open tick slides every
+   other entry down over the dropped ones, folding each dropped entry
+   into its window's tally and collecting its noted activation, and the
+   collected activations give the dropped requests' call conflicts.
+   Request [uid] has slot [slots.(uid - lo)] ([-1]: not being dropped), so
+   the walks allocate nothing per entry. *)
+let compact t ready =
+  let ready = Array.of_list ready in
+  let n = Array.length ready in
+  let lo = Array.fold_left (fun m (uid, _, _) -> min m uid) max_int ready in
+  let hi = Array.fold_left (fun m (uid, _, _) -> max m uid) min_int ready in
+  let opened = Array.fold_left (fun m (_, since, _) -> min m since) max_int ready in
+  let slots = Array.make (hi - lo + 1) (-1) in
+  let window = Array.make n 0 in
+  let fails = Array.sub t.fail_times 0 t.n_fails in
+  let failures_before time = Array.fold_left (fun c f -> if f < time then c + 1 else c) 0 fails in
+  let touched first last = Array.exists (fun f -> first <= f && f <= last) fails in
+  let slot_at i =
+    let uid = owner (stamp_at t i) in
+    if uid < lo || uid > hi then -1 else Array.unsafe_get slots (uid - lo)
+  in
+  let start = lower_bound t opened in
+  let unsure = ref false in
+  Array.iteri
+    (fun k (uid, since, tick) ->
+      slots.(uid - lo) <- k;
+      if touched since tick then unsure := true else window.(k) <- failures_before since)
+    ready;
+  if !unsure then begin
+    let first = Array.make n max_int and last = Array.make n min_int in
+    for i = start to t.size - 1 do
+      let k = slot_at i in
+      if k >= 0 then begin
+        let time = time_at t i in
+        if time < first.(k) then first.(k) <- time;
+        if time > last.(k) then last.(k) <- time
+      end
+    done;
+    Array.iteri
+      (fun k (uid, since, tick) ->
+        if touched since tick then
+          if touched first.(k) last.(k) then begin
+            slots.(uid - lo) <- -1;
+            t.n_kept_whole <- t.n_kept_whole + 1
+          end
+          else window.(k) <- failures_before first.(k))
+      ready
+  end;
+  let acts = ref 0 in
+  let act_stamps = ref (Array.make 64 Stamp.root) and act_tasks = ref (Array.make 64 0) in
+  let act_prints = ref (Array.make 64 0) in
+  let collect stamp task print =
+    if !acts = Array.length !act_tasks then begin
+      let grow a x = let b = Array.make (2 * !acts) x in Array.blit a 0 b 0 !acts; b in
+      act_stamps := grow !act_stamps Stamp.root;
+      act_tasks := grow !act_tasks 0;
+      act_prints := grow !act_prints 0
+    end;
+    !act_stamps.(!acts) <- stamp;
+    !act_tasks.(!acts) <- task;
+    !act_prints.(!acts) <- print;
+    incr acts
+  in
+  let old_size = t.size and w = ref start in
+  for i = start to old_size - 1 do
+    let k = slot_at i in
+    if k >= 0 then begin
+      let kind = kind_at t i in
+      tally_entry t ~window:window.(k) kind (time_at t i);
+      if kind = 0 || kind = 7 || kind = 8 (* Spawned, Respawned, Inherited *) then begin
+        let task = word t i 1 in
+        let print = print_of t task in
+        if print >= 0 then collect (stamp_at t i) task print
+      end;
+      t.n_dropped <- t.n_dropped + 1
+    end
+    else begin
+      if !w < i then begin
+        let src = Array.unsafe_get t.ints (i lsr chunk_bits)
+        and so = stride * (i land (chunk_size - 1)) in
+        put
+          (Array.unsafe_get t.ints (!w lsr chunk_bits))
+          (stride * (!w land (chunk_size - 1)))
+          (Array.unsafe_get src so)
+          (Array.unsafe_get src (so + 1))
+          (Array.unsafe_get src (so + 2))
+          (Array.unsafe_get src (so + 3));
+        Array.unsafe_set
+          (Array.unsafe_get t.stamps (!w lsr chunk_bits))
+          (!w land (chunk_size - 1))
+          (stamp_at t i)
+      end;
+      incr w
+    end
+  done;
+  let stamps = !act_stamps and tasks = !act_tasks and prints = !act_prints in
+  (match
+     conflicts_of ~activations:!acts (fun f ->
+         for j = !acts - 1 downto 0 do
+           f stamps.(j) tasks.(j) prints.(j)
+         done)
+   with
+  | [] -> ()
+  | conflicts -> t.kept_conflicts <- conflicts :: t.kept_conflicts);
+  for j = 0 to !acts - 1 do
+    forget_call t tasks.(j)
+  done;
+  if !w < old_size then begin
+    t.size <- !w;
+    trim t ~old_size
+  end
+
+let drop_settled t ~before =
+  match List.partition (fun (_, _, tick) -> tick < before) t.pending with
+  | [], _ -> ()
+  | ready, waiting ->
+    t.pending <- waiting;
+    compact t (List.rev ready);
+    t.compact_at <- max min_compact (2 * t.size)
+
+let release t ~uid ~since ~time =
+  if t.retain && uid >= 0 && not (is_released t uid) then begin
+    let byte = uid lsr 3 in
+    if byte >= Bytes.length t.released then begin
+      let b = Bytes.make (max 64 (max (2 * Bytes.length t.released) (byte + 1))) '\000' in
+      Bytes.blit t.released 0 b 0 (Bytes.length t.released);
+      t.released <- b
+    end;
+    Bytes.unsafe_set t.released byte
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.released byte) lor (1 lsl (uid land 7))));
+    t.pending <- (uid, since, time) :: t.pending;
+    if t.size >= t.compact_at then drop_settled t ~before:time
+  end
+
+type tally = { entries : int; first : int; last : int }
+
+(* One event of each kind, fields zero: what a [dropped_tally] predicate
+   sees. *)
+let kind_samples =
+  [|
+    Spawned { task = 0; dest = 0; replica = 0 };
+    Activated { task = 0; proc = 0 };
+    Acked { task = 0; proc = 0 };
+    Completed { task = 0; proc = 0; work = 0 };
+    Inlined { parent_task = 0; proc = 0; work = 0 };
+    Aborted { task = 0; proc = 0; work = 0 };
+    Lost { task = 0; proc = 0; work = 0 };
+    Respawned { task = 0; dest = 0; reason = "" };
+    Inherited { orphan_task = 0; proc = 0 };
+    Result_accepted { task = 0 };
+    Duplicate_ignored { task = 0 };
+    Relayed { via = 0 };
+    Relay_dropped { at = 0; reason = "" };
+    Orphan_dropped { task = 0 };
+    Failure { proc = 0 };
+  |]
+
+let dropped_tally t ~window pred =
+  let acc = ref { entries = 0; first = max_int; last = min_int } in
+  if window >= 0 && 3 * (window + 1) * n_kinds <= Array.length t.tallies then
+    Array.iteri
+      (fun k sample ->
+        let o = 3 * ((window * n_kinds) + k) in
+        let a = t.tallies in
+        if a.(o) > 0 && pred sample then
+          acc :=
+            {
+              entries = !acc.entries + a.(o);
+              first = min !acc.first a.(o + 1);
+              last = max !acc.last a.(o + 2);
+            })
+      kind_samples;
+  !acc
+
+let retained t = t.size
+
+let dropped t = t.n_dropped
+
+let kept_whole t = t.n_kept_whole
+
+let late_entries t = t.n_late
 
 let event_label = function
   | Spawned _ -> "spawned"

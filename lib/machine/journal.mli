@@ -43,13 +43,19 @@ type entry = { time : int; stamp : Stamp.t; event : event }
 type t
 
 val create : ?retain:bool -> unit -> t
-(** [retain] (default [true]) keeps every entry in memory for {!entries},
-    {!for_stamp} and friends, in column chunks of five words per entry.
-    With [retain:false] — the scale-run mode, selected through
+(** [retain] (default [true]) keeps entries in memory for {!entries},
+    {!for_stamp} and friends, in column chunks of five words per entry:
+    every entry, except those of settled service requests {!release}
+    drops.  With [retain:false] — the scale-run mode, selected through
     [Config.journal_retain] — attached sinks still see every entry and
     {!length}/{!last_entry_time} stay exact, but no column is allocated
     and the per-stamp index remains empty, so journal memory is O(1) in
-    the run length. *)
+    the run length.
+
+    The readers {!entries}, {!for_stamp}, {!stamps}, {!count},
+    {!first_time}, {!last_time}, {!failures} and {!named_calls} see the
+    retained entries only.  A reader that needs every raw entry of a
+    stream attaches a sink before the first one is recorded. *)
 
 val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
 (** Every subsequent entry is also pushed into the sink as it is recorded
@@ -69,22 +75,25 @@ val note_call : t -> task:Ids.task_id -> string -> Recflow_lang.Value.t array ->
     id; with [retain:false] this does nothing.  It records no entry. *)
 
 val named_calls : t -> (Stamp.t * int) list
-(** Each distinct (stamp, call fingerprint) pair over the [Spawned],
-    [Respawned] and [Inherited] entries whose activation has a noted call,
-    sorted.  Equal calls (function name and arguments) have equal
+(** Each distinct (stamp, call fingerprint) pair over the retained
+    [Spawned], [Respawned] and [Inherited] entries whose activation has a
+    noted call, sorted.  Equal calls (function name and arguments) have equal
     fingerprints; distinct calls share one only by a 63-bit hash
     collision. *)
 
 val call_conflicts : t -> (Stamp.t * Ids.task_id * Ids.task_id) list
 (** [(stamp, older, newer)] for every activation [older] whose noted call
     differs from that of [newer], the newest activation noted under the
-    same stamp.  Empty when every stamp names one call. *)
+    same stamp.  Empty when every stamp names one call.  The conflicts of
+    the retained entries come first, in journal order, then those each
+    dropped request had when it was dropped. *)
 
 val entries : t -> entry list
 (** Chronological.  Each call decodes fresh [entry] values from the
     columns: entries from two calls are equal, not physically equal. *)
 
 val length : t -> int
+(** Entries recorded, whether retained, dropped or never kept. *)
 
 val last_entry_time : t -> int option
 (** Time of the newest entry. *)
@@ -106,6 +115,67 @@ val count : t -> (event -> bool) -> int
 val first_time : t -> Stamp.t -> (event -> bool) -> int option
 
 val last_time : t -> Stamp.t -> (event -> bool) -> int option
+
+(** {2 Dropping settled requests}
+
+    A service request [uid] owns the stamp subtree under
+    [Stamp.child Stamp.root uid].  Once it has settled (its answer is in
+    and nothing can name one of its tasks), the cluster {!release}s it,
+    and a retaining journal drops the request's entries from its columns
+    if no [Failure] time lies within the span of their times: such a
+    request is {e undisturbed}.  Its entries then sit inside one failure
+    window and include no [Lost] entry (one is recorded at a kill time),
+    so the recovery-episode analysis reads nothing of them but, per event
+    kind, how many fell in that window and their first and last times.
+    The journal keeps exactly that ({!dropped_tally}), along with the
+    request's call conflicts (read back by {!call_conflicts}), and frees
+    its call fingerprints.  A request a failure touched is kept whole, as
+    is the batch root and every root-stamp entry.
+
+    A request is only decided once the clock has passed its settle tick,
+    so a failure in that same tick still sees its entries.  Decisions are
+    batched: the columns are compacted in place once they have doubled
+    since the last compaction, and once more when a run ends
+    ({!drop_settled}). *)
+
+val release : t -> uid:int -> since:int -> time:int -> unit
+(** Service request [uid], opened at tick [since], settled at tick
+    [time].  Dropping assumes what a cluster's journal guarantees:
+    entries are recorded in time order, and none of the request's is
+    older than [since], so a request with no failure between [since] and
+    [time] is undisturbed without a look at its entries.  Releasing a
+    request twice, a negative uid or on a journal without [retain] does
+    nothing. *)
+
+val drop_settled : t -> before:int -> unit
+(** Decide now every released request that settled before tick
+    [before]: drop it, or keep it whole if a failure touched it.  The
+    cluster calls this when a run ends. *)
+
+type tally = { entries : int; first : int; last : int }
+(** [first] and [last] are meaningful only when [entries > 0]. *)
+
+val dropped_tally : t -> window:int -> (event -> bool) -> tally
+(** The dropped entries of the kinds [pred] accepts that lay in failure
+    window [window]: after the [window]-th [Failure] and before the next
+    (window [0] precedes every failure).  [pred] must depend on the event's
+    kind only: it is applied to one sample event of each kind, whose
+    fields are zero. *)
+
+val retained : t -> int
+(** Entries held in the columns. *)
+
+val dropped : t -> int
+(** Entries dropped with their settled requests. *)
+
+val kept_whole : t -> int
+(** Released requests kept whole because a failure lay within the span of
+    their entries. *)
+
+val late_entries : t -> int
+(** Entries recorded under a request already released.  A correct settle
+    leaves nothing that could record one, so any is an early release;
+    [Oracle.check] reports it. *)
 
 val event_label : event -> string
 

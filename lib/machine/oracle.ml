@@ -75,6 +75,12 @@ let check ?expected cluster =
   if reclaimed > 0 then
     viol "%d lookup(s) met a reclaimed task uid (a request was reclaimed before it settled)"
       reclaimed;
+  (* a released request's journal entries may be dropped, so nothing may
+     record one after its release *)
+  let late = Journal.late_entries (Cluster.journal cluster) in
+  if late > 0 then
+    viol "%d journal entr%s recorded under a request already released (it settled too early)"
+      late (if late = 1 then "y" else "ies");
   (* §3.1 and §4.3: a level stamp names one call *)
   (match Journal.call_conflicts (Cluster.journal cluster) with
   | [] -> ()

@@ -14,7 +14,8 @@
     needs a twin to regenerate exactly the subtree it replaces, so every
     activation spawned, re-issued or inherited under one stamp must carry
     the same call (function and arguments).  That check reads the retained
-    journal and is skipped for a run that does not retain it.
+    journal, with the conflicts each dropped request left behind, and is
+    skipped for a run that does not retain it.
 
     The completion-dependent checks only apply when they can be decided:
     the run drained to quiescence, recovery was enabled, no program error
@@ -32,7 +33,9 @@
 
     A settled request's task uids are reclaimed ({!Cluster.settled_requests});
     a lookup that meets one means the request was reclaimed before it
-    settled, and any such lookup is a violation.
+    settled, and any such lookup is a violation.  A settled request is
+    also released to the journal, and an entry recorded under a released
+    request ({!Journal.late_entries}) is a violation for the same reason.
 
     {!assert_ok} is wired into [Harness.run] with the workload's serial
     reference as [expected] — every experiment and every harness-driven

@@ -1,6 +1,8 @@
 module Stamp = Recflow_recovery.Stamp
 
 type request = {
+  uid : int;
+  opened : int;  (* tick the request opened *)
   mutable holds : int;
   mutable answer_in : bool;
   mutable retired_uids : int list;  (* [uid * procs + proc], newest first *)
@@ -11,6 +13,7 @@ type t = {
   procs : int;
   reclaim : proc:int -> int -> int;
   reclaim_all : unit -> int;
+  on_settle : uid:int -> opened:int -> unit;
   mutable batch : bool;  (* the one open request is the batch root *)
   mutable reqs : request array;  (* by [uid + 1] *)
   mutable n_settled : int;
@@ -20,14 +23,15 @@ type t = {
          so its holds are inert *)
 }
 
-let fresh () = { holds = 0; answer_in = false; retired_uids = []; closed = false }
+let fresh uid ~opened =
+  { uid; opened; holds = 0; answer_in = false; retired_uids = []; closed = false }
 
-let create ~procs ~reclaim ~reclaim_all =
-  let unknown = fresh () in
-  { procs; reclaim; reclaim_all; batch = false; reqs = [||]; n_settled = 0; n_reclaimed = 0;
-    unknown }
+let create ~procs ~reclaim ~reclaim_all ~on_settle =
+  let unknown = fresh min_int ~opened:0 in
+  { procs; reclaim; reclaim_all; on_settle; batch = false; reqs = [||]; n_settled = 0;
+    n_reclaimed = 0; unknown }
 
-let open_request t ~uid =
+let open_request t ~uid ~time =
   if uid < 0 then t.batch <- true;
   let i = uid + 1 in
   let n = Array.length t.reqs in
@@ -36,7 +40,7 @@ let open_request t ~uid =
     Array.blit t.reqs 0 grown 0 n;
     t.reqs <- grown
   end;
-  t.reqs.(i) <- fresh ()
+  t.reqs.(i) <- fresh uid ~opened:time
 
 let by_uid t uid =
   let i = uid + 1 in
@@ -63,7 +67,8 @@ let settle t r =
   if (not r.closed) && r != t.unknown then begin
     r.closed <- true;
     t.n_settled <- t.n_settled + 1;
-    reclaim_retired t r
+    reclaim_retired t r;
+    if r.uid >= 0 then t.on_settle ~uid:r.uid ~opened:r.opened
   end
 
 let adjust t stamp d =

@@ -31,13 +31,21 @@ module Stamp = Recflow_recovery.Stamp
 
 type t
 
-val create : procs:int -> reclaim:(proc:int -> int -> int) -> reclaim_all:(unit -> int) -> t
+val create :
+  procs:int ->
+  reclaim:(proc:int -> int -> int) ->
+  reclaim_all:(unit -> int) ->
+  on_settle:(uid:int -> opened:int -> unit) ->
+  t
 (** [procs] processors; [reclaim ~proc uid] rebinds one retired uid on its
     host, [reclaim_all ()] every retired uid of a batch run; each returns
-    how many tombstones it reclaimed. *)
+    how many tombstones it reclaimed.  [on_settle ~uid ~opened] runs once
+    per settled service request, after its uids are reclaimed, with the
+    tick the request opened (the batch root never calls it). *)
 
-val open_request : t -> uid:int -> unit
-(** Start the ledger of request [uid] ([-1]: the batch root). *)
+val open_request : t -> uid:int -> time:int -> unit
+(** Start the ledger of request [uid] ([-1]: the batch root) at tick
+    [time]. *)
 
 val hold : t -> Stamp.t -> unit
 (** One more hold on the request owning the stamp.  Stamps of no open

@@ -223,6 +223,36 @@ let analyze journal =
             if recovery_event then touch_quiesce e.Journal.time
           end)
         entries;
+      (* Settled requests the journal dropped lay wholly inside one window
+         with no [Lost] entry, so only their recovery-event tallies count:
+         none of them was activated, spawned or salvaged before this
+         failure, and none died in it. *)
+      let dropped pred = Journal.dropped_tally journal ~window:(i + 1) pred in
+      let kind_count pred = (dropped pred).Journal.entries in
+      reissued := !reissued + kind_count (function Journal.Respawned _ -> true | _ -> false);
+      inherited := !inherited + kind_count (function Journal.Inherited _ -> true | _ -> false);
+      relayed := !relayed + kind_count (function Journal.Relayed _ -> true | _ -> false);
+      orphans_dropped :=
+        !orphans_dropped + kind_count (function Journal.Orphan_dropped _ -> true | _ -> false);
+      duplicates :=
+        !duplicates + kind_count (function Journal.Duplicate_ignored _ -> true | _ -> false);
+      aborted := !aborted + kind_count (function Journal.Aborted _ -> true | _ -> false);
+      let respawns = dropped (function Journal.Respawned _ -> true | _ -> false) in
+      if respawns.Journal.entries > 0 then
+        first_respawn :=
+          Some
+            (match !first_respawn with
+            | Some time -> min time respawns.Journal.first
+            | None -> respawns.Journal.first);
+      let recovery =
+        dropped (function
+          | Journal.Respawned _ | Journal.Inherited _ | Journal.Relayed _
+          | Journal.Relay_dropped _ | Journal.Orphan_dropped _ | Journal.Duplicate_ignored _
+          | Journal.Aborted _ ->
+            true
+          | _ -> false)
+      in
+      if recovery.Journal.entries > 0 then touch_quiesce recovery.Journal.last;
       let redone_tasks = Stamp_tbl.length redone in
       let redone_work = Stamp_tbl.fold (fun _ w acc -> acc + w) redone 0 in
       let cases = case_histogram journal ~fail_time ~dead_stamps in

@@ -10,7 +10,13 @@
 
     Episodes partition time: a failure's window ends at the next failure
     (or the end of the journal), so overlapping recovery waves are
-    attributed to the failure that started them. *)
+    attributed to the failure that started them.
+
+    A service journal drops the entries of settled requests no failure
+    touched; each such request lay inside one window, so the analysis
+    adds its per-kind tallies ({!Recflow_machine.Journal.dropped_tally})
+    to what it reads from the retained entries, with the same result as
+    on every entry. *)
 
 module Journal = Recflow_machine.Journal
 module Splice_case = Recflow_recovery.Splice_case

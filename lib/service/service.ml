@@ -67,7 +67,7 @@ type pending = {
   mutable state : state;
 }
 
-let run ?(failures = []) ~config ~workload ~size ~requests () =
+let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
   if requests < 1 then invalid_arg "Service.run: requests must be >= 1";
   (* Service roots sit at stamp depth 1 (their uid digit), so an absolute
      inline-depth limit would cut the call tree one level short of what the
@@ -79,6 +79,7 @@ let run ?(failures = []) ~config ~workload ~size ~requests () =
   let svc = config.Config.service in
   let k = svc.Config.replicas in
   let cluster = Cluster.create config (Workload.program workload) in
+  Option.iter (Recflow_machine.Journal.attach_sink (Cluster.journal cluster)) sink;
   Recflow_fault.Plan.apply cluster failures;
   let expected = Workload.expected workload size in
   let fname = workload.Workload.entry in

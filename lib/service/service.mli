@@ -95,6 +95,7 @@ type outcome = {
 
 val run :
   ?failures:Recflow_fault.Plan.t ->
+  ?sink:Recflow_machine.Journal.entry Recflow_obs_core.Sink.t ->
   config:Config.t ->
   workload:Workload.t ->
   size:Workload.size ->
@@ -106,7 +107,9 @@ val run :
     from [failures] / [config.chaos] strike mid-stream like any batch run.
     The configured [inline_depth] is depth-shifted by one internally so a
     grain limit means the same thing as in batch mode (service roots sit
-    at stamp depth 1).
+    at stamp depth 1).  [sink] is attached to the cluster's journal
+    before the first arrival, so it sees every entry, including those of
+    the settled requests a retaining journal drops.
     @raise Invalid_argument on an invalid config or [requests < 1].
     @raise Failure when the recovery oracle finds a violation. *)
 

@@ -8,7 +8,8 @@
    words per kept entry, allocated 64 entries at a time), the graph
    instance of each activated task and the retired-uid list of a running
    service request.  The footprint gates below hold what a kept journal
-   entry costs once it is live and what a settled request leaves behind.
+   entry costs once it is live and what a settled request leaves behind,
+   with and without journal retention.
    An inlined leaf call allocates nothing once its result is in the
    cluster's inline cache: only the
    first run of each distinct scalar call builds [Eval_serial] frames.
@@ -111,8 +112,10 @@ let gate name measured bound =
    words per event on the tree configuration and 26.4 on the service one,
    in the test build (dev profile, no cross-module inlining, so a little
    above what the benchmark's release build allocates).  The service
-   configuration now measures 26.7: each running request lists the uids
-   it retires, 3 words per finished task, until it settles. *)
+   configuration now measures 27.1: each running request lists the uids
+   it retires, 3 words per finished task, until it settles, and the
+   journal's call fingerprints come in 65-word pages, one per 64 tasks,
+   freed with the settled requests that noted them. *)
 let tree_budget () = gate "tree" (tree_words_per_event ()) 27.2
 
 let service_budget () = gate "service" (service_words_per_event ()) 29.4
@@ -163,7 +166,7 @@ let journal_footprint () =
    [Obj.reachable_words] over the whole cluster once [Service.run]
    returns.  A settled request keeps one index cell per task uid and, when
    the journal retains, its journal entries. *)
-let stream_residue ~requests ~retain ~failures =
+let drained_stream ~requests ~retain ~failures =
   let base = Config.default ~nodes:8 in
   let cfg =
     {
@@ -182,7 +185,10 @@ let stream_residue ~requests ~retain ~failures =
   let c = o.Service.cluster in
   Alcotest.(check int) "every request settled" (Cluster.submitted_requests c)
     (Cluster.settled_requests c);
-  Obj.reachable_words (Obj.repr c)
+  c
+
+let stream_residue ~requests ~retain ~failures =
+  Obj.reachable_words (Obj.repr (drained_stream ~requests ~retain ~failures))
 
 (* Without retention the residue grows by the settled requests' index
    cells alone: about 1.2k words per request (3 replicas of about 67 task
@@ -199,16 +205,52 @@ let stream_residue_slope () =
   if slope > 1500.0 then
     Alcotest.failf "a settled request leaves %.0f live words (bound 1500)" slope
 
+(* With retention the journal drops each settled request's entries and
+   call fingerprints, so a retaining stream leaves about what a
+   non-retaining one does: the slope was about 7.3k words per request
+   while every entry was kept. *)
+let retained_stream_residue_slope () =
+  let w250 = stream_residue ~requests:250 ~retain:true ~failures:[] in
+  let w1000 = stream_residue ~requests:1000 ~retain:true ~failures:[] in
+  let slope = float_of_int (w1000 - w250) /. 750.0 in
+  Printf.printf
+    "retained stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound \
+     1500)\n"
+    w250 w1000 slope;
+  if slope > 1500.0 then
+    Alcotest.failf "a settled request leaves %.0f live words with retention (bound 1500)" slope
+
 (* The benchmark's service_k3 iteration itself: 500 requests, retained
    journal, kills at 60k on processor 0 and 120k on processor 2.  It held
-   5.71 M words when every tombstone was kept. *)
+   5.71 M words when every tombstone was kept, 4.02 M when every journal
+   entry was, and 0.64 M now that the journal keeps, of the settled
+   requests, only the 16 a kill touched: each request it still holds an
+   entry of has a failure within the span of its entries' times. *)
 let service_k3_residue () =
-  let w =
-    stream_residue ~requests:500 ~retain:true ~failures:[ (60_000, 0); (120_000, 2) ]
-  in
-  Printf.printf "service_k3 drained: %d words (bound 4300000)\n" w;
-  if w > 4_300_000 then
-    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 4.3 M)" w
+  let c = drained_stream ~requests:500 ~retain:true ~failures:[ (60_000, 0); (120_000, 2) ] in
+  let w = Obj.reachable_words (Obj.repr c) in
+  let j = Cluster.journal c in
+  Printf.printf "service_k3 drained: %d words, %d journal entries retained (bound 700000)\n" w
+    (Journal.retained j);
+  let fails = List.map fst (Journal.failures j) in
+  let spans = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Journal.entry) ->
+      if Stamp.depth e.Journal.stamp > 0 then begin
+        let uid = Stamp.digit e.Journal.stamp 0 and time = e.Journal.time in
+        let lo, hi = Option.value ~default:(time, time) (Hashtbl.find_opt spans uid) in
+        Hashtbl.replace spans uid (min lo time, max hi time)
+      end)
+    (Journal.entries j);
+  Hashtbl.iter
+    (fun uid (lo, hi) ->
+      if not (List.exists (fun f -> lo <= f && f <= hi) fails) then
+        Alcotest.failf "request %d settled undisturbed but its entries were kept" uid)
+    spans;
+  Alcotest.(check int) "requests with kept entries are the ones kept whole"
+    (Journal.kept_whole j) (Hashtbl.length spans);
+  if w > 700_000 then
+    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 0.70 M)" w
 
 let suites =
   [
@@ -219,6 +261,8 @@ let suites =
         Alcotest.test_case "tree_1024 config: one inline miss" `Quick tree_one_miss;
         Alcotest.test_case "retained journal footprint" `Quick journal_footprint;
         Alcotest.test_case "stream residue per settled request" `Quick stream_residue_slope;
+        Alcotest.test_case "retained stream residue per settled request" `Quick
+          retained_stream_residue_slope;
         Alcotest.test_case "service_k3 drained footprint" `Quick service_k3_residue;
       ] );
   ]

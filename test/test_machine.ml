@@ -790,6 +790,201 @@ let journal_columns_match_model ~retain ~sink =
         ops
       && check_all ())
 
+(* Releases against the same list model.  A stream's requests own the
+   depth-1 subtrees [uid; ...]; each request's task ids are its own
+   ([uid * 1000 + k]), [Lost] entries are recorded only at a failure's
+   tick, just before its root-stamp [Failure] entry, and times never
+   decrease, as in a cluster's journal.  A request opens at some tick,
+   may record its first entry later, is released at the current tick,
+   and records nothing afterwards.  After a last
+   [drop_settled], the journal must hold the model minus the subtrees of
+   the released requests no failure touched (none lies within the span of
+   their entries' times), count every entry in [length], report every
+   call conflict of the full model, and give the episode analysis the
+   reference analysis gives on a journal of every entry. *)
+type release_op =
+  | Rel_open of int  (** tick step: the next uid opens *)
+  | Rel_record of int * int * int list * int * int * int
+      (** tick step, which open request, digits below its root, kind,
+          task offset, proc *)
+  | Rel_note of int * int * string * int  (** which request, task offset, function, argument *)
+  | Rel_fail of int * int * (int * int list * int) list
+      (** tick step, failed proc, and what it held: request, digits, task
+          offset *)
+  | Rel_release of int  (** which request *)
+  | Rel_drop
+
+let gen_release_op =
+  let open QCheck.Gen in
+  let pick = int_bound 7 in
+  let digits = list_size (int_bound 1) (int_bound 1) in
+  let kind = oneofl [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 10; 11; 12; 13 ] in
+  frequency
+    [
+      (4, map (fun dt -> Rel_open dt) (int_bound 3));
+      ( 60,
+        map3
+          (fun (dt, p) (ds, kind) (k, proc) -> Rel_record (dt, p, ds, kind, k, proc))
+          (pair (int_bound 3) pick) (pair digits kind)
+          (pair (int_bound 5) (int_bound 3)) );
+      ( 8,
+        map3 (fun (p, k) f arg -> Rel_note (p, k, f, arg)) (pair pick (int_bound 5))
+          (oneofl [ "f"; "g" ]) (int_bound 1) );
+      ( 1,
+        map3
+          (fun dt proc lost -> Rel_fail (dt, proc, lost))
+          (int_bound 3) (int_bound 3)
+          (list_size (int_bound 3) (triple pick digits (int_bound 5))) );
+      (4, map (fun p -> Rel_release p) pick);
+      (1, return Rel_drop);
+    ]
+
+let journal_releases_match_model =
+  QCheck.Test.make ~count:40 ~name:"releases = list model minus undisturbed subtrees"
+    (QCheck.make
+       QCheck.Gen.(
+         oneof [ int_bound 80; int_range 600 1600 ] >>= fun n -> list_repeat n gen_release_op))
+    (fun ops ->
+      let j = Journal.create () and full = Journal.create () in
+      let all = ref [] and calls = Hashtbl.create 16 and now = ref 0 in
+      (* open requests, newest first, with their open ticks; uids start
+         below 256 and cross into the stamps' spill layout *)
+      let active = ref [] and next_uid = ref 250 and released = Hashtbl.create 8 in
+      let add time stamp event =
+        Journal.record j ~time ~stamp event;
+        Journal.record full ~time ~stamp event;
+        all := { Journal.time; stamp; event } :: !all
+      in
+      let with_request p f =
+        match !active with [] -> () | l -> f (List.nth l (p mod List.length l))
+      in
+      let stamp_of uid ds = Stamp.of_digits (uid :: ds) in
+      let event_of kind task proc =
+        match kind with
+        | 0 -> Journal.Spawned { task; dest = proc; replica = 0 }
+        | 1 -> Journal.Activated { task; proc }
+        | 2 -> Journal.Acked { task; proc }
+        | 3 -> Journal.Completed { task; proc; work = 1 + (task mod 7) }
+        | 4 -> Journal.Inlined { parent_task = task; proc; work = 2 }
+        | 5 -> Journal.Aborted { task; proc; work = 3 }
+        | 7 -> Journal.Respawned { task; dest = proc; reason = "notice" }
+        | 8 -> Journal.Inherited { orphan_task = task; proc }
+        | 9 -> Journal.Result_accepted { task }
+        | 10 -> Journal.Duplicate_ignored { task }
+        | 11 -> Journal.Relayed { via = proc }
+        | 12 -> Journal.Relay_dropped { at = proc; reason = "step-parent died" }
+        | _ -> Journal.Orphan_dropped { task }
+      in
+      List.iter
+        (function
+          | Rel_open dt ->
+            now := !now + dt;
+            active := (!next_uid, !now) :: !active;
+            incr next_uid
+          | Rel_record (dt, p, ds, kind, k, proc) ->
+            now := !now + dt;
+            with_request p (fun (uid, _) ->
+                add !now (stamp_of uid ds) (event_of kind ((uid * 1000) + k) proc))
+          | Rel_note (p, k, fname, arg) ->
+            with_request p (fun (uid, _) ->
+                Journal.note_call j ~task:((uid * 1000) + k) fname [| Value.Int arg |];
+                Hashtbl.replace calls ((uid * 1000) + k) (fname, arg))
+          | Rel_fail (dt, proc, lost) ->
+            now := !now + dt;
+            List.iter
+              (fun (p, ds, k) ->
+                with_request p (fun (uid, _) ->
+                    add !now (stamp_of uid ds)
+                      (Journal.Lost { task = (uid * 1000) + k; proc; work = k })))
+              lost;
+            add !now Stamp.root (Journal.Failure { proc })
+          | Rel_release p ->
+            with_request p (fun ((uid, since) as r) ->
+                active := List.filter (fun r' -> r' <> r) !active;
+                Hashtbl.replace released uid ();
+                Journal.release j ~uid ~since ~time:!now)
+          | Rel_drop -> Journal.drop_settled j ~before:!now)
+        ops;
+      Journal.drop_settled j ~before:(!now + 1);
+      let m = List.rev !all in
+      let owner (e : Journal.entry) =
+        if Stamp.depth e.stamp = 0 then -1 else Stamp.digit e.stamp 0
+      in
+      let fails =
+        List.filter_map
+          (fun (e : Journal.entry) ->
+            match e.event with Journal.Failure _ -> Some e.time | _ -> None)
+          m
+      in
+      let touched uid =
+        match List.filter (fun e -> owner e = uid) m with
+        | [] -> false
+        | mine ->
+          let times = List.map (fun (e : Journal.entry) -> e.time) mine in
+          let lo = List.fold_left min max_int times and hi = List.fold_left max min_int times in
+          List.exists (fun f -> lo <= f && f <= hi) fails
+      in
+      let kept_whole = Hashtbl.fold (fun uid () n -> if touched uid then n + 1 else n) released 0 in
+      let dropped uid = Hashtbl.mem released uid && not (touched uid) in
+      let retained = List.filter (fun e -> not (dropped (owner e))) m in
+      let noted (e : Journal.entry) =
+        match e.event with
+        | Journal.Spawned { task; _ } | Journal.Respawned { task; _ }
+        | Journal.Inherited { orphan_task = task; _ }
+          when Hashtbl.mem calls task ->
+          Some task
+        | _ -> None
+      in
+      let conflicts =
+        let newest = ref [] and out = ref [] in
+        List.iter
+          (fun (e : Journal.entry) ->
+            match noted e with
+            | None -> ()
+            | Some task -> (
+              match List.find_opt (fun (s, _) -> Stamp.equal s e.stamp) !newest with
+              | None -> newest := (e.stamp, task) :: !newest
+              | Some (_, newer) ->
+                if Hashtbl.find calls task <> Hashtbl.find calls newer then
+                  out := (e.stamp, task, newer) :: !out))
+          (List.rev m);
+        !out
+      in
+      let sorted l =
+        List.sort
+          (fun (s, a, b) (s', a', b') ->
+            match Stamp.compare s s' with 0 -> compare (a, b) (a', b') | c -> c)
+          l
+      in
+      let episodes = Test_service.Quadratic_episodes.analyze full in
+      List.equal same_entry (Journal.entries j) retained
+      && Journal.length j = List.length m
+      && Journal.retained j = List.length retained
+      && Journal.dropped j = List.length m - List.length retained
+      && Journal.kept_whole j = kept_whole
+      && Journal.late_entries j = 0
+      && List.equal
+           (fun (s, a, b) (s', a', b') -> Stamp.equal s s' && a = a' && b = b')
+           (sorted (Journal.call_conflicts j)) (sorted conflicts)
+      && Recflow_obs.Episode.analyze j = episodes)
+
+(* An entry recorded under a released request is counted, whether or not
+   the request has been dropped yet. *)
+let late_entries_counted () =
+  let j = Journal.create () in
+  let r = Stamp.child Stamp.root 3 in
+  Journal.record j ~time:1 ~stamp:r (Journal.Spawned { task = 0; dest = 0; replica = 0 });
+  Journal.release j ~uid:3 ~since:1 ~time:2;
+  Journal.record j ~time:2 ~stamp:(Stamp.child r 0) (Journal.Activated { task = 1; proc = 0 });
+  check_int "one late entry" 1 (Journal.late_entries j);
+  Journal.drop_settled j ~before:3;
+  Journal.record j ~time:4 ~stamp:r (Journal.Completed { task = 0; proc = 0; work = 1 });
+  check_int "two late entries" 2 (Journal.late_entries j);
+  Journal.record j ~time:5 ~stamp:(Stamp.child Stamp.root 4)
+    (Journal.Spawned { task = 5; dest = 0; replica = 0 });
+  check_int "another request's entry is not late" 2 (Journal.late_entries j);
+  check_int "every entry counted" 4 (Journal.length j)
+
 (* "At most one distinct root answer" cannot catch a consistently wrong
    answer; the expected value can.  A correct fib run under a failure
    passes with the right value and gets exactly one violation with a
@@ -855,7 +1050,11 @@ let suites =
       List.concat_map
         (fun retain ->
           List.map (fun sink -> qtest (journal_columns_match_model ~retain ~sink)) [ false; true ])
-        [ true; false ] );
+        [ true; false ]
+      @ [
+          qtest journal_releases_match_model;
+          Alcotest.test_case "late entries counted" `Quick late_entries_counted;
+        ] );
     ( "machine.timeline",
       [
         Alcotest.test_case "render" `Quick timeline_render;

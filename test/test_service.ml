@@ -343,6 +343,8 @@ let reclamation_gauntlet () =
       check (name ^ ": all correct") true o.Service.all_correct;
       check (name ^ ": oracle ok") true (Oracle.ok o.Service.oracle);
       check_int (name ^ ": lookups of a reclaimed uid") 0 (Cluster.reclaimed_lookups c);
+      check_int (name ^ ": entries under a released request") 0
+        (Journal.late_entries (Cluster.journal c));
       check_int (name ^ ": every request settled") (Cluster.submitted_requests c)
         (Cluster.settled_requests c);
       check (name ^ ": tombstones reclaimed") true (Cluster.reclaimed_tombstones c > 0))
@@ -364,6 +366,15 @@ let stream c ~n ~gap ?on_answer () =
   Cluster.schedule_callback c ~delay:1 (arrive n);
   uids
 
+(* Some violation the oracle reports mentions [needle]. *)
+let reports needle (r : Oracle.report) =
+  let n = String.length needle in
+  List.exists
+    (fun v ->
+      let rec has i = i + n <= String.length v && (String.sub v i n = needle || has (i + 1)) in
+      has 0)
+    r.Oracle.violations
+
 (* The witness can fire: reclaiming each request the moment its answer
    lands, before the straggling replica results and acknowledgements of
    its tasks have drained, makes later lookups meet reclaimed uids, and
@@ -375,14 +386,21 @@ let early_reclaim_is_caught () =
   ignore (Cluster.run c);
   check "a lookup met a reclaimed uid" true (Cluster.reclaimed_lookups c > 0);
   let r = Oracle.check c in
-  check "oracle reports it" true
-    (List.exists
-       (fun v ->
-         let needle = "reclaimed task uid" in
-         let n = String.length needle in
-         let rec has i = i + n <= String.length v && (String.sub v i n = needle || has (i + 1)) in
-         has 0)
-       r.Oracle.violations)
+  check "oracle reports it" true (reports "reclaimed task uid" r)
+
+(* The journal's witness can fire too: releasing each request's entries
+   the moment its answer lands, before its straggling tasks have finished
+   recording, leaves entries recorded under released requests, and the
+   oracle reports them. *)
+let early_release_is_caught () =
+  let cfg = { (svc_cfg ~nodes:6 ~seed:4 ()) with Config.recovery = Config.Replicate 3 } in
+  let c = Cluster.create cfg (Workload.program Workload.fib) in
+  let _ = stream c ~n:12 ~gap:100 ~on_answer:(fun uid _ -> Cluster.release_unsettled c uid) () in
+  ignore (Cluster.run c);
+  check "an entry was recorded under a released request" true
+    (Journal.late_entries (Cluster.journal c) > 0);
+  let r = Oracle.check c in
+  check "oracle reports it" true (reports "request already released" r)
 
 (* A result that bounces off its dead parent sends [handle_bounce] folding
    over the whole index for its producer, past the reclaimed bindings of
@@ -393,6 +411,11 @@ let bounce_after_reclaim () =
   let cfg = { (svc_cfg ~nodes:4 ~seed:2 ()) with Config.detect_delay = 1500 } in
   let kill = 2500 in
   let c = Cluster.create cfg (Workload.program Workload.fib) in
+  (* the settled requests' entries leave the retained journal, so the
+     bounces are looked for in a sink that sees every entry *)
+  let entries = ref [] in
+  Journal.attach_sink (Cluster.journal c)
+    (Recflow_obs_core.Sink.of_fun (fun e -> entries := e :: !entries));
   Cluster.fail_at c ~time:kill 1;
   let _ = stream c ~n:30 ~gap:120 () in
   let reclaimed_before = ref 0 and relayed_in_window = ref 0 in
@@ -413,7 +436,7 @@ let bounce_after_reclaim () =
         match e.Journal.event with
         | Journal.Relay_dropped { reason = "producer gone after bounce"; _ } -> true
         | _ -> false)
-      (Journal.entries (Cluster.journal c))
+      !entries
   in
   check "every bounce found its producer" false lost_producer;
   for uid = 0 to Cluster.submitted_requests c - 1 do
@@ -652,38 +675,77 @@ module Quadratic_episodes = struct
       failures
 end
 
+(* A stream run twice over: [Service.run]'s own journal, which drops its
+   settled requests' entries, and a full journal fed every entry by a
+   sink attached before the first arrival. *)
+let run_with_full ?failures ~requests cfg =
+  let full = Journal.create () in
+  let sink =
+    Recflow_obs_core.Sink.of_fun (fun (e : Journal.entry) ->
+        Journal.record full ~time:e.Journal.time ~stamp:e.Journal.stamp e.Journal.event)
+  in
+  let o =
+    Service.run ?failures ~sink ~config:cfg ~workload:Workload.fib ~size:Workload.Tiny ~requests ()
+  in
+  (o, full)
+
 let episodes_match_reference () =
+  let json eps = List.map (fun e -> Json.to_string (Episode.to_json e)) eps in
   let same name journal =
     let expected = Quadratic_episodes.analyze journal and got = Episode.analyze journal in
-    let json eps = List.map (fun e -> Json.to_string (Episode.to_json e)) eps in
+    Alcotest.(check (list string)) name (json expected) (json got);
+    check (name ^ ": field for field") true (expected = got)
+  in
+  (* the released journal's analysis against the reference analysis of
+     the full one *)
+  let same_as_full name (o, full) =
+    let journal = Cluster.journal o.Service.cluster in
+    check (name ^ ": entries were dropped") true (Journal.dropped journal > 0);
+    check_int (name ^ ": length counts every entry") (Journal.length full)
+      (Journal.length journal);
+    let expected = Quadratic_episodes.analyze full and got = Episode.analyze journal in
     Alcotest.(check (list string)) name (json expected) (json got);
     check (name ^ ": field for field") true (expected = got)
   in
   same "hand-built" (hand_built_journal ());
   let gauntlet =
-    run ~failures:[ (2000, 0); (3500, 2) ] ~requests:24
+    run_with_full ~failures:[ (2000, 0); (3500, 2) ] ~requests:24
       (svc_cfg ~nodes:4 ~arrival_mean:150.0 ~seed:7 ())
   in
-  same "gauntlet" (Cluster.journal gauntlet.Service.cluster);
+  same_as_full "gauntlet" gauntlet;
   let partition =
     let base = svc_cfg ~nodes:4 ~arrival_mean:120.0 ~seed:5 () in
-    run ~requests:16
+    run_with_full ~requests:16
       {
         base with
         Config.reliable = true;
         chaos = Recflow_net.Chaos.none |> Plan.partition ~from:300 ~until:4500 ~groups:[ [ 2; 3 ] ];
       }
   in
-  same "partition" (Cluster.journal partition.Service.cluster);
-  let faulty =
-    run ~failures:[ (3000, 0); (6000, 2) ] ~requests:100 (svc_cfg ~seed:17 ())
+  same_as_full "partition" partition;
+  let ((faulty, _) as faulty_full) =
+    run_with_full ~failures:[ (3000, 0); (6000, 2) ] ~requests:100 (svc_cfg ~seed:17 ())
   in
   check "faulty stream: two episodes, one with losses and splice cases" true
     (match Episode.analyze (Cluster.journal faulty.Service.cluster) with
     | [ e1; e2 ] ->
       List.exists (fun e -> e.Episode.lost_tasks > 0 && e.Episode.cases <> []) [ e1; e2 ]
     | _ -> false);
-  same "100-request stream" (Cluster.journal faulty.Service.cluster)
+  same_as_full "100-request stream" faulty_full;
+  (* Replicated children leave aborts and ignored duplicates in requests
+     no failure touched: the analysis must count them from the dropped
+     requests' tallies. *)
+  let ((replicated, _) as replicated_full) =
+    run_with_full ~failures:[ (3000, 0); (6000, 2) ] ~requests:40
+      { (svc_cfg ~seed:11 ()) with Config.recovery = Config.Replicate 3 }
+  in
+  let tally =
+    Journal.dropped_tally (Cluster.journal replicated.Service.cluster) ~window:1 (function
+      | Journal.Aborted _ | Journal.Duplicate_ignored _ -> true
+      | _ -> false)
+  in
+  check "replicate:3: dropped requests left recovery events" true (tally.Journal.entries > 0);
+  same_as_full "replicate:3 stream" replicated_full
 
 let suites =
   [
@@ -714,6 +776,7 @@ let suites =
       [
         Alcotest.test_case "gauntlet" `Quick reclamation_gauntlet;
         Alcotest.test_case "early reclaim is caught" `Quick early_reclaim_is_caught;
+        Alcotest.test_case "early journal release is caught" `Quick early_release_is_caught;
         Alcotest.test_case "bounce after reclaim" `Quick bounce_after_reclaim;
       ] );
   ]
