@@ -103,8 +103,8 @@ let serve_main cfg ~workload_name ~size ~size_name ~requests ~arrival_mean ~serv
     let cl = o.Service.cluster in
     Format.printf "requests retired: %d of %d submitted (settled, task uids reclaimed)@."
       (Cluster.settled_requests cl) (Cluster.submitted_requests cl);
-    Format.printf "tombstones reclaimed: %d (lookups of a reclaimed uid: %d)@."
-      (Cluster.reclaimed_tombstones cl) (Cluster.reclaimed_lookups cl);
+    Format.printf "index cells freed: %d (messages naming a reclaimed request: %d)@."
+      (Cluster.reclaimed_tombstones cl) (Cluster.reclaimed_hits cl);
     let j = Cluster.journal cl in
     Format.printf "journal entries: %d recorded, %d retained, %d dropped with settled requests@."
       (Journal.length j) (Journal.retained j) (Journal.dropped j);

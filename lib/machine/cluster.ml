@@ -993,11 +993,13 @@ let settled_requests t = Settle.settled t.settle
 
 let reclaimed_tombstones t = Settle.reclaimed t.settle
 
-let reclaimed_lookups t = sum_nodes t Node.reclaimed_lookups
+let reclaimed_hits t = sum_nodes t Node.reclaimed_hits
 
 let reclaim_unsettled t uid =
   ignore (find_request t uid);
   Settle.force t.settle ~uid
+
+let replay t ~dst msg = Node.deliver t.node_arr.(dst) (ctx t) msg
 
 let release_unsettled t uid =
   ignore (find_request t uid);

@@ -121,27 +121,35 @@ val request_redispatches : t -> int -> int
     nothing can name one of its tasks any more: no task of it is live, no
     message naming one is in flight or parked, and no checkpoint under its
     stamp is held (see {!Settle}).  Its task uids are then reclaimed on the
-    processors that hosted them: each uid's tombstone drops to a constant,
-    in place, so the node indexes keep their iteration order and every run
-    stays byte-identical.  The batch root settles the same way, at the end
-    of a drained run.  A settled service request is also released to the
-    journal, which drops its entries unless a failure touched them
-    ({!Journal.release}). *)
+    processors that hosted them: each uid's index cell is freed, and the
+    indexes count the keys ever inserted, so their walks keep their order
+    and every run stays byte-identical.  The batch root settles the same
+    way, at the end of a drained run.  A settled service request is also
+    released to the journal, which drops its entries unless a failure
+    touched them ({!Journal.release}). *)
 
 val settled_requests : t -> int
 (** Requests settled, and so retired, so far. *)
 
 val reclaimed_tombstones : t -> int
-(** Task tombstones reclaimed so far, over every processor. *)
+(** Task tombstones reclaimed so far, over every processor: each one's
+    index cell is freed. *)
 
-val reclaimed_lookups : t -> int
-(** Lookups that met a reclaimed uid, over every processor: each one is a
+val reclaimed_hits : t -> int
+(** Messages that named a reclaimed request, and run-queue uids found
+    freed, over every processor ({!Node.reclaimed_hits}): each one is a
     request reclaimed before it settled.  {!Oracle.check} reports any. *)
 
 val reclaim_unsettled : t -> int -> unit
 (** For tests only: reclaim request [uid]'s retired tasks now, settled or
-    not, to show that a wrong settle shows up in {!reclaimed_lookups}.
+    not, to show that a wrong settle shows up in {!reclaimed_hits}.
     @raise Invalid_argument for an unknown uid. *)
+
+val replay : t -> dst:Ids.proc_id -> Message.t -> unit
+(** For tests only: hand [msg] to live processor [dst] now, bypassing the
+    network and the settle ledger, as a late duplicate would arrive — to
+    show that a message naming a reclaimed request is counted in
+    {!reclaimed_hits} and ignored. *)
 
 val release_unsettled : t -> int -> unit
 (** For tests only: release request [uid]'s journal entries now, settled

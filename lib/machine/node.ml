@@ -159,8 +159,8 @@ type task = {
       (* this task, as an orphan, already announced itself upward *)
 }
 
-(* What the index knows about a uid.  A binding goes Alive -> Gone ->
-   Reclaimed, and its key is never removed.
+(* What the index knows about a uid.  A binding goes Alive -> Gone, and
+   then its key is removed.
 
    - [Alive]: the full task record, from activation until it finishes.
    - [Gone]: a finished task's full record (instance, children, pending
@@ -173,18 +173,21 @@ type task = {
      the work and the dropped flag, so the task is *retired* to a record
      of exactly those fields.  The packet's function name and arguments
      are not kept, nor the uid (it is the index key).
-   - [Reclaimed]: once the task's request has settled ({!Settle}: its
-     answer is in, and no live task, message or checkpoint can name one of
-     its tasks), the tombstone is dead weight too and the binding drops to
-     this constant; only the bucket cell remains.  A lookup that meets it
-     means the settle rule was wrong: every lookup site treats it as a
-     Gone it may ignore, and [lookup] counts it for the oracle.
+   - removed: once the task's request has settled ({!Settle}: its answer
+     is in, and no live task, message or checkpoint can name one of its
+     tasks), the tombstone is dead weight too and its cell is freed.  A
+     freed uid looks up as [Absent], like a uid not activated yet, so the
+     witness of a wrong settle is the ledger's: [deliver] and
+     [handle_bounce] count and ignore a message naming a reclaimed request
+     ({!Settle.msg_names_reclaimed}), and the scheduler counts a run-queue
+     uid that has gone [Absent].
 
    §3.3 assumes a uid is never reused.  Task uids stay monotone
-   ([ctx.fresh_task_id]) and every uid keeps its key in the index, so a
-   late message addressed to a dead uid can never be confused with a
-   newer task.
+   ([ctx.fresh_task_id]), so a late message addressed to a dead uid can
+   never be confused with a newer task.
 
+   [Reclaimed] is the index's dead value: a cell is rebound to it as it is
+   unlinked, so a walk that already holds the cell passes over it.
    [Absent] is never stored: it is [lookup]'s answer for a uid the index
    does not hold. *)
 type lookup =
@@ -205,20 +208,20 @@ type lookup =
 type t = {
   nid : Ids.proc_id;
   mutable alive : bool;
-  (* uid -> live task, tombstone or reclaimed.  Keys are only ever
-     inserted (activation), and retirement and reclamation rebind an
-     existing key in place ([Hashtbl.replace], [filter_map_inplace]), so
-     the table's iteration order is a pure function of the uid insertion
-     sequence — the protocol scans below that walk it (abort cascades,
-     vote accounting, producer lookup, adoption reports) observe the same
-     order whatever the bindings hold, keeping runs bit-identical.
-     Removing a key instead would move the table's resize points, and
-     with them that order. *)
-  tasks : (Ids.task_id, lookup) Hashtbl.t;
+  (* uid -> live task or tombstone.  Keys are inserted at activation,
+     retirement rebinds a key in place, and reclamation removes it.  The
+     index ({!Uid_index}) walks in the order a stdlib [Hashtbl] keeping
+     every uid ever activated would, less the removed keys: the protocol
+     scans below that walk it (abort cascades, vote accounting, producer
+     lookup, adoption reports) skip reclaimed uids, so they observe the
+     same order as when every key stayed, keeping runs bit-identical. *)
+  tasks : lookup Uid_index.t;
   mutable reclaimed_waste : int;
       (* wasted work of the reclaimed tombstones, which [recount] can no
          longer read from them *)
-  mutable reclaimed_hits : int;  (* lookups that met [Reclaimed]: wrong settles *)
+  mutable reclaimed_hits : int;
+      (* messages naming a reclaimed request, and run-queue uids found
+         freed: wrong settles *)
   (* incremental load accounting: maintained on every state transition so
      the balancer/oracle queries are O(1) instead of a fold over every
      task that ever lived *)
@@ -260,7 +263,7 @@ let create nid (config : Config.t) =
   {
     nid;
     alive = true;
-    tasks = Hashtbl.create 64;
+    tasks = Uid_index.create ~dead:Reclaimed;
     reclaimed_waste = 0;
     reclaimed_hits = 0;
     n_live = 0;
@@ -331,7 +334,7 @@ let wasted_work t = t.n_wasted
    reference ([pick_next], [step], [kill]). *)
 let retire t ctx task result ~scheduled =
   let p = task.packet in
-  Hashtbl.replace t.tasks task.tid
+  Uid_index.replace t.tasks task.tid
     (Gone
        {
          r_stamp = p.Packet.stamp;
@@ -346,13 +349,10 @@ let retire t ctx task result ~scheduled =
   Settle.retired ctx.settle p.Packet.stamp ~proc:t.nid task.tid;
   if not scheduled then Settle.release ctx.settle p.Packet.stamp
 
-let lookup t tid =
-  match Hashtbl.find t.tasks tid with
-  | Reclaimed ->
-    t.reclaimed_hits <- t.reclaimed_hits + 1;
-    Reclaimed
-  | e -> e
-  | exception Not_found -> Absent
+let lookup t tid = Uid_index.find t.tasks tid ~default:Absent
+
+(* Only a wrong settle frees a uid something still names. *)
+let note_hit t = t.reclaimed_hits <- t.reclaimed_hits + 1
 
 (* A settled request's tombstone leaves the waste it counted with
    [recount]'s baseline. *)
@@ -362,36 +362,27 @@ let note_reclaimed t = function
   | Absent | Reclaimed | Alive _ -> ()
 
 let reclaim t tid =
-  match Hashtbl.find t.tasks tid with
+  match lookup t tid with
   | Gone _ as e ->
     note_reclaimed t e;
-    Hashtbl.replace t.tasks tid Reclaimed;
+    Uid_index.remove t.tasks tid;
     1
   | Absent | Reclaimed | Alive _ -> 0
-  | exception Not_found -> 0
 
-let some_reclaimed = Some Reclaimed
-
-(* [filter_map_inplace] rewrites each bucket cell's binding where it
-   stands: no key moves and no cell is allocated. *)
 let reclaim_all t =
-  let n = ref 0 in
-  Hashtbl.filter_map_inplace
-    (fun _ e ->
+  Uid_index.remove_if t.tasks (fun _ e ->
       match e with
       | Gone _ ->
         note_reclaimed t e;
-        incr n;
-        some_reclaimed
-      | Absent | Reclaimed | Alive _ -> Some e)
-    t.tasks;
-  !n
+        true
+      | Absent | Reclaimed | Alive _ -> false)
 
-let reclaimed_lookups t = t.reclaimed_hits
+let reclaimed_hits t = t.reclaimed_hits
 
-(* Walk the live tasks in the index's (legacy) iteration order; retiring
-   the visited task rebinds its key in place, which is safe mid-walk. *)
-let iter_live t f = Hashtbl.iter (fun _ e -> match e with Alive task -> f task | _ -> ()) t.tasks
+(* Walk the live tasks in the index's (legacy) iteration order.  Retiring
+   the visited task rebinds its key in place, and can settle its request
+   and so free cells, the visited one included: both are safe mid-walk. *)
+let iter_live t f = Uid_index.iter (fun _ e -> match e with Alive task -> f task | _ -> ()) t.tasks
 
 let set_state t task st =
   if task.state <> st then begin
@@ -470,7 +461,7 @@ let snapshot t =
    invariant oracle for the property tests, never used on a hot path. *)
 let recount t =
   let live = ref 0 and blocked = ref 0 and wasted = ref t.reclaimed_waste in
-  Hashtbl.iter
+  Uid_index.iter
     (fun _ e ->
       match e with
       | Alive task ->
@@ -483,7 +474,7 @@ let recount t =
   (!live, !blocked, !wasted)
 
 let resident_tasks t =
-  Hashtbl.fold
+  Uid_index.fold
     (fun _ e n -> match e with Alive _ -> n + 1 | Gone _ | Reclaimed | Absent -> n)
     t.tasks 0
 
@@ -1212,7 +1203,7 @@ let activate_task t ctx packet ~task_id =
       adoption_reported = false;
     }
   in
-  Hashtbl.replace t.tasks task_id (Alive task);
+  Uid_index.replace t.tasks task_id (Alive task);
   t.n_live <- t.n_live + 1;
   Settle.hold ctx.settle packet.Packet.stamp;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
@@ -1226,8 +1217,9 @@ let deliver t ctx msg =
   if t.alive then begin
     Counter.bump ctx.counters (Message.counter msg);
     match msg with
+    | _ when Settle.msg_names_reclaimed ctx.settle msg -> note_hit t
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ }
-      when Hashtbl.mem t.tasks task_id ->
+      when Uid_index.mem t.tasks task_id ->
       (* A retransmitted activation raced its transport ack: activation is
          idempotent by stamp + task id, so keep the existing instance
          untouched and only repeat the protocol-level Ack — the first one
@@ -1275,7 +1267,7 @@ let deliver t ctx msg =
         Counter.bump ctx.counters Count.result_ignored)
     | Message.Ack { child_stamp; child_task; child_proc; parent_task; slot = _ } -> (
       (* Establishes the parent→child pointer (state b/d → c/e). *)
-      if Hashtbl.mem t.tasks parent_task then
+      if Uid_index.mem t.tasks parent_task then
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
           (Journal.Acked { task = child_task; proc = child_proc })
       else Counter.bump ctx.counters Count.ack_ignored)
@@ -1340,6 +1332,7 @@ let handle_bounce t ctx ~dead msg =
     handle_failure ~reason:"bounce-detect" t ctx ~failed:dead;
     Counter.bump ctx.counters Count.msg_bounced;
     match msg with
+    | _ when Settle.msg_names_reclaimed ctx.settle msg -> note_hit t
     | Message.Task_packet { packet; task_id = _; replica = _; replicas = _ } -> (
       (* The packet never arrived (transient state b/d): the retained
          checkpoint regenerates it, exactly like a failure notice would. *)
@@ -1359,11 +1352,10 @@ let handle_bounce t ctx ~dead msg =
            grandparent link; re-route through the relay logic.  Producers
            are [Done], hence retired — scan the tombstones in the index's
            legacy order (last match wins, as before).  The producer's
-           request has not settled (this bounce holds it), so the
-           [Reclaimed] bindings the scan passes belong to other requests:
-           it skips them without a lookup. *)
+           request has not settled (this bounce holds it), so its uids are
+           all still in the index. *)
         let tid, producer =
-          Hashtbl.fold
+          Uid_index.fold
             (fun tid e acc ->
               match e with
               | Gone p when p.r_done && Stamp.equal p.r_stamp r.stamp -> (tid, e)
@@ -1475,7 +1467,9 @@ let rec pick_next t ctx =
       (* aborted while queued: the queue's reference was its last hold *)
       Settle.release ctx.settle r.r_stamp;
       pick_next t ctx
-    | Reclaimed | Absent -> pick_next t ctx
+    | Reclaimed | Absent ->
+      note_hit t;
+      pick_next t ctx
 
 let step t ctx =
   if t.alive then begin
@@ -1485,7 +1479,10 @@ let step t ctx =
       match lookup t tid with
       | (Absent | Gone _ | Reclaimed) as e ->
         (* aborted while running: as in [pick_next] *)
-        (match e with Gone r -> Settle.release ctx.settle r.r_stamp | _ -> ());
+        (match e with
+        | Gone r -> Settle.release ctx.settle r.r_stamp
+        | Absent | Reclaimed -> note_hit t
+        | Alive _ -> ());
         t.current <- Ids.no_task;
         pick_next t ctx
       | Alive task -> (
@@ -1546,9 +1543,10 @@ let kill t ctx =
        released: the scheduler's references to tasks aborted while queued
        or running, parked salvage, and its checkpoint table. *)
     let release_sched tid =
-      match Hashtbl.find_opt t.tasks tid with
-      | Some (Gone r) -> Settle.release ctx.settle r.r_stamp
-      | Some (Absent | Reclaimed | Alive _) | None -> ()
+      match lookup t tid with
+      | Gone r -> Settle.release ctx.settle r.r_stamp
+      | Absent | Reclaimed -> note_hit t
+      | Alive _ -> ()
     in
     if t.current <> Ids.no_task then release_sched t.current;
     Queue.iter release_sched t.run_queue;

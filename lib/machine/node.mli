@@ -131,18 +131,19 @@ val resident_tasks : t -> int
     retired to tombstones (= {!live_tasks} at quiescence). *)
 
 val reclaim : t -> Ids.task_id -> int
-(** The uid's request has settled: rebind its tombstone, in place, to the
-    constant [Reclaimed], adding its wasted work to the baseline
-    {!recount} starts from.  The key stays, so the index's iteration
-    order does not move.  A live or already reclaimed uid is left as it
-    is.  Returns how many tombstones went (0 or 1). *)
+(** The uid's request has settled: free its tombstone's index cell, adding
+    its wasted work to the baseline {!recount} starts from.  The index
+    counts the keys ever inserted, so its walks keep their order.  A live
+    or already reclaimed uid is left as it is.  Returns how many
+    tombstones went (0 or 1). *)
 
 val reclaim_all : t -> int
 (** {!reclaim} every tombstone on this node (the batch root's settle: it
     owns every uid of its run); returns how many went. *)
 
-val reclaimed_lookups : t -> int
-(** Lookups that met a reclaimed uid.  Each one means a request was
+val reclaimed_hits : t -> int
+(** Messages this node got or had bounce that named a reclaimed request,
+    and run-queue uids it found freed.  Each one means a request was
     reclaimed before it settled; the oracle reports any. *)
 
 val allocated_side_tables : t -> int

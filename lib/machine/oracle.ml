@@ -69,11 +69,13 @@ let check ?expected cluster =
     viol "%d committed checkpoint(s) stranded on trusted live processors at quiescence" stranded;
   if quiescent && unsettled > 0 then
     viol "%d reliable send(s) neither acknowledged nor bounced at quiescence" unsettled;
-  (* a reclaimed uid is only ever looked up if its request was reclaimed
-     before it settled *)
-  let reclaimed = Cluster.reclaimed_lookups cluster in
+  (* a message only names a reclaimed request, and a run queue only holds
+     a freed uid, if the request was reclaimed before it settled *)
+  let reclaimed = Cluster.reclaimed_hits cluster in
   if reclaimed > 0 then
-    viol "%d lookup(s) met a reclaimed task uid (a request was reclaimed before it settled)"
+    viol
+      "%d message(s) or run-queue entries named a reclaimed task uid (a request was reclaimed \
+       before it settled)"
       reclaimed;
   (* a released request's journal entries may be dropped, so nothing may
      record one after its release *)

@@ -32,8 +32,9 @@
     cluster-wide.
 
     A settled request's task uids are reclaimed ({!Cluster.settled_requests});
-    a lookup that meets one means the request was reclaimed before it
-    settled, and any such lookup is a violation.  A settled request is
+    a message naming a reclaimed request, or a run-queue uid found freed
+    ({!Cluster.reclaimed_hits}), means the request was reclaimed before it
+    settled, and any such is a violation.  A settled request is
     also released to the journal, and an entry recorded under a released
     request ({!Journal.late_entries}) is a violation for the same reason.
 

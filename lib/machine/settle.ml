@@ -1,12 +1,15 @@
 module Stamp = Recflow_recovery.Stamp
 
+(* [Forced]: reclaimed by [force] before it settled. *)
+type phase = Open | Forced | Closed
+
 type request = {
   uid : int;
   opened : int;  (* tick the request opened *)
   mutable holds : int;
   mutable answer_in : bool;
   mutable retired_uids : int list;  (* [uid * procs + proc], newest first *)
-  mutable closed : bool;  (* settled and reclaimed *)
+  mutable phase : phase;  (* [Closed]: settled and reclaimed *)
 }
 
 type t = {
@@ -24,7 +27,7 @@ type t = {
 }
 
 let fresh uid ~opened =
-  { uid; opened; holds = 0; answer_in = false; retired_uids = []; closed = false }
+  { uid; opened; holds = 0; answer_in = false; retired_uids = []; phase = Open }
 
 let create ~procs ~reclaim ~reclaim_all ~on_settle =
   let unknown = fresh min_int ~opened:0 in
@@ -64,32 +67,38 @@ let reclaim_retired t r =
   end
 
 let settle t r =
-  if (not r.closed) && r != t.unknown then begin
-    r.closed <- true;
+  if r.phase <> Closed && r != t.unknown then begin
+    r.phase <- Closed;
     t.n_settled <- t.n_settled + 1;
     reclaim_retired t r;
     if r.uid >= 0 then t.on_settle ~uid:r.uid ~opened:r.opened
   end
 
-let adjust t stamp d =
-  let r = owner t stamp in
+let adjust_request t r d =
   r.holds <- r.holds + d;
   if r.holds = 0 && r.answer_in then settle t r
+
+let adjust t stamp d = adjust_request t (owner t stamp) d
 
 let hold t stamp = adjust t stamp 1
 
 let release t stamp = adjust t stamp (-1)
 
-let adjust_msg t msg d =
-  match msg with
-  | Message.Task_packet { packet; _ } -> adjust t packet.Recflow_recovery.Packet.stamp d
+(* The request a message names; gradient gossip and failure notices name
+   none. *)
+let msg_owner t = function
+  | Message.Task_packet { packet; _ } -> owner t packet.Recflow_recovery.Packet.stamp
   | Message.Result { stamp; _ }
   | Message.Orphan_alive { stamp; _ }
   | Message.Reparent { stamp; _ }
   | Message.Abort { stamp; _ }
   | Message.Ack { child_stamp = stamp; _ } ->
-    adjust t stamp d
-  | Message.Gradient _ | Message.Failure_notice _ -> ()
+    owner t stamp
+  | Message.Gradient _ | Message.Failure_notice _ -> t.unknown
+
+let adjust_msg t msg d =
+  let r = msg_owner t msg in
+  if r != t.unknown then adjust_request t r d
 
 let hold_msg t msg = adjust_msg t msg 1
 
@@ -106,7 +115,12 @@ let answered t ~uid =
   r.answer_in <- true;
   if r.holds = 0 then settle t r
 
-let force t ~uid = reclaim_retired t (by_uid t uid)
+let force t ~uid =
+  let r = by_uid t uid in
+  reclaim_retired t r;
+  if r.phase = Open && r != t.unknown then r.phase <- Forced
+
+let msg_names_reclaimed t msg = (msg_owner t msg).phase <> Open
 
 let settled t = t.n_settled
 

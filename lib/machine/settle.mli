@@ -17,8 +17,8 @@
     - every checkpoint a table holds under the request's prefix.
 
     When the last hold of an answered request is released, its task uids
-    are reclaimed: the cluster's [reclaim] callback rebinds each retired
-    uid in its host node's index, in place.  A service request's retired
+    are reclaimed: the cluster's [reclaim] callback frees each retired
+    uid's cell in its host node's index.  A service request's retired
     uids are listed as they retire; the batch root owns every uid of its
     run, so its settle sweeps every node's index instead
     ([reclaim_all]).
@@ -37,7 +37,7 @@ val create :
   reclaim_all:(unit -> int) ->
   on_settle:(uid:int -> opened:int -> unit) ->
   t
-(** [procs] processors; [reclaim ~proc uid] rebinds one retired uid on its
+(** [procs] processors; [reclaim ~proc uid] frees one retired uid on its
     host, [reclaim_all ()] every retired uid of a batch run; each returns
     how many tombstones it reclaimed.  [on_settle ~uid ~opened] runs once
     per settled service request, after its uids are reclaimed, with the
@@ -74,11 +74,18 @@ val answered : t -> uid:int -> unit
 
 val force : t -> uid:int -> unit
 (** Reclaim request [uid]'s retired uids now, whatever it still holds.
-    For tests only: it shows that a wrong settle is caught, as lookups of
-    the reclaimed uids. *)
+    For tests only: it shows that a wrong settle is caught, as messages
+    naming the reclaimed request ({!msg_names_reclaimed}). *)
+
+val msg_names_reclaimed : t -> Message.t -> bool
+(** The request owning the stamp the message names has had its uids
+    reclaimed (settled, or {!force}d).  A freed uid looks up as absent,
+    so this, not the index, is what tells a message about a reclaimed
+    request from one about a task not activated yet.  Stamps of no open
+    request, gradient gossip and failure notices name none. *)
 
 val settled : t -> int
 (** Requests settled so far. *)
 
 val reclaimed : t -> int
-(** Tombstones reclaimed so far. *)
+(** Task uids reclaimed so far (index cells freed). *)

@@ -164,8 +164,10 @@ let journal_footprint () =
    machine (8 processors, gradient placement, k = 3 replicas under splice,
    fib tiny at a mean gap of 400 ticks, seed 17), measured with
    [Obj.reachable_words] over the whole cluster once [Service.run]
-   returns.  A settled request keeps one index cell per task uid and, when
-   the journal retains, its journal entries. *)
+   returns.  A settled request's index cells are freed; what it leaves is
+   its share of the node indexes' bucket arrays (about 0.6 words per uid
+   ever inserted), its request records and, when the journal retains and a
+   kill touched it, its journal entries. *)
 let drained_stream ~requests ~retain ~failures =
   let base = Config.default ~nodes:8 in
   let cfg =
@@ -190,47 +192,48 @@ let drained_stream ~requests ~retain ~failures =
 let stream_residue ~requests ~retain ~failures =
   Obj.reachable_words (Obj.repr (drained_stream ~requests ~retain ~failures))
 
-(* Without retention the residue grows by the settled requests' index
-   cells alone: about 1.2k words per request (3 replicas of about 67 task
-   uids, 4.6 words each with the bucket array), against about 6.1k when
-   every tombstone was kept.  The bound is the slope between 250 and 1000
-   requests. *)
+(* Without retention a settled request leaves about 370 words: its bucket
+   array share (3 replicas of about 67 task uids) and its per-request
+   records, against about 1.2k while each reclaimed uid kept its index
+   cell and about 6.1k when every tombstone was kept.  The bound is the
+   slope between 250 and 1000 requests, about 10% above the 369 measured. *)
 let stream_residue_slope () =
   let w250 = stream_residue ~requests:250 ~retain:false ~failures:[] in
   let w1000 = stream_residue ~requests:1000 ~retain:false ~failures:[] in
   let slope = float_of_int (w1000 - w250) /. 750.0 in
   Printf.printf
-    "stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound 1500)\n" w250
+    "stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound 410)\n" w250
     w1000 slope;
-  if slope > 1500.0 then
-    Alcotest.failf "a settled request leaves %.0f live words (bound 1500)" slope
+  if slope > 410.0 then Alcotest.failf "a settled request leaves %.0f live words (bound 410)" slope
 
 (* With retention the journal drops each settled request's entries and
    call fingerprints, so a retaining stream leaves about what a
-   non-retaining one does: the slope was about 7.3k words per request
-   while every entry was kept. *)
+   non-retaining one does (374 measured, bound about 10% above): the slope
+   was about 7.3k words per request while every entry was kept. *)
 let retained_stream_residue_slope () =
   let w250 = stream_residue ~requests:250 ~retain:true ~failures:[] in
   let w1000 = stream_residue ~requests:1000 ~retain:true ~failures:[] in
   let slope = float_of_int (w1000 - w250) /. 750.0 in
   Printf.printf
     "retained stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound \
-     1500)\n"
+     415)\n"
     w250 w1000 slope;
-  if slope > 1500.0 then
-    Alcotest.failf "a settled request leaves %.0f live words with retention (bound 1500)" slope
+  if slope > 415.0 then
+    Alcotest.failf "a settled request leaves %.0f live words with retention (bound 415)" slope
 
 (* The benchmark's service_k3 iteration itself: 500 requests, retained
    journal, kills at 60k on processor 0 and 120k on processor 2.  It held
    5.71 M words when every tombstone was kept, 4.02 M when every journal
-   entry was, and 0.64 M now that the journal keeps, of the settled
-   requests, only the 16 a kill touched: each request it still holds an
-   entry of has a failure within the span of its entries' times. *)
+   entry was, 0.64 M once the journal kept, of the settled requests, only
+   the 16 a kill touched (each request it still holds an entry of has a
+   failure within the span of its entries' times), and 0.24 M now that a
+   reclaimed uid's index cell is freed; the bound is about 10% above the
+   235,991 measured. *)
 let service_k3_residue () =
   let c = drained_stream ~requests:500 ~retain:true ~failures:[ (60_000, 0); (120_000, 2) ] in
   let w = Obj.reachable_words (Obj.repr c) in
   let j = Cluster.journal c in
-  Printf.printf "service_k3 drained: %d words, %d journal entries retained (bound 700000)\n" w
+  Printf.printf "service_k3 drained: %d words, %d journal entries retained (bound 260000)\n" w
     (Journal.retained j);
   let fails = List.map fst (Journal.failures j) in
   let spans = Hashtbl.create 16 in
@@ -249,8 +252,8 @@ let service_k3_residue () =
     spans;
   Alcotest.(check int) "requests with kept entries are the ones kept whole"
     (Journal.kept_whole j) (Hashtbl.length spans);
-  if w > 700_000 then
-    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 0.70 M)" w
+  if w > 260_000 then
+    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 0.26 M)" w
 
 let suites =
   [

@@ -273,7 +273,7 @@ let stream_counters s =
   Cluster.schedule_callback c ~delay:1 (arrive 10);
   ignore (Cluster.run c);
   ignore (Oracle.assert_ok ~expected:(Workload.expected w Workload.Tiny) c);
-  (!mid_ok && counters_match c && Cluster.reclaimed_lookups c = 0, !reclaimed_mid_stream)
+  (!mid_ok && counters_match c && Cluster.reclaimed_hits c = 0, !reclaimed_mid_stream)
 
 let stream_counters_vs_recount =
   QCheck.Test.make ~count:20 ~name:"service stream: incremental counters = recount"

@@ -8,6 +8,9 @@ module Journal = Recflow_machine.Journal
 module Workload = Recflow_workload.Workload
 module Plan = Recflow_fault.Plan
 module Stamp = Recflow_recovery.Stamp
+module Packet = Recflow_recovery.Packet
+module Message = Recflow_machine.Message
+module Node = Recflow_machine.Node
 module Value = Recflow_lang.Value
 module Service = Recflow_service.Service
 module Episode = Recflow_obs.Episode
@@ -296,9 +299,9 @@ let partition_spans_requests () =
 
 (* A drained stream under each transport, delivery path and recovery mode,
    with two kills mid-stream: requests settle and give their task uids
-   back while the stream runs, every answer is right, and no lookup ever
-   meets a reclaimed uid ([Service.run]'s oracle would fail the run on
-   one; it is checked again here by name). *)
+   back while the stream runs, every answer is right, and no message ever
+   names a reclaimed request ([Service.run]'s oracle would fail the run
+   on one; it is checked again here by name). *)
 let gauntlet_cases =
   let base = svc_cfg ~nodes:6 ~arrival_mean:150.0 ~seed:9 () in
   let chaos = Recflow_net.Chaos.none in
@@ -332,22 +335,60 @@ let gauntlet_cases =
       { base with Config.service = { base.Config.service with Config.replicas = 3 } } );
   ]
 
+(* MD5 of each gauntlet run: every journal entry (fed by a sink, so the
+   entries a retaining journal drops count too), the counter list and the
+   answers.  Recorded from the index that kept a [Reclaimed] cell for
+   every uid ever inserted; the failure scans of these runs walk indexes
+   that have since freed their settled cells, and must see the same
+   order. *)
+let gauntlet_digests =
+  [
+    ("chaos drop+dup+reorder, reliable", "3d0c9826a5f2c72bef6ef54ddbf9f9bf");
+    ("dup+reorder, unreliable", "228000f1d86173bf30821041374ee740");
+    ("partition window, reliable", "541562194f17149a56ab866963e908e1");
+    ("batched delivery", "a4652dda384ad97d9e23747a29134ff8");
+    ("batched delivery, reliable", "0d37534fd1fa135957fbb1546800e49b");
+    ("rollback", "1de368030bb3f580dc981f42dcd307da");
+    ("splice", "6f8ee3b1b59b6b4dd5ed724e99885f2c");
+    ("replicate:3", "8b3434182e8b56d03c6eeb31d22bfb58");
+    ("splice, ancestor depth 2", "f159b5dc0c0d072ad77eb4cc839344e3");
+    ("service replicas k=3", "9c7f33b30877a879162809e522e203b7");
+  ]
+
 let reclamation_gauntlet () =
   List.iter
     (fun (name, cfg) ->
-      let o = run ~failures:[ (1500, 1); (3200, 3) ] ~requests:24 cfg in
+      let buf = Buffer.create 65536 in
+      let sink =
+        Recflow_obs_core.Sink.of_fun (fun e ->
+            Buffer.add_string buf (Format.asprintf "%a\n" Journal.pp_entry e))
+      in
+      let o =
+        Service.run ~failures:[ (1500, 1); (3200, 3) ] ~sink ~config:cfg
+          ~workload:Workload.fib ~size:Workload.Tiny ~requests:24 ()
+      in
       let c = o.Service.cluster in
-      Printf.printf "%s: %d of %d requests settled, %d tombstones reclaimed\n" name
+      List.iter
+        (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s=%d\n" k v))
+        (Recflow_stats.Counter.to_alist (Cluster.counters c));
+      List.iter
+        (fun r ->
+          Buffer.add_string buf
+            (match r.Service.value with Some v -> Value.to_string v ^ "\n" | None -> "-\n"))
+        o.Service.records;
+      let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+      Printf.printf "%s: %d of %d requests settled, %d index cells freed, digest %s\n" name
         (Cluster.settled_requests c) (Cluster.submitted_requests c)
-        (Cluster.reclaimed_tombstones c);
+        (Cluster.reclaimed_tombstones c) digest;
       check (name ^ ": all correct") true o.Service.all_correct;
       check (name ^ ": oracle ok") true (Oracle.ok o.Service.oracle);
-      check_int (name ^ ": lookups of a reclaimed uid") 0 (Cluster.reclaimed_lookups c);
+      check_int (name ^ ": messages naming a reclaimed request") 0 (Cluster.reclaimed_hits c);
       check_int (name ^ ": entries under a released request") 0
         (Journal.late_entries (Cluster.journal c));
       check_int (name ^ ": every request settled") (Cluster.submitted_requests c)
         (Cluster.settled_requests c);
-      check (name ^ ": tombstones reclaimed") true (Cluster.reclaimed_tombstones c > 0))
+      check (name ^ ": tombstones reclaimed") true (Cluster.reclaimed_tombstones c > 0);
+      Alcotest.(check string) (name ^ ": run digest") (List.assoc name gauntlet_digests) digest)
     gauntlet_cases
 
 (* [n] fib requests into a service-mode cluster, one every [gap] ticks
@@ -377,16 +418,54 @@ let reports needle (r : Oracle.report) =
 
 (* The witness can fire: reclaiming each request the moment its answer
    lands, before the straggling replica results and acknowledgements of
-   its tasks have drained, makes later lookups meet reclaimed uids, and
-   the oracle reports them. *)
+   its tasks have drained, makes those messages name reclaimed requests,
+   and the oracle reports them. *)
 let early_reclaim_is_caught () =
   let cfg = { (svc_cfg ~nodes:6 ~seed:4 ()) with Config.recovery = Config.Replicate 3 } in
   let c = Cluster.create cfg (Workload.program Workload.fib) in
   let _ = stream c ~n:12 ~gap:100 ~on_answer:(fun uid _ -> Cluster.reclaim_unsettled c uid) () in
   ignore (Cluster.run c);
-  check "a lookup met a reclaimed uid" true (Cluster.reclaimed_lookups c > 0);
+  check "a message named a reclaimed request" true (Cluster.reclaimed_hits c > 0);
   let r = Oracle.check c in
   check "oracle reports it" true (reports "reclaimed task uid" r)
+
+(* A late duplicate of an activation whose request has settled: the uid's
+   cell is freed, so the index can no longer tell it from a first
+   activation, and the ledger's witness must: the packet is counted and
+   ignored, and no task is activated under the reclaimed uid (§3.3: a uid
+   names one task, once). *)
+let late_duplicate_activation_is_caught () =
+  let c = Cluster.create (svc_cfg ~nodes:4 ~seed:3 ()) (Workload.program Workload.fib) in
+  let activations = ref [] in
+  Journal.attach_sink (Cluster.journal c)
+    (Recflow_obs_core.Sink.of_fun (fun (e : Journal.entry) ->
+         match e.Journal.event with
+         | Journal.Activated { task; proc } ->
+           activations := (task, proc, e.Journal.stamp) :: !activations
+         | _ -> ()));
+  let _ = stream c ~n:6 ~gap:100 () in
+  ignore (Cluster.run c);
+  check_int "every request settled" (Cluster.submitted_requests c) (Cluster.settled_requests c);
+  let n = List.length !activations in
+  let task, proc, stamp = List.nth !activations (n / 2) in
+  let node = Cluster.node c proc in
+  let resident = Node.resident_tasks node in
+  let packet =
+    {
+      Packet.stamp;
+      fname = "fib";
+      args = [| Value.Int 3 |];
+      parent = { Packet.task = 0; proc; slot = 0 };
+      grandparent = None;
+      ancestors = [];
+    }
+  in
+  Cluster.replay c ~dst:proc
+    (Message.Task_packet { packet; task_id = task; replica = 0; replicas = 1 });
+  check_int "the packet is counted" 1 (Cluster.reclaimed_hits c);
+  check_int "no Activated entry" n (List.length !activations);
+  check_int "resident tasks unchanged" resident (Node.resident_tasks node);
+  check "oracle reports it" true (reports "reclaimed task uid" (Oracle.check c))
 
 (* The journal's witness can fire too: releasing each request's entries
    the moment its answer lands, before its straggling tasks have finished
@@ -429,7 +508,7 @@ let bounce_after_reclaim () =
   check "oracle ok" true (Oracle.ok r);
   check "older requests reclaimed before the kill" true (!reclaimed_before > 0);
   check "a bounced result was relayed before any notice" true (!relayed_in_window > 0);
-  check_int "no lookup met a reclaimed uid" 0 (Cluster.reclaimed_lookups c);
+  check_int "no message named a reclaimed request" 0 (Cluster.reclaimed_hits c);
   let lost_producer =
     List.exists
       (fun (e : Journal.entry) ->
@@ -776,6 +855,8 @@ let suites =
       [
         Alcotest.test_case "gauntlet" `Quick reclamation_gauntlet;
         Alcotest.test_case "early reclaim is caught" `Quick early_reclaim_is_caught;
+        Alcotest.test_case "late duplicate activation is caught" `Quick
+          late_duplicate_activation_is_caught;
         Alcotest.test_case "early journal release is caught" `Quick early_release_is_caught;
         Alcotest.test_case "bounce after reclaim" `Quick bounce_after_reclaim;
       ] );
