@@ -118,18 +118,20 @@ type ctx = {
 type task_state = Queued | Running | Blocked | Done | Aborted
 
 (* Bookkeeping for one call slot of a task: the child (or replica group)
-   spawned from it.  [dests]/[tasks] associate replica index with the
-   current destination processor and activation id; both are rewritten when
-   a checkpoint is re-issued. *)
+   spawned from it.  [c_packet] is the child's own packet, level stamp
+   included: the functional checkpoint a re-issue sends again (§3.2).
+   [copies] holds the current copies as [|dest; task; dest; task; ...|]
+   pairs (destination processor and activation id), newest replica first;
+   a re-issue replaces it whole. *)
 type child = {
   slot : int;
-  c_stamp : Stamp.t;
   c_packet : Packet.t;
-  mutable dests : (int * Ids.proc_id) list;
-  mutable ctasks : (int * Ids.task_id) list;
+  mutable copies : int array;
   mutable vote : Value.t Vote.t option;
   mutable filled : bool;
 }
+
+let c_stamp child = child.c_packet.Packet.stamp
 
 (* What reached a call slot of a (twin) task before the task got there:
    a salvaged result, which the spawn then skips (§4.1 cases 4–5), or a
@@ -143,9 +145,9 @@ type task = {
   inst : Instance.t;
   born : int;  (* activation tick, for the sojourn-time histogram *)
   mutable state : task_state;
-  mutable children : (int, child) Hashtbl.t option;
-      (* keyed by call slot; allocated on the first spawn so the (large)
-         population of leaf tasks never pays for an empty table *)
+  mutable children : child array;
+      (* one per call slot spawned, in spawn order; leaves share the empty
+         array (see [child_fold] for the walk order) *)
   mutable early : (int * early) list;
       (* keyed by call slot, for slots not reached yet (tiny: one entry per
          outrun slot, usually none) *)
@@ -405,21 +407,90 @@ let mark_dropped t task =
     if task.state <> Aborted then t.n_wasted <- t.n_wasted + task.work
   end
 
-let children_tbl task =
-  match task.children with
-  | Some h -> h
-  | None ->
-    let h = Hashtbl.create 8 in
-    task.children <- Some h;
-    h
+(* A task's children, one per call slot it spawned, in spawn order.  A
+   task never binds a slot twice, and a slot is a call-node id, so a find
+   is a plain scan of a few entries. *)
+let child_find (children : child array) slot =
+  let rec go i =
+    if i = Array.length children then None
+    else if children.(i).slot = slot then Some children.(i)
+    else go (i + 1)
+  in
+  go 0
 
-let child_find task slot =
-  match task.children with None -> None | Some h -> Hashtbl.find_opt h slot
+let add_slot children child =
+  let n = Array.length children in
+  let grown = Array.make (n + 1) child in
+  Array.blit children 0 grown 0 n;
+  grown
 
-let child_iter f task = match task.children with None -> () | Some h -> Hashtbl.iter f h
+(* The walks visit the children in the order of the stdlib table that
+   held them before, a [Hashtbl.create 8] keyed by slot and filled with
+   [Hashtbl.replace]: abort cascades, vote accounting and local
+   regeneration send messages in walk order, and the journal digests pin
+   it.  That order follows from the table's layout alone:
+   - [create 8] rounds up to 16 buckets, and an insert that takes the
+     count past twice the bucket count doubles them, so [n] children sit
+     in the least [16 * 2^k] buckets with [n <= 2 * buckets];
+   - a slot's bucket is [Hashtbl.hash slot] masked to the bucket count,
+     and a new key goes to the head of its bucket;
+   - a resize splits each bucket keeping its order, and no key is ever
+     rebound or removed, so within a bucket the newest child comes first;
+   - the walk takes the buckets in ascending order.
+   So a child's rank is its bucket, then its distance from the newest.
+   The children of a task are a template's fan-out, a handful, so the
+   walk selects the next rank by a scan rather than sorting. *)
+let child_buckets n =
+  let rec grow nb = if n > 2 * nb then grow (2 * nb) else nb in
+  grow 16
 
-let child_fold f task init =
-  match task.children with None -> init | Some h -> Hashtbl.fold f h init
+let child_fold f (children : child array) init =
+  let n = Array.length children in
+  let mask = child_buckets n - 1 in
+  let rank i = ((Hashtbl.hash children.(i).slot land mask) * n) + (n - 1 - i) in
+  let acc = ref init and last = ref (-1) in
+  for _ = 1 to n do
+    let next = ref (-1) and next_rank = ref max_int in
+    for i = 0 to n - 1 do
+      let r = rank i in
+      if r > !last && r < !next_rank then begin
+        next := i;
+        next_rank := r
+      end
+    done;
+    last := !next_rank;
+    acc := f children.(!next) !acc
+  done;
+  !acc
+
+let child_iter f children = child_fold (fun child () -> f child) children ()
+
+let child_slot_walks slots =
+  let packet =
+    Packet.make ~stamp:Stamp.root ~fname:"" ~args:[||]
+      ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot = 0 }
+      ~grandparent:None ~ancestors:[]
+  in
+  let children =
+    List.fold_left
+      (fun children slot ->
+        add_slot children
+          { slot; c_packet = packet; copies = [||]; vote = None; filled = false })
+      [||] slots
+  in
+  let position child =
+    let rec go i = if children.(i) == child then i else go (i + 1) in
+    go 0
+  in
+  let iterated = ref [] in
+  child_iter (fun child -> iterated := child.slot :: !iterated) children;
+  ( List.rev !iterated,
+    List.rev (child_fold (fun child acc -> child.slot :: acc) children []),
+    fun slot -> Option.map position (child_find children slot) )
+
+(* The destinations of [child]'s copies, in [copies] order. *)
+let copy_dests child =
+  List.init (Array.length child.copies / 2) (fun i -> child.copies.(2 * i))
 
 type task_view = {
   v_stamp : Stamp.t;
@@ -438,9 +509,8 @@ let state_label = function
 let task_view_of task =
   let waiting =
     child_fold
-      (fun _ child acc ->
-        if child.filled then acc else (child.c_stamp, List.map snd child.dests) :: acc)
-      task []
+      (fun child acc -> if child.filled then acc else (c_stamp child, copy_dests child) :: acc)
+      task.children []
   in
   {
     v_stamp = task.packet.Packet.stamp;
@@ -653,23 +723,25 @@ let drop_salvage t ctx ~ostamp payload reason =
 (* Send salvage for orphan [ostamp] on to [child]'s current twin, the next
    link of the orphan's chain. *)
 let forward_salvage t ctx (child : child) ~ostamp ~dead_parent payload =
-  match (child.dests, child.ctasks) with
-  | (_, proc) :: _, (_, task) :: _ ->
+  if Array.length child.copies > 0 then begin
+    let proc = child.copies.(0) and task = child.copies.(1) in
     (match payload with
     | Message.Salvaged _ ->
       Counter.bump ctx.counters Count.relay_forwarded;
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp (Journal.Relayed { via = t.nid })
     | Message.Still_running _ -> Counter.bump ctx.counters Count.adopt_forwarded);
     ctx.send ~src:t.nid ~dst:proc
-      (Message.salvage_forward ~via:child.c_stamp ~stamp:ostamp ~dead_parent ~task ~proc payload)
-  | _ -> drop_salvage t ctx ~ostamp payload "no live twin destination"
+      (Message.salvage_forward ~via:(c_stamp child) ~stamp:ostamp ~dead_parent ~task ~proc
+         payload)
+  end
+  else drop_salvage t ctx ~ostamp payload "no live twin destination"
 
 (* A twin that was holding salvage releases it as soon as it re-creates
    the next link of the chain: every stashed orphan below [child]. *)
 let flush_salvage t ctx task (child : child) =
   if task.stash <> [] then begin
     let matches, rest =
-      List.partition (fun (ostamp, _, _) -> Stamp.is_ancestor child.c_stamp ostamp) task.stash
+      List.partition (fun (ostamp, _, _) -> Stamp.is_ancestor (c_stamp child) ostamp) task.stash
     in
     task.stash <- rest;
     Message.iter_salvage
@@ -705,13 +777,11 @@ let build_child_packet t ctx task ~slot ~fname ~args =
   in
   Packet.make ~stamp ~fname ~args ~parent ~grandparent ~ancestors
 
-(* Bind call slot [slot] of [task] to a fresh child record, with no copy
-   sent yet. *)
-let add_child task ~slot ~stamp packet ~filled =
-  let child =
-    { slot; c_stamp = stamp; c_packet = packet; dests = []; ctasks = []; vote = None; filled }
-  in
-  Hashtbl.replace (children_tbl task) slot child;
+(* Bind call slot [slot] of [task] to a fresh child record for [packet],
+   with no copy sent yet. *)
+let add_child task ~slot packet ~filled =
+  let child = { slot; c_packet = packet; copies = [||]; vote = None; filled } in
+  task.children <- add_slot task.children child;
   child
 
 (* Send [replicas] copies of [child]'s packet toward the balancer's choice
@@ -722,24 +792,25 @@ let add_child task ~slot ~stamp packet ~filled =
    checkpoints were actually stored. *)
 let dispatch_child t ctx (child : child) ~replicas ~key_offset ~grace ~reason =
   let packet = child.c_packet in
-  let base_key = Stamp.hash child.c_stamp + key_offset in
+  let base_key = Stamp.hash packet.Packet.stamp + key_offset in
   let recorded = ref 0 in
-  child.dests <- [];
-  child.ctasks <- [];
+  let copies = Array.make (2 * replicas) 0 in
   for replica = 0 to replicas - 1 do
     let task_id = ctx.fresh_task_id () in
     let dest = choose_dest t ctx ~key:(base_key + (replica * 7919)) in
     if record_checkpoint t ctx ~dest packet then incr recorded;
     ctx.send_after ~delay:grace ~src:t.nid ~dst:dest
       (Message.Task_packet { packet; task_id; replica; replicas });
-    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
+    Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
       (match reason with
       | None -> Journal.Spawned { task = task_id; dest; replica }
       | Some reason -> Journal.Respawned { task = task_id; dest; reason });
     Journal.note_call ctx.journal ~task:task_id packet.Packet.fname packet.Packet.args;
-    child.dests <- (replica, dest) :: child.dests;
-    child.ctasks <- (replica, task_id) :: child.ctasks
+    let pair = 2 * (replicas - 1 - replica) in
+    copies.(pair) <- dest;
+    copies.(pair + 1) <- task_id
   done;
+  child.copies <- copies;
   child.vote <- (if replicas > 1 then Some (Vote.create ~replicas ~equal:Value.equal) else None);
   !recorded
 
@@ -748,27 +819,27 @@ let dispatch_child t ctx (child : child) ~replicas ~key_offset ~grace ~reason =
    choice of processor. *)
 let spawn_child t ctx task ~slot ~fname ~args =
   let packet = build_child_packet t ctx task ~slot ~fname ~args in
-  let child = add_child task ~slot ~stamp:packet.Packet.stamp packet ~filled:false in
+  let child = add_child task ~slot packet ~filled:false in
   let replicas = replication_factor ctx task in
   let recorded = dispatch_child t ctx child ~replicas ~key_offset:0 ~grace:0 ~reason:None in
   Counter.bump_by ctx.counters Count.spawn_remote replicas;
   flush_salvage t ctx task child;
   recorded
 
-let rec discharge_dests ckpts stamp = function
-  | [] -> ()
-  | (_, dest) :: rest ->
-    ignore (Ckpt_table.discharge ckpts ~dest stamp);
-    discharge_dests ckpts stamp rest
+let discharge_copies ckpts (child : child) =
+  let stamp = c_stamp child in
+  let copies = child.copies in
+  for i = 0 to (Array.length copies / 2) - 1 do
+    ignore (Ckpt_table.discharge ckpts ~dest:copies.(2 * i) stamp)
+  done
 
 (* Drop the checkpoints of [child] at every destination it was sent to. *)
 let discharge_child t ctx child =
   let before = Ckpt_table.total_size t.ckpts in
   if Profile.is_enabled () then
-    Profile.time_probe ckpt_discharge_probe (fun () ->
-        discharge_dests t.ckpts child.c_stamp child.dests)
-  else discharge_dests t.ckpts child.c_stamp child.dests;
-  Settle.adjust ctx.settle child.c_stamp (Ckpt_table.total_size t.ckpts - before)
+    Profile.time_probe ckpt_discharge_probe (fun () -> discharge_copies t.ckpts child)
+  else discharge_copies t.ckpts child;
+  Settle.adjust ctx.settle (c_stamp child) (Ckpt_table.total_size t.ckpts - before)
 
 (* Re-issue a child from its functional checkpoint (rollback §3.2 /
    splice twin creation §4.1).  The packet is byte-identical — same stamp,
@@ -776,7 +847,7 @@ let discharge_child t ctx child =
    functional twin of the lost one. *)
 let respawn_child t ctx (child : child) ~reason =
   Profile.time "recovery.respawn" @@ fun () ->
-  let replicas = List.length child.dests in
+  let replicas = Array.length child.copies / 2 in
   discharge_child t ctx child;
   (* Under splice, hold the twin back briefly so adoption reports from
      living orphans can overtake it (§4.1 offspring inheritance). *)
@@ -788,9 +859,18 @@ let respawn_child t ctx (child : child) ~reason =
   ignore (dispatch_child t ctx child ~replicas ~key_offset:104729 ~grace ~reason:(Some reason));
   Counter.bump ctx.counters Count.reissue_count
 
+(* How many copies of [child] sit on a processor [p] accepts. *)
+let copies_on (child : child) p =
+  let n = ref 0 in
+  for i = 0 to (Array.length child.copies / 2) - 1 do
+    if p child.copies.(2 * i) then incr n
+  done;
+  !n
+
 (* Every copy of [child] sits on a processor this node knows is dead. *)
 let copies_lost t (child : child) =
-  child.dests <> [] && List.for_all (fun (_, d) -> knows_dead t d) child.dests
+  Array.length child.copies > 0
+  && copies_on child (knows_dead t) = Array.length child.copies / 2
 
 (* ------------------------------------------------------------------ *)
 (* Task completion and result forwarding                               *)
@@ -802,7 +882,7 @@ let fill_slot t ctx task (child : child) value =
   child.filled <- true;
   discharge_child t ctx child;
   Instance.supply task.inst child.slot value;
-  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child.c_stamp
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:(c_stamp child)
     (Journal.Result_accepted { task = task.tid });
   if task.state = Blocked then enqueue_task t ctx task
 
@@ -882,20 +962,18 @@ let abort_task t ctx task =
     (* Cascade to outstanding children so their processors can reclaim
        them; checkpoints for this doomed subtree are dropped. *)
     child_iter
-      (fun _ child ->
+      (fun child ->
         if not child.filled then begin
           discharge_child t ctx child;
-          List.iter
-            (fun (replica, dest) ->
-              if not (knows_dead t dest) then
-                match List.assoc_opt replica child.ctasks with
-                | Some ctask ->
-                  ctx.send ~src:t.nid ~dst:dest
-                    (Message.Abort { task = ctask; stamp = child.c_stamp })
-                | None -> ())
-            child.dests
+          let copies = child.copies in
+          for i = 0 to (Array.length copies / 2) - 1 do
+            let dest = copies.(2 * i) in
+            if not (knows_dead t dest) then
+              ctx.send ~src:t.nid ~dst:dest
+                (Message.Abort { task = copies.((2 * i) + 1); stamp = c_stamp child })
+          done
         end)
-      task;
+      task.children;
     retire t ctx task Value.Nil ~scheduled
   end
 
@@ -934,15 +1012,15 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
           (match lookup t parent.Packet.task with
           | Absent | Gone _ | Reclaimed -> Counter.bump ctx.counters Count.reissue_stale
           | Alive task -> (
-            match child_find task parent.Packet.slot with
+            match child_find task.children parent.Packet.slot with
             | None -> Counter.bump ctx.counters Count.reissue_stale
             | Some child ->
               if child.filled || child.vote <> None then ()
-              else if not (Stamp.equal child.c_stamp packet.Packet.stamp) then
+              else if not (Stamp.equal (c_stamp child) packet.Packet.stamp) then
                 (* The slot has moved on (covered descendant drained
                    alongside its ancestor in Keep_all mode). *)
                 Counter.bump ctx.counters Count.reissue_stale
-              else if List.exists (fun (_, d) -> d <> failed) child.dests then
+              else if copies_on child (fun d -> d <> failed) > 0 then
                 (* already re-homed by the orphan-result path *)
                 ()
               else respawn_child t ctx child ~reason));
@@ -953,23 +1031,19 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
       | Config.Replicate _ ->
         iter_live t (fun task ->
             child_iter
-              (fun _ child ->
+              (fun child ->
                 match child.vote with
                 | Some vote when not child.filled ->
-                  let lost_here =
-                    List.filter (fun (_, dest) -> dest = failed) child.dests
-                  in
-                  List.iter
-                    (fun _ ->
-                      match Vote.lose vote with
-                      | Vote.Decided v -> if not child.filled then fill_slot t ctx task child v
-                      | Vote.Inconclusive ->
-                        Counter.bump ctx.counters Count.vote_inconclusive;
-                        respawn_child t ctx child ~reason:"vote-inconclusive"
-                      | Vote.Undecided -> ())
-                    lost_here
+                  for _ = 1 to copies_on child (fun dest -> dest = failed) do
+                    match Vote.lose vote with
+                    | Vote.Decided v -> if not child.filled then fill_slot t ctx task child v
+                    | Vote.Inconclusive ->
+                      Counter.bump ctx.counters Count.vote_inconclusive;
+                      respawn_child t ctx child ~reason:"vote-inconclusive"
+                    | Vote.Undecided -> ()
+                  done
                 | Some _ | None -> ())
-              task)
+              task.children)
       | Config.No_recovery | Config.Rollback | Config.Splice -> ());
       (* Surviving tasks regenerate their own lost children.  The table's
          topmost discipline suppressed proactive re-issue of covered
@@ -995,10 +1069,10 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               List.iter (fun _ -> Counter.bump ctx.counters Count.adopt_stale) stale
             end;
             child_iter
-              (fun _ child ->
+              (fun child ->
                 if (not child.filled) && child.vote = None && copies_lost t child then
                   respawn_child t ctx child ~reason:"local-regen")
-              task)
+              task.children)
       in
       (* Rollback discards orphans; splice keeps them alive, and every
          still-running orphan announces itself upward so its step-parent
@@ -1055,7 +1129,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
 
 (* A result (normal or spliced) reaches the task that owns the call slot. *)
 let deliver_result_into t ctx task ~slot ~stamp value =
-  match child_find task slot with
+  match child_find task.children slot with
   | None -> (
     (* The slot has not been reached yet (a salvaged result outran the
        step-parent's own evaluation, §4.1 cases 4–5): hold it so the spawn
@@ -1117,7 +1191,8 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
        slot it fills.  If the clone is already out, adoption lost the race
        (duplicates, §4.1 case 6). *)
     let slot = orphan.Packet.slot in
-    if Option.is_some (child_find task slot) then Counter.bump ctx.counters Count.adopt_late
+    if Option.is_some (child_find task.children slot) then
+      Counter.bump ctx.counters Count.adopt_late
     else begin
       (match List.assoc_opt slot task.early with
       | Some (Preheld _) -> ()
@@ -1128,11 +1203,11 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
   | Some _, _ -> (
     let chain_child =
       child_fold
-        (fun _ child acc ->
+        (fun child acc ->
           match acc with
           | Some _ -> acc
-          | None -> if Stamp.is_ancestor child.c_stamp ostamp then Some child else None)
-        task None
+          | None -> if Stamp.is_ancestor (c_stamp child) ostamp then Some child else None)
+        task.children None
     in
     match chain_child with
     | None ->
@@ -1195,7 +1270,7 @@ let activate_task t ctx packet ~task_id =
       inst;
       born = ctx.now ();
       state = Queued;
-      children = None;
+      children = [||];
       early = [];
       work = 0;
       result_dropped = false;
@@ -1340,7 +1415,7 @@ let handle_bounce t ctx ~dead msg =
       | Absent -> Counter.bump ctx.counters Count.reissue_stale
       | Gone _ | Reclaimed -> ()
       | Alive task -> (
-        match child_find task packet.Packet.parent.Packet.slot with
+        match child_find task.children packet.Packet.parent.Packet.slot with
         | Some child when not child.filled ->
           if copies_lost t child then respawn_child t ctx child ~reason:"bounced-packet"
         | Some _ | None -> ()))
@@ -1420,12 +1495,12 @@ let charge t task cost =
 (* A salvaged result beat the task to this call: take it instead of
    spawning (§4.1 cases 4–5: "P' will not spawn C' because the answer is
    already there"). *)
-let skip_preheld t ctx task ~slot v =
-  let c_stamp = child_stamp task slot in
-  ignore (add_child task ~slot ~stamp:c_stamp task.packet ~filled:true);
+let skip_preheld t ctx task ~slot ~fname ~args v =
+  let packet = build_child_packet t ctx task ~slot ~fname ~args in
+  ignore (add_child task ~slot packet ~filled:true);
   Instance.supply task.inst slot v;
   Counter.bump ctx.counters Count.spawn_skipped_preheld;
-  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:c_stamp
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Result_accepted { task = task.tid });
   ctx.wake t.nid ~delay:1
 
@@ -1434,9 +1509,8 @@ let skip_preheld t ctx task ~slot v =
 let inherit_orphan t ctx task ~slot ~fname ~args (orphan : Packet.link) =
   let packet = build_child_packet t ctx task ~slot ~fname ~args in
   ignore (record_checkpoint t ctx ~dest:orphan.Packet.proc packet);
-  let child = add_child task ~slot ~stamp:packet.Packet.stamp packet ~filled:false in
-  child.dests <- [ (0, orphan.Packet.proc) ];
-  child.ctasks <- [ (0, orphan.Packet.task) ];
+  let child = add_child task ~slot packet ~filled:false in
+  child.copies <- [| orphan.Packet.proc; orphan.Packet.task |];
   Counter.bump ctx.counters Count.spawn_inherited;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Inherited { orphan_task = orphan.Packet.task; proc = orphan.Packet.proc });
@@ -1495,7 +1569,7 @@ let step t ctx =
             let early = List.assoc_opt slot task.early in
             if Option.is_some early then task.early <- List.remove_assoc slot task.early;
             match early with
-            | Some (Preheld v) -> skip_preheld t ctx task ~slot v
+            | Some (Preheld v) -> skip_preheld t ctx task ~slot ~fname ~args v
             | Some (Orphan orphan) when not (knows_dead t orphan.Packet.proc) ->
               inherit_orphan t ctx task ~slot ~fname ~args orphan
             | Some (Orphan _) | None ->

@@ -152,6 +152,15 @@ val allocated_side_tables : t -> int
     values heard) exist — introspection for tests: a node that never
     needed one holds none. *)
 
+val child_slot_walks : int list -> int list * int list * (int -> int option)
+(** Bind one child per slot of [slots], in list order (slots distinct), on
+    a fresh task's slot table, and read the table back: the slots in the
+    order the iteration walk visits them, in the order the fold visits
+    them, and the finder, answering a slot's child by its binding
+    position.  The walks must visit children in the order a stdlib
+    [Hashtbl.create 8] filled by [Hashtbl.replace] would; the property
+    test holds them to one.  Introspection for tests. *)
+
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every
     resident and retired task, the wasted work of reclaimed tombstones

@@ -108,17 +108,17 @@ let gate name measured bound =
   if measured > bound then
     Alcotest.failf "%s allocates %.2f minor words per event (bound %.1f)" name measured bound
 
-(* Each bound was set at the measured value plus 3 words of slack: 24.2
-   words per event on the tree configuration and 26.4 on the service one,
-   in the test build (dev profile, no cross-module inlining, so a little
-   above what the benchmark's release build allocates).  The service
-   configuration now measures 27.1: each running request lists the uids
-   it retires, 3 words per finished task, until it settles, and the
-   journal's call fingerprints come in 65-word pages, one per 64 tasks,
-   freed with the settled requests that noted them. *)
-let tree_budget () = gate "tree" (tree_words_per_event ()) 27.2
+(* Each bound is the measured value plus 3 words of slack, in the test
+   build (dev profile, no cross-module inlining, so a little above what
+   the benchmark's release build allocates): 22.7 words per event on the
+   tree configuration and 25.1 on the service one.  The service
+   configuration also pays for each running request listing the uids it
+   retires, 3 words per finished task, until it settles, and for the
+   journal's call fingerprints in 65-word pages, one per 64 tasks, freed
+   with the settled requests that noted them. *)
+let tree_budget () = gate "tree" (tree_words_per_event ()) 25.7
 
-let service_budget () = gate "service" (service_words_per_event ()) 29.4
+let service_budget () = gate "service" (service_words_per_event ()) 28.1
 
 (* Live words per kept entry of a retaining journal: 20 000 entries of
    every event kind under 64 shared stamps, measured with

@@ -8,4 +8,5 @@ let () =
    @ Test_trace.suites @ Test_obs.suites @ Test_parallel.suites @ Test_analysis.suites
    @ Test_cost_prop.suites
    @ Test_stamp_prop.suites @ Test_eval_prop.suites @ Test_determinism.suites @ Test_scale.suites
-   @ Test_service.suites @ Test_alloc_budget.suites @ Test_uid_index.suites)
+   @ Test_service.suites @ Test_alloc_budget.suites @ Test_uid_index.suites
+   @ Test_child_slots.suites)

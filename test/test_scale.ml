@@ -6,9 +6,10 @@
 
    - a 1024-processor, ~131k-task run with chaos and one mid-run failure
      must satisfy the recovery oracle, reproduce the serial answer, and
-     replay byte-identically — the journal digest is pinned as a golden
-     and re-checked on a pool domain (jobs=2), so no arena or batching
-     state may leak between domains or depend on allocation history;
+     replay byte-identically — the journal digest is pinned as a golden,
+     and a rerun on a pool domain (jobs=2) must record the same journal,
+     entry by entry, so no arena or batching state may leak between
+     domains or depend on allocation history;
    - a QCheck property drives random small clusters through random
      failures and compares the incremental counters ([Node.live_tasks],
      [Node.blocked_tasks], [Node.wasted_work]) against the brute-force
@@ -21,6 +22,7 @@
 module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Journal = Recflow_machine.Journal
+module Stamp = Recflow_recovery.Stamp
 module Node = Recflow_machine.Node
 module Oracle = Recflow_machine.Oracle
 module Workload = Recflow_workload.Workload
@@ -53,10 +55,9 @@ let scale_cfg =
     seed = 7;
   }
 
-(* One full run: oracle asserted, answer checked, journal digested the
-   same way as the PR-5 determinism suite (every entry + answer + clock +
-   event count). *)
-let scale_digest () =
+(* One full run: oracle asserted, answer checked.  Returns the outcome
+   and the retained journal. *)
+let scale_run () =
   let c = Cluster.create scale_cfg (Workload.program scale_workload) in
   Cluster.fail_at c ~time:4_000 11;
   Cluster.start c ~fname:scale_workload.Workload.entry
@@ -65,10 +66,13 @@ let scale_digest () =
   ignore (Oracle.assert_ok c);
   check "scale answer matches the serial reference" true
     (o.Cluster.answer = Some (Workload.expected scale_workload Workload.Medium));
+  (o, Journal.entries (Cluster.journal c))
+
+(* A run's journal digested the same way as the determinism suite: every
+   entry, the answer, the clock and the event count. *)
+let scale_digest (o, entries) =
   let buf = Buffer.create (1 lsl 20) in
-  List.iter
-    (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" Journal.pp_entry e))
-    (Journal.entries (Cluster.journal c));
+  List.iter (fun e -> Buffer.add_string buf (Format.asprintf "%a\n" Journal.pp_entry e)) entries;
   Buffer.add_string buf
     (match o.Cluster.answer with Some v -> Value.to_string v | None -> "<no-answer>");
   Buffer.add_string buf
@@ -77,21 +81,41 @@ let scale_digest () =
 
 let scale_golden = "b9eb79a71d1ef1293d2e45059b935004"
 
+(* The index of the first journal entry two runs disagree on (time, stamp
+   or event), if any. *)
+let rec first_difference i (a : Journal.entry list) (b : Journal.entry list) =
+  match (a, b) with
+  | [], [] -> None
+  | x :: a, y :: b
+    when x.Journal.time = y.Journal.time
+         && Stamp.equal x.Journal.stamp y.Journal.stamp
+         && x.Journal.event = y.Journal.event ->
+    first_difference (i + 1) a b
+  | _ -> Some i
+
 let scale_smoke () =
-  let d1 = scale_digest () in
+  let ((o1, entries1) as run1) = scale_run () in
+  let d1 = scale_digest run1 in
   if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
     Printf.printf "    scale_golden = %S\n%!" d1;
   Alcotest.(check string) "scale digest at jobs=1" scale_golden d1;
-  (* The same run on a pool domain must reproduce the digest: the arena,
-     the batching buffers and the incremental counters hold no
-     domain-local or allocation-history-dependent state. *)
+  (* The same run on a pool domain must reproduce the run: the arena, the
+     batching buffers and the incremental counters hold no domain-local or
+     allocation-history-dependent state.  Comparing the journal entry by
+     entry, with the answer, clock and event count, is at least as strict
+     as comparing digests, without rendering the journal again. *)
   let pool = Pool.create ~jobs:2 () in
-  let d2 =
+  let o2, entries2 =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> List.hd (Pool.map pool scale_digest [ () ]))
+      (fun () -> List.hd (Pool.map pool scale_run [ () ]))
   in
-  Alcotest.(check string) "scale digest at jobs=2" d1 d2
+  check "answer at jobs=2" true (Option.equal Value.equal o1.Cluster.answer o2.Cluster.answer);
+  Alcotest.(check int) "clock at jobs=2" o1.Cluster.sim_time o2.Cluster.sim_time;
+  Alcotest.(check int) "events at jobs=2" o1.Cluster.events o2.Cluster.events;
+  Alcotest.(check int) "journal length at jobs=2" (List.length entries1) (List.length entries2);
+  Alcotest.(check (option int))
+    "first journal entry that differs at jobs=2" None (first_difference 0 entries1 entries2)
 
 (* Per-run state is sized by what the run holds: after a fault-free
    1024-processor run (X8's configuration, a 4k-task tree) no node keeps a
