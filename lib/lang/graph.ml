@@ -13,7 +13,7 @@ type t = {
   nodes : node array;
   result : node_id;
   woff : int array;
-  wtotal : int;
+  sizes : int;
   mutable digits : int array;
 }
 
@@ -86,11 +86,23 @@ and compile_expr b env expr =
 
 let invalid fname msg = invalid_arg (Printf.sprintf "Graph.make: %s: %s" fname msg)
 
-(* Count one static use of [d] by [user] into [uses]. *)
-let count_use fname uses user d =
+(* [make]'s first pass packs into [woff.(d)] what its second pass lays
+   the node out from: the static uses of [d], repeats counted, in bits
+   0-39 (at most [max_packed] squared, below 2^40), the last node to use
+   it in bits 40-59, and in bit 60 whether it is a leaf. *)
+let use_bits = 40
+let use_mask = (1 lsl use_bits) - 1
+let leaf_bit = 1 lsl 60
+
+(* The laid-out [woff] entry of a non-leaf node (see graph.mli). *)
+let slots_flag = 1 lsl 20
+let place_shift = 21
+
+(* Count one static use of [d] by [user]. *)
+let count_use fname woff user d =
   if d < 0 || d >= user then
     invalid fname (Printf.sprintf "n%d uses n%d, which does not precede it" user d);
-  uses.(d) <- uses.(d) + 1
+  woff.(d) <- (woff.(d) land (leaf_bit lor use_mask)) + 1 + (user lsl use_bits)
 
 (* Call-site numbers: the digit a child's level stamp ends with.
 
@@ -118,12 +130,14 @@ let count_use fname uses user d =
    once its condition is ready, and whenever the queue runs dry it answers
    the outstanding calls in spawn order.  Every node enters the queue at
    most once, so the calls in [queue], in order, are the spawn order.
-   States: 0 idle, 1 waiting on [wait.(id)] operands, 2 an [If] waiting on
-   its condition, 3 queued or called, 4 done. *)
-let spawn_order nodes ~result ~woff ~wtotal =
+   Waiters sit where an instance keeps them ([woff]; [slots] is indexed
+   by word position, as an instance's word array is).  States: 0 idle,
+   1 waiting on [wait.(id)] operands, 2 an [If] waiting on its
+   condition, 3 queued or called, 4 done. *)
+let spawn_order nodes ~result ~woff ~words =
   let n = Array.length nodes in
   let state = Array.make n 0 and wait = Array.make n 0 in
-  let waiters = Array.make n 0 and slots = Array.make wtotal 0 in
+  let waiters = Array.make n 0 and slots = Array.make words 0 in
   let queue = Array.make n 0 and tail = ref 0 in
   let enqueue id =
     state.(id) <- 3;
@@ -131,14 +145,19 @@ let spawn_order nodes ~result ~woff ~wtotal =
     incr tail
   in
   let add_waiter d w =
-    slots.(woff.(d) - n + waiters.(d)) <- w;
+    let at = woff.(d) in
+    if at land slots_flag <> 0 then slots.((at lsr place_shift) + waiters.(d)) <- w;
     waiters.(d) <- waiters.(d) + 1
   in
   let rec complete id =
     state.(id) <- 4;
-    for k = waiters.(id) - 1 downto 0 do
-      ready slots.(woff.(id) - n + k)
-    done
+    let at = woff.(id) in
+    if waiters.(id) > 0 then
+      if at land slots_flag = 0 then ready (at lsr place_shift)
+      else
+        for k = waiters.(id) - 1 downto 0 do
+          ready slots.((at lsr place_shift) + k)
+        done
   and ready w =
     if state.(w) = 2 then arms w
     else begin
@@ -190,7 +209,7 @@ let spawn_order nodes ~result ~woff ~wtotal =
   done;
   (queue, !tail)
 
-let number_calls nodes ~result ~woff ~wtotal =
+let number_calls nodes ~result ~woff ~words =
   let n = Array.length nodes in
   let digit = Array.map (function Call _ -> 0 | Const _ | Param _ | Prim _ | If _ -> -1) nodes in
   let ifs = Array.fold_left (fun k node -> match node with If _ -> k + 1 | _ -> k) 0 nodes in
@@ -237,7 +256,7 @@ let number_calls nodes ~result ~woff ~wtotal =
     end
   in
   next.(0) <- 0;
-  let queue, queued = spawn_order nodes ~result ~woff ~wtotal in
+  let queue, queued = spawn_order nodes ~result ~woff ~words in
   for r = 0 to queued - 1 do
     let c = queue.(r) in
     match nodes.(c) with
@@ -255,39 +274,53 @@ let make ~fname ~arity nodes ~result =
   if n > max_packed then
     invalid fname (Printf.sprintf "%d nodes exceed the packed limit of %d" n max_packed);
   if result < 0 || result >= n then invalid fname (Printf.sprintf "result n%d out of range" result);
-  (* [woff] first counts each node's static uses, repeats counted: the
-     most waiters it can hold.  Waiter slots follow the node words in an
-     instance's word array, so the offsets then start at [n]. *)
-  let woff = Array.make n 0 in
+  (* The first pass marks the leaves, counts the other nodes and packs
+     each node's uses and last user (above [count_use]). *)
+  let woff = Array.make n 0 and inner = ref 0 in
   for i = 0 to n - 1 do
     match nodes.(i) with
-    | Const _ -> ()
+    | Const _ -> woff.(i) <- leaf_bit
     | Param p ->
       if p < 0 || p >= arity then
-        invalid fname (Printf.sprintf "n%d reads parameter %d of %d" i p arity)
+        invalid fname (Printf.sprintf "n%d reads parameter %d of %d" i p arity);
+      woff.(i) <- leaf_bit
     | Prim (_, deps) | Call { args = deps; _ } ->
       if Array.length deps > max_packed then
         invalid fname
           (Printf.sprintf "n%d has %d operands, over the packed limit of %d" i
              (Array.length deps) max_packed);
+      incr inner;
       for k = 0 to Array.length deps - 1 do
         count_use fname woff i deps.(k)
       done
     | If { cond; then_; else_ } ->
+      incr inner;
       count_use fname woff i cond;
       count_use fname woff i then_;
       count_use fname woff i else_
   done;
-  let next = ref n in
+  (* The second pass numbers the non-leaf nodes in id order and gives
+     each node of two or more uses its waiter slots, after the [inner]
+     node words. *)
+  let inner = !inner in
+  let k = ref 0 and next = ref inner in
   for i = 0 to n - 1 do
-    let uses = woff.(i) in
+    let a = woff.(i) in
+    let uses = a land use_mask in
     if uses > max_packed then
       invalid fname
         (Printf.sprintf "n%d has %d users, over the packed limit of %d" i uses max_packed);
-    woff.(i) <- !next;
-    next := !next + uses
+    if a land leaf_bit <> 0 then woff.(i) <- -1
+    else begin
+      if uses >= 2 then begin
+        woff.(i) <- !k lor slots_flag lor (!next lsl place_shift);
+        next := !next + uses
+      end
+      else woff.(i) <- !k lor ((a lsr use_bits) lsl place_shift);
+      incr k
+    end
   done;
-  { fname; arity; nodes; result; woff; wtotal = !next - n; digits = [||] }
+  { fname; arity; nodes; result; woff; sizes = inner lor ((!next - inner) lsl 20); digits = [||] }
 
 let compile_def (def : Ast.def) =
   let b = { rev_nodes = []; count = 0 } in
@@ -323,13 +356,18 @@ let program lib = lib.source
 
 let node_count t = Array.length t.nodes
 
+let inner_nodes t = t.sizes land max_packed
+
+let waiter_slots t = t.sizes lsr 20
+
 (* Numbering a template costs several times the rest of its compilation,
    and a cluster compiles its whole program when it is created, so each
    template is numbered on its first [digit] query: once, and only if it
    spawns. *)
 let digit t id =
   if Array.length t.digits = 0 then
-    t.digits <- number_calls t.nodes ~result:t.result ~woff:t.woff ~wtotal:t.wtotal;
+    t.digits <-
+      number_calls t.nodes ~result:t.result ~woff:t.woff ~words:(inner_nodes t + waiter_slots t);
   t.digits.(id)
 
 let call_sites t =

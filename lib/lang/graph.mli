@@ -34,16 +34,32 @@ type t = private {
   nodes : node array;  (** topologically ordered: deps precede users *)
   result : node_id;
   woff : int array;
-      (** per node, the index of its first waiter slot in an {!Instance}'s
-          word array, where the waiter slots follow one word per node.
-          Node [i] gets one slot per static use of it, repeats counted, so
-          [x + x] uses [x] twice. *)
-  wtotal : int;  (** waiter slots over all nodes *)
+      (** per node, where an {!Instance} keeps its state.  A leaf ([Const]
+          or [Param]) is complete from the start and never waits, so it
+          has none: its entry is [-1].  Any other node [i] has a dense
+          index [k], numbered in id order, into the instance's node words
+          and values: [woff.(i) land max_packed].  Bits 21 and up say who
+          can wait on [i].  A node used two or more times sets bit 20
+          ({!slots_flag}), and bits 21 and up give the position in the
+          word array of its first waiter slot, one slot per static use,
+          repeats counted ([x + x] uses [x] twice); the slots follow the
+          node words.  A node used once has at most one waiter, the node
+          that uses it, and bits 21 and up give that node's id (0 for a
+          node no other node uses). *)
+  sizes : int;
+      (** [inner lor (slots lsl 20)]: the non-leaf nodes, and the waiter
+          slots over all nodes ({!inner_nodes}, {!waiter_slots}). *)
   mutable digits : int array;
       (** per node, the call-site number of a [Call] node and [-1] for any
           other node, once the first {!digit} query has computed them;
           empty before. *)
 }
+
+val slots_flag : int
+(** Bit 20 of a [woff] entry: the node has waiter slots. *)
+
+val place_shift : int
+(** [21]: where a [woff] entry's slot position or user id starts. *)
 
 val max_packed : int
 (** [2^20 - 1]: the most nodes, operands per node, and static uses of one
@@ -51,7 +67,8 @@ val max_packed : int
     counts fit the fields of an {!Instance}'s packed node word. *)
 
 val make : fname:string -> arity:int -> node array -> result:node_id -> t
-(** Assemble a template from a node array and size its waiter slots.
+(** Assemble a template from a node array and lay out its instances'
+    state ([woff]).
     @raise Invalid_argument if the nodes are not topologically ordered, a
     parameter index or [result] is out of range, or a count exceeds
     {!max_packed}. *)
@@ -74,6 +91,13 @@ val program : library -> Program.t
     evaluation of fine-grained calls). *)
 
 val node_count : t -> int
+
+val inner_nodes : t -> int
+(** The nodes that are not leaves: an instance's node words and values. *)
+
+val waiter_slots : t -> int
+(** Waiter slots over all nodes: one per use of each node used twice or
+    more. *)
 
 val digit : t -> node_id -> int
 (** [digit t id] is the last stamp digit of every child spawned from call

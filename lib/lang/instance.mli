@@ -35,22 +35,14 @@ val step : t -> action
 val supply : t -> Graph.node_id -> Value.t -> unit
 (** Deliver a child result into a call slot.  Ignored if the slot is
     already filled.
-    @raise Invalid_argument if the slot is not an outstanding call. *)
+    @raise Invalid_argument if the slot is neither an outstanding nor a
+    filled call (a leaf is not a call). *)
 
 val outstanding_calls : t -> int
 (** Call slots spawned but not yet supplied. *)
 
 val outstanding_slots : t -> Graph.node_id list
-(** The outstanding slots, in spawn order. *)
-
-val result : t -> Value.t option
+(** The outstanding slots, in node-id order. *)
 
 val graph : t -> Graph.t
 (** The template the instance runs. *)
-
-val fname : t -> string
-
-val args : t -> Value.t array
-
-val fired_nodes : t -> int
-(** Nodes fired so far (a per-task work metric). *)

@@ -561,13 +561,31 @@ let instances_agree_with_serial =
       let expected = fst (Eval_serial.eval fib_program "fib" [ Value.Int n ]) in
       Value.equal (run_sync lib "fib" [| Value.Int n |]) expected)
 
-(* Waiter slots are sized by static uses, repeats counted. *)
+(* Only a non-leaf node with two or more static uses, repeats counted,
+   gets waiter slots; leaves get no state at all. *)
 let graph_waiter_slots () =
-  let p = Parser.parse_program_exn "def f(n) = n + 1\ndef g(u) = let x = f(u) in x + x" in
-  let g = Graph.find_exn (Graph.compile_program p) "g" in
-  (* param u <- call f; call f <- add, twice *)
-  check_int "one slot per use" 3 g.Graph.wtotal;
-  check_int "offsets cover every node" (Graph.node_count g) (Array.length g.Graph.woff)
+  let p =
+    Parser.parse_program_exn
+      "def f(n) = n + 1\ndef g(u) = let x = f(u) in x + x\ndef h(u) = f(u + 1) * 2"
+  in
+  let lib = Graph.compile_program p in
+  let g = Graph.find_exn lib "g" in
+  (* n0 param u <- n1 call f <- n2 add, twice *)
+  check_int "offsets cover every node" (Graph.node_count g) (Array.length g.Graph.woff);
+  check_int "non-leaf nodes" 2 (Graph.inner_nodes g);
+  check_int "x + x gets two slots, the leaf u none" 2 (Graph.waiter_slots g);
+  check_int "a leaf has no state" (-1) g.Graph.woff.(0);
+  check_int "x: index 0, slots after the 2 node words"
+    (Graph.slots_flag lor (2 lsl Graph.place_shift))
+    g.Graph.woff.(1);
+  check_int "the result: index 1, no user" 1 g.Graph.woff.(2);
+  (* n0 param u, n1 const 1 <- n2 add <- n3 call f <- n5 mul -> n4 const 2 *)
+  let h = Graph.find_exn lib "h" in
+  check_int "h non-leaf nodes" 3 (Graph.inner_nodes h);
+  check_int "single uses get no slots" 0 (Graph.waiter_slots h);
+  check_int "u + 1: index 0, names its user, the call" (3 lsl Graph.place_shift) h.Graph.woff.(2);
+  check_int "the call: index 1, names its user, the product" (1 lor (5 lsl Graph.place_shift))
+    h.Graph.woff.(3)
 
 (* Templates whose counts overflow a packed field, or whose nodes are out
    of order, are refused rather than wrapped. *)
@@ -593,7 +611,13 @@ let graph_packing_guard () =
     ~result:0;
   rejects "parameter out of range" ~fname:"param" ~arity:1 [| Graph.Param 1 |] ~result:0;
   let g = Graph.make ~fname:"ok" ~arity:0 [| zero; Graph.Prim (Ast.Add, [| 0; 0 |]) |] ~result:1 in
-  check_int "repeated operand gets two slots" 2 g.Graph.wtotal
+  check_int "a repeated leaf gets no slots" 0 (Graph.waiter_slots g);
+  let g =
+    Graph.make ~fname:"ok" ~arity:0
+      [| zero; Graph.Prim (Ast.Neg, [| 0 |]); Graph.Prim (Ast.Add, [| 1; 1 |]) |]
+      ~result:2
+  in
+  check_int "a repeated operand gets two slots" 2 (Graph.waiter_slots g)
 
 (* ---------------- Action-trace goldens ---------------- *)
 
@@ -782,8 +806,12 @@ let rec steps_to_block inst n =
 
 (* Live words of a blocked synth instance beyond its shared template and
    parameters.  Measured: 99 with per-node variant states, waiter lists
-   and a Stdlib queue; 72 with packed node words.  The bound leaves about
-   10% over the packed figure. *)
+   and a Stdlib queue; 72 with packed node words; 33 once leaves and
+   single-use nodes keep no words: the 9-word record, a node word and a
+   value slot for each of the 8 non-leaf nodes (two 9-word arrays), and
+   the values those slots point at (the two [d - 1] results and the
+   shared [false], 2 words each).  The bound leaves about 10% over the
+   last figure. *)
 let instance_size_gate () =
   let g, params = synth_template () in
   let inst = Instance.create g params in
@@ -792,7 +820,7 @@ let instance_size_gate () =
     Obj.reachable_words (Obj.repr inst) - Obj.reachable_words (Obj.repr g)
     - Obj.reachable_words (Obj.repr params)
   in
-  if own > 80 then Alcotest.failf "blocked synth instance holds %d words (bound 80)" own
+  if own > 36 then Alcotest.failf "blocked synth instance holds %d words (bound 36)" own
 
 (* Minor words allocated per [Instance.step] while 1000 synth instances
    run to their first [Blocked] (6 steps each).  What is left is what the
