@@ -47,20 +47,22 @@ let probe_peak ~stride (c : Cluster.t) f =
   let r = f () in
   (r, Sys.time () -. t0 -. !walk_s, !peak)
 
-(* Measured peaks: 138 and 135 words per task on the quick rows, 81 and
-   74 on the two smaller full rows (173, 169, 111 and 105 while a graph
-   instance kept a word, a value and a waiter slot per use for every node,
-   leaves included; 198, 193, 135 and 129 when a task kept its children in
-   a [Hashtbl] and each child its copies in two association lists; 211,
-   206, 148 and 143 before graph instances packed their node state; 226,
-   223, 155 and 150 before per-run state was sized by what the run holds).
-   A quick row carries the fixed per-processor state over few tasks, so it
-   sits well above a full row and gets its own bound; each bound is about
-   10% above the largest measured row of its mode (the 1024-processor full
-   row, about 1 GB, was not run; words per task fall as the tree grows).
-   perfbench's 5% bound on [peak_live_words] is the tighter regression
-   gate. *)
-let words_per_task_bound ~quick = if quick then 152 else 90
+(* Measured peaks: 128 and 126 words per task on the quick rows, 73 and
+   66 on the two smaller full rows (138, 135, 81 and 74 while a task built
+   its graph instance when its packet arrived rather than at its first
+   step; 173, 169, 111 and 105 while a graph instance kept a word, a value
+   and a waiter slot per use for every node, leaves included; 198, 193,
+   135 and 129 when a task kept its children in a [Hashtbl] and each child
+   its copies in two association lists; 211, 206, 148 and 143 before graph
+   instances packed their node state; 226, 223, 155 and 150 before per-run
+   state was sized by what the run holds).  A quick row carries the fixed
+   per-processor state over few tasks, so it sits well above a full row
+   and gets its own bound; each bound is about 10% above the largest
+   measured row of its mode (152 and 90 before the deferred instance; the
+   1024-processor full row, about 1 GB, was not run; words per task fall
+   as the tree grows).  perfbench's 5% bound on [peak_live_words] is the
+   tighter regression gate. *)
+let words_per_task_bound ~quick = if quick then 141 else 80
 
 let run ?(quick = false) () =
   (* (processors, tree depth): distributed tasks = 2^depth - 1 once the

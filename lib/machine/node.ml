@@ -142,7 +142,10 @@ type early = Preheld of Value.t | Orphan of Packet.link
 type task = {
   tid : Ids.task_id;
   mutable packet : Packet.t;  (* mutable only for reparenting adopted orphans *)
-  inst : Instance.t;
+  mutable inst : Instance.t;
+      (* [unstarted] until the task first runs, when [step] builds its
+         graph instance from the packet: a queued task needs nothing else
+         (§2), and one aborted or lost in the queue never builds one *)
   born : int;  (* activation tick, for the sojourn-time histogram *)
   mutable state : task_state;
   mutable children : child array;
@@ -160,6 +163,14 @@ type task = {
   mutable adoption_reported : bool;
       (* this task, as an orphan, already announced itself upward *)
 }
+
+(* The instance every task holds before its first step, shared and never
+   stepped: a one-node graph, so a queued task pays no instance words and
+   a started one no [option] box. *)
+let unstarted =
+  Instance.create
+    (Recflow_lang.Graph.make ~fname:"" ~arity:0 [| Recflow_lang.Graph.Const Value.Nil |] ~result:0)
+    [||]
 
 (* What the index knows about a uid.  A binding goes Alive -> Gone, and
    then its key is removed.
@@ -1261,13 +1272,11 @@ let send_ack t ctx packet ~task_id =
          })
 
 let activate_task t ctx packet ~task_id =
-  let graph = ctx.template packet.Packet.fname in
-  let inst = Instance.create graph packet.Packet.args in
   let task =
     {
       tid = task_id;
       packet;
-      inst;
+      inst = unstarted;
       born = ctx.now ();
       state = Queued;
       children = [||];
@@ -1560,6 +1569,10 @@ let step t ctx =
         t.current <- Ids.no_task;
         pick_next t ctx
       | Alive task -> (
+          if task.inst == unstarted then begin
+            let p = task.packet in
+            task.inst <- Instance.create (ctx.template p.Packet.fname) p.Packet.args
+          end;
           match Instance.step task.inst with
           | Instance.Work { cost } ->
             let ticks = cost * work_tick in

@@ -306,6 +306,59 @@ let start_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A task builds its graph instance at its first step, so
+   [Instance.create]'s arity check would fire only mid-run: the entry
+   check in [start] and [submit] is what keeps a bad root out.  An unknown
+   entry or a wrong argument count is refused before anything is
+   journaled or scheduled: each cluster, given a valid entry afterwards,
+   runs exactly as a fresh one does, event for event, on the batch path
+   and on the service path. *)
+let entry_checked_before_any_event () =
+  let p = Recflow_lang.Parser.parse_program_exn "def f(x) = g(x) + 1\ndef g(y) = y * 2" in
+  let cfg = Config.default ~nodes:2 in
+  let bad = [ ("nope", [ Value.Int 1 ]); ("f", []); ("f", [ Value.Int 1; Value.Int 2 ]) ] in
+  let refused what f =
+    List.iter
+      (fun (fname, args) ->
+        check
+          (Printf.sprintf "%s %s/%d refused" what fname (List.length args))
+          true
+          (try
+             f ~fname ~args;
+             false
+           with Invalid_argument _ -> true))
+      bad
+  in
+  let batch ~refuse =
+    let c = Cluster.create cfg p in
+    if refuse then refused "start" (fun ~fname ~args -> Cluster.start c ~fname ~args);
+    check_int "batch: nothing journaled" 0 (Journal.length (Cluster.journal c));
+    Cluster.start c ~fname:"f" ~args:[ Value.Int 20 ];
+    let o = Cluster.run c in
+    Alcotest.(check (option value)) "batch answer" (Some (Value.Int 41)) o.Cluster.answer;
+    (o.Cluster.events, Journal.length (Cluster.journal c))
+  in
+  let service ~refuse =
+    let c = Cluster.create cfg p in
+    Cluster.begin_service c;
+    if refuse then
+      refused "submit" (fun ~fname ~args -> ignore (Cluster.submit c ~fname ~args ()));
+    check_int "service: no request opened" 0 (Cluster.submitted_requests c);
+    check_int "service: nothing journaled" 0 (Journal.length (Cluster.journal c));
+    let uid = Cluster.submit c ~fname:"f" ~args:[ Value.Int 20 ] () in
+    Cluster.close_arrivals c;
+    let o = Cluster.run c in
+    check_int "first uid" 0 uid;
+    Alcotest.(check (list value)) "service answer" [ Value.Int 41 ] (Cluster.request_answers c uid);
+    (o.Cluster.events, Journal.length (Cluster.journal c))
+  in
+  let same what (e0, j0) (e1, j1) =
+    check_int (what ^ ": events") e0 e1;
+    check_int (what ^ ": journal entries") j0 j1
+  in
+  same "batch" (batch ~refuse:false) (batch ~refuse:true);
+  same "service" (service ~refuse:false) (service ~refuse:true)
+
 let config_validation () =
   let bad f =
     let cfg = f (Config.default ~nodes:4) in
@@ -1037,6 +1090,7 @@ let suites =
         Alcotest.test_case "seed sensitivity" `Quick seed_changes_schedule;
         Alcotest.test_case "program error" `Quick program_error_surfaces;
         Alcotest.test_case "start validation" `Quick start_validation;
+        Alcotest.test_case "entry checked before any event" `Quick entry_checked_before_any_event;
         Alcotest.test_case "config validation" `Quick config_validation;
         Alcotest.test_case "retry delay capped" `Quick retry_delay_capped;
         Alcotest.test_case "horizon" `Quick horizon_stops;

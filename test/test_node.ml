@@ -22,7 +22,9 @@ let program =
   Recflow_lang.Parser.parse_program_exn
     "def add1(n) = n + 1\n\
      def par(n) = add1(n) + add1(n + 1)\n\
-     def wide(n) = add1(n) + add1(n) + add1(n) "
+     def wide(n) = add1(n) + add1(n) + add1(n)\n\
+     def synth(d, g) = if d == 0 then spin(g, 0) else synth(d - 1, g) + synth(d - 1, g)\n\
+     def spin(g, acc) = if g == 0 then acc else spin(g - 1, acc + 1) "
 
 let library = Graph.compile_program program
 
@@ -233,6 +235,35 @@ let inline_below_grain () =
   match results_sent w with
   | [ r ] -> check "inline answer" true (Value.equal r.Message.value (Value.Int 23))
   | _ -> Alcotest.fail "expected one result"
+
+(* A task that has not run holds its packet and bookkeeping but no graph
+   instance (§2: the packet is all it needs to start); [step] builds the
+   instance when the task first runs.  [k] packets of the X8 tree's
+   [synth] delivered without a step add at most [queued_words_bound]
+   words each: 35 with the instance deferred, 64 with it built at
+   activation. *)
+let queued_words_bound = 48
+
+let queued_task_holds_no_instance () =
+  let w = make_world ~node_id:2 () in
+  let k = 64 in
+  let before = Obj.reachable_words (Obj.repr w.node) in
+  for i = 0 to k - 1 do
+    let packet =
+      mk_packet ~stamp:(Stamp.of_digits [ 3; i ]) ~fname:"synth" ~args:[| Value.Int 1; Value.Int 4 |] ()
+    in
+    Node.deliver w.node w.ctx (Message.Task_packet { packet; task_id = 500 + i; replica = 0; replicas = 1 })
+  done;
+  let per_task = (Obj.reachable_words (Obj.repr w.node) - before) / k in
+  check_int "all queued" k (Node.runnable_tasks w.node);
+  check
+    (Printf.sprintf "%d words per queued task, bound %d" per_task queued_words_bound)
+    true (per_task <= queued_words_bound);
+  (* each builds its instance on its first step and spawns both children *)
+  pump w;
+  check_int "all blocked on their children" k (Node.blocked_tasks w.node);
+  check_int "two children each" (2 * k) (List.length (packets_sent w));
+  check_int "no program errors" 0 (List.length !(w.errors))
 
 (* ---------------- failure handling ---------------- *)
 
@@ -550,6 +581,7 @@ let suites =
         Alcotest.test_case "unknown target ignored" `Quick unknown_target_ignored;
         Alcotest.test_case "inline below grain" `Quick inline_below_grain;
         Alcotest.test_case "counter names" `Quick counter_names;
+        Alcotest.test_case "queued task holds no instance" `Quick queued_task_holds_no_instance;
       ] );
     ( "node.failure",
       [
