@@ -6,224 +6,397 @@
    under [Keep_all], which is exactly the configuration the Q8 experiment
    stresses), and [discharge] filtered the full list.
 
-   The entry is now a digit trie mirroring the call tree: a node per stamp
-   prefix, packets stored at the node addressed by their stamp's digit
-   path.  Because a stamp's ancestors are precisely its proper prefixes,
-   walking the trie root-to-leaf visits every possible covering ancestor —
-   [record]'s covered check, its descendant eviction (the subtree below the
-   new node) and [discharge] are all O(depth) hops, each a scan of one
-   node's live children.
+   The entry is a digit trie over the held stamps with compressed paths: it
+   keeps a node only where a checkpoint sits ([Leaf], or [Held] in
+   [Keep_all] mode) and where two held stamps diverge ([Branch]).  A stamp's
+   ancestors are exactly its proper prefixes, so the nodes on the path to a
+   stamp's place are the only held stamps that can cover it.  The digits a
+   node skips are never stored: they are the digits of any stamp below it,
+   and [rep] names one, the stamp of the node's leftmost checkpoint.
 
-   The trie holds only paths to outstanding checkpoints: [discharge]
-   unlinks every node it leaves with no packets and no children on its way
-   back up, so an entry's size follows the work still in flight rather
-   than the work ever spawned.  That matters for the sibling scans.  Below
-   depth 1 a digit is a call-site number, bounded by the program's static
-   fan-out (typically < 8; the analysis gauntlet asserts the bound at
-   runtime).  At depth 1 in service mode the digit is the request
-   uid, unbounded over a run and past 255 after 256 requests (such stamps
-   take the spill layout, see [Stamp]); only the requests with a checkpoint
-   still outstanding toward this peer keep a child there.
+   [record] walks down the path of the new stamp's digits.  At each node
+   it compares, with [Stamp.first_diff_from], the digits the node skips
+   against the node's [rep] (the digits above them already matched), and
+   then picks the child by the new stamp's digit at the node's length,
+   a binary search over children sorted by that digit.  Where the new
+   stamp leaves the path the walk stops: it is covered (a checkpoint at
+   a prefix, [Topmost]), evicts (the new stamp is a prefix of a whole
+   subtree, [Topmost]), adds a packet at an equal stamp ([Keep_all]),
+   splits a compressed run with a new [Branch], or adds a leaf under an
+   existing node.  [discharge] follows the digits down
+   without comparing skipped ones and checks the stamp it ends at for
+   equality, so most discharges, which miss (the child's record was
+   covered), change nothing; a hit removes and merges on the way back up
+   every node left with one child and no checkpoint.  Both are
+   O(stamp depth) hops, whatever the entry holds, which keeps [Keep_all]
+   (the Q8 space/time ablation) usable at scale.
 
-   Children are sibling-linked: a node carries its digit, its first child
-   and its next sibling, ending in the self-referential [nil_node].  A hop
-   is one 5-word block — no cons cell or pair per child — and unlinking
-   allocates nothing.
+   In [Topmost] mode the held stamps form an antichain (a descendant is
+   covered, an ancestor evicts), so checkpoints sit only at leaves and
+   every inner node is a [Branch] with two or more children: an entry of
+   one checkpoint is one 2-word [Leaf], and an entry of n costs n leaves
+   and at most n - 1 branches (4 words and a child array each).
 
-   The same rule holds one level up: the per-peer entries live in a sparse
-   map keyed by destination, and an entry leaves it as soon as [discharge]
-   empties it or [on_failure] surrenders it.  A table's size is therefore
-   set by the peers it still holds checkpoints for, not by every peer it
-   ever spawned to (up to P per node, P^2 across a run, under static hash
-   placement).  Nothing iterates the map in an order callers can see:
-   [destinations] sorts, the other walks only sum. *)
+   A depth-1 digit is the request uid in service mode, unbounded over a
+   run and past 255 after 256 requests (such stamps take the spill layout,
+   see [Stamp]); only the requests with a checkpoint still outstanding
+   toward a peer keep a child under that entry's top [Branch], and the
+   binary search keeps the walk logarithmic in them.
+
+   The same rule holds one level up: the per-peer entries live in two
+   exactly-sized arrays sorted by peer, found by binary search, and an
+   entry leaves them as soon as [discharge] empties it or [on_failure]
+   surrenders it.  A table's size is therefore set by the peers it still
+   holds checkpoints for, not by every peer it ever spawned to (up to P
+   per node, P^2 across a run, under static hash placement): an empty
+   table is one 5-word record, one with a single entry adds 4 words of
+   arrays.  Adding or dropping a peer copies both arrays, so this suits
+   tables of few peers: the benchmark's runs hold at most 11 at a
+   [record], 2 to 6 in the median. *)
 
 type mode = Topmost | Keep_all
 
-type node = {
-  digit : int;  (* last digit of this node's path; -1 at an entry root *)
-  mutable packets : Packet.t list;
-      (* newest first; all share the stamp addressed by this node's path.
-         At most one element in [Topmost] mode (equal stamps are covered). *)
-  mutable first : node;  (* first child, [nil_node] if none *)
-  mutable next : node;  (* next sibling, [nil_node] at the end *)
-}
-
-type entry = { root : node; mutable count : int }
-
-(* Peers are small ints ([Ids.proc_id]; the super-root is -1), so the
-   identity is a good enough hash. *)
-module Peers = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash x = x land max_int
-end)
+type node =
+  | Empty  (* what [remove] returns for a subtree it emptied; never stored *)
+  | Leaf of Packet.t  (* one checkpoint, nothing below it *)
+  | Held of { mutable packets : Packet.t list; mutable kids : node array }
+      (* [Keep_all] only: checkpoints at one stamp, newest first, with
+         either two or more of them or something below *)
+  | Branch of { len : int; mutable rep : Stamp.t; mutable kids : node array }
+(* no checkpoint at its prefix of [len] digits; two or more children,
+   sorted by their digit at the parent's length *)
 
 type t = {
   mode : mode;
-  entries : entry Peers.t;
-  mutable size : int;  (* the entries' counts summed, so [total_size] is O(1) *)
+  mutable size : int;  (* checkpoints held, so [total_size] is O(1) *)
+  mutable peers : int array;  (* sorted *)
+  mutable tries : node array;  (* [tries.(i)] is [peers.(i)]'s entry *)
 }
 
-(* End of every child and sibling chain, and the "absent child" result of
-   the descend loops, so they never allocate an option.  Never mutated,
-   never linked into a trie as a real node. *)
-let rec nil_node = { digit = -1; packets = []; first = nil_node; next = nil_node }
+exception Covered
 
-let create ?(mode = Topmost) () = { mode; entries = Peers.create 1; size = 0 }
+let create ?(mode = Topmost) () = { mode; size = 0; peers = [||]; tries = [||] }
 
 let mode t = t.mode
 
-let entry_of t dest =
-  match Peers.find t.entries dest with
-  | e -> e
-  | exception Not_found ->
-    let e =
-      { root = { digit = -1; packets = []; first = nil_node; next = nil_node }; count = 0 }
-    in
-    Peers.add t.entries dest e;
-    e
+(* [Held]'s packets are never empty. *)
+let[@inline] held_stamp = function (p : Packet.t) :: _ -> p.stamp | [] -> assert false
 
-(* The child of [node] with digit [k], or [nil_node].  This and the walks
-   below are top-level recursions over explicit arguments: a local
-   recursive function would capture the digit, stamp or packet and cost a
-   closure per call. *)
-let rec scan_siblings n k = if n == nil_node || n.digit = k then n else scan_siblings n.next k
+(* The stamp of a checkpoint under [n]: its leftmost one. *)
+let[@inline] rep = function
+  | Leaf p -> p.Packet.stamp
+  | Held h -> held_stamp h.packets
+  | Branch b -> b.rep
+  | Empty -> assert false
 
-let kid node k = scan_siblings node.first k
+(* Digits of [n]'s prefix: the depth of its checkpoints, or where its
+   children diverge. *)
+let[@inline] len = function
+  | Leaf p -> Stamp.depth p.Packet.stamp
+  | Held h -> Stamp.depth (held_stamp h.packets)
+  | Branch b -> b.len
+  | Empty -> assert false
 
-let kid_or_create node k =
-  let n = kid node k in
-  if n != nil_node then n
+(* Children arrays, with the common small sizes built as literals, which
+   allocate inline. *)
+let insert_kid_at (a : node array) i x : node array =
+  match a with
+  | [| y; z |] -> if i = 0 then [| x; y; z |] else if i = 1 then [| y; x; z |] else [| y; z; x |]
+  | _ ->
+    let n = Array.length a in
+    let b = Array.make (n + 1) x in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
+
+let remove_kid_at (a : node array) i : node array =
+  match a with
+  | [| _ |] -> [||]
+  | [| y; z |] -> if i = 0 then [| z |] else [| y |]
+  | _ ->
+    let n = Array.length a in
+    let b = Array.make (n - 1) a.(0) in
+    Array.blit a 0 b 0 i;
+    Array.blit a (i + 1) b i (n - 1 - i);
+    b
+
+(* Index of the child whose digit at [l] is [k], or [-(insertion point) -
+   1]: a binary search over the children's [rep]s.  The walks are
+   top-level recursions over explicit arguments: a local recursive
+   function would capture the stamp or packet and cost a closure per
+   call. *)
+let rec search_kids kids l k lo hi =
+  if lo >= hi then -lo - 1
   else begin
-    let n = { digit = k; packets = []; first = nil_node; next = node.first } in
-    node.first <- n;
-    n
+    let mid = (lo + hi) lsr 1 in
+    let x = Stamp.digit (rep (Array.unsafe_get kids mid)) l in
+    if x = k then mid
+    else if x < k then search_kids kids l k (mid + 1) hi
+    else search_kids kids l k lo mid
   end
 
-let rec unlink_after prev child =
-  if prev.next == child then prev.next <- child.next else unlink_after prev.next child
+let[@inline] find_kid kids l k = search_kids kids l k 0 (Array.length kids)
 
-(* Remove [child], known to be linked under [parent]. *)
-let unlink parent child =
-  if parent.first == child then parent.first <- child.next else unlink_after parent.first child
-
-(* [f] folded over the packets of [n], its descendants and its later
-   siblings.  Tail-recursive along sibling chains, which can be long. *)
-let rec fold_forest f n acc =
-  if n == nil_node then acc else fold_forest f n.next (fold_forest f n.first (f n acc))
-
-let subtree_packets root =
-  (* Prepend [node.packets] without reversing: equal-stamp packets must
-     reach the stable sort newest-first, as the flat list did. *)
-  fold_forest (fun n acc -> List.fold_right (fun p acc -> p :: acc) n.packets acc) root []
-
-let rec record_all e p stamp d node i =
-  if i = d then begin
-    node.packets <- p :: node.packets;
-    e.count <- e.count + 1
+(* The index of [dest] in the sorted peers, or [-(insertion point) - 1]. *)
+let rec search_peers peers dest lo hi =
+  if lo >= hi then -lo - 1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    let p = Array.unsafe_get peers mid in
+    if p = dest then mid
+    else if p < dest then search_peers peers dest (mid + 1) hi
+    else search_peers peers dest lo mid
   end
-  else record_all e p stamp d (kid_or_create node (Stamp.digit stamp i)) (i + 1)
 
-let packet_count n acc = acc + List.length n.packets
+let find_peer t dest = search_peers t.peers dest 0 (Array.length t.peers)
 
-(* Single descent: any populated node passed strictly before depth [d] is
-   a proper ancestor of [stamp] — the new packet is covered.  The
-   emptiness tests are pattern matches, not [<> []]: the latter is a
-   polymorphic-compare call per hop on this hot path. *)
-let rec record_topmost e p stamp d node i =
-  match node.packets with
-  | _ :: _ -> `Covered (* ancestor if i < d, identical stamp if i = d *)
-  | [] ->
-    if i = d then begin
-      node.packets <- [ p ];
-      (* The new checkpoint may dominate previously-recorded descendants
-         (possible during recovery when an ancestor is re-spawned to the
-         same destination); they live exactly in the subtree below this
-         node — evict it wholesale.  A leaf (the overwhelmingly common
-         case) has nothing below it. *)
-      if node.first != nil_node then begin
-        e.count <- e.count - fold_forest packet_count node.first 0;
-        node.first <- nil_node
-      end;
-      e.count <- e.count + 1;
-      `Recorded
+let add_peer t i dest n =
+  let peers = t.peers in
+  let k = Array.length peers in
+  let ps = Array.make (k + 1) dest in
+  Array.blit peers 0 ps 0 i;
+  Array.blit peers i ps (i + 1) (k - i);
+  t.peers <- ps;
+  t.tries <- insert_kid_at t.tries i n
+
+let drop_peer t i =
+  let peers = t.peers in
+  let k = Array.length peers in
+  if k = 1 then t.peers <- [||]
+  else begin
+    let ps = Array.make (k - 1) 0 in
+    Array.blit peers 0 ps 0 i;
+    Array.blit peers (i + 1) ps i (k - 1 - i);
+    t.peers <- ps
+  end;
+  t.tries <- remove_kid_at t.tries i
+
+(* Checkpoints under [n]. *)
+let rec count n =
+  match n with
+  | Empty -> 0
+  | Leaf _ -> 1
+  | Held h -> List.length h.packets + count_kids h.kids 0 0
+  | Branch b -> count_kids b.kids 0 0
+
+and count_kids kids i acc =
+  if i = Array.length kids then acc else count_kids kids (i + 1) (acc + count kids.(i))
+
+let rec nodes n =
+  match n with
+  | Empty -> 0
+  | Leaf _ -> 1
+  | Held { kids; _ } | Branch { kids; _ } -> nodes_kids kids 0 1
+
+and nodes_kids kids i acc =
+  if i = Array.length kids then acc else nodes_kids kids (i + 1) (acc + nodes kids.(i))
+
+(* A [Branch]'s [rep] is its first child's, kept current on every walk
+   back up so it never names a checkpoint the table dropped. *)
+let refresh_rep n =
+  match n with
+  | Branch b ->
+    let r = rep (Array.unsafe_get b.kids 0) in
+    if r != b.rep then b.rep <- r
+  | Empty | Leaf _ | Held _ -> ()
+
+(* Record [p] (stamp [stamp] of depth [d]) under [n], returning what
+   replaces [n].  [stamp]'s first [from] digits are [n]'s.  Raises
+   [Covered] before changing anything. *)
+let rec insert t p stamp d from n =
+  let l = len n in
+  (* where [stamp] leaves [n]'s prefix, if it does *)
+  let c = if l <= from then l else Stamp.first_diff_from stamp (rep n) from in
+  if c < l then begin
+    t.size <- t.size + 1;
+    if c = d then begin
+      (* [stamp] is a proper prefix of every stamp under [n] *)
+      match t.mode with
+      | Topmost ->
+        t.size <- t.size - count n;
+        Leaf p
+      | Keep_all ->
+        Held { packets = [ p ]; kids = [| n |] }
     end
-    else record_topmost e p stamp d (kid_or_create node (Stamp.digit stamp i)) (i + 1)
+    else begin
+      (* [stamp] and [n] part at digit [c], among the digits [n] skips *)
+      let leaf = Leaf p in
+      let kids =
+        if Stamp.digit stamp c < Stamp.digit (rep n) c then [| leaf; n |] else [| n; leaf |]
+      in
+      Branch { len = c; rep = rep kids.(0); kids }
+    end
+  end
+  else begin
+    (* [n]'s prefix is a prefix of [stamp] *)
+    match n with
+    | Leaf q -> (
+      match t.mode with
+      | Topmost -> raise_notrace Covered (* an ancestor if [l < d], the same stamp if [l = d] *)
+      | Keep_all ->
+        t.size <- t.size + 1;
+        if l = d then Held { packets = [ p; q ]; kids = [||] }
+        else Held { packets = [ q ]; kids = [| Leaf p |] })
+    | Held h ->
+      if l = d then begin
+        h.packets <- p :: h.packets;
+        t.size <- t.size + 1
+      end
+      else begin
+        let kids = insert_kid t p stamp d h.kids l in
+        if kids != h.kids then h.kids <- kids
+      end;
+      n
+    | Branch b ->
+      if l = d then begin
+        t.size <- t.size + 1;
+        match t.mode with
+        | Topmost ->
+          (* the new checkpoint dominates everything below: evict it *)
+          t.size <- t.size - count n;
+          Leaf p
+        | Keep_all -> Held { packets = [ p ]; kids = b.kids }
+      end
+      else begin
+        let kids = insert_kid t p stamp d b.kids l in
+        if kids != b.kids then b.kids <- kids;
+        refresh_rep n;
+        n
+      end
+    | Empty -> assert false
+  end
+
+and insert_kid t p stamp d kids l =
+  let i = find_kid kids l (Stamp.digit stamp l) in
+  if i < 0 then begin
+    t.size <- t.size + 1;
+    insert_kid_at kids (-i - 1) (Leaf p)
+  end
+  else begin
+    let kid = kids.(i) in
+    let kid' = insert t p stamp d (l + 1) kid in
+    if kid' != kid then kids.(i) <- kid';
+    kids
+  end
 
 let record t ~dest (p : Packet.t) =
-  let e = entry_of t dest in
-  let stamp = p.stamp in
-  let before = e.count in
-  let verdict =
-    match t.mode with
-    | Keep_all ->
-      record_all e p stamp (Stamp.depth stamp) e.root 0;
-      `Recorded
-    | Topmost -> record_topmost e p stamp (Stamp.depth stamp) e.root 0
-  in
-  t.size <- t.size + e.count - before;
-  verdict
-
-(* Packets removed at [stamp]'s node.  On the way back up, every node left
-   with no packets and no children is unlinked from its parent, so the trie
-   keeps only paths to outstanding checkpoints. *)
-let rec discharge_at stamp d node i =
-  if i = d then begin
-    match node.packets with
-    | [] -> 0 (* already drained: the node lives on for its children *)
-    | ps ->
-      node.packets <- [];
-      List.length ps
+  let i = find_peer t dest in
+  if i < 0 then begin
+    add_peer t (-i - 1) dest (Leaf p);
+    t.size <- t.size + 1;
+    `Recorded
   end
   else begin
-    let c = kid node (Stamp.digit stamp i) in
-    if c == nil_node then 0
-    else begin
-      let removed = discharge_at stamp d c (i + 1) in
-      (match c.packets with
-      | [] when removed > 0 && c.first == nil_node -> unlink node c
-      | _ -> ());
-      removed
+    let top = t.tries.(i) in
+    let stamp = p.stamp in
+    match insert t p stamp (Stamp.depth stamp) 0 top with
+    | top' ->
+      if top' != top then t.tries.(i) <- top';
+      `Recorded
+    | exception Covered -> `Covered
+  end
+
+(* What replaces a node at depth [l] whose own checkpoints were all
+   removed, leaving [kids]. *)
+let without_packets kids l =
+  match Array.length kids with
+  | 0 -> Empty
+  | 1 -> kids.(0)
+  | _ -> Branch { len = l; rep = rep kids.(0); kids }
+
+(* Remove every checkpoint at exactly [stamp] (depth [d]) from under [n],
+   returning what replaces [n]: [n] itself, the node it merges into, or
+   [Empty].  The walk follows [stamp]'s digits without checking the digits
+   nodes skip; the equality test where it ends does. *)
+let rec remove t stamp d n =
+  match n with
+  | Leaf q ->
+    if Stamp.equal q.Packet.stamp stamp then begin
+      t.size <- t.size - 1;
+      Empty
     end
+    else n
+  | Held h ->
+    let l = len n in
+    if l = d then begin
+      if Stamp.equal (held_stamp h.packets) stamp then begin
+        t.size <- t.size - List.length h.packets;
+        without_packets h.kids l
+      end
+      else n
+    end
+    else if l > d then n
+    else begin
+      let kids = remove_kid t stamp d h.kids l in
+      if kids != h.kids then h.kids <- kids;
+      match h.packets with [ q ] when Array.length kids = 0 -> Leaf q | _ -> n
+    end
+  | Branch b ->
+    if b.len >= d then n
+    else begin
+      let kids = remove_kid t stamp d b.kids b.len in
+      if Array.length kids = 1 then kids.(0)
+      else begin
+        if kids != b.kids then b.kids <- kids;
+        refresh_rep n;
+        n
+      end
+    end
+  | Empty -> n
+
+and remove_kid t stamp d kids l =
+  let i = find_kid kids l (Stamp.digit stamp l) in
+  if i < 0 then kids
+  else begin
+    let kid = kids.(i) in
+    match remove t stamp d kid with
+    | Empty -> remove_kid_at kids i
+    | kid' ->
+      if kid' != kid then kids.(i) <- kid';
+      kids
   end
 
 let discharge t ~dest stamp =
-  match Peers.find t.entries dest with
-  | exception Not_found -> false
-  | e ->
-    let removed = discharge_at stamp (Stamp.depth stamp) e.root 0 in
-    e.count <- e.count - removed;
-    t.size <- t.size - removed;
-    (* An emptied entry's trie is already pruned down to its root: drop
-       the entry itself too. *)
-    if e.count = 0 then Peers.remove t.entries dest;
-    removed > 0
+  let i = find_peer t dest in
+  i >= 0
+  &&
+  let size = t.size and top = t.tries.(i) in
+  (match remove t stamp (Stamp.depth stamp) top with
+  | Empty -> drop_peer t i
+  | top' -> if top' != top then t.tries.(i) <- top');
+  t.size < size
 
-let node_count t =
-  Peers.fold (fun _ e acc -> fold_forest (fun _ acc -> acc + 1) e.root.first (acc + 1)) t.entries 0
+let node_count t = Array.fold_left (fun acc n -> acc + nodes n) 0 t.tries
 
-let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
+(* The checkpoints under [n] in stamp order, equal stamps newest first,
+   before [acc]: a node's own checkpoints, then its children in digit
+   order. *)
+let rec collect n acc =
+  match n with
+  | Empty -> acc
+  | Leaf p -> p :: acc
+  | Held h -> h.packets @ collect_kids h.kids (Array.length h.kids - 1) acc
+  | Branch b -> collect_kids b.kids (Array.length b.kids - 1) acc
 
-(* Collected order is arbitrary (trie walk), but the caller-visible order
-   is fixed by the stable sort: distinct stamps by [Stamp.compare], equal
-   stamps kept newest-first because each node's packets stay contiguous and
-   newest-first in the collected list. *)
-let sorted_packets e = List.stable_sort by_stamp (subtree_packets e.root)
+and collect_kids kids i acc =
+  if i < 0 then acc else collect_kids kids (i - 1) (collect kids.(i) acc)
+
+let iter_packets t f = Array.iter (fun n -> List.iter f (collect n [])) t.tries
 
 let on_failure t ~failed =
-  match Peers.find t.entries failed with
-  | exception Not_found -> []
-  | e ->
-    Peers.remove t.entries failed;
-    t.size <- t.size - e.count;
-    sorted_packets e
+  let i = find_peer t failed in
+  if i < 0 then []
+  else begin
+    let top = t.tries.(i) in
+    drop_peer t i;
+    t.size <- t.size - count top;
+    collect top []
+  end
 
 let entry t ~dest =
-  match Peers.find t.entries dest with exception Not_found -> [] | e -> sorted_packets e
+  let i = find_peer t dest in
+  if i < 0 then [] else collect t.tries.(i) []
 
 let total_size t = t.size
 
-let destinations t = List.sort Int.compare (Peers.fold (fun dest _ acc -> dest :: acc) t.entries [])
+let destinations t = Array.to_list t.peers

@@ -14,16 +14,18 @@
     checkpoint (strict evaluation means a completed child's whole subtree
     is complete, so coverage is not lost).
 
-    Each entry is indexed as a digit trie over stamps (a node per stamp
-    prefix), so {!record}'s covered/dominates checks and {!discharge} cost
-    O(stamp depth) rather than a scan of the entry — entry size does not
-    matter, which keeps [Keep_all] (the Q8 space/time ablation) usable at
-    scale.  {!discharge} prunes the trie back to the paths of outstanding
-    checkpoints, and entries live in a sparse map keyed by peer that drops
-    an entry once {!discharge} empties it or {!on_failure} surrenders it, so
-    table memory is proportional to the outstanding checkpoints — not to
-    the number of peers ever spawned to.  {!on_failure} and {!entry} still
-    return stamp-sorted lists. *)
+    Each entry is indexed as a digit trie over stamps with compressed
+    paths: a node only where a checkpoint sits and where two held stamps
+    diverge, the digits in between read from a stamp below.  {!record}'s
+    covered/dominates checks and {!discharge} cost O(stamp depth) rather
+    than a scan of the entry — entry size does not matter, which keeps
+    [Keep_all] (the Q8 space/time ablation) usable at scale.  {!discharge}
+    merges the trie back to the nodes its outstanding checkpoints need,
+    and entries live in a sparse map keyed by peer that drops an entry
+    once {!discharge} empties it or {!on_failure} surrenders it, so table
+    memory is proportional to the outstanding checkpoints — not to the
+    number of peers ever spawned to, nor to their stamps' depth.
+    {!on_failure} and {!entry} return stamp-sorted lists. *)
 
 type mode = Topmost | Keep_all
 
@@ -59,8 +61,13 @@ val total_size : t -> int
 val destinations : t -> Ids.proc_id list
 (** Sorted peers with a non-empty entry. *)
 
+val iter_packets : t -> (Packet.t -> unit) -> unit
+(** Every held checkpoint, in no promised order — introspection for the
+    live-words attribution, which counts packets apart from the index
+    around them. *)
+
 val node_count : t -> int
-(** Trie nodes across all held entries, each entry's root included —
-    introspection for tests and the X8 drain check.  Zero whenever
-    {!total_size} is: only peers and paths with held checkpoints are
-    kept. *)
+(** Trie nodes across all held entries: one per distinct held stamp, plus
+    one per prefix where two or more held stamps of an entry diverge and
+    no checkpoint sits — introspection for tests and the X8 drain check.
+    Zero whenever {!total_size} is. *)

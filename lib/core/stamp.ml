@@ -34,15 +34,46 @@ type t = int array
 
 let root = [| -1; 0 |]
 
-let depth s =
+let[@inline] depth s =
   let d = Array.unsafe_get s 1 in
   if d >= 0 then d else -d - 1
 
-let digit s i =
+let[@inline] digit s i =
   if i < 0 || i >= depth s then invalid_arg "index out of bounds";
   let d = Array.unsafe_get s 1 in
   if d >= 0 then (Array.unsafe_get s (2 + (i / 7)) lsr (8 * (6 - (i mod 7)))) land 0xff
   else Array.unsafe_get s (2 + i)
+
+(* Index of the first nonzero digit-byte of a nonzero xor of two packed
+   words: digit [k] sits at bit [8 * (6 - k)]. *)
+let rec first_byte x k = if (x lsr (8 * (6 - k))) land 0xff <> 0 then k else first_byte x (k + 1)
+
+(* Word [j] holds digits [7 * (j - 2)] on; both stamps have it while that
+   index is below [n], the smaller depth.  Top-level recursions over
+   explicit arguments, so a call allocates no closure. *)
+let rec diff_words a b n j =
+  let i = 7 * (j - 2) in
+  if i >= n then n
+  else begin
+    let x = Array.unsafe_get a j lxor Array.unsafe_get b j in
+    if x = 0 then diff_words a b n (j + 1)
+    else begin
+      let i = i + first_byte x 0 in
+      if i < n then i else n
+    end
+  end
+
+let rec diff_digits a b n i =
+  if i < n && digit a i = digit b i then diff_digits a b n (i + 1) else i
+
+(* Digits below [from] agree, so the scan starts at the word holding it. *)
+let first_diff_from a b from =
+  let da = Array.unsafe_get a 1 and db = Array.unsafe_get b 1 in
+  if da >= 0 && db >= 0 then diff_words a b (if da < db then da else db) (2 + (from / 7))
+  else begin
+    let n = min (depth a) (depth b) in
+    diff_digits a b n (min from n)
+  end
 
 let digits s =
   let rec go i acc = if i < 0 then acc else go (i - 1) (digit s i :: acc) in
@@ -221,9 +252,7 @@ let related a b = equal a b || is_ancestor a b || is_ancestor b a
 
 let common_ancestor a b =
   let da = depth a and db = depth b in
-  let n = if da < db then da else db in
-  let rec lcp i = if i < n && digit a i = digit b i then lcp (i + 1) else i in
-  let l = lcp 0 in
+  let l = first_diff_from a b 0 in
   if l = da then a else if l = db then b else prefix a l
 
 let max_digit s =

@@ -33,6 +33,15 @@ val digit : t -> int -> int
     stamp never materialises a digit list.
     @raise Invalid_argument out of range. *)
 
+val first_diff_from : t -> t -> int -> int
+(** [first_diff_from a b i] is the index of the first digit where [a]
+    and [b] differ, or the smaller depth when one is a prefix of the
+    other: the length of their longest common prefix.  The caller knows
+    the two agree on their first [i] digits ([i] at most the smaller
+    depth), and those are not compared again: the checkpoint table's
+    compressed trie walks a path comparing each node's skipped digits
+    once.  Word-wise on packed stamps, allocation-free. *)
+
 val digits : t -> int list
 
 val of_digits : int list -> t

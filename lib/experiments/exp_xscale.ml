@@ -47,10 +47,12 @@ let probe_peak ~stride (c : Cluster.t) f =
   let r = f () in
   (r, Sys.time () -. t0 -. !walk_s, !peak)
 
-(* Measured peaks: 128 and 126 words per task on the quick rows, 73 and
-   66 on the two smaller full rows (138, 135, 81 and 74 while a task built
-   its graph instance when its packet arrived rather than at its first
-   step; 173, 169, 111 and 105 while a graph instance kept a word, a value
+(* Measured peaks: 97 and 81 words per task on the quick rows, 62 and 62
+   on the two smaller full rows (128, 126, 73 and 66 while a checkpoint
+   table kept a trie node per stamp prefix and a 16-bucket peer map, and a
+   filled call slot kept its child's packet; 138, 135, 81 and 74 while a
+   task built its graph instance when its packet arrived rather than at
+   its first step; 173, 169, 111 and 105 while a graph instance kept a word, a value
    and a waiter slot per use for every node, leaves included; 198, 193,
    135 and 129 when a task kept its children in a [Hashtbl] and each child
    its copies in two association lists; 211, 206, 148 and 143 before graph
@@ -58,11 +60,12 @@ let probe_peak ~stride (c : Cluster.t) f =
    state was sized by what the run holds).  A quick row carries the fixed
    per-processor state over few tasks, so it sits well above a full row
    and gets its own bound; each bound is about 10% above the largest
-   measured row of its mode (152 and 90 before the deferred instance; the
+   measured row of its mode (141 and 80 before the compressed tables, 152
+   and 90 before the deferred instance; the
    1024-processor full row, about 1 GB, was not run; words per task fall
    as the tree grows).  perfbench's 5% bound on [peak_live_words] is the
    tighter regression gate. *)
-let words_per_task_bound ~quick = if quick then 141 else 80
+let words_per_task_bound ~quick = if quick then 107 else 68
 
 let run ?(quick = false) () =
   (* (processors, tree depth): distributed tasks = 2^depth - 1 once the

@@ -122,16 +122,25 @@ type task_state = Queued | Running | Blocked | Done | Aborted
    included: the functional checkpoint a re-issue sends again (§3.2).
    [copies] holds the current copies as [|dest; task; dest; task; ...|]
    pairs (destination processor and activation id), newest replica first;
-   a re-issue replaces it whole. *)
+   a re-issue replaces it whole.  A filled slot is never re-issued or
+   sent salvage through, so it keeps neither: [fill_slot] swaps in the
+   shared [no_packet] and empty copies, and a slot's stamp is then read
+   from the task's stamp and the slot's call-site digit ([child_stamp]). *)
 type child = {
   slot : int;
-  c_packet : Packet.t;
+  mutable c_packet : Packet.t;
   mutable copies : int array;
   mutable vote : Value.t Vote.t option;
   mutable filled : bool;
 }
 
 let c_stamp child = child.c_packet.Packet.stamp
+
+(* The packet of every filled call slot, shared. *)
+let no_packet =
+  Packet.make ~stamp:Stamp.root ~fname:"" ~args:[||]
+    ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot = 0 }
+    ~grandparent:None ~ancestors:[]
 
 (* What reached a call slot of a (twin) task before the task got there:
    a salvaged result, which the spawn then skips (§4.1 cases 4–5), or a
@@ -477,16 +486,11 @@ let child_fold f (children : child array) init =
 let child_iter f children = child_fold (fun child () -> f child) children ()
 
 let child_slot_walks slots =
-  let packet =
-    Packet.make ~stamp:Stamp.root ~fname:"" ~args:[||]
-      ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot = 0 }
-      ~grandparent:None ~ancestors:[]
-  in
   let children =
     List.fold_left
       (fun children slot ->
         add_slot children
-          { slot; c_packet = packet; copies = [||]; vote = None; filled = false })
+          { slot; c_packet = no_packet; copies = [||]; vote = None; filled = false })
       [||] slots
   in
   let position child =
@@ -536,6 +540,35 @@ let snapshot t =
   let acc = ref [] in
   iter_task_views t (fun v -> acc := v :: !acc);
   List.sort (fun a b -> Stamp.compare a.v_stamp b.v_stamp) !acc
+
+(* The roots of a node's words, for the live-words attribution; a walk
+   that changes nothing, never on a hot path. *)
+type part =
+  | Stamps | Packets | Templates | Instances | Children | Tasks | Tombstones | Index | Checkpoints
+
+let iter_parts t f =
+  let packet (p : Packet.t) =
+    f Stamps (Obj.repr p.Packet.stamp);
+    f Packets (Obj.repr p)
+  in
+  Uid_index.iter
+    (fun _ e ->
+      match e with
+      | Alive task ->
+        packet task.packet;
+        f Templates (Obj.repr (Instance.graph task.inst));
+        f Instances (Obj.repr task.inst);
+        Array.iter (fun (child : child) -> packet child.c_packet) task.children;
+        f Children (Obj.repr task.children);
+        f Tasks (Obj.repr task)
+      | Gone r ->
+        f Stamps (Obj.repr r.r_stamp);
+        f Tombstones (Obj.repr e)
+      | Absent | Reclaimed -> ())
+    t.tasks;
+  f Index (Obj.repr t.tasks);
+  Ckpt_table.iter_packets t.ckpts packet;
+  f Checkpoints (Obj.repr t.ckpts)
 
 (* Brute-force recount of the incremental counters over every resident and
    retired task, plus the waste baseline of the reclaimed ones — the
@@ -890,10 +923,13 @@ let copies_lost t (child : child) =
 (* Fill a call slot with a decided value and resume the task if it was
    suspended on it. *)
 let fill_slot t ctx task (child : child) value =
+  let stamp = c_stamp child in
   child.filled <- true;
   discharge_child t ctx child;
+  child.c_packet <- no_packet;
+  child.copies <- [||];
   Instance.supply task.inst child.slot value;
-  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:(c_stamp child)
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp
     (Journal.Result_accepted { task = task.tid });
   if task.state = Blocked then enqueue_task t ctx task
 
@@ -1212,13 +1248,23 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
       Counter.bump ctx.counters Count.adopt_recorded
     end
   | Some _, _ -> (
+    (* The chain child's stamp is the task's extended by the child's
+       call-site digit, read from the graph because a filled slot keeps
+       no packet: [ostamp] must extend the task's stamp, then that digit,
+       then at least one more. *)
+    let base = task.packet.Packet.stamp in
+    let d = Stamp.depth base in
     let chain_child =
-      child_fold
-        (fun child acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> if Stamp.is_ancestor (c_stamp child) ostamp then Some child else None)
-        task.children None
+      if Stamp.depth ostamp > d + 1 && Stamp.is_ancestor base ostamp then begin
+        let digit = Stamp.digit ostamp d and g = Instance.graph task.inst in
+        child_fold
+          (fun child acc ->
+            match acc with
+            | Some _ -> acc
+            | None -> if Recflow_lang.Graph.digit g child.slot = digit then Some child else None)
+          task.children None
+      end
+      else None
     in
     match chain_child with
     | None ->
@@ -1504,12 +1550,11 @@ let charge t task cost =
 (* A salvaged result beat the task to this call: take it instead of
    spawning (§4.1 cases 4–5: "P' will not spawn C' because the answer is
    already there"). *)
-let skip_preheld t ctx task ~slot ~fname ~args v =
-  let packet = build_child_packet t ctx task ~slot ~fname ~args in
-  ignore (add_child task ~slot packet ~filled:true);
+let skip_preheld t ctx task ~slot v =
+  ignore (add_child task ~slot no_packet ~filled:true);
   Instance.supply task.inst slot v;
   Counter.bump ctx.counters Count.spawn_skipped_preheld;
-  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
+  Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:(child_stamp task slot)
     (Journal.Result_accepted { task = task.tid });
   ctx.wake t.nid ~delay:1
 
@@ -1582,7 +1627,7 @@ let step t ctx =
             let early = List.assoc_opt slot task.early in
             if Option.is_some early then task.early <- List.remove_assoc slot task.early;
             match early with
-            | Some (Preheld v) -> skip_preheld t ctx task ~slot ~fname ~args v
+            | Some (Preheld v) -> skip_preheld t ctx task ~slot v
             | Some (Orphan orphan) when not (knows_dead t orphan.Packet.proc) ->
               inherit_orphan t ctx task ~slot ~fname ~args orphan
             | Some (Orphan _) | None ->

@@ -161,6 +161,20 @@ val child_slot_walks : int list -> int list * int list * (int -> int option)
     [Hashtbl.create 8] filled by [Hashtbl.replace] would; the property
     test holds them to one.  Introspection for tests. *)
 
+type part =
+  | Stamps | Packets | Templates | Instances | Children | Tasks | Tombstones | Index | Checkpoints
+
+val iter_parts : t -> (part -> Obj.t -> unit) -> unit
+(** Every root of this node's state, labelled with the part it belongs
+    to: a live task's stamp, packet, graph template, instance, children
+    (the array, its records and their copies and packets) and record; a
+    tombstone's stamp and record; the uid index; the checkpoint table and
+    each held packet and stamp.  A block can sit under several roots (a
+    child's packet is its activation's packet); an attribution that counts
+    [Obj.reachable_words] over cumulative root sets counts it in the first
+    part it meets.  Walks the node without changing it.  Introspection for
+    tests and the live-words tool; not for hot paths. *)
+
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every
     resident and retired task, the wasted work of reclaimed tombstones

@@ -384,6 +384,53 @@ let grandparent_relays_to_twin () =
        (results_sent w));
   check_int "relay counter" 1 (Counter.get w.counters "relay.forwarded")
 
+(* Salvage whose chain child already returned is dropped, not stashed,
+   and salvage through the other, unfilled slot still goes on to its twin:
+   a filled slot keeps no packet, so the grandparent must recognise the
+   chain child by its call-site digit, whichever slot the walk meets
+   first. *)
+let salvage_through_filled_slot_dropped () =
+  let config = { (Config.default ~nodes:4) with Config.recovery = Config.Splice } in
+  List.iter
+    (fun (fill, chain) ->
+      let w = make_world ~config ~node_id:2 ~dest:1 () in
+      activate w (mk_packet ~fname:"par" ~args:[| Value.Int 10 |] ());
+      let spawned = Array.of_list (packets_sent w) in
+      let filled, _ = spawned.(fill) and via, via_id = spawned.(chain) in
+      deliver w
+        (Message.Result
+           { stamp = filled.Packet.stamp; value = Value.Int 11; target = filled.Packet.parent;
+             relay = Message.To_parent });
+      w.sent := [];
+      deliver w
+        (Message.Result
+           {
+             stamp = Stamp.child via.Packet.stamp 0;
+             value = Value.Int 5;
+             target = via.Packet.parent;
+             relay =
+               Message.To_grandparent
+                 { dead_parent = { Packet.task = via_id; proc = 3; slot = 3 } };
+           });
+      let reasons =
+        List.filter_map
+          (fun (e : Journal.entry) ->
+            match e.Journal.event with Journal.Relay_dropped { reason; _ } -> Some reason | _ -> None)
+          (Journal.entries w.journal)
+      in
+      let label = Printf.sprintf "fill %d, salvage via %d: " fill chain in
+      check_int (label ^ "nothing stashed") 0 (Counter.get w.counters "relay.stashed");
+      if fill = chain then begin
+        Alcotest.(check (list string)) (label ^ "dropped at the filled slot")
+          [ "parent slot already filled" ] reasons;
+        check_int (label ^ "nothing forwarded") 0 (Counter.get w.counters "relay.forwarded")
+      end
+      else begin
+        Alcotest.(check (list string)) (label ^ "nothing dropped") [] reasons;
+        check_int (label ^ "forwarded") 1 (Counter.get w.counters "relay.forwarded")
+      end)
+    [ (0, 0); (1, 1); (0, 1); (1, 0) ]
+
 let adoption_pre_spawn_inherits () =
   let config = { (Config.default ~nodes:4) with Config.recovery = Config.Splice } in
   let w = make_world ~config ~node_id:2 ~dest:1 () in
@@ -593,6 +640,8 @@ let suites =
         Alcotest.test_case "orphan result to grandparent" `Quick orphan_result_diverts_to_grandparent;
         Alcotest.test_case "rollback drops orphan result" `Quick rollback_drops_orphan_result;
         Alcotest.test_case "grandparent relays to twin" `Quick grandparent_relays_to_twin;
+        Alcotest.test_case "salvage through a filled slot dropped" `Quick
+          salvage_through_filled_slot_dropped;
         Alcotest.test_case "adoption inherits pre-spawn" `Quick adoption_pre_spawn_inherits;
         Alcotest.test_case "early messages stash" `Quick early_messages_stash_until_activation;
         Alcotest.test_case "killed node silent" `Quick killed_node_is_silent;

@@ -263,18 +263,31 @@ let stamp_digits (ps : Packet.t list) = List.map (fun (p : Packet.t) -> Stamp.di
 let oracle_peers (o : Ckpt_oracle.t) =
   List.sort compare (List.filter_map (fun (d, l) -> if l = [] then None else Some d) o.Ckpt_oracle.entries)
 
-(* Trie nodes a pruned table must hold: per peer still holding
-   checkpoints, its entry root plus one node per distinct non-empty
-   prefix of a stored stamp. *)
+(* Trie nodes a table must hold, exactly: per peer, one node per
+   distinct held stamp, plus one per prefix that is not held and where two
+   or more held stamps continue with different digits.  Nothing else: no
+   node on a run of digits a single path follows, no entry root.  Prefixes
+   are keyed as reversed digit lists, built one digit at a time. *)
 let oracle_nodes (o : Ckpt_oracle.t) =
   List.fold_left
     (fun acc (_, l) ->
-      let prefixes =
-        List.concat_map
-          (fun ds -> List.init (List.length ds) (fun i -> List.filteri (fun j _ -> j <= i) ds))
-          (stamp_digits l)
-      in
-      if l = [] then acc else acc + 1 + List.length (List.sort_uniq compare prefixes))
+      let held = Hashtbl.create 16 and next = Hashtbl.create 64 in
+      List.iter
+        (fun ds ->
+          Hashtbl.replace held (List.rev ds) ();
+          ignore
+            (List.fold_left
+               (fun rev_prefix d ->
+                 let seen = Option.value ~default:[] (Hashtbl.find_opt next rev_prefix) in
+                 if not (List.mem d seen) then Hashtbl.replace next rev_prefix (d :: seen);
+                 d :: rev_prefix)
+               [] ds))
+        (stamp_digits l);
+      Hashtbl.fold
+        (fun rev_prefix digits acc ->
+          if List.length digits >= 2 && not (Hashtbl.mem held rev_prefix) then acc + 1 else acc)
+        next
+        (acc + Hashtbl.length held))
     0 o.Ckpt_oracle.entries
 
 let ckpt_matches_oracle mode =
@@ -309,6 +322,55 @@ let ckpt_matches_oracle mode =
           && Ckpt_table.node_count t = oracle_nodes o)
         ops)
 
+(* The peer map against the model over many peers at once (the super-root
+   -1 included): adding and dropping peers at every position of the sorted
+   arrays must never lose or misfile an entry. *)
+let ckpt_peer_map =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 120)
+        (int_range (-1) 40 >>= fun dest ->
+         list_size (int_range 1 3) (int_bound 2) >>= fun digits ->
+         frequency
+           [
+             (6, return (Record (dest, digits)));
+             (5, return (Discharge (dest, digits)));
+             (1, return (Fail dest));
+           ]))
+  in
+  QCheck.Test.make ~count:200 ~name:"peer map = model over many peers"
+    (QCheck.make ~print:QCheck.Print.(list print_op) gen)
+    (fun ops ->
+      let t = Ckpt_table.create () in
+      let o = Ckpt_oracle.create Ckpt_table.Topmost in
+      let same_entry dest =
+        stamp_digits (Ckpt_table.entry t ~dest) = stamp_digits (Ckpt_oracle.sorted o dest)
+      in
+      List.for_all
+        (fun op ->
+          let dest =
+            match op with
+            | Record (dest, digits) ->
+              let p = mk_packet ~stamp:(Stamp.of_digits digits) () in
+              ignore (Ckpt_table.record t ~dest p);
+              ignore (Ckpt_oracle.record o ~dest p);
+              dest
+            | Discharge (dest, digits) ->
+              let stamp = Stamp.of_digits digits in
+              ignore (Ckpt_table.discharge t ~dest stamp);
+              ignore (Ckpt_oracle.discharge o ~dest stamp);
+              dest
+            | Fail dest ->
+              Ckpt_oracle.set o dest [];
+              ignore (Ckpt_table.on_failure t ~failed:dest);
+              dest
+          in
+          same_entry dest
+          && Ckpt_table.total_size t = Ckpt_oracle.total o
+          && Ckpt_table.destinations t = oracle_peers o)
+        ops
+      && List.for_all same_entry (List.init 42 (fun i -> i - 1)))
+
 (* Discharging every recorded stamp, in any order, leaves no trie node
    behind: table memory follows the outstanding checkpoints only. *)
 let ckpt_drains mode =
@@ -326,6 +388,82 @@ let ckpt_drains mode =
         recs;
       List.iter (fun (dest, ds) -> ignore (Ckpt_table.discharge t ~dest (Stamp.of_digits ds))) order;
       Ckpt_table.node_count t = 0 && Ckpt_table.total_size t = 0)
+
+(* Words a table holds beyond its packets, per held checkpoint, for
+   random antichains (what [Topmost] keeps) sent to one to three peers:
+   the index around the checkpoints, entries and peer map included.  A
+   node per stamp prefix measured about 48. *)
+let ckpt_words_per_checkpoint =
+  QCheck.Test.make ~count:200 ~name:"table words per held checkpoint <= 14"
+    (QCheck.make
+       QCheck.Gen.(
+         int_range 1 3 >>= fun peers ->
+         list_size (int_range 1 80)
+           (pair (int_bound (peers - 1))
+              (int_range 1 12 >>= fun len -> list_size (return len) gen_digit))))
+    (fun recs ->
+      let t = Ckpt_table.create () in
+      List.iter
+        (fun (dest, ds) -> ignore (Ckpt_table.record t ~dest (mk_packet ~stamp:(Stamp.of_digits ds) ())))
+        recs;
+      let held =
+        Array.of_list (List.concat_map (fun dest -> Ckpt_table.entry t ~dest) (Ckpt_table.destinations t))
+      in
+      let n = Array.length held in
+      (* the array's own header and slots are not the table's *)
+      let packet_words = Obj.reachable_words (Obj.repr held) - (n + 1) in
+      let words = Obj.reachable_words (Obj.repr t) - packet_words in
+      n = Ckpt_table.total_size t
+      && (words <= 14 * n
+         || QCheck.Test.fail_reportf "%d words beyond %d packets: %.1f per checkpoint" words n
+              (float_of_int words /. float_of_int n)))
+
+(* A table keeps nothing of a checkpoint it dropped: once discharged (or
+   evicted by a new ancestor), a packet's stamp is unreachable from the
+   table, so a [Branch]'s [rep] may not go on naming it.  Weak pointers to
+   the stamps of every discharged checkpoint must all be cleared by a full
+   collection while the tables are still alive. *)
+let fill_and_discharge rng mode gone n =
+  List.init 40 (fun _ ->
+      let t = Ckpt_table.create ~mode () in
+      let recs =
+        List.init 60 (fun _ ->
+            ( Random.State.int rng 3,
+              List.init (1 + Random.State.int rng 8) (fun _ -> Random.State.int rng 3) ))
+      in
+      List.iter
+        (fun (dest, ds) -> ignore (Ckpt_table.record t ~dest (mk_packet ~stamp:(Stamp.of_digits ds) ())))
+        recs;
+      List.iteri
+        (fun i (dest, ds) ->
+          if i mod 2 = 0 then begin
+            List.iter
+              (fun (p : Packet.t) ->
+                if Stamp.digits p.Packet.stamp = ds then begin
+                  Weak.set gone !n (Some p.Packet.stamp);
+                  incr n
+                end)
+              (Ckpt_table.entry t ~dest);
+            ignore (Ckpt_table.discharge t ~dest (Stamp.of_digits ds))
+          end)
+        recs;
+      t)
+
+let ckpt_drops_discharged () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun mode ->
+      let gone = Weak.create 4096 and n = ref 0 in
+      let tables = fill_and_discharge rng mode gone n in
+      Gc.full_major ();
+      let kept = ref 0 in
+      for i = 0 to !n - 1 do
+        if Weak.check gone i then incr kept
+      done;
+      check "some checkpoints discharged" true (!n > 100);
+      check_int (mode_name mode ^ ": discharged stamps still reachable") 0 !kept;
+      ignore (Sys.opaque_identity tables))
+    [ Ckpt_table.Topmost; Ckpt_table.Keep_all ]
 
 let ckpt_on_failure () =
   let t = Ckpt_table.create () in
@@ -557,10 +695,13 @@ let suites =
         Alcotest.test_case "keep-all duplicates" `Quick ckpt_keep_all_duplicates;
         Alcotest.test_case "on failure" `Quick ckpt_on_failure;
         Alcotest.test_case "sparse peers" `Quick ckpt_sparse_peers;
+        Alcotest.test_case "drops what it discharged" `Quick ckpt_drops_discharged;
         qtest (ckpt_matches_oracle Ckpt_table.Topmost);
         qtest (ckpt_matches_oracle Ckpt_table.Keep_all);
         qtest (ckpt_drains Ckpt_table.Topmost);
         qtest (ckpt_drains Ckpt_table.Keep_all);
+        qtest ckpt_peer_map;
+        qtest ckpt_words_per_checkpoint;
       ] );
     ( "recovery.splice_case",
       [

@@ -111,6 +111,19 @@ let prop_common_ancestor =
       Stamp.digits (Stamp.common_ancestor (Stamp.of_digits a) (Stamp.of_digits b))
       = Oracle.common_prefix a b)
 
+(* Both argument orders, on packed, spill and mixed pairs, from every
+   start the two stamps agree below: the packed path finds the first
+   differing byte inside a word, and must stop at the shorter depth even
+   when the longer stamp's digits beyond it are zero. *)
+let prop_first_diff =
+  QCheck.Test.make ~count ~name:"first_diff_from is the common prefix length" arb_pair
+    (fun (a, b) ->
+      let n = List.length (Oracle.common_prefix a b) in
+      let sa = Stamp.of_digits a and sb = Stamp.of_digits b in
+      List.for_all
+        (fun from -> Stamp.first_diff_from sa sb from = n && Stamp.first_diff_from sb sa from = n)
+        (List.init (n + 1) Fun.id))
+
 let prop_hash =
   QCheck.Test.make ~count ~name:"hash matches Hashtbl.hash of digit list" arb_digits
     (fun ds -> Stamp.hash (Stamp.of_digits ds) = Oracle.hash ds)
@@ -163,7 +176,7 @@ let suites =
       List.map qtest
         [
           prop_roundtrip; prop_child_digits; prop_depth; prop_is_ancestor; prop_compare;
-          prop_equal; prop_common_ancestor; prop_hash; prop_hash_deep_and_wide; prop_hash_consistent;
+          prop_equal; prop_common_ancestor; prop_first_diff; prop_hash; prop_hash_deep_and_wide; prop_hash_consistent;
           prop_string_roundtrip; prop_max_digit; prop_parent;
         ] );
   ]
