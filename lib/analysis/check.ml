@@ -47,6 +47,10 @@ let of_program_error (e : Program.error) : Diagnostic.t =
       (Printf.sprintf "%s expects %d argument%s, got %d" prim expected
          (if expected = 1 then "" else "s")
          got)
+  | Program.Too_many_call_sites { fname; sites } ->
+    Diagnostic.make ~fn:fname Diagnostic.Too_many_call_sites
+      (Printf.sprintf "%d call sites, more than the %d a level-stamp digit can number" sites
+         Program.max_call_sites)
 
 (* Function-level diagnostics (validation errors, lints) carry no
    intrinsic position; when the source spans are available, give each one

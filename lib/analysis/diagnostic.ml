@@ -8,6 +8,7 @@ type code =
   | Unknown_function
   | Arity_mismatch
   | Prim_arity
+  | Too_many_call_sites
   | Type_mismatch
   | Infinite_type
   | Dead_function
@@ -28,6 +29,7 @@ let all_codes =
     Unknown_function;
     Arity_mismatch;
     Prim_arity;
+    Too_many_call_sites;
     Type_mismatch;
     Infinite_type;
     Dead_function;
@@ -51,6 +53,7 @@ let code_string = function
   | Unknown_function -> "RF005"
   | Arity_mismatch -> "RF006"
   | Prim_arity -> "RF007"
+  | Too_many_call_sites -> "RF008"
   | Type_mismatch -> "RF101"
   | Infinite_type -> "RF102"
   | Dead_function -> "RF201"
@@ -66,7 +69,8 @@ let of_code_string s = List.find_opt (fun c -> String.equal (code_string c) s) a
 
 let severity_of_code = function
   | Parse_error | Duplicate_definition | Duplicate_parameter | Unbound_variable
-  | Unknown_function | Arity_mismatch | Prim_arity | Type_mismatch | Infinite_type ->
+  | Unknown_function | Arity_mismatch | Prim_arity | Too_many_call_sites | Type_mismatch
+  | Infinite_type ->
     Error
   | Dead_function | Unused_parameter | Non_productive_recursion | Shadowed_binding | Unused_let
   | Unbounded_recursion | Exponential_spawn | Spawn_in_nondec_cycle ->
@@ -169,6 +173,11 @@ let explain = function
     "RF007 primitive arity: a built-in operator is applied to the wrong \
      number of arguments. Each primitive has a fixed arity (e.g. + takes \
      two, head takes one); the checker rejects any other shape."
+  | Too_many_call_sites ->
+    "RF008 too many call sites: a function body holds more than 256 calls. \
+     A child's level stamp ends with the number of the call site that \
+     spawned it, and that digit is stored in one byte, so a function may \
+     number at most 256 call sites; split the body into helpers."
   | Type_mismatch ->
     "RF101 type mismatch: whole-program unification found an expression \
      used at two incompatible types (e.g. an int where a list is required). \

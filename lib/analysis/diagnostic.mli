@@ -14,6 +14,7 @@ type code =
   | Unknown_function  (** RF005 *)
   | Arity_mismatch  (** RF006: wrong argument count at a user call *)
   | Prim_arity  (** RF007: wrong argument count at a primitive *)
+  | Too_many_call_sites  (** RF008: more call sites than a stamp digit numbers *)
   | Type_mismatch  (** RF101: unification failure *)
   | Infinite_type  (** RF102: occurs-check failure *)
   | Dead_function  (** RF201: unreachable from the entry points *)

@@ -38,10 +38,10 @@
    and at most n - 1 branches (4 words and a child array each).
 
    A depth-1 digit is the request uid in service mode, unbounded over a
-   run and past 255 after 256 requests (such stamps take the spill layout,
-   see [Stamp]); only the requests with a checkpoint still outstanding
-   toward a peer keep a child under that entry's top [Branch], and the
-   binary search keeps the walk logarithmic in them.
+   run (a stamp gives it a whole word, see [Stamp]); only the requests
+   with a checkpoint still outstanding toward a peer keep a child under
+   that entry's top [Branch], and the binary search keeps the walk
+   logarithmic in them.
 
    The same rule holds one level up: the per-peer entries live in two
    exactly-sized arrays sorted by peer, found by binary search, and an

@@ -10,8 +10,13 @@
     function, a twin included, gives the child of one call site one
     stamp.
 
-    "Digit" is generic (any non-negative int), matching the paper's remark
-    that the term is not tied to a radix. *)
+    Digit 0 may be any non-negative int: it is the request uid in service
+    mode.  Every deeper digit is a call-site number, and the paper notes
+    such digits need only a few bits: [Program.of_defs] rejects a function
+    with more than 256 call sites, so each one is at most 255, and stamps
+    refuse a larger one.  A digit string has one representation, never
+    mutated, so polymorphic [=] agrees with {!equal} and [Hashtbl.hash] is
+    sound on stamps; {!compare} is the only ordering. *)
 
 type t
 
@@ -19,7 +24,8 @@ val root : t
 
 val child : t -> int -> t
 (** [child s k] appends digit [k].
-    @raise Invalid_argument if [k < 0]. *)
+    @raise Invalid_argument if [k < 0], or if [k > 255] and [s] is not the
+    root. *)
 
 val parent : t -> t option
 (** [None] for the root stamp. *)
@@ -45,7 +51,8 @@ val first_diff_from : t -> t -> int -> int
 val digits : t -> int list
 
 val of_digits : int list -> t
-(** @raise Invalid_argument on a negative digit. *)
+(** @raise Invalid_argument on a negative digit, or a digit above 255 past
+    the first. *)
 
 val equal : t -> t -> bool
 
@@ -74,10 +81,12 @@ val to_string : t -> string
 (** Root prints as "ε", others as dotted digits, e.g. "0.2.1". *)
 
 val of_string : string -> (t, string) result
+(** [Error] on a malformed or negative digit, or a digit above 255 past the
+    first. *)
 
 val pp : Format.formatter -> t -> unit
 
 val hash : t -> int
-(** Structural hash, computed once per stamp and cached (amortised O(1)).
-    The value is identical to [Hashtbl.hash (digits s)] — placement keys
-    are derived from it, so it is part of the determinism contract. *)
+(** Structural hash of the first ten digits, computed on each call.  The
+    value is identical to [Hashtbl.hash (digits s)] — placement keys are
+    derived from it, so it is part of the determinism contract. *)

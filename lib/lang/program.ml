@@ -7,6 +7,11 @@ type error =
   | Unknown_function of string * string
   | Arity_mismatch of { caller : string; callee : string; expected : int; got : int }
   | Prim_arity of { caller : string; prim : string; expected : int; got : int }
+  | Too_many_call_sites of { fname : string; sites : int }
+
+(* A child's level stamp ends with its call site's number, which must fit
+   the byte [Stamp] keeps for every digit below depth 1. *)
+let max_call_sites = 256
 
 let error_to_string = function
   | Duplicate_definition f -> Printf.sprintf "duplicate definition of %s" f
@@ -17,36 +22,44 @@ let error_to_string = function
     Printf.sprintf "%s: %s expects %d arguments, got %d" caller callee expected got
   | Prim_arity { caller; prim; expected; got } ->
     Printf.sprintf "%s: primitive %s expects %d arguments, got %d" caller prim expected got
+  | Too_many_call_sites { fname; sites } ->
+    Printf.sprintf "%s: %d call sites, more than the %d a level-stamp digit can number" fname
+      sites max_call_sites
 
 exception Check of error
 
-let rec check_expr table fname bound expr =
-  match expr with
-  | Ast.Int _ | Ast.Bool _ | Ast.Nil -> ()
-  | Ast.Var x -> if not (List.mem x bound) then raise (Check (Unbound_variable (fname, x)))
-  | Ast.Prim (p, args) ->
-    let expected = Ast.prim_arity p and got = List.length args in
-    if expected <> got then
-      raise (Check (Prim_arity { caller = fname; prim = Ast.prim_name p; expected; got }));
-    List.iter (check_expr table fname bound) args
-  | Ast.If (c, th, el) ->
-    check_expr table fname bound c;
-    check_expr table fname bound th;
-    check_expr table fname bound el
-  | Ast.And (a, b) | Ast.Or (a, b) ->
-    check_expr table fname bound a;
-    check_expr table fname bound b
-  | Ast.Let (x, b, k) ->
-    check_expr table fname bound b;
-    check_expr table fname (x :: bound) k
-  | Ast.Call (g, args) -> (
-    match Hashtbl.find_opt table g with
-    | None -> raise (Check (Unknown_function (fname, g)))
-    | Some (def : Ast.def) ->
-      let expected = List.length def.params and got = List.length args in
+(* Checks [expr] and counts its call sites into [sites]. *)
+let check_expr table fname sites bound expr =
+  let rec go bound expr =
+    match expr with
+    | Ast.Int _ | Ast.Bool _ | Ast.Nil -> ()
+    | Ast.Var x -> if not (List.mem x bound) then raise (Check (Unbound_variable (fname, x)))
+    | Ast.Prim (p, args) ->
+      let expected = Ast.prim_arity p and got = List.length args in
       if expected <> got then
-        raise (Check (Arity_mismatch { caller = fname; callee = g; expected; got }));
-      List.iter (check_expr table fname bound) args)
+        raise (Check (Prim_arity { caller = fname; prim = Ast.prim_name p; expected; got }));
+      List.iter (go bound) args
+    | Ast.If (c, th, el) ->
+      go bound c;
+      go bound th;
+      go bound el
+    | Ast.And (a, b) | Ast.Or (a, b) ->
+      go bound a;
+      go bound b
+    | Ast.Let (x, b, k) ->
+      go bound b;
+      go (x :: bound) k
+    | Ast.Call (g, args) -> (
+      incr sites;
+      match Hashtbl.find_opt table g with
+      | None -> raise (Check (Unknown_function (fname, g)))
+      | Some (def : Ast.def) ->
+        let expected = List.length def.params and got = List.length args in
+        if expected <> got then
+          raise (Check (Arity_mismatch { caller = fname; callee = g; expected; got }));
+        List.iter (go bound) args)
+  in
+  go bound expr
 
 let rec first_duplicate = function
   | [] -> None
@@ -64,7 +77,11 @@ let of_defs defs =
         Hashtbl.add table def.name def)
       defs;
     List.iter
-      (fun (def : Ast.def) -> check_expr table def.name def.params def.body)
+      (fun (def : Ast.def) ->
+        let sites = ref 0 in
+        check_expr table def.name sites def.params def.body;
+        if !sites > max_call_sites then
+          raise (Check (Too_many_call_sites { fname = def.name; sites = !sites })))
       defs;
     Ok table
   with Check e -> Error e

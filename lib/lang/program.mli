@@ -2,8 +2,9 @@
 
     Construction validates the static well-formedness rules the evaluators
     rely on: no duplicate definitions or parameters, no unbound variables,
-    every call resolves to a defined function with the right arity, and
-    primitive arities are respected. *)
+    every call resolves to a defined function with the right arity,
+    primitive arities are respected, and no function has more than
+    {!max_call_sites} call sites. *)
 
 type t
 
@@ -14,6 +15,12 @@ type error =
   | Unknown_function of string * string  (** caller, callee *)
   | Arity_mismatch of { caller : string; callee : string; expected : int; got : int }
   | Prim_arity of { caller : string; prim : string; expected : int; got : int }
+  | Too_many_call_sites of { fname : string; sites : int }
+      (** a child's level-stamp digit is its call site's number, one byte *)
+
+val max_call_sites : int
+(** 256: call sites are numbered from 0, and a stamp digit below depth 1
+    is at most 255. *)
 
 val error_to_string : error -> string
 

@@ -41,6 +41,10 @@ let source_fixtures =
     ("RF004", "def main(x) = y");
     ("RF005", "def main(x) = missing(x)");
     ("RF006", "def main(x) = helper(x, x)\ndef helper(y) = y");
+    ( "RF008",
+      "def main(x) = "
+      ^ String.concat " + " (List.init 257 (fun _ -> "helper(x)"))
+      ^ "\ndef helper(y) = y" );
     ("RF101", "def main(x) = if x then 1 else nil");
     ("RF102", "def main(x) = x :: x");
     ("RF201", "def main(x) = x + 1\ndef orphan(y) = y");

@@ -119,6 +119,27 @@ let validation_errors () =
   expect_program_error "def f(x) = g(x)" "unknown function";
   expect_program_error "def f(x) = x\ndef g(y) = f(y, y)" "expects 1 arguments"
 
+(* A child's stamp digit is its call site's number, one byte, so a
+   function may hold at most 256 call sites: [f] below has [n]. *)
+let call_sites_source n =
+  "def g(x) = x\ndef f(x) = " ^ String.concat " + " (List.init n (fun _ -> "g(x)"))
+
+let call_site_limit () =
+  let defs n =
+    match Parser.parse_defs (call_sites_source n) with
+    | Ok defs -> defs
+    | Error e -> Alcotest.failf "parse error: %s" (Parser.error_to_string e)
+  in
+  let message = "f: 257 call sites, more than the 256 a level-stamp digit can number" in
+  (match Program.of_defs (defs 257) with
+  | Ok _ -> Alcotest.fail "257 call sites accepted"
+  | Error e -> Alcotest.(check string) "of_defs" message (Program.error_to_string e));
+  (match Parser.parse_program (call_sites_source 257) with
+  | Ok _ -> Alcotest.fail "257 call sites parsed"
+  | Error msg -> Alcotest.(check string) "parser" message msg);
+  check "256 call sites load" true (Result.is_ok (Program.of_defs (defs 256)));
+  check "256 call sites parse" true (Result.is_ok (Parser.parse_program (call_sites_source 256)))
+
 let validation_let_scoping () =
   (* let-bound names are visible in the body only *)
   expect_program_error "def f(x) = (let y = x in y) + y" "unbound variable";
@@ -857,6 +878,7 @@ let suites =
       [
         Alcotest.test_case "validation errors" `Quick validation_errors;
         Alcotest.test_case "let scoping" `Quick validation_let_scoping;
+        Alcotest.test_case "call-site limit" `Quick call_site_limit;
         Alcotest.test_case "accessors" `Quick program_accessors;
         Alcotest.test_case "union" `Quick program_union;
         Alcotest.test_case "ast helpers" `Quick ast_helpers;

@@ -714,7 +714,16 @@ let gen_column_op =
         map (fun proc -> Journal.Failure { proc }) proc;
       ]
   in
-  let digits = list_size (int_bound 3) (oneof [ int_bound 2; return 300 ]) in
+  (* a wide depth-1 digit, as a service request uid is, over call-site
+     bytes *)
+  let digits =
+    int_bound 3 >>= fun n ->
+    if n = 0 then return []
+    else
+      map2 List.cons
+        (oneof [ int_bound 2; return 300; return (1 lsl 40) ])
+        (list_repeat (n - 1) (int_bound 2))
+  in
   frequency
     [
       ( 40,
@@ -901,7 +910,7 @@ let journal_releases_match_model =
       let j = Journal.create () and full = Journal.create () in
       let all = ref [] and calls = Hashtbl.create 16 and now = ref 0 in
       (* open requests, newest first, with their open ticks; uids start
-         below 256 and cross into the stamps' spill layout *)
+         below 256 and pass it, outgrowing a byte as a long stream's do *)
       let active = ref [] and next_uid = ref 250 and released = Hashtbl.create 8 in
       let add time stamp event =
         Journal.record j ~time ~stamp event;

@@ -231,16 +231,24 @@ module Ckpt_oracle = struct
   let total t = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 t.entries
 end
 
-(* Digits straddle the packed/spill boundary of [Stamp]: service-mode
-   request uids pass 255 and take the spill layout. *)
-let gen_digit = QCheck.Gen.(frequency [ (4, int_bound 2); (1, int_range 255 257) ])
+(* Service-shaped stamps of [len] digits: the depth-1 digit is a request
+   uid, from a small pool so stamps share it, sometimes past a byte or a
+   whole word wide; the call-site digits below it stay bytes and reach the
+   top of the byte range. *)
+let gen_digits len =
+  QCheck.Gen.(
+    if len = 0 then return []
+    else
+      map2 List.cons
+        (frequency [ (4, int_bound 2); (1, oneofl [ 255; 256; 1 lsl 40 ]) ])
+        (list_repeat (len - 1) (frequency [ (4, int_bound 2); (1, int_range 254 255) ])))
 
 type ckpt_op = Record of int * int list | Discharge of int * int list | Fail of int
 
 let gen_op =
   QCheck.Gen.(
     int_bound 20 >>= fun len ->
-    list_size (return len) gen_digit >>= fun digits ->
+    gen_digits len >>= fun digits ->
     int_bound 2 >>= fun dest ->
     frequency
       [
@@ -379,7 +387,7 @@ let ckpt_drains mode =
     (QCheck.make
        QCheck.Gen.(
          list_size (int_bound 40)
-           (pair (int_bound 2) (list_size (int_bound 8) gen_digit))
+           (pair (int_bound 2) (int_bound 8 >>= gen_digits))
          >>= fun recs -> shuffle_l recs >>= fun order -> return (recs, order)))
     (fun (recs, order) ->
       let t = Ckpt_table.create ~mode () in
@@ -400,7 +408,7 @@ let ckpt_words_per_checkpoint =
          int_range 1 3 >>= fun peers ->
          list_size (int_range 1 80)
            (pair (int_bound (peers - 1))
-              (int_range 1 12 >>= fun len -> list_size (return len) gen_digit))))
+              (int_range 1 12 >>= gen_digits))))
     (fun recs ->
       let t = Ckpt_table.create () in
       List.iter

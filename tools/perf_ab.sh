@@ -18,6 +18,12 @@
 # not at all, the median value on each side, and the interquartile range of
 # REV's runs (a change in medians inside it is noise).  Exits 1 if any
 # pair's comparison reports a violation.
+#
+# With `--trace 1` among RUN_ARGS a run reports the per-layer rows instead
+# of the end-to-end metrics `run.sh --compare` checks, so each pair's rows
+# are read from the two JSON documents with `jq` and printed in the same
+# line format with no bound; a violation is then only a changed
+# `sim_digest`, more failed answers, or a row or workload one side lacks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +50,37 @@ run() { # run SRC_DIR OUT_JSON
   (cd "$1" && bash perfbench/run.sh --json "$2" "${@:3}" >/dev/null)
 }
 
+traced=0
+prev=
+for arg in "$@"; do
+  if [ "$arg" = --trace=1 ] || { [ "$prev" = --trace ] && [ "$arg" = 1 ]; }; then traced=1; fi
+  prev=$arg
+done
+
+compare_layers() { # compare_layers REV_JSON TREE_JSON
+  jq -r --slurpfile tree "$2" '
+    ($tree[0].workloads | map({key: .name, value: .}) | from_entries) as $by_name
+    | .workloads[] as $w
+    | $by_name[$w.name] as $v
+    | if $v == null then "! \($w.name) missing from the tree run"
+      else
+        (if $w.sim_digest != $v.sim_digest
+         then "! \($w.name) MODEL CHANGE: sim_digest \($w.sim_digest) -> \($v.sim_digest)"
+         else empty end),
+        (if $v.failed > $w.failed
+         then "! \($w.name) failed answers \($w.failed) -> \($v.failed)" else empty end),
+        ($w.metrics | to_entries[]
+         | "= \($w.name) \(.key) \(.value.value) \($v.metrics[.key].value // "missing")")
+      end' "$1" | awk '
+    $1 == "!" { sub(/^! /, ""); print; bad++; next }
+    $5 == "missing" { printf "%-12s %-20s missing\n", $2, $3; bad++; next }
+    {
+      pct = $4 == 0 ? 0 : 100 * ($5 - $4) / ($4 < 0 ? -$4 : $4)
+      printf "%-12s %-20s %14.6g -> %14.6g  %+7.2f%%  bound     -  per-layer\n", $2, $3, $4, $5, pct
+    }
+    END { printf "%d violation(s)\n", bad; exit (bad > 0) }'
+}
+
 status=0
 for i in $(seq 1 "$n"); do
   if [ $((i % 2)) -eq 1 ]; then
@@ -54,8 +91,11 @@ for i in $(seq 1 "$n"); do
     run "$base" "$out/rev-$i.json" "$@"
   fi
   echo "=== pair $i of $n: $rev -> working tree ==="
-  bash perfbench/run.sh --compare "$out/rev-$i.json" "$out/tree-$i.json" \
-    | tee "$out/compare-$i.txt" || status=1
+  if [ "$traced" = 1 ]; then
+    compare_layers "$out/rev-$i.json" "$out/tree-$i.json"
+  else
+    bash perfbench/run.sh --compare "$out/rev-$i.json" "$out/tree-$i.json"
+  fi | tee "$out/compare-$i.txt" || status=1
 done
 
 # Aggregate the metric lines of every --compare block, which read
