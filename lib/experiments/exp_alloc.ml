@@ -4,16 +4,21 @@ module Node = Recflow_machine.Node
 module Table = Recflow_stats.Table
 module Policy = Recflow_balance.Policy
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
-module Summary = Recflow_stats.Summary
 
 let balance_spread cluster =
-  (* Coefficient of variation of per-node busy time: 0 = perfectly even. *)
-  let s = Summary.create () in
-  List.iter
-    (fun n -> if Node.is_alive n then Summary.observe_int s (Node.work_done n))
-    (Cluster.nodes cluster);
-  if Summary.mean s = 0.0 then 0.0 else Summary.stddev s /. Summary.mean s
+  (* Coefficient of variation (population stddev over mean) of per-node
+     busy time: 0 = perfectly even. *)
+  let work =
+    List.filter_map
+      (fun n -> if Node.is_alive n then Some (float_of_int (Node.work_done n)) else None)
+      (Cluster.nodes cluster)
+  in
+  let n = float_of_int (List.length work) in
+  let mean = List.fold_left ( +. ) 0.0 work /. n in
+  if work = [] || mean = 0.0 then 0.0
+  else
+    let var = List.fold_left (fun acc x -> acc +. ((x -. mean) *. (x -. mean))) 0.0 work /. n in
+    sqrt var /. mean
 
 let run ?(quick = false) () =
   let w, size, inline_depth = Harness.synthetic_setup ~quick in
@@ -49,14 +54,8 @@ let run ?(quick = false) () =
           }
         in
         let probe = Harness.probe cfg w size in
-        let journal = Cluster.journal probe.Harness.cluster in
         let t_fail = probe.Harness.makespan * 2 / 5 in
-        let root_host =
-          Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-        in
-        let victim =
-          Option.value ~default:1 (Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host)
-        in
+        let victim = Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:1 in
         let faulty = Harness.run cfg w size ~failures:(Plan.single ~time:t_fail victim) in
         let reassigned = Harness.counter faulty "static.reassigned" in
         (name, probe, faulty, reassigned))

@@ -7,6 +7,7 @@ module Table = Recflow_stats.Table
 module Workload = Recflow_workload.Workload
 module Value = Recflow_lang.Value
 module Plan = Recflow_fault.Plan
+module Episode = Recflow_obs.Episode
 
 (* P spawns the probed child C first is wrong for contention cases: D goes
    first so that when C and D share a processor, D's long spin delays C —
@@ -51,12 +52,6 @@ let first_event journal stamp pred =
     (fun (e : Journal.entry) -> if pred e.Journal.event then Some e.Journal.time else None)
     (Journal.for_stamp journal stamp)
 
-let original_task journal stamp =
-  List.find_map
-    (fun (e : Journal.entry) ->
-      match e.Journal.event with Journal.Spawned { task; _ } -> Some task | _ -> None)
-    (Journal.for_stamp journal stamp)
-
 let host_of journal stamp =
   List.find_map
     (fun (e : Journal.entry) ->
@@ -78,50 +73,6 @@ let probe cfg ~cw ~dw =
     c_accepted = first_event j c_stamp (function Journal.Result_accepted _ -> true | _ -> false);
     p_done = first_event j p_stamp (function Journal.Completed _ -> true | _ -> false);
     makespan = r.Harness.makespan;
-  }
-
-(* Timestamps of the recovery milestones in a faulty run, for the ORIGINAL
-   activations of C and P versus their twins/clones.  "Original C" means
-   the C spawned by the original P, i.e. spawned before P failed — if the
-   first spawn of C's stamp happens after the failure it is already the
-   clone C′ and the original C was never invoked (case 1). *)
-let timeline journal ~fail_time =
-  let orig_p = original_task journal p_stamp in
-  let orig_c =
-    List.find_map
-      (fun (e : Journal.entry) ->
-        match e.Journal.event with
-        | Journal.Spawned { task; _ } when e.Journal.time < fail_time -> Some task
-        | _ -> None)
-      (Journal.for_stamp journal c_stamp)
-  in
-  let time_of stamp ~orig ~want_original pred =
-    List.find_map
-      (fun (e : Journal.entry) ->
-        match e.Journal.event with
-        | Journal.Activated { task; _ } when pred = `Activated ->
-          let is_orig = Some task = orig in
-          if is_orig = want_original then Some e.Journal.time else None
-        | Journal.Completed { task; _ } when pred = `Completed ->
-          let is_orig = Some task = orig in
-          if is_orig = want_original then Some e.Journal.time else None
-        | _ -> None)
-      (Journal.for_stamp journal stamp)
-  in
-  {
-    Splice_case.c_invoked =
-      (match orig_c with
-      | None -> None
-      | Some _ -> time_of c_stamp ~orig:orig_c ~want_original:true `Activated);
-    c_completed =
-      (match orig_c with
-      | None -> None
-      | Some _ -> time_of c_stamp ~orig:orig_c ~want_original:true `Completed);
-    p_failed = fail_time;
-    p'_invoked = time_of p_stamp ~orig:orig_p ~want_original:false `Activated;
-    p'_completed = time_of p_stamp ~orig:orig_p ~want_original:false `Completed;
-    c'_invoked = time_of c_stamp ~orig:orig_c ~want_original:false `Activated;
-    c'_completed = time_of c_stamp ~orig:orig_c ~want_original:false `Completed;
   }
 
 type found = {
@@ -153,7 +104,7 @@ let attempt ~seed ~detect ~cw ~dw ~failures =
   let r = Harness.run cfg w Workload.Small ~failures in
   let j = Cluster.journal r.Harness.cluster in
   let fail_time = match failures with (t, _) :: _ -> t | [] -> 0 in
-  let tl = timeline j ~fail_time in
+  let tl = Episode.timeline j ~fail_time ~parent:p_stamp ~child:c_stamp in
   let case = Splice_case.classify tl in
   ( case,
     {

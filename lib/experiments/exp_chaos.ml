@@ -72,7 +72,7 @@ let run ?(quick = false) () =
             cfg with
             Config.chaos;
             reliable = true;
-            retry = { cfg.Config.retry with Config.suspicion_after = susp };
+            retry = { Config.suspicion_after = susp };
           }
         in
         ((d, susp, seed), Harness.run ~drain:true cfg w size ~failures:[]))

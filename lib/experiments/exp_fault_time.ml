@@ -2,7 +2,6 @@ module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Table = Recflow_stats.Table
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 
 let fractions quick = if quick then [ 0.25; 0.5; 0.75 ] else [ 0.1; 0.25; 0.4; 0.55; 0.7; 0.85 ]
 
@@ -19,17 +18,14 @@ type point = {
 
 let sweep cfg w size quick =
   let probe = Harness.probe cfg w size in
-  let journal = Cluster.journal probe.Harness.cluster in
   Harness.run_many
     (fun frac ->
       let t_fail = int_of_float (frac *. float_of_int probe.Harness.makespan) in
-      let root_host =
-        Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-      in
       let victim =
-        match Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host with
-        | Some p -> p
-        | None -> ( match root_host with [ h ] -> (h + 1) mod 8 | _ -> 1)
+        match Harness.busiest_victim probe ~time:t_fail with
+        | Ok p -> p
+        | Error (Some h) -> (h + 1) mod 8
+        | Error None -> 1
       in
       let r = Harness.run cfg w size ~failures:(Plan.single ~time:t_fail victim) in
       {

@@ -27,16 +27,7 @@ let run ?(quick = false) () =
   in
   let probe = Harness.probe cfg w size in
   let t_fail = probe.Harness.makespan * 2 / 5 in
-  let root_host =
-    Option.to_list (Plan.Pick.host_of (Cluster.journal probe.Harness.cluster) ~stamp:Recflow_recovery.Stamp.root ~time:t_fail)
-  in
-  let victim =
-    match
-      Plan.Pick.busiest_at (Cluster.journal probe.Harness.cluster) ~time:t_fail ~exclude:root_host
-    with
-    | Some p -> p
-    | None -> 1
-  in
+  let victim = Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:1 in
   let faulty = Harness.run cfg w size ~failures:(Plan.single ~time:t_fail victim) in
   let journal = Cluster.journal faulty.Harness.cluster in
   (* Twins created on orphan evidence (an unexpected partial answer, or a

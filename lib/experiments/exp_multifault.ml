@@ -76,7 +76,9 @@ let run ?(quick = false) () =
            (fun () ->
              scenario_row cfg1 w size probe1 ~scenario:"single failure (reference)"
                ~victims_at:(fun j t ->
-                 Option.map (fun v -> [ v ]) (Plan.Pick.busiest_at j ~time:t ~exclude:[])));
+                 Option.map
+                   (fun v -> [ v ])
+                   Plan.Pick.(busiest (live_activations j ~time:t) ~exclude:[])));
            (fun () ->
              scenario_row cfg1 w size probe1 ~scenario:"two failures, disjoint branches"
                ~victims_at:(fun j t ->

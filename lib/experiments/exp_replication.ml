@@ -1,9 +1,7 @@
 module Config = Recflow_machine.Config
-module Cluster = Recflow_machine.Cluster
 module Table = Recflow_stats.Table
 module Workload = Recflow_workload.Workload
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 module Tmr = Recflow_baselines.Tmr
 
 type row = {
@@ -44,14 +42,8 @@ let run ?(quick = false) () =
       (fun (name, recovery) ->
         let cfg = { base with Config.recovery } in
         let probe = Harness.probe cfg w size in
-        let journal = Cluster.journal probe.Harness.cluster in
         let t_fail = probe.Harness.makespan / 3 in
-        let root_host =
-          Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-        in
-        let victim =
-          Option.value ~default:1 (Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host)
-        in
+        let victim = Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:1 in
         let faulty = Harness.run cfg w size ~failures:(Plan.single ~time:t_fail victim) in
         {
           name;

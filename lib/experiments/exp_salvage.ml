@@ -1,8 +1,6 @@
 module Config = Recflow_machine.Config
 module Table = Recflow_stats.Table
-module Cluster = Recflow_machine.Cluster
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 
 let run ?(quick = false) () =
   let w, size, inline_depth = Harness.synthetic_setup ~quick in
@@ -29,18 +27,11 @@ let run ?(quick = false) () =
             policy = Recflow_balance.Policy.Random }
         in
         let probe = Harness.probe cfg w size in
-        let journal = Cluster.journal probe.Harness.cluster in
         let points =
           Harness.run_many
             (fun frac ->
               let t_fail = int_of_float (frac *. float_of_int probe.Harness.makespan) in
-              let root_host =
-                Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-              in
-              let victim =
-                Option.value ~default:1
-                  (Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host)
-              in
+              let victim = Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:1 in
               let r =
                 Harness.run ~drain:true cfg w size
                   ~failures:(Plan.single ~time:t_fail victim)

@@ -2,7 +2,6 @@ module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Table = Recflow_stats.Table
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 
 type point = {
   nodes : int;
@@ -35,14 +34,9 @@ let run ?(quick = false) () =
         let faulty =
           if nodes < 2 then None
           else begin
-            let journal = Cluster.journal probe.Harness.cluster in
             let t_fail = probe.Harness.makespan / 2 in
-            let root_host =
-              Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-            in
             let victim =
-              Option.value ~default:(nodes - 1)
-                (Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host)
+              Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:(nodes - 1)
             in
             Some (Harness.run cfg w size ~failures:(Plan.single ~time:t_fail victim))
           end

@@ -1,8 +1,5 @@
 module Config = Recflow_machine.Config
-module Cluster = Recflow_machine.Cluster
 module Table = Recflow_stats.Table
-module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 
 type point = { failures : int; delta : int; makespan : int; correct : bool }
 
@@ -10,16 +7,14 @@ type point = { failures : int; delta : int; makespan : int; correct : bool }
    choosing at each instant the busiest processor not yet doomed and not
    hosting the root. *)
 let plan_for probe n =
-  let journal = Cluster.journal probe.Harness.cluster in
   let span = probe.Harness.makespan in
   let rec build i chosen plan =
     if i >= n then List.rev plan
     else begin
       let time = (span / 5) + (i * (3 * span / 5) / max 1 n) in
-      let root_host = Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time) in
-      match Plan.Pick.busiest_at journal ~time ~exclude:(root_host @ chosen) with
-      | Some victim -> build (i + 1) (victim :: chosen) ((time, victim) :: plan)
-      | None -> List.rev plan
+      match Harness.busiest_victim ~exclude:chosen probe ~time with
+      | Ok victim -> build (i + 1) (victim :: chosen) ((time, victim) :: plan)
+      | Error _ -> List.rev plan
     end
   in
   build 0 [] []

@@ -3,7 +3,6 @@ module Cluster = Recflow_machine.Cluster
 module Ckpt_table = Recflow_recovery.Ckpt_table
 module Table = Recflow_stats.Table
 module Plan = Recflow_fault.Plan
-module Stamp = Recflow_recovery.Stamp
 
 type row = {
   mode : string;
@@ -33,14 +32,8 @@ let run ?(quick = false) () =
       (fun (name, mode) ->
         let cfg = mk mode in
         let probe = Harness.probe cfg w size in
-        let journal = Cluster.journal probe.Harness.cluster in
         let t_fail = probe.Harness.makespan / 2 in
-        let root_host =
-          Option.to_list (Plan.Pick.host_of journal ~stamp:Stamp.root ~time:t_fail)
-        in
-        let victim =
-          Option.value ~default:1 (Plan.Pick.busiest_at journal ~time:t_fail ~exclude:root_host)
-        in
+        let victim = Result.value (Harness.busiest_victim probe ~time:t_fail) ~default:1 in
         let faulty =
           Harness.run ~drain:true cfg w size ~failures:(Plan.single ~time:t_fail victim)
         in

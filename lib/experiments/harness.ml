@@ -5,6 +5,8 @@ module Value = Recflow_lang.Value
 module Counter = Recflow_stats.Counter
 module Rng = Recflow_sim.Rng
 module Pool = Recflow_parallel.Pool
+module Pick = Recflow_fault.Plan.Pick
+module Stamp = Recflow_recovery.Stamp
 
 module Oracle = Recflow_machine.Oracle
 
@@ -57,6 +59,13 @@ let run ?(drain = false) config workload size ~failures =
   r
 
 let probe config workload size = run config workload size ~failures:[]
+
+let busiest_victim ?(exclude = []) probe ~time =
+  let live = Pick.live_activations (Cluster.journal probe.cluster) ~time in
+  let root_host = List.assoc_opt Stamp.root live in
+  match Pick.busiest live ~exclude:(Option.to_list root_host @ exclude) with
+  | Some victim -> Ok victim
+  | None -> Error root_host
 
 let run_many f xs = Pool.map (Pool.default ()) f xs
 

@@ -25,6 +25,18 @@ val run :
 val probe : Config.t -> Workload.t -> Workload.size -> run
 (** Fault-free run (the oracle for fault placement and baselines). *)
 
+val busiest_victim :
+  ?exclude:Recflow_recovery.Ids.proc_id list ->
+  run ->
+  time:int ->
+  (Recflow_recovery.Ids.proc_id, Recflow_recovery.Ids.proc_id option) result
+(** Where to aim a failure at [time], read from a fault-free probe
+    run's journal (determinism makes it exact up to the failure): [Ok p]
+    for the processor hosting the most live activations at [time], never
+    the root's host nor one in [exclude]; [Error root_host] when no other
+    processor hosts a live task, so each experiment picks its own
+    default victim.  One walk over the journal. *)
+
 val run_many : ('a -> 'b) -> 'a list -> 'b list
 (** [run_many f xs] is [List.map f xs] fanned out over the shared domain
     pool ({!Recflow_parallel.Pool.default}, sized by the driver's

@@ -67,13 +67,13 @@ let partition ~from ~until ~groups spec =
 module Pick = struct
   (* Activations live at [time]: activated at or before, not completed/
      aborted before.  Returns (stamp, proc) pairs (latest activation per
-     stamp). *)
+     stamp), sorted by stamp. *)
   let live_activations journal ~time =
-    let latest : (int list, Ids.proc_id * bool) Hashtbl.t = Hashtbl.create 128 in
+    let latest : (Stamp.t, Ids.proc_id * bool) Hashtbl.t = Hashtbl.create 128 in
     List.iter
       (fun (e : Journal.entry) ->
         if e.Journal.time <= time then begin
-          let key = Stamp.digits e.Journal.stamp in
+          let key = e.Journal.stamp in
           match e.Journal.event with
           | Journal.Activated { proc; _ } -> Hashtbl.replace latest key (proc, true)
           | Journal.Completed _ | Journal.Aborted _ -> (
@@ -83,18 +83,16 @@ module Pick = struct
           | _ -> ()
         end)
       (Journal.entries journal);
-    Hashtbl.fold
-      (fun key (proc, live) acc -> if live then (Stamp.of_digits key, proc) :: acc else acc)
-      latest []
+    Hashtbl.fold (fun key (proc, live) acc -> if live then (key, proc) :: acc else acc) latest []
     |> List.sort (fun (a, _) (b, _) -> Stamp.compare a b)
 
-  let busiest_at journal ~time ~exclude =
+  let busiest live ~exclude =
     let tally = Hashtbl.create 16 in
     List.iter
       (fun (_, proc) ->
         if proc >= 0 && not (List.mem proc exclude) then
           Hashtbl.replace tally proc (1 + Option.value ~default:0 (Hashtbl.find_opt tally proc)))
-      (live_activations journal ~time);
+      live;
     Hashtbl.fold
       (fun proc n acc ->
         match acc with
@@ -103,14 +101,9 @@ module Pick = struct
       tally None
     |> Option.map fst
 
-  let host_of journal ~stamp ~time =
-    live_activations journal ~time
-    |> List.find_opt (fun (s, _) -> Stamp.equal s stamp)
-    |> Option.map snd
-
   let parent_grandparent_pair journal ~time =
     let live = live_activations journal ~time in
-    let host s = List.find_opt (fun (s', _) -> Stamp.equal s' s) live |> Option.map snd in
+    let host s = List.assoc_opt s live in
     (* Look for a live task C at depth >= 2 whose parent and grandparent
        activations live on distinct processors. *)
     let rec search = function
@@ -132,7 +125,7 @@ module Pick = struct
     let live = live_activations journal ~time in
     (* Hosts of tasks under distinct root children: failures there touch
        disjoint branches of the call tree. *)
-    let branch stamp = match Stamp.digits stamp with [] -> None | d :: _ -> Some d in
+    let branch stamp = if Stamp.depth stamp = 0 then None else Some (Stamp.digit stamp 0) in
     let rec search = function
       | [] -> None
       | (s1, p1) :: rest -> (

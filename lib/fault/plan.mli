@@ -62,14 +62,18 @@ val partition :
 
 (** Victim selection from a probe run's journal. *)
 module Pick : sig
-  val busiest_at :
-    Recflow_machine.Journal.t -> time:int -> exclude:Ids.proc_id list -> Ids.proc_id option
-  (** Processor with most task activations that are not yet completed at
-      [time] (excluding [exclude] and the super-root). *)
+  val live_activations :
+    Recflow_machine.Journal.t ->
+    time:int ->
+    (Recflow_recovery.Stamp.t * Ids.proc_id) list
+  (** Each stamp whose latest activation at or before [time] has neither
+      completed nor aborted by then, with that activation's processor;
+      sorted by stamp.  One walk over the journal. *)
 
-  val host_of :
-    Recflow_machine.Journal.t -> stamp:Recflow_recovery.Stamp.t -> time:int -> Ids.proc_id option
-  (** Processor hosting the most recent activation of [stamp] at [time]. *)
+  val busiest :
+    (Recflow_recovery.Stamp.t * Ids.proc_id) list -> exclude:Ids.proc_id list -> Ids.proc_id option
+  (** Processor hosting most of the given live activations (excluding
+      [exclude] and the super-root). *)
 
   val parent_grandparent_pair :
     Recflow_machine.Journal.t -> time:int -> (Ids.proc_id * Ids.proc_id) option

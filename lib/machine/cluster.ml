@@ -331,6 +331,12 @@ let reliable_kind = function
     true
   | Message.Ack _ | Message.Gradient _ | Message.Abort _ -> false
 
+(* Retransmission timing: an unacked reliable send is retried [rto] ticks
+   after it left, and attempt n waits rto·backoffⁿ after the last. *)
+let rto = 150
+
+let backoff = 2.0
+
 let send_after t ~delay:extra ~src ~dst msg =
   Counter.bump t.counters Count.msg_sent;
   let seq =
@@ -341,7 +347,7 @@ let send_after t ~delay:extra ~src ~dst msg =
         { p_src = src; p_dst = dst; p_msg = msg; p_born = now t; p_attempt = 0;
           p_settled = false };
       Settle.hold_msg t.settle msg;
-      Engine.schedule t.engine ~delay:(extra + t.cfg.Config.retry.Config.rto) (Retry { seq = s });
+      Engine.schedule t.engine ~delay:(extra + rto) (Retry { seq = s });
       s
     end
     else -1
@@ -830,7 +836,7 @@ let handle_event t _at ev =
         Settle.release_msg t.settle p.p_msg
       end
       else begin
-        let { Config.suspicion_after; _ } = t.cfg.Config.retry in
+        let { Config.suspicion_after } = t.cfg.Config.retry in
         let elapsed = now t - p.p_born in
         (* Suspicion is a verdict on the *destination*, not on one unlucky
            send: give up only when the sender has heard nothing back from
@@ -853,7 +859,7 @@ let handle_event t _at ev =
           (* how stale the payload already is when we try again *)
           record_latency t "net.retransmit_delay" (now t - p.p_born);
           transmit t ~extra:0 ~src:p.p_src ~dst:p.p_dst ~seq p.p_msg;
-          Engine.schedule t.engine ~delay:(Config.retry_delay t.cfg.Config.retry p.p_attempt)
+          Engine.schedule t.engine ~delay:(Config.retry_delay ~rto ~backoff p.p_attempt)
             (Retry { seq })
         end
       end)

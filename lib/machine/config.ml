@@ -19,10 +19,10 @@ let table_mode = function
   | Fixed m -> m
   | Adaptive _ -> Recflow_recovery.Ckpt_table.Topmost
 
-type retry = { rto : int; backoff : float; suspicion_after : int }
+type retry = { suspicion_after : int }
 
 (* Clamped in float: rto·backoffⁿ past 2^62 would wrap [int_of_float]. *)
-let retry_delay { rto; backoff; _ } attempt =
+let retry_delay ~rto ~backoff attempt =
   let cap = rto * 64 in
   let d = float_of_int rto *. (backoff ** float_of_int attempt) in
   if not (d < float_of_int cap) then cap else max 1 (int_of_float d)
@@ -77,7 +77,7 @@ let default ~nodes =
     seed = 42;
     chaos = Recflow_net.Chaos.none;
     reliable = false;
-    retry = { rto = 150; backoff = 2.0; suspicion_after = 1500 };
+    retry = { suspicion_after = 1500 };
     service =
       { arrival_mean = 400.0; replicas = 1; max_inflight = 64; shed_suspect_frac = 0.5 };
     batched_delivery = false;
@@ -106,8 +106,6 @@ let metadata t : (string * meta_value) list =
     ("bounce_delay", `Int t.bounce_delay);
     ("seed", `Int t.seed);
     ("reliable", `Bool t.reliable);
-    ("retry_rto", `Int t.retry.rto);
-    ("retry_backoff", `Str (Printf.sprintf "%g" t.retry.backoff));
     ("suspicion_after", `Int t.retry.suspicion_after);
     ("chaos_drop_rate", `Str (Printf.sprintf "%g" t.chaos.Recflow_net.Chaos.drop_rate));
     ("chaos_dup_rate", `Str (Printf.sprintf "%g" t.chaos.Recflow_net.Chaos.dup_rate));
@@ -142,8 +140,6 @@ let validate t =
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"
   else if t.horizon < 1 then err "horizon must be >= 1"
-  else if t.retry.rto < 1 then err "retry rto must be >= 1"
-  else if not (t.retry.backoff >= 1.0) then err "retry backoff base must be >= 1"
   else if t.reliable && t.retry.suspicion_after <= t.detect_delay then
     err
       "suspicion_after must exceed detect_delay (timeout suspicion is the slow local fallback \

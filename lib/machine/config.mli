@@ -27,8 +27,6 @@ val table_mode : ckpt_mode -> Recflow_recovery.Ckpt_table.mode
     admission gates *entry* to a [Topmost] table. *)
 
 type retry = {
-  rto : int;  (** ticks before the first retransmission of an unacked send *)
-  backoff : float;  (** exponential backoff base: attempt n waits rto·backoffⁿ *)
   suspicion_after : int;
       (** ticks of silence after which the sender gives up, *suspects* the
           destination (treats it as faulty per §1, even if it is merely
@@ -37,9 +35,10 @@ type retry = {
           normally announced before suspicion fires. *)
 }
 
-val retry_delay : retry -> int -> int
-(** Ticks before retransmission attempt [n]: rto·backoffⁿ, at least 1 and
-    at most rto·64, so it never decreases as [n] grows. *)
+val retry_delay : rto:int -> backoff:float -> int -> int
+(** Ticks before retransmission attempt [n] of a send whose first retry
+    waits [rto] ticks: rto·backoffⁿ, at least 1 and at most rto·64, so it
+    never decreases as [n] grows. *)
 
 type service = {
   arrival_mean : float;

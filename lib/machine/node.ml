@@ -1256,13 +1256,9 @@ let route_salvage t ctx task ~ostamp ~(dead_parent : Packet.link) payload =
     let d = Stamp.depth base in
     let chain_child =
       if Stamp.depth ostamp > d + 1 && Stamp.is_ancestor base ostamp then begin
+        (* one activation's calls have distinct digits: at most one match *)
         let digit = Stamp.digit ostamp d and g = Instance.graph task.inst in
-        child_fold
-          (fun child acc ->
-            match acc with
-            | Some _ -> acc
-            | None -> if Recflow_lang.Graph.digit g child.slot = digit then Some child else None)
-          task.children None
+        Array.find_opt (fun child -> Recflow_lang.Graph.digit g child.slot = digit) task.children
       end
       else None
     in

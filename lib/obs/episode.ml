@@ -1,7 +1,6 @@
 module Journal = Recflow_machine.Journal
 module Stamp = Recflow_recovery.Stamp
 module Splice_case = Recflow_recovery.Splice_case
-module Summary = Recflow_stats.Summary
 module Counter = Recflow_stats.Counter
 module Json = Recflow_obs_core.Json
 
@@ -32,23 +31,50 @@ let in_window ~fail_time ~window_end time =
 
 module Stamp_tbl = Hashtbl.Make (Stamp)
 
+(* The §4.1 timeline of [child] against its [parent]'s recovery from the
+   failure at [fail_time].  The originals are the parent's first
+   activation and the child's first spawn before the failure; the twin
+   P′ and the clone C′ are the first other activations and completions
+   at or after it. *)
+let timeline journal ~fail_time ~parent ~child =
+  let p = Journal.for_stamp journal parent and c = Journal.for_stamp journal child in
+  let first entries pred =
+    List.find_map
+      (fun (e : Journal.entry) -> if pred e then Some e.Journal.time else None)
+      entries
+  in
+  let original entries kind =
+    List.find_map
+      (fun (e : Journal.entry) -> if e.Journal.time < fail_time then kind e.Journal.event else None)
+      entries
+  in
+  let invoked = function Journal.Activated { task; _ } -> Some task | _ -> None in
+  let completed = function Journal.Completed { task; _ } -> Some task | _ -> None in
+  let spawned = function Journal.Spawned { task; _ } -> Some task | _ -> None in
+  let p_orig = original p invoked and c_orig = original c spawned in
+  let by_original entries kind =
+    match c_orig with
+    | None -> None
+    | Some orig -> first entries (fun e -> kind e.Journal.event = Some orig)
+  in
+  let by_copy entries orig kind =
+    first entries (fun e ->
+        e.Journal.time >= fail_time
+        && match kind e.Journal.event with Some task -> Some task <> orig | None -> false)
+  in
+  {
+    Splice_case.c_invoked = by_original c invoked;
+    c_completed = by_original c completed;
+    p_failed = fail_time;
+    p'_invoked = by_copy p p_orig invoked;
+    p'_completed = by_copy p p_orig completed;
+    c'_invoked = by_copy c c_orig invoked;
+    c'_completed = by_copy c c_orig completed;
+  }
+
 (* §4.1 classification for every child of every task that died with the
    failed processor. *)
 let case_histogram journal ~fail_time ~dead_stamps =
-  let first_time stamp pred =
-    List.find_map
-      (fun (e : Journal.entry) -> if pred e.Journal.event e.Journal.time then Some e.Journal.time else None)
-      (Journal.for_stamp journal stamp)
-  in
-  let orig_task stamp =
-    (* the pre-failure activation this episode lost *)
-    List.find_map
-      (fun (e : Journal.entry) ->
-        match e.Journal.event with
-        | Journal.Activated { task; _ } when e.Journal.time < fail_time -> Some task
-        | _ -> None)
-      (Journal.for_stamp journal stamp)
-  in
   (* The children of each dead stamp, in [Journal.stamps] order, from one
      pass over the stamps. *)
   let children = Stamp_tbl.create 64 in
@@ -64,58 +90,12 @@ let case_histogram journal ~fail_time ~dead_stamps =
     (List.rev (Journal.stamps journal));
   let tally = Hashtbl.create 8 in
   List.iter
-    (fun p ->
-      let p_orig = orig_task p in
-      let twin_time want orig =
-        first_time p (fun ev time ->
-            match (ev, want) with
-            | Journal.Activated { task; _ }, `Invoked -> time >= fail_time && Some task <> orig
-            | Journal.Completed { task; _ }, `Completed -> time >= fail_time && Some task <> orig
-            | _ -> false)
-      in
-      let p'_invoked = twin_time `Invoked p_orig in
-      let p'_completed = twin_time `Completed p_orig in
+    (fun parent ->
       List.iter
-        (fun c ->
-          let c_orig =
-            List.find_map
-              (fun (e : Journal.entry) ->
-                match e.Journal.event with
-                | Journal.Spawned { task; _ } when e.Journal.time < fail_time -> Some task
-                | _ -> None)
-              (Journal.for_stamp journal c)
-          in
-          let orig_time want =
-            match c_orig with
-            | None -> None
-            | Some orig ->
-              first_time c (fun ev _ ->
-                  match (ev, want) with
-                  | Journal.Activated { task; _ }, `Invoked -> task = orig
-                  | Journal.Completed { task; _ }, `Completed -> task = orig
-                  | _ -> false)
-          in
-          let clone_time want =
-            first_time c (fun ev time ->
-                match (ev, want) with
-                | Journal.Activated { task; _ }, `Invoked -> time >= fail_time && Some task <> c_orig
-                | Journal.Completed { task; _ }, `Completed -> time >= fail_time && Some task <> c_orig
-                | _ -> false)
-          in
-          let tl =
-            {
-              Splice_case.c_invoked = orig_time `Invoked;
-              c_completed = orig_time `Completed;
-              p_failed = fail_time;
-              p'_invoked;
-              p'_completed;
-              c'_invoked = clone_time `Invoked;
-              c'_completed = clone_time `Completed;
-            }
-          in
-          let case = Splice_case.classify tl in
+        (fun child ->
+          let case = Splice_case.classify (timeline journal ~fail_time ~parent ~child) in
           Hashtbl.replace tally case (1 + Option.value ~default:0 (Hashtbl.find_opt tally case)))
-        (Stamp_tbl.find children p))
+        (Stamp_tbl.find children parent))
     dead_stamps;
   List.filter_map
     (fun case -> Hashtbl.find_opt tally case |> Option.map (fun n -> (case, n)))
@@ -280,9 +260,9 @@ let analyze journal =
 
 type aggregate = {
   episodes : int;
-  detection : Summary.t;
-  recovery : Summary.t;
-  redone_work_summary : Summary.t;
+  detection : int list;
+  recovery : int list;
+  redone : int list;
   total_reissued : int;
   total_salvaged : int;
   total_redone_work : int;
@@ -290,46 +270,45 @@ type aggregate = {
 }
 
 let aggregate eps =
-  let detection = Summary.create () in
-  let recovery = Summary.create () in
-  let redone_work_summary = Summary.create () in
   let case_counts = Counter.create_set () in
-  let total_reissued = ref 0 and total_salvaged = ref 0 and total_redone = ref 0 in
   List.iter
     (fun e ->
-      Option.iter (Summary.observe_int detection) e.detection_latency;
-      Option.iter (Summary.observe_int recovery) e.recovery_latency;
-      Summary.observe_int redone_work_summary e.redone_work;
-      total_reissued := !total_reissued + e.reissued;
-      total_salvaged := !total_salvaged + e.salvaged_results;
-      total_redone := !total_redone + e.redone_work;
       List.iter
         (fun (case, n) ->
           Counter.add case_counts (Printf.sprintf "case%d" (Splice_case.case_number case)) n)
         e.cases)
     eps;
+  let total f = List.fold_left (fun acc e -> acc + f e) 0 eps in
   {
     episodes = List.length eps;
-    detection;
-    recovery;
-    redone_work_summary;
-    total_reissued = !total_reissued;
-    total_salvaged = !total_salvaged;
-    total_redone_work = !total_redone;
+    detection = List.filter_map (fun e -> e.detection_latency) eps;
+    recovery = List.filter_map (fun e -> e.recovery_latency) eps;
+    redone = List.map (fun e -> e.redone_work) eps;
+    total_reissued = total (fun e -> e.reissued);
+    total_salvaged = total (fun e -> e.salvaged_results);
+    total_redone_work = total (fun e -> e.redone_work);
     case_counts;
   }
 
-let summary_to_json s =
-  if Summary.count s = 0 then Json.Obj [ ("n", Json.Int 0) ]
-  else
+(* The mean is the in-order float sum over n; the quantiles are
+   nearest-rank: the sample at rank ceil(p/100 * n) in sorted order. *)
+let series_to_json = function
+  | [] -> Json.Obj [ ("n", Json.Int 0) ]
+  | xs ->
+    let sorted = Array.of_list (List.sort compare xs) in
+    let n = Array.length sorted in
+    let at i = Json.Float (float_of_int sorted.(i)) in
+    let nearest_rank p = at (int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1) in
     Json.Obj
       [
-        ("n", Json.Int (Summary.count s));
-        ("mean", Json.Float (Summary.mean s));
-        ("min", Json.Float (Summary.min_value s));
-        ("p50", Json.Float (Summary.median s));
-        ("p95", Json.Float (Summary.percentile s 95.0));
-        ("max", Json.Float (Summary.max_value s));
+        ("n", Json.Int n);
+        ( "mean",
+          Json.Float (List.fold_left (fun acc x -> acc +. float_of_int x) 0.0 xs /. float_of_int n)
+        );
+        ("min", at 0);
+        ("p50", nearest_rank 50.0);
+        ("p95", nearest_rank 95.0);
+        ("max", at (n - 1));
       ]
 
 let opt_int = function Some n -> Json.Int n | None -> Json.Null
@@ -368,9 +347,9 @@ let aggregate_to_json a =
   Json.Obj
     [
       ("episodes", Json.Int a.episodes);
-      ("detection_latency", summary_to_json a.detection);
-      ("recovery_latency", summary_to_json a.recovery);
-      ("redone_work", summary_to_json a.redone_work_summary);
+      ("detection_latency", series_to_json a.detection);
+      ("recovery_latency", series_to_json a.recovery);
+      ("redone_work", series_to_json a.redone);
       ("total_reissued", Json.Int a.total_reissued);
       ("total_salvaged", Json.Int a.total_salvaged);
       ("total_redone_work", Json.Int a.total_redone_work);

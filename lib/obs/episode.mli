@@ -20,7 +20,7 @@
 
 module Journal = Recflow_machine.Journal
 module Splice_case = Recflow_recovery.Splice_case
-module Summary = Recflow_stats.Summary
+module Stamp = Recflow_recovery.Stamp
 module Counter = Recflow_stats.Counter
 
 type t = {
@@ -57,15 +57,24 @@ type t = {
           cases with a non-zero count appear) *)
 }
 
+val timeline :
+  Journal.t -> fail_time:int -> parent:Stamp.t -> child:Stamp.t -> Splice_case.timeline
+(** The §4.1 timeline of [child] against [parent]'s recovery from the
+    failure at [fail_time], the one classifier input both {!analyze} and
+    the Figure 5 experiment read.  The original P is the parent's first
+    activation before the failure, the original C the child's first spawn
+    before it; the twin P′ and the clone C′ are the first other
+    activations and completions at or after the failure. *)
+
 val analyze : Journal.t -> t list
 (** One episode per [Failure] entry, in failure order.  Runs without
     failures yield [[]]. *)
 
 type aggregate = {
   episodes : int;
-  detection : Summary.t;  (** over episodes with a detection latency *)
-  recovery : Summary.t;
-  redone_work_summary : Summary.t;
+  detection : int list;  (** detection latencies, in episode order, of those that have one *)
+  recovery : int list;  (** likewise recovery latencies *)
+  redone : int list;  (** every episode's redone work *)
   total_reissued : int;
   total_salvaged : int;
   total_redone_work : int;
@@ -77,10 +86,9 @@ val aggregate : t list -> aggregate
 val to_json : t -> Recflow_obs_core.Json.t
 
 val aggregate_to_json : aggregate -> Recflow_obs_core.Json.t
-
-val summary_to_json : Summary.t -> Recflow_obs_core.Json.t
-(** [{"n":..,"mean":..,"min":..,"p50":..,"p95":..,"max":..}]; just
-    [{"n":0}] when empty. *)
+(** Each series renders as
+    [{"n":..,"mean":..,"min":..,"p50":..,"p95":..,"max":..}], just
+    [{"n":0}] when empty; p50 and p95 are nearest-rank. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line human rendering for the CLI. *)

@@ -116,7 +116,7 @@ let run_chaotic ?(nodes = 8) ?(seed = 1) ?(suspicion_after = 1500) chaos w =
       seed;
       chaos;
       reliable = true;
-      retry = { base.Config.retry with Config.suspicion_after };
+      retry = { Config.suspicion_after };
     }
   in
   let c = Cluster.create cfg (Workload.program w) in

@@ -1,7 +1,6 @@
 (* Tests for counters, summaries, HDR histograms and table rendering. *)
 
 module Counter = Recflow_stats.Counter
-module Summary = Recflow_stats.Summary
 module Hdr = Recflow_stats.Hdr
 module Table = Recflow_stats.Table
 
@@ -130,91 +129,6 @@ let counter_merge_keeps_zero_names () =
   check "touched-but-zero name survives merge" true
     (List.mem "touched.zero" (Counter.names m));
   check_int "its value is zero" 0 (Counter.get m "touched.zero")
-
-(* ---------------- Summary ---------------- *)
-
-let summary_known_values () =
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check_int "count" 8 (Summary.count s);
-  check_float "mean" 5.0 (Summary.mean s);
-  check_float "stddev (population)" 2.0 (Summary.stddev s);
-  check_float "min" 2.0 (Summary.min_value s);
-  check_float "max" 9.0 (Summary.max_value s);
-  check_float "total" 40.0 (Summary.total s)
-
-let summary_percentile_nearest_rank () =
-  let s = Summary.create () in
-  List.iter (Summary.observe_int s) [ 15; 20; 35; 40; 50 ];
-  check_float "p30 = 2nd" 20.0 (Summary.percentile s 30.0);
-  check_float "p40 = 2nd" 20.0 (Summary.percentile s 40.0);
-  check_float "p50 = 3rd" 35.0 (Summary.percentile s 50.0);
-  check_float "p100 = max" 50.0 (Summary.percentile s 100.0);
-  check_float "p0 = min" 15.0 (Summary.percentile s 0.0)
-
-let summary_empty_raises () =
-  let s = Summary.create () in
-  check_float "mean of empty" 0.0 (Summary.mean s);
-  check "min raises" true
-    (try
-       ignore (Summary.min_value s);
-       false
-     with Invalid_argument _ -> true);
-  check "percentile raises" true
-    (try
-       ignore (Summary.percentile s 50.0);
-       false
-     with Invalid_argument _ -> true)
-
-let summary_percentile_range () =
-  let s = Summary.create () in
-  Summary.observe s 1.0;
-  check "p>100 rejected" true
-    (try
-       ignore (Summary.percentile s 101.0);
-       false
-     with Invalid_argument _ -> true)
-
-let summary_mean_bounded =
-  QCheck.Test.make ~name:"Summary mean within [min,max]" ~count:300
-    QCheck.(list_of_size (Gen.int_range 1 50) (float_range (-1000.) 1000.))
-    (fun xs ->
-      let s = Summary.create () in
-      List.iter (Summary.observe s) xs;
-      let m = Summary.mean s in
-      m >= Summary.min_value s -. 1e-9 && m <= Summary.max_value s +. 1e-9)
-
-let summary_order_preserved () =
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 3.0; 1.0; 2.0 ];
-  Alcotest.(check (list (float 0.0))) "observation order" [ 3.0; 1.0; 2.0 ] (Summary.to_list s)
-
-let summary_stddev_large_offset () =
-  (* Regression for catastrophic cancellation: the textbook
-     sumsq/n - mean^2 form loses all significant digits when samples sit
-     on a 1e9 offset (it used to report sd = 0 or NaN here).  Welford
-     keeps the true population sd of {1e9, 1e9+1, 1e9+2}: sqrt(2/3). *)
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 1e9; 1e9 +. 1.0; 1e9 +. 2.0 ];
-  Alcotest.(check (float 1e-6)) "sd on large offset" (sqrt (2.0 /. 3.0)) (Summary.stddev s);
-  Alcotest.(check (float 1e-6)) "mean on large offset" (1e9 +. 1.0) (Summary.mean s)
-
-let summary_stddev_constant () =
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 5.0; 5.0; 5.0; 5.0 ];
-  check_float "constant samples" 0.0 (Summary.stddev s)
-
-let summary_sorted_cache_invalidation () =
-  (* The sorted array is cached between quantile calls; a fresh
-     observation must invalidate it or percentiles go stale. *)
-  let s = Summary.create () in
-  List.iter (Summary.observe s) [ 1.0; 2.0; 3.0 ];
-  check_float "median before" 2.0 (Summary.median s);
-  Summary.observe s 100.0;
-  check_float "max after new obs" 100.0 (Summary.percentile s 100.0);
-  check_float "median reflects new sample" 2.0 (Summary.median s);
-  Summary.observe s (-100.0);
-  check_float "min after new obs" (-100.0) (Summary.percentile s 0.0)
 
 (* ---------------- Hdr ---------------- *)
 
@@ -368,18 +282,6 @@ let suites =
         qtest counter_merge_commutative;
         qtest counter_merge_associative;
         qtest counter_merge_pointwise;
-      ] );
-    ( "stats.summary",
-      [
-        Alcotest.test_case "known values" `Quick summary_known_values;
-        Alcotest.test_case "percentile nearest-rank" `Quick summary_percentile_nearest_rank;
-        Alcotest.test_case "empty" `Quick summary_empty_raises;
-        Alcotest.test_case "percentile range" `Quick summary_percentile_range;
-        Alcotest.test_case "order preserved" `Quick summary_order_preserved;
-        Alcotest.test_case "stddev large offset" `Quick summary_stddev_large_offset;
-        Alcotest.test_case "stddev constant" `Quick summary_stddev_constant;
-        Alcotest.test_case "sorted cache invalidation" `Quick summary_sorted_cache_invalidation;
-        qtest summary_mean_bounded;
       ] );
     ( "stats.hdr",
       [
