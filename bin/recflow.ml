@@ -43,6 +43,12 @@ let parse_failure s =
     | _ -> Error (`Msg (Printf.sprintf "bad failure spec %S (want TIME@PROC)" s)))
   | _ -> Error (`Msg (Printf.sprintf "bad failure spec %S (want TIME@PROC)" s))
 
+(* NaN fails both comparisons, so it is refused with the rest. *)
+let parse_probability s =
+  match float_of_string_opt s with
+  | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+  | _ -> Error (`Msg (Printf.sprintf "bad probability %S (want a number in [0,1])" s))
+
 let size_of_string = function
   | "tiny" -> Ok Workload.Tiny
   | "small" -> Ok Workload.Small
@@ -143,7 +149,7 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
     detect_delay workload_name size_name program_file entry args failures show_journal
     show_trace trace_limit show_stats show_timeline drain emit_trace metrics_json trace_jsonl
     trace_sample profile profile_json check_only check_json werror no_check serve requests
-    arrival_mean service_replicas max_inflight shed_frac service_json explain_code loss_prior
+    arrival_mean service_replicas max_inflight shed_frac service_json explain_code loss_rate
     ckpt_cost =
   let ( let* ) r f = match r with Ok v -> f v | Error msg -> (Format.eprintf "%s@." msg; 1) in
   match explain_code with
@@ -260,7 +266,7 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
             in
             match
               Recflow_balance.Policy.suggest_ckpt_admission ~work_per_activation:work
-                ~fanout:eb.Cost.fanout ~depth_bound ~loss_rate:loss_prior ~ckpt_cost
+                ~fanout:eb.Cost.fanout ~depth_bound ~loss_rate ~ckpt_cost
             with
             | Some d ->
               Format.eprintf "auto: adaptive checkpoint admission to stamp depth %d@." d;
@@ -284,7 +290,6 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
       recovery;
       ckpt_mode;
       ckpt_cost;
-      loss_prior;
       ancestor_depth;
       inline_depth = (match inline_depth with Some d -> d | None -> max_int);
       seed;
@@ -443,6 +448,8 @@ open Cmdliner
 
 let failure_conv = Arg.conv (parse_failure, fun ppf (t, p) -> Format.fprintf ppf "%d@@%d" t p)
 
+let probability_conv = Arg.conv (parse_probability, Format.pp_print_float)
+
 let nodes = Arg.(value & opt int 8 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Processor count.")
 
 let topology =
@@ -475,9 +482,9 @@ let explain_code =
     & info [ "explain" ] ~docv:"CODE"
         ~doc:"Print the one-paragraph rule doc for $(docv) (e.g. RF301) and exit.")
 
-let loss_prior =
+let loss_rate =
   Arg.(
-    value & opt float 0.0
+    value & opt probability_conv 0.0
     & info [ "loss-prior" ] ~docv:"P"
         ~doc:
           "Prior probability in [0,1] that a spawned task is lost to a failure; with \
@@ -675,7 +682,7 @@ let cmd =
       $ failures $ show_journal $ show_trace $ trace_limit $ show_stats $ show_timeline $ drain
       $ emit_trace $ metrics_json $ trace_jsonl $ trace_sample $ profile $ profile_json
       $ check_only $ check_json $ werror $ no_check $ serve $ requests $ arrival_mean
-      $ service_replicas $ max_inflight $ shed_frac $ service_json $ explain_code $ loss_prior
+      $ service_replicas $ max_inflight $ shed_frac $ service_json $ explain_code $ loss_rate
       $ ckpt_cost)
 
 let () = exit (Cmd.eval' cmd)

@@ -236,14 +236,3 @@ let render_json r =
     (List.length (errors r))
     (List.length (warnings r))
     entries diags functions
-
-(* Runtime gate for programmatic program construction (workloads,
-   examples): refuse to hand out a program with analysis errors.
-   Warnings are left to the lint suite — a runtime abort would be too
-   blunt for style findings. *)
-let assert_clean ?entries defs =
-  let r = check_defs ?entries defs in
-  match errors r with
-  | [] -> ()
-  | e :: _ ->
-    invalid_arg (Printf.sprintf "static analysis failed: %s" (Diagnostic.to_string e))

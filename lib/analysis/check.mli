@@ -54,8 +54,3 @@ val render_json : report -> string
       "functions":[{"name":..,"type":..,"fanout_bound":..,"recursion":..,
                     "cost":{"verdict":..,"measure":..,"floor":..,
                             "rec_fanout":..,"growth":..,"work":..}}]}] *)
-
-val assert_clean : ?entries:string list -> Ast.def list -> unit
-(** Runtime gate for workload/example construction.
-    @raise Invalid_argument on the first analysis {e error} (warnings are
-    the lint suite's job). *)

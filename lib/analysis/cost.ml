@@ -864,8 +864,6 @@ let of_program ?(entries = []) ?schemes program =
   in
   { program; shape; graph; entries; kinds; summaries; sites; scc_of; infos = infos_list; costs }
 
-let fn_costs t = t.costs
-
 let find t fn = List.find_opt (fun c -> String.equal c.fn fn) t.costs
 
 (* ------------------------------------------------------------------ *)

@@ -80,9 +80,6 @@ val of_program : ?entries:string list -> ?schemes:(string * Infer.fn_scheme) lis
     parameters as int-valued or list-valued; inferred internally when
     omitted. *)
 
-val fn_costs : t -> fn_cost list
-(** Sorted by function name. *)
-
 val find : t -> string -> fn_cost option
 
 val lint : t -> Diagnostic.t list

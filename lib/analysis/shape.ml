@@ -74,8 +74,3 @@ let program_fanout_bound ?entries t program =
     | None -> graph.functions
   in
   List.fold_left (fun acc s -> if List.mem s.fn fns then max acc s.fanout else acc) 0 t.shapes
-
-let fn_shape_to_string s =
-  Printf.sprintf "%s: fan-out <= %d, %s%s" s.fn s.fanout
-    (recursion_class_string s.recursion)
-    (match s.calls with [] -> "" | cs -> ", calls " ^ String.concat ", " cs)

@@ -39,6 +39,3 @@ val fanout_bound : t -> string -> int option
 val program_fanout_bound : ?entries:string list -> t -> Program.t -> int
 (** Max fan-out over functions reachable from [entries] (all functions
     when omitted).  [0] for a program that never calls. *)
-
-val fn_shape_to_string : fn_shape -> string
-(** ["fib: fan-out <= 2, self-recursive, calls fib"]. *)

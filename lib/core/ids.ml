@@ -7,5 +7,3 @@ let super_root = -1
 let no_task = -1
 
 let proc_to_string p = if p = super_root then "SR" else Printf.sprintf "P%d" p
-
-let pp_proc ppf p = Format.pp_print_string ppf (proc_to_string p)

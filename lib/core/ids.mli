@@ -17,7 +17,5 @@ val super_root : proc_id
 val no_task : task_id
 (** Sentinel for "no such task" (the super-root's own activation). *)
 
-val pp_proc : Format.formatter -> proc_id -> unit
-(** Prints "SR" for the super-root, "P<n>" otherwise. *)
-
 val proc_to_string : proc_id -> string
+(** "SR" for the super-root, "P<n>" otherwise. *)

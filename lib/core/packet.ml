@@ -26,8 +26,4 @@ let make ~stamp ~fname ~args ~parent ~grandparent ~ancestors =
 
 let reparent t ~parent ~grandparent = { t with parent; grandparent }
 
-let describe t =
-  Printf.sprintf "%s@%s -> task%d on %s" t.fname (Stamp.to_string t.stamp) t.parent.task
-    (Ids.proc_to_string t.parent.proc)
-
 let equal_identity a b = Stamp.equal a.stamp b.stamp && String.equal a.fname b.fname

@@ -43,9 +43,6 @@ val reparent : t -> parent:link -> grandparent:link option -> t
     the offspring of a dead task, and when re-issuing a checkpoint whose
     parent activation id changed. *)
 
-val describe : t -> string
-(** "fname@stamp → parent" one-liner for traces. *)
-
 val equal_identity : t -> t -> bool
 (** Same stamp and function — the notion of "the same task" used to match
     a regenerated twin with its dead original.  Argument values are not

@@ -111,7 +111,6 @@ let run ?(quick = false) () =
             Config.inline_depth;
             ckpt_mode = mode;
             ckpt_cost;
-            loss_prior = pt.prior;
             recovery = Config.Rollback;
             policy = Policy.Gradient { weight = 2 };
           }

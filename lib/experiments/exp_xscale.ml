@@ -19,10 +19,6 @@ type point = {
   ckpt_nodes : int;  (* checkpoint peer entries + trie nodes after quiescence (must be 0) *)
   side_tables : int;  (* lazily allocated node side tables (fault-free: must be 0) *)
   correct : bool;
-  (* Wall-clock-derived numbers exist only in the full run: quick mode is
-     part of the --jobs determinism gate, so its report must not contain
-     anything the host machine can perturb. *)
-  cpu_s : float;
   peak_live_words : int;
 }
 
@@ -31,21 +27,16 @@ type point = {
    Reachable words depend only on the run, not on the host or on what else
    the process holds, so the column is deterministic and its check gates
    quick mode too.  Sampling stops with the last journal entry: what the
-   root's answer allocates after it is not a per-task cost.  Returns (result, cpu_seconds, peak_live_words), with
-   the heap walks' own time left out of cpu_seconds. *)
+   root's answer allocates after it is not a per-task cost.  Returns
+   (result, peak_live_words). *)
 let probe_peak ~stride (c : Cluster.t) f =
-  let peak = ref 0 and seen = ref 0 and walk_s = ref 0.0 in
+  let peak = ref 0 and seen = ref 0 in
   Journal.attach_sink (Cluster.journal c)
     (Sink.of_fun (fun _ ->
          incr seen;
-         if !seen mod stride = 0 then begin
-           let t0 = Sys.time () in
-           peak := max !peak (Obj.reachable_words (Obj.repr c));
-           walk_s := !walk_s +. (Sys.time () -. t0)
-         end));
-  let t0 = Sys.time () in
+         if !seen mod stride = 0 then peak := max !peak (Obj.reachable_words (Obj.repr c))));
   let r = f () in
-  (r, Sys.time () -. t0 -. !walk_s, !peak)
+  (r, !peak)
 
 (* Measured peaks: 97 and 81 words per task on the quick rows, 62 and 62
    on the two smaller full rows (128, 126, 73 and 66 while a checkpoint
@@ -73,9 +64,8 @@ let run ?(quick = false) () =
      a >= 1M-task tree; quick keeps the same shape at toy sizes. *)
   let grid = if quick then [ (16, 8); (64, 10) ] else [ (64, 14); (256, 17); (1024, 20) ] in
   let points =
-    (* Sequential: cpu_s is process CPU time, which a row running
-       alongside would inflate, and sequential is trivially identical at
-       any --jobs. *)
+    (* Sequential: one large row at a time bounds the process's memory,
+       and sequential is trivially identical at any --jobs. *)
     List.map
       (fun (procs, depth) ->
         let grain = 20 in
@@ -95,7 +85,7 @@ let run ?(quick = false) () =
            form anyway — 2^depth leaves of [grain] each. *)
         let expected = Value.Int (grain * (1 lsl depth)) in
         let c = Cluster.create cfg (Workload.program w) in
-        let o, cpu_s, peak_live_words =
+        let o, peak_live_words =
           probe_peak ~stride:(1 lsl (depth - 2)) c (fun () ->
               Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Medium);
               let o = Cluster.run c in
@@ -117,7 +107,6 @@ let run ?(quick = false) () =
           ckpt_nodes;
           side_tables;
           correct = o.Cluster.answer = Some expected;
-          cpu_s;
           peak_live_words;
         })
       grid
@@ -129,7 +118,7 @@ let run ?(quick = false) () =
          fault-free)"
       ~columns:
         [ "processors"; "tree depth"; "tasks"; "makespan"; "events"; "events/task";
-          "live words/task"; "cpu (s)"; "events/s"; "answer ok" ]
+          "live words/task"; "answer ok" ]
   in
   List.iter
     (fun p ->
@@ -142,9 +131,6 @@ let run ?(quick = false) () =
           Harness.c_int p.events;
           Printf.sprintf "%.1f" (float_of_int p.events /. float_of_int p.tasks);
           Harness.c_int (p.peak_live_words / p.tasks);
-          (if quick then "-" else Printf.sprintf "%.1f" p.cpu_s);
-          (if quick then "-"
-           else Printf.sprintf "%.0f" (float_of_int p.events /. max 0.001 p.cpu_s));
           Harness.c_bool p.correct;
         ])
     points;
@@ -175,6 +161,6 @@ let run ?(quick = false) () =
       [ "Tasks retire to slim tombstones on completion; deliveries \
          coalesce per destination tick; the journal streams without retention.  Live words \
          are the peak reachable words of the run's cluster, sampled every 2^(depth-2) \
-         journal entries; wall-clock columns are suppressed in quick mode so the report \
-         stays bit-identical across --jobs." ]
+         journal entries.  Host time is not reported here: perfbench's tree_1024 \
+         workload measures it at this configuration." ]
     ~checks [ table ]

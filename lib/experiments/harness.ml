@@ -93,9 +93,6 @@ let synthetic_setup ~quick =
 
 let counter r name = Counter.get (Cluster.counters r.cluster) name
 
-let speedup ~baseline r =
-  if r.makespan = 0 then nan else float_of_int baseline.makespan /. float_of_int r.makespan
-
 let pct_of ~part ~whole = if whole = 0 then 0.0 else float_of_int part /. float_of_int whole
 
 let c_int = string_of_int
@@ -103,5 +100,3 @@ let c_int = string_of_int
 let c_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let c_bool b = if b then "yes" else "no"
-
-let c_opt_value = function Some v -> Value.to_string v | None -> "-"

@@ -85,9 +85,6 @@ val synthetic_setup : quick:bool -> Workload.t * Workload.size * int
 
 val counter : run -> string -> int
 
-val speedup : baseline:run -> run -> float
-(** makespan ratio baseline/this. *)
-
 val pct_of : part:int -> whole:int -> float
 
 val c_int : int -> string
@@ -95,5 +92,3 @@ val c_int : int -> string
 val c_float : ?decimals:int -> float -> string
 
 val c_bool : bool -> string
-
-val c_opt_value : Recflow_lang.Value.t option -> string

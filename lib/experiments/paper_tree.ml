@@ -65,8 +65,6 @@ let parent n =
 
 let grandparent n = Option.bind (parent n) parent
 
-let on_processor proc = List.filter (fun n -> n.proc = proc) all
-
 let fragments ~failed =
   let survivors = List.filter (fun n -> n.proc <> failed) all in
   let alive label = List.exists (fun n -> String.equal n.label label) survivors in

@@ -40,8 +40,6 @@ val proc_name : Ids.proc_id -> string
 val proc_of_name : string -> Ids.proc_id
 (** @raise Not_found. *)
 
-val on_processor : Ids.proc_id -> node list
-
 val fragments : failed:Ids.proc_id -> string list list
 (** Connected pieces of the tree after removing tasks on [failed], each as
     a sorted list of labels (pieces ordered by their topmost task's stamp). *)

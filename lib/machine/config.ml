@@ -41,7 +41,6 @@ type t = {
   recovery : recovery;
   ckpt_mode : ckpt_mode;
   ckpt_cost : int;
-  loss_prior : float;
   ancestor_depth : int;
   replicate_depth : int;
   inline_depth : int;
@@ -66,7 +65,6 @@ let default ~nodes =
     recovery = Splice;
     ckpt_mode = Fixed Recflow_recovery.Ckpt_table.Topmost;
     ckpt_cost = 0;
-    loss_prior = 0.0;
     ancestor_depth = 1;
     replicate_depth = 2;
     inline_depth = max_int;
@@ -94,7 +92,6 @@ let metadata t : (string * meta_value) list =
     ("recovery", `Str (recovery_to_string t.recovery));
     ("ckpt_mode", `Str (ckpt_mode_string t.ckpt_mode));
     ("ckpt_cost", `Int t.ckpt_cost);
-    ("loss_prior", `Str (Printf.sprintf "%g" t.loss_prior));
     ("ancestor_depth", `Int t.ancestor_depth);
     ("replicate_depth", `Int t.replicate_depth);
     ("inline_depth", if t.inline_depth = max_int then `Str "unbounded" else `Int t.inline_depth);
@@ -127,8 +124,6 @@ let validate t =
   else if t.replicate_depth < 0 then err "replicate_depth must be >= 0"
   else if t.inline_depth < 1 then err "inline_depth must be >= 1 (the root task is never inline)"
   else if t.ckpt_cost < 0 then err "costs must be non-negative"
-  else if t.loss_prior < 0.0 || t.loss_prior > 1.0 || Float.is_nan t.loss_prior then
-    err "loss_prior must be in [0,1]"
   else if (match t.ckpt_mode with Adaptive { max_depth } -> max_depth < 1 | Fixed _ -> false)
   then err "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
   else if t.latency.Recflow_net.Latency.base < 0 then err "latency base must be >= 0"

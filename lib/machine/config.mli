@@ -68,10 +68,6 @@ type t = {
   ckpt_cost : int;
       (** extra ticks charged at spawn per checkpoint actually stored
           (0 = the pre-PR-9 cost model, where recording is free) *)
-  loss_prior : float;
-      (** prior probability (in [0,1]) that any given spawned task is lost
-          to a failure — the operator's loss-rate estimate consumed by
-          [Policy.suggest_ckpt_admission] when seeding [Adaptive] *)
   ancestor_depth : int;
       (** how many ancestor links a packet carries beyond its parent:
           1 = grandparent (standard splice), n ≥ 2 adds great-grandparents

@@ -101,39 +101,3 @@ let counter = function
   | Gradient _ -> Count.gradient
   | Abort _ -> Count.abort
   | Failure_notice _ -> Count.failure_notice
-
-let describe = function
-  | Task_packet { packet; task_id; replica; replicas } ->
-    if replicas > 1 then
-      Printf.sprintf "task %s (task%d, replica %d/%d)" (Packet.describe packet) task_id replica
-        replicas
-    else Printf.sprintf "task %s (task%d)" (Packet.describe packet) task_id
-  | Orphan_alive { stamp; orphan; target; _ } ->
-    Printf.sprintf "orphan %s alive (task%d on %s) -> task%d on %s" (Stamp.to_string stamp)
-      orphan.Packet.task
-      (Ids.proc_to_string orphan.Packet.proc)
-      target.Packet.task
-      (Ids.proc_to_string target.Packet.proc)
-  | Reparent { orphan_task; new_parent; _ } ->
-    Printf.sprintf "reparent task%d -> task%d slot %d on %s" orphan_task new_parent.Packet.task
-      new_parent.Packet.slot
-      (Ids.proc_to_string new_parent.Packet.proc)
-  | Ack { child_stamp; child_task; child_proc; parent_task; slot } ->
-    Printf.sprintf "ack %s task%d on %s -> task%d slot %d" (Stamp.to_string child_stamp)
-      child_task
-      (Ids.proc_to_string child_proc)
-      parent_task slot
-  | Result { stamp; target; relay; _ } ->
-    let kind =
-      match relay with
-      | To_parent -> "result"
-      | To_grandparent _ -> "grandchild result"
-      | To_step_parent _ -> "spliced result"
-    in
-    Printf.sprintf "%s of %s -> task%d slot %d on %s" kind (Stamp.to_string stamp) target.task
-      target.slot
-      (Ids.proc_to_string target.proc)
-  | Gradient { from; value } ->
-    Printf.sprintf "gradient %d from %s" value (Ids.proc_to_string from)
-  | Abort { task; _ } -> Printf.sprintf "abort task%d" task
-  | Failure_notice { failed } -> Printf.sprintf "failure notice: %s" (Ids.proc_to_string failed)

@@ -115,5 +115,3 @@ val label : t -> string
 val counter : t -> Recflow_stats.Counter.handle
 (** The delivery counter of the message's kind, named ["msg." ^ label msg]
     and bumped once per delivered message. *)
-
-val describe : t -> string

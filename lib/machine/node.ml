@@ -503,44 +503,6 @@ let child_slot_walks slots =
     List.rev (child_fold (fun child acc -> child.slot :: acc) children []),
     fun slot -> Option.map position (child_find children slot) )
 
-(* The destinations of [child]'s copies, in [copies] order. *)
-let copy_dests child =
-  List.init (Array.length child.copies / 2) (fun i -> child.copies.(2 * i))
-
-type task_view = {
-  v_stamp : Stamp.t;
-  v_task : Ids.task_id;
-  v_state : string;
-  v_waiting_on : (Stamp.t * Ids.proc_id list) list;
-}
-
-let state_label = function
-  | Queued -> "queued"
-  | Running -> "running"
-  | Blocked -> "blocked"
-  | Done -> "done"
-  | Aborted -> "aborted"
-
-let task_view_of task =
-  let waiting =
-    child_fold
-      (fun child acc -> if child.filled then acc else (c_stamp child, copy_dests child) :: acc)
-      task.children []
-  in
-  {
-    v_stamp = task.packet.Packet.stamp;
-    v_task = task.tid;
-    v_state = state_label task.state;
-    v_waiting_on = waiting;
-  }
-
-let iter_task_views t f = iter_live t (fun task -> f (task_view_of task))
-
-let snapshot t =
-  let acc = ref [] in
-  iter_task_views t (fun v -> acc := v :: !acc);
-  List.sort (fun a b -> Stamp.compare a.v_stamp b.v_stamp) !acc
-
 (* The roots of a node's words, for the live-words attribution; a walk
    that changes nothing, never on a hot path. *)
 type part =
@@ -1660,8 +1622,6 @@ let step t ctx =
           | Instance.Failed msg -> ctx.program_error msg)
     end
   end
-
-let gradient_value t = match t.gradient with Some g -> g.value | None -> 0
 
 let kill t ctx =
   if t.alive then begin

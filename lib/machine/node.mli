@@ -86,9 +86,6 @@ val gradient_tick : t -> ctx -> unit
     [Policy.Gradient_distributed]): recompute this node's gradient value
     from its neighbours' last-heard values and broadcast it to them. *)
 
-val gradient_value : t -> int
-(** Current gradient value (0 = demand sink). *)
-
 val runnable_tasks : t -> int
 (** Load-balancer pressure: queued runnable tasks (current task included). *)
 
@@ -103,24 +100,6 @@ val knows_dead : t -> Ids.proc_id -> bool
 
 val work_done : t -> int
 (** Total busy ticks accumulated (utilisation metric). *)
-
-type task_view = {
-  v_stamp : Stamp.t;
-  v_task : Ids.task_id;
-  v_state : string;  (** "queued" | "running" | "blocked" | "done" | "aborted" *)
-  v_waiting_on : (Stamp.t * Ids.proc_id list) list;
-      (** unfilled spawned children: stamp and current destinations *)
-}
-
-val snapshot : t -> task_view list
-(** Diagnostic view of the resident *live* tasks, sorted by stamp (tests,
-    experiments, debugging).  Finished tasks are retired to slim
-    tombstones and no longer appear here. *)
-
-val iter_task_views : t -> (task_view -> unit) -> unit
-(** Iterate the resident live tasks' views without materialising the
-    sorted list (or its per-view waiting lists all at once) — the
-    allocation-free form of {!snapshot} for large nodes. *)
 
 val wasted_work : t -> int
 (** Busy ticks attributable to tasks that were later aborted or whose

@@ -69,9 +69,6 @@ let line_writer ~render oc x =
   output_string oc (render x);
   output_char oc '\n'
 
-let channel ~render oc =
-  make ~flush:(fun () -> Stdlib.flush oc) ~close:(fun () -> Stdlib.flush oc) (line_writer ~render oc)
-
 let file ~render path =
   let oc = open_out path in
   make ~flush:(fun () -> Stdlib.flush oc) ~close:(fun () -> close_out oc) (line_writer ~render oc)

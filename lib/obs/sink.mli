@@ -40,13 +40,10 @@ val sample : every:int -> 'a t -> 'a t
     forwards everything).  Flush/close reach [inner].
     @raise Invalid_argument if [every <= 0]. *)
 
-val channel : render:('a -> string) -> out_channel -> 'a t
-(** One [render]ed line per value (a newline is appended).  The channel is
-    not closed by {!close} — the caller owns it. *)
-
 val file : render:('a -> string) -> string -> 'a t
-(** Like {!channel} but opens (truncates) [path] and owns it: {!close}
-    closes the file descriptor.
+(** One [render]ed line per value (a newline is appended) to [path],
+    which it opens (truncates) and owns: {!close} closes the file
+    descriptor.
     @raise Sys_error if the file cannot be created. *)
 
 (** Bounded ring buffer retaining the most recent [capacity] values,

@@ -1,9 +1,7 @@
-(* Tests for the comparator models: periodic checkpointing, TMR, Grit. *)
+(* Tests for the comparator models: periodic checkpointing and TMR. *)
 
 module Periodic = Recflow_baselines.Periodic
 module Tmr = Recflow_baselines.Tmr
-module Grit = Recflow_baselines.Grit
-module Config = Recflow_machine.Config
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -78,19 +76,6 @@ let tmr_estimates () =
   check_int "masks one" 1 (Tmr.masked_failures Tmr.default);
   check_int "5 copies mask two" 2 (Tmr.masked_failures { Tmr.copies = 5; vote_cost = 0 })
 
-let grit_config () =
-  let cfg = Grit.config ~nodes:8 (Config.default ~nodes:4) in
-  check "ring topology" true (cfg.Config.topology = Recflow_net.Topology.Ring 8);
-  check "neighbourhood policy" true
-    (cfg.Config.policy = Recflow_balance.Policy.Neighborhood { radius = 1 });
-  check "rollback recovery" true (cfg.Config.recovery = Config.Rollback);
-  check "validates" true (Config.validate cfg = Ok ());
-  check "too small rejected" true
-    (try
-       ignore (Grit.config ~nodes:1 (Config.default ~nodes:4));
-       false
-     with Invalid_argument _ -> true)
-
 let suites =
   [
     ( "baselines.periodic",
@@ -104,5 +89,4 @@ let suites =
         Alcotest.test_case "validation" `Quick periodic_validation;
       ] );
     ("baselines.tmr", [ Alcotest.test_case "estimates" `Quick tmr_estimates ]);
-    ("baselines.grit", [ Alcotest.test_case "config" `Quick grit_config ]);
   ]

@@ -410,12 +410,6 @@ let config_validation () =
   (* adaptive checkpoint-admission knobs (PR 9) *)
   check "negative ckpt_cost" true
     (bad_msg "costs must be non-negative" (fun c -> { c with Config.ckpt_cost = -1 }));
-  check "loss_prior above 1" true
-    (bad_msg "loss_prior must be in [0,1]" (fun c -> { c with Config.loss_prior = 1.5 }));
-  check "loss_prior negative" true
-    (bad_msg "loss_prior must be in [0,1]" (fun c -> { c with Config.loss_prior = -0.1 }));
-  check "loss_prior nan" true
-    (bad_msg "loss_prior must be in [0,1]" (fun c -> { c with Config.loss_prior = Float.nan }));
   (* negative latencies reach the engine as negative delays; NaN fails
      every comparison, so range rules must be written to reject it *)
   let latency f c = { c with Config.latency = f c.Config.latency } in
@@ -453,7 +447,6 @@ let config_validation () =
        { (Config.default ~nodes:4) with
          Config.ckpt_mode = Config.Adaptive { max_depth = 3 };
          ckpt_cost = 2;
-         loss_prior = 0.25;
          recovery = Config.Rollback }
     = Ok ());
   check "default valid" true (Config.validate (Config.default ~nodes:4) = Ok ())
