@@ -18,6 +18,20 @@
 
      dune exec bin/live_words.exe                 # tree_1024: 1024 processors, depth 15
      dune exec bin/live_words.exe -- --quick --check
+
+   With --service it runs the service_k3 benchmark workload's stream
+   instead (8 processors, k = 3 replicas under splice, fib tiny at a mean
+   gap of 400 ticks, retained journal, seed 17, two kills: 500 requests,
+   or 40 with --quick) and splits the drained cluster's words once, into
+
+     node indexes, journal, super-root requests, settle ledger, rest
+
+   counted the same way, in that order: the nodes' task indexes, the
+   journal's retained entries, the super-root's table of open requests
+   and what it keeps of the settled ones ([Cluster.iter_parts]), the
+   settle ledger's table of open requests, and everything else.
+
+     dune exec bin/live_words.exe -- --service --quick --check
 *)
 
 module Cluster = Recflow_machine.Cluster
@@ -26,6 +40,7 @@ module Journal = Recflow_machine.Journal
 module Node = Recflow_machine.Node
 module Sink = Recflow_obs_core.Sink
 module Workload = Recflow_workload.Workload
+module Service = Recflow_service.Service
 
 (* The rows in the order they are counted.  The graph templates the
    instances share are counted before the instances, so that row leaves
@@ -48,6 +63,64 @@ let rows =
 let words roots =
   if Array.length roots = 0 then 0
   else Obj.reachable_words (Obj.repr roots) - (Array.length roots + 1)
+
+(* [named] root lists split cumulatively into rows, "rest" (everything
+   else [c] reaches) last, with [c]'s total. *)
+let split_rows c named =
+  let roots = ref [] and before = ref 0 in
+  let split =
+    List.map
+      (fun (name, os) ->
+        roots := os @ !roots;
+        let w = words (Array.of_list !roots) in
+        let row = w - !before in
+        before := w;
+        (name, row))
+      named
+  in
+  let all = words (Array.of_list (Obj.repr c :: !roots)) in
+  (split @ [ ("rest", all - !before) ], Obj.reachable_words (Obj.repr c))
+
+(* A drained service_k3 stream's words: node indexes, journal,
+   super-root requests, settle ledger, rest. *)
+let service ~quick =
+  let requests, failures =
+    if quick then (40, [ (3_000, 0); (6_000, 2) ]) else (500, [ (60_000, 0); (120_000, 2) ])
+  in
+  let base = Config.default ~nodes:8 in
+  let cfg =
+    {
+      base with
+      Config.recovery = Config.Splice;
+      seed = 17;
+      journal_retain = true;
+      service =
+        { base.Config.service with Config.arrival_mean = 400.0; replicas = 3; max_inflight = 64 };
+    }
+  in
+  let o =
+    Service.run ~failures ~config:cfg ~workload:Workload.fib ~size:Workload.Tiny ~requests ()
+  in
+  let c = o.Service.cluster in
+  let index = ref [] and requests_parts = ref [] and ledger = ref [] in
+  List.iter
+    (fun n -> Node.iter_parts n (fun part o -> if part = Node.Index then index := o :: !index))
+    (Cluster.nodes c);
+  Cluster.iter_parts c (fun part o ->
+      match part with
+      | Cluster.Requests -> requests_parts := o :: !requests_parts
+      | Cluster.Ledger -> ledger := o :: !ledger);
+  Printf.printf
+    "service_k3: %d requests, %d replica roots (k = 3), %d settled, %d journal entries retained\n"
+    requests (Cluster.submitted_requests c) (Cluster.settled_requests c)
+    (Journal.retained (Cluster.journal c));
+  split_rows c
+    [
+      ("node indexes", !index);
+      ("journal", [ Obj.repr (Cluster.journal c) ]);
+      ("super-root requests", !requests_parts);
+      ("settle ledger", !ledger);
+    ]
 
 (* The cluster's words split into [rows], "rest" last, with its total. *)
 let attribute c =
@@ -77,7 +150,7 @@ let attribute c =
 
 let () =
   let nodes = ref 1024 and depth = ref 15 and grain = ref 20 and seed = ref 1 in
-  let check = ref false in
+  let check = ref false and quick = ref false and stream = ref false in
   Arg.parse
     [
       ("--nodes", Arg.Set_int nodes, "N processors (default 1024)");
@@ -87,13 +160,27 @@ let () =
       ( "--quick",
         Arg.Unit
           (fun () ->
+            quick := true;
             nodes := 64;
             depth := 8),
-        " 64 processors, depth 8 (the benchmark's quick size)" );
+        " 64 processors, depth 8 (the benchmark's quick size); 40 requests with --service" );
+      ("--service", Arg.Set stream, " a drained service_k3 stream instead of a tree run");
       ("--check", Arg.Set check, " exit 1 unless every sample's rows sum to the cluster's words");
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "live_words [--quick] [--nodes N] [--depth D] [--grain G] [--seed S] [--check]";
+    "live_words [--service] [--quick] [--nodes N] [--depth D] [--grain G] [--seed S] [--check]";
+  if !stream then begin
+    let split, total = service ~quick:!quick in
+    Printf.printf "%10s" "total";
+    List.iter (fun (name, _) -> Printf.printf " %20s" name) split;
+    print_newline ();
+    Printf.printf "%10d" total;
+    List.iter (fun (_, w) -> Printf.printf " %20d" w) split;
+    print_newline ();
+    let sum = List.fold_left (fun acc (_, w) -> acc + w) 0 split in
+    if sum <> total then Printf.printf "rows sum to %d, the cluster holds %d\n" sum total;
+    exit (if !check && sum <> total then 1 else 0)
+  end;
   let w = Workload.synthetic ~branching:2 ~depth:!depth ~grain:!grain in
   let base = Config.default ~nodes:!nodes in
   let cfg =

@@ -210,10 +210,13 @@ let mask32 = 0xffff_ffff
 let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 
 (* One MurmurHash3 mixing step of the runtime's [caml_hash] on 32-bit
-   words, in OCaml ints masked to 32 bits. *)
-let[@inline] mix h d =
-  let d = (rotl32 ((d * 0xcc9e2d51) land mask32) 15 * 0x1b873593) land mask32 in
-  ((rotl32 (h lxor d) 13 * 5) + 0xe6546b64) land mask32
+   words, in OCaml ints masked to 32 bits: the word is scrambled, then
+   mixed into the state. *)
+let[@inline] scramble d = (rotl32 ((d * 0xcc9e2d51) land mask32) 15 * 0x1b873593) land mask32
+
+let[@inline] mix_scrambled h k = ((rotl32 (h lxor k) 13 * 5) + 0xe6546b64) land mask32
+
+let[@inline] mix h d = mix_scrambled h (scramble d)
 
 (* [caml_hash_mix_intnat] of the tagged int [2k + 1]: its low 32 bits
    folded with the high ones. *)
@@ -221,8 +224,9 @@ let[@inline] mix_int h k =
   let v = (2 * k) + 1 in
   mix h (((v asr 32) lxor v) land mask32)
 
-(* The header word of a cons cell (size 2, tag 0, colour bits clear). *)
-let cons_header = 2 lsl 10
+(* The header word of a cons cell (size 2, tag 0, colour bits clear),
+   scrambled once: every digit mixes it first. *)
+let cons_header = scramble (2 lsl 10)
 
 (* [Hashtbl.hash (digits s)] without building the list.  [caml_hash]
    walks the list breadth-first: each cell mixes its header, then its
@@ -235,7 +239,7 @@ let hash s =
   let n = if d < 10 then d else 10 in
   let h = ref 0 in
   for i = 0 to n - 1 do
-    h := mix_int (mix !h cons_header) (digit s i)
+    h := mix_int (mix_scrambled !h cons_header) (digit s i)
   done;
   let h = if n < 10 then mix_int !h 0 else !h in
   let h = h lxor (h lsr 16) in

@@ -70,10 +70,10 @@ let penalty_of (o : Service.outcome) =
    the first kill the faulty run replays the probe exactly (determinism),
    so that root is still unanswered when its host dies: under k=1 the
    request must take the recovery path, under k=3 the survivors outvote
-   it.  Replica roots of request [rid] are cluster uids [k*rid ..
-   k*rid+k-1] (nothing is shed in the underloaded probe). *)
-let kill_for probe ~k ~rid ~after ~not_proc =
-  let cl = probe.Service.cluster in
+   it.  The probe's record of each request carries its replica roots'
+   hosts and answer ticks (nothing is shed in the underloaded probe, and
+   every replica answers in a fault-free drained run). *)
+let kill_for probe ~rid ~after ~not_proc =
   let r = List.nth probe.Service.records rid in
   match r.Service.finish with
   | None -> None
@@ -82,25 +82,22 @@ let kill_for probe ~k ~rid ~after ~not_proc =
     if time <= after then None
     else
       let slowest =
-        List.fold_left
-          (fun best uid ->
-            let t = Option.value ~default:max_int (Cluster.request_answer_time cl uid) in
-            match best with Some (_, bt) when bt >= t -> best | _ -> Some (uid, t))
-          None
-          (List.init k (fun i -> (k * rid) + i))
+        Array.fold_left
+          (fun best rep ->
+            let t = match rep with Some rep -> rep.Service.answered | None -> max_int in
+            match best with Some (_, bt) when bt >= t -> best | _ -> Some (rep, t))
+          None r.Service.replicas
       in
       match slowest with
-      | Some (uid, t) when t > time -> (
-        match Cluster.request_dest cl uid with
-        | Some p when p <> not_proc -> Some (time, p)
-        | _ -> None)
+      | Some (Some rep, t) when t > time && rep.Service.host <> not_proc ->
+        Some (time, rep.Service.host)
       | _ -> None)
 
-let plan_for probe ~k ~requests =
+let plan_for probe ~requests =
   let rec scan rid stop ~after ~not_proc =
     if rid >= stop then None
     else
-      match kill_for probe ~k ~rid ~after ~not_proc with
+      match kill_for probe ~rid ~after ~not_proc with
       | Some kill -> Some kill
       | None -> scan (rid + 1) stop ~after ~not_proc
   in
@@ -149,7 +146,7 @@ let run ?(quick = false) () =
         in
         let service failures = Service.run ~failures ~config:cfg ~workload:w ~size ~requests () in
         let probe = service [] in
-        let faulty = service (plan_for probe ~k ~requests) in
+        let faulty = service (plan_for probe ~requests) in
         let cell faulty (o : Service.outcome) =
           let h = Cluster.latency o.Service.cluster "service.latency" in
           let hd = Cluster.latency o.Service.cluster "service.latency.disturbed" in

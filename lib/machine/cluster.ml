@@ -15,6 +15,7 @@ module Latency = Recflow_net.Latency
 module Policy = Recflow_balance.Policy
 
 module Chaos = Recflow_net.Chaos
+module Int_map = Map.Make (Int)
 
 (* Handles for every counter this module bumps: a bump is an array read,
    not a string hash (see {!Counter.handle}). *)
@@ -109,6 +110,14 @@ type request = {
   on_disturbed : (string -> unit) option;  (** each root re-dispatch *)
 }
 
+(* One distinct answer value of the settled service requests. *)
+type tally = {
+  value : Value.t;
+  mutable n_answers : int;
+  mutable n_requests : int;
+  mutable first_uid : int;
+}
+
 type t = {
   cfg : Config.t;
   program : Recflow_lang.Program.t;
@@ -125,7 +134,19 @@ type t = {
   rng : Rng.t;
   policy : Policy.t;
   mutable next_task_id : Ids.task_id;
-  requests : (int, request) Hashtbl.t;  (** by uid: -1 for the batch root *)
+  requests : (int, request) Hashtbl.t;
+      (** the open requests by uid, -1 for the batch root, which stays; a
+          settled service request leaves *)
+  mutable tallies : tally list;
+      (** the answers of the settled service requests, one per distinct
+          value, in the order the values first settled *)
+  mutable split : (int * int) list;
+      (** each settled service request whose answers disagreed, with its
+          number of distinct values, newest first *)
+  mutable redispatched : int Int_map.t;
+      (** re-dispatches of each settled service request that had any *)
+  mutable late_hits : int;
+      (** messages reaching the super-root that named a dropped request *)
   mutable next_uid : int;  (** the next service request's uid *)
   mutable arrivals_open : bool;
   mutable unanswered : int;  (** requests still without an answer *)
@@ -404,6 +425,42 @@ let wake_events n =
   done;
   steps
 
+(* Fold a settled request's answers into the per-value tallies, and
+   note the request if they disagree (determinacy promises one value). *)
+let tally_answers t req =
+  let distinct = ref [] in
+  List.iter
+    (fun v ->
+      let tl =
+        match List.find_opt (fun tl -> Value.equal tl.value v) t.tallies with
+        | Some tl -> tl
+        | None ->
+          let tl = { value = v; n_answers = 0; n_requests = 0; first_uid = req.uid } in
+          t.tallies <- t.tallies @ [ tl ];
+          tl
+      in
+      tl.n_answers <- tl.n_answers + 1;
+      if not (List.memq tl !distinct) then begin
+        distinct := tl :: !distinct;
+        tl.n_requests <- tl.n_requests + 1;
+        tl.first_uid <- min tl.first_uid req.uid
+      end)
+    (List.rev req.answers);
+  let d = List.length !distinct in
+  if d > 1 then t.split <- (req.uid, d) :: t.split
+
+(* A settled service request can no longer be named, so the super-root
+   drops it: its record goes, with the root packet, the avoid list and
+   both callbacks.  Its answers live on in the tallies, its re-dispatch
+   count when it is not zero. *)
+let drop_request t uid =
+  match Hashtbl.find_opt t.requests uid with
+  | None -> ()
+  | Some req ->
+    Hashtbl.remove t.requests uid;
+    tally_answers t req;
+    if req.redispatches > 0 then t.redispatched <- Int_map.add uid req.redispatches t.redispatched
+
 let create cfg program =
   (match Config.validate cfg with
   | Ok () -> ()
@@ -413,14 +470,17 @@ let create cfg program =
   let node_arr = Array.init n (fun i -> Node.create i cfg) in
   let engine = Engine.create () in
   let journal = Journal.create ~retain:cfg.Config.journal_retain () in
+  (* the ledger exists before the cluster that drops its settled requests *)
+  let self = ref None in
   let settle =
     Settle.create ~procs:n
       ~reclaim:(fun ~proc uid -> Node.reclaim node_arr.(proc) uid)
       ~reclaim_all:(fun () -> Array.fold_left (fun n node -> n + Node.reclaim_all node) 0 node_arr)
       ~on_settle:(fun ~uid ~opened ->
-        Journal.release journal ~uid ~since:opened ~time:(Engine.now engine))
+        Journal.release journal ~uid ~since:opened ~time:(Engine.now engine);
+        Option.iter (fun t -> drop_request t uid) !self)
   in
-  {
+  let t = {
     cfg;
     program;
     library = Graph.compile_program program;
@@ -435,6 +495,10 @@ let create cfg program =
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;
     requests = Hashtbl.create 64;
+    tallies = [];
+    split = [];
+    redispatched = Int_map.empty;
+    late_hits = 0;
     next_uid = 0;
     arrivals_open = false;
     unanswered = 0;
@@ -461,7 +525,9 @@ let create cfg program =
     node_ctx = None;
     inline = Inline_cache.create program;
     settle;
-  }
+  } in
+  self := Some t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Super-root (§4.3.1)                                                 *)
@@ -481,18 +547,17 @@ let request_of_stamp t stamp =
   in
   if Option.is_some service_root then service_root else Hashtbl.find_opt t.requests batch_uid
 
-(* Deterministic iteration in uid order, batch root first — hash-table
-   order must never leak into the event stream. *)
+(* The open requests in uid order, batch root first — hash-table order
+   must never leak into the event stream.  Only failure handling and the
+   oracle walk them. *)
 let iter_requests t f =
-  for uid = batch_uid to t.next_uid - 1 do
-    match Hashtbl.find_opt t.requests uid with Some r -> f r | None -> ()
-  done
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.requests []
+  |> List.sort (fun a b -> Int.compare a.uid b.uid)
+  |> List.iter f
 
 (* [true] while some request hosted on [pid] still awaits its answer. *)
 let hosted_unanswered t pid =
-  let found = ref false in
-  iter_requests t (fun r -> if r.dest = pid && r.answers = [] then found := true);
-  !found
+  Hashtbl.fold (fun _ r found -> found || (r.dest = pid && r.answers = [])) t.requests false
 
 (* Period of the distributed gradient exchange ([Policy.Gradient_distributed]
    only): every node recomputes its gradient value from its neighbours'
@@ -572,22 +637,28 @@ let dispatch_request t req ~reason =
    ancestor links), or a child of a dead root announcing itself.  Make
    sure the root has a twin, then forward the salvage to it: at once when
    a live twin exists, else behind a re-dispatch. *)
-let super_root_salvage t ~stamp ~(dead_parent : Packet.link) payload =
-  match request_of_stamp t stamp with
-  | None -> ()
-  | Some req ->
-    if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
-      req.pending <- (stamp, dead_parent, payload) :: req.pending;
-      Settle.hold t.settle stamp;
-      let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
-      if root_alive && req.dest <> dead_parent.Packet.proc then flush_pending t req
-      else dispatch_request t req ~reason:(Some (Message.salvage_reason payload))
-    end
+let super_root_salvage t req ~stamp ~(dead_parent : Packet.link) payload =
+  if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
+    req.pending <- (stamp, dead_parent, payload) :: req.pending;
+    Settle.hold t.settle stamp;
+    let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
+    if root_alive && req.dest <> dead_parent.Packet.proc then flush_pending t req
+    else dispatch_request t req ~reason:(Some (Message.salvage_reason payload))
+  end
+
+(* The open request a message to the super-root belongs to.  One naming a
+   request already dropped means that request settled too early, and it
+   counts with the nodes' reclaimed hits. *)
+let request_of_msg t stamp msg =
+  let req = request_of_stamp t stamp in
+  if Option.is_none req && Settle.msg_names_reclaimed t.settle msg then
+    t.late_hits <- t.late_hits + 1;
+  req
 
 let super_root_deliver t msg =
   match msg with
   | Message.Result { stamp; value; relay = Message.To_parent; _ } -> (
-    match request_of_stamp t stamp with
+    match request_of_msg t stamp msg with
     | None -> ()
     | Some req ->
       req.answers <- value :: req.answers;
@@ -597,10 +668,14 @@ let super_root_deliver t msg =
         Settle.answered t.settle ~uid:req.uid;
         match req.on_answer with Some f -> f value | None -> ()
       end)
-  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } ->
-    super_root_salvage t ~stamp ~dead_parent (Message.Salvaged value)
-  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } ->
-    super_root_salvage t ~stamp ~dead_parent (Message.Still_running orphan)
+  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } -> (
+    match request_of_msg t stamp msg with
+    | None -> ()
+    | Some req -> super_root_salvage t req ~stamp ~dead_parent (Message.Salvaged value))
+  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } -> (
+    match request_of_msg t stamp msg with
+    | None -> ()
+    | Some req -> super_root_salvage t req ~stamp ~dead_parent (Message.Still_running orphan))
   | Message.Result { relay = Message.To_step_parent _; _ }
   | Message.Task_packet _ | Message.Reparent _ | Message.Gradient _ | Message.Ack _
   | Message.Abort _ | Message.Failure_notice _ ->
@@ -978,10 +1053,15 @@ let iter_request_uids t f = iter_requests t (fun r -> f r.uid)
 
 let in_flight t = t.unanswered
 
+let issued t uid = uid >= 0 && uid < t.next_uid
+
+let no_request uid = invalid_arg (Printf.sprintf "Cluster: no request %d" uid)
+
 let find_request t uid =
   match Hashtbl.find_opt t.requests uid with
   | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Cluster: no request %d" uid)
+  | None when issued t uid -> invalid_arg (Printf.sprintf "Cluster: request %d has settled" uid)
+  | None -> no_request uid
 
 let request_answers t uid = List.rev (find_request t uid).answers
 
@@ -991,21 +1071,46 @@ let request_dest t uid =
   let r = find_request t uid in
   if r.dest >= 0 then Some r.dest else None
 
-let request_stamp t uid = (find_request t uid).packet.Packet.stamp
+let request_packet t uid = (find_request t uid).packet
 
-let request_redispatches t uid = (find_request t uid).redispatches
+let request_stamp t uid =
+  match Hashtbl.find_opt t.requests uid with
+  | Some r -> r.packet.Packet.stamp
+  | None when issued t uid -> Stamp.child Stamp.root uid
+  | None -> no_request uid
+
+let request_redispatches t uid =
+  match Hashtbl.find_opt t.requests uid with
+  | Some r -> r.redispatches
+  | None when issued t uid -> Option.value ~default:0 (Int_map.find_opt uid t.redispatched)
+  | None -> no_request uid
+
+let settled_answers t = t.tallies
+
+let split_requests t = List.rev t.split
 
 let settled_requests t = Settle.settled t.settle
 
 let reclaimed_tombstones t = Settle.reclaimed t.settle
 
-let reclaimed_hits t = sum_nodes t Node.reclaimed_hits
+let reclaimed_hits t = sum_nodes t Node.reclaimed_hits + t.late_hits
 
 let reclaim_unsettled t uid =
   ignore (find_request t uid);
   Settle.force t.settle ~uid
 
-let replay t ~dst msg = Node.deliver t.node_arr.(dst) (ctx t) msg
+let replay t ~dst msg =
+  if dst = Ids.super_root then super_root_deliver t msg
+  else Node.deliver t.node_arr.(dst) (ctx t) msg
+
+type part = Requests | Ledger
+
+let iter_parts t f =
+  f Requests (Obj.repr t.requests);
+  f Requests (Obj.repr t.tallies);
+  f Requests (Obj.repr t.split);
+  f Requests (Obj.repr t.redispatched);
+  f Ledger (Settle.open_table t.settle)
 
 let release_unsettled t uid =
   ignore (find_request t uid);

@@ -91,8 +91,9 @@ val submitted_requests : t -> int
     [0 .. submitted_requests - 1].  The batch root is not counted. *)
 
 val iter_request_uids : t -> (int -> unit) -> unit
-(** Every request uid in the table, in uid order: [-1] for a batch run,
-    the submitted uids in service mode. *)
+(** Every request uid still in the table, in uid order: [-1] for a batch
+    run (it stays after it settles), the submitted uids that have not
+    settled in service mode. *)
 
 val in_flight : t -> int
 (** Requests still without a first answer (a batch run: 1 until the
@@ -101,19 +102,51 @@ val in_flight : t -> int
 val request_answers : t -> int -> Value.t list
 (** Results for one request in arrival order (more than one when a
     falsely-suspected host coexists with its twin; determinacy demands
-    they all carry the same value).
-    @raise Invalid_argument for an unknown uid (all request accessors). *)
+    they all carry the same value).  Open requests and the batch root
+    only: a settled service request has left the table, and its answers
+    are in {!settled_answers}; read them as they land through [submit]'s
+    [on_answer].
+    @raise Invalid_argument for an unknown or settled uid (this and the
+    next three accessors). *)
 
 val request_answer_time : t -> int -> int option
-(** Tick the first answer landed, if it has. *)
+(** Tick the first answer landed, if it has.  Open requests and the batch
+    root only. *)
 
 val request_dest : t -> int -> Ids.proc_id option
-(** Processor currently hosting the request's root task. *)
+(** Processor currently hosting the request's root task.  Open requests
+    and the batch root only. *)
+
+val request_packet : t -> int -> Recflow_recovery.Packet.t
+(** The super-root's checkpoint of the request's root task (§4.3.1).
+    Open requests and the batch root only. *)
 
 val request_stamp : t -> int -> Recflow_recovery.Stamp.t
+(** Any issued uid, settled or not.
+    @raise Invalid_argument for a uid never issued. *)
 
 val request_redispatches : t -> int -> int
-(** How many times the super-root re-dispatched this request's root. *)
+(** How many times the super-root re-dispatched this request's root.  Any
+    issued uid: a settled request's count is kept while it is not zero.
+    @raise Invalid_argument for a uid never issued. *)
+
+(** One distinct answer value among the settled service requests. *)
+type tally = private {
+  value : Value.t;
+  mutable n_answers : int;  (** answers that carried it *)
+  mutable n_requests : int;  (** settled requests that gave it *)
+  mutable first_uid : int;  (** the lowest of their uids *)
+}
+
+val settled_answers : t -> tally list
+(** What is left of the settled service requests' answers: one tally per
+    distinct value, in the order the values first settled, so its size
+    follows the distinct values, not the stream. *)
+
+val split_requests : t -> (int * int) list
+(** Each settled service request whose answers carried more than one
+    distinct value, with that number, in the order they settled.  Empty on
+    a correct run (determinacy). *)
 
 (** {2 Reclamation}
 
@@ -126,7 +159,11 @@ val request_redispatches : t -> int -> int
     and every run stays byte-identical.  The batch root settles the same
     way, at the end of a drained run.  A settled service request is also
     released to the journal, which drops its entries unless a failure
-    touched them ({!Journal.release}). *)
+    touched them ({!Journal.release}), and the super-root drops its record:
+    the root packet, the avoid list and both callbacks go, its answers are
+    folded into {!settled_answers} and {!split_requests}, and its
+    re-dispatch count is kept only when it is not zero.  The batch root
+    keeps its record. *)
 
 val settled_requests : t -> int
 (** Requests settled, and so retired, so far. *)
@@ -137,7 +174,8 @@ val reclaimed_tombstones : t -> int
 
 val reclaimed_hits : t -> int
 (** Messages that named a reclaimed request, and run-queue uids found
-    freed, over every processor ({!Node.reclaimed_hits}): each one is a
+    freed, over every processor ({!Node.reclaimed_hits}), and messages
+    reaching the super-root for a request it has dropped: each one is a
     request reclaimed before it settled.  {!Oracle.check} reports any. *)
 
 val reclaim_unsettled : t -> int -> unit
@@ -146,16 +184,28 @@ val reclaim_unsettled : t -> int -> unit
     @raise Invalid_argument for an unknown uid. *)
 
 val replay : t -> dst:Ids.proc_id -> Message.t -> unit
-(** For tests only: hand [msg] to live processor [dst] now, bypassing the
-    network and the settle ledger, as a late duplicate would arrive — to
-    show that a message naming a reclaimed request is counted in
-    {!reclaimed_hits} and ignored. *)
+(** For tests only: hand [msg] to live processor [dst], or to the
+    super-root ([Ids.super_root]), now, bypassing the network and the
+    settle ledger, as a late duplicate would arrive — to show that a
+    message naming a reclaimed request is counted in {!reclaimed_hits}
+    and ignored, or that a second, different answer for an open request
+    is a determinacy violation once it settles. *)
 
 val release_unsettled : t -> int -> unit
 (** For tests only: release request [uid]'s journal entries now, settled
     or not ({!Journal.release}), to show that a wrong settle shows up in
     {!Journal.late_entries}.
     @raise Invalid_argument for an unknown uid. *)
+
+type part =
+  | Requests
+      (** the super-root's table of open requests and what it keeps of
+          the settled ones *)
+  | Ledger  (** the settle ledger's table of open requests *)
+
+val iter_parts : t -> (part -> Obj.t -> unit) -> unit
+(** The roots of the super-root's state, labelled by part.  Introspection
+    for the live-words tool; not for hot paths. *)
 
 val fail_at : t -> time:int -> Ids.proc_id -> unit
 (** Schedule a fail-stop failure.  May be called repeatedly (multiple

@@ -42,8 +42,32 @@ let check ?expected cluster =
   (* Per-request verdicts, the batch root being request -1: different
      requests legitimately produce different values, but each request's own
      answers must agree (and match [expected]), and every request must have
-     an answer once the run drained. *)
+     an answer once the run drained.  A settled service request's answers
+     were checked for agreement as it settled, and are kept per distinct
+     value. *)
   let who uid = if uid < 0 then "the root" else Printf.sprintf "request %d" uid in
+  let tallies = Cluster.settled_answers cluster in
+  List.iter
+    (fun (uid, d) ->
+      viol "%s produced %d distinct answers (determinacy guarantees a unique value)" (who uid) d)
+    (Cluster.split_requests cluster);
+  (match expected with
+  | Some e -> (
+    match List.filter (fun (tl : Cluster.tally) -> not (Value.equal tl.value e)) tallies with
+    | [] -> ()
+    | wrong ->
+      let sum f = List.fold_left (fun acc tl -> acc + f tl) 0 wrong in
+      let first =
+        List.fold_left
+          (fun (a : Cluster.tally) (b : Cluster.tally) ->
+            if b.first_uid < a.first_uid then b else a)
+          (List.hd wrong) wrong
+      in
+      viol "%d answer(s) of %d settled request(s) differ from the expected %s (first: %s, %s)"
+        (sum (fun tl -> tl.Cluster.n_answers))
+        (sum (fun tl -> tl.Cluster.n_requests))
+        (Value.to_string e) (who first.first_uid) (Value.to_string first.value))
+  | None -> ());
   let answers = ref [] in
   Cluster.iter_request_uids cluster (fun uid ->
       let req_answers = Cluster.request_answers cluster uid in
@@ -61,8 +85,13 @@ let check ?expected cluster =
       | None -> ());
       if decidable && req_answers = [] then
         viol "%s got no answer although the run drained with live processors" (who uid));
-  let n_answers = List.length !answers in
-  let distinct = List.length (distinct_values !answers) in
+  let n_answers =
+    List.fold_left
+      (fun acc (tl : Cluster.tally) -> acc + tl.n_answers)
+      (List.length !answers) tallies
+  in
+  let settled_values = List.map (fun (tl : Cluster.tally) -> tl.value) tallies in
+  let distinct = List.length (distinct_values (List.rev_append settled_values !answers)) in
   if decidable && n_answers > 0 && leaked > 0 then
     viol "%d task(s) leaked un-GC'd on trusted live processors at quiescence" leaked;
   if decidable && n_answers > 0 && stranded > 0 then

@@ -22,14 +22,20 @@
     occurred and at least one processor survived.  The divergence check
     (all root answers equal) is unconditional.
 
-    The answer checks are per request of the super-root's table
-    ({!Cluster.iter_request_uids}; a batch run is the one request [-1]): each must
-    end with exactly one distinct value of its own, and — when decidable —
-    at least one answer.  The caller may also pass the [expected] answer
-    (the serial reference or a closed form): any answer that differs from
-    it is a violation, so a consistently wrong answer cannot pass as "one
-    distinct value".  The leak, strand and transport checks apply
-    cluster-wide.
+    The answer checks are per request: each must end with exactly one
+    distinct value of its own, and — when decidable — at least one answer.
+    The caller may also pass the [expected] answer (the serial reference
+    or a closed form): any answer that differs from it is a violation, so
+    a consistently wrong answer cannot pass as "one distinct value".  The
+    requests still in the super-root's table ({!Cluster.iter_request_uids};
+    a batch run is the one request [-1]) are checked one by one.  A
+    settled service request has left the table: its agreement was checked
+    as it settled ({!Cluster.split_requests}), and [expected] is checked
+    against every distinct settled value ({!Cluster.settled_answers}), in
+    one violation that names the first request with a wrong value and
+    counts the rest.  A settled request has its answer, so the "no answer"
+    check concerns the open ones only.  The leak, strand and transport
+    checks apply cluster-wide.
 
     A settled request's task uids are reclaimed ({!Cluster.settled_requests});
     a message naming a reclaimed request, or a run-queue uid found freed

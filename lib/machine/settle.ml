@@ -18,7 +18,11 @@ type t = {
   reclaim_all : unit -> int;
   on_settle : uid:int -> opened:int -> unit;
   mutable batch : bool;  (* the one open request is the batch root *)
-  mutable reqs : request array;  (* by [uid + 1] *)
+  mutable reqs : request array;
+      (* the open requests by [uid - base]; [unknown] in a free slot and in
+         the slot of a settled service request *)
+  mutable base : int;  (* the watermark: every uid below it has settled *)
+  mutable issued : int;  (* service uids below it have opened *)
   mutable n_settled : int;
   mutable n_reclaimed : int;
   unknown : request;
@@ -31,30 +35,43 @@ let fresh uid ~opened =
 
 let create ~procs ~reclaim ~reclaim_all ~on_settle =
   let unknown = fresh min_int ~opened:0 in
-  { procs; reclaim; reclaim_all; on_settle; batch = false; reqs = [||]; n_settled = 0;
-    n_reclaimed = 0; unknown }
+  { procs; reclaim; reclaim_all; on_settle; batch = false; reqs = [||]; base = -1; issued = 0;
+    n_settled = 0; n_reclaimed = 0; unknown }
+
+(* Slide the window up to the oldest request still open, and grow it when
+   the open span would fill more than half of it, so a slide moves at
+   least half a window of uids and costs O(1) per request. *)
+let make_room t uid =
+  let n = Array.length t.reqs in
+  let lo = ref 0 in
+  while !lo < n && t.reqs.(!lo) == t.unknown do
+    incr lo
+  done;
+  let span = uid - (t.base + !lo) + 1 in
+  let reqs = if 2 * span <= n then t.reqs else Array.make (max 64 (2 * span)) t.unknown in
+  Array.blit t.reqs !lo reqs 0 (n - !lo);
+  if reqs == t.reqs then Array.fill reqs (n - !lo) !lo t.unknown;
+  t.reqs <- reqs;
+  t.base <- t.base + !lo
 
 let open_request t ~uid ~time =
-  if uid < 0 then t.batch <- true;
-  let i = uid + 1 in
-  let n = Array.length t.reqs in
-  if i >= n then begin
-    let grown = Array.make (max 64 (2 * (i + 1))) t.unknown in
-    Array.blit t.reqs 0 grown 0 n;
-    t.reqs <- grown
-  end;
-  t.reqs.(i) <- fresh uid ~opened:time
+  if uid < 0 then t.batch <- true else t.issued <- uid + 1;
+  if uid - t.base >= Array.length t.reqs then make_room t uid;
+  t.reqs.(uid - t.base) <- fresh uid ~opened:time
 
+(* [min_int] names no request: [min_int - base] wraps to an index outside
+   the window too. *)
 let by_uid t uid =
-  let i = uid + 1 in
+  let i = uid - t.base in
   if i >= 0 && i < Array.length t.reqs then t.reqs.(i) else t.unknown
 
-(* The batch root owns every stamp; a service request is named by the first
-   digit of every stamp below its depth-1 root. *)
-let owner t stamp =
-  if t.batch then by_uid t (-1)
-  else if Stamp.depth stamp = 0 then t.unknown
-  else by_uid t (Stamp.digit stamp 0)
+(* The request a stamp names: the batch root owns every stamp; a service
+   request is named by the first digit of every stamp below its depth-1
+   root.  [min_int] for a stamp of no request. *)
+let owner_uid t stamp =
+  if t.batch then -1 else if Stamp.depth stamp = 0 then min_int else Stamp.digit stamp 0
+
+let owner t stamp = by_uid t (owner_uid t stamp)
 
 let reclaim_retired t r =
   if t.batch then t.n_reclaimed <- t.n_reclaimed + t.reclaim_all ()
@@ -66,12 +83,18 @@ let reclaim_retired t r =
       uids
   end
 
+(* A settled service request leaves the ledger: its slot goes back to
+   [unknown], and a lookup of its uid below [issued] reads as settled.
+   The batch root keeps its record. *)
 let settle t r =
   if r.phase <> Closed && r != t.unknown then begin
     r.phase <- Closed;
     t.n_settled <- t.n_settled + 1;
     reclaim_retired t r;
-    if r.uid >= 0 then t.on_settle ~uid:r.uid ~opened:r.opened
+    if r.uid >= 0 then begin
+      t.reqs.(r.uid - t.base) <- t.unknown;
+      t.on_settle ~uid:r.uid ~opened:r.opened
+    end
   end
 
 let adjust_request t r d =
@@ -84,20 +107,20 @@ let hold t stamp = adjust t stamp 1
 
 let release t stamp = adjust t stamp (-1)
 
-(* The request a message names; gradient gossip and failure notices name
-   none. *)
-let msg_owner t = function
-  | Message.Task_packet { packet; _ } -> owner t packet.Recflow_recovery.Packet.stamp
+(* The uid of the request a message names; gradient gossip and failure
+   notices name none ([min_int]). *)
+let msg_uid t = function
+  | Message.Task_packet { packet; _ } -> owner_uid t packet.Recflow_recovery.Packet.stamp
   | Message.Result { stamp; _ }
   | Message.Orphan_alive { stamp; _ }
   | Message.Reparent { stamp; _ }
   | Message.Abort { stamp; _ }
   | Message.Ack { child_stamp = stamp; _ } ->
-    owner t stamp
-  | Message.Gradient _ | Message.Failure_notice _ -> t.unknown
+    owner_uid t stamp
+  | Message.Gradient _ | Message.Failure_notice _ -> min_int
 
 let adjust_msg t msg d =
-  let r = msg_owner t msg in
+  let r = by_uid t (msg_uid t msg) in
   if r != t.unknown then adjust_request t r d
 
 let hold_msg t msg = adjust_msg t msg 1
@@ -112,16 +135,23 @@ let retired t stamp ~proc uid =
 
 let answered t ~uid =
   let r = by_uid t uid in
-  r.answer_in <- true;
-  if r.holds = 0 then settle t r
+  if r != t.unknown then begin
+    r.answer_in <- true;
+    if r.holds = 0 then settle t r
+  end
 
 let force t ~uid =
   let r = by_uid t uid in
   reclaim_retired t r;
   if r.phase = Open && r != t.unknown then r.phase <- Forced
 
-let msg_names_reclaimed t msg = (msg_owner t msg).phase <> Open
+let msg_names_reclaimed t msg =
+  let uid = msg_uid t msg in
+  let r = by_uid t uid in
+  if r != t.unknown then r.phase <> Open else uid >= 0 && uid < t.issued
 
 let settled t = t.n_settled
 
 let reclaimed t = t.n_reclaimed
+
+let open_table t = Obj.repr t.reqs

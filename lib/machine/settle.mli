@@ -25,7 +25,14 @@
 
     Every hold is taken before the hold it replaces is released (a task
     sends its result before it retires, a delivery is processed before its
-    hold goes), so the count cannot touch zero while work remains. *)
+    hold goes), so the count cannot touch zero while work remains.
+
+    The ledger keeps open requests only.  A settled service request's
+    record goes; its uid still reads as settled, because every uid below
+    the watermark (the oldest request still open) and every other issued
+    uid without a record has settled.  So the ledger's size follows the
+    span of uids open at once, not the length of the stream.  The batch
+    root keeps its record. *)
 
 module Stamp = Recflow_recovery.Stamp
 
@@ -40,12 +47,13 @@ val create :
 (** [procs] processors; [reclaim ~proc uid] frees one retired uid on its
     host, [reclaim_all ()] every retired uid of a batch run; each returns
     how many tombstones it reclaimed.  [on_settle ~uid ~opened] runs once
-    per settled service request, after its uids are reclaimed, with the
-    tick the request opened (the batch root never calls it). *)
+    per settled service request, after its uids are reclaimed and its
+    record has left the ledger, with the tick the request opened (the
+    batch root never calls it). *)
 
 val open_request : t -> uid:int -> time:int -> unit
 (** Start the ledger of request [uid] ([-1]: the batch root) at tick
-    [time]. *)
+    [time].  Service uids open in order: [0], [1], ... *)
 
 val hold : t -> Stamp.t -> unit
 (** One more hold on the request owning the stamp.  Stamps of no open
@@ -89,3 +97,7 @@ val settled : t -> int
 
 val reclaimed : t -> int
 (** Task uids reclaimed so far (index cells freed). *)
+
+val open_table : t -> Obj.t
+(** The table of open requests' records, for the live-words tool's
+    attribution; not for hot paths. *)

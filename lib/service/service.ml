@@ -22,6 +22,8 @@ let verdict_label = function
   | Shed_overload -> "shed.overload"
   | Shed_suspects -> "shed.suspects"
 
+type replica = { host : int; answered : int }
+
 type record = {
   rid : int;
   arrival : int;
@@ -29,6 +31,7 @@ type record = {
   finish : int option;
   value : Value.t option;
   disturbed_replicas : int;
+  replicas : replica option array;
 }
 
 type counts = {
@@ -63,6 +66,8 @@ type pending = {
   p_arrival : int;
   vote : Value.t Vote.t;
   replica_disturbed : bool array;
+  replica_uids : int array;
+  replica_answers : replica option array;  (* filled in as they land *)
   mutable disturbed : int;
   mutable state : state;
 }
@@ -103,6 +108,7 @@ let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
           finish;
           value;
           disturbed_replicas = p.disturbed;
+          replicas = p.replica_answers;
         }
   in
   let complete p verdict value =
@@ -127,7 +133,12 @@ let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
       | None -> p.state <- Await_recovery)
     | Vote.Undecided -> ()
   in
-  let replica_answer p v =
+  (* A replica's first answer: where its root ran, and when.  The cluster
+     drops the replica once it settles, so this is read now. *)
+  let replica_answer p i v =
+    (match Cluster.request_dest cluster p.replica_uids.(i) with
+    | Some host -> p.replica_answers.(i) <- Some { host; answered = Cluster.now cluster }
+    | None -> ());
     match p.state with
     | Done -> ()
     | Await_recovery -> complete p Recovered v
@@ -155,7 +166,8 @@ let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
     let shed_as verdict =
       let p =
         { p_rid = rid; p_arrival = now; vote = Vote.create ~replicas:1 ~equal:Value.equal;
-          replica_disturbed = [||]; disturbed = 0; state = Done }
+          replica_disturbed = [||]; replica_uids = [||]; replica_answers = [||]; disturbed = 0;
+          state = Done }
       in
       file p verdict ~finish:None ~value:None
     in
@@ -168,6 +180,8 @@ let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
           p_arrival = now;
           vote = Vote.create ~replicas:k ~equal:Value.equal;
           replica_disturbed = Array.make k false;
+          replica_uids = Array.make k (-1);
+          replica_answers = Array.make k None;
           disturbed = 0;
           state = Voting;
         }
@@ -179,10 +193,11 @@ let run ?(failures = []) ?sink ~config ~workload ~size ~requests () =
       for i = 0 to k - 1 do
         let uid =
           Cluster.submit cluster ~avoid:!dests
-            ~on_answer:(fun v -> replica_answer p v)
+            ~on_answer:(fun v -> replica_answer p i v)
             ~on_disturbed:(fun _reason -> replica_disturbed p i)
             ~fname ~args ()
         in
+        p.replica_uids.(i) <- uid;
         match Cluster.request_dest cluster uid with
         | Some d when not (List.mem d !dests) -> dests := d :: !dests
         | Some _ | None -> ()

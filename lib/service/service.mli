@@ -53,6 +53,11 @@ type verdict =
 
 val verdict_label : verdict -> string
 
+type replica = {
+  host : int;  (** processor hosting the replica's root when its answer landed *)
+  answered : int;  (** tick its first answer reached the super-root *)
+}
+
 type record = {
   rid : int;  (** logical request id, in arrival order *)
   arrival : int;  (** tick the request arrived *)
@@ -60,6 +65,13 @@ type record = {
   finish : int option;  (** completion tick; [None] for shed requests *)
   value : Value.t option;  (** delivered answer; [None] for shed requests *)
   disturbed_replicas : int;  (** replicas whose root was re-dispatched *)
+  replicas : replica option array;
+      (** one per replica root, in submit order: its first answer, [None]
+          if none landed (empty for a shed request).  Filled in as answers
+          land, after the request may already have been decided; complete
+          once {!run} returns.  The cluster drops a replica root once it
+          settles, so this, not {!Cluster.request_dest}, is where a run's
+          hosts and answer ticks are read afterwards. *)
 }
 
 type counts = {

@@ -168,10 +168,11 @@ let journal_footprint () =
    machine (8 processors, gradient placement, k = 3 replicas under splice,
    fib tiny at a mean gap of 400 ticks, seed 17), measured with
    [Obj.reachable_words] over the whole cluster once [Service.run]
-   returns.  A settled request's index cells are freed; what it leaves is
-   its share of the node indexes' bucket arrays (about 0.6 words per uid
-   ever inserted), its request records and, when the journal retains and a
-   kill touched it, its journal entries. *)
+   returns.  A settled request's index cells are freed, and the
+   super-root and the settle ledger drop its records; what it leaves is
+   its share of the node indexes' bucket arrays (about 0.65 words per uid
+   ever inserted) and, when the journal retains and a kill touched it,
+   its journal entries. *)
 let drained_stream ~requests ~retain ~failures =
   let base = Config.default ~nodes:8 in
   let cfg =
@@ -196,48 +197,57 @@ let drained_stream ~requests ~retain ~failures =
 let stream_residue ~requests ~retain ~failures =
   Obj.reachable_words (Obj.repr (drained_stream ~requests ~retain ~failures))
 
-(* Without retention a settled request leaves about 370 words: its bucket
-   array share (3 replicas of about 67 task uids) and its per-request
-   records, against about 1.2k while each reclaimed uid kept its index
-   cell and about 6.1k when every tombstone was kept.  The bound is the
-   slope between 250 and 1000 requests, about 10% above the 369 measured. *)
+(* Without retention a settled request leaves about 131 words, all of
+   them its share of the node indexes' bucket arrays (3 replicas of about
+   67 task uids), which only a uid map that frees settled pages removes;
+   it left about 370 while the super-root and the settle ledger kept a
+   record of it and its callbacks, about 1.2k while each reclaimed uid
+   kept its index cell and about 6.1k when every tombstone was kept.  The
+   bound is the slope between 250 and 1000 requests, about 10% above the
+   131 measured. *)
 let stream_residue_slope () =
   let w250 = stream_residue ~requests:250 ~retain:false ~failures:[] in
   let w1000 = stream_residue ~requests:1000 ~retain:false ~failures:[] in
   let slope = float_of_int (w1000 - w250) /. 750.0 in
   Printf.printf
-    "stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound 410)\n" w250
+    "stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound 145)\n" w250
     w1000 slope;
-  if slope > 410.0 then Alcotest.failf "a settled request leaves %.0f live words (bound 410)" slope
+  if slope > 145.0 then Alcotest.failf "a settled request leaves %.0f live words (bound 145)" slope
 
 (* With retention the journal drops each settled request's entries and
    call fingerprints, so a retaining stream leaves about what a
-   non-retaining one does (374 measured, bound about 10% above): the slope
-   was about 7.3k words per request while every entry was kept. *)
+   non-retaining one does, its share of the node indexes' bucket arrays
+   (135 measured, bound about 10% above; 374 while the super-root and
+   the ledger kept its records): the slope was about 7.3k words per
+   request while every entry was kept. *)
 let retained_stream_residue_slope () =
   let w250 = stream_residue ~requests:250 ~retain:true ~failures:[] in
   let w1000 = stream_residue ~requests:1000 ~retain:true ~failures:[] in
   let slope = float_of_int (w1000 - w250) /. 750.0 in
   Printf.printf
     "retained stream residue: %d words at 250 requests, %d at 1000: %.0f words/request (bound \
-     415)\n"
+     150)\n"
     w250 w1000 slope;
-  if slope > 415.0 then
-    Alcotest.failf "a settled request leaves %.0f live words with retention (bound 415)" slope
+  if slope > 150.0 then
+    Alcotest.failf "a settled request leaves %.0f live words with retention (bound 150)" slope
 
 (* The benchmark's service_k3 iteration itself: 500 requests, retained
    journal, kills at 60k on processor 0 and 120k on processor 2.  It held
    5.71 M words when every tombstone was kept, 4.02 M when every journal
    entry was, 0.64 M once the journal kept, of the settled requests, only
    the 16 a kill touched (each request it still holds an entry of has a
-   failure within the span of its entries' times), and 0.24 M now that a
-   reclaimed uid's index cell is freed; the bound is about 10% above the
-   235,991 measured. *)
+   failure within the span of its entries' times), 0.24 M once a
+   reclaimed uid's index cell was freed, and 0.11 M now that the
+   super-root and the settle ledger drop a settled request's records and
+   callbacks (the callbacks reached the service's per-request state).
+   Of the 110,478 measured, 55k are the node indexes' bucket arrays and
+   44k the journal's retained entries ([bin/live_words.exe --service]);
+   the bound is about 10% above. *)
 let service_k3_residue () =
   let c = drained_stream ~requests:500 ~retain:true ~failures:[ (60_000, 0); (120_000, 2) ] in
   let w = Obj.reachable_words (Obj.repr c) in
   let j = Cluster.journal c in
-  Printf.printf "service_k3 drained: %d words, %d journal entries retained (bound 260000)\n" w
+  Printf.printf "service_k3 drained: %d words, %d journal entries retained (bound 122000)\n" w
     (Journal.retained j);
   let fails = List.map fst (Journal.failures j) in
   let spans = Hashtbl.create 16 in
@@ -256,8 +266,8 @@ let service_k3_residue () =
     spans;
   Alcotest.(check int) "requests with kept entries are the ones kept whole"
     (Journal.kept_whole j) (Hashtbl.length spans);
-  if w > 260_000 then
-    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 0.26 M)" w
+  if w > 122_000 then
+    Alcotest.failf "the drained service_k3 cluster holds %d words (bound 122,000)" w
 
 let suites =
   [

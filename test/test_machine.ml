@@ -15,6 +15,13 @@ module Oracle = Recflow_machine.Oracle
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let value = Alcotest.testable Value.pp Value.equal
+
+(* What the super-root keeps of its settled service requests' answers:
+   (value, answers, requests) per distinct value. *)
+let settled_tallies c =
+  List.map
+    (fun (tl : Cluster.tally) -> (Value.to_string tl.value, tl.n_answers, tl.n_requests))
+    (Cluster.settled_answers c)
 let qtest = QCheck_alcotest.to_alcotest
 
 let run ?(cfg = Config.default ~nodes:8) ?(failures = []) ?(drain = false) w size =
@@ -345,11 +352,17 @@ let entry_checked_before_any_event () =
       refused "submit" (fun ~fname ~args -> ignore (Cluster.submit c ~fname ~args ()));
     check_int "service: no request opened" 0 (Cluster.submitted_requests c);
     check_int "service: nothing journaled" 0 (Journal.length (Cluster.journal c));
-    let uid = Cluster.submit c ~fname:"f" ~args:[ Value.Int 20 ] () in
+    let answers = ref [] in
+    let uid =
+      Cluster.submit c ~on_answer:(fun v -> answers := v :: !answers) ~fname:"f"
+        ~args:[ Value.Int 20 ] ()
+    in
     Cluster.close_arrivals c;
     let o = Cluster.run c in
     check_int "first uid" 0 uid;
-    Alcotest.(check (list value)) "service answer" [ Value.Int 41 ] (Cluster.request_answers c uid);
+    Alcotest.(check (list value)) "service answer" [ Value.Int 41 ] !answers;
+    Alcotest.(check (list (triple string int int)))
+      "settled: one answer of one request" [ ("41", 1, 1) ] (settled_tallies c);
     (o.Cluster.events, Journal.length (Cluster.journal c))
   in
   let same what (e0, j0) (e1, j1) =

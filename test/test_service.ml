@@ -9,6 +9,7 @@ module Workload = Recflow_workload.Workload
 module Plan = Recflow_fault.Plan
 module Stamp = Recflow_recovery.Stamp
 module Packet = Recflow_recovery.Packet
+module Ids = Recflow_recovery.Ids
 module Message = Recflow_machine.Message
 module Node = Recflow_machine.Node
 module Value = Recflow_lang.Value
@@ -20,6 +21,15 @@ module Json = Recflow_obs_core.Json
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let value = Alcotest.testable Value.pp Value.equal
+
+(* What the super-root keeps of its settled requests' answers: (value,
+   answers, requests) per distinct value. *)
+let settled_tallies c =
+  List.map
+    (fun (tl : Cluster.tally) -> (Value.to_string tl.value, tl.n_answers, tl.n_requests))
+    (Cluster.settled_answers c)
+
+let tallies = Alcotest.(list (triple string int int))
 
 let svc_cfg ?(nodes = 8) ?(arrival_mean = 250.0) ?(replicas = 1) ?(max_inflight = 64)
     ?(shed_suspect_frac = 1.0) ?(seed = 11) () =
@@ -82,8 +92,13 @@ let concurrent_roots_isolated () =
      their own request, never leak across. *)
   let c = Cluster.create (svc_cfg ()) (Workload.program Workload.fib) in
   Cluster.begin_service c;
-  let u0 = Cluster.submit c ~fname:"fib" ~args:[ Value.Int 5 ] () in
-  let u1 = Cluster.submit c ~fname:"fib" ~args:[ Value.Int 8 ] () in
+  let a0 = ref [] and a1 = ref [] in
+  let submit answers n =
+    Cluster.submit c ~on_answer:(fun v -> answers := v :: !answers) ~fname:"fib"
+      ~args:[ Value.Int n ] ()
+  in
+  let u0 = submit a0 5 in
+  let u1 = submit a1 8 in
   Cluster.close_arrivals c;
   check_int "uids sequential" 0 u0;
   check_int "uids sequential 2" 1 u1;
@@ -92,12 +107,10 @@ let concurrent_roots_isolated () =
   let _ = Cluster.run c in
   let oracle = Oracle.assert_ok c in
   check "oracle ok" true (Oracle.ok oracle);
-  (match Cluster.request_answers c u0 with
-  | [ v ] -> Alcotest.check value "fib 5" (Value.Int 5) v
-  | l -> Alcotest.failf "request 0: %d answers" (List.length l));
-  (match Cluster.request_answers c u1 with
-  | [ v ] -> Alcotest.check value "fib 8" (Value.Int 21) v
-  | l -> Alcotest.failf "request 1: %d answers" (List.length l));
+  Alcotest.(check (list value)) "fib 5" [ Value.Int 5 ] !a0;
+  Alcotest.(check (list value)) "fib 8" [ Value.Int 21 ] !a1;
+  Alcotest.check tallies "one answer each, filed apart" [ ("5", 1, 1); ("21", 1, 1) ]
+    (settled_tallies c);
   check_int "submitted" 2 (Cluster.submitted_requests c);
   check_int "nothing in flight" 0 (Cluster.in_flight c)
 
@@ -109,14 +122,21 @@ let per_request_oracle_catches_missing () =
   let c = Cluster.create cfg (Workload.program Workload.fib) in
   Cluster.fail_at c ~time:50 1;
   Cluster.begin_service c;
-  let u0 = Cluster.submit c ~fname:"fib" ~args:[ Value.Int 8 ] () in
+  let first = ref None in
+  let _ =
+    Cluster.submit c ~on_answer:(fun v -> first := Some v) ~fname:"fib" ~args:[ Value.Int 8 ] ()
+  in
   Cluster.close_arrivals c;
   let _ = Cluster.run c in
   let oracle = Oracle.assert_ok c in
   check "oracle ok despite mid-run failure" true (Oracle.ok oracle);
-  (match Cluster.request_answers c u0 with
-  | v :: _ -> Alcotest.check value "recovered answer" (Value.Int 21) v
-  | [] -> Alcotest.fail "request lost")
+  Alcotest.(check (option value)) "recovered answer" (Some (Value.Int 21)) !first;
+  match Cluster.settled_answers c with
+  | [ tl ] ->
+    Alcotest.check value "settled value" (Value.Int 21) tl.Cluster.value;
+    check_int "one request" 1 tl.Cluster.n_requests;
+    check "at least one answer" true (tl.Cluster.n_answers >= 1)
+  | l -> Alcotest.failf "%d distinct settled values" (List.length l)
 
 (* ---------------- service layer ---------------- *)
 
@@ -518,11 +538,164 @@ let bounce_after_reclaim () =
       !entries
   in
   check "every bounce found its producer" false lost_producer;
+  let n = Cluster.submitted_requests c in
+  (match Cluster.settled_answers c with
+  | [ tl ] ->
+    Alcotest.check value "fib 6" (Value.Int 8) tl.Cluster.value;
+    check_int "every request answered it" n tl.Cluster.n_requests;
+    check "at least one answer each" true (tl.Cluster.n_answers >= n)
+  | l -> Alcotest.failf "%d distinct settled values" (List.length l));
+  Alcotest.(check (list (pair int int))) "no request split" [] (Cluster.split_requests c)
+
+(* ---------------- what the super-root keeps of a settled request ---------------- *)
+
+(* The benchmark's service_k3 stream at its quick size: 40 requests, k = 3
+   replicas under splice, kills at 3000 on processor 0 and 6000 on
+   processor 2. *)
+let service_k3_quick () =
+  let base = Config.default ~nodes:8 in
+  let cfg =
+    {
+      base with
+      Config.recovery = Config.Splice;
+      seed = 17;
+      journal_retain = true;
+      service =
+        { base.Config.service with Config.arrival_mean = 400.0; replicas = 3; max_inflight = 64 };
+    }
+  in
+  Service.run ~failures:[ (3_000, 0); (6_000, 2) ] ~config:cfg ~workload:Workload.fib
+    ~size:Workload.Tiny ~requests:40 ()
+
+let refused f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Once a drained stream has settled every request, the super-root's table
+   is empty: no open uid is left to walk, and the per-request accessors
+   refuse a settled uid, while its stamp and re-dispatch count are still
+   answered. *)
+let drained_holds_no_request () =
+  let o = service_k3_quick () in
+  let c = o.Service.cluster in
+  let n = Cluster.submitted_requests c in
+  check_int "every replica root settled" n (Cluster.settled_requests c);
+  let open_uids = ref [] in
+  Cluster.iter_request_uids c (fun uid -> open_uids := uid :: !open_uids);
+  Alcotest.(check (list int)) "no request left in the table" [] !open_uids;
+  for uid = 0 to n - 1 do
+    check "answers refused" true (refused (fun () -> Cluster.request_answers c uid));
+    check "answer time refused" true (refused (fun () -> Cluster.request_answer_time c uid));
+    check "host refused" true (refused (fun () -> Cluster.request_dest c uid));
+    check "packet refused" true (refused (fun () -> Cluster.request_packet c uid));
+    check "stamp still answered" true
+      (Stamp.equal (Stamp.child Stamp.root uid) (Cluster.request_stamp c uid));
+    check "re-dispatches still answered" true (Cluster.request_redispatches c uid >= 0)
+  done;
+  check "a uid never issued is refused" true (refused (fun () -> Cluster.request_redispatches c n));
+  Alcotest.check tallies "every answer kept by value" [ ("21", 120, 120) ] (settled_tallies c)
+
+(* What makes a settled request heavy is its root packet and the
+   callbacks that reach the caller's state.  Once it settles, nothing of
+   the cluster reaches either: a full collection clears weak pointers to
+   each while the cluster is still live. *)
+let settled_request_is_collected () =
+  let c = Cluster.create (svc_cfg ~nodes:6 ~seed:5 ()) (Workload.program Workload.fib) in
+  let n = 12 in
+  let packets = Weak.create n and callbacks = Weak.create n in
+  let answered = ref 0 in
+  let rec arrive k () =
+    let tag = ref k in
+    let on_answer (_ : Value.t) =
+      incr answered;
+      ignore (Sys.opaque_identity tag)
+    in
+    let uid = Cluster.submit c ~on_answer ~fname:"fib" ~args:[ Value.Int 6 ] () in
+    Weak.set packets uid (Some (Cluster.request_packet c uid));
+    Weak.set callbacks uid (Some on_answer);
+    if k > 1 then Cluster.schedule_callback c ~delay:100 (arrive (k - 1))
+    else Cluster.close_arrivals c
+  in
+  Cluster.begin_service c;
+  Cluster.schedule_callback c ~delay:1 (arrive n);
+  ignore (Cluster.run c);
+  check_int "every request answered" n !answered;
+  check_int "every request settled" n (Cluster.settled_requests c);
+  Gc.full_major ();
+  let kept w = List.length (List.filter (Weak.check w) (List.init n Fun.id)) in
+  check_int "root packets still reachable" 0 (kept packets);
+  check_int "on_answer closures still reachable" 0 (kept callbacks);
+  ignore (Sys.opaque_identity c)
+
+(* [request_redispatches] still answers every issued uid: over the quick
+   service_k3 stream the counts sum to the 3 root re-dispatches the
+   stream made before settled requests were dropped, which is also the
+   [reissue.root] counter. *)
+let redispatches_survive_the_drop () =
+  let o = service_k3_quick () in
+  let c = o.Service.cluster in
+  let sum = ref 0 in
   for uid = 0 to Cluster.submitted_requests c - 1 do
-    match Cluster.request_answers c uid with
-    | v :: _ -> Alcotest.check value "fib 6" (Value.Int 8) v
-    | [] -> Alcotest.failf "request %d unanswered" uid
-  done
+    sum := !sum + Cluster.request_redispatches c uid
+  done;
+  check_int "re-dispatches over every uid" 3 !sum;
+  check_int "the reissue.root counter agrees"
+    (Recflow_stats.Counter.get (Cluster.counters c) "reissue.root")
+    !sum
+
+(* The service analogue of the batch "oracle takes the expected answer":
+   the settled requests' answers are checked against [expected] per
+   distinct value, in one violation that names the first request and
+   counts them all. *)
+let oracle_takes_expected_settled () =
+  let o = service_k3_quick () in
+  let c = o.Service.cluster in
+  let viols expected = (Oracle.check ?expected c).Oracle.violations in
+  Alcotest.(check (list string)) "no expected value: no violation" [] (viols None);
+  Alcotest.(check (list string)) "right value: no violation" [] (viols (Some (Value.Int 21)));
+  match viols (Some (Value.Int 22)) with
+  | [ v ] ->
+    Alcotest.(check string) "names the first request and counts them all"
+      "120 answer(s) of 120 settled request(s) differ from the expected 22 (first: request 0, 21)" v
+  | vs -> Alcotest.failf "%d violations for a wrong expected value" (List.length vs)
+
+(* A root result for request [uid] carrying [v], as it reaches the
+   super-root. *)
+let root_result c uid v =
+  Message.Result
+    {
+      Message.stamp = Cluster.request_stamp c uid;
+      value = v;
+      target = { Packet.task = Ids.no_task; proc = Ids.super_root; slot = uid };
+      relay = Message.To_parent;
+    }
+
+(* Determinacy is checked as a request settles: a second, different answer
+   handed to the super-root while request 0 is open (right after its
+   first answer) is reported once it has settled and left the table. *)
+let split_answer_is_caught () =
+  let c = Cluster.create (svc_cfg ~nodes:6 ~seed:4 ()) (Workload.program Workload.fib) in
+  let on_answer uid _ =
+    if uid = 0 then Cluster.replay c ~dst:Ids.super_root (root_result c 0 (Value.Int 99))
+  in
+  let _ = stream c ~n:6 ~gap:100 ~on_answer () in
+  ignore (Cluster.run c);
+  check_int "every request settled" 6 (Cluster.settled_requests c);
+  Alcotest.(check (list (pair int int))) "request 0 gave two values" [ (0, 2) ]
+    (Cluster.split_requests c);
+  Alcotest.check tallies "both values kept" [ ("8", 6, 6); ("99", 1, 1) ] (settled_tallies c);
+  check "oracle reports it" true (reports "request 0 produced 2 distinct answers" (Oracle.check c))
+
+(* A root result reaching the super-root for a request it has dropped
+   means the request settled too early: it counts as a reclaimed hit, and
+   the oracle reports it. *)
+let late_root_result_is_caught () =
+  let c = Cluster.create (svc_cfg ~nodes:6 ~seed:4 ()) (Workload.program Workload.fib) in
+  let _ = stream c ~n:4 ~gap:100 () in
+  ignore (Cluster.run c);
+  check_int "no hit yet" 0 (Cluster.reclaimed_hits c);
+  Cluster.replay c ~dst:Ids.super_root (root_result c 2 (Value.Int 8));
+  check_int "the late result is counted" 1 (Cluster.reclaimed_hits c);
+  Alcotest.check tallies "and not filed" [ ("8", 4, 4) ] (settled_tallies c);
+  check "oracle reports it" true (reports "reclaimed task uid" (Oracle.check c))
 
 (* ---------------- episode analysis against its reference ---------------- *)
 
@@ -859,5 +1032,17 @@ let suites =
           late_duplicate_activation_is_caught;
         Alcotest.test_case "early journal release is caught" `Quick early_release_is_caught;
         Alcotest.test_case "bounce after reclaim" `Quick bounce_after_reclaim;
+      ] );
+    ( "service.settled",
+      [
+        Alcotest.test_case "drained stream holds no settled request" `Quick
+          drained_holds_no_request;
+        Alcotest.test_case "settled packet and callback collected" `Quick
+          settled_request_is_collected;
+        Alcotest.test_case "re-dispatch counts survive the drop" `Quick
+          redispatches_survive_the_drop;
+        Alcotest.test_case "oracle takes the expected answer" `Quick oracle_takes_expected_settled;
+        Alcotest.test_case "split answer caught at settle" `Quick split_answer_is_caught;
+        Alcotest.test_case "late root result caught" `Quick late_root_result_is_caught;
       ] );
   ]
