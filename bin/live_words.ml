@@ -24,12 +24,12 @@
    gap of 400 ticks, retained journal, seed 17, two kills: 500 requests,
    or 40 with --quick) and splits the drained cluster's words once, into
 
-     node indexes, journal, super-root requests, settle ledger, rest
+     node indexes, journal, requests, rest
 
    counted the same way, in that order: the nodes' task indexes, the
-   journal's retained entries, the super-root's table of open requests
-   and what it keeps of the settled ones ([Cluster.iter_parts]), the
-   settle ledger's table of open requests, and everything else.
+   journal's retained entries, the request ledger's window of open
+   requests and what the super-root keeps of the settled ones
+   ([Cluster.request_roots]), and everything else.
 
      dune exec bin/live_words.exe -- --service --quick --check
 *)
@@ -81,8 +81,8 @@ let split_rows c named =
   let all = words (Array.of_list (Obj.repr c :: !roots)) in
   (split @ [ ("rest", all - !before) ], Obj.reachable_words (Obj.repr c))
 
-(* A drained service_k3 stream's words: node indexes, journal,
-   super-root requests, settle ledger, rest. *)
+(* A drained service_k3 stream's words: node indexes, journal, requests,
+   rest. *)
 let service ~quick =
   let requests, failures =
     if quick then (40, [ (3_000, 0); (6_000, 2) ]) else (500, [ (60_000, 0); (120_000, 2) ])
@@ -102,14 +102,10 @@ let service ~quick =
     Service.run ~failures ~config:cfg ~workload:Workload.fib ~size:Workload.Tiny ~requests ()
   in
   let c = o.Service.cluster in
-  let index = ref [] and requests_parts = ref [] and ledger = ref [] in
+  let index = ref [] in
   List.iter
     (fun n -> Node.iter_parts n (fun part o -> if part = Node.Index then index := o :: !index))
     (Cluster.nodes c);
-  Cluster.iter_parts c (fun part o ->
-      match part with
-      | Cluster.Requests -> requests_parts := o :: !requests_parts
-      | Cluster.Ledger -> ledger := o :: !ledger);
   Printf.printf
     "service_k3: %d requests, %d replica roots (k = 3), %d settled, %d journal entries retained\n"
     requests (Cluster.submitted_requests c) (Cluster.settled_requests c)
@@ -118,8 +114,7 @@ let service ~quick =
     [
       ("node indexes", !index);
       ("journal", [ Obj.repr (Cluster.journal c) ]);
-      ("super-root requests", !requests_parts);
-      ("settle ledger", !ledger);
+      ("requests", Cluster.request_roots c);
     ]
 
 (* The cluster's words split into [rows], "rest" last, with its total. *)

@@ -86,30 +86,6 @@ type outcome = {
   error : string option;
 }
 
-(* One root request tracked by the super-root.  A batch run is the
-   one-request case (uid -1, the empty stamp); service mode keeps one per
-   submitted request, each rooted at a distinct depth-1 stamp so the
-   checkpoint tables, orphan relays and journals of concurrent requests can
-   never alias. *)
-type request = {
-  uid : int;  (** -1 for the batch root *)
-  packet : Packet.t;
-      (** the super-root's functional checkpoint; its stamp is [Stamp.root]
-          for batch, [child root uid] for service *)
-  avoid : Ids.proc_id list;  (** processors never chosen as this root's host *)
-  mutable dest : Ids.proc_id;
-  mutable task : Ids.task_id;
-  mutable pending : (Stamp.t * Packet.link * Message.salvage) list;
-      (** salvage (orphan results and adoption reports) awaiting the twin,
-          newest first, with the orphan's stamp and dead parent so depth is
-          preserved on forwarding *)
-  mutable answers : Value.t list;  (** results for this request, newest first *)
-  mutable answer_time : int option;
-  mutable redispatches : int;
-  on_answer : (Value.t -> unit) option;  (** first answer only *)
-  on_disturbed : (string -> unit) option;  (** each root re-dispatch *)
-}
-
 (* One distinct answer value of the settled service requests. *)
 type tally = {
   value : Value.t;
@@ -134,9 +110,6 @@ type t = {
   rng : Rng.t;
   policy : Policy.t;
   mutable next_task_id : Ids.task_id;
-  requests : (int, request) Hashtbl.t;
-      (** the open requests by uid, -1 for the batch root, which stays; a
-          settled service request leaves *)
   mutable tallies : tally list;
       (** the answers of the settled service requests, one per distinct
           value, in the order the values first settled *)
@@ -147,11 +120,8 @@ type t = {
       (** re-dispatches of each settled service request that had any *)
   mutable late_hits : int;
       (** messages reaching the super-root that named a dropped request *)
-  mutable next_uid : int;  (** the next service request's uid *)
   mutable arrivals_open : bool;
   mutable unanswered : int;  (** requests still without an answer *)
-  mutable answer : Value.t option;  (** the batch root's first answer *)
-  mutable answer_time : int option;
   mutable error : string option;
   mutable started : bool;
   mutable drain : bool;
@@ -187,7 +157,8 @@ type t = {
           first inline call, so runs that never inline (and set-up) pay
           nothing *)
   settle : Settle.t;
-      (** what each request still holds; a settled request's task uids are
+      (** the requests' one table: each open request's super-root record
+          and what it still holds; a settled request's task uids are
           reclaimed on the processors that hosted them *)
 }
 
@@ -341,16 +312,18 @@ let send_transport_ack t ~src ~dst ~seq =
     | Chaos.Pass { extra_delays } -> ack_copies t ~src ~dst ~seq extra_delays)
 
 (* The §4.2 protocol messages that drive recovery forward are the ones the
-   transport must not lose; the rest (app-level acks, gradient gossip,
-   aborts) are advisory and stay fire-and-forget.  Failure notices are on
-   the reliable side: an accusation that silently vanishes leaves one peer
-   relaying results toward a processor the rest of the cluster has written
-   off, and the views of who is dead never reconverge. *)
+   transport must not lose; the rest (app-level acks, gradient gossip) are
+   advisory and stay fire-and-forget.  Failure notices are on the reliable
+   side: an accusation that silently vanishes leaves one peer relaying
+   results toward a processor the rest of the cluster has written off, and
+   the views of who is dead never reconverge.  So are the aborts that
+   collect orphans under rollback and replication: without one, an orphan
+   waiting on a child lost with its ancestor waits forever. *)
 let reliable_kind = function
   | Message.Task_packet _ | Message.Result _ | Message.Orphan_alive _ | Message.Reparent _
-  | Message.Failure_notice _ ->
+  | Message.Failure_notice _ | Message.Abort _ ->
     true
-  | Message.Ack _ | Message.Gradient _ | Message.Abort _ -> false
+  | Message.Ack _ | Message.Gradient _ -> false
 
 (* Retransmission timing: an unacked reliable send is retried [rto] ticks
    after it left, and attempt n waits rto·backoffⁿ after the last. *)
@@ -425,9 +398,12 @@ let wake_events n =
   done;
   steps
 
-(* Fold a settled request's answers into the per-value tallies, and
-   note the request if they disagree (determinacy promises one value). *)
-let tally_answers t req =
+(* A settled service request can no longer be named, and the ledger has
+   dropped its record, with the root packet, the avoid list and both
+   callbacks.  Its answers live on in the per-value tallies, with the
+   request noted if they disagree (determinacy promises one value), and
+   its re-dispatch count when it is not zero. *)
+let drop_request t (req : Settle.request) =
   let distinct = ref [] in
   List.iter
     (fun v ->
@@ -447,19 +423,9 @@ let tally_answers t req =
       end)
     (List.rev req.answers);
   let d = List.length !distinct in
-  if d > 1 then t.split <- (req.uid, d) :: t.split
-
-(* A settled service request can no longer be named, so the super-root
-   drops it: its record goes, with the root packet, the avoid list and
-   both callbacks.  Its answers live on in the tallies, its re-dispatch
-   count when it is not zero. *)
-let drop_request t uid =
-  match Hashtbl.find_opt t.requests uid with
-  | None -> ()
-  | Some req ->
-    Hashtbl.remove t.requests uid;
-    tally_answers t req;
-    if req.redispatches > 0 then t.redispatched <- Int_map.add uid req.redispatches t.redispatched
+  if d > 1 then t.split <- (req.uid, d) :: t.split;
+  if req.redispatches > 0 then
+    t.redispatched <- Int_map.add req.uid req.redispatches t.redispatched
 
 let create cfg program =
   (match Config.validate cfg with
@@ -476,9 +442,9 @@ let create cfg program =
     Settle.create ~procs:n
       ~reclaim:(fun ~proc uid -> Node.reclaim node_arr.(proc) uid)
       ~reclaim_all:(fun () -> Array.fold_left (fun n node -> n + Node.reclaim_all node) 0 node_arr)
-      ~on_settle:(fun ~uid ~opened ->
-        Journal.release journal ~uid ~since:opened ~time:(Engine.now engine);
-        Option.iter (fun t -> drop_request t uid) !self)
+      ~on_settle:(fun req ->
+        Journal.release journal ~uid:req.Settle.uid ~since:req.opened ~time:(Engine.now engine);
+        Option.iter (fun t -> drop_request t req) !self)
   in
   let t = {
     cfg;
@@ -494,16 +460,12 @@ let create cfg program =
     rng = Rng.create cfg.Config.seed;
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;
-    requests = Hashtbl.create 64;
     tallies = [];
     split = [];
     redispatched = Int_map.empty;
     late_hits = 0;
-    next_uid = 0;
     arrivals_open = false;
     unanswered = 0;
-    answer = None;
-    answer_time = None;
     error = None;
     started = false;
     drain = false;
@@ -533,31 +495,13 @@ let create cfg program =
 (* Super-root (§4.3.1)                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let root_super_slot = 0
-
 let batch_uid = -1
-
-(* Which request a message landing on the super-root belongs to: the
-   innermost request root its stamp descends from.  A service root sits at
-   depth 1 and is named by the first digit of every stamp below it; the
-   batch root sits at depth 0 and so owns every stamp. *)
-let request_of_stamp t stamp =
-  let service_root =
-    if Stamp.depth stamp = 0 then None else Hashtbl.find_opt t.requests (Stamp.digit stamp 0)
-  in
-  if Option.is_some service_root then service_root else Hashtbl.find_opt t.requests batch_uid
-
-(* The open requests in uid order, batch root first — hash-table order
-   must never leak into the event stream.  Only failure handling and the
-   oracle walk them. *)
-let iter_requests t f =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.requests []
-  |> List.sort (fun a b -> Int.compare a.uid b.uid)
-  |> List.iter f
 
 (* [true] while some request hosted on [pid] still awaits its answer. *)
 let hosted_unanswered t pid =
-  Hashtbl.fold (fun _ r found -> found || (r.dest = pid && r.answers = [])) t.requests false
+  let found = ref false in
+  Settle.iter t.settle (fun r -> if r.dest = pid && r.answers = [] then found := true);
+  !found
 
 (* Period of the distributed gradient exchange ([Policy.Gradient_distributed]
    only): every node recomputes its gradient value from its neighbours'
@@ -576,7 +520,7 @@ let gradient_live t = t.arrivals_open || t.unanswered > 0
    subtree.  {!Message.salvage_forward} makes that choice.  A report skips
    a twin placed on a dead processor (static placement can pick one); a
    result is sent regardless, and its bounce re-dispatches the root. *)
-let flush_pending t req =
+let flush_pending t (req : Settle.request) =
   let pending = req.pending in
   req.pending <- [];
   let live = Router.alive t.router req.dest in
@@ -593,7 +537,7 @@ let flush_pending t req =
 
 (* Dispatch (or re-dispatch) a request's root task from the super-root's
    retained checkpoint. *)
-let dispatch_request t req ~reason =
+let dispatch_request t (req : Settle.request) ~reason =
   if Router.alive_count t.router = 0 then
     Trace.log t.trace ~time:(now t) ~level:Trace.Error ~tag:"SR" "no live processor for root"
   else
@@ -628,7 +572,7 @@ let dispatch_request t req ~reason =
       req.redispatches <- req.redispatches + 1;
       Journal.record t.journal ~time:(now t) ~stamp:packet.Packet.stamp
         (Journal.Respawned { task = task_id; dest; reason });
-      Option.iter (fun f -> f reason) req.on_disturbed);
+      req.on_disturbed reason);
     flush_pending t req
 
 (* Salvage reaching the super-root, the ancestor of every request root: an
@@ -637,7 +581,7 @@ let dispatch_request t req ~reason =
    ancestor links), or a child of a dead root announcing itself.  Make
    sure the root has a twin, then forward the salvage to it: at once when
    a live twin exists, else behind a re-dispatch. *)
-let super_root_salvage t req ~stamp ~(dead_parent : Packet.link) payload =
+let super_root_salvage t (req : Settle.request) ~stamp ~(dead_parent : Packet.link) payload =
   if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
     req.pending <- (stamp, dead_parent, payload) :: req.pending;
     Settle.hold t.settle stamp;
@@ -646,36 +590,30 @@ let super_root_salvage t req ~stamp ~(dead_parent : Packet.link) payload =
     else dispatch_request t req ~reason:(Some (Message.salvage_reason payload))
   end
 
-(* The open request a message to the super-root belongs to.  One naming a
+(* Hand a message to the super-root's request it names.  One naming a
    request already dropped means that request settled too early, and it
    counts with the nodes' reclaimed hits. *)
-let request_of_msg t stamp msg =
-  let req = request_of_stamp t stamp in
-  if Option.is_none req && Settle.msg_names_reclaimed t.settle msg then
-    t.late_hits <- t.late_hits + 1;
-  req
-
 let super_root_deliver t msg =
+  let to_request stamp f =
+    match Settle.owner t.settle stamp with
+    | Some req -> f req
+    | None -> if Settle.msg_names_reclaimed t.settle msg then t.late_hits <- t.late_hits + 1
+  in
   match msg with
-  | Message.Result { stamp; value; relay = Message.To_parent; _ } -> (
-    match request_of_msg t stamp msg with
-    | None -> ()
-    | Some req ->
-      req.answers <- value :: req.answers;
-      if req.answer_time = None then begin
-        req.answer_time <- Some (now t);
-        t.unanswered <- t.unanswered - 1;
-        Settle.answered t.settle ~uid:req.uid;
-        match req.on_answer with Some f -> f value | None -> ()
-      end)
-  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } -> (
-    match request_of_msg t stamp msg with
-    | None -> ()
-    | Some req -> super_root_salvage t req ~stamp ~dead_parent (Message.Salvaged value))
-  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } -> (
-    match request_of_msg t stamp msg with
-    | None -> ()
-    | Some req -> super_root_salvage t req ~stamp ~dead_parent (Message.Still_running orphan))
+  | Message.Result { stamp; value; relay = Message.To_parent; _ } ->
+    to_request stamp (fun req ->
+        req.answers <- value :: req.answers;
+        if req.answer_time = None then begin
+          t.unanswered <- t.unanswered - 1;
+          Settle.answered t.settle req ~time:(now t);
+          req.on_answer value
+        end)
+  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } ->
+    to_request stamp (fun req ->
+        super_root_salvage t req ~stamp ~dead_parent (Message.Salvaged value))
+  | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } ->
+    to_request stamp (fun req ->
+        super_root_salvage t req ~stamp ~dead_parent (Message.Still_running orphan))
   | Message.Result { relay = Message.To_step_parent _; _ }
   | Message.Task_packet _ | Message.Reparent _ | Message.Gradient _ | Message.Ack _
   | Message.Abort _ | Message.Failure_notice _ ->
@@ -823,7 +761,7 @@ let deliver_one t ~src ~dst ~seq msg =
       if transport_accept t ~src ~dst ~seq then
         match msg with
         | Message.Failure_notice { failed } ->
-          iter_requests t (fun req ->
+          Settle.iter t.settle (fun req ->
               if req.dest = failed && req.answers = [] then
                 dispatch_request t req ~reason:(Some "notice"))
         | _ -> super_root_deliver t msg
@@ -973,31 +911,13 @@ let arm_gradient t =
       t.node_arr
   | _ -> ()
 
-(* Register one root request with the super-root and dispatch it: its
-   pre-evaluation checkpoint (§4.3.1) returns to super-root slot [slot]. *)
-let open_request t ~uid ~stamp ~slot ~avoid ~on_answer ~on_disturbed ~fname ~args =
-  let packet =
-    Packet.make ~stamp ~fname ~args:(Array.of_list args)
-      ~parent:{ Packet.task = Ids.no_task; proc = Ids.super_root; slot }
-      ~grandparent:None ~ancestors:[]
-  in
+(* Register one root request with the super-root and dispatch it from its
+   pre-evaluation checkpoint (§4.3.1). *)
+let open_request t ~uid ~avoid ~on_answer ~on_disturbed ~fname ~args =
   let req =
-    {
-      uid;
-      packet;
-      avoid;
-      dest = -2;
-      task = Ids.no_task;
-      pending = [];
-      answers = [];
-      answer_time = None;
-      redispatches = 0;
-      on_answer;
-      on_disturbed;
-    }
+    Settle.open_request t.settle ~uid ~time:(now t) ~fname ~args:(Array.of_list args) ~avoid
+      ~on_answer ~on_disturbed
   in
-  Hashtbl.replace t.requests uid req;
-  Settle.open_request t.settle ~uid ~time:(now t);
   t.unanswered <- t.unanswered + 1;
   dispatch_request t req ~reason:None
 
@@ -1008,14 +928,11 @@ let start t ~fname ~args =
   arm_gradient t;
   (* A batch run ends at its one answer, unless asked to drain. *)
   let on_answer value =
-    t.answer <- Some value;
-    t.answer_time <- Some (now t);
     Trace.logf t.trace ~time:(now t) ~level:Trace.Info ~tag:"SR" "answer: %s"
       (Value.to_string value);
     if not t.drain then Engine.stop t.engine
   in
-  open_request t ~uid:batch_uid ~stamp:Stamp.root ~slot:root_super_slot ~avoid:[]
-    ~on_answer:(Some on_answer) ~on_disturbed:None ~fname ~args
+  open_request t ~uid:batch_uid ~avoid:[] ~on_answer ~on_disturbed:ignore ~fname ~args
 
 (* ------------------------------------------------------------------ *)
 (* Service mode: many concurrent roots                                 *)
@@ -1033,35 +950,27 @@ let schedule_callback t ~delay f =
   if not t.started then invalid_arg "Cluster.schedule_callback: call begin_service first";
   Engine.schedule t.engine ~delay (Callback f)
 
-let submit t ?(avoid = []) ?on_answer ?on_disturbed ~fname ~args () =
-  if (not t.started) || Hashtbl.mem t.requests batch_uid then
+let submit t ?(avoid = []) ?(on_answer = ignore) ?(on_disturbed = ignore) ~fname ~args () =
+  if (not t.started) || Option.is_some (Settle.find t.settle batch_uid) then
     invalid_arg "Cluster.submit: call begin_service first";
   check_entry t ~who:"submit" ~fname ~args;
-  let uid = t.next_uid in
-  t.next_uid <- uid + 1;
-  (* The depth-1 stamp is the request's whole identity: its checkpoint
-     entries, orphan relays and journal rows all live in a subtree no
-     other request can reach, so nothing leaks across requests.  The
-     super-root slot carries the uid. *)
-  open_request t ~uid ~stamp:(Stamp.child Stamp.root uid) ~slot:uid ~avoid ~on_answer ~on_disturbed
-    ~fname ~args;
+  let uid = Settle.issued t.settle in
+  open_request t ~uid ~avoid ~on_answer ~on_disturbed ~fname ~args;
   uid
 
-let submitted_requests t = t.next_uid
+let submitted_requests t = Settle.issued t.settle
 
-let iter_request_uids t f = iter_requests t (fun r -> f r.uid)
+let iter_request_uids t f = Settle.iter t.settle (fun r -> f r.uid)
 
 let in_flight t = t.unanswered
 
-let issued t uid = uid >= 0 && uid < t.next_uid
-
-let no_request uid = invalid_arg (Printf.sprintf "Cluster: no request %d" uid)
+let issued t uid = uid >= 0 && uid < Settle.issued t.settle
 
 let find_request t uid =
-  match Hashtbl.find_opt t.requests uid with
+  match Settle.find t.settle uid with
   | Some r -> r
   | None when issued t uid -> invalid_arg (Printf.sprintf "Cluster: request %d has settled" uid)
-  | None -> no_request uid
+  | None -> invalid_arg (Printf.sprintf "Cluster: no request %d" uid)
 
 let request_answers t uid = List.rev (find_request t uid).answers
 
@@ -1074,16 +983,12 @@ let request_dest t uid =
 let request_packet t uid = (find_request t uid).packet
 
 let request_stamp t uid =
-  match Hashtbl.find_opt t.requests uid with
-  | Some r -> r.packet.Packet.stamp
-  | None when issued t uid -> Stamp.child Stamp.root uid
-  | None -> no_request uid
+  if issued t uid then Stamp.child Stamp.root uid else (find_request t uid).packet.Packet.stamp
 
 let request_redispatches t uid =
-  match Hashtbl.find_opt t.requests uid with
-  | Some r -> r.redispatches
+  match Settle.find t.settle uid with
   | None when issued t uid -> Option.value ~default:0 (Int_map.find_opt uid t.redispatched)
-  | None -> no_request uid
+  | _ -> (find_request t uid).redispatches
 
 let settled_answers t = t.tallies
 
@@ -1095,22 +1000,14 @@ let reclaimed_tombstones t = Settle.reclaimed t.settle
 
 let reclaimed_hits t = sum_nodes t Node.reclaimed_hits + t.late_hits
 
-let reclaim_unsettled t uid =
-  ignore (find_request t uid);
-  Settle.force t.settle ~uid
+let reclaim_unsettled t uid = Settle.force t.settle (find_request t uid)
 
 let replay t ~dst msg =
   if dst = Ids.super_root then super_root_deliver t msg
   else Node.deliver t.node_arr.(dst) (ctx t) msg
 
-type part = Requests | Ledger
-
-let iter_parts t f =
-  f Requests (Obj.repr t.requests);
-  f Requests (Obj.repr t.tallies);
-  f Requests (Obj.repr t.split);
-  f Requests (Obj.repr t.redispatched);
-  f Ledger (Settle.open_table t.settle)
+let request_roots t =
+  [ Settle.open_table t.settle; Obj.repr t.tallies; Obj.repr t.split; Obj.repr t.redispatched ]
 
 let release_unsettled t uid =
   ignore (find_request t uid);
@@ -1123,9 +1020,10 @@ let run ?(drain = false) t =
   (* Nothing left to run can record an entry in this tick: decide every
      request that settled in it too. *)
   Journal.drop_settled t.journal ~before:(if quiescent t then now t + 1 else now t);
+  let batch = Settle.find t.settle batch_uid in
   {
-    answer = t.answer;
-    answer_time = t.answer_time;
+    answer = Option.bind batch (fun r -> List.nth_opt (List.rev r.Settle.answers) 0);
+    answer_time = Option.bind batch (fun r -> r.Settle.answer_time);
     sim_time = now t;
     events = Engine.events_dispatched t.engine;
     error = t.error;

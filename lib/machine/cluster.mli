@@ -6,11 +6,14 @@
     super-root of §4.3.1 (the virtual parent of the root task, holding its
     pre-evaluation checkpoint), and injects fail-stop processor failures.
 
-    The super-root keeps one table of root requests.  A batch run
-    ({!start}) is its one-request case: request [-1], rooted at the empty
-    stamp, whose first answer ends the run.  Service mode fills the same
-    table with many requests ({!submit}); every lookup, re-dispatch and
-    oracle verdict treats the two alike.
+    Root requests live in one table, the request ledger ({!Settle}): a
+    request's record holds the super-root's checkpoint of its root and
+    what it still holds, and the ledger's stamp→request rule files both
+    root results and holds.  A batch run ({!start}) is its one-request
+    case: request [-1], rooted at the empty stamp, whose first answer ends
+    the run.  Service mode fills the same table with many requests
+    ({!submit}); every lookup, re-dispatch and oracle verdict treats the
+    two alike.
 
     Typical use:
     {[
@@ -44,8 +47,8 @@ val start : t -> fname:string -> args:Value.t list -> unit
 
 (** {2 Service mode}
 
-    A cluster normally runs one batch program ({!start}): the super-root's
-    request table holds the one request [-1].  Service mode instead keeps
+    A cluster normally runs one batch program ({!start}): the request
+    table holds the one request [-1].  Service mode instead keeps
     the machine open for a stream of independent root requests in the same
     table: each {!submit} creates a fresh root task under its own depth-1
     level stamp ([Stamp.child Stamp.root uid]), so concurrent requests
@@ -159,11 +162,11 @@ val split_requests : t -> (int * int) list
     and every run stays byte-identical.  The batch root settles the same
     way, at the end of a drained run.  A settled service request is also
     released to the journal, which drops its entries unless a failure
-    touched them ({!Journal.release}), and the super-root drops its record:
-    the root packet, the avoid list and both callbacks go, its answers are
-    folded into {!settled_answers} and {!split_requests}, and its
-    re-dispatch count is kept only when it is not zero.  The batch root
-    keeps its record. *)
+    touched them ({!Journal.release}), and its record leaves the request
+    table: the root packet, the avoid list and both callbacks go, its
+    answers are folded into {!settled_answers} and {!split_requests}, and
+    its re-dispatch count is kept only when it is not zero.  The batch
+    root keeps its record. *)
 
 val settled_requests : t -> int
 (** Requests settled, and so retired, so far. *)
@@ -197,14 +200,9 @@ val release_unsettled : t -> int -> unit
     {!Journal.late_entries}.
     @raise Invalid_argument for an unknown uid. *)
 
-type part =
-  | Requests
-      (** the super-root's table of open requests and what it keeps of
-          the settled ones *)
-  | Ledger  (** the settle ledger's table of open requests *)
-
-val iter_parts : t -> (part -> Obj.t -> unit) -> unit
-(** The roots of the super-root's state, labelled by part.  Introspection
+val request_roots : t -> Obj.t list
+(** The roots of the super-root's request state: the ledger's window of
+    open requests, and what is kept of the settled ones.  Introspection
     for the live-words tool; not for hot paths. *)
 
 val fail_at : t -> time:int -> Ids.proc_id -> unit

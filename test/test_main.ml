@@ -9,4 +9,4 @@ let () =
    @ Test_cost_prop.suites
    @ Test_stamp_prop.suites @ Test_eval_prop.suites @ Test_determinism.suites @ Test_scale.suites
    @ Test_service.suites @ Test_alloc_budget.suites @ Test_uid_index.suites
-   @ Test_child_slots.suites @ Test_instance_model.suites)
+   @ Test_child_slots.suites @ Test_instance_model.suites @ Test_settle.suites)

@@ -82,7 +82,7 @@ let make_world ?(config = Config.default ~nodes:4) ?(dest = 1) ~node_id () =
              Recflow_machine.Settle.create ~procs:4
                ~reclaim:(fun ~proc:_ _ -> 0)
                ~reclaim_all:(fun () -> 0)
-               ~on_settle:(fun ~uid:_ ~opened:_ -> ());
+               ~on_settle:(fun _ -> ());
          }
        in
        {

@@ -593,6 +593,16 @@ let drained_holds_no_request () =
   check "a uid never issued is refused" true (refused (fun () -> Cluster.request_redispatches c n));
   Alcotest.check tallies "every answer kept by value" [ ("21", 120, 120) ] (settled_tallies c)
 
+(* The request roots of a drained stream (the ledger's window and what
+   is kept of the settled requests) hold no more than a window's worth of
+   words: 98 + 72 when the super-root and the ledger kept a table each. *)
+let drained_request_roots_are_small () =
+  let c = (service_k3_quick ()).Service.cluster in
+  let roots = Array.of_list (Cluster.request_roots c) in
+  let words = Obj.reachable_words (Obj.repr roots) - (Array.length roots + 1) in
+  Printf.printf "request roots: %d words\n" words;
+  check "request roots hold <= 170 words" true (words <= 170)
+
 (* What makes a settled request heavy is its root packet and the
    callbacks that reach the caller's state.  Once it settles, nothing of
    the cluster reaches either: a full collection clears weak pointers to
@@ -696,6 +706,57 @@ let late_root_result_is_caught () =
   check_int "the late result is counted" 1 (Cluster.reclaimed_hits c);
   Alcotest.check tallies "and not filed" [ ("8", 4, 4) ] (settled_tallies c);
   check "oracle reports it" true (reports "reclaimed task uid" (Oracle.check c))
+
+(* The super-root's failure-notice walk re-dispatches each unanswered
+   request hosted on the dead processor, inside the walk, and each
+   re-dispatch runs the request's [on_disturbed], which here submits 40
+   fresh requests.  The window of open requests then slides past the
+   settled ones below the walk and grows under it.  The walk must still
+   re-dispatch every such request once, in uid order, and none submitted
+   during the walk. *)
+let notice_walk_survives_window_moves () =
+  let c = Cluster.create (svc_cfg ~nodes:4 ~seed:3 ()) (Workload.program Workload.fib) in
+  let submit ?on_disturbed n =
+    Cluster.submit c ?on_disturbed ~fname:"fib" ~args:[ Value.Int n ] ()
+  in
+  let notices = ref [] and in_walk = ref [] and long = ref [] and victim = 0 in
+  let on_disturbed uid reason =
+    if reason = "notice" then begin
+      notices := (Cluster.now c, uid) :: !notices;
+      in_walk := List.init 40 (fun _ -> submit 2) @ !in_walk
+    end
+  in
+  Cluster.begin_service c;
+  (* 60 short requests settle first; of the next 8, the quick one settles
+     before the kill, leaving the low slots free to slide past *)
+  Cluster.schedule_callback c ~delay:1 (fun () -> for _ = 1 to 60 do ignore (submit 2) done);
+  Cluster.schedule_callback c ~delay:2000 (fun () ->
+      ignore (submit 3);
+      for _ = 1 to 7 do
+        let uid = ref (-1) in
+        uid := submit ~on_disturbed:(fun r -> on_disturbed !uid r) 14;
+        long := !uid :: !long
+      done);
+  let hosted = ref [] in
+  Cluster.schedule_callback c ~delay:2499 (fun () ->
+      hosted := List.filter (fun uid -> Cluster.request_dest c uid = Some victim) !long);
+  Cluster.schedule_callback c ~delay:20_000 (fun () -> Cluster.close_arrivals c);
+  Cluster.fail_at c ~time:2500 victim;
+  ignore (Cluster.run c);
+  check "two or more requests hosted on the victim" true (List.length !hosted >= 2);
+  check "the first long request settled before the kill" true
+    (refused (fun () -> Cluster.request_dest c 60));
+  let walk = List.rev_map snd !notices in
+  let ticks = List.sort_uniq compare (List.map fst !notices) in
+  check_int "one walk" 1 (List.length ticks);
+  Alcotest.(check (list int))
+    "each hosted request once, in uid order" (List.sort compare !hosted) walk;
+  check "none submitted during the walk re-dispatched" true
+    (List.for_all (fun uid -> not (List.mem uid walk)) !in_walk);
+  check "the walk submitted past the window" true
+    (List.exists (fun uid -> uid >= 61 + 64) !in_walk);
+  ignore (Oracle.assert_ok c);
+  check_int "every request settled" (Cluster.submitted_requests c) (Cluster.settled_requests c)
 
 (* ---------------- episode analysis against its reference ---------------- *)
 
@@ -999,6 +1060,125 @@ let episodes_match_reference () =
   check "replicate:3: dropped requests left recovery events" true (tally.Journal.entries > 0);
   same_as_full "replicate:3 stream" replicated_full
 
+(* ---------------- a fuzzed slice of the service configuration space ---------------- *)
+
+(* One drained stream: the service settings, recovery, transport, journal
+   and 0-2 kills drawn at random on 6 processors, fib tiny as the program. *)
+type fuzz_case = {
+  replicas : int;
+  max_inflight : int;
+  shed_suspect_frac : float;
+  arrival_mean : float;
+  recovery : Config.recovery;
+  chaos : int;  (* 0: quiet; 1: duplicate and reorder; 2: drop too *)
+  reliable : bool;
+  retain : bool;
+  kills : (int * int) list;  (* (tick, processor) *)
+  requests : int;
+  seed : int;
+}
+
+let fuzz_config f =
+  let base =
+    svc_cfg ~nodes:6 ~arrival_mean:f.arrival_mean ~replicas:f.replicas
+      ~max_inflight:f.max_inflight ~shed_suspect_frac:f.shed_suspect_frac ~seed:f.seed ()
+  in
+  let hostile =
+    Recflow_net.Chaos.none |> Plan.duplicate_rate 0.02 |> Plan.reorder ~rate:0.05 ~spread:40
+  in
+  {
+    base with
+    Config.recovery = f.recovery;
+    reliable = f.reliable;
+    journal_retain = f.retain;
+    chaos =
+      (match f.chaos with
+      | 0 -> Recflow_net.Chaos.none
+      | 1 -> hostile
+      | _ -> Plan.drop_rate 0.02 hostile);
+  }
+
+(* What [Config.validate] accepts, and no kill without recovery: a lost
+   request would then be no fault of the program. *)
+let fuzz_valid f =
+  Config.validate (fuzz_config f) = Ok () && (f.recovery <> Config.No_recovery || f.kills = [])
+
+let fuzz_to_string f =
+  Printf.sprintf
+    "replicas %d, max_inflight %d, shed_suspect_frac %g, arrival_mean %g, recovery %s, chaos %d, \
+     reliable %b, journal_retain %b, seed %d, %d requests, kills [%s]"
+    f.replicas f.max_inflight f.shed_suspect_frac f.arrival_mean
+    (Config.recovery_to_string f.recovery) f.chaos f.reliable f.retain f.seed f.requests
+    (String.concat "; " (List.map (fun (t, p) -> Printf.sprintf "%d@%d" t p) f.kills))
+
+let gen_fuzz_case =
+  let open QCheck.Gen in
+  let raw =
+    let* replicas = int_range 1 3 and* max_inflight = oneofl [ 1; 2; 4; 16; 64 ]
+    and* shed_suspect_frac = oneofl [ 0.0; 0.2; 0.5; 1.0 ]
+    and* arrival_mean = oneofl [ 30.0; 150.0; 400.0; 1200.0 ]
+    and* recovery =
+      oneofl Config.[ No_recovery; Rollback; Splice; Replicate 2; Replicate 3 ]
+    and* chaos = int_bound 2 and* reliable = bool and* retain = bool
+    and* kills = list_size (int_bound 2) (pair (int_range 100 6000) (int_bound 5))
+    and* requests = int_range 1 20 and* seed = int_bound 10_000 in
+    return
+      { replicas; max_inflight; shed_suspect_frac; arrival_mean; recovery; chaos; reliable; retain;
+        kills; requests; seed }
+  in
+  let rec valid st =
+    let f = raw st in
+    if fuzz_valid f then f else valid st
+  in
+  valid
+
+(* Toward the fewest kills and requests, and each setting toward the
+   plainest one, keeping only valid cases. *)
+let shrink_fuzz_case f yield =
+  let yield f' = if fuzz_valid f' then yield f' in
+  QCheck.Shrink.list ~shrink:QCheck.Shrink.nil f.kills (fun kills -> yield { f with kills });
+  QCheck.Shrink.int f.requests (fun requests -> if requests >= 1 then yield { f with requests });
+  if f.replicas > 1 then yield { f with replicas = 1 };
+  if f.max_inflight <> 64 then yield { f with max_inflight = 64 };
+  if f.shed_suspect_frac <> 1.0 then yield { f with shed_suspect_frac = 1.0 };
+  if f.arrival_mean <> 400.0 then yield { f with arrival_mean = 400.0 };
+  if f.recovery <> Config.Splice then yield { f with recovery = Config.Splice };
+  if f.chaos > 0 then yield { f with chaos = f.chaos - 1 };
+  if f.reliable then yield { f with reliable = false };
+  if not f.retain then yield { f with retain = true }
+
+(* Every run answers right and drains clean: the oracle passes, no message
+   names a reclaimed request, nothing is recorded under a released one,
+   and every request has settled and left the ledger. *)
+let drains_clean f =
+  let o = run ~failures:f.kills ~requests:f.requests (fuzz_config f) in
+  let c = o.Service.cluster in
+  let open_uids = ref [] in
+  Cluster.iter_request_uids c (fun uid -> open_uids := uid :: !open_uids);
+  o.Service.all_correct && Oracle.ok o.Service.oracle
+  && Cluster.reclaimed_hits c = 0
+  && Journal.late_entries (Cluster.journal c) = 0
+  && Cluster.settled_requests c = Cluster.submitted_requests c
+  && !open_uids = []
+
+let prop_service_fuzz =
+  QCheck.Test.make ~count:100 ~name:"fuzz: service streams drain clean"
+    (QCheck.make ~print:fuzz_to_string ~shrink:shrink_fuzz_case gen_fuzz_case)
+    drains_clean
+
+(* The first case the fuzz found, shrunk: under rollback over a lossy
+   network, the abort of an orphan whose child had died with its ancestor
+   was dropped while aborts were fire-and-forget, and the orphan waited on
+   that child forever (2 tasks leaked at quiescence). *)
+let lost_abort_case () =
+  let f =
+    { replicas = 3; max_inflight = 64; shed_suspect_frac = 1.0; arrival_mean = 400.0;
+      recovery = Config.Rollback; chaos = 2; reliable = true; retain = true;
+      kills = [ (3588, 4) ]; requests = 12; seed = 7977 }
+  in
+  check "a case the fuzz draws" true (fuzz_valid f);
+  check "drains clean" true (drains_clean f)
+
 let suites =
   [
     ( "service.cluster",
@@ -1037,6 +1217,8 @@ let suites =
       [
         Alcotest.test_case "drained stream holds no settled request" `Quick
           drained_holds_no_request;
+        Alcotest.test_case "drained request roots are small" `Quick
+          drained_request_roots_are_small;
         Alcotest.test_case "settled packet and callback collected" `Quick
           settled_request_is_collected;
         Alcotest.test_case "re-dispatch counts survive the drop" `Quick
@@ -1044,5 +1226,12 @@ let suites =
         Alcotest.test_case "oracle takes the expected answer" `Quick oracle_takes_expected_settled;
         Alcotest.test_case "split answer caught at settle" `Quick split_answer_is_caught;
         Alcotest.test_case "late root result caught" `Quick late_root_result_is_caught;
+        Alcotest.test_case "notice walk survives window moves" `Quick
+          notice_walk_survives_window_moves;
+      ] );
+    ( "service.fuzz",
+      [
+        QCheck_alcotest.to_alcotest prop_service_fuzz;
+        Alcotest.test_case "rollback abort lost to the network" `Quick lost_abort_case;
       ] );
   ]
