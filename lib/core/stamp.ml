@@ -232,14 +232,23 @@ let cons_header = scramble (2 lsl 10)
    walks the list breadth-first: each cell mixes its header, then its
    digit; the [[]] ending a short list mixes as the int 0.  It stops after
    ten ints ([Hashtbl.hash]'s meaningful limit), so deep stamps hash by
-   their first ten digits.  Computed on demand: a stamp is hashed about
+   their first ten digits: digit 0's word, then the bytes of the packed
+   words, read in place.  Computed on demand: a stamp is hashed about
    once (placing its task), so a cache would buy nothing. *)
 let hash s =
   let d = depth s in
   let n = if d < 10 then d else 10 in
   let h = ref 0 in
-  for i = 0 to n - 1 do
-    h := mix_int (mix_scrambled !h cons_header) (digit s i)
+  if n > 0 then h := mix_int (mix_scrambled 0 cons_header) (Array.unsafe_get s 1);
+  let i = ref 1 and j = ref 2 in
+  while !i < n do
+    let w = Array.unsafe_get s !j and shift = ref 48 in
+    while !i < n && !shift >= 0 do
+      h := mix_int (mix_scrambled !h cons_header) ((w lsr !shift) land 0xff);
+      shift := !shift - 8;
+      incr i
+    done;
+    incr j
   done;
   let h = if n < 10 then mix_int !h 0 else !h in
   let h = h lxor (h lsr 16) in

@@ -120,6 +120,9 @@ let metadata t : (string * meta_value) list =
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if Recflow_net.Topology.size t.topology < 1 then err "topology has no nodes"
+  else if Recflow_net.Topology.size t.topology > Journal.proc_limit then
+    err "topology has %d nodes; a journal entry holds processor ids below %d"
+      (Recflow_net.Topology.size t.topology) Journal.proc_limit
   else if t.ancestor_depth < 0 then err "ancestor_depth must be >= 0"
   else if t.replicate_depth < 0 then err "replicate_depth must be >= 0"
   else if t.inline_depth < 1 then err "inline_depth must be >= 1 (the root task is never inline)"

@@ -23,21 +23,47 @@ type entry = { time : int; stamp : Stamp.t; event : event }
 
 module Stamp_tbl = Hashtbl.Make (Stamp)
 
-(* Retained entries live in unboxed columns, five words each: [stride]
-   ints — the time with the event kind in its low [kind_bits] bits, then
-   up to three int fields — and the stamp pointer the caller passed, which
-   the packet shares.  Columns come in chunks of [chunk_size] entries, the
-   largest whose int column the runtime still allocates in the minor heap
-   ([Max_young_wosize] is 256 words): a journal that dies young, as each
-   of a sweep's hundreds of small clusters does, never touches the major
-   heap, and one that survives is promoted a chunk at a time, 5 words per
+(* Retained entries live in unboxed columns, three words each: [stride]
+   ints and the stamp pointer the caller passed, which the packet shares.
+   The first int holds the time, the processor field and the event kind,
+   the second the event's third field (work, replica or reason id) and its
+   task field:
+
+     word 0   time lsl 29  lor  (proc + 1) lsl 4  lor  kind
+     word 1   third lsl 29  lor  (task + 1)
+
+   Each field's range is one the machine already keeps it in: times are
+   the engine's packable ones (below 2^34), task ids stay below 2^28 (an
+   engine dispatches fewer than 2^28 events and every task costs at least
+   one), processor ids below 2^24 ([Config.validate] holds a topology to
+   that) and a third field below 2^34; a task or processor field may also
+   be [-1] (no task, the super-root).  Time and third field fill the top
+   34 bits of a 63-bit int, so they read back with [lsr].  Columns come in
+   chunks of [chunk_size] entries, whose int column (128 words) the runtime
+   allocates in the minor heap ([Max_young_wosize] is 256 words): a
+   journal that dies young, as each of a sweep's hundreds of small
+   clusters does, never touches the major heap, and one that survives is promoted a chunk at a time, 3 words per
    entry instead of the 10–11 of a list cell, an entry record and an event
    block.  The first chunk starts at [first_chunk] entries and doubles up
    to [chunk_size], since every cluster records its root [Spawned] entry
    during set-up. *)
-let stride = 4
+let stride = 2
 
 let kind_bits = 4
+
+let proc_bits = 25
+
+let task_bits = 29
+
+let time_shift = kind_bits + proc_bits
+
+let time_limit = 1 lsl 34
+
+let proc_limit = 1 lsl 24
+
+let task_limit = 1 lsl 28
+
+let field_limit = 1 lsl 34
 
 let chunk_bits = 6
 
@@ -76,11 +102,13 @@ type t = {
   mutable reasons : string array;
       (* [Respawned] and [Relay_dropped] reasons, interned: the columns hold
          an index into this table *)
-  by_stamp : int list ref Stamp_tbl.t;  (* entry indices, reverse chronological *)
+  mutable by_stamp : int list ref Stamp_tbl.t option;
+      (* entry indices, reverse chronological; [None] until the first
+         per-stamp query, and again after a compaction moved the entries *)
   mutable indexed : int;
-      (* retained entries already in [by_stamp]: the index is built on the
-         first per-stamp query and caught up on each later one, so
-         [record] — on every run's hot path — never touches it *)
+      (* retained entries already in [by_stamp]: the index is caught up on
+         each query, so [record] — on every run's hot path — never touches
+         it *)
   mutable extra : entry Recflow_obs_core.Sink.t option;
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
@@ -118,7 +146,7 @@ let create ?(retain = true) () =
     capacity = 0;
     reason_ids = Hashtbl.create 8;
     reasons = [||];
-    by_stamp = Stamp_tbl.create 256;
+    by_stamp = None;
     indexed = 0;
     extra = None;
     pages = [||];
@@ -184,52 +212,58 @@ let grow t =
     t.capacity <- n + chunk_size
   end
 
-(* [ints] is annotated: stores into an unknown array type go through
-   [caml_modify]. *)
-let put (ints : int array) o packed a b c =
-  Array.unsafe_set ints o packed;
-  Array.unsafe_set ints (o + 1) a;
-  Array.unsafe_set ints (o + 2) b;
-  Array.unsafe_set ints (o + 3) c
+let out_of_range ~time ~proc ~task ~field =
+  let bad name v = invalid_arg (Printf.sprintf "Journal.record: %s %d out of range" name v) in
+  if time < 0 || time >= time_limit then bad "time" time;
+  if proc < -1 || proc >= proc_limit then bad "processor" proc;
+  if task < -1 || task >= task_limit then bad "task" task;
+  bad "field" field
 
-(* Store entry [i] (= [t.size]) in the columns.  The kind numbers
-   here and in [event_at] are the column format. *)
-let store t ~time ~stamp event =
-  let packed = time lsl kind_bits in
-  if packed asr kind_bits <> time then invalid_arg "Journal.record: time out of range";
+(* Store entry [i] (= [t.size]) in the columns, once every field is known
+   to fit: a rejected entry leaves the journal as it was. *)
+let put t ~time ~stamp kind ~proc ~task ~field =
+  if
+    time < 0 || time >= time_limit || proc < -1 || proc >= proc_limit || task < -1
+    || task >= task_limit || field < 0 || field >= field_limit
+  then out_of_range ~time ~proc ~task ~field;
   let i = t.size in
   if i = t.capacity then grow t;
   t.size <- i + 1;
   let c = i lsr chunk_bits and o = i land (chunk_size - 1) in
   Array.unsafe_set (Array.unsafe_get t.stamps c) o stamp;
   let ints = Array.unsafe_get t.ints c and o = stride * o in
+  Array.unsafe_set ints o ((time lsl time_shift) lor ((proc + 1) lsl kind_bits) lor kind);
+  Array.unsafe_set ints (o + 1) ((field lsl task_bits) lor (task + 1))
+
+(* The kind numbers here and in [event_at] are the column format. *)
+let store t ~time ~stamp event =
   match event with
-  | Spawned { task; dest; replica } -> put ints o packed task dest replica
-  | Activated { task; proc } -> put ints o (packed lor 1) task proc 0
-  | Acked { task; proc } -> put ints o (packed lor 2) task proc 0
-  | Completed { task; proc; work } -> put ints o (packed lor 3) task proc work
-  | Inlined { parent_task; proc; work } -> put ints o (packed lor 4) parent_task proc work
-  | Aborted { task; proc; work } -> put ints o (packed lor 5) task proc work
-  | Lost { task; proc; work } -> put ints o (packed lor 6) task proc work
-  | Respawned { task; dest; reason } -> put ints o (packed lor 7) task dest (intern t reason)
-  | Inherited { orphan_task; proc } -> put ints o (packed lor 8) orphan_task proc 0
-  | Result_accepted { task } -> put ints o (packed lor 9) task 0 0
-  | Duplicate_ignored { task } -> put ints o (packed lor 10) task 0 0
-  | Relayed { via } -> put ints o (packed lor 11) via 0 0
-  | Relay_dropped { at; reason } -> put ints o (packed lor 12) at (intern t reason) 0
-  | Orphan_dropped { task } -> put ints o (packed lor 13) task 0 0
+  | Spawned { task; dest; replica } -> put t ~time ~stamp 0 ~proc:dest ~task ~field:replica
+  | Activated { task; proc } -> put t ~time ~stamp 1 ~proc ~task ~field:0
+  | Acked { task; proc } -> put t ~time ~stamp 2 ~proc ~task ~field:0
+  | Completed { task; proc; work } -> put t ~time ~stamp 3 ~proc ~task ~field:work
+  | Inlined { parent_task; proc; work } -> put t ~time ~stamp 4 ~proc ~task:parent_task ~field:work
+  | Aborted { task; proc; work } -> put t ~time ~stamp 5 ~proc ~task ~field:work
+  | Lost { task; proc; work } -> put t ~time ~stamp 6 ~proc ~task ~field:work
+  | Respawned { task; dest; reason } ->
+    put t ~time ~stamp 7 ~proc:dest ~task ~field:(intern t reason)
+  | Inherited { orphan_task; proc } -> put t ~time ~stamp 8 ~proc ~task:orphan_task ~field:0
+  | Result_accepted { task } -> put t ~time ~stamp 9 ~proc:0 ~task ~field:0
+  | Duplicate_ignored { task } -> put t ~time ~stamp 10 ~proc:0 ~task ~field:0
+  | Relayed { via } -> put t ~time ~stamp 11 ~proc:via ~task:0 ~field:0
+  | Relay_dropped { at; reason } -> put t ~time ~stamp 12 ~proc:at ~task:0 ~field:(intern t reason)
+  | Orphan_dropped { task } -> put t ~time ~stamp 13 ~proc:0 ~task ~field:0
   | Failure { proc } ->
+    put t ~time ~stamp 14 ~proc ~task:0 ~field:0;
     if t.n_fails = Array.length t.fail_times then begin
       let a = Array.make (max 8 (2 * t.n_fails)) 0 in
       Array.blit t.fail_times 0 a 0 t.n_fails;
       t.fail_times <- a
     end;
     t.fail_times.(t.n_fails) <- time;
-    t.n_fails <- t.n_fails + 1;
-    put ints o (packed lor 14) proc 0 0
+    t.n_fails <- t.n_fails + 1
 
-(* Column readers for retained entry [i]: word 0 is the packed time and
-   kind, words 1–3 the event's fields. *)
+(* Column readers for retained entry [i]. *)
 let word t i k =
   Array.unsafe_get
     (Array.unsafe_get t.ints (i lsr chunk_bits))
@@ -237,29 +271,33 @@ let word t i k =
 
 let kind_at t i = word t i 0 land ((1 lsl kind_bits) - 1)
 
-let time_at t i = word t i 0 asr kind_bits
+let time_at t i = word t i 0 lsr time_shift
+
+let proc_at t i = ((word t i 0 lsr kind_bits) land ((1 lsl proc_bits) - 1)) - 1
+
+let task_at t i = (word t i 1 land ((1 lsl task_bits) - 1)) - 1
 
 let stamp_at t i =
   Array.unsafe_get (Array.unsafe_get t.stamps (i lsr chunk_bits)) (i land (chunk_size - 1))
 
 let event_at t i =
-  let a = word t i 1 and b = word t i 2 and c = word t i 3 in
+  let proc = proc_at t i and task = task_at t i and x = word t i 1 lsr task_bits in
   match kind_at t i with
-  | 0 -> Spawned { task = a; dest = b; replica = c }
-  | 1 -> Activated { task = a; proc = b }
-  | 2 -> Acked { task = a; proc = b }
-  | 3 -> Completed { task = a; proc = b; work = c }
-  | 4 -> Inlined { parent_task = a; proc = b; work = c }
-  | 5 -> Aborted { task = a; proc = b; work = c }
-  | 6 -> Lost { task = a; proc = b; work = c }
-  | 7 -> Respawned { task = a; dest = b; reason = t.reasons.(c) }
-  | 8 -> Inherited { orphan_task = a; proc = b }
-  | 9 -> Result_accepted { task = a }
-  | 10 -> Duplicate_ignored { task = a }
-  | 11 -> Relayed { via = a }
-  | 12 -> Relay_dropped { at = a; reason = t.reasons.(b) }
-  | 13 -> Orphan_dropped { task = a }
-  | _ -> Failure { proc = a }
+  | 0 -> Spawned { task; dest = proc; replica = x }
+  | 1 -> Activated { task; proc }
+  | 2 -> Acked { task; proc }
+  | 3 -> Completed { task; proc; work = x }
+  | 4 -> Inlined { parent_task = task; proc; work = x }
+  | 5 -> Aborted { task; proc; work = x }
+  | 6 -> Lost { task; proc; work = x }
+  | 7 -> Respawned { task; dest = proc; reason = t.reasons.(x) }
+  | 8 -> Inherited { orphan_task = task; proc }
+  | 9 -> Result_accepted { task }
+  | 10 -> Duplicate_ignored { task }
+  | 11 -> Relayed { via = proc }
+  | 12 -> Relay_dropped { at = proc; reason = t.reasons.(x) }
+  | 13 -> Orphan_dropped { task }
+  | _ -> Failure { proc }
 
 let entry_at t i = { time = time_at t i; stamp = stamp_at t i; event = event_at t i }
 
@@ -356,7 +394,7 @@ let forget_call t task =
 let noted_task t i =
   match kind_at t i with
   | 0 | 7 | 8 (* Spawned, Respawned, Inherited *) ->
-    let task = word t i 1 in
+    let task = task_at t i in
     if print_of t task >= 0 then task else -1
   | _ -> -1
 
@@ -423,32 +461,38 @@ let last_entry_time t = if t.n_entries = 0 then None else Some t.last_time
 let failures t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do
-    if kind_at t i = 14 (* Failure *) then acc := (time_at t i, word t i 1) :: !acc
+    if kind_at t i = 14 (* Failure *) then acc := (time_at t i, proc_at t i) :: !acc
   done;
   !acc
 
-(* Index the entries recorded since the last query, oldest first, so each
-   per-stamp list stays reverse chronological. *)
+(* The per-stamp index, built on the first query since the journal was
+   created or compacted: index the entries recorded since the last query,
+   oldest first, so each per-stamp list stays reverse chronological. *)
 let catch_up t =
+  let index =
+    match t.by_stamp with
+    | Some index -> index
+    | None ->
+      let index = Stamp_tbl.create 256 in
+      t.by_stamp <- Some index;
+      index
+  in
   let n = t.size in
   for i = t.indexed to n - 1 do
     let stamp = stamp_at t i in
-    match Stamp_tbl.find_opt t.by_stamp stamp with
+    match Stamp_tbl.find_opt index stamp with
     | Some r -> r := i :: !r
-    | None -> Stamp_tbl.add t.by_stamp stamp (ref [ i ])
+    | None -> Stamp_tbl.add index stamp (ref [ i ])
   done;
-  t.indexed <- n
+  t.indexed <- n;
+  index
 
 (* Entry indices for [stamp], newest first. *)
-let indices t stamp =
-  catch_up t;
-  match Stamp_tbl.find_opt t.by_stamp stamp with Some r -> !r | None -> []
+let indices t stamp = match Stamp_tbl.find_opt (catch_up t) stamp with Some r -> !r | None -> []
 
 let for_stamp t stamp = List.fold_left (fun acc i -> entry_at t i :: acc) [] (indices t stamp)
 
-let stamps t =
-  catch_up t;
-  Stamp_tbl.fold (fun k _ acc -> k :: acc) t.by_stamp [] |> List.sort Stamp.compare
+let stamps t = Stamp_tbl.fold (fun k _ acc -> k :: acc) (catch_up t) [] |> List.sort Stamp.compare
 
 let count t pred =
   let n = ref 0 in
@@ -500,10 +544,8 @@ let trim t ~old_size =
     Array.unsafe_set (Array.unsafe_get t.stamps (i lsr chunk_bits)) (i land (chunk_size - 1))
       Stamp.root
   done;
-  if t.indexed > 0 then begin
-    Stamp_tbl.reset t.by_stamp;
-    t.indexed <- 0
-  end
+  t.by_stamp <- None;
+  t.indexed <- 0
 
 (* The first column index whose time is at least [time]. *)
 let lower_bound t time =
@@ -588,7 +630,7 @@ let compact t ready =
       let kind = kind_at t i in
       tally_entry t ~window:window.(k) kind (time_at t i);
       if kind = 0 || kind = 7 || kind = 8 (* Spawned, Respawned, Inherited *) then begin
-        let task = word t i 1 in
+        let task = task_at t i in
         let print = print_of t task in
         if print >= 0 then collect (stamp_at t i) task print
       end;
@@ -598,13 +640,10 @@ let compact t ready =
       if !w < i then begin
         let src = Array.unsafe_get t.ints (i lsr chunk_bits)
         and so = stride * (i land (chunk_size - 1)) in
-        put
-          (Array.unsafe_get t.ints (!w lsr chunk_bits))
-          (stride * (!w land (chunk_size - 1)))
-          (Array.unsafe_get src so)
-          (Array.unsafe_get src (so + 1))
-          (Array.unsafe_get src (so + 2))
-          (Array.unsafe_get src (so + 3));
+        let dst = Array.unsafe_get t.ints (!w lsr chunk_bits)
+        and d = stride * (!w land (chunk_size - 1)) in
+        Array.unsafe_set dst d (Array.unsafe_get src so);
+        Array.unsafe_set dst (d + 1) (Array.unsafe_get src (so + 1));
         Array.unsafe_set
           (Array.unsafe_get t.stamps (!w lsr chunk_bits))
           (!w land (chunk_size - 1))

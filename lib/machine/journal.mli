@@ -44,7 +44,7 @@ type t
 
 val create : ?retain:bool -> unit -> t
 (** [retain] (default [true]) keeps entries in memory for {!entries},
-    {!for_stamp} and friends, in column chunks of five words per entry:
+    {!for_stamp} and friends, in column chunks of three words per entry:
     every entry, except those of settled service requests {!release}
     drops.  With [retain:false] — the scale-run mode, selected through
     [Config.journal_retain] — attached sinks still see every entry and
@@ -63,11 +63,19 @@ val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
     build on so they never need the retained entries.  Repeated calls
     tee; the caller keeps ownership and closes file-backed sinks. *)
 
+val proc_limit : int
+(** Processor ids a retaining journal stores lie below [proc_limit]
+    (2{^24}); [Config.validate] rejects a larger topology. *)
+
 val record : t -> time:int -> stamp:Stamp.t -> event -> unit
 (** A retaining journal keeps [stamp] itself (not a copy) and the event's
-    fields; the entry is stored and counted before an attached sink sees
-    it.
-    @raise Invalid_argument if [retain] and [time] lies outside ±2{^58}. *)
+    fields, packed in two ints; the entry is stored and counted before an
+    attached sink sees it.  The packed ranges are limits the machine
+    already keeps: a time in [[0, 2{^34})] (the engine's), a task id in
+    [[-1, 2{^28})], a processor id in [[-1, proc_limit)] and a work,
+    replica or interned reason field in [[0, 2{^34})].
+    @raise Invalid_argument if [retain] and a field lies outside its
+    range; the journal is then left as it was. *)
 
 val note_call : t -> task:Ids.task_id -> string -> Recflow_lang.Value.t array -> unit
 (** Note the call [fname(args)] that a spawned or re-issued activation
@@ -105,7 +113,7 @@ val failures : t -> (int * Ids.proc_id) list
 val for_stamp : t -> Stamp.t -> entry list
 (** Chronological entries for one stamp, decoded fresh on each call like
     {!entries}.  The per-stamp index is built on the first query and
-    caught up on later ones. *)
+    caught up on later ones; a compaction drops it. *)
 
 val stamps : t -> Stamp.t list
 (** All stamps seen, sorted. *)

@@ -3,14 +3,20 @@
    Layout: values below [base = 2^precision] land in their own exact slot;
    above that, each power-of-two octave is split into [base] linear
    sub-buckets, so relative error is bounded by 2^-precision everywhere.
-   The index arithmetic is branch-light and allocation-free, which is what
-   lets the machine layer record every RTT / sojourn / detection latency
-   without showing up in profiles. *)
+   The slots come in groups of [base]: the exact values, then one group per
+   octave.  [counts] holds the groups up to the highest one recorded and
+   grows a group at a time, so a histogram of small latencies keeps a few
+   hundred words instead of a slot for every octave up to 2^62 (1,888 at
+   the default precision), and a record allocates only when its value
+   lands past every octave seen.  The index
+   arithmetic is branch-light, which is what lets the machine layer record
+   every RTT / sojourn / detection latency without showing up in
+   profiles. *)
 
 type t = {
   precision : int;  (* sub-bucket bits; relative error <= 2^-precision *)
   base : int;  (* 1 lsl precision *)
-  counts : int array;
+  mutable counts : int array;  (* [||] until the first valid value *)
   mutable n : int;
   mutable sum : int;
   mutable minv : int;  (* max_int when empty *)
@@ -18,17 +24,13 @@ type t = {
   mutable invalid : int;
 }
 
-let max_exponent = 62
-
-let slots ~precision = (1 lsl precision) * (max_exponent + 2 - precision)
-
 let create ?(precision = 5) () =
   if precision < 1 || precision > 14 then
     invalid_arg "Hdr.create: precision must be in [1, 14]";
   {
     precision;
     base = 1 lsl precision;
-    counts = Array.make (slots ~precision) 0;
+    counts = [||];
     n = 0;
     sum = 0;
     minv = max_int;
@@ -61,10 +63,17 @@ let bucket_bounds t i =
     (lo, lo + (1 lsl (e - t.precision)))
   end
 
+(* Room for slot [i]: the groups up to and including its own. *)
+let grow t i =
+  let a = Array.make (((i lsr t.precision) + 1) lsl t.precision) 0 in
+  Array.blit t.counts 0 a 0 (Array.length t.counts);
+  t.counts <- a
+
 let record t v =
   if v < 0 then t.invalid <- t.invalid + 1
   else begin
     let i = index_of t v in
+    if i >= Array.length t.counts then grow t i;
     t.counts.(i) <- t.counts.(i) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum + v;
@@ -106,6 +115,7 @@ let quantile t q =
 let merge a b =
   if a.precision <> b.precision then invalid_arg "Hdr.merge: precision mismatch";
   let out = create ~precision:a.precision () in
+  out.counts <- Array.make (max (Array.length a.counts) (Array.length b.counts)) 0;
   let blend s =
     Array.iteri (fun i c -> out.counts.(i) <- out.counts.(i) + c) s.counts;
     out.n <- out.n + s.n;

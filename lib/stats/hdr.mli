@@ -3,8 +3,10 @@
     Small values (below [2^precision]) are counted exactly; above that each
     power-of-two octave is split into [2^precision] linear sub-buckets, so
     the relative quantization error is bounded by [2^-precision]
-    everywhere.  Recording is allocation-free and lock-free, which makes
-    these safe on the simulator's per-event hot path; the machine layer
+    everywhere.  A histogram holds count slots only up to the highest
+    octave it has recorded; recording is lock-free and allocates only when
+    a value lands past every octave seen so far, which makes these safe on
+    the simulator's per-event hot path; the machine layer
     keeps one per latency family (RTT, retransmit delay, detection latency,
     episode duration, task sojourn) and the metrics document extracts
     p50/p90/p99/p999 from them. *)

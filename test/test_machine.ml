@@ -464,6 +464,22 @@ let config_validation () =
     = Ok ());
   check "default valid" true (Config.validate (Config.default ~nodes:4) = Ok ())
 
+(* A retaining journal packs a processor id into a 25-bit field, so a
+   topology with more processors than [Journal.proc_limit] (2^24) is
+   refused up front rather than by the first entry naming one. *)
+let config_topology_limit () =
+  let with_topology topology = { (Config.default ~nodes:4) with Config.topology } in
+  check_int "journal proc limit" (1 lsl 24) Journal.proc_limit;
+  check "full 2^24 fits" true
+    (Config.validate (with_topology (Recflow_net.Topology.Full (1 lsl 24))) = Ok ());
+  Alcotest.(check (result unit string))
+    "hypercube 25 refused"
+    (Error "topology has 33554432 nodes; a journal entry holds processor ids below 16777216")
+    (Config.validate (with_topology (Recflow_net.Topology.Hypercube 25)));
+  check "full 2^24 + 1 refused" true
+    (Result.is_error
+       (Config.validate (with_topology (Recflow_net.Topology.Full ((1 lsl 24) + 1)))))
+
 (* rto·backoffⁿ overflows [int_of_float] long before a suspicion window
    ends; the delay must stay pinned at the rto·64 cap instead of wrapping
    to a one-tick retransmission storm. *)
@@ -668,22 +684,36 @@ let journal_index_matches_filter retain =
             && Journal.last_time j stamp activated = last (times activated))
         ops)
 
-(* The journal keeps its retained entries in unboxed column chunks and
-   decodes them on demand; this property holds every reader to a plain
-   chronological list of what was recorded.  Sequences mix all fifteen
-   event kinds with super-root procs, task ids anywhere in the int range,
-   arbitrary reason strings and [note_call]s, and run long enough to cross
-   several 512-entry chunks. *)
+(* The journal keeps its retained entries in unboxed column chunks, two
+   packed ints each, and decodes them on demand; this property holds every
+   reader to a plain chronological list of what was recorded.  Sequences
+   mix all fifteen event kinds with every field drawn over its whole
+   accepted range — times in [0, 2^34), task ids in [-1, 2^28), processor
+   ids in [-1, 2^24), work and replica in [0, 2^34), both edges and [-1]
+   included — arbitrary reason strings and [note_call]s, and run long
+   enough to cross several 64-entry chunks. *)
 type column_op =
   | Record of int * int list * Journal.event
   | Note of int * string * int
   | Check_stamp of int list
 
+let time_range = (0, 1 lsl 34)
+
+let task_range = (-1, 1 lsl 28)
+
+let proc_range = (-1, 1 lsl 24)
+
+let field_range = (0, 1 lsl 34)
+
+(* A value in [[lo, hi)]: either edge, a small one or any. *)
+let gen_in (lo, hi) =
+  QCheck.Gen.(oneof [ return lo; return (hi - 1); int_range lo (lo + 40); int_range lo (hi - 1) ])
+
 let gen_column_op =
   let open QCheck.Gen in
-  let task = oneof [ int_range (-1) 40; int ] in
-  let proc = oneof [ return (-1); int_range 0 1023; int ] in
-  let work = oneof [ int_bound 100; int ] in
+  let task = oneof [ int_range (-1) 40; gen_in task_range ] in
+  let proc = gen_in proc_range in
+  let work = gen_in field_range in
   let reason =
     oneof [ oneofl [ "notice"; "orphan-result"; "local-regen" ]; string_size (int_bound 6) ]
   in
@@ -692,7 +722,7 @@ let gen_column_op =
       [
         map3
           (fun task dest replica -> Journal.Spawned { task; dest; replica })
-          task proc (int_bound 3);
+          task proc work;
         map2 (fun task proc -> Journal.Activated { task; proc }) task proc;
         map2 (fun task proc -> Journal.Acked { task; proc }) task proc;
         map3 (fun task proc work -> Journal.Completed { task; proc; work }) task proc work;
@@ -726,8 +756,7 @@ let gen_column_op =
       ( 40,
         map3
           (fun time ds ev -> Record (time, ds, ev))
-          (int_range (-1000) (1 lsl 40))
-          digits event );
+          (gen_in time_range) digits event );
       ( 4,
         map3
           (fun task f arg -> Note (task, f, arg))
@@ -848,6 +877,82 @@ let journal_columns_match_model ~retain ~sink =
           | Check_stamp ds -> check_stamp ds)
         ops
       && check_all ())
+
+(* One past either edge of a packed field: a retaining journal raises
+   [Invalid_argument] and is left as it was — same length, entries and
+   last time — and the next valid entry lands where it would have.  The
+   bad field is the time or one the event's kind has. *)
+type packed_field = Time | Task | Proc | Work
+
+let event_with kind ~task ~proc ~work =
+  match kind with
+  | 0 -> Journal.Spawned { task; dest = proc; replica = work }
+  | 1 -> Journal.Activated { task; proc }
+  | 2 -> Journal.Acked { task; proc }
+  | 3 -> Journal.Completed { task; proc; work }
+  | 4 -> Journal.Inlined { parent_task = task; proc; work }
+  | 5 -> Journal.Aborted { task; proc; work }
+  | 6 -> Journal.Lost { task; proc; work }
+  | 7 -> Journal.Respawned { task; dest = proc; reason = "notice" }
+  | 8 -> Journal.Inherited { orphan_task = task; proc }
+  | 9 -> Journal.Result_accepted { task }
+  | 10 -> Journal.Duplicate_ignored { task }
+  | 11 -> Journal.Relayed { via = proc }
+  | 12 -> Journal.Relay_dropped { at = proc; reason = "notice" }
+  | 13 -> Journal.Orphan_dropped { task }
+  | _ -> Journal.Failure { proc }
+
+let fields_of = function
+  | 0 | 3 | 4 | 5 | 6 -> [ Time; Task; Proc; Work ]
+  | 1 | 2 | 7 | 8 -> [ Time; Task; Proc ]
+  | 9 | 10 | 13 -> [ Time; Task ]
+  | _ -> [ Time; Proc ]
+
+let journal_refuses_out_of_range =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 100) gen_column_op >>= fun prefix ->
+      int_bound 14 >>= fun kind ->
+      oneofl (fields_of kind) >>= fun field ->
+      bool >>= fun low -> return (prefix, kind, field, low))
+  in
+  QCheck.Test.make ~count:300 ~name:"a field past its packed range is refused, journal unchanged"
+    (QCheck.make gen)
+    (fun (prefix, kind, field, low) ->
+      let j = Journal.create () in
+      List.iter
+        (function
+          | Record (time, ds, event) -> Journal.record j ~time ~stamp:(Stamp.of_digits ds) event
+          | Note _ | Check_stamp _ -> ())
+        prefix;
+      let past (lo, hi) = if low then lo - 1 else hi in
+      let value f range = if f = field then past range else fst range + 1 in
+      let time = value Time time_range in
+      let event =
+        event_with kind ~task:(value Task task_range) ~proc:(value Proc proc_range)
+          ~work:(value Work field_range)
+      in
+      let length = Journal.length j and entries = Journal.entries j in
+      let last = Journal.last_entry_time j in
+      let refused =
+        match Journal.record j ~time ~stamp:Stamp.root event with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      let unchanged =
+        Journal.length j = length
+        && List.equal same_entry (Journal.entries j) entries
+        && Journal.last_entry_time j = last
+      in
+      let next = { Journal.time = 7; stamp = Stamp.root; event = Journal.Failure { proc = 3 } } in
+      Journal.record j ~time:next.time ~stamp:next.stamp next.event;
+      refused && unchanged
+      && List.equal same_entry (Journal.entries j) (entries @ [ next ])
+      && Journal.failures j
+         = List.filter_map
+             (fun (e : Journal.entry) ->
+               match e.event with Journal.Failure { proc } -> Some (e.time, proc) | _ -> None)
+             (entries @ [ next ]))
 
 (* Releases against the same list model.  A stream's requests own the
    depth-1 subtrees [uid; ...]; each request's task ids are its own
@@ -1105,6 +1210,8 @@ let suites =
         Alcotest.test_case "oracle takes the expected answer" `Quick oracle_takes_expected;
         qtest (journal_index_matches_filter true);
         qtest (journal_index_matches_filter false);
+        Alcotest.test_case "config rejects a topology past the journal's processor field" `Quick
+          config_topology_limit;
       ] );
     ( "machine.journal-columns",
       List.concat_map
@@ -1114,6 +1221,7 @@ let suites =
       @ [
           qtest journal_releases_match_model;
           Alcotest.test_case "late entries counted" `Quick late_entries_counted;
+          qtest journal_refuses_out_of_range;
         ] );
     ( "machine.timeline",
       [

@@ -231,6 +231,122 @@ let hdr_merge_order_independent =
       Hdr.to_alist ab = Hdr.to_alist ba
       && Hdr.count ab = List.length xs + List.length ys)
 
+(* A histogram holds slots only up to the highest octave it recorded.
+   This model is the eager layout: every slot of all 59 octaves up to
+   2^62, allocated at creation, with the nearest-rank quantile clamped to
+   the recorded extremes.  Values mix 0, base - 1, 2^40, negatives and
+   anything between; merges pair histograms of different lengths. *)
+module Eager = struct
+  type t = { p : int; counts : int array; mutable vs : int list }
+
+  let base m = 1 lsl m.p
+
+  let create p = { p; counts = Array.make ((1 lsl p) * (64 - p)) 0; vs = [] }
+
+  let index m v =
+    if v < base m then v
+    else
+      let rec msb v acc = if v <= 1 then acc else msb (v lsr 1) (acc + 1) in
+      let e = msb v 0 in
+      base m + ((e - m.p) * base m) + ((v lsr (e - m.p)) - base m)
+
+  let bounds m i =
+    if i < base m then (i, i + 1)
+    else
+      let e = m.p + ((i - base m) / base m) and sub = (i - base m) mod base m in
+      let lo = (base m + sub) lsl (e - m.p) in
+      (lo, lo + (1 lsl (e - m.p)))
+
+  let record m v =
+    if v >= 0 then begin
+      let i = index m v in
+      m.counts.(i) <- m.counts.(i) + 1;
+      m.vs <- v :: m.vs
+    end
+
+  let merge a b =
+    let m = create a.p in
+    Array.iteri (fun i c -> m.counts.(i) <- a.counts.(i) + c) b.counts;
+    m.vs <- a.vs @ b.vs;
+    m
+
+  let quantile m q =
+    let n = List.length m.vs in
+    let rank = max 1 (int_of_float (ceil (q /. 100.0 *. float_of_int n))) in
+    let rec find i acc = if acc + m.counts.(i) >= rank then i else find (i + 1) (acc + m.counts.(i)) in
+    let v = snd (bounds m (find 0 0)) - 1 in
+    let lo = List.fold_left min max_int m.vs and hi = List.fold_left max 0 m.vs in
+    if v < lo then lo else if v > hi then hi else v
+
+  let to_alist m =
+    List.filter_map
+      (fun i ->
+        let c = m.counts.(i) in
+        if c > 0 then
+          let lo, hi = bounds m i in
+          Some (lo, hi, c)
+        else None)
+      (List.init (Array.length m.counts) Fun.id)
+end
+
+let hdr_agrees (h : Hdr.t) (m : Eager.t) =
+  let n = List.length m.Eager.vs in
+  Hdr.count h = n
+  && Hdr.total h = List.fold_left ( + ) 0 m.Eager.vs
+  && Hdr.to_alist h = Eager.to_alist m
+  && (n = 0
+     || Hdr.min_value h = List.fold_left min max_int m.Eager.vs
+        && Hdr.max_value h = List.fold_left max 0 m.Eager.vs
+        && List.for_all (fun q -> Hdr.quantile h q = Eager.quantile m q) [ 0.0; 50.0; 99.0; 100.0 ])
+
+let hdr_matches_eager_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 8 >>= fun p ->
+      let base = 1 lsl p in
+      let value hi =
+        oneof
+          [
+            return 0; return (base - 1); return (1 lsl 40); int_range (-5) (-1); int_bound hi;
+            int_bound (1 lsl 40);
+          ]
+      in
+      (* the second histogram stays small, so merges pair lengths that differ *)
+      map2 (fun xs ys -> (p, xs, ys))
+        (list_size (int_bound 40) (value (1 lsl 20)))
+        (list_size (int_bound 40) (value (4 * base))))
+  in
+  QCheck.Test.make ~count:300 ~name:"range-sized Hdr = eager slot array (one, merge both ways)"
+    (QCheck.make gen)
+    (fun (p, xs, ys) ->
+      let build vs =
+        let h = Hdr.create ~precision:p () and m = Eager.create p in
+        List.iter
+          (fun v ->
+            Hdr.record h v;
+            Eager.record m v)
+          vs;
+        (h, m)
+      in
+      let ha, ma = build xs and hb, mb = build ys in
+      hdr_agrees ha ma && hdr_agrees hb mb
+      && hdr_agrees (Hdr.merge ha hb) (Eager.merge ma mb)
+      && hdr_agrees (Hdr.merge hb ha) (Eager.merge mb ma))
+
+(* Live words of a histogram at the default precision: an empty one is
+   its record (10 measured), and one whose values stay below 2^14 adds
+   the exact slots and nine octaves, 321 words with the array's header
+   (330 measured); an eagerly sized one held 1,898 either way. *)
+let hdr_sized_by_range () =
+  let words h = Obj.reachable_words (Obj.repr h) in
+  let h = Hdr.create () in
+  let empty = words h in
+  List.iter (Hdr.record h) [ 0; 31; 1000; (1 lsl 14) - 1 ];
+  let small = words h in
+  Printf.printf "Hdr: %d words empty, %d holding values below 2^14\n" empty small;
+  if empty > 12 then Alcotest.failf "an empty histogram holds %d words (bound 12)" empty;
+  if small > 400 then Alcotest.failf "a histogram of values below 2^14 holds %d words (bound 400)" small
+
 (* ---------------- Table ---------------- *)
 
 let table_rows_and_render () =
@@ -292,6 +408,8 @@ let suites =
         qtest hdr_relative_error;
         qtest hdr_quantile_clamped_to_extremes;
         qtest hdr_merge_order_independent;
+        qtest hdr_matches_eager_model;
+        Alcotest.test_case "sized by recorded range" `Quick hdr_sized_by_range;
       ] );
     ( "stats.table",
       [
